@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pab_analog::RectoPiezo;
 use pab_channel::{Pool, Position};
 use pab_core::link::{LinkConfig, LinkSimulator};
-use pab_core::network::{ConcurrentConfig, ConcurrentSimulator};
+use pab_core::collision_group::{CollisionGroupSimulator, MultiNodeConfig};
 use pab_core::node::PabNode;
 use pab_core::powerup::max_powerup_distance_m;
 use pab_core::receiver::Receiver;
@@ -119,10 +119,12 @@ fn fig10_concurrent(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(30))
         .warm_up_time(std::time::Duration::from_secs(2));
+    let cfg = MultiNodeConfig::fig10_pair();
+    let queries = cfg.addressed_queries(Command::Ping);
     group.bench_function("fig10_three_slot_collision", |b| {
         b.iter_batched(
-            || ConcurrentSimulator::new(ConcurrentConfig::default()).unwrap(),
-            |mut sim| sim.run().unwrap(),
+            || CollisionGroupSimulator::with_config(&cfg).unwrap(),
+            |mut sim| sim.run(&queries).unwrap(),
             BatchSize::PerIteration,
         )
     });

@@ -19,7 +19,7 @@
 use crate::ChannelError;
 
 /// SplitMix64 finaliser: the workspace's standard stateless scrambler
-/// (same constants as `pab_experiments::sweep::derive_seed`).
+/// (same constants as `pab_sweep::derive_seed`).
 fn mix64(z0: u64) -> u64 {
     let mut z = z0.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

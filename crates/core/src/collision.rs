@@ -134,67 +134,6 @@ pub fn estimate_channel(y: &[f64], x: &[&[f64]]) -> Result<AffineChannel, CoreEr
     })
 }
 
-/// Zero-forcing separation of two streams from two receive bands.
-///
-/// `y` holds the two band envelopes; `ch` their estimated affine channels
-/// (each with two gains). Returns the two recovered stream estimates.
-pub fn zero_force_two(
-    y: &[Vec<f64>; 2],
-    ch: &[AffineChannel; 2],
-) -> Result<[Vec<f64>; 2], CoreError> {
-    let n = y[0].len().min(y[1].len());
-    if ch[0].gains.len() != 2 || ch[1].gains.len() != 2 {
-        return Err(CoreError::InvalidConfig("need 2 gains per channel"));
-    }
-    let a = [
-        [ch[0].gains[0], ch[0].gains[1]],
-        [ch[1].gains[0], ch[1].gains[1]],
-    ];
-    // Scale-invariant singularity test: the condition number doesn't care
-    // whether the gains are O(1) or O(1e-9), only whether the two bands'
-    // observations are linearly independent.
-    let condition_number = condition_number_2x2(ch);
-    if !(condition_number < SINGULAR_CONDITION) {
-        return Err(CoreError::SingularChannel { condition_number });
-    }
-    let det = a[0][0] * a[1][1] - a[0][1] * a[1][0];
-    let inv = [
-        [a[1][1] / det, -a[0][1] / det],
-        [-a[1][0] / det, a[0][0] / det],
-    ];
-    let mut s1 = Vec::with_capacity(n);
-    let mut s2 = Vec::with_capacity(n);
-    for t in 0..n {
-        let r1 = y[0][t] - ch[0].offset;
-        let r2 = y[1][t] - ch[1].offset;
-        s1.push(inv[0][0] * r1 + inv[0][1] * r2);
-        s2.push(inv[1][0] * r1 + inv[1][1] * r2);
-    }
-    Ok([s1, s2])
-}
-
-/// Condition number (2-norm, via singular values) of the 2×2 channel
-/// matrix — the paper's footnote 7 argues recto-piezos make this matrix
-/// better conditioned.
-// lint: unitless condition number (ratio of singular values)
-pub fn condition_number_2x2(ch: &[AffineChannel; 2]) -> f64 {
-    let a = ch[0].gains[0];
-    let b = ch[0].gains[1];
-    let c = ch[1].gains[0];
-    let d = ch[1].gains[1];
-    // Singular values of [[a,b],[c,d]].
-    let q1 = a * a + b * b + c * c + d * d;
-    let det = a * d - b * c;
-    let q2 = (q1 * q1 - 4.0 * det * det).max(0.0).sqrt();
-    let s_max = ((q1 + q2) / 2.0).sqrt();
-    let s_min = ((q1 - q2) / 2.0).max(0.0).sqrt();
-    if s_min == 0.0 {
-        f64::INFINITY
-    } else {
-        s_max / s_min
-    }
-}
-
 /// SINR (dB) of an estimated stream against its ground truth: regress
 /// `est = α + β·truth` and compare explained to residual power.
 pub fn sinr_db(estimate: &[f64], truth: &[f64]) -> f64 {
@@ -254,63 +193,6 @@ pub fn estimate_channel_complex(
             .map(|(&r, &i)| num_complex::Complex64::new(r, i))
             .collect(),
     })
-}
-
-/// Coherent zero-forcing of two real streams from two complex baseband
-/// bands: invert the complex 2×2 matrix and take the real part (the
-/// transmit streams are real switching waveforms).
-pub fn zero_force_two_complex(
-    y: &[Vec<num_complex::Complex64>; 2],
-    ch: &[ComplexAffineChannel; 2],
-) -> Result<[Vec<f64>; 2], CoreError> {
-    if ch[0].gains.len() != 2 || ch[1].gains.len() != 2 {
-        return Err(CoreError::InvalidConfig("need 2 gains per channel"));
-    }
-    let n = y[0].len().min(y[1].len());
-    let a = [
-        [ch[0].gains[0], ch[0].gains[1]],
-        [ch[1].gains[0], ch[1].gains[1]],
-    ];
-    // Same scale-invariant test as the real-valued path: reject on the
-    // condition number, not the raw determinant magnitude.
-    let condition_number = condition_number_2x2_complex(ch);
-    if !(condition_number < SINGULAR_CONDITION) {
-        return Err(CoreError::SingularChannel { condition_number });
-    }
-    let det = a[0][0] * a[1][1] - a[0][1] * a[1][0];
-    let inv = [
-        [a[1][1] / det, -a[0][1] / det],
-        [-a[1][0] / det, a[0][0] / det],
-    ];
-    let mut s1 = Vec::with_capacity(n);
-    let mut s2 = Vec::with_capacity(n);
-    for t in 0..n {
-        let r1 = y[0][t] - ch[0].offset;
-        let r2 = y[1][t] - ch[1].offset;
-        s1.push((inv[0][0] * r1 + inv[0][1] * r2).re);
-        s2.push((inv[1][0] * r1 + inv[1][1] * r2).re);
-    }
-    Ok([s1, s2])
-}
-
-/// Condition number of the complex 2×2 channel matrix (singular values of
-/// the complex matrix).
-// lint: unitless condition number (ratio of singular values)
-pub fn condition_number_2x2_complex(ch: &[ComplexAffineChannel; 2]) -> f64 {
-    let a = ch[0].gains[0];
-    let b = ch[0].gains[1];
-    let c = ch[1].gains[0];
-    let d = ch[1].gains[1];
-    let q1 = a.norm_sqr() + b.norm_sqr() + c.norm_sqr() + d.norm_sqr();
-    let det = (a * d - b * c).norm();
-    let q2 = (q1 * q1 - 4.0 * det * det).max(0.0).sqrt();
-    let s_max = ((q1 + q2) / 2.0).sqrt();
-    let s_min = ((q1 - q2) / 2.0).max(0.0).sqrt();
-    if s_min == 0.0 {
-        f64::INFINITY
-    } else {
-        s_max / s_min
-    }
 }
 
 /// Solve a small dense *complex* linear system `A x = b` by Gaussian
@@ -384,8 +266,9 @@ pub fn invert_complex(
 }
 
 /// Coherent zero-forcing of `n` real streams from `n` complex baseband
-/// bands — the general form of [`zero_force_two_complex`] for larger FDMA
-/// deployments (§8's scaling direction).
+/// bands: invert the complex `n×n` channel matrix and take the real part
+/// (the transmit streams are real switching waveforms). Serves the Fig. 10
+/// pair and §8's larger FDMA deployments alike.
 pub fn zero_force_n_complex(
     y: &[Vec<num_complex::Complex64>],
     ch: &[ComplexAffineChannel],
@@ -394,8 +277,10 @@ pub fn zero_force_n_complex(
     if n == 0 || ch.len() != n || ch.iter().any(|c| c.gains.len() != n) {
         return Err(CoreError::InvalidConfig("band/stream count mismatch"));
     }
-    // Scale-invariant singularity test (see `zero_force_two`): surface
-    // the condition number instead of failing deep inside the solver.
+    // Scale-invariant singularity test: the condition number doesn't care
+    // whether the gains are O(1) or O(1e-9), only whether the bands'
+    // observations are linearly independent. Surface it instead of
+    // failing deep inside the solver.
     let condition_number = condition_number_n(ch);
     if !(condition_number < SINGULAR_CONDITION) {
         return Err(CoreError::SingularChannel { condition_number });
@@ -417,19 +302,47 @@ pub fn zero_force_n_complex(
     Ok(out)
 }
 
-/// Condition number of an `n×n` complex channel matrix (ratio of largest
-/// to smallest singular value, computed by power iteration on `A^H A` —
-/// adequate for the small matrices here).
+/// Condition number of an `n×n` complex channel matrix: the ratio of its
+/// largest to smallest singular value — the paper's footnote 7 argues
+/// recto-piezos make this matrix better conditioned. A 2×2 matrix takes
+/// the closed form; larger ones use power iteration on `A^H A`, adequate
+/// for the small matrices here.
 // lint: unitless condition number (ratio of singular values)
 pub fn condition_number_n(ch: &[ComplexAffineChannel]) -> f64 {
-    use num_complex::Complex64;
     let n = ch.len();
     if n == 0 || ch.iter().any(|c| c.gains.len() != n) {
         return f64::INFINITY;
     }
     if n == 2 {
-        return condition_number_2x2_complex(&[ch[0].clone(), ch[1].clone()]);
+        return closed_form_kappa_2x2(ch);
     }
+    power_iteration_kappa(ch)
+}
+
+/// Closed-form singular values of the complex 2×2 matrix
+/// `[[a, b], [c, d]]`.
+fn closed_form_kappa_2x2(ch: &[ComplexAffineChannel]) -> f64 {
+    let a = ch[0].gains[0];
+    let b = ch[0].gains[1];
+    let c = ch[1].gains[0];
+    let d = ch[1].gains[1];
+    let q1 = a.norm_sqr() + b.norm_sqr() + c.norm_sqr() + d.norm_sqr();
+    let det = (a * d - b * c).norm();
+    let q2 = (q1 * q1 - 4.0 * det * det).max(0.0).sqrt();
+    let s_max = ((q1 + q2) / 2.0).sqrt();
+    let s_min = ((q1 - q2) / 2.0).max(0.0).sqrt();
+    if s_min == 0.0 {
+        f64::INFINITY
+    } else {
+        s_max / s_min
+    }
+}
+
+/// Condition number by power iteration (largest eigenvalue of `A^H A`)
+/// and inverse power iteration (smallest) on a square matrix.
+fn power_iteration_kappa(ch: &[ComplexAffineChannel]) -> f64 {
+    use num_complex::Complex64;
+    let n = ch.len();
     // Gram matrix G = A^H A (Hermitian positive semidefinite).
     let a: Vec<Vec<Complex64>> = ch.iter().map(|c| c.gains.clone()).collect();
     let mut g = vec![vec![Complex64::new(0.0, 0.0); n]; n];
@@ -519,6 +432,7 @@ pub fn aligned_sinr_db(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use num_complex::Complex64;
     use pab_channel::noise::standard_normal;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -527,6 +441,39 @@ mod tests {
         (0..n)
             .map(|i| if ((i + phase) / period).is_multiple_of(2) { 1.0 } else { 0.0 })
             .collect()
+    }
+
+    /// A 2×2 band-major channel with zero offset and the given gains.
+    fn pair(gains: [[Complex64; 2]; 2]) -> Vec<ComplexAffineChannel> {
+        gains
+            .iter()
+            .map(|row| ComplexAffineChannel {
+                offset: Complex64::new(0.0, 0.0),
+                gains: row.to_vec(),
+            })
+            .collect()
+    }
+
+    /// Noise-free band observations `y[b] = offset[b] + Σ_i h[b][i] x_i`.
+    fn observe(ch: &[ComplexAffineChannel], xs: &[&[f64]]) -> Vec<Vec<Complex64>> {
+        ch.iter()
+            .map(|c| {
+                (0..xs[0].len())
+                    .map(|t| {
+                        c.offset
+                            + c.gains
+                                .iter()
+                                .zip(xs)
+                                .map(|(&g, x)| g * x[t])
+                                .sum::<Complex64>()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn re(v: f64) -> Complex64 {
+        Complex64::new(v, 0.0)
     }
 
     #[test]
@@ -578,13 +525,19 @@ mod tests {
         };
         let y1 = mk(1.0, 0.6, 0.25, &mut rng);
         let y2 = mk(0.7, 0.2, 0.55, &mut rng);
-        let ch1 = estimate_channel(&y1, &[&x1, &x2]).unwrap();
-        let ch2 = estimate_channel(&y2, &[&x1, &x2]).unwrap();
-        let [s1, s2] = zero_force_two(&[y1.clone(), y2.clone()], &[ch1, ch2]).unwrap();
+        let y: Vec<Vec<Complex64>> = [&y1, &y2]
+            .iter()
+            .map(|b| b.iter().map(|&v| re(v)).collect())
+            .collect();
+        let ch = vec![
+            estimate_channel_complex(&y[0], &[&x1, &x2]).unwrap(),
+            estimate_channel_complex(&y[1], &[&x1, &x2]).unwrap(),
+        ];
+        let s = zero_force_n_complex(&y, &ch).unwrap();
         // After projection, each stream correlates with its truth much
         // better than the naive per-band estimate.
-        let after1 = sinr_db(&s1, &x1);
-        let after2 = sinr_db(&s2, &x2);
+        let after1 = sinr_db(&s[0], &x1);
+        let after2 = sinr_db(&s[1], &x2);
         let before1 = sinr_db(&naive_stream_estimate(&y1), &x1);
         let before2 = sinr_db(&naive_stream_estimate(&y2), &x2);
         assert!(after1 > before1 + 3.0, "after {after1} before {before1}");
@@ -594,31 +547,22 @@ mod tests {
 
     #[test]
     fn condition_number_identity_is_one() {
-        let ch = [
-            AffineChannel { offset: 0.0, gains: vec![1.0, 0.0] },
-            AffineChannel { offset: 0.0, gains: vec![0.0, 1.0] },
-        ];
-        assert!((condition_number_2x2(&ch) - 1.0).abs() < 1e-9);
-        let bad = [
-            AffineChannel { offset: 0.0, gains: vec![1.0, 1.0] },
-            AffineChannel { offset: 0.0, gains: vec![1.0, 1.0] },
-        ];
-        assert!(condition_number_2x2(&bad).is_infinite());
+        let id = pair([[re(1.0), re(0.0)], [re(0.0), re(1.0)]]);
+        assert!((condition_number_n(&id) - 1.0).abs() < 1e-9);
+        assert!((power_iteration_kappa(&id) - 1.0).abs() < 1e-9);
+        let bad = pair([[re(1.0), re(1.0)], [re(1.0), re(1.0)]]);
+        assert!(condition_number_n(&bad).is_infinite());
     }
 
     #[test]
     fn zero_forcing_rejects_singular_channels() {
-        let ch = AffineChannel {
-            offset: 0.0,
-            gains: vec![1.0, 1.0],
-        };
-        let y = [vec![0.0; 4], vec![0.0; 4]];
-        assert!(zero_force_two(&y, &[ch.clone(), ch]).is_err());
+        let ch = pair([[re(1.0), re(1.0)], [re(1.0), re(1.0)]]);
+        let y = vec![vec![re(0.0); 4]; 2];
+        assert!(zero_force_n_complex(&y, &ch).is_err());
     }
 
     #[test]
     fn complex_channel_estimation_recovers_gains() {
-        use num_complex::Complex64;
         let n = 3000;
         let x = square_wave(n, 9, 2);
         let g = Complex64::new(0.4, -0.7);
@@ -631,49 +575,31 @@ mod tests {
 
     #[test]
     fn complex_zero_forcing_separates_phase_orthogonal_streams() {
-        use num_complex::Complex64;
         let n = 4000;
         let x1 = square_wave(n, 7, 0);
         let x2 = square_wave(n, 11, 3);
         // Stream 2 is nearly invisible to an envelope detector on band 1
         // (purely imaginary gain), but coherent ZF recovers both.
-        let h = [
+        let mut ch = pair([
             [Complex64::new(1.0, 0.0), Complex64::new(0.0, 0.8)],
             [Complex64::new(0.0, -0.5), Complex64::new(0.9, 0.1)],
-        ];
-        let mk = |row: usize| -> Vec<Complex64> {
-            (0..n)
-                .map(|t| Complex64::new(3.0, 1.0) + h[row][0] * x1[t] + h[row][1] * x2[t])
-                .collect()
-        };
-        let y = [mk(0), mk(1)];
-        let ch = [
-            ComplexAffineChannel {
-                offset: Complex64::new(3.0, 1.0),
-                gains: vec![h[0][0], h[0][1]],
-            },
-            ComplexAffineChannel {
-                offset: Complex64::new(3.0, 1.0),
-                gains: vec![h[1][0], h[1][1]],
-            },
-        ];
-        let [s1, s2] = zero_force_two_complex(&y, &ch).unwrap();
-        assert!(sinr_db(&s1, &x1) > 60.0);
-        assert!(sinr_db(&s2, &x2) > 60.0);
-        assert!(condition_number_2x2_complex(&ch).is_finite());
+        ]);
+        for c in &mut ch {
+            c.offset = Complex64::new(3.0, 1.0);
+        }
+        let s = zero_force_n_complex(&observe(&ch, &[&x1, &x2]), &ch).unwrap();
+        assert!(sinr_db(&s[0], &x1) > 60.0);
+        assert!(sinr_db(&s[1], &x2) > 60.0);
+        assert!(condition_number_n(&ch).is_finite());
     }
 
     #[test]
     fn complex_zero_forcing_rejects_singular() {
-        use num_complex::Complex64;
         let g = Complex64::new(1.0, 1.0);
-        let ch = ComplexAffineChannel {
-            offset: Complex64::new(0.0, 0.0),
-            gains: vec![g, g],
-        };
-        let y = [vec![Complex64::new(0.0, 0.0); 4], vec![Complex64::new(0.0, 0.0); 4]];
-        assert!(zero_force_two_complex(&y, &[ch.clone(), ch.clone()]).is_err());
-        assert!(condition_number_2x2_complex(&[ch.clone(), ch]).is_infinite());
+        let ch = pair([[g, g], [g, g]]);
+        let y = vec![vec![re(0.0); 4]; 2];
+        assert!(zero_force_n_complex(&y, &ch).is_err());
+        assert!(condition_number_n(&ch).is_infinite());
     }
 
     #[test]
@@ -693,7 +619,6 @@ mod tests {
 
     #[test]
     fn complex_solver_and_inverse() {
-        use num_complex::Complex64;
         let a = vec![
             vec![Complex64::new(2.0, 1.0), Complex64::new(0.0, -1.0)],
             vec![Complex64::new(1.0, 0.0), Complex64::new(3.0, 0.5)],
@@ -722,7 +647,6 @@ mod tests {
 
     #[test]
     fn n_way_zero_forcing_separates_three_streams() {
-        use num_complex::Complex64;
         let n = 3000;
         let xs = [
             square_wave(n, 7, 0),
@@ -775,26 +699,19 @@ mod tests {
 
     #[test]
     fn condition_number_n_matches_2x2_case() {
-        use num_complex::Complex64;
-        let ch = vec![
-            ComplexAffineChannel {
-                offset: Complex64::new(0.0, 0.0),
-                gains: vec![Complex64::new(2.0, 0.0), Complex64::new(0.1, 0.0)],
-            },
-            ComplexAffineChannel {
-                offset: Complex64::new(0.0, 0.0),
-                gains: vec![Complex64::new(0.0, 0.1), Complex64::new(0.5, 0.0)],
-            },
-        ];
-        let pair = [ch[0].clone(), ch[1].clone()];
-        let a = condition_number_n(&ch);
-        let b = condition_number_2x2_complex(&pair);
+        // The closed form is the oracle for the power-iteration path.
+        let ch = pair([
+            [Complex64::new(2.0, 0.0), Complex64::new(0.1, 0.0)],
+            [Complex64::new(0.0, 0.1), Complex64::new(0.5, 0.0)],
+        ]);
+        let a = power_iteration_kappa(&ch);
+        let b = closed_form_kappa_2x2(&ch);
         assert!((a - b).abs() / b < 1e-9, "{a} vs {b}");
+        assert_eq!(condition_number_n(&ch).to_bits(), b.to_bits());
     }
 
     #[test]
     fn n_way_rejects_mismatched_shapes() {
-        use num_complex::Complex64;
         let ch = vec![ComplexAffineChannel {
             offset: Complex64::new(0.0, 0.0),
             gains: vec![Complex64::new(1.0, 0.0)],
@@ -809,50 +726,30 @@ mod tests {
         // Long-range regression: spreading + absorption losses shrink the
         // gains to ~1e-9, so det ~ 1e-18 — far below the old absolute
         // `det.abs() < 1e-15` cutoff — but the matrix is perfectly
-        // conditioned and must decode.
+        // conditioned and must decode, with real or phase-rotated gains.
         let n = 4000;
         let x1 = square_wave(n, 6, 0);
         let x2 = square_wave(n, 10, 4);
         let g = 1e-9;
-        let ch = [
-            AffineChannel { offset: 0.0, gains: vec![1.2 * g, 0.3 * g] },
-            AffineChannel { offset: 0.0, gains: vec![-0.2 * g, 0.9 * g] },
-        ];
-        let y = [
-            (0..n).map(|t| ch[0].gains[0] * x1[t] + ch[0].gains[1] * x2[t]).collect::<Vec<_>>(),
-            (0..n).map(|t| ch[1].gains[0] * x1[t] + ch[1].gains[1] * x2[t]).collect::<Vec<_>>(),
-        ];
-        assert!(condition_number_2x2(&ch) < 3.0);
-        let [s1, s2] = zero_force_two(&y, &ch).expect("well-conditioned tiny gains must decode");
-        assert!(sinr_db(&s1, &x1) > 60.0);
-        assert!(sinr_db(&s2, &x2) > 60.0);
-        // Complex twin of the same regression.
-        use num_complex::Complex64;
-        let chc = [
-            ComplexAffineChannel {
-                offset: Complex64::new(0.0, 0.0),
-                gains: vec![Complex64::new(1.2 * g, 0.0), Complex64::new(0.0, 0.3 * g)],
-            },
-            ComplexAffineChannel {
-                offset: Complex64::new(0.0, 0.0),
-                gains: vec![Complex64::new(0.0, -0.2 * g), Complex64::new(0.9 * g, 0.0)],
-            },
-        ];
-        let yc = [
-            (0..n).map(|t| chc[0].gains[0] * x1[t] + chc[0].gains[1] * x2[t]).collect::<Vec<_>>(),
-            (0..n).map(|t| chc[1].gains[0] * x1[t] + chc[1].gains[1] * x2[t]).collect::<Vec<_>>(),
-        ];
-        let [c1, c2] = zero_force_two_complex(&yc, &chc)
-            .expect("well-conditioned tiny complex gains must decode");
-        assert!(sinr_db(&c1, &x1) > 60.0);
-        assert!(sinr_db(&c2, &x2) > 60.0);
+        let real = pair([[re(1.2 * g), re(0.3 * g)], [re(-0.2 * g), re(0.9 * g)]]);
+        let rotated = pair([
+            [Complex64::new(1.2 * g, 0.0), Complex64::new(0.0, 0.3 * g)],
+            [Complex64::new(0.0, -0.2 * g), Complex64::new(0.9 * g, 0.0)],
+        ]);
+        for ch in [real, rotated] {
+            assert!(condition_number_n(&ch) < 3.0);
+            let s = zero_force_n_complex(&observe(&ch, &[&x1, &x2]), &ch)
+                .expect("well-conditioned tiny gains must decode");
+            assert!(sinr_db(&s[0], &x1) > 60.0);
+            assert!(sinr_db(&s[1], &x2) > 60.0);
+        }
     }
 
     #[test]
     fn singular_rejection_carries_condition_number() {
-        let ch = AffineChannel { offset: 0.0, gains: vec![1.0, 1.0] };
-        let y = [vec![0.0; 4], vec![0.0; 4]];
-        match zero_force_two(&y, &[ch.clone(), ch]) {
+        let ch = pair([[re(1.0), re(1.0)], [re(1.0), re(1.0)]]);
+        let y = vec![vec![re(0.0); 4]; 2];
+        match zero_force_n_complex(&y, &ch) {
             Err(CoreError::SingularChannel { condition_number }) => {
                 assert!(condition_number.is_infinite());
             }

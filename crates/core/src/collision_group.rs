@@ -1,13 +1,21 @@
-//! The §8 collision decoder driven as a *network slot*: a k-node group
-//! backscatters concurrently into one broadcast query slot and the reader
-//! separates the collision by zero-forcing over per-band channel
-//! estimates ([`crate::collision`]).
+//! The k-node collision slot of §3.3.2 / Fig. 10 and §8: every powered
+//! member backscatters every carrier (backscatter is frequency-agnostic),
+//! per-member training slots fit a band-major complex affine channel
+//! matrix, and zero-forcing ([`crate::collision`]) separates the
+//! collision. [`CollisionGroupSimulator`] is the one engine for this
+//! slot, whoever drives it:
 //!
-//! [`crate::network::ConcurrentSimulator`] runs the fixed two-node Fig. 10
-//! experiment end to end; this module generalizes that pipeline to any
-//! group drawn from a [`FaultNetConfig`](crate::faultnet::FaultNetConfig)
-//! so the fault-injected MAC round can schedule collision slots
-//! opportunistically:
+//! * **faultnet groups** ([`CollisionGroupSimulator::new`]) are drawn
+//!   from a [`FaultNetConfig`](crate::faultnet::FaultNetConfig) so the
+//!   fault-injected MAC round can schedule collision slots
+//!   opportunistically;
+//! * **standalone experiments** ([`CollisionGroupSimulator::with_config`])
+//!   place their nodes with a [`MultiNodeConfig`] — the Fig. 10 pair
+//!   ([`MultiNodeConfig::fig10_pair`]) and the §8 three-channel run
+//!   ([`MultiNodeConfig::default`]) — and [`CollisionGroupSimulator::run`]
+//!   reports SINR before and after projection.
+//!
+//! The slot procedure:
 //!
 //! * **training** runs one addressed slot per member (query on its own
 //!   carrier, continuous wave on the others) and estimates the k×k
@@ -16,33 +24,167 @@
 //!   [`CollisionPolicy`](pab_net::mac::CollisionPolicy) gate before any
 //!   collision is attempted — an ill-conditioned geometry reports its
 //!   condition number and the round falls back to FDMA;
-//! * **collision slots** issue one *broadcast* query
-//!   ([`BROADCAST_ADDR`](pab_net::packet::BROADCAST_ADDR)) on every
-//!   member carrier, every member answers concurrently, and the k
-//!   separated streams each run the normal envelope decode + CRC so the
-//!   MAC can account per-stream verdicts individually.
+//! * **collision slots** ([`CollisionGroupSimulator::collide`]) transmit
+//!   one [`DownlinkQuery`] per member carrier — a broadcast on every
+//!   carrier for faultnet groups and the three-channel run, each member's
+//!   addressed query for Fig. 10 — every powered member answers
+//!   concurrently, and the k separated streams each run the normal
+//!   envelope decode + CRC so the MAC can account per-stream verdicts
+//!   individually.
 //!
-//! Determinism: the group owns a ChaCha8 RNG seeded from the network seed
-//! and the member addresses, every slot runs inline (never fanned through
-//! the parallel engine), and AWGN is drawn in slot order — so same-seed
-//! runs are bit-identical regardless of `parallel_slots`.
+//! Determinism: the engine owns a ChaCha8 RNG seeded from
+//! [`MultiNodeConfig::seed`] (a faultnet group derives it from the network
+//! seed and the member addresses), every slot runs inline (never fanned
+//! through the parallel engine), and AWGN is drawn in slot order — so
+//! same-seed runs are bit-identical regardless of `parallel_slots`.
 
 use crate::collision::{
-    condition_number_n, estimate_channel_complex, zero_force_n_complex, ComplexAffineChannel,
+    aligned_sinr_db, condition_number_n, estimate_channel_complex, naive_stream_estimate,
+    zero_force_n_complex, ComplexAffineChannel,
 };
 use crate::faultnet::FaultNetConfig;
 use crate::node::{IncidentComponent, PabNode};
 use crate::projector::Projector;
 use crate::receiver::Receiver;
-use crate::CoreError;
+use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use num_complex::Complex64;
-use pab_channel::noise::add_awgn;
-use pab_channel::MultipathChannel;
+use pab_channel::noise::{add_awgn, NoiseEnvironment};
+use pab_channel::{MultipathChannel, Pool, Position};
 use pab_mcu::Clock;
 use pab_net::packet::{Command, DownlinkQuery, UplinkPacket, BROADCAST_ADDR};
 use pab_sweep::derive_seed;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// One member of a collision group.
+#[derive(Debug, Clone)]
+pub struct NodePlacement {
+    /// Node address (also used as its identity in reports).
+    pub addr: u8,
+    /// Recto-piezo match frequency = its FDMA channel, Hz.
+    pub carrier_hz: f64,
+    /// Position in the pool.
+    pub position: Position,
+    /// Geometric (ceramic) resonance for this node, Hz. `None` uses the
+    /// paper's standard ~16.5 kHz cylinder; setting it per node models
+    /// differently sized ceramics (the §8 scaling remedy).
+    pub ceramic_resonance_hz: Option<f64>,
+}
+
+/// Geometry, members and seed of one collision group.
+#[derive(Debug, Clone)]
+pub struct MultiNodeConfig {
+    /// The tank.
+    pub pool: Pool,
+    /// Projector position.
+    pub projector_pos: Position,
+    /// Hydrophone position.
+    pub hydrophone_pos: Position,
+    /// The members, in channel order (one per FDMA channel).
+    pub nodes: Vec<NodePlacement>,
+    /// Projector drive voltage per carrier, volts.
+    pub drive_voltage_v: f64,
+    /// Target uplink bitrate, bps.
+    pub bitrate_target_bps: f64,
+    /// Image-method reflection order.
+    pub max_reflections: usize,
+    /// Ambient noise.
+    pub noise: NoiseEnvironment,
+    /// Noise sigma multiplier.
+    // lint: unitless multiplier on ambient noise sigma
+    pub noise_scale: f64,
+    /// RNG seed.
+    pub seed: u64,
+    /// Sample rate, Hz.
+    pub fs_hz: f64,
+}
+
+impl Default for MultiNodeConfig {
+    /// The §8 three-channel group: 12.5/15.5/19 kHz channels, each node on
+    /// a ceramic sized for its channel.
+    fn default() -> Self {
+        MultiNodeConfig {
+            pool: Pool::pool_a(),
+            projector_pos: Position::new(0.5, 1.5, 0.6),
+            hydrophone_pos: Position::new(1.3, 1.5, 0.7),
+            nodes: vec![
+                NodePlacement {
+                    addr: 1,
+                    carrier_hz: 12_500.0,
+                    position: Position::new(1.6, 1.0, 0.6),
+                    ceramic_resonance_hz: Some(13_000.0),
+                },
+                NodePlacement {
+                    addr: 2,
+                    carrier_hz: 15_500.0,
+                    position: Position::new(1.4, 2.0, 0.7),
+                    ceramic_resonance_hz: Some(16_000.0),
+                },
+                NodePlacement {
+                    addr: 3,
+                    carrier_hz: 19_000.0,
+                    position: Position::new(1.8, 1.8, 0.6),
+                    ceramic_resonance_hz: Some(19_500.0),
+                },
+            ],
+            drive_voltage_v: 160.0,
+            bitrate_target_bps: 1_024.0,
+            max_reflections: 3,
+            noise: NoiseEnvironment::quiet_tank(),
+            noise_scale: 1.0,
+            seed: 11,
+            fs_hz: DEFAULT_SAMPLE_RATE_HZ,
+        }
+    }
+}
+
+impl MultiNodeConfig {
+    /// The Fig. 10 pair: 15 kHz- and 18 kHz-matched recto-piezos on the
+    /// standard ceramic, driven at 140 V per carrier in pool A.
+    pub fn fig10_pair() -> Self {
+        MultiNodeConfig {
+            hydrophone_pos: Position::new(1.0, 1.5, 0.5),
+            nodes: vec![
+                NodePlacement {
+                    addr: 1,
+                    carrier_hz: 15_000.0,
+                    position: Position::new(1.6, 1.0, 0.6),
+                    ceramic_resonance_hz: None,
+                },
+                NodePlacement {
+                    addr: 2,
+                    carrier_hz: 18_000.0,
+                    position: Position::new(1.4, 2.0, 0.7),
+                    ceramic_resonance_hz: None,
+                },
+            ],
+            drive_voltage_v: 140.0,
+            seed: 7,
+            ..Default::default()
+        }
+    }
+
+    /// One `command` query per member, each addressed to that member.
+    pub fn addressed_queries(&self, command: Command) -> Vec<DownlinkQuery> {
+        self.nodes
+            .iter()
+            .map(|n| DownlinkQuery {
+                dest: n.addr,
+                command,
+            })
+            .collect()
+    }
+
+    /// One `command` query per member, each addressed to
+    /// [`BROADCAST_ADDR`].
+    pub fn broadcast_queries(&self, command: Command) -> Vec<DownlinkQuery> {
+        let q = DownlinkQuery {
+            dest: BROADCAST_ADDR,
+            command,
+        };
+        vec![q; self.nodes.len()]
+    }
+}
 
 /// Outcome of the per-member training pass.
 #[derive(Debug, Clone)]
@@ -76,13 +218,28 @@ pub struct StreamVerdict {
     pub rectified_v: f64,
 }
 
-/// Outcome of one broadcast collision slot.
+/// Outcome of one collision slot.
 #[derive(Debug, Clone)]
 pub struct CollisionOutcome {
     /// Per-member verdicts, in member (channel) order.
     pub verdicts: Vec<StreamVerdict>,
     /// Simulated duration of the slot, seconds.
     pub elapsed_s: f64,
+}
+
+/// SINR before and after projection from one standalone experiment
+/// ([`CollisionGroupSimulator::run`]), per member in channel order.
+#[derive(Debug)]
+pub struct SinrReport {
+    /// SINR of each stream before projection (naive per-band envelope), dB.
+    pub sinr_before_db: Vec<f64>,
+    /// SINR of each stream after k×k zero-forcing, dB.
+    pub sinr_after_db: Vec<f64>,
+    /// Whether each member's concurrent packet decoded with a valid CRC.
+    pub crc_ok: Vec<bool>,
+    /// Condition number of the trained channel matrix.
+    // lint: unitless condition number (ratio of singular values)
+    pub condition_number: f64,
 }
 
 #[derive(Debug)]
@@ -111,6 +268,15 @@ struct SlotOutput {
     samples: usize,
 }
 
+/// A zero-forced collision slot, before its streams are decoded.
+struct Separated {
+    slot: SlotOutput,
+    /// Sample window `[start, end)` where the collision happens.
+    window: (usize, usize),
+    /// The separated real switching streams over `window`, per member.
+    streams: Vec<Vec<f64>>,
+}
+
 /// A k-node concurrent-uplink simulator for one collision group.
 #[derive(Debug)]
 pub struct CollisionGroupSimulator {
@@ -131,77 +297,104 @@ pub struct CollisionGroupSimulator {
 
 impl CollisionGroupSimulator {
     /// Build the group simulator for `addrs` (all of which must exist in
-    /// `cfg.nodes`), pre-computing the k² propagation channels.
+    /// `cfg.nodes`), seeded from the network seed and the member
+    /// addresses so two groups (or a group and the per-link sims) never
+    /// share a noise stream.
     pub fn new(cfg: &FaultNetConfig, addrs: &[u8]) -> Result<Self, CoreError> {
-        if addrs.len() < 2 {
-            return Err(CoreError::InvalidConfig("collision group needs >= 2 members"));
+        let nodes = addrs
+            .iter()
+            .map(|&addr| {
+                let spec = cfg
+                    .nodes
+                    .iter()
+                    .find(|s| s.addr == addr)
+                    .ok_or(CoreError::InvalidConfig("collision member not in config"))?;
+                Ok(NodePlacement {
+                    addr,
+                    carrier_hz: spec.carrier_hz,
+                    position: spec.position,
+                    ceramic_resonance_hz: None,
+                })
+            })
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        let mut seed = derive_seed(cfg.seed, 0x636f_6c6c);
+        for &addr in addrs {
+            seed = derive_seed(seed, u64::from(addr));
+        }
+        Self::with_config(&MultiNodeConfig {
+            pool: cfg.pool,
+            projector_pos: cfg.projector_pos,
+            hydrophone_pos: cfg.hydrophone_pos,
+            nodes,
+            drive_voltage_v: cfg.drive_voltage_v,
+            bitrate_target_bps: cfg.bitrate_target_bps,
+            max_reflections: cfg.max_reflections,
+            noise: cfg.noise,
+            noise_scale: cfg.noise_scale,
+            seed,
+            fs_hz: cfg.fs_hz,
+        })
+    }
+
+    /// Build the simulator for `cfg`'s members, seeded from `cfg.seed`:
+    /// designs one recto-piezo per member and pre-computes the k²
+    /// propagation channels per hop (the geometry is fixed for the
+    /// simulator's lifetime, so every slot reuses the same tap sets).
+    pub fn with_config(cfg: &MultiNodeConfig) -> Result<Self, CoreError> {
+        if cfg.nodes.len() < 2 {
+            return Err(CoreError::InvalidConfig(
+                "collision group needs >= 2 members",
+            ));
         }
         let mut projector = Projector::new(cfg.drive_voltage_v)?;
         projector.fs_hz = cfg.fs_hz;
         let divider = Clock::watch_crystal()
             .divider_for_bitrate(cfg.bitrate_target_bps)
             .map_err(CoreError::Mcu)? as u16;
-        let mut specs = Vec::with_capacity(addrs.len());
-        for &addr in addrs {
-            let spec = cfg
-                .nodes
-                .iter()
-                .find(|s| s.addr == addr)
-                .ok_or(CoreError::InvalidConfig("collision member not in config"))?;
-            specs.push(spec);
-        }
-        let carriers: Vec<f64> = specs.iter().map(|s| s.carrier_hz).collect();
-        let mut members = Vec::with_capacity(specs.len());
-        for spec in &specs {
-            let mut node = PabNode::new(spec.addr, spec.carrier_hz)?;
+        let channel = |from: &Position, to: &Position, f: f64| {
+            cfg.pool.channel(from, to, cfg.max_reflections, f)
+        };
+        let mut members = Vec::with_capacity(cfg.nodes.len());
+        for p in &cfg.nodes {
+            let mut node = match p.ceramic_resonance_hz {
+                Some(f_res) => {
+                    let t = pab_piezo::TransducerBuilder::new()
+                        .resonance_hz(f_res)
+                        .build()
+                        .map_err(pab_analog::AnalogError::Piezo)?;
+                    PabNode::with_transducer(p.addr, t, p.carrier_hz)?
+                }
+                None => PabNode::new(p.addr, p.carrier_hz)?,
+            };
             node.default_divider = divider;
-            let mut ch_down = Vec::with_capacity(carriers.len());
-            let mut ch_up = Vec::with_capacity(carriers.len());
-            for &f in &carriers {
-                ch_down.push(cfg.pool.channel(
-                    &cfg.projector_pos,
-                    &spec.position,
-                    cfg.max_reflections,
-                    f,
-                )?);
-                ch_up.push(cfg.pool.channel(
-                    &spec.position,
-                    &cfg.hydrophone_pos,
-                    cfg.max_reflections,
-                    f,
-                )?);
+            let mut ch_down = Vec::with_capacity(cfg.nodes.len());
+            let mut ch_up = Vec::with_capacity(cfg.nodes.len());
+            for q in &cfg.nodes {
+                ch_down.push(channel(&cfg.projector_pos, &p.position, q.carrier_hz)?);
+                ch_up.push(channel(&p.position, &cfg.hydrophone_pos, q.carrier_hz)?);
             }
             members.push(GroupMember {
-                addr: spec.addr,
-                carrier_hz: spec.carrier_hz,
+                addr: p.addr,
+                carrier_hz: p.carrier_hz,
                 node,
                 ch_down,
                 ch_up,
             });
         }
-        let mut ch_proj_hydro = Vec::with_capacity(carriers.len());
-        for &f in &carriers {
-            ch_proj_hydro.push(cfg.pool.channel(
-                &cfg.projector_pos,
-                &cfg.hydrophone_pos,
-                cfg.max_reflections,
-                f,
-            )?);
-        }
-        let noise_sigma_pa =
-            cfg.noise.rms_pressure_pa(carriers[0], cfg.fs_hz / 2.0)? * cfg.noise_scale;
-        // The group RNG is derived from the network seed and the member
-        // addresses, so two groups (or a group and the per-link sims)
-        // never share a noise stream.
-        let mut seed = derive_seed(cfg.seed, 0x636f_6c6c);
-        for &addr in addrs {
-            seed = derive_seed(seed, u64::from(addr));
-        }
+        let ch_proj_hydro = cfg
+            .nodes
+            .iter()
+            .map(|q| channel(&cfg.projector_pos, &cfg.hydrophone_pos, q.carrier_hz))
+            .collect::<Result<Vec<_>, _>>()?;
+        let noise_sigma_pa = cfg
+            .noise
+            .rms_pressure_pa(cfg.nodes[0].carrier_hz, cfg.fs_hz / 2.0)?
+            * cfg.noise_scale;
         Ok(CollisionGroupSimulator {
             members,
             projector,
             receiver: Receiver::new(1.0e-3, cfg.fs_hz),
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             ch_proj_hydro,
             fs_hz: cfg.fs_hz,
             noise_sigma_pa,
@@ -330,6 +523,14 @@ impl CollisionGroupSimulator {
         5e-3 + bits / self.bitrate_bps() + 40e-3
     }
 
+    /// Padded window `[start, end)` where any member's ground truth is
+    /// active in `slot`.
+    fn active_window(&self, slot: &SlotOutput) -> (usize, usize) {
+        let pad = (0.005 * self.fs_hz).floor() as usize;
+        let len = slot.baseband.iter().map(Vec::len).min().unwrap_or(0);
+        active_range(&slot.truths, pad, len)
+    }
+
     /// Run the k training slots (addressed query on each member's own
     /// carrier, continuous wave on the rest) and fit the band-major k×k
     /// complex affine channel matrix.
@@ -337,7 +538,6 @@ impl CollisionGroupSimulator {
         let fs = self.fs_hz;
         let k = self.members.len();
         let tail = self.response_tail_s();
-        let pad = (0.005 * fs).floor() as usize;
         let mut elapsed_s = 0.0;
         // offsets[band] averaged across slots; gains[band][member].
         let mut offsets = vec![Complex64::new(0.0, 0.0); k];
@@ -365,8 +565,7 @@ impl CollisionGroupSimulator {
             if !slot.responded[j] {
                 return Err(CoreError::NodeNotPoweredUp);
             }
-            let len = slot.baseband.iter().map(Vec::len).min().unwrap_or(0);
-            let (a0, a1) = active_range(&slot.truths, pad, len);
+            let (a0, a1) = self.active_window(&slot);
             for b in 0..k {
                 let ch = estimate_channel_complex(
                     &slot.baseband[b][a0..a1],
@@ -391,94 +590,140 @@ impl CollisionGroupSimulator {
         })
     }
 
-    /// Run one broadcast collision slot: a single query addressed to
-    /// [`BROADCAST_ADDR`] transmitted on every member carrier, every
-    /// member answering concurrently; zero-force the per-band basebands
-    /// and decode each separated stream independently.
-    ///
-    /// Requires a valid training pass ([`train`](Self::train)); surfaces
-    /// [`CoreError::SingularChannel`] when the estimated matrix is too
-    /// ill-conditioned to invert.
-    pub fn collision_slot(&mut self, command: Command) -> Result<CollisionOutcome, CoreError> {
-        let fs = self.fs_hz;
-        let k = self.members.len();
+    /// Transmit `queries[i]` on member `i`'s carrier, let every powered
+    /// member answer concurrently, and zero-force the per-band basebands.
+    fn separate(&mut self, queries: &[DownlinkQuery]) -> Result<Separated, CoreError> {
+        if queries.len() != self.members.len() {
+            return Err(CoreError::InvalidConfig("one collision query per member"));
+        }
         let channels = self
             .channels
             .clone()
             .ok_or(CoreError::InvalidConfig("collision slot before training"))?;
         let tail = self.response_tail_s();
-        let q = DownlinkQuery {
-            dest: BROADCAST_ADDR,
-            command,
-        };
-        let mut waves = Vec::with_capacity(k);
-        for m in &self.members {
-            let (w, _) = self.projector.query_waveform(&q, m.carrier_hz, tail)?;
+        let mut waves = Vec::with_capacity(queries.len());
+        for (m, q) in self.members.iter().zip(queries) {
+            let (w, _) = self.projector.query_waveform(q, m.carrier_hz, tail)?;
             waves.push(w);
         }
         let slot = self.run_slot(&waves)?;
-        let elapsed_s = slot.samples as f64 / fs;
-
-        let pad = (0.005 * fs).floor() as usize;
-        let len = slot.baseband.iter().map(Vec::len).min().unwrap_or(0);
-        let (c0, c1) = active_range(&slot.truths, pad, len);
+        let (c0, c1) = self.active_window(&slot);
         let bands: Vec<Vec<Complex64>> = slot
             .baseband
             .iter()
             .map(|b| b[c0..c1].to_vec())
             .collect();
         let streams = zero_force_n_complex(&bands, &channels)?;
+        Ok(Separated {
+            slot,
+            window: (c0, c1),
+            streams,
+        })
+    }
 
+    /// Decode each separated stream independently.
+    fn verdicts(&self, sep: &Separated) -> Vec<StreamVerdict> {
         let bitrate = self.bitrate_bps();
-        let mut verdicts = Vec::with_capacity(k);
-        for (i, stream) in streams.iter().enumerate() {
-            let verdict = match self.receiver.decode_envelope(stream, bitrate) {
-                Ok(d) => StreamVerdict {
-                    addr: self.members[i].addr,
+        let slot = &sep.slot;
+        let mut verdicts = Vec::with_capacity(sep.streams.len());
+        for (i, stream) in sep.streams.iter().enumerate() {
+            let lost = StreamVerdict {
+                addr: self.members[i].addr,
+                preamble_found: false,
+                crc_ok: false,
+                preamble_corr: 0.0,
+                snr_db: f64::NEG_INFINITY,
+                packet: None,
+                power_w: slot.power_w[i],
+                rectified_v: slot.rectified_v[i],
+            };
+            let decoded = self.receiver.decode_envelope(stream, bitrate);
+            // A member that never responded cannot have delivered: treat
+            // any accidental decode as the erasure it physically is.
+            verdicts.push(match decoded {
+                Ok(d) if slot.responded[i] => StreamVerdict {
                     preamble_found: true,
                     crc_ok: d.packet.is_ok(),
                     preamble_corr: d.preamble_corr,
                     snr_db: d.snr_db,
                     packet: d.packet.ok(),
-                    power_w: slot.power_w[i],
-                    rectified_v: slot.rectified_v[i],
+                    ..lost
                 },
-                Err(_) => StreamVerdict {
-                    addr: self.members[i].addr,
-                    preamble_found: false,
-                    crc_ok: false,
-                    preamble_corr: 0.0,
-                    snr_db: f64::NEG_INFINITY,
-                    packet: None,
-                    power_w: slot.power_w[i],
-                    rectified_v: slot.rectified_v[i],
-                },
-            };
-            // A member that never responded cannot have delivered: treat
-            // any accidental decode as the erasure it physically is.
-            if slot.responded[i] {
-                verdicts.push(verdict);
-            } else {
-                verdicts.push(StreamVerdict {
-                    preamble_found: false,
-                    crc_ok: false,
-                    preamble_corr: 0.0,
-                    snr_db: f64::NEG_INFINITY,
-                    packet: None,
-                    ..verdict
-                });
-            }
+                _ => lost,
+            });
         }
+        verdicts
+    }
+
+    /// Run one collision slot carrying `queries[i]` on member `i`'s
+    /// carrier; zero-force the per-band basebands and decode each
+    /// separated stream independently.
+    ///
+    /// Requires a valid training pass ([`train`](Self::train)); surfaces
+    /// [`CoreError::SingularChannel`] when the estimated matrix is too
+    /// ill-conditioned to invert.
+    pub fn collide(&mut self, queries: &[DownlinkQuery]) -> Result<CollisionOutcome, CoreError> {
+        let sep = self.separate(queries)?;
         Ok(CollisionOutcome {
-            verdicts,
-            elapsed_s,
+            verdicts: self.verdicts(&sep),
+            elapsed_s: sep.slot.samples as f64 / self.fs_hz,
+        })
+    }
+
+    /// [`collide`](Self::collide) with one query addressed to
+    /// [`BROADCAST_ADDR`] on every member carrier, so every member
+    /// answers concurrently.
+    pub fn collision_slot(&mut self, command: Command) -> Result<CollisionOutcome, CoreError> {
+        let q = DownlinkQuery {
+            dest: BROADCAST_ADDR,
+            command,
+        };
+        self.collide(&vec![q; self.members.len()])
+    }
+
+    /// The standalone experiment: train every member with a ping, run one
+    /// collision slot carrying `queries`, and measure each stream's SINR
+    /// before projection (the naive per-band envelope) and after it.
+    /// Fails with [`CoreError::NodeNotPoweredUp`] unless every member
+    /// answers both its training slot and the collision.
+    pub fn run(&mut self, queries: &[DownlinkQuery]) -> Result<SinrReport, CoreError> {
+        self.train(Command::Ping)?;
+        let sep = self.separate(queries)?;
+        if sep.slot.responded.contains(&false) {
+            return Err(CoreError::NodeNotPoweredUp);
+        }
+        let fs = self.fs_hz;
+        let bitrate = self.bitrate_bps();
+        let max_lag = (0.002 * fs).floor() as usize;
+        let (c0, c1) = sep.window;
+        let mut sinr_before_db = Vec::with_capacity(sep.streams.len());
+        let mut sinr_after_db = Vec::with_capacity(sep.streams.len());
+        for (i, stream) in sep.streams.iter().enumerate() {
+            let truth = &sep.slot.truths[i][c0..c1];
+            let envelope: Vec<f64> = sep.slot.baseband[i][c0..c1]
+                .iter()
+                .map(|c| c.norm())
+                .collect();
+            sinr_before_db.push(aligned_sinr_db(
+                &naive_stream_estimate(&envelope),
+                truth,
+                fs,
+                bitrate,
+                max_lag,
+            ));
+            sinr_after_db.push(aligned_sinr_db(stream, truth, fs, bitrate, max_lag));
+        }
+        Ok(SinrReport {
+            sinr_before_db,
+            sinr_after_db,
+            crc_ok: self.verdicts(&sep).iter().map(|v| v.crc_ok).collect(),
+            condition_number: self.condition_number(),
         })
     }
 }
 
 /// First/last sample where any ground-truth stream is active, padded by
-/// `pad` samples and clamped to `len` (the k-stream generalization of the
-/// helper in [`crate::network`]).
+/// `pad` samples and clamped to `len`.
 fn active_range(truths: &[Vec<f64>], pad: usize, len: usize) -> (usize, usize) {
     let mut first = len;
     let mut last = 0;
@@ -547,11 +792,35 @@ mod tests {
     }
 
     #[test]
+    fn empty_node_list_rejected() {
+        let cfg = MultiNodeConfig {
+            nodes: vec![],
+            ..Default::default()
+        };
+        assert!(CollisionGroupSimulator::with_config(&cfg).is_err());
+    }
+
+    #[test]
     fn collision_before_training_is_refused() {
         let cfg = FaultNetConfig::default();
         let mut group = CollisionGroupSimulator::new(&cfg, &[1, 2]).unwrap();
         assert!(matches!(
             group.collision_slot(Command::Ping),
+            Err(CoreError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn collision_needs_one_query_per_member() {
+        let cfg = wide_pair_cfg();
+        let mut group = CollisionGroupSimulator::new(&cfg, &[1, 2]).unwrap();
+        group.train(Command::Ping).unwrap();
+        let q = DownlinkQuery {
+            dest: BROADCAST_ADDR,
+            command: Command::Ping,
+        };
+        assert!(matches!(
+            group.collide(&[q]),
             Err(CoreError::InvalidConfig(_))
         ));
     }

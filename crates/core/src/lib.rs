@@ -15,10 +15,9 @@
 //!   backscatter streams using frequency diversity (§3.3.2, Fig. 10);
 //! * [`link`] — end-to-end single-link simulation in a pool (Figs. 2, 7,
 //!   8);
-//! * [`network`] — concurrent two-node FDMA simulation (Fig. 10) and
-//!   network throughput;
-//! * [`multinode`] — the §8 scaling extension: N recto-piezo channels
-//!   decoded with an N×N zero-forcing matrix;
+//! * [`collision_group`] — the k-node collision slot: concurrent FDMA
+//!   uplinks decoded with a k×k zero-forcing matrix, for the Fig. 10
+//!   pair, the §8 scaling extension and faultnet's collision slots;
 //! * [`powerup`] — energy-harvesting range analysis (Figs. 3, 9);
 //! * [`baseline`] — the carrier-generating (non-backscatter) battery-free
 //!   baseline the paper compares against in §2.
@@ -48,8 +47,6 @@ pub mod collision_group;
 pub mod faultnet;
 pub mod firmware;
 pub mod link;
-pub mod multinode;
-pub mod network;
 pub mod node;
 pub mod powerup;
 pub mod projector;
@@ -72,7 +69,7 @@ pub const DEFAULT_SAMPLE_RATE_HZ: f64 = 192_000.0;
 /// backscatter so channel tails land inside the recording.
 ///
 /// This is the one place the `(0.01 · fs) → usize` conversion happens;
-/// `link` and `multinode` both call it instead of repeating the lossy
+/// `link` and `collision_group` both call it instead of repeating the lossy
 /// cast inline. Rejects non-finite, non-positive and absurd sample rates
 /// (≥ 2⁵² Hz, where `f64` stops resolving integers) instead of silently
 /// truncating.

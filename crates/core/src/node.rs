@@ -82,7 +82,7 @@ pub struct PabNode {
     pub battery_assisted: bool,
     /// Guard delay between decoding a query and starting backscatter,
     /// seconds. A MAC can assign staggered guards so responses to
-    /// time-multiplexed queries still collide (see `multinode`).
+    /// time-multiplexed queries still collide (see `collision_group`).
     pub default_guard_s: f64,
     /// Simulate the cold-start transient: the storage capacitor starts
     /// empty and the MCU only boots once it charges past the power-up

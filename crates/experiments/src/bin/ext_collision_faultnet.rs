@@ -26,7 +26,7 @@
 
 use pab_channel::{BroadbandBurst, DriftRamp, FaultSchedule, PathFade};
 use pab_core::faultnet::{FaultNetConfig, FaultNetReport, FaultNetSimulator};
-use pab_experiments::sweep::{derive_seed, grid2, run_recorded};
+use pab_sweep::{derive_seed, grid2, run_recorded};
 use pab_experiments::{banner, write_bytes, write_csv, write_text};
 use pab_net::mac::{
     AdaptiveConfig, ChannelPlan, CollisionPolicy, Concurrency, MacPolicy, RateLadder,

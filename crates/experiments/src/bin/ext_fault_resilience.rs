@@ -21,7 +21,7 @@
 use pab_channel::{BroadbandBurst, DropoutWindow, DriftRamp, FaultSchedule, PathFade};
 use pab_core::faultnet::{FaultNetConfig, FaultNetReport, FaultNetSimulator};
 use pab_net::mac::{AdaptiveConfig, MacPolicy};
-use pab_experiments::sweep::{derive_seed, grid2, run, run_recorded};
+use pab_sweep::{derive_seed, grid2, run, run_recorded};
 use pab_experiments::{banner, write_bytes, write_csv, write_text};
 use pab_telemetry::events_bin;
 use pab_telemetry::export::{events_csv, events_jsonl, summary_csv};

@@ -15,19 +15,25 @@
 //!    conditioning degrades and streams fail — the transducer-bandwidth
 //!    limit.
 
-use pab_core::multinode::{MultiNodeConfig, MultiNodeSimulator};
+use pab_core::collision_group::{CollisionGroupSimulator, MultiNodeConfig};
 use pab_experiments::{banner, write_csv};
+use pab_net::packet::Command;
 
 fn run_and_print(label: &str, cfg: MultiNodeConfig, rows: &mut Vec<String>) {
     println!("--- {label}");
-    let mut sim = match MultiNodeSimulator::new(cfg) {
+    let mut sim = match CollisionGroupSimulator::with_config(&cfg) {
         Ok(s) => s,
         Err(e) => {
             println!("    setup failed: {e}");
             return;
         }
     };
-    match sim.run() {
+    // One broadcast ping keyed identically on every carrier — the
+    // paper's own Fig. 10 procedure ("transmits a downlink signal at both
+    // frequencies"). Every node's selectivity-weighted envelope then sees
+    // one clean PWM query however much it hears of its neighbours'
+    // channels, and all nodes answer at once: a genuine N-way collision.
+    match sim.run(&cfg.broadcast_queries(Command::Ping)) {
         Ok(r) => {
             println!(
                 "    condition number of the 3x3 channel matrix: {:.2}",

@@ -7,8 +7,9 @@
 //! 3 dB, making the collision decodable and doubling network throughput.
 
 use pab_channel::Position;
-use pab_core::network::{ConcurrentConfig, ConcurrentSimulator};
-use pab_experiments::{banner, sweep, write_csv};
+use pab_core::collision_group::{CollisionGroupSimulator, MultiNodeConfig};
+use pab_experiments::{banner, write_csv};
+use pab_net::packet::Command;
 
 const BASE_SEED: u64 = 10;
 
@@ -35,17 +36,17 @@ fn main() -> std::io::Result<()> {
         "loc", "before (dB)", "after (dB)", "crc ok", "cond"
     );
     // One sweep point per placement; each point is a fully independent
-    // three-slot experiment with a derived-seed noise stream.
-    let reports = sweep::run(placements.to_vec(), |i, (n1, n2, h)| {
-        let cfg = ConcurrentConfig {
-            node1_pos: n1,
-            node2_pos: n2,
-            hydrophone_pos: h,
-            seed: sweep::derive_seed(BASE_SEED, i as u64),
-            ..Default::default()
-        };
-        let mut sim = ConcurrentSimulator::new(cfg).expect("sim");
-        sim.run()
+    // three-slot experiment with a derived-seed noise stream. The
+    // collision slot queries each node on its own carrier.
+    let reports = pab_sweep::run(placements.to_vec(), |i, (n1, n2, h)| {
+        let mut cfg = MultiNodeConfig::fig10_pair();
+        cfg.nodes[0].position = n1;
+        cfg.nodes[1].position = n2;
+        cfg.hydrophone_pos = h;
+        cfg.seed = pab_sweep::derive_seed(BASE_SEED, i as u64);
+        CollisionGroupSimulator::with_config(&cfg)
+            .expect("sim")
+            .run(&cfg.addressed_queries(Command::Ping))
     });
 
     let mut rows = Vec::new();

@@ -16,7 +16,7 @@
 
 use pab_core::receiver::Receiver;
 use pab_channel::noise::add_awgn;
-use pab_experiments::{banner, sweep, write_csv};
+use pab_experiments::{banner, write_csv};
 use pab_net::packet::{SensorKind, UplinkPacket};
 use pab_net::{bits, fm0};
 use rand::Rng;
@@ -63,7 +63,7 @@ const BASE_SEED: u64 = 42;
 fn run_cell(index: usize, bitrate: f64, sigma: f64) -> ([u64; BINS], [u64; BINS]) {
     let rx = Receiver::default();
     let fs_hz = rx.fs_hz;
-    let mut rng = ChaCha8Rng::seed_from_u64(sweep::derive_seed(BASE_SEED, index as u64));
+    let mut rng = ChaCha8Rng::seed_from_u64(pab_sweep::derive_seed(BASE_SEED, index as u64));
     let mut errors = [0u64; BINS];
     let mut total = [0u64; BINS];
     let trials_per_cell = 18;
@@ -101,8 +101,8 @@ fn main() -> std::io::Result<()> {
     let sigmas = [
         0.3, 0.5, 0.7, 0.9, 1.1, 1.4, 1.7, 2.0, 2.4, 2.8, 3.3,
     ];
-    let cells = sweep::grid2(&bitrates, &sigmas);
-    let per_cell = sweep::run(cells, |i, (bitrate, sigma)| run_cell(i, bitrate, sigma));
+    let cells = pab_sweep::grid2(&bitrates, &sigmas);
+    let per_cell = pab_sweep::run(cells, |i, (bitrate, sigma)| run_cell(i, bitrate, sigma));
 
     // Merge cell histograms in point order.
     let mut errors = [0u64; BINS];

@@ -11,7 +11,7 @@
 
 use pab_core::link::{LinkConfig, LinkSimulator};
 use pab_dsp::stats;
-use pab_experiments::{banner, sweep, write_csv};
+use pab_experiments::{banner, write_csv};
 use pab_net::packet::Command;
 
 const BASE_SEED: u64 = 8;
@@ -32,11 +32,11 @@ fn main() -> std::io::Result<()> {
     // One sweep point per (target, trial); trials keep the paper's slight
     // placement variation while the RNG seed derives from the point index.
     let trials: [u64; 3] = [1, 2, 3];
-    let points = sweep::grid2(&targets, &trials);
-    let per_point = sweep::run(points, |i, (target, trial)| {
+    let points = pab_sweep::grid2(&targets, &trials);
+    let per_point = pab_sweep::run(points, |i, (target, trial)| {
         let cfg = LinkConfig {
             bitrate_target_bps: target,
-            seed: sweep::derive_seed(BASE_SEED, i as u64),
+            seed: pab_sweep::derive_seed(BASE_SEED, i as u64),
             // Slight placement variation between trials, as in the
             // paper's repeated experiments.
             node_pos: pab_channel::Position::new(1.5 + 0.02 * trial as f64, 1.5, 0.6),

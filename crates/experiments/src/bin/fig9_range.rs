@@ -8,7 +8,7 @@
 use pab_channel::{Pool, Position};
 use pab_core::node::PabNode;
 use pab_core::powerup::max_powerup_distance_m;
-use pab_experiments::{banner, sweep, write_csv};
+use pab_experiments::{banner, write_csv};
 
 fn main() -> std::io::Result<()> {
     banner(
@@ -22,7 +22,7 @@ fn main() -> std::io::Result<()> {
     );
     // Each voltage point runs two full image-method distance sweeps; the
     // sweep is deterministic (no RNG), so points need no derived seeds.
-    let results = sweep::run(voltages.to_vec(), |_i, v| {
+    let results = pab_sweep::run(voltages.to_vec(), |_i, v| {
         let node = PabNode::new(1, 15_000.0).expect("node");
         let da = max_powerup_distance_m(
             &Pool::pool_a(),

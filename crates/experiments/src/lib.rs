@@ -18,8 +18,6 @@
 //! Run them all with `for b in fig2_waveform fig3_rectopiezo ...; do
 //! cargo run --release -p pab-experiments --bin $b; done`.
 
-pub mod sweep;
-
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};

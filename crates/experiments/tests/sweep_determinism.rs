@@ -5,7 +5,6 @@
 //! actual usage, not a toy closure).
 
 use pab_core::link::{LinkConfig, LinkSimulator};
-use pab_experiments::sweep;
 use pab_net::packet::Command;
 
 /// Run one link point and return every float as raw bits so the
@@ -13,7 +12,7 @@ use pab_net::packet::Command;
 fn link_point(index: usize, bitrate: f64) -> (u64, u64, u64, bool, Vec<u64>) {
     let cfg = LinkConfig {
         bitrate_target_bps: bitrate,
-        seed: sweep::derive_seed(99, index as u64),
+        seed: pab_sweep::derive_seed(99, index as u64),
         ..Default::default()
     };
     let mut sim = LinkSimulator::new(cfg).expect("link");
@@ -30,15 +29,15 @@ fn link_point(index: usize, bitrate: f64) -> (u64, u64, u64, bool, Vec<u64>) {
 #[test]
 fn parallel_and_serial_link_sweeps_are_byte_identical() {
     let bitrates = vec![1_024.0, 2_048.0, 2_730.67];
-    let par = sweep::run(bitrates.clone(), link_point);
-    let ser = sweep::run_serial(bitrates, link_point);
+    let par = pab_sweep::run(bitrates.clone(), link_point);
+    let ser = pab_sweep::run_serial(bitrates, link_point);
     assert_eq!(par, ser, "parallel sweep diverged from serial reference");
 }
 
 #[test]
 fn rerunning_the_same_sweep_reproduces_it() {
     let bitrates = vec![1_024.0];
-    let a = sweep::run(bitrates.clone(), link_point);
-    let b = sweep::run(bitrates, link_point);
+    let a = pab_sweep::run(bitrates.clone(), link_point);
+    let b = pab_sweep::run(bitrates, link_point);
     assert_eq!(a, b);
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use pab_channel::Position;
-use pab_core::network::{ConcurrentConfig, ConcurrentSimulator};
+use pab_core::collision_group::{CollisionGroupSimulator, MultiNodeConfig};
 use pab_net::mac::{ChannelPlan, FdmaScheduler, NodeEntry, ThroughputMeter};
 use pab_net::packet::Command;
 
@@ -29,19 +29,17 @@ fn main() {
     }
     println!();
 
-    // Physical layer: run the full three-slot concurrent experiment.
-    let cfg = ConcurrentConfig {
-        node1_pos: Position::new(1.0, 1.3, 0.6),
-        node2_pos: Position::new(1.7, 1.8, 0.5),
-        hydrophone_pos: Position::new(1.3, 2.0, 0.7),
-        ..Default::default()
-    };
-    let bitrate = {
-        let sim = ConcurrentSimulator::new(cfg.clone()).expect("config");
-        sim.bitrate_bps()
-    };
-    let mut sim = ConcurrentSimulator::new(cfg).expect("config");
-    let report = sim.run().expect("both nodes must power up");
+    // Physical layer: run the full three-slot concurrent experiment, the
+    // collision slot carrying each node's addressed query.
+    let mut cfg = MultiNodeConfig::fig10_pair();
+    cfg.nodes[0].position = Position::new(1.0, 1.3, 0.6);
+    cfg.nodes[1].position = Position::new(1.7, 1.8, 0.5);
+    cfg.hydrophone_pos = Position::new(1.3, 2.0, 0.7);
+    let mut sim = CollisionGroupSimulator::with_config(&cfg).expect("config");
+    let bitrate = sim.bitrate_bps();
+    let report = sim
+        .run(&cfg.addressed_queries(Command::Ping))
+        .expect("both nodes must power up");
     println!("concurrent collision at the hydrophone:");
     for i in 0..2 {
         println!(

@@ -13,7 +13,6 @@
 use pab_channel::{Pool, Position};
 use pab_core::node::PabNode;
 use pab_core::powerup::{carrier_amplitude_at, cold_start_time_s, max_powerup_distance_m};
-use pab_experiments::sweep;
 
 /// One surveyed checkpoint distance.
 enum Checkpoint {
@@ -33,7 +32,7 @@ fn main() {
 
     let drives = [50.0, 150.0, 350.0];
     let checkpoints = [1.0f64, 3.0, 6.0, 9.0];
-    let surveys = sweep::run(drives.to_vec(), |_i, drive| {
+    let surveys = pab_sweep::run(drives.to_vec(), |_i, drive| {
         let pool = Pool::pool_b();
         let proj = Position::new(0.2, 0.6, 0.5);
         let node = PabNode::new(1, 15_000.0).expect("node");

@@ -39,6 +39,12 @@ echo "==> ext_collision_faultnet --quick  (collision-slot smoke: pairing, traini
 cargo run --release -q -p pab-experiments --bin ext_collision_faultnet -- --quick
 [ -s results/ext_collision_faultnet.csv ] || { echo "missing results/ext_collision_faultnet.csv"; exit 1; }
 
+echo "==> fig10_concurrent + ext_three_channels  (committed Fig. 10 and §8 results must regenerate unchanged)"
+cargo run --release -q -p pab-experiments --bin fig10_concurrent
+cargo run --release -q -p pab-experiments --bin ext_three_channels
+git diff --exit-code -- results/fig10_concurrent.csv results/ext_three_channels.csv \
+    || { echo "results/ drifted from the code: re-run the binaries and commit the CSVs on purpose"; exit 1; }
+
 echo "==> bench_faultnet --smoke --ladder  (slot-throughput + frontend-rung bench smoke; numbers not comparable to a full run)"
 cargo run --release -q -p pab-experiments --bin bench_faultnet -- --smoke --ladder --out target/bench_faultnet_smoke.json
 [ -s target/bench_faultnet_smoke.json ] || { echo "bench_faultnet wrote no JSON"; exit 1; }
