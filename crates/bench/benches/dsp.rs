@@ -15,6 +15,7 @@ use pab_dsp::fir::Fir;
 use pab_dsp::goertzel::tone_amplitude;
 use pab_dsp::iir::butter_lowpass;
 use pab_dsp::mix::{downconvert, tone, Nco};
+use pab_dsp::polyphase::PolyphaseDecimator;
 use pab_dsp::resample::decimate;
 use pab_dsp::window::Window;
 
@@ -69,6 +70,26 @@ fn bench_decimate(c: &mut Criterion) {
     g.bench_function("decimate_by_8_500ms", |b| {
         b.iter(|| decimate(&s, 8, FS).unwrap())
     });
+    g.finish();
+}
+
+/// The receiver's fused anti-alias decimator on 0.5 s of complex
+/// baseband, at the factors either side of its FFT/direct crossover.
+/// Decim 2 runs overlap-save, whose cost barely depends on the factor;
+/// decim 3 and up run the direct kept-output loop, whose cost falls as
+/// 1/decim. Comparing decim 2 with decim 3 re-measures the crossover.
+fn bench_polyphase(c: &mut Criterion) {
+    let x: Vec<Complex64> = signal().iter().map(|&v| Complex64::new(v, -v)).collect();
+    let mut out = Vec::new();
+    let mut g = c.benchmark_group("dsp");
+    g.throughput(Throughput::Elements(N as u64));
+    for decim in [2usize, 3, 5, 11, 23] {
+        let fir = Fir::lowpass(127, 0.8 * FS / (2.0 * decim as f64), FS, Window::Hamming).unwrap();
+        let pd = PolyphaseDecimator::new(fir, decim).unwrap();
+        g.bench_function(&format!("polyphase_decim{decim}_500ms"), |b| {
+            b.iter(|| pd.decimate_complex_scaled_into(&x, 2.0, &mut out))
+        });
+    }
     g.finish();
 }
 
@@ -200,6 +221,7 @@ criterion_group!(
     bench_fir,
     bench_hilbert,
     bench_decimate,
+    bench_polyphase,
     bench_goertzel,
     bench_nco,
     bench_correlation,

@@ -78,7 +78,8 @@ pub struct FaultNetConfig {
     /// Image-method reflection order.
     pub max_reflections: usize,
     /// Fan each slot's independent per-node exchanges through the
-    /// parallel sweep engine. Bit-identical to the serial path by the
+    /// parallel sweep engine. Only a collision slot that falls back to
+    /// FDMA carries more than one. Bit-identical to the serial path by the
     /// order-stable-collect + per-exchange-sub-recorder contract, so this
     /// is purely a wall-clock knob.
     pub parallel_slots: bool,
@@ -87,10 +88,9 @@ pub struct FaultNetConfig {
     /// test that proves it.
     pub slot_cache: bool,
     /// How concurrent uplinks are scheduled and modelled (see
-    /// [`Concurrency`]). The default [`Concurrency::Independent`] is the
-    /// legacy optimistic mode and preserves every pinned digest;
-    /// [`Concurrency::Collision`] adds opportunistic §8 zero-forced
-    /// collision slots over a serialized-FDMA baseline.
+    /// [`Concurrency`]). The default [`Concurrency::Serialized`] time-shares
+    /// the medium one uplink at a time; [`Concurrency::Collision`] adds
+    /// opportunistic §8 zero-forced collision slots over it.
     pub concurrency: Concurrency,
 }
 
@@ -130,7 +130,7 @@ impl Default for FaultNetConfig {
             max_reflections: 3,
             parallel_slots: true,
             slot_cache: true,
-            concurrency: Concurrency::Independent,
+            concurrency: Concurrency::default(),
         }
     }
 }
@@ -140,8 +140,8 @@ impl FaultNetConfig {
     /// 14–20 kHz band (one FDMA channel per node), nodes strung along a
     /// line at x = 1.5 m, everything else at defaults. This is the
     /// canonical scaling configuration — the N-node determinism tests and
-    /// `bench_faultnet` both build exactly this, so keep the formula
-    /// frozen.
+    /// the `pab_bench` link workloads build exactly this, so keep the
+    /// formula frozen.
     pub fn with_nodes(n: usize) -> Result<Self, CoreError> {
         if n == 0 || n > 64 {
             return Err(CoreError::InvalidConfig("node count must be in 1..=64"));
@@ -463,11 +463,8 @@ impl FaultNetSimulator {
     /// sub-recorders that the post-pass absorbs in query order, which is
     /// what keeps parallel traced runs byte-identical to serial ones.
     ///
-    /// Under [`Concurrency::Independent`] the slot lasts as long as its
-    /// longest exchange (channels are modelled interference-free and
-    /// truly concurrent). Under the serialized modes the medium is
-    /// time-shared, so a multi-query slot — the collision fallback path —
-    /// costs the *sum* of its exchanges.
+    /// The medium is time-shared, so a multi-query slot — the collision
+    /// fallback path — costs the *sum* of its exchanges.
     fn run_fdma_queries(
         &mut self,
         queries: Vec<ScheduledQuery>,
@@ -475,7 +472,6 @@ impl FaultNetSimulator {
         fault_state: &mut BTreeMap<u8, [bool; 4]>,
         digest: &mut u64,
     ) -> Result<(f64, u64), CoreError> {
-        let serialize_time = !matches!(self.mac.concurrency(), Concurrency::Independent);
         let mut slot_s = 0.0f64;
         let mut slot_bits = 0u64;
         let mut points = Vec::with_capacity(queries.len());
@@ -527,11 +523,7 @@ impl FaultNetSimulator {
                 t.absorb(sub);
             }
             let exchange_s = report.exchange_samples as f64 / self.cfg.fs_hz;
-            slot_s = if serialize_time {
-                slot_s + exchange_s
-            } else {
-                slot_s.max(exchange_s)
-            };
+            slot_s += exchange_s;
             let schedule = self
                 .faults
                 .get(&addr)

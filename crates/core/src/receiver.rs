@@ -17,7 +17,7 @@ use pab_dsp::correlate::{argmax, normalized_cross_correlate};
 use pab_dsp::fastconv;
 use pab_dsp::iir::{butter_lowpass, Cascade};
 use pab_dsp::mix::{downconvert, downconvert_into, frequency_shift_into};
-use pab_dsp::polyphase::{DecimMode, PolyphaseDecimator};
+use pab_dsp::polyphase::PolyphaseDecimator;
 use pab_dsp::stats;
 use pab_net::fm0;
 use pab_net::packet::{UplinkPacket, UPLINK_PREAMBLE};
@@ -25,19 +25,6 @@ use pab_net::NetError;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-
-/// Decimation factor at or above which the anti-alias stage runs in
-/// [`DecimMode::Direct`] (compute only kept outputs, ~`decim`× fewer
-/// MACs) instead of the bitwise-preserving [`DecimMode::Auto`] FFT path.
-///
-/// Direct summation is ulp-level (not bitwise) different from the FFT
-/// overlap-save engine, and a one-ulp change in a decoded correlation or
-/// SNR value would alter the telemetry export byte streams. The
-/// threshold is chosen above every decimation factor the pinned identity
-/// suites reach (at 96 kHz the FM0 ladder tops out at `decim == 11`), so
-/// reproducibility baselines are untouched while wideband captures
-/// (e.g. 256 bps at 192 kHz, `decim == 23`) get the fast path.
-const DIRECT_DECIM_MIN: usize = 16;
 
 /// Designs the receiver rebuilds identically packet after packet —
 /// Butterworth cascades and preamble templates for the envelope path —
@@ -92,12 +79,7 @@ impl FrontEnd {
                 fs_hz,
                 pab_dsp::window::Window::Hamming,
             )?;
-            let mode = if decim >= DIRECT_DECIM_MIN {
-                DecimMode::Direct
-            } else {
-                DecimMode::Auto
-            };
-            Some(PolyphaseDecimator::new(fir, decim, mode)?)
+            Some(PolyphaseDecimator::new(fir, decim)?)
         };
         let trend = butter_lowpass(2, (bitrate_bps / 20.0).max(2.0), fs2)?;
         // The ±1 template, sampled at the decimated rate (identical
@@ -157,7 +139,8 @@ pub struct FrontEndStats {
     /// Decimated samples leaving it.
     pub samples_out: u64,
     /// Multiply-accumulates skipped by computing only kept outputs
-    /// (counted only in [`DecimMode::Direct`], where the saving is real).
+    /// (counted only on the direct polyphase path, where the saving is
+    /// real).
     pub macs_saved: u64,
     /// Front-end design cache hits.
     pub design_hits: u64,
@@ -520,9 +503,7 @@ impl Receiver {
         st.samples_in += n as u64;
         st.samples_out += n2 as u64;
         if let Some(aa) = &fe.aa {
-            if aa.mode() == DecimMode::Direct {
-                st.macs_saved += aa.direct_macs_saved(n);
-            }
+            st.macs_saved += aa.direct_macs_saved(n);
         }
         self.fe_stats.set(st);
 
@@ -1086,6 +1067,25 @@ mod tests {
         assert_eq!(st.design_misses, 1, "one front-end design for one rate");
         assert_eq!(st.design_hits, 1, "second decode must hit the cache");
         assert!(st.samples_in > st.samples_out, "decimation must shrink");
+    }
+
+    #[test]
+    fn macs_saved_counts_only_direct_path_decodes() {
+        let rx = Receiver::default();
+        let p = test_packet();
+        // 2731 bps at 192 kHz decimates by 2: the FFT path, no saving.
+        let w = synth_waveform(&p, 2730.67, rx.fs_hz, 15_000.0, 1.0, 0.4, 0.01);
+        rx.decode_uplink_verdict(&w, 15_000.0, 2730.67).unwrap();
+        let fft = rx.frontend_stats();
+        assert!(fft.samples_in > fft.samples_out, "decim 2 must shrink");
+        assert_eq!(fft.macs_saved, 0, "FFT-path decodes save no MACs");
+        // 1024 bps decimates by 5: the direct path skips 127 taps per
+        // dropped sample.
+        let w = synth_waveform(&p, 1024.0, rx.fs_hz, 15_000.0, 1.0, 0.4, 0.01);
+        rx.decode_uplink_verdict(&w, 15_000.0, 1024.0).unwrap();
+        let both = rx.frontend_stats();
+        let dropped = (both.samples_in - fft.samples_in) - (both.samples_out - fft.samples_out);
+        assert_eq!(both.macs_saved, dropped * 127);
     }
 
     #[test]

@@ -4,25 +4,26 @@
 //! The receive chain's anti-alias stage historically ran
 //! [`crate::fir::Fir::filter_complex`] over the full-rate baseband and
 //! then threw away `decim − 1` of every `decim` outputs with `step_by`.
-//! [`PolyphaseDecimator`] collapses that into one pass with two modes:
+//! [`PolyphaseDecimator`] collapses that into one pass and picks one of
+//! two paths per call, as a function of `(taps, decim, n)` only:
 //!
-//! * [`DecimMode::Auto`] mirrors `Fir::filter`'s FFT/direct dispatch
-//!   **exactly** — same crossover predicate, same overlap-save block
-//!   geometry, same per-output arithmetic — so every kept sample is
-//!   bitwise identical to the filter-everything-then-`step_by` baseline.
-//!   In the FFT regime the blocks still transform every input sample
-//!   (that is what makes the outputs bit-identical), so the win is
-//!   limited to skipping the discarded-output emission and the
-//!   intermediate full-rate allocation.
-//! * [`DecimMode::Direct`] always runs the direct per-output summation
-//!   at the kept indices only, costing `taps × outputs` MACs instead of
-//!   `taps × inputs` — a ~`decim`× MAC reduction. At large decimation
-//!   factors this beats the FFT path outright, but when `Auto` would
-//!   have dispatched to the FFT the outputs agree only to rounding
-//!   (~1 ulp), not bitwise. Callers pick `Direct` where throughput
-//!   matters and bit-stability of downstream digests does not.
+//! * **Overlap-save FFT** when `decim < 3` and [`fastconv::fft_pays_off`].
+//!   The blocks still transform every input sample, so the kept outputs
+//!   are bitwise identical to `Fir::filter` + `step_by`; the win is
+//!   skipping the discarded-output emission and the intermediate
+//!   full-rate allocation.
+//! * **Direct** otherwise: the per-output summation at the kept indices
+//!   only, costing `taps × outputs` MACs instead of `taps × inputs`. Its
+//!   outputs are bitwise identical to `Fir::filter_direct` + `step_by`
+//!   (and agree with the FFT path to rounding).
 //!
-//! Both modes preserve `Fir::filter`'s "same"-causal alignment: output
+//! The crossover is measured (127 taps, 60k and 120k complex samples on
+//! a 2-vCPU host): direct time over FFT time is 1.97 and 1.53 at decim
+//! 2, 0.77–0.86 at decim 3–5 and 0.12–0.44 at decim 8–23. The
+//! `polyphase_decim*` benches re-measure it; on 96k samples they put
+//! decim 3 near a tie, which no FM0 ladder rung lands on.
+//!
+//! Both paths preserve `Fir::filter`'s "same"-causal alignment: output
 //! `q` is the full convolution output at input index `q·decim`.
 
 use crate::fastconv;
@@ -33,19 +34,6 @@ use num_complex::Complex64;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Dispatch policy for [`PolyphaseDecimator`]. See the module docs for
-/// the bitwise-identity contract each mode carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecimMode {
-    /// Mirror [`Fir::filter`]'s FFT/direct dispatch; kept outputs are
-    /// bitwise identical to `filter` + `step_by`.
-    Auto,
-    /// Always the direct summation at kept indices — ~`decim`× fewer
-    /// MACs, but only rounding-level agreement where `Auto` would have
-    /// taken the FFT path.
-    Direct,
-}
-
 /// A decimating FIR filter that evaluates the convolution only at the
 /// sample positions the decimator keeps.
 #[derive(Debug)]
@@ -54,7 +42,6 @@ pub struct PolyphaseDecimator {
     /// Reversed taps as complex — the overlap-save engine's kernel.
     rev: Vec<Complex64>,
     decim: usize,
-    mode: DecimMode,
     /// Frequency-domain kernels keyed by FFT block size, shared across
     /// calls (and clones of the owning front-end) so repeated decodes of
     /// same-length waveforms skip the kernel transform entirely.
@@ -67,7 +54,6 @@ impl Clone for PolyphaseDecimator {
             fir: self.fir.clone(),
             rev: self.rev.clone(),
             decim: self.decim,
-            mode: self.mode,
             kfft: Mutex::new(self.lock_kfft().clone()),
         }
     }
@@ -75,7 +61,7 @@ impl Clone for PolyphaseDecimator {
 
 impl PolyphaseDecimator {
     /// Wrap an existing FIR design with a decimation factor (`>= 1`).
-    pub fn new(fir: Fir, decim: usize, mode: DecimMode) -> Result<Self, DspError> {
+    pub fn new(fir: Fir, decim: usize) -> Result<Self, DspError> {
         if decim == 0 {
             return Err(DspError::InvalidParameter("decimation factor must be >= 1"));
         }
@@ -85,7 +71,6 @@ impl PolyphaseDecimator {
             fir,
             rev,
             decim,
-            mode,
             kfft: Mutex::new(HashMap::new()),
         })
     }
@@ -100,11 +85,6 @@ impl PolyphaseDecimator {
         self.fir.taps()
     }
 
-    /// The dispatch mode this decimator was built with.
-    pub fn mode(&self) -> DecimMode {
-        self.mode
-    }
-
     /// Number of outputs produced for `n` inputs: the kept indices are
     /// `0, decim, 2·decim, …` below `n`.
     pub fn out_len(&self, n: usize) -> usize {
@@ -115,25 +95,26 @@ impl PolyphaseDecimator {
         }
     }
 
-    /// MACs this decimator skips versus filtering all `n` samples with
-    /// the direct loop — the honest saving only in [`DecimMode::Direct`]
-    /// (the FFT path's cost model is per-block, not per-MAC).
+    /// MACs a call over `n` samples skips versus filtering all of them
+    /// with the direct loop. Zero when the call runs the FFT path, whose
+    /// cost model is per-block, not per-MAC.
     pub fn direct_macs_saved(&self, n: usize) -> u64 {
+        if self.uses_fft(n) {
+            return 0;
+        }
         let dropped = n - self.out_len(n);
         (dropped as u64) * (self.fir.taps().len() as u64)
     }
 
-    /// True when this call will run the overlap-save FFT engine.
+    /// True when a call over `n` samples runs the overlap-save FFT engine:
+    /// only below decimation 3, where computing every output still beats
+    /// computing the kept ones directly.
     fn uses_fft(&self, n: usize) -> bool {
-        match self.mode {
-            DecimMode::Auto => fastconv::fft_pays_off(n, self.fir.taps().len()),
-            DecimMode::Direct => false,
-        }
+        self.decim < 3 && fastconv::fft_pays_off(n, self.fir.taps().len())
     }
 
-    /// Decimate a real signal. Equivalent to
-    /// `fir.filter(x).into_iter().step_by(decim)` (bitwise so in
-    /// [`DecimMode::Auto`]).
+    /// Decimate a real signal: `fir.filter(x)` (FFT path) or
+    /// `fir.filter_direct(x)` (direct path), then `.step_by(decim)`.
     pub fn decimate(&self, x: &[f64]) -> Vec<f64> {
         let mut out = Vec::new();
         self.decimate_into(x, &mut out);
@@ -157,9 +138,8 @@ impl PolyphaseDecimator {
         }
     }
 
-    /// Decimate a complex signal. Equivalent to
-    /// `fir.filter_complex(x).into_iter().step_by(decim)` (bitwise so in
-    /// [`DecimMode::Auto`]).
+    /// Decimate a complex signal: `fir.filter_complex(x)` (either path),
+    /// then `.step_by(decim)`.
     pub fn decimate_complex(&self, x: &[Complex64]) -> Vec<Complex64> {
         let mut out = Vec::new();
         self.decimate_complex_scaled_into(x, 1.0, &mut out);
@@ -337,14 +317,58 @@ mod tests {
             .collect()
     }
 
+    /// Each path's own oracle: `Fir::filter` (which dispatches to the
+    /// same overlap-save engine) below decimation 3, the direct loop
+    /// `Fir::filter_direct` from decimation 3 up; then `step_by`.
+    fn oracle_real(f: &Fir, x: &[f64], decim: usize) -> Vec<f64> {
+        let y = if decim < 3 {
+            f.filter(x)
+        } else {
+            f.filter_direct(x)
+        };
+        y.into_iter().step_by(decim).collect()
+    }
+
+    /// [`oracle_real`] for complex input: `Fir::filter_complex` below
+    /// decimation 3, `Fir::filter_direct` per component from 3 up.
+    fn oracle_complex(f: &Fir, x: &[Complex64], decim: usize) -> Vec<Complex64> {
+        let y = if decim < 3 {
+            f.filter_complex(x)
+        } else {
+            let re: Vec<f64> = x.iter().map(|c| c.re).collect();
+            let im: Vec<f64> = x.iter().map(|c| c.im).collect();
+            let (re, im) = (f.filter_direct(&re), f.filter_direct(&im));
+            re.into_iter()
+                .zip(im)
+                .map(|(r, i)| Complex64::new(r, i))
+                .collect()
+        };
+        y.into_iter().step_by(decim).collect()
+    }
+
+    fn assert_bitwise_complex(got: &[Complex64], want: &[Complex64], tag: &str) {
+        assert_eq!(got.len(), want.len(), "{tag}");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.re.to_bits(), b.re.to_bits(), "{tag}: re at {i}");
+            assert_eq!(a.im.to_bits(), b.im.to_bits(), "{tag}: im at {i}");
+        }
+    }
+
     #[test]
     fn auto_real_is_bitwise_filter_then_step_by() {
-        // Straddle the FFT crossover from both sides.
-        for &(taps, n, decim) in &[(9usize, 400usize, 3usize), (127, 6000, 11), (127, 200, 4)] {
+        // The decimator's own path choice, against each path's oracle:
+        // both sides of the FFT crossover at decim 2, direct above it.
+        for &(taps, n, decim) in &[
+            (9usize, 400usize, 3usize),
+            (127, 6000, 11),
+            (127, 200, 4),
+            (127, 6000, 2),
+            (127, 200, 2),
+        ] {
             let f = Fir::lowpass(taps, 2_000.0, 48_000.0, Window::Hamming).unwrap();
             let x = sig(n);
-            let want: Vec<f64> = f.filter(&x).into_iter().step_by(decim).collect();
-            let pd = PolyphaseDecimator::new(f, decim, DecimMode::Auto).unwrap();
+            let want = oracle_real(&f, &x, decim);
+            let pd = PolyphaseDecimator::new(f, decim).unwrap();
             let got = pd.decimate(&x);
             assert_eq!(got.len(), want.len(), "taps={taps} n={n} decim={decim}");
             for (i, (a, b)) in got.iter().zip(&want).enumerate() {
@@ -355,51 +379,49 @@ mod tests {
 
     #[test]
     fn auto_complex_is_bitwise_filter_then_step_by() {
-        for &(taps, n, decim) in &[(9usize, 400usize, 2usize), (127, 6000, 5), (255, 9000, 23)] {
+        for &(taps, n, decim) in &[
+            (9usize, 400usize, 2usize),
+            (127, 6000, 2),
+            (127, 6000, 5),
+            (255, 9000, 23),
+        ] {
             let f = Fir::lowpass(taps, 2_000.0, 48_000.0, Window::Hamming).unwrap();
             let x = csig(n);
-            let want: Vec<Complex64> =
-                f.filter_complex(&x).into_iter().step_by(decim).collect();
-            let pd = PolyphaseDecimator::new(f, decim, DecimMode::Auto).unwrap();
-            let got = pd.decimate_complex(&x);
-            assert_eq!(got.len(), want.len());
-            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "re at {i}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "im at {i}");
-            }
+            let want = oracle_complex(&f, &x, decim);
+            let pd = PolyphaseDecimator::new(f, decim).unwrap();
+            let tag = format!("taps={taps} n={n} decim={decim}");
+            assert_bitwise_complex(&pd.decimate_complex(&x), &want, &tag);
         }
     }
 
     #[test]
     fn scaled_into_is_bitwise_prescaled_filter() {
+        // Read-time gain equals pre-scaling the input, on both paths.
         let f = Fir::lowpass(127, 2_000.0, 48_000.0, Window::Hamming).unwrap();
         let x = csig(5000);
         let scaled: Vec<Complex64> = x.iter().map(|&c| 2.0 * c).collect();
-        let want: Vec<Complex64> =
-            f.filter_complex(&scaled).into_iter().step_by(7).collect();
-        let pd = PolyphaseDecimator::new(f, 7, DecimMode::Auto).unwrap();
-        let mut got = Vec::new();
-        pd.decimate_complex_scaled_into(&x, 2.0, &mut got);
-        assert_eq!(got.len(), want.len());
-        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(a.re.to_bits(), b.re.to_bits(), "re at {i}");
-            assert_eq!(a.im.to_bits(), b.im.to_bits(), "im at {i}");
+        for decim in [2, 7] {
+            let want = oracle_complex(&f, &scaled, decim);
+            let pd = PolyphaseDecimator::new(f.clone(), decim).unwrap();
+            let mut got = Vec::new();
+            pd.decimate_complex_scaled_into(&x, 2.0, &mut got);
+            assert_bitwise_complex(&got, &want, &format!("decim={decim}"));
         }
     }
 
     #[test]
     fn direct_mode_is_bitwise_filter_direct_then_step_by() {
-        // Even in the FFT regime, Direct matches the direct loop exactly.
+        // In the FFT regime of `Fir::filter`, the direct path matches the
+        // direct loop exactly and the FFT path to rounding.
         let f = Fir::lowpass(127, 2_000.0, 48_000.0, Window::Hamming).unwrap();
         let x = sig(6000);
         let want: Vec<f64> = f.filter_direct(&x).into_iter().step_by(23).collect();
-        let pd = PolyphaseDecimator::new(f.clone(), 23, DecimMode::Direct).unwrap();
+        let pd = PolyphaseDecimator::new(f.clone(), 23).unwrap();
         let got = pd.decimate(&x);
         assert_eq!(got.len(), want.len());
         for (a, b) in got.iter().zip(&want) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // And agrees with the FFT path to rounding.
         let fft: Vec<f64> = f.filter(&x).into_iter().step_by(23).collect();
         for (a, b) in got.iter().zip(&fft) {
             assert!((a - b).abs() < 1e-9);
@@ -407,9 +429,20 @@ mod tests {
     }
 
     #[test]
+    fn macs_saved_only_on_the_direct_path() {
+        let f = Fir::lowpass(127, 2_000.0, 48_000.0, Window::Hamming).unwrap();
+        let fft = PolyphaseDecimator::new(f.clone(), 2).unwrap();
+        assert_eq!(fft.direct_macs_saved(6000), 0, "FFT path saves no MACs");
+        // Too short for the FFT to pay off: decim 2 runs direct.
+        assert_eq!(fft.direct_macs_saved(200), 100 * 127);
+        let direct = PolyphaseDecimator::new(f, 3).unwrap();
+        assert_eq!(direct.direct_macs_saved(6000), 4000 * 127);
+    }
+
+    #[test]
     fn out_len_counts_kept_indices() {
         let f = Fir::lowpass(9, 2_000.0, 48_000.0, Window::Hamming).unwrap();
-        let pd = PolyphaseDecimator::new(f, 4, DecimMode::Auto).unwrap();
+        let pd = PolyphaseDecimator::new(f, 4).unwrap();
         assert_eq!(pd.out_len(0), 0);
         assert_eq!(pd.out_len(1), 1);
         assert_eq!(pd.out_len(4), 1);
@@ -423,7 +456,7 @@ mod tests {
         let f = Fir::lowpass(9, 2_000.0, 48_000.0, Window::Hamming).unwrap();
         let x = sig(64);
         let want = f.filter(&x);
-        let pd = PolyphaseDecimator::new(f, 1, DecimMode::Auto).unwrap();
+        let pd = PolyphaseDecimator::new(f, 1).unwrap();
         let got = pd.decimate(&x);
         assert_eq!(got.len(), want.len());
         for (a, b) in got.iter().zip(&want) {
@@ -434,25 +467,29 @@ mod tests {
     #[test]
     fn kernel_cache_fills_once_per_block_size() {
         let f = Fir::lowpass(127, 2_000.0, 48_000.0, Window::Hamming).unwrap();
-        let pd = PolyphaseDecimator::new(f, 5, DecimMode::Auto).unwrap();
+        let pd = PolyphaseDecimator::new(f.clone(), 2).unwrap();
         let x = csig(6000);
         assert_eq!(pd.cached_kernels(), 0);
         let _ = pd.decimate_complex(&x);
         assert_eq!(pd.cached_kernels(), 1);
         let _ = pd.decimate_complex(&x);
         assert_eq!(pd.cached_kernels(), 1, "same length reuses the kernel");
+        // The direct path never transforms a kernel.
+        let direct = PolyphaseDecimator::new(f, 5).unwrap();
+        let _ = direct.decimate_complex(&x);
+        assert_eq!(direct.cached_kernels(), 0);
     }
 
     #[test]
     fn rejects_zero_decim() {
         let f = Fir::lowpass(9, 2_000.0, 48_000.0, Window::Hamming).unwrap();
-        assert!(PolyphaseDecimator::new(f, 0, DecimMode::Auto).is_err());
+        assert!(PolyphaseDecimator::new(f, 0).is_err());
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
         let f = Fir::lowpass(9, 2_000.0, 48_000.0, Window::Hamming).unwrap();
-        let pd = PolyphaseDecimator::new(f, 3, DecimMode::Auto).unwrap();
+        let pd = PolyphaseDecimator::new(f, 3).unwrap();
         assert!(pd.decimate(&[]).is_empty());
         assert!(pd.decimate_complex(&[]).is_empty());
     }

@@ -7,7 +7,7 @@
 //! post-downconversion processing.
 
 use crate::fir::Fir;
-use crate::polyphase::{DecimMode, PolyphaseDecimator};
+use crate::polyphase::PolyphaseDecimator;
 use crate::window::Window;
 use crate::DspError;
 
@@ -93,10 +93,8 @@ pub fn add_delayed_scaled(
 /// Anti-aliased decimation by integer factor `m`: low-pass at 80% of the
 /// new Nyquist, then keep every m-th sample. Returns the decimated signal.
 ///
-/// Runs the fused [`PolyphaseDecimator`] in [`DecimMode::Auto`], which is
-/// bitwise identical to the historical filter-everything-then-`step_by`
-/// implementation while never materialising the full-rate filtered
-/// signal.
+/// Runs the fused [`PolyphaseDecimator`], which never materialises the
+/// full-rate filtered signal.
 pub fn decimate(x: &[f64], m: usize, fs_hz: f64) -> Result<Vec<f64>, DspError> {
     if m == 0 {
         return Err(DspError::InvalidParameter("decimation factor must be >= 1"));
@@ -106,7 +104,7 @@ pub fn decimate(x: &[f64], m: usize, fs_hz: f64) -> Result<Vec<f64>, DspError> {
     }
     let new_nyquist = fs_hz / (2.0 * m as f64);
     let f = Fir::lowpass(127, 0.8 * new_nyquist, fs_hz, Window::Hamming)?;
-    let pd = PolyphaseDecimator::new(f, m, DecimMode::Auto)?;
+    let pd = PolyphaseDecimator::new(f, m)?;
     Ok(pd.decimate(x))
 }
 

@@ -8,18 +8,28 @@
 
 use pab_channel::Position;
 use pab_core::collision_group::{CollisionGroupSimulator, MultiNodeConfig};
-use pab_net::mac::{ChannelPlan, FdmaScheduler, NodeEntry, ThroughputMeter};
+use pab_net::mac::{
+    ChannelPlan, CollisionPolicy, Concurrency, MacPolicy, NodeEntry, ResilientMac, RxObservation,
+    ThroughputMeter,
+};
 use pab_net::packet::Command;
 
 fn main() {
-    // MAC layer: the paper's two-channel plan (15 kHz / 18 kHz).
+    // MAC layer: the paper's two-channel plan (15 kHz / 18 kHz), with
+    // collision slots enabled so both healthy nodes share one slot.
     let plan = ChannelPlan::paper_two_channel();
-    let mut scheduler = FdmaScheduler::new(plan);
-    scheduler.register(NodeEntry { addr: 1, channel: 0 }).unwrap();
-    scheduler.register(NodeEntry { addr: 2, channel: 1 }).unwrap();
-    let slot = scheduler.next_slot(Command::Ping);
-    println!("MAC slot: {} concurrent queries", slot.len());
-    for s in &slot {
+    let mut mac = ResilientMac::new(plan, MacPolicy::NoRetry, 1).expect("valid policy");
+    mac.set_concurrency(Concurrency::Collision(CollisionPolicy::default()))
+        .expect("valid collision gate");
+    mac.register(NodeEntry { addr: 1, channel: 0 }).unwrap();
+    mac.register(NodeEntry { addr: 2, channel: 1 }).unwrap();
+    let slot = mac.next_slot_plan(Command::Ping, |_| true);
+    println!(
+        "MAC slot ({:?}): {} concurrent queries",
+        slot.kind,
+        slot.queries.len()
+    );
+    for s in &slot.queries {
         println!(
             "  channel {} @ {:.0} kHz -> node {}",
             s.channel,
@@ -54,6 +64,21 @@ fn main() {
         "  channel-matrix condition number: {:.2}",
         report.condition_number
     );
+    // Close the loop: each separated stream's verdict goes back to the MAC.
+    for (i, q) in slot.queries.iter().enumerate() {
+        let obs = if report.crc_ok[i] {
+            RxObservation::Delivered { margin: 1.0 }
+        } else {
+            RxObservation::CrcFailed { margin: 0.0 }
+        };
+        mac.record(q.query.dest, obs)
+            .expect("scheduled node is registered");
+    }
+    println!(
+        "  inventory complete after {} slot(s): {}",
+        mac.slots_used(),
+        mac.is_complete()
+    );
     println!();
 
     // Throughput accounting: both packets in one slot = doubled goodput.
@@ -68,7 +93,7 @@ fn main() {
     fdma.record(if both_ok { 2 * packet_bits } else { packet_bits }, slot_s)
         .expect("slot duration is positive");
     println!(
-        "network goodput: single-channel {:.0} bps -> two-channel FDMA {:.0} bps ({}x)",
+        "network goodput: single-channel {:.0} bps -> two-node collision slot {:.0} bps ({}x)",
         single.goodput_bps(),
         fdma.goodput_bps(),
         (fdma.goodput_bps() / single.goodput_bps()).round()

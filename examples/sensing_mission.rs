@@ -11,14 +11,23 @@
 //! ```
 
 use pab_core::link::{LinkConfig, LinkSimulator};
-use pab_net::mac::{RetransmissionTracker, TxOutcome};
+use pab_net::mac::{ChannelPlan, MacPolicy, NodeEntry, ResilientMac, RxObservation, TxOutcome};
 use pab_net::packet::{Command, SensorKind};
 use pab_sensors::WaterSample;
 
 fn main() {
     println!("day | truth (pH, °C, mbar) | decoded | SNR dB | outcome");
     println!("----+----------------------+---------------------------+--------+--------");
-    let mut tracker = RetransmissionTracker::new(2);
+    // Two retries per packet; 14 days × 3 readings is the whole target.
+    const NODE: u8 = 7;
+    let plan = ChannelPlan::new(vec![15_000.0]).expect("valid plan");
+    let policy = MacPolicy::FixedRetry { max_retries: 2 };
+    let mut mac = ResilientMac::new(plan, policy, 14 * 3).expect("valid policy");
+    mac.register(NodeEntry {
+        addr: NODE,
+        channel: 0,
+    })
+    .expect("fresh address");
     let mut delivered = 0u32;
     for day in 0..14u32 {
         // Seasonal drift + a storm (elevated noise) mid-mission.
@@ -48,7 +57,18 @@ fn main() {
                 attempts += 1;
                 let report = sim.run_query(Command::ReadSensor(kind)).expect("query");
                 snr = snr.max(report.snr_db);
-                let outcome = tracker.record(7, report.crc_ok);
+                let obs = if report.crc_ok {
+                    RxObservation::Delivered {
+                        margin: report.preamble_corr,
+                    }
+                } else if report.preamble_found {
+                    RxObservation::CrcFailed {
+                        margin: report.preamble_corr,
+                    }
+                } else {
+                    RxObservation::Erasure
+                };
+                let outcome = mac.record(NODE, obs).expect("registered node");
                 match outcome {
                     TxOutcome::Delivered => {
                         readings.push(report.packet.and_then(|p| p.sensor_value()));
@@ -88,7 +108,7 @@ fn main() {
             }
         );
     }
-    let (ok, dropped) = tracker.stats(7);
+    let (ok, dropped) = mac.stats(NODE);
     println!();
     println!(
         "mission summary: {delivered}/14 days complete | packets delivered {ok}, dropped {dropped}"

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Run the Criterion DSP suite plus a fig7 wall-clock timing and the
-# faultnet slot-throughput benchmark, and emit a machine-readable JSON
-# map (kernel name -> mean ns, end-to-end figure time, slots/sec per
-# network size) to stdout-visible file $1 (default: bench_run.json).
+# collision vs FDMA goodput, and emit a machine-readable JSON map (kernel
+# name -> mean ns, end-to-end figure time, goodput per concurrency arm)
+# to stdout-visible file $1 (default: bench_run.json). Slot throughput
+# and per-layer shares come from pab_bench (see BENCHMARK.json).
 #
 # Record a before/after pair across a perf change by running this once on
 # each commit and diffing the JSONs; BENCH_PR3.json (fast-path PR),
@@ -14,8 +15,7 @@ set -eu
 cd "$(dirname "$0")/.."
 out="${1:-bench_run.json}"
 tmp="$(mktemp)"
-fnet="$(mktemp)"
-trap 'rm -f "$tmp" "$fnet"' EXIT
+trap 'rm -f "$tmp"' EXIT
 
 echo "==> cargo bench -p pab-bench --bench dsp"
 cargo bench -p pab-bench --bench dsp | tee "$tmp"
@@ -28,10 +28,6 @@ t1=$(date +%s.%N)
 fig7_s=$(echo "$t0 $t1" | awk '{printf "%.3f", $2 - $1}')
 echo "fig7_ber_snr wall-clock: ${fig7_s} s"
 
-echo "==> faultnet slot throughput + frontend rate ladder (bench_faultnet --ladder)"
-cargo build --release -p pab-experiments --bin bench_faultnet >/dev/null 2>&1
-./target/release/bench_faultnet --ladder --out "$fnet"
-
 echo "==> collision vs fdma goodput (ext_collision_faultnet)"
 cargo build --release -p pab-experiments --bin ext_collision_faultnet >/dev/null 2>&1
 ./target/release/ext_collision_faultnet >/dev/null
@@ -39,10 +35,7 @@ colcsv="results/ext_collision_faultnet.csv"
 
 # Parse the criterion shim's report lines:
 #   <id>  <value> <unit>  [<n> iters]  (<rate>)
-# and splice in the faultnet JSON's "faultnet" and "frontend" objects
-# (everything from the "faultnet" key to the file's closing brace)
-# verbatim.
-awk -v fig7="$fig7_s" -v fnetfile="$fnet" -v colcsv="$colcsv" '
+awk -v fig7="$fig7_s" -v colcsv="$colcsv" '
 BEGIN { print "{"; print "  \"kernels_ns\": {"; first = 1 }
 /\[[0-9]+ iters\]/ {
     id = $1; v = $2; u = $3
@@ -71,15 +64,7 @@ END {
         }
     }
     close(colcsv)
-    print "},"
-    inobj = 0
-    while ((getline line < fnetfile) > 0) {
-        if (line ~ /"faultnet"/) inobj = 1
-        if (!inobj) continue
-        if (line ~ /^\}/) break
-        print "  " line
-    }
-    close(fnetfile)
+    print "}"
     print "}"
 }' "$tmp" > "$out"
 

@@ -29,24 +29,20 @@ fi
 echo "==> fault-resilience integration tests (tests/fault_resilience.rs)"
 cargo test -q -p pab-core --test fault_resilience
 
-echo "==> ext_fault_resilience --quick --trace  (fault injection smoke + telemetry trace)"
-cargo run --release -q -p pab-experiments --bin ext_fault_resilience -- --quick --trace
+echo "==> ext_fault_resilience --trace  (full fault-injection sweep + telemetry trace)"
+cargo run --release -q -p pab-experiments --bin ext_fault_resilience -- --trace
 for f in results/fault_trace.csv results/fault_trace.jsonl results/fault_trace_summary.csv results/fault_trace.bin; do
     [ -s "$f" ] || { echo "missing telemetry export: $f"; exit 1; }
 done
 
-echo "==> fig10_concurrent + ext_three_channels + ext_collision_faultnet  (committed Fig. 10, §8 and collision-slot results must regenerate unchanged)"
+echo "==> fig10_concurrent + ext_three_channels + ext_collision_faultnet  (committed Fig. 10, §8, collision-slot and fault-resilience results must regenerate unchanged)"
 cargo run --release -q -p pab-experiments --bin fig10_concurrent
 cargo run --release -q -p pab-experiments --bin ext_three_channels
 cargo run --release -q -p pab-experiments --bin ext_collision_faultnet
 git diff --exit-code -- results/fig10_concurrent.csv results/ext_three_channels.csv \
-    results/ext_collision_faultnet.csv \
+    results/ext_collision_faultnet.csv results/ext_fault_resilience.csv \
+    results/fault_trace_summary.csv \
     || { echo "results/ drifted from the code: re-run the binaries and commit the CSVs on purpose"; exit 1; }
-
-echo "==> bench_faultnet --smoke --ladder  (slot-throughput + frontend-rung bench smoke; numbers not comparable to a full run)"
-cargo run --release -q -p pab-experiments --bin bench_faultnet -- --smoke --ladder --out target/bench_faultnet_smoke.json
-[ -s target/bench_faultnet_smoke.json ] || { echo "bench_faultnet wrote no JSON"; exit 1; }
-grep -q '"frontend"' target/bench_faultnet_smoke.json || { echo "bench_faultnet smoke JSON lacks the frontend section"; exit 1; }
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets"

@@ -52,7 +52,7 @@ fn sequence_resets_on_each_power_cycle() {
     // A battery-free node cold-starts on every illumination, so its RAM
     // (including the sequence counter) resets: two independent exchanges
     // both carry seq 0. Retransmission bookkeeping therefore lives at the
-    // reader (RetransmissionTracker), exactly as in RFID systems.
+    // reader (the MAC's retry policy), exactly as in RFID systems.
     let mut sim = LinkSimulator::new(LinkConfig::default()).unwrap();
     let seq0 = sim
         .run_query(Command::Ping)
@@ -132,14 +132,15 @@ fn more_ambient_noise_reduces_snr() {
 
 #[test]
 fn inventory_round_over_real_acoustics() {
-    // MAC + PHY together: an InventoryRound polls two nodes on the
-    // paper's two channels; every scheduled query is carried over the
-    // full acoustic simulation.
-    use pab_net::mac::{ChannelPlan, InventoryRound, NodeEntry};
+    // MAC + PHY together: a fixed-retry MAC polls two nodes on the
+    // paper's two channels, one uplink per slot; every scheduled query is
+    // carried over the full acoustic simulation.
+    use pab_net::mac::{ChannelPlan, MacPolicy, NodeEntry, ResilientMac, RxObservation};
 
-    let mut round = InventoryRound::new(ChannelPlan::paper_two_channel(), 2, 1);
-    round.register(NodeEntry { addr: 1, channel: 0 }).unwrap();
-    round.register(NodeEntry { addr: 2, channel: 1 }).unwrap();
+    let policy = MacPolicy::FixedRetry { max_retries: 1 };
+    let mut mac = ResilientMac::new(ChannelPlan::paper_two_channel(), policy, 2).unwrap();
+    mac.register(NodeEntry { addr: 1, channel: 0 }).unwrap();
+    mac.register(NodeEntry { addr: 2, channel: 1 }).unwrap();
 
     // One link simulator per node (each node sits on its own channel).
     let mut sims: std::collections::BTreeMap<u8, LinkSimulator> =
@@ -154,18 +155,25 @@ fn inventory_round_over_real_acoustics() {
         sims.insert(addr, LinkSimulator::new(cfg).unwrap());
     }
 
-    let mut slots = 0;
-    while !round.is_complete() {
-        slots += 1;
-        assert!(slots < 10, "inventory did not converge");
-        for q in round.next_slot(Command::Ping) {
+    while !mac.is_complete() {
+        assert!(mac.slots_used() < 20, "inventory did not converge");
+        for q in mac.next_slot_plan(Command::Ping, |_| true).queries {
             let sim = sims.get_mut(&q.query.dest).unwrap();
             let report = sim.run_query(Command::Ping).unwrap();
-            round.record(q.query.dest, report.crc_ok);
+            let obs = if report.crc_ok {
+                RxObservation::Delivered {
+                    margin: report.preamble_corr,
+                }
+            } else {
+                RxObservation::CrcFailed {
+                    margin: report.preamble_corr,
+                }
+            };
+            mac.record(q.query.dest, obs).unwrap();
         }
     }
-    assert_eq!(round.stats(1).0, 2);
-    assert_eq!(round.stats(2).0, 2);
+    assert_eq!(mac.stats(1).0, 2);
+    assert_eq!(mac.stats(2).0, 2);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use pab_channel::{BroadbandBurst, DropoutWindow, FaultSchedule};
 use pab_core::faultnet::{FaultNetConfig, FaultNetSimulator};
 use pab_core::{LinkConfig, LinkSimulator};
-use pab_net::mac::{ChannelPlan, InventoryRound, MacPolicy, NodeEntry};
+use pab_net::mac::{ChannelPlan, MacPolicy, NodeEntry, ResilientMac, RxObservation};
 use pab_net::packet::Command;
 
 /// A loud broadband burst covering the start of the run: exchanges inside
@@ -23,34 +23,42 @@ fn bursty_schedule(seed: u64, until_s: f64) -> FaultSchedule {
 
 #[test]
 fn inventory_round_retransmits_through_a_lossy_link() {
-    // The plain InventoryRound + RetransmissionTracker, fed by real
-    // decodes: during the burst the CRC fails and the tracker retries /
-    // drops; once the burst passes, deliveries complete the round.
+    // A fixed-retry MAC fed by real decodes: during the burst the CRC
+    // fails and the MAC retries / drops; once the burst passes,
+    // deliveries complete the round.
     let faults = bursty_schedule(7, 1.0);
     let cfg = LinkConfig {
         fs_hz: 96_000.0,
         ..Default::default()
     };
     let mut sim = LinkSimulator::new(cfg).unwrap();
-    let mut round = InventoryRound::new(ChannelPlan::new(vec![15_000.0]).unwrap(), 2, 1);
-    round.register(NodeEntry { addr: 7, channel: 0 }).unwrap();
+    let policy = MacPolicy::FixedRetry { max_retries: 1 };
+    let mut mac = ResilientMac::new(ChannelPlan::new(vec![15_000.0]).unwrap(), policy, 2).unwrap();
+    mac.register(NodeEntry { addr: 7, channel: 0 }).unwrap();
 
     let mut t_now_s = 0.0;
     let mut failures = 0u64;
-    while !round.is_complete() {
-        assert!(round.slots_used() < 40, "round did not converge");
-        for q in round.next_slot(Command::Ping) {
+    while !mac.is_complete() {
+        assert!(mac.slots_used() < 40, "round did not converge");
+        for q in mac.next_slot_plan(Command::Ping, |_| true).queries {
             let report = sim
                 .run_query_to_faulted(q.query.dest, Command::Ping, &faults, t_now_s)
                 .unwrap();
             t_now_s += report.received.len() as f64 / 96_000.0;
-            if !report.crc_ok {
+            let obs = if report.crc_ok {
+                RxObservation::Delivered {
+                    margin: report.preamble_corr,
+                }
+            } else {
                 failures += 1;
-            }
-            round.record(q.query.dest, report.crc_ok);
+                RxObservation::CrcFailed {
+                    margin: report.preamble_corr,
+                }
+            };
+            mac.record(q.query.dest, obs).unwrap();
         }
     }
-    let (delivered, dropped) = round.stats(7);
+    let (delivered, dropped) = mac.stats(7);
     assert_eq!(delivered, 2, "round must deliver the target");
     assert!(failures > 0, "the burst must have corrupted something");
     // Every failed attempt is accounted for: retries + drops = failures.
@@ -131,10 +139,13 @@ fn same_seed_fault_runs_are_bit_identical() {
             ..Default::default()
         };
         cfg.nodes[0].faults = bursty_schedule(42, 0.5);
+        // Slots are time-shared, so node 2's first exchange starts after
+        // node 1's (~0.6 s in): the dropout must outlast it to overlap a
+        // query.
         cfg.nodes[1].faults = FaultSchedule::new(43)
             .with_dropout(DropoutWindow {
                 start_s: 0.0,
-                duration_s: 0.4,
+                duration_s: 1.0,
             })
             .unwrap();
         FaultNetSimulator::new(cfg).unwrap().run().unwrap()
@@ -159,10 +170,13 @@ fn same_seed_traces_export_byte_identically() {
             ..Default::default()
         };
         cfg.nodes[0].faults = bursty_schedule(42, 0.5);
+        // Slots are time-shared, so node 2's first exchange starts after
+        // node 1's (~0.6 s in): the dropout must outlast it to overlap a
+        // query.
         cfg.nodes[1].faults = FaultSchedule::new(43)
             .with_dropout(DropoutWindow {
                 start_s: 0.0,
-                duration_s: 0.4,
+                duration_s: 1.0,
             })
             .unwrap();
         let mut tel = pab_telemetry::Recorder::new(4096).with_run_id(7);

@@ -6,9 +6,9 @@
 //!
 //! * The lean [`decode_uplink_verdict`] and the diagnostic
 //!   [`decode_uplink`] must agree bit-for-bit across the full FM0 rate
-//!   ladder at both 96 kHz (every decimation factor stays on the
-//!   bitwise-preserving Auto path) and 192 kHz (the 256 bps rung reaches
-//!   decimation 23 and engages the Direct fast path end-to-end).
+//!   ladder at both 96 kHz and 192 kHz, on both polyphase paths
+//!   (overlap-save below decimation 3, direct from 3 up; the 256 bps
+//!   rung at 192 kHz reaches decimation 23).
 //! * The canonical faultnet and collision workloads at N ∈ {2, 4, 8}
 //!   must reproduce their pinned packet digests — the same values
 //!   `dump_identity` snapshots, so any numerical drift in the front-end
@@ -128,13 +128,16 @@ fn collision_cfg(n: usize) -> FaultNetConfig {
 #[test]
 fn faultnet_and_collision_digests_are_pinned() {
     // Digests recorded from the pre-front-end pipeline; the fused
-    // decoder must not move a single packet bit in any workload.
+    // decoder must not move a single packet bit in any workload. The
+    // faultnet N = 4 / 8 pins moved once, when time-shared (serialized)
+    // FDMA became the default concurrency: with one uplink per slot the
+    // burst and brown-out windows overlap different exchanges.
     let expected: [(&str, FaultNetConfig, u64); 6] = [
         ("faultnet_n2", scale_cfg(2), 0xd0a6fd18672a1435),
         ("collision_n2", collision_cfg(2), 0x19573df1c2d0d90f),
-        ("faultnet_n4", scale_cfg(4), 0x52d636ee155c9d4b),
+        ("faultnet_n4", scale_cfg(4), 0x2a2d43a062b78c7f),
         ("collision_n4", collision_cfg(4), 0x6258f0e5bd056ccd),
-        ("faultnet_n8", scale_cfg(8), 0xcd6716a461121663),
+        ("faultnet_n8", scale_cfg(8), 0xcbc0444576a0e6cf),
         ("collision_n8", collision_cfg(8), 0x6e0ee1e53c1bb235),
     ];
     for (tag, cfg, digest) in expected {
