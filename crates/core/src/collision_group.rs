@@ -51,13 +51,14 @@ use crate::collision::{
     zero_force_n_complex, ComplexAffineChannel,
 };
 use crate::faultnet::FaultNetConfig;
-use crate::node::{IncidentComponent, PabNode};
+use crate::medium::Medium;
+use crate::node::PabNode;
 use crate::projector::Projector;
 use crate::receiver::Receiver;
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use num_complex::Complex64;
 use pab_channel::noise::{add_awgn, NoiseEnvironment};
-use pab_channel::{MultipathChannel, Pool, Position};
+use pab_channel::{Pool, Position};
 use pab_mcu::Clock;
 use pab_net::packet::{Command, DownlinkQuery, UplinkPacket, BROADCAST_ADDR};
 use pab_sweep::derive_seed;
@@ -205,7 +206,8 @@ pub struct TrainingOutcome {
     pub elapsed_s: f64,
 }
 
-/// One separated stream's verdict from a collision slot.
+/// One separated stream's verdict from a collision slot (faultnet also
+/// accounts each FDMA exchange's verdict in this shape).
 #[derive(Debug, Clone)]
 pub struct StreamVerdict {
     /// The member address the stream belongs to.
@@ -255,11 +257,6 @@ pub struct SinrReport {
 struct GroupMember {
     addr: u8,
     carrier_hz: f64,
-    node: PabNode,
-    /// Projector→node channels, one per member carrier.
-    ch_down: Vec<MultipathChannel>,
-    /// Node→hydrophone channels, one per member carrier.
-    ch_up: Vec<MultipathChannel>,
 }
 
 /// The noiseless part of one group slot: everything up to the
@@ -326,15 +323,16 @@ struct Separated {
     streams: Vec<Vec<f64>>,
 }
 
-/// A k-node concurrent-uplink simulator for one collision group.
+/// A k-node concurrent-uplink simulator for one collision group: a
+/// k-node, k-carrier `Medium` (member `i` is medium node `i` and
+/// carrier `i`).
 #[derive(Debug)]
 pub struct CollisionGroupSimulator {
     members: Vec<GroupMember>,
+    medium: Medium,
     projector: Projector,
     receiver: Receiver,
     rng: ChaCha8Rng,
-    /// Projector→hydrophone channels per member carrier.
-    ch_proj_hydro: Vec<MultipathChannel>,
     fs_hz: f64,
     noise_sigma_pa: f64,
     /// Band-major channel matrix from the last training pass, and the
@@ -391,9 +389,9 @@ impl CollisionGroupSimulator {
     }
 
     /// Build the simulator for `cfg`'s members, seeded from `cfg.seed`:
-    /// designs one recto-piezo per member and pre-computes the k²
-    /// propagation channels per hop (the geometry is fixed for the
-    /// simulator's lifetime, so every slot reuses the same tap sets).
+    /// designs one recto-piezo per member and the medium's k² propagation
+    /// channels per hop (the geometry is fixed for the simulator's
+    /// lifetime, so every slot reuses the same tap sets).
     pub fn with_config(cfg: &MultiNodeConfig) -> Result<Self, CoreError> {
         if cfg.nodes.len() < 2 {
             return Err(CoreError::InvalidConfig(
@@ -405,10 +403,7 @@ impl CollisionGroupSimulator {
         let divider = Clock::watch_crystal()
             .divider_for_bitrate(cfg.bitrate_target_bps)
             .map_err(CoreError::Mcu)? as u16;
-        let channel = |from: &Position, to: &Position, f: f64| {
-            cfg.pool.channel(from, to, cfg.max_reflections, f)
-        };
-        let mut members = Vec::with_capacity(cfg.nodes.len());
+        let mut nodes = Vec::with_capacity(cfg.nodes.len());
         for p in &cfg.nodes {
             let mut node = match p.ceramic_resonance_hz {
                 Some(f_res) => {
@@ -421,35 +416,35 @@ impl CollisionGroupSimulator {
                 None => PabNode::new(p.addr, p.carrier_hz)?,
             };
             node.default_divider = divider;
-            let mut ch_down = Vec::with_capacity(cfg.nodes.len());
-            let mut ch_up = Vec::with_capacity(cfg.nodes.len());
-            for q in &cfg.nodes {
-                ch_down.push(channel(&cfg.projector_pos, &p.position, q.carrier_hz)?);
-                ch_up.push(channel(&p.position, &cfg.hydrophone_pos, q.carrier_hz)?);
-            }
-            members.push(GroupMember {
-                addr: p.addr,
-                carrier_hz: p.carrier_hz,
-                node,
-                ch_down,
-                ch_up,
-            });
+            nodes.push((node, p.position));
         }
-        let ch_proj_hydro = cfg
+        let members = cfg
             .nodes
             .iter()
-            .map(|q| channel(&cfg.projector_pos, &cfg.hydrophone_pos, q.carrier_hz))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|p| GroupMember {
+                addr: p.addr,
+                carrier_hz: p.carrier_hz,
+            })
+            .collect();
+        let medium = Medium::new(
+            &cfg.pool,
+            &cfg.projector_pos,
+            &cfg.hydrophone_pos,
+            cfg.max_reflections,
+            cfg.fs_hz,
+            cfg.nodes.iter().map(|p| p.carrier_hz).collect(),
+            nodes,
+        )?;
         let noise_sigma_pa = cfg
             .noise
             .rms_pressure_pa(cfg.nodes[0].carrier_hz, cfg.fs_hz / 2.0)?
             * cfg.noise_scale;
         Ok(CollisionGroupSimulator {
             members,
+            medium,
             projector,
             receiver: Receiver::new(1.0e-3, cfg.fs_hz),
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
-            ch_proj_hydro,
             fs_hz: cfg.fs_hz,
             noise_sigma_pa,
             channels: None,
@@ -471,8 +466,8 @@ impl CollisionGroupSimulator {
         let divider = Clock::watch_crystal()
             .divider_for_bitrate(bitrate_bps)
             .map_err(CoreError::Mcu)? as u16;
-        for m in &mut self.members {
-            m.node.default_divider = divider;
+        for node in &mut self.medium.nodes {
+            node.default_divider = divider;
         }
         Ok(())
     }
@@ -492,7 +487,7 @@ impl CollisionGroupSimulator {
     /// Quantized uplink bitrate the members will use.
     pub fn bitrate_bps(&self) -> f64 {
         Clock::watch_crystal()
-            .bitrate_for_divider(self.members[0].node.default_divider as u64)
+            .bitrate_for_divider(self.medium.nodes[0].default_divider as u64)
             // lint: allow(no-unwrap-in-lib) default_divider is validated non-zero at construction
             .expect("divider >= 1")
     }
@@ -500,7 +495,7 @@ impl CollisionGroupSimulator {
     /// Whether the current channel estimate is valid for the commanded
     /// bitrate (training is re-run when the rate rung moves).
     pub fn is_trained(&self) -> bool {
-        self.channels.is_some() && self.trained_divider == self.members[0].node.default_divider
+        self.channels.is_some() && self.trained_divider == self.medium.nodes[0].default_divider
     }
 
     /// Condition number of the current channel estimate (infinite when
@@ -513,39 +508,15 @@ impl CollisionGroupSimulator {
         }
     }
 
-    /// The noiseless part of one slot: per-carrier transmit waveforms,
-    /// all members process the superposed incident field and backscatter
-    /// every carrier, and the hydrophone sums the direct and re-radiated
-    /// paths.
+    /// The noiseless part of one slot: the medium hears the per-carrier
+    /// transmit waveforms over `n_tx + 4·margin` samples, plus each
+    /// member's hydrophone-aligned ground-truth switching stream.
     fn clean_slot(&self, waves: &[Vec<f64>]) -> Result<CleanSlot, CoreError> {
-        let fs = self.fs_hz;
         let k = self.members.len();
         let n_tx = waves.iter().map(Vec::len).max().unwrap_or(0);
-        let margin = crate::margin_samples(fs)?;
-
-        // Each member sees every carrier through its own downlink channels.
-        let mut node_outs = Vec::with_capacity(k);
-        for m in &self.members {
-            let mut components = Vec::with_capacity(k);
-            for (ci, w) in waves.iter().enumerate() {
-                components.push(IncidentComponent {
-                    carrier_hz: self.members[ci].carrier_hz,
-                    samples: m.ch_down[ci].apply(w, fs),
-                });
-            }
-            let out = m
-                .node
-                .process(&components, fs, Some(pab_sensors::WaterSample::bench()))?;
-            node_outs.push(out);
-        }
-
-        // Superpose at the hydrophone: direct projector paths plus every
-        // member re-radiating every carrier.
-        let n_rx = n_tx + 4 * margin;
-        let mut pressure = vec![0.0; n_rx];
-        for (ci, w) in waves.iter().enumerate() {
-            self.ch_proj_hydro[ci].apply_into(&mut pressure, w, fs);
-        }
+        let n_rx = n_tx + 4 * crate::margin_samples(self.fs_hz)?;
+        let water = pab_sensors::WaterSample::bench();
+        let (pressure, node_outs) = self.medium.hear(waves, water, n_rx)?;
         let mut truths = Vec::with_capacity(k);
         let mut responded = Vec::with_capacity(k);
         let mut power_w = Vec::with_capacity(k);
@@ -554,11 +525,8 @@ impl CollisionGroupSimulator {
             responded.push(out.responses_sent > 0);
             power_w.push(out.average_power_w);
             rectified_v.push(out.rectified_v);
-            for (ci, ch) in self.members[i].ch_up.iter().enumerate() {
-                ch.apply_into(&mut pressure, &out.backscatter[ci], fs);
-            }
             // Hydrophone-aligned ground-truth switching stream.
-            let delay = (self.members[i].ch_up[0].direct().delay_s * fs).floor() as usize;
+            let delay = self.medium.uplink_delay_samples(i);
             let mut s = vec![0.0; n_rx];
             for (t, &b) in out.switch_wave.iter().enumerate() {
                 if t + delay < n_rx {
@@ -578,16 +546,20 @@ impl CollisionGroupSimulator {
     }
 
     /// The receiving half of a slot: add fresh AWGN to a copy of the
-    /// clean pressure (drawn in slot order from the group's RNG), record
-    /// it, and demodulate every band to complex baseband.
+    /// clean pressure (drawn in slot order from the group's RNG), scale
+    /// it to volts in place, and demodulate every band to complex
+    /// baseband.
     fn receive(&mut self, clean: Arc<CleanSlot>) -> Result<SlotOutput, CoreError> {
         let mut y = clean.pressure.clone();
         add_awgn(&mut y, self.noise_sigma_pa, &mut self.rng);
-        let recorded = self.receiver.record(&y);
+        let sensitivity = self.receiver.sensitivity_v_per_pa;
+        for s in y.iter_mut() {
+            *s *= sensitivity;
+        }
         let cutoff = (2.0 * self.bitrate_bps()).clamp(200.0, 0.4 * self.fs_hz);
         let mut baseband = Vec::with_capacity(self.members.len());
         for m in &self.members {
-            baseband.push(self.receiver.demodulate_complex(&recorded, m.carrier_hz, cutoff)?);
+            baseband.push(self.receiver.demodulate_complex(&y, m.carrier_hz, cutoff)?);
         }
         Ok(SlotOutput { clean, baseband })
     }
@@ -659,7 +631,7 @@ impl CollisionGroupSimulator {
             .collect();
         let condition_number = condition_number_n(&channels);
         self.channels = Some(channels);
-        self.trained_divider = self.members[0].node.default_divider;
+        self.trained_divider = self.medium.nodes[0].default_divider;
         Ok(TrainingOutcome {
             condition_number,
             elapsed_s,
@@ -676,7 +648,7 @@ impl CollisionGroupSimulator {
             .channels
             .clone()
             .ok_or(CoreError::InvalidConfig("collision slot before training"))?;
-        let key = (self.members[0].node.default_divider, queries.to_vec());
+        let key = (self.medium.nodes[0].default_divider, queries.to_vec());
         let clean = match self.clean_memo.take() {
             Some((memo_key, clean)) if memo_key == key => {
                 self.stats.clean_hits += 1;

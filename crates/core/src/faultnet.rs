@@ -11,8 +11,8 @@
 //! Everything is keyed on seeds and absolute simulation time, so a run is
 //! bit-reproducible.
 
-use crate::collision_group::{CollisionGroupSimulator, GroupSlotStats};
-use crate::link::{LinkConfig, LinkSimulator, SlotEngineStats, SlotVerdict};
+use crate::collision_group::{CollisionGroupSimulator, GroupSlotStats, StreamVerdict};
+use crate::link::{LinkConfig, LinkSimulator, SlotEngineStats};
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use pab_channel::noise::NoiseEnvironment;
 use pab_channel::{FaultSchedule, Pool, Position};
@@ -83,10 +83,6 @@ pub struct FaultNetConfig {
     /// order-stable-collect + per-exchange-sub-recorder contract, so this
     /// is purely a wall-clock knob.
     pub parallel_slots: bool,
-    /// Enable the per-link slot-engine caches (query waveforms and clean
-    /// exchanges). Bit-identical on or off; off exists for the regression
-    /// test that proves it.
-    pub slot_cache: bool,
     /// How concurrent uplinks are scheduled and modelled (see
     /// [`Concurrency`]). The default [`Concurrency::Serialized`] time-shares
     /// the medium one uplink at a time; [`Concurrency::Collision`] adds
@@ -129,7 +125,6 @@ impl Default for FaultNetConfig {
             drive_voltage_v: 100.0,
             max_reflections: 3,
             parallel_slots: true,
-            slot_cache: true,
             concurrency: Concurrency::default(),
         }
     }
@@ -299,9 +294,7 @@ impl FaultNetSimulator {
                 fs_hz: cfg.fs_hz,
                 ..Default::default()
             };
-            let mut sim = LinkSimulator::new(link_cfg)?;
-            sim.set_slot_cache(cfg.slot_cache);
-            sims.insert(spec.addr, sim);
+            sims.insert(spec.addr, LinkSimulator::new(link_cfg)?);
             faults.insert(spec.addr, spec.faults.clone());
         }
         Ok(FaultNetSimulator {
@@ -518,7 +511,7 @@ impl FaultNetSimulator {
         // narrate fault windows, energy, the receiver verdict and the
         // MAC reaction — exactly the serial recording order.
         for (addr, verdict, sub) in verdicts {
-            let report: SlotVerdict = verdict?;
+            let report = verdict?;
             if let (Some(t), Some(sub)) = (tel.as_deref_mut(), sub.as_ref()) {
                 t.absorb(sub);
             }
@@ -552,51 +545,18 @@ impl FaultNetSimulator {
                     }
                 }
                 *prev = active;
-                t.record(Event::EnergySample {
-                    node: addr,
-                    harvested_j: report.node_power_w * exchange_s,
-                    power_w: report.node_power_w,
-                    rectified_v: report.node_rectified_v,
-                });
             }
-
-            let obs = if report.preamble_found && report.crc_ok {
-                RxObservation::Delivered {
-                    margin: report.preamble_corr,
-                }
-            } else if report.preamble_found {
-                RxObservation::CrcFailed {
-                    margin: report.preamble_corr,
-                }
-            } else {
-                RxObservation::Erasure
+            let heard = StreamVerdict {
+                addr,
+                preamble_found: report.preamble_found,
+                crc_ok: report.crc_ok,
+                preamble_corr: report.preamble_corr,
+                snr_db: report.snr_db,
+                packet: report.packet,
+                power_w: report.node_power_w,
+                rectified_v: report.node_rectified_v,
             };
-            if report.preamble_found {
-                if let Some(t) = tel.as_deref_mut() {
-                    if report.crc_ok {
-                        t.record(Event::Detection {
-                            node: addr,
-                            corr: report.preamble_corr,
-                            snr_db: report.snr_db,
-                        });
-                    } else {
-                        t.record(Event::CrcFail {
-                            node: addr,
-                            corr: report.preamble_corr,
-                        });
-                    }
-                }
-            } else if let Some(t) = tel.as_deref_mut() {
-                t.record(Event::Erasure { node: addr });
-            }
-            self.mac
-                .record_traced(addr, obs, tel.as_deref_mut())
-                .map_err(CoreError::Net)?;
-
-            if let Some(packet) = &report.packet {
-                slot_bits += UplinkPacket::bits_len(packet.payload.len()) as u64;
-                *digest = fnv1a_packet(*digest, addr, packet);
-            }
+            slot_bits += self.account(&heard, exchange_s, false, tel.as_deref_mut(), digest)?;
         }
         Ok((slot_s, slot_bits))
     }
@@ -678,55 +638,70 @@ impl FaultNetSimulator {
         }
         let mut slot_bits = 0u64;
         for v in &outcome.verdicts {
-            if let Some(t) = tel.as_deref_mut() {
-                t.record(Event::EnergySample {
-                    node: v.addr,
-                    harvested_j: v.power_w * outcome.elapsed_s,
-                    power_w: v.power_w,
-                    rectified_v: v.rectified_v,
-                });
+            slot_bits += self.account(v, outcome.elapsed_s, true, tel.as_deref_mut(), digest)?;
+        }
+        Ok((slot_s, slot_bits))
+    }
+
+    /// Narrate and account one node's verdict, from an FDMA exchange or a
+    /// separated `collision` stream, heard over `duration_s`: its energy
+    /// sample (and, for a collision stream, its `StreamVerdict` event),
+    /// the detection / CRC-fail / erasure event, the MAC's observation,
+    /// and a delivered packet's digest. Returns the delivered bits.
+    fn account(
+        &mut self,
+        v: &StreamVerdict,
+        duration_s: f64,
+        collision: bool,
+        mut tel: Option<&mut Recorder>,
+        digest: &mut u64,
+    ) -> Result<u64, CoreError> {
+        if let Some(t) = tel.as_deref_mut() {
+            t.record(Event::EnergySample {
+                node: v.addr,
+                harvested_j: v.power_w * duration_s,
+                power_w: v.power_w,
+                rectified_v: v.rectified_v,
+            });
+            if collision {
                 t.record(Event::StreamVerdict {
                     node: v.addr,
                     crc_ok: v.crc_ok,
                     snr_db: v.snr_db,
                 });
-                if v.preamble_found {
-                    if v.crc_ok {
-                        t.record(Event::Detection {
-                            node: v.addr,
-                            corr: v.preamble_corr,
-                            snr_db: v.snr_db,
-                        });
-                    } else {
-                        t.record(Event::CrcFail {
-                            node: v.addr,
-                            corr: v.preamble_corr,
-                        });
-                    }
-                } else {
-                    t.record(Event::Erasure { node: v.addr });
-                }
             }
-            let obs = if v.preamble_found && v.crc_ok {
-                RxObservation::Delivered {
-                    margin: v.preamble_corr,
-                }
-            } else if v.preamble_found {
-                RxObservation::CrcFailed {
-                    margin: v.preamble_corr,
-                }
-            } else {
-                RxObservation::Erasure
-            };
-            self.mac
-                .record_traced(v.addr, obs, tel.as_deref_mut())
-                .map_err(CoreError::Net)?;
-            if let Some(packet) = &v.packet {
-                slot_bits += UplinkPacket::bits_len(packet.payload.len()) as u64;
-                *digest = fnv1a_packet(*digest, v.addr, packet);
-            }
+            t.record(match (v.preamble_found, v.crc_ok) {
+                (true, true) => Event::Detection {
+                    node: v.addr,
+                    corr: v.preamble_corr,
+                    snr_db: v.snr_db,
+                },
+                (true, false) => Event::CrcFail {
+                    node: v.addr,
+                    corr: v.preamble_corr,
+                },
+                (false, _) => Event::Erasure { node: v.addr },
+            });
         }
-        Ok((slot_s, slot_bits))
+        let obs = match (v.preamble_found, v.crc_ok) {
+            (true, true) => RxObservation::Delivered {
+                margin: v.preamble_corr,
+            },
+            (true, false) => RxObservation::CrcFailed {
+                margin: v.preamble_corr,
+            },
+            (false, _) => RxObservation::Erasure,
+        };
+        self.mac
+            .record_traced(v.addr, obs, tel)
+            .map_err(CoreError::Net)?;
+        Ok(match &v.packet {
+            Some(packet) => {
+                *digest = fnv1a_packet(*digest, v.addr, packet);
+                UplinkPacket::bits_len(packet.payload.len()) as u64
+            }
+            None => 0,
+        })
     }
 
     /// Abandon a proposed collision: blacklist the group so it is never

@@ -13,6 +13,10 @@
 //!   Butterworth filtering, preamble detection, ML FM0 decoding, CRC;
 //! * [`collision`] — the MIMO-style decoder that separates concurrent
 //!   backscatter streams using frequency diversity (§3.3.2, Fig. 10);
+//! * `medium` (crate-private) — the one noiseless projector → pool →
+//!   nodes → hydrophone chain both slot simulators drive: channels
+//!   designed once per (node, carrier), every node re-radiating every
+//!   carrier into one superposition;
 //! * [`link`] — end-to-end single-link simulation in a pool (Figs. 2, 7,
 //!   8);
 //! * [`collision_group`] — the k-node collision slot: concurrent FDMA
@@ -47,6 +51,7 @@ pub mod collision_group;
 pub mod faultnet;
 pub mod firmware;
 pub mod link;
+mod medium;
 pub mod node;
 pub mod powerup;
 pub mod projector;

@@ -1,9 +1,11 @@
 //! End-to-end single-link simulation: projector → pool → node → pool →
-//! hydrophone → decoder. This is the machinery behind Figs. 2, 7 and 8.
+//! hydrophone → decoder, on a 1-node, 1-carrier `Medium`. This is the
+//! machinery behind Figs. 2, 7 and 8.
 
+use crate::medium::Medium;
 use crate::node::{IncidentComponent, NodeOutput, PabNode};
 use crate::projector::Projector;
-use crate::receiver::{Decoded, Receiver};
+use crate::receiver::{trace_verdict, DecodeVerdict, Decoded, Receiver};
 use crate::scratch::{self, Scratch};
 use crate::{margin_samples, CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use pab_channel::noise::{add_awgn, NoiseEnvironment};
@@ -90,9 +92,6 @@ pub struct LinkReport {
     pub crc_ok: bool,
     /// The decoded packet (when CRC passed).
     pub packet: Option<UplinkPacket>,
-    /// Bit error rate against the expected packet bits.
-    // lint: unitless bit error rate in [0, 1]
-    pub ber: f64,
     /// Receiver-estimated SNR of the backscatter modulation, dB.
     pub snr_db: f64,
     /// Whether the receiver found a packet preamble at all. `false` is an
@@ -148,23 +147,6 @@ pub struct SlotVerdict {
     pub exchange_samples: usize,
     /// The decoded packet (when CRC passed).
     pub packet: Option<UplinkPacket>,
-}
-
-impl SlotVerdict {
-    fn from_report(report: LinkReport) -> Self {
-        SlotVerdict {
-            crc_ok: report.crc_ok,
-            preamble_found: report.preamble_found,
-            preamble_corr: report.preamble_corr,
-            snr_db: report.snr_db,
-            node_powered_up: report.node_powered_up,
-            node_rectified_v: report.node_rectified_v,
-            node_power_w: report.node_power_w,
-            bitrate_bps: report.bitrate_bps,
-            exchange_samples: report.received.len(),
-            packet: report.packet,
-        }
-    }
 }
 
 /// Slot-engine cache and arena counters (see
@@ -250,9 +232,8 @@ type ExchKey = (u8, u8, (u8, u16), u16, u64, bool);
 #[derive(Debug)]
 struct CachedExchange {
     y_clean: Vec<f64>,
-    powered_up: bool,
-    rectified_v: f64,
-    power_w: f64,
+    /// The node's `(powered_up, rectified_v, average_power_w)`.
+    node: (bool, f64, f64),
 }
 
 /// Bound on each cache's entry count: past this the whole map is cleared
@@ -260,34 +241,31 @@ struct CachedExchange {
 /// keeps the worst case bounded without LRU bookkeeping).
 const CACHE_CAP: usize = 16;
 
-/// The link simulator.
+/// The link simulator: a 1-node, 1-carrier `Medium`.
 ///
-/// The three propagation channels (projector→node, projector→hydrophone,
-/// node→hydrophone) depend only on the configuration, so they are built
-/// once here and reused across every query — the image-method search is
-/// pure overhead when repeated per packet in a Monte-Carlo sweep. The
-/// same reasoning extends to the slot engine's caches: the query
-/// waveform and the whole clean (fade-free) exchange are pure functions
-/// of the cache keys above, so steady-state slots skip synthesis, both
-/// propagation legs and the node's signal chain entirely.
+/// The medium's three propagation channels (projector→node,
+/// projector→hydrophone, node→hydrophone) depend only on the
+/// configuration, so they are built once here and reused across every
+/// query — the image-method search is pure overhead when repeated per
+/// packet in a Monte-Carlo sweep. The same reasoning extends to the slot
+/// engine's caches: the query waveform and the whole clean (fade-free)
+/// exchange are pure functions of the cache keys above, so steady-state
+/// slots skip synthesis, both propagation legs and the node's signal
+/// chain entirely.
 #[derive(Debug)]
 pub struct LinkSimulator {
     cfg: LinkConfig,
     projector: Projector,
-    node: PabNode,
+    medium: Medium,
     receiver: Receiver,
     rng: ChaCha8Rng,
-    ch_pn: pab_channel::MultipathChannel,
-    ch_ph: pab_channel::MultipathChannel,
-    ch_nh: pab_channel::MultipathChannel,
     /// Ambient noise sigma at the carrier (pure function of the config;
     /// hoisted out of the per-exchange path).
     sigma_pa: f64,
-    slot_cache_enabled: bool,
     scratch: Scratch,
     wave_cache: BTreeMap<WaveKey, Arc<Vec<f64>>>,
     exch_cache: BTreeMap<ExchKey, CachedExchange>,
-    incident_cache: BTreeMap<WaveKey, Arc<Vec<f64>>>,
+    incident_cache: BTreeMap<WaveKey, Arc<Vec<IncidentComponent>>>,
     stats: SlotEngineStats,
 }
 
@@ -306,59 +284,30 @@ impl LinkSimulator {
             .divider_for_bitrate(cfg.bitrate_target_bps)
             .map_err(CoreError::Mcu)?;
         node.default_divider = divider as u16;
-        let receiver = Receiver::new(1.0e-3, cfg.fs_hz);
-        let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let ch_pn = cfg.pool.channel(
-            &cfg.projector_pos,
-            &cfg.node_pos,
-            cfg.max_reflections,
-            cfg.carrier_hz,
-        )?;
-        let ch_ph = cfg.pool.channel(
+        let medium = Medium::new(
+            &cfg.pool,
             &cfg.projector_pos,
             &cfg.hydrophone_pos,
             cfg.max_reflections,
-            cfg.carrier_hz,
-        )?;
-        let ch_nh = cfg.pool.channel(
-            &cfg.node_pos,
-            &cfg.hydrophone_pos,
-            cfg.max_reflections,
-            cfg.carrier_hz,
+            cfg.fs_hz,
+            vec![cfg.carrier_hz],
+            vec![(node, cfg.node_pos)],
         )?;
         let sigma_pa = cfg.noise.rms_pressure_pa(cfg.carrier_hz, cfg.fs_hz / 2.0)?
             * cfg.noise_scale;
         Ok(LinkSimulator {
+            receiver: Receiver::new(1.0e-3, cfg.fs_hz),
+            rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             cfg,
             projector,
-            node,
-            receiver,
-            rng,
-            ch_pn,
-            ch_ph,
-            ch_nh,
+            medium,
             sigma_pa,
-            slot_cache_enabled: true,
             scratch: Scratch::new(),
             wave_cache: BTreeMap::new(),
             exch_cache: BTreeMap::new(),
             incident_cache: BTreeMap::new(),
             stats: SlotEngineStats::default(),
         })
-    }
-
-    /// Enable or disable the slot engine's waveform/exchange caches
-    /// ([`slot_exchange`](Self::slot_exchange) falls back to the full
-    /// per-exchange computation when disabled). On by default; the off
-    /// switch exists so the bitwise cached-vs-uncached regression tests
-    /// can compare both paths.
-    pub fn set_slot_cache(&mut self, enabled: bool) {
-        self.slot_cache_enabled = enabled;
-        if !enabled {
-            self.wave_cache.clear();
-            self.exch_cache.clear();
-            self.incident_cache.clear();
-        }
     }
 
     /// Slot-engine cache and arena counters (diagnostics; the allocation
@@ -384,7 +333,7 @@ impl LinkSimulator {
 
     /// Mutable access to the node (tune thresholds, add front ends).
     pub fn node_mut(&mut self) -> &mut PabNode {
-        &mut self.node
+        &mut self.medium.nodes[0]
     }
 
     /// Mutable access to the projector (PWM timing, CFO).
@@ -395,7 +344,7 @@ impl LinkSimulator {
     /// The quantized bitrate the node will use.
     pub fn bitrate_bps(&self) -> f64 {
         Clock::watch_crystal()
-            .bitrate_for_divider(self.node.default_divider as u64)
+            .bitrate_for_divider(self.medium.nodes[0].default_divider as u64)
             // lint: allow(no-unwrap-in-lib) default_divider is validated non-zero at construction
             .expect("divider >= 1")
     }
@@ -407,15 +356,35 @@ impl LinkSimulator {
         let divider = Clock::watch_crystal()
             .divider_for_bitrate(bitrate_bps)
             .map_err(CoreError::Mcu)?;
-        self.node.default_divider = divider as u16;
+        self.medium.nodes[0].default_divider = divider as u16;
         Ok(())
     }
 
-    /// Expected response duration for a query, seconds.
-    fn response_window_s(&self, payload_len: usize) -> f64 {
-        let bits = UplinkPacket::bits_len(payload_len) as f64;
+    /// The downlink waveform of one query at projector oscillator offset
+    /// `cfo_hz` (static CFO plus any drift), with a continuous-wave tail
+    /// long enough for the node's response.
+    fn query_waveform(
+        &mut self,
+        dest: u8,
+        command: Command,
+        cfo_hz: f64,
+    ) -> Result<Vec<f64>, CoreError> {
+        let payload_len = match command {
+            Command::ReadSensor(_) => 4,
+            _ => 0,
+        };
         // guard + packet + margin
-        5e-3 + bits / self.bitrate_bps() + 30e-3
+        let bits = UplinkPacket::bits_len(payload_len) as f64;
+        let cw_tail = 5e-3 + bits / self.bitrate_bps() + 30e-3;
+        let saved_cfo_hz = self.projector.cfo_hz;
+        self.projector.cfo_hz = cfo_hz;
+        let wave = self.projector.query_waveform(
+            &DownlinkQuery { dest, command },
+            self.cfg.carrier_hz,
+            cw_tail,
+        );
+        self.projector.cfo_hz = saved_cfo_hz;
+        Ok(wave?.0)
     }
 
     /// Run one query/response exchange with an arbitrary command,
@@ -424,51 +393,14 @@ impl LinkSimulator {
         self.run_query_to(self.cfg.node_addr, command)
     }
 
-    /// Run one query/response exchange addressed to `dest`.
+    /// Run one query/response exchange addressed to `dest`: a faulted
+    /// exchange under a quiet schedule at t = 0.
     pub fn run_query_to(
         &mut self,
         dest: u8,
         command: Command,
     ) -> Result<LinkReport, CoreError> {
-        let payload_len = match command {
-            Command::ReadSensor(_) => 4,
-            _ => 0,
-        };
-        let query = DownlinkQuery { dest, command };
-        let cw_tail = self.response_window_s(payload_len);
-        let (tx_wave, _query_end) =
-            self.projector
-                .query_waveform(&query, self.cfg.carrier_hz, cw_tail)?;
-
-        // Propagate to the node over the cached channel.
-        let incident = self.ch_pn.apply(&tx_wave, self.cfg.fs_hz);
-        let node_out = self.node.process(
-            &[IncidentComponent {
-                carrier_hz: self.cfg.carrier_hz,
-                samples: incident,
-            }],
-            self.cfg.fs_hz,
-            Some(self.cfg.water),
-        )?;
-
-        // Superpose the direct projector path and the node's backscatter
-        // at the hydrophone.
-        let margin = margin_samples(self.cfg.fs_hz)?;
-        let n_rx = node_out.backscatter[0].len() + margin;
-        let mut y = vec![0.0; n_rx];
-        self.ch_ph.apply_into(&mut y, &tx_wave, self.cfg.fs_hz);
-        self.ch_nh
-            .apply_into(&mut y, &node_out.backscatter[0], self.cfg.fs_hz);
-
-        // Ambient noise.
-        add_awgn(&mut y, self.sigma_pa, &mut self.rng);
-
-        let recorded = self.receiver.record(&y);
-        let bitrate = self.bitrate_bps();
-        let decoded = self
-            .receiver
-            .decode_uplink(&recorded, self.cfg.carrier_hz, bitrate);
-        Ok(self.build_report(command, node_out, decoded, bitrate, recorded))
+        self.run_query_to_faulted(dest, command, &FaultSchedule::default(), 0.0)
     }
 
     /// Run one query/response exchange addressed to `dest` with a
@@ -487,6 +419,10 @@ impl LinkSimulator {
     /// * **bursts** add broadband noise at the hydrophone after ambient
     ///   AWGN, keyed on absolute sample index so same-seed runs are
     ///   bit-identical however slots are scheduled.
+    ///
+    /// This is the uncached reference for
+    /// [`slot_exchange`](Self::slot_exchange), returning every
+    /// diagnostic buffer.
     pub fn run_query_to_faulted(
         &mut self,
         dest: u8,
@@ -494,75 +430,53 @@ impl LinkSimulator {
         faults: &pab_channel::FaultSchedule,
         t_start_s: f64,
     ) -> Result<LinkReport, CoreError> {
-        self.run_query_to_faulted_traced(dest, command, faults, t_start_s, None)
+        let cfo_hz = self.projector.cfo_hz + faults.drift_at_hz(t_start_s);
+        let tx_wave = self.query_waveform(dest, command, cfo_hz)?;
+        let incident = self.medium.incident(0, &[&tx_wave]);
+        let window_s = tx_wave.len() as f64 / self.cfg.fs_hz;
+        let down = faults.node_down_during(t_start_s, t_start_s + window_s);
+        let fade = (!faults.is_quiet()).then_some((faults, t_start_s));
+        let (mut y, node_out) = self.clean_exchange(&tx_wave, incident, fade, down)?;
+        self.receive(&mut y, faults, t_start_s);
+        let bitrate = self.bitrate_bps();
+        let decoded = self.receiver.decode_uplink(&y, self.cfg.carrier_hz, bitrate);
+        Ok(build_report(node_out, decoded, bitrate, y))
     }
 
-    /// Like [`run_query_to_faulted`](Self::run_query_to_faulted), but
-    /// sinking the receiver's aggregate verdict (detection / CRC-fail /
-    /// erasure counters, correlation and SNR histograms) into an optional
-    /// telemetry recorder via
-    /// [`Receiver::decode_uplink_traced`](crate::receiver::Receiver::decode_uplink_traced).
-    pub fn run_query_to_faulted_traced(
-        &mut self,
-        dest: u8,
-        command: Command,
-        faults: &pab_channel::FaultSchedule,
-        t_start_s: f64,
-        tel: Option<&mut pab_telemetry::Recorder>,
-    ) -> Result<LinkReport, CoreError> {
-        let fs_hz = self.cfg.fs_hz;
-        let payload_len = match command {
-            Command::ReadSensor(_) => 4,
-            _ => 0,
-        };
-        let query = DownlinkQuery { dest, command };
-        let cw_tail = self.response_window_s(payload_len);
-
-        let drift_hz = faults.drift_at_hz(t_start_s);
-        let saved_cfo_hz = self.projector.cfo_hz;
-        self.projector.cfo_hz += drift_hz;
-        let wave = self
-            .projector
-            .query_waveform(&query, self.cfg.carrier_hz, cw_tail);
-        self.projector.cfo_hz = saved_cfo_hz;
-        let (tx_wave, _query_end) = wave?;
-        let incident = self.ch_pn.apply(&tx_wave, fs_hz);
-        self.faulted_tail(command, faults, t_start_s, tel, &tx_wave, incident)
-    }
-
-    /// The faulted exchange chain downstream of query synthesis and the
-    /// clean downlink propagation: fade gains, node (or brown-out),
-    /// uplink superposition, noise, decode. Split out so the slot
-    /// engine's fade-bypass path can reuse the memoized query waveform
-    /// and clean incident instead of recomputing them — the arithmetic
-    /// from here on is identical either way.
-    fn faulted_tail(
-        &mut self,
-        command: Command,
-        faults: &pab_channel::FaultSchedule,
-        t_start_s: f64,
-        tel: Option<&mut pab_telemetry::Recorder>,
+    /// The noiseless exchange at the hydrophone, from the node's incident
+    /// field on: the `fade` gains (schedule, exchange start) on the
+    /// node's downlink, the node (or, `down`, its browned-out silence),
+    /// the faded backscatter, and the medium's superposition over
+    /// `incident_len + margin` samples. Without a fade nothing is
+    /// multiplied and the backscatter is superposed as the node made it.
+    fn clean_exchange(
+        &self,
         tx_wave: &[f64],
-        mut incident: Vec<f64>,
-    ) -> Result<LinkReport, CoreError> {
+        mut incident: Vec<IncidentComponent>,
+        fade: Option<(&FaultSchedule, f64)>,
+        down: bool,
+    ) -> Result<(Vec<f64>, NodeOutput), CoreError> {
         let fs_hz = self.cfg.fs_hz;
-        // Downlink leg, with the fade's time-varying gain on the node path.
-        if !faults.is_quiet() {
-            for (i, s) in incident.iter_mut().enumerate() {
-                *s *= faults.gain_at(t_start_s + i as f64 / fs_hz);
+        let apply_fade = |samples: &mut [f64]| {
+            if let Some((faults, t_start_s)) = fade {
+                for (i, s) in samples.iter_mut().enumerate() {
+                    *s *= faults.gain_at(t_start_s + i as f64 / fs_hz);
+                }
             }
+        };
+        for c in &mut incident {
+            apply_fade(&mut c.samples);
         }
-
+        let incident_len = incident[0].samples.len();
         // A brown-out anywhere in the exchange silences the node: it
         // cannot hold charge through the window, so nothing decodes and
         // nothing backscatters (the receiver will report an erasure).
-        let window_s = tx_wave.len() as f64 / fs_hz;
-        let node_out = if faults.node_down_during(t_start_s, t_start_s + window_s) {
+        let node_out = if down {
             NodeOutput {
                 powered_up: false,
                 rectified_v: 0.0,
-                switch_wave: vec![false; incident.len()],
-                backscatter: vec![vec![0.0; incident.len()]],
+                switch_wave: vec![false; incident_len],
+                backscatter: vec![vec![0.0; incident_len]],
                 powered_at_s: None,
                 decoded_query: None,
                 responses_sent: 0,
@@ -570,47 +484,42 @@ impl LinkSimulator {
                 average_power_w: 0.0,
             }
         } else {
-            self.node.process(
-                &[IncidentComponent {
-                    carrier_hz: self.cfg.carrier_hz,
-                    samples: incident,
-                }],
-                fs_hz,
-                Some(self.cfg.water),
-            )?
+            self.medium.nodes[0].process(&incident, fs_hz, Some(self.cfg.water))?
         };
-
-        // Uplink leg: fade the backscatter source, then superpose with the
-        // clean direct path at the hydrophone.
-        let mut backscatter = node_out.backscatter[0].clone();
-        if !faults.is_quiet() {
-            for (i, s) in backscatter.iter_mut().enumerate() {
-                *s *= faults.gain_at(t_start_s + i as f64 / fs_hz);
+        // Free the incident field before the superposition allocates its
+        // window, so a cache miss holds no more buffers at its peak.
+        drop(incident);
+        let rx_len = incident_len + margin_samples(fs_hz)?;
+        let y = if fade.is_some() {
+            let mut backscatter = node_out.backscatter.clone();
+            for bs in &mut backscatter {
+                apply_fade(bs);
             }
+            self.medium.superpose(&[tx_wave], &[&backscatter], rx_len)
+        } else {
+            self.medium.superpose(&[tx_wave], &[&node_out.backscatter], rx_len)
+        };
+        Ok((y, node_out))
+    }
+
+    /// The hydrophone, in place: ambient AWGN from this link's stream,
+    /// the schedule's burst noise, then the pressure→volts scaling.
+    fn receive(&mut self, y: &mut [f64], faults: &FaultSchedule, t_start_s: f64) {
+        add_awgn(y, self.sigma_pa, &mut self.rng);
+        faults.add_burst_noise(y, t_start_s, self.cfg.fs_hz);
+        let sensitivity = self.receiver.sensitivity_v_per_pa;
+        for s in y.iter_mut() {
+            *s *= sensitivity;
         }
-        let margin = margin_samples(fs_hz)?;
-        let n_rx = backscatter.len() + margin;
-        let mut y = vec![0.0; n_rx];
-        self.ch_ph.apply_into(&mut y, &tx_wave, fs_hz);
-        self.ch_nh.apply_into(&mut y, &backscatter, fs_hz);
-
-        add_awgn(&mut y, self.sigma_pa, &mut self.rng);
-        faults.add_burst_noise(&mut y, t_start_s, fs_hz);
-
-        let recorded = self.receiver.record(&y);
-        let bitrate = self.bitrate_bps();
-        let decoded =
-            self.receiver
-                .decode_uplink_traced(&recorded, self.cfg.carrier_hz, bitrate, tel);
-        Ok(self.build_report(command, node_out, decoded, bitrate, recorded))
     }
 
     /// Run one fault-scheduled slot exchange through the caching slot
     /// engine, returning the lean [`SlotVerdict`] instead of a full
-    /// [`LinkReport`].
+    /// [`LinkReport`], and folding the receiver's verdict into `tel` (the
+    /// `rx.*` counters and histograms).
     ///
     /// Semantics are identical to
-    /// [`run_query_to_faulted_traced`](Self::run_query_to_faulted_traced)
+    /// [`run_query_to_faulted`](Self::run_query_to_faulted)
     /// — bitwise, including the RNG stream (ambient noise draws exactly
     /// `exchange_samples` normals either way) — but the steady state is
     /// radically cheaper:
@@ -647,19 +556,8 @@ impl LinkSimulator {
         tel: Option<&mut pab_telemetry::Recorder>,
     ) -> Result<SlotVerdict, CoreError> {
         let fs_hz = self.cfg.fs_hz;
-        if !self.slot_cache_enabled {
-            let report =
-                self.run_query_to_faulted_traced(dest, command, faults, t_start_s, tel)?;
-            return Ok(SlotVerdict::from_report(report));
-        }
-
-        let payload_len = match command {
-            Command::ReadSensor(_) => 4,
-            _ => 0,
-        };
-        let cw_tail = self.response_window_s(payload_len);
         let cfo_hz = self.projector.cfo_hz + faults.drift_at_hz(t_start_s);
-        let divider = self.node.default_divider;
+        let divider = self.medium.nodes[0].default_divider;
         let ck = command_key(command);
         let wkey: WaveKey = (dest, self.cfg.node_addr, ck, divider, cfo_hz.to_bits());
 
@@ -670,16 +568,7 @@ impl LinkSimulator {
             }
             None => {
                 self.stats.wave_misses += 1;
-                let saved_cfo_hz = self.projector.cfo_hz;
-                self.projector.cfo_hz = cfo_hz;
-                let wave = self.projector.query_waveform(
-                    &DownlinkQuery { dest, command },
-                    self.cfg.carrier_hz,
-                    cw_tail,
-                );
-                self.projector.cfo_hz = saved_cfo_hz;
-                let (w, _query_end) = wave?;
-                let w = Arc::new(w);
+                let w = Arc::new(self.query_waveform(dest, command, cfo_hz)?);
                 if self.wave_cache.len() >= CACHE_CAP {
                     self.wave_cache.clear();
                 }
@@ -690,6 +579,7 @@ impl LinkSimulator {
 
         let window_s = tx_wave.len() as f64 / fs_hz;
         let down = faults.node_down_during(t_start_s, t_start_s + window_s);
+        let bitrate = self.bitrate_bps();
         if faults.fade_active_during(t_start_s, t_start_s + window_s) {
             // Per-sample fade gains make the exchange time-dependent, so
             // the post-node chain must run in full — but the query
@@ -697,10 +587,10 @@ impl LinkSimulator {
             // pure functions of the wave key, so reuse both and only pay
             // for the fade-dependent stages.
             self.stats.bypasses += 1;
-            let incident: Arc<Vec<f64>> = match self.incident_cache.get(&wkey) {
+            let incident = match self.incident_cache.get(&wkey) {
                 Some(v) => Arc::clone(v),
                 None => {
-                    let v = Arc::new(self.ch_pn.apply(&tx_wave, fs_hz));
+                    let v = Arc::new(self.medium.incident(0, &[&tx_wave[..]]));
                     if self.incident_cache.len() >= CACHE_CAP {
                         self.incident_cache.clear();
                     }
@@ -708,208 +598,55 @@ impl LinkSimulator {
                     v
                 }
             };
-            let report = self.faulted_tail(
-                command,
-                faults,
-                t_start_s,
-                tel,
-                &tx_wave,
-                incident.as_ref().clone(),
-            )?;
-            return Ok(SlotVerdict::from_report(report));
+            let fade = Some((faults, t_start_s));
+            let (mut y, node_out) =
+                self.clean_exchange(&tx_wave, incident.as_ref().clone(), fade, down)?;
+            self.receive(&mut y, faults, t_start_s);
+            let decoded = self.receiver.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
+            trace_verdict(&decoded, tel);
+            let node = (node_out.powered_up, node_out.rectified_v, node_out.average_power_w);
+            return Ok(slot_verdict(decoded, node, bitrate, y.len()));
         }
 
         let ekey: ExchKey = (dest, self.cfg.node_addr, ck, divider, cfo_hz.to_bits(), down);
         if !self.exch_cache.contains_key(&ekey) {
             self.stats.exchange_misses += 1;
-            let entry = self.compute_clean_exchange(&tx_wave, down)?;
+            let incident = self.medium.incident(0, &[&tx_wave[..]]);
+            let (y_clean, out) = self.clean_exchange(&tx_wave, incident, None, down)?;
             if self.exch_cache.len() >= CACHE_CAP {
                 self.exch_cache.clear();
             }
+            let entry = CachedExchange {
+                y_clean,
+                node: (out.powered_up, out.rectified_v, out.average_power_w),
+            };
             self.exch_cache.insert(ekey, entry);
         } else {
             self.stats.exchange_hits += 1;
         }
-
-        let bitrate = self.bitrate_bps();
 
         // ---- engine+decode stage: zero heap allocations once the
         // scratch arena, the receiver's decode scratch and its front-end
         // design cache are warm (untraced; the telemetry recorder may
         // grow its own tables). Pinned by `tests/slot_engine_alloc.rs`.
         let probe0 = scratch::alloc_probe();
-        let (mut y, powered_up, rectified_v, power_w) = {
+        let (mut y, node) = {
             let (cache, pool) = (&self.exch_cache, &mut self.scratch);
             // lint: allow(no-unwrap-in-lib) inserted above under the same key
             let entry = cache.get(&ekey).expect("exchange entry just ensured");
             let mut y = pool.take(entry.y_clean.len());
             y.copy_from_slice(&entry.y_clean);
-            (y, entry.powered_up, entry.rectified_v, entry.power_w)
+            (y, entry.node)
         };
-        add_awgn(&mut y, self.sigma_pa, &mut self.rng);
-        faults.add_burst_noise(&mut y, t_start_s, fs_hz);
-        // Receiver::record, in place: the hydrophone scaling is a pure
-        // per-sample multiply.
-        let sensitivity = self.receiver.sensitivity_v_per_pa;
-        for s in y.iter_mut() {
-            *s *= sensitivity;
-        }
-        let decoded = self
-            .receiver
-            .decode_uplink_verdict_traced(&y, self.cfg.carrier_hz, bitrate, tel);
+        self.receive(&mut y, faults, t_start_s);
+        let decoded = self.receiver.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
+        trace_verdict(&decoded, tel);
         let exchange_samples = y.len();
         self.scratch.put(y);
         self.stats.engine_allocs_last = scratch::alloc_probe().saturating_sub(probe0);
         // ---- end engine+decode stage.
 
-        Ok(match decoded {
-            Ok(d) => SlotVerdict {
-                crc_ok: d.packet.is_ok(),
-                preamble_found: true,
-                preamble_corr: d.preamble_corr,
-                snr_db: d.snr_db,
-                node_powered_up: powered_up,
-                node_rectified_v: rectified_v,
-                node_power_w: power_w,
-                bitrate_bps: bitrate,
-                exchange_samples,
-                packet: d.packet.ok(),
-            },
-            Err(_) => SlotVerdict {
-                crc_ok: false,
-                preamble_found: false,
-                preamble_corr: 0.0,
-                snr_db: f64::NEG_INFINITY,
-                node_powered_up: powered_up,
-                node_rectified_v: rectified_v,
-                node_power_w: power_w,
-                bitrate_bps: bitrate,
-                exchange_samples,
-                packet: None,
-            },
-        })
-    }
-
-    /// The fade-free exchange chain for one cache key: downlink
-    /// propagation, node processing (or the browned-out zero response)
-    /// and the noiseless superposition at the hydrophone. Bitwise what
-    /// [`run_query_to_faulted_traced`](Self::run_query_to_faulted_traced)
-    /// computes for the same inputs when no fade window overlaps — the
-    /// gain multiplies it would apply are all by exactly 1.0.
-    fn compute_clean_exchange(
-        &mut self,
-        tx_wave: &[f64],
-        down: bool,
-    ) -> Result<CachedExchange, CoreError> {
-        let fs_hz = self.cfg.fs_hz;
-        let margin = margin_samples(fs_hz)?;
-        let incident_len = self.ch_pn.output_len(tx_wave.len(), fs_hz);
-        if down {
-            // The browned-out node backscatters silence; only the direct
-            // projector→hydrophone path reaches the receiver. (The full
-            // path superposes an all-zero backscatter buffer; replicate
-            // that exactly, signed zeros included.)
-            let zeros = vec![0.0; incident_len];
-            let mut y = vec![0.0; incident_len + margin];
-            self.ch_ph.apply_into(&mut y, tx_wave, fs_hz);
-            self.ch_nh.apply_into(&mut y, &zeros, fs_hz);
-            return Ok(CachedExchange {
-                y_clean: y,
-                powered_up: false,
-                rectified_v: 0.0,
-                power_w: 0.0,
-            });
-        }
-        let incident = self.ch_pn.apply(tx_wave, fs_hz);
-        let node_out = self.node.process(
-            &[IncidentComponent {
-                carrier_hz: self.cfg.carrier_hz,
-                samples: incident,
-            }],
-            fs_hz,
-            Some(self.cfg.water),
-        )?;
-        let mut y = vec![0.0; node_out.backscatter[0].len() + margin];
-        self.ch_ph.apply_into(&mut y, tx_wave, fs_hz);
-        self.ch_nh
-            .apply_into(&mut y, &node_out.backscatter[0], fs_hz);
-        Ok(CachedExchange {
-            y_clean: y,
-            powered_up: node_out.powered_up,
-            rectified_v: node_out.rectified_v,
-            power_w: node_out.average_power_w,
-        })
-    }
-
-    fn build_report(
-        &self,
-        command: Command,
-        node_out: NodeOutput,
-        decoded: Result<Decoded, CoreError>,
-        bitrate: f64,
-        received: Vec<f64>,
-    ) -> LinkReport {
-        // What the node should have sent (the simulation knows the water
-        // truth, so it can reconstruct the expected packet bits).
-        let expected_bits: Option<Vec<bool>> = node_out.decoded_query.and_then(|_q| {
-            let kind = match command {
-                Command::ReadSensor(k) => Some(k),
-                _ => None,
-            };
-            match kind {
-                Some(SensorKind::Ph) => None, // exact ADC value is quantized; skip
-                _ => None,
-            }
-        });
-        match decoded {
-            Ok(d) => {
-                let crc_ok = d.packet.is_ok();
-                let packet = d.packet.ok();
-                let ber = match (&expected_bits, crc_ok) {
-                    (_, true) => 0.0,
-                    (Some(exp), false) => {
-                        let n = exp.len().min(d.bits.len());
-                        if n == 0 {
-                            1.0
-                        } else {
-                            pab_net::bits::hamming_distance(&exp[..n], &d.bits[..n]) as f64
-                                / n as f64
-                        }
-                    }
-                    (None, false) => f64::NAN,
-                };
-                LinkReport {
-                    crc_ok,
-                    packet,
-                    ber,
-                    snr_db: d.snr_db,
-                    preamble_found: true,
-                    preamble_corr: d.preamble_corr,
-                    node_powered_up: node_out.powered_up,
-                    node_rectified_v: node_out.rectified_v,
-                    bitrate_bps: bitrate,
-                    node_power_w: node_out.average_power_w,
-                    envelope: d.envelope,
-                    received,
-                    node_output: node_out,
-                }
-            }
-            Err(_) => LinkReport {
-                crc_ok: false,
-                packet: None,
-                ber: f64::NAN,
-                snr_db: f64::NEG_INFINITY,
-                preamble_found: false,
-                preamble_corr: 0.0,
-                node_powered_up: node_out.powered_up,
-                node_rectified_v: node_out.rectified_v,
-                bitrate_bps: bitrate,
-                node_power_w: node_out.average_power_w,
-                envelope: Vec::new(),
-                received,
-                node_output: node_out,
-            },
-        }
+        Ok(slot_verdict(decoded, node, bitrate, exchange_samples))
     }
 
     /// Run a pH sensor query addressed to `addr` (the paper's flagship
@@ -943,22 +680,84 @@ impl LinkSimulator {
                 tx[off + i] = s;
             }
         }
-        let incident = self.ch_pn.apply(&tx, fs_hz);
-        let comp = IncidentComponent {
-            carrier_hz: self.cfg.carrier_hz,
-            samples: incident,
-        };
-        let node_out =
-            self.node
-                .process_fixed_toggle(&comp, fs_hz, toggle_start_s, half_period_s)?;
-        let mut y = vec![0.0; n];
-        self.ch_ph.apply_into(&mut y, &tx, fs_hz);
-        self.ch_nh
-            .apply_into(&mut y, &node_out.backscatter[0], fs_hz);
-        add_awgn(&mut y, self.sigma_pa, &mut self.rng);
-        let recorded = self.receiver.record(&y);
-        self.receiver
-            .demodulate(&recorded, self.cfg.carrier_hz, 60.0)
+        let incident = self.medium.incident(0, &[&tx]);
+        let node_out = self.medium.nodes[0].process_fixed_toggle(
+            &incident[0],
+            fs_hz,
+            toggle_start_s,
+            half_period_s,
+        )?;
+        let mut y = self.medium.superpose(&[&tx], &[&node_out.backscatter], n);
+        self.receive(&mut y, &FaultSchedule::default(), 0.0);
+        self.receiver.demodulate(&y, self.cfg.carrier_hz, 60.0)
+    }
+}
+
+/// The lean verdict of one decoded exchange, given the node's
+/// `(powered_up, rectified_v, average_power_w)` summary.
+fn slot_verdict(
+    decoded: Result<DecodeVerdict, CoreError>,
+    (node_powered_up, node_rectified_v, node_power_w): (bool, f64, f64),
+    bitrate_bps: f64,
+    exchange_samples: usize,
+) -> SlotVerdict {
+    let lost = SlotVerdict {
+        crc_ok: false,
+        preamble_found: false,
+        preamble_corr: 0.0,
+        snr_db: f64::NEG_INFINITY,
+        node_powered_up,
+        node_rectified_v,
+        node_power_w,
+        bitrate_bps,
+        exchange_samples,
+        packet: None,
+    };
+    match decoded {
+        Ok(d) => SlotVerdict {
+            crc_ok: d.packet.is_ok(),
+            preamble_found: true,
+            preamble_corr: d.preamble_corr,
+            snr_db: d.snr_db,
+            packet: d.packet.ok(),
+            ..lost
+        },
+        Err(_) => lost,
+    }
+}
+
+/// The full diagnostic report of one decoded exchange.
+fn build_report(
+    node_out: NodeOutput,
+    decoded: Result<Decoded, CoreError>,
+    bitrate_bps: f64,
+    received: Vec<f64>,
+) -> LinkReport {
+    let lost = LinkReport {
+        crc_ok: false,
+        packet: None,
+        snr_db: f64::NEG_INFINITY,
+        preamble_found: false,
+        preamble_corr: 0.0,
+        node_powered_up: node_out.powered_up,
+        node_rectified_v: node_out.rectified_v,
+        bitrate_bps,
+        node_power_w: node_out.average_power_w,
+        envelope: Vec::new(),
+        received,
+        node_output: node_out,
+    };
+    match decoded {
+        Ok(d) => LinkReport {
+            crc_ok: d.packet.is_ok(),
+            packet: d.packet.ok(),
+            snr_db: d.snr_db,
+            preamble_found: true,
+            preamble_corr: d.preamble_corr,
+            envelope: d.envelope,
+            ..lost
+        },
+        Err(_) => lost,
     }
 }
 

@@ -668,65 +668,6 @@ impl Receiver {
         self.decode_uplink_core(signal, carrier_hz, bitrate_bps)
     }
 
-    /// Like [`decode_uplink`](Self::decode_uplink), but folding the
-    /// verdict into an optional telemetry recorder: the counters
-    /// `rx.detections` / `rx.crc_fails` / `rx.erasures` and histograms
-    /// over preamble correlation and SNR. The receiver does not know node
-    /// addresses, so it records only aggregates; per-node attribution is
-    /// the MAC's and the simulator's job.
-    pub fn decode_uplink_traced(
-        &self,
-        signal: &[f64],
-        carrier_hz: f64,
-        bitrate_bps: f64,
-        tel: Option<&mut pab_telemetry::Recorder>,
-    ) -> Result<Decoded, CoreError> {
-        let out = self.decode_uplink(signal, carrier_hz, bitrate_bps);
-        if let Some(t) = tel {
-            match &out {
-                Ok(d) => {
-                    if d.packet.is_ok() {
-                        t.inc("rx.detections");
-                    } else {
-                        t.inc("rx.crc_fails");
-                    }
-                    t.observe("rx.preamble_corr", 0.0, 1.0, 20, d.preamble_corr);
-                    t.observe("rx.snr_db", -10.0, 40.0, 25, d.snr_db);
-                }
-                Err(_) => t.inc("rx.erasures"),
-            }
-        }
-        out
-    }
-
-    /// [`decode_uplink_verdict`](Self::decode_uplink_verdict) with the
-    /// same telemetry updates as
-    /// [`decode_uplink_traced`](Self::decode_uplink_traced).
-    pub fn decode_uplink_verdict_traced(
-        &self,
-        signal: &[f64],
-        carrier_hz: f64,
-        bitrate_bps: f64,
-        tel: Option<&mut pab_telemetry::Recorder>,
-    ) -> Result<DecodeVerdict, CoreError> {
-        let out = self.decode_uplink_core(signal, carrier_hz, bitrate_bps);
-        if let Some(t) = tel {
-            match &out {
-                Ok(v) => {
-                    if v.packet.is_ok() {
-                        t.inc("rx.detections");
-                    } else {
-                        t.inc("rx.crc_fails");
-                    }
-                    t.observe("rx.preamble_corr", 0.0, 1.0, 20, v.preamble_corr);
-                    t.observe("rx.snr_db", -10.0, 40.0, 25, v.snr_db);
-                }
-                Err(_) => t.inc("rx.erasures"),
-            }
-        }
-        out
-    }
-
     /// Decode a packet from an already-demodulated amplitude stream (the
     /// path used after MIMO zero-forcing, where the "envelope" is a
     /// separated stream estimate rather than a single band's magnitude).
@@ -893,6 +834,30 @@ impl Receiver {
         let snr_db = stats::snr_db(h * h, noise);
 
         Ok(SliceOutcome { packet, snr_db })
+    }
+}
+
+/// Fold one coherent decode verdict into an optional telemetry recorder:
+/// the counters `rx.detections` / `rx.crc_fails` / `rx.erasures` and
+/// histograms over preamble correlation and SNR. The receiver does not
+/// know node addresses, so it records only aggregates; per-node
+/// attribution is the MAC's and the simulator's job.
+pub(crate) fn trace_verdict(
+    decoded: &Result<DecodeVerdict, CoreError>,
+    tel: Option<&mut pab_telemetry::Recorder>,
+) {
+    let Some(t) = tel else { return };
+    match decoded {
+        Ok(v) => {
+            if v.packet.is_ok() {
+                t.inc("rx.detections");
+            } else {
+                t.inc("rx.crc_fails");
+            }
+            t.observe("rx.preamble_corr", 0.0, 1.0, 20, v.preamble_corr);
+            t.observe("rx.snr_db", -10.0, 40.0, 25, v.snr_db);
+        }
+        Err(_) => t.inc("rx.erasures"),
     }
 }
 

@@ -9,7 +9,7 @@ use pab_net::packet::Command;
 
 /// Run one link point and return every float as raw bits so the
 /// comparison is exact, not approximate.
-fn link_point(index: usize, bitrate: f64) -> (u64, u64, u64, bool, Vec<u64>) {
+fn link_point(index: usize, bitrate: f64) -> (u64, u64, bool, Vec<u64>) {
     let cfg = LinkConfig {
         bitrate_target_bps: bitrate,
         seed: pab_sweep::derive_seed(99, index as u64),
@@ -19,7 +19,6 @@ fn link_point(index: usize, bitrate: f64) -> (u64, u64, u64, bool, Vec<u64>) {
     let report = sim.run_query(Command::Ping).expect("run");
     (
         report.snr_db.to_bits(),
-        report.ber.to_bits(),
         report.node_rectified_v.to_bits(),
         report.crc_ok,
         report.envelope.iter().map(|v| v.to_bits()).collect(),

@@ -1,13 +1,16 @@
 //! N-node slot-engine determinism suite: the fault-injected network must
 //! produce byte-identical results whether its per-slot exchanges fan out
-//! through the parallel sweep engine or run serially, whether or not a
-//! trace recorder is attached, and whether or not the query-waveform /
-//! clean-exchange caches are enabled. These are the load-bearing
-//! invariants behind the PR's perf work — a cache or a thread pool that
-//! changed a single bit would silently invalidate every sweep result.
+//! through the parallel sweep engine or run serially, and whether or not
+//! a trace recorder is attached; and a link's cached slot engine must
+//! reproduce its uncached reference exchange bit for bit. These are the
+//! load-bearing invariants behind the slot engine's perf work — a cache
+//! or a thread pool that changed a single bit would silently invalidate
+//! every sweep result.
 
-use pab_channel::{BroadbandBurst, DropoutWindow, FaultSchedule};
+use pab_channel::{BroadbandBurst, DriftRamp, DropoutWindow, FaultSchedule, PathFade};
 use pab_core::faultnet::{FaultNetConfig, FaultNetReport, FaultNetSimulator};
+use pab_core::link::{LinkConfig, LinkSimulator};
+use pab_net::packet::{Command, SensorKind};
 use pab_telemetry::export::{events_csv, events_jsonl, summary_csv};
 use pab_telemetry::{events_bin, Recorder};
 
@@ -92,30 +95,78 @@ fn parallel_matches_serial_at_n4_and_n8() {
 }
 
 /// The query-waveform and clean-exchange caches are a pure memoisation:
-/// disabling them must reproduce the exact same run, bit for bit.
+/// a link's slot engine must decode, exchange for exchange, exactly what
+/// an identical link's uncached reference (`run_query_to_faulted`)
+/// decodes. The sequence runs a saturating drift ramp (new oscillator
+/// offsets, then a steady one), a burst, a fade (cache bypass), a
+/// dropout (erasure) and `ReadSensor` queries, so memo misses, memo hits
+/// and bypasses all occur.
 #[test]
 fn waveform_cache_is_bitwise_transparent() {
-    let run = |cache: bool| {
-        let mut cfg = scale_cfg(4);
-        cfg.slot_cache = cache;
-        let mut sim = FaultNetSimulator::new(cfg).expect("valid config");
-        let report = sim.run().expect("run succeeds");
-        (report, sim.slot_stats())
-    };
-    let (cached, stats_on) = run(true);
-    let (uncached, stats_off) = run(false);
-    assert_eq!(cached, uncached, "cache changed the simulation");
-    assert_eq!(cached.bit_digest, uncached.bit_digest);
-    // And the knob is real: hits with the cache on, none with it off.
-    assert!(
-        stats_on.exchange_hits + stats_on.wave_hits > 0,
-        "cached run never hit: {stats_on:?}"
-    );
-    assert_eq!(
-        stats_off.exchange_hits + stats_off.wave_hits,
-        0,
-        "disabled cache still hit: {stats_off:?}"
-    );
+    let faults = FaultSchedule::new(17)
+        .with_drift(DriftRamp {
+            rate_hz_per_s: 2.0,
+            max_abs_hz: 10.0,
+        })
+        .and_then(|f| {
+            f.with_burst(BroadbandBurst {
+                start_s: 10.0,
+                duration_s: 1.0,
+                rms_pa: 0.5,
+            })
+        })
+        .and_then(|f| {
+            f.with_fade(PathFade {
+                start_s: 20.0,
+                duration_s: 2.0,
+                floor_ratio: 0.3,
+            })
+        })
+        .and_then(|f| {
+            f.with_dropout(DropoutWindow {
+                start_s: 30.0,
+                duration_s: 1.0,
+            })
+        })
+        .expect("valid schedule");
+    let ph = Command::ReadSensor(SensorKind::Ph);
+    let sequence = [
+        (0.0, Command::Ping),
+        (6.0, Command::Ping),
+        (7.0, Command::Ping),
+        (8.0, ph),
+        (9.0, ph),
+        (10.2, Command::Ping),
+        (20.5, Command::Ping),
+        (21.0, ph),
+        (30.2, Command::Ping),
+        (30.5, Command::Ping),
+        (40.0, Command::Ping),
+    ];
+    let mut cached = LinkSimulator::new(LinkConfig::default()).expect("valid config");
+    let mut reference = LinkSimulator::new(LinkConfig::default()).expect("valid config");
+    let mut erasures = 0;
+    for (t_start_s, command) in sequence {
+        let got = cached
+            .slot_exchange(7, command, &faults, t_start_s, None)
+            .expect("slot exchange");
+        let want = reference
+            .run_query_to_faulted(7, command, &faults, t_start_s)
+            .expect("reference exchange");
+        let tag = format!("{command:?} at {t_start_s} s");
+        assert_eq!(got.packet, want.packet, "{tag}");
+        assert_eq!(got.preamble_found, want.preamble_found, "{tag}");
+        assert_eq!(got.preamble_corr.to_bits(), want.preamble_corr.to_bits(), "{tag}");
+        assert_eq!(got.snr_db.to_bits(), want.snr_db.to_bits(), "{tag}");
+        assert_eq!(got.node_power_w.to_bits(), want.node_power_w.to_bits(), "{tag}");
+        assert_eq!(got.exchange_samples, want.received.len(), "{tag}");
+        erasures += usize::from(!got.preamble_found);
+    }
+    assert!(erasures >= 1, "the dropout must erase");
+    let stats = cached.slot_stats();
+    assert!(stats.exchange_hits > 0 && stats.wave_hits > 0, "{stats:?}");
+    assert!(stats.exchange_misses > 0 && stats.wave_misses > 0, "{stats:?}");
+    assert!(stats.bypasses > 0, "{stats:?}");
 }
 
 /// Untraced runs must not depend on tracing either: attaching a recorder
