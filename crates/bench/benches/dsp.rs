@@ -214,6 +214,20 @@ fn bench_channel_apply(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_awgn(c: &mut Criterion) {
+    use pab_channel::noise::add_awgn;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    // One second of hydrophone samples at FS, the AWGN stage of a slot.
+    const AWGN_N: usize = 192_000;
+    let mut y = vec![0.0; AWGN_N];
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let mut g = c.benchmark_group("dsp");
+    g.throughput(Throughput::Elements(AWGN_N as u64));
+    g.bench_function("awgn_192k", |b| b.iter(|| add_awgn(&mut y, 1e-3, &mut rng)));
+    g.finish();
+}
+
 criterion_group!(
     dsp,
     bench_downconvert,
@@ -228,6 +242,7 @@ criterion_group!(
     bench_direct_vs_fft,
     bench_plan_cache,
     bench_image_method,
-    bench_channel_apply
+    bench_channel_apply,
+    bench_awgn
 );
 criterion_main!(dsp);

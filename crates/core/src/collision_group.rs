@@ -55,7 +55,7 @@ use crate::medium::Medium;
 use crate::node::PabNode;
 use crate::projector::Projector;
 use crate::receiver::Receiver;
-use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
+use crate::{hydrophone_sigma_pa, CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use num_complex::Complex64;
 use pab_channel::noise::{add_awgn, NoiseEnvironment};
 use pab_channel::{Pool, Position};
@@ -398,6 +398,12 @@ impl CollisionGroupSimulator {
                 "collision group needs >= 2 members",
             ));
         }
+        let noise_sigma_pa = hydrophone_sigma_pa(
+            &cfg.noise,
+            cfg.nodes[0].carrier_hz,
+            cfg.fs_hz,
+            cfg.noise_scale,
+        )?;
         let mut projector = Projector::new(cfg.drive_voltage_v)?;
         projector.fs_hz = cfg.fs_hz;
         let divider = Clock::watch_crystal()
@@ -435,10 +441,6 @@ impl CollisionGroupSimulator {
             cfg.nodes.iter().map(|p| p.carrier_hz).collect(),
             nodes,
         )?;
-        let noise_sigma_pa = cfg
-            .noise
-            .rms_pressure_pa(cfg.nodes[0].carrier_hz, cfg.fs_hz / 2.0)?
-            * cfg.noise_scale;
         Ok(CollisionGroupSimulator {
             members,
             medium,
@@ -850,6 +852,47 @@ mod tests {
         let cfg = FaultNetConfig::default();
         assert!(CollisionGroupSimulator::new(&cfg, &[1]).is_err());
         assert!(CollisionGroupSimulator::new(&cfg, &[1, 99]).is_err());
+    }
+
+    /// NaN, infinite and negative noise scales, and non-finite ambient
+    /// levels, are typed config errors; zero stays the noiseless case.
+    #[test]
+    fn hostile_noise_config_is_a_typed_error() {
+        let base = MultiNodeConfig::default();
+        let mut bad: Vec<MultiNodeConfig> = [f64::NAN, f64::INFINITY, -0.5]
+            .into_iter()
+            .map(|noise_scale| MultiNodeConfig {
+                noise_scale,
+                ..base.clone()
+            })
+            .collect();
+        bad.push(MultiNodeConfig {
+            noise: NoiseEnvironment::Tank { level_db: f64::NAN },
+            ..base.clone()
+        });
+        bad.push(MultiNodeConfig {
+            noise: NoiseEnvironment::Tank {
+                level_db: f64::INFINITY,
+            },
+            ..base.clone()
+        });
+        for cfg in &bad {
+            assert!(
+                matches!(
+                    CollisionGroupSimulator::with_config(cfg),
+                    Err(CoreError::InvalidConfig(_))
+                ),
+                "noise={:?} scale={}",
+                cfg.noise,
+                cfg.noise_scale
+            );
+        }
+        let quiet = MultiNodeConfig {
+            noise_scale: 0.0,
+            ..base
+        };
+        let group = CollisionGroupSimulator::with_config(&quiet).unwrap();
+        assert_eq!(group.noise_sigma_pa, 0.0);
     }
 
     #[test]

@@ -999,4 +999,36 @@ mod tests {
         };
         assert!(FaultNetSimulator::new(cfg).is_err());
     }
+
+    /// NaN, infinite and negative noise scales, and non-finite ambient
+    /// levels, are typed config errors; zero stays the noiseless case.
+    #[test]
+    fn hostile_noise_config_is_a_typed_error() {
+        for noise_scale in [f64::NAN, f64::INFINITY, -2.0] {
+            let cfg = FaultNetConfig {
+                noise_scale,
+                ..small_cfg()
+            };
+            assert!(
+                matches!(
+                    FaultNetSimulator::new(cfg),
+                    Err(CoreError::InvalidConfig(_))
+                ),
+                "noise_scale={noise_scale}"
+            );
+        }
+        let cfg = FaultNetConfig {
+            noise: pab_channel::noise::NoiseEnvironment::Tank { level_db: f64::NAN },
+            ..small_cfg()
+        };
+        assert!(matches!(
+            FaultNetSimulator::new(cfg),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        let quiet = FaultNetConfig {
+            noise_scale: 0.0,
+            ..small_cfg()
+        };
+        assert!(FaultNetSimulator::new(quiet).is_ok());
+    }
 }

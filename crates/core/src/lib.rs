@@ -88,6 +88,33 @@ pub fn margin_samples(fs_hz: f64) -> Result<usize, CoreError> {
     Ok((0.01 * fs_hz).floor() as usize)
 }
 
+/// Standard deviation of the hydrophone's AWGN, pascals: `noise`'s RMS
+/// pressure over the band up to Nyquist around `carrier_hz`, times
+/// `noise_scale`. Both slot simulators take their noise level from here.
+///
+/// A NaN, infinite or negative `noise_scale`, or a non-finite RMS level,
+/// is an [`CoreError::InvalidConfig`]: a NaN sigma would poison every
+/// sample and a negative one would silently turn the noise off.
+pub(crate) fn hydrophone_sigma_pa(
+    noise: &pab_channel::noise::NoiseEnvironment,
+    carrier_hz: f64,
+    fs_hz: f64,
+    noise_scale: f64,
+) -> Result<f64, CoreError> {
+    if !(noise_scale >= 0.0) || !noise_scale.is_finite() {
+        return Err(CoreError::InvalidConfig(
+            "noise_scale must be finite and non-negative",
+        ));
+    }
+    let rms_pa = noise.rms_pressure_pa(carrier_hz, fs_hz / 2.0)?;
+    if !rms_pa.is_finite() {
+        return Err(CoreError::InvalidConfig(
+            "ambient noise level must be finite",
+        ));
+    }
+    Ok(rms_pa * noise_scale)
+}
+
 /// Errors surfaced by the core simulation.
 #[derive(Debug)]
 pub enum CoreError {

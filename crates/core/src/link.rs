@@ -7,7 +7,7 @@ use crate::node::{IncidentComponent, NodeOutput, PabNode};
 use crate::projector::Projector;
 use crate::receiver::{trace_verdict, DecodeVerdict, Decoded, Receiver};
 use crate::scratch::{self, Scratch};
-use crate::{margin_samples, CoreError, DEFAULT_SAMPLE_RATE_HZ};
+use crate::{hydrophone_sigma_pa, margin_samples, CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use pab_channel::noise::{add_awgn, NoiseEnvironment};
 use pab_channel::{FaultSchedule, Pool, Position};
 use pab_mcu::Clock;
@@ -273,6 +273,7 @@ impl LinkSimulator {
     /// Build the simulator, designing the node front end and the
     /// propagation channels.
     pub fn new(cfg: LinkConfig) -> Result<Self, CoreError> {
+        let sigma_pa = hydrophone_sigma_pa(&cfg.noise, cfg.carrier_hz, cfg.fs_hz, cfg.noise_scale)?;
         let mut projector = Projector::new(cfg.drive_voltage_v)?;
         projector.fs_hz = cfg.fs_hz;
         let mut node = PabNode::new(cfg.node_addr, cfg.f_match_hz)?;
@@ -293,8 +294,6 @@ impl LinkSimulator {
             vec![cfg.carrier_hz],
             vec![(node, cfg.node_pos)],
         )?;
-        let sigma_pa = cfg.noise.rms_pressure_pa(cfg.carrier_hz, cfg.fs_hz / 2.0)?
-            * cfg.noise_scale;
         Ok(LinkSimulator {
             receiver: Receiver::new(1.0e-3, cfg.fs_hz),
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
@@ -764,6 +763,46 @@ fn build_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// NaN, infinite and negative noise scales, and non-finite ambient
+    /// levels, are typed config errors; zero stays the noiseless case.
+    #[test]
+    fn hostile_noise_config_is_a_typed_error() {
+        for noise_scale in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let cfg = LinkConfig {
+                noise_scale,
+                ..LinkConfig::default()
+            };
+            assert!(
+                matches!(LinkSimulator::new(cfg), Err(CoreError::InvalidConfig(_))),
+                "noise_scale={noise_scale}"
+            );
+        }
+        for noise in [
+            NoiseEnvironment::Tank { level_db: f64::NAN },
+            NoiseEnvironment::Tank {
+                level_db: f64::INFINITY,
+            },
+            NoiseEnvironment::OpenWater {
+                wind_m_s: 5.0,
+                shipping: f64::NAN,
+            },
+        ] {
+            let cfg = LinkConfig {
+                noise,
+                ..LinkConfig::default()
+            };
+            assert!(
+                matches!(LinkSimulator::new(cfg), Err(CoreError::InvalidConfig(_))),
+                "noise={noise:?}"
+            );
+        }
+        let quiet = LinkConfig {
+            noise_scale: 0.0,
+            ..LinkConfig::default()
+        };
+        assert_eq!(LinkSimulator::new(quiet).unwrap().sigma_pa, 0.0);
+    }
 
     #[test]
     fn default_link_delivers_a_sensor_packet() {

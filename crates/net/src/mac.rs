@@ -869,10 +869,16 @@ impl ResilientMac {
                 Ok(TxOutcome::Delivered)
             }
             RxObservation::CrcFailed { .. } => {
-                // The node responded: it is alive, however noisy. Any
-                // quarantine ends and the erasure streak resets.
-                st.quarantined = false;
-                st.probes_failed = 0;
+                // The node may have responded: any quarantine ends and the
+                // erasure streak resets. A re-probe answered this way still
+                // counts toward eviction, since only a delivery clears
+                // that: the receiver also reports a CRC failure for some
+                // exchanges with a silent node (noise that happens to
+                // match the preamble).
+                if st.quarantined {
+                    st.quarantined = false;
+                    st.probes_failed += 1;
+                }
                 st.consec_erasures = 0;
                 st.consec_deliveries = 0;
                 Ok(Self::fail_with_backoff(st, &cfg, slot, addr, tel))
@@ -906,7 +912,6 @@ impl ResilientMac {
                 }
                 if st.consec_erasures >= cfg.quarantine_after {
                     st.quarantined = true;
-                    st.probes_failed = 0;
                     st.next_eligible_slot = slot.saturating_add(cfg.quarantine_slots);
                     if st.quality.quality() < cfg.step_down_below && st.ladder.step_down() {
                         if let Some(t) = tel.as_deref_mut() {
@@ -921,7 +926,7 @@ impl ResilientMac {
                         t.record(Event::Quarantine {
                             node: addr,
                             until_slot: st.next_eligible_slot,
-                            probes_failed: 0,
+                            probes_failed: st.probes_failed,
                         });
                     }
                     return Ok(TxOutcome::Retry);
@@ -1390,6 +1395,48 @@ mod tests {
         // A CRC failure during quarantine proves life: quarantine lifts.
         let _ = mac.record(2, RxObservation::CrcFailed { margin: 0.3 }).unwrap();
         assert!(!mac.is_quarantined(2));
+    }
+
+    #[test]
+    fn crc_failed_reprobe_lifts_quarantine_but_keeps_eviction_progress() {
+        let cfg = AdaptiveConfig::default();
+        assert_eq!(
+            cfg.max_probes, 3,
+            "the probe counts below assume the default"
+        );
+        let quarantine = |mac: &mut ResilientMac, addr: u8| {
+            for _ in 0..cfg.quarantine_after {
+                mac.record(addr, RxObservation::Erasure).unwrap();
+            }
+            assert!(mac.is_quarantined(addr));
+        };
+        let mut mac = adaptive_mac(4);
+        // Node 2 is silent, but its first re-probe comes back as a (false)
+        // CRC failure: the quarantine lifts and the probe still counts, so
+        // two more unanswered probes evict it.
+        quarantine(&mut mac, 2);
+        mac.record(2, RxObservation::CrcFailed { margin: 0.35 })
+            .unwrap();
+        assert!(!mac.is_quarantined(2));
+        quarantine(&mut mac, 2);
+        mac.record(2, RxObservation::Erasure).unwrap();
+        assert!(!mac.is_evicted(2));
+        mac.record(2, RxObservation::Erasure).unwrap();
+        assert!(
+            mac.is_evicted(2),
+            "a CRC-failed probe must not restart eviction"
+        );
+        // Node 1 delivers after its CRC-failed probe: the count resets, so
+        // two unanswered probes of its next quarantine do not evict it.
+        quarantine(&mut mac, 1);
+        mac.record(1, RxObservation::CrcFailed { margin: 0.35 })
+            .unwrap();
+        mac.record(1, RxObservation::Delivered { margin: 0.9 })
+            .unwrap();
+        quarantine(&mut mac, 1);
+        mac.record(1, RxObservation::Erasure).unwrap();
+        mac.record(1, RxObservation::Erasure).unwrap();
+        assert!(!mac.is_evicted(1), "a delivery clears eviction progress");
     }
 
     #[test]

@@ -40,16 +40,19 @@ cargo run --release -q -p pab-experiments --bin fig10_concurrent
 cargo run --release -q -p pab-experiments --bin ext_three_channels
 cargo run --release -q -p pab-experiments --bin ext_collision_faultnet
 
-echo "==> fig2_waveform + fig8_snr_bitrate + app_sensing + ext_future_work  (committed single-link results must regenerate unchanged)"
+echo "==> fig2_waveform + fig7_ber_snr + fig8_snr_bitrate + app_sensing + ext_future_work + ext_mobility  (committed single-link results must regenerate unchanged)"
 cargo run --release -q -p pab-experiments --bin fig2_waveform
+cargo run --release -q -p pab-experiments --bin fig7_ber_snr
 cargo run --release -q -p pab-experiments --bin fig8_snr_bitrate
 cargo run --release -q -p pab-experiments --bin app_sensing
 cargo run --release -q -p pab-experiments --bin ext_future_work
+cargo run --release -q -p pab-experiments --bin ext_mobility
 git diff --exit-code -- results/fig10_concurrent.csv results/ext_three_channels.csv \
     results/ext_collision_faultnet.csv results/ext_fault_resilience.csv \
     results/fault_trace_summary.csv \
-    results/fig2_waveform.csv results/fig2_envelope.wav results/fig8_snr_bitrate.csv \
-    results/app_sensing.csv results/ext_battery_assist.csv results/ext_open_water.csv \
+    results/fig2_waveform.csv results/fig2_envelope.wav results/fig7_ber_snr.csv \
+    results/fig8_snr_bitrate.csv results/app_sensing.csv results/ext_battery_assist.csv \
+    results/ext_open_water.csv results/ext_mobility.csv \
     || { echo "results/ drifted from the code: re-run the binaries and commit the CSVs on purpose"; exit 1; }
 
 if cargo clippy --version >/dev/null 2>&1; then

@@ -101,31 +101,30 @@ fn dropout_is_evicted_and_healthy_node_is_undisturbed() {
 
 #[test]
 fn adaptive_beats_fixed_retry_on_goodput_with_a_dead_node() {
-    let adaptive = FaultNetSimulator::new(dead_node_cfg(
-        MacPolicy::Adaptive(Default::default()),
-        11,
-    ))
-    .unwrap()
-    .run()
-    .unwrap();
-    let fixed = FaultNetSimulator::new(dead_node_cfg(
-        MacPolicy::FixedRetry { max_retries: 2 },
-        11,
-    ))
-    .unwrap()
-    .run()
-    .unwrap();
-    assert!(adaptive.completed);
-    assert!(
-        !fixed.completed,
-        "fixed-retry has no eviction, so the dead node pins it to max_slots"
-    );
-    assert!(
-        adaptive.goodput_bps > fixed.goodput_bps,
-        "adaptive {} bps must beat fixed-retry {} bps",
-        adaptive.goodput_bps,
-        fixed.goodput_bps
-    );
+    // How fast the dead node is evicted depends on the noise: about one
+    // exchange in ten with its silent channel still decodes as a CRC
+    // failure. Adaptive must win at every seed, not only at a lucky one.
+    for seed in 0..16 {
+        let run = |policy| {
+            FaultNetSimulator::new(dead_node_cfg(policy, seed))
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let adaptive = run(MacPolicy::Adaptive(Default::default()));
+        let fixed = run(MacPolicy::FixedRetry { max_retries: 2 });
+        assert!(adaptive.completed, "seed {seed}: adaptive livelocked");
+        assert!(
+            !fixed.completed,
+            "fixed-retry has no eviction, so the dead node pins it to max_slots"
+        );
+        assert!(
+            adaptive.goodput_bps > fixed.goodput_bps,
+            "seed {seed}: adaptive {} bps must beat fixed-retry {} bps",
+            adaptive.goodput_bps,
+            fixed.goodput_bps
+        );
+    }
 }
 
 #[test]
