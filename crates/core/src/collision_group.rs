@@ -54,7 +54,7 @@ use crate::faultnet::FaultNetConfig;
 use crate::medium::Medium;
 use crate::node::PabNode;
 use crate::projector::Projector;
-use crate::receiver::Receiver;
+use crate::receiver::{Receiver, StreamVerdict};
 use crate::{hydrophone_sigma_pa, CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use num_complex::Complex64;
 use pab_channel::noise::{add_awgn, NoiseEnvironment};
@@ -204,29 +204,6 @@ pub struct TrainingOutcome {
     pub condition_number: f64,
     /// Simulated time the k training slots consumed, seconds.
     pub elapsed_s: f64,
-}
-
-/// One separated stream's verdict from a collision slot (faultnet also
-/// accounts each FDMA exchange's verdict in this shape).
-#[derive(Debug, Clone)]
-pub struct StreamVerdict {
-    /// The member address the stream belongs to.
-    pub addr: u8,
-    /// Whether the envelope decoder found a preamble in the stream.
-    pub preamble_found: bool,
-    /// Whether the packet passed CRC.
-    pub crc_ok: bool,
-    /// Preamble correlation peak (detection margin).
-    // lint: unitless normalized correlation in [0, 1]
-    pub preamble_corr: f64,
-    /// Decoder SNR estimate, dB.
-    pub snr_db: f64,
-    /// The decoded packet when CRC passed.
-    pub packet: Option<UplinkPacket>,
-    /// Node-side average harvested power during the slot, watts.
-    pub power_w: f64,
-    /// Node-side rectified capacitor voltage at slot end, volts.
-    pub rectified_v: f64,
 }
 
 /// Outcome of one collision slot.
@@ -688,34 +665,20 @@ impl CollisionGroupSimulator {
     fn verdicts(&self, sep: &Separated) -> Vec<StreamVerdict> {
         let bitrate = self.bitrate_bps();
         let slot = &sep.slot.clean;
-        let mut verdicts = Vec::with_capacity(sep.streams.len());
-        for (i, stream) in sep.streams.iter().enumerate() {
-            let lost = StreamVerdict {
-                addr: self.members[i].addr,
-                preamble_found: false,
-                crc_ok: false,
-                preamble_corr: 0.0,
-                snr_db: f64::NEG_INFINITY,
-                packet: None,
-                power_w: slot.power_w[i],
-                rectified_v: slot.rectified_v[i],
-            };
-            let decoded = self.receiver.decode_envelope(stream, bitrate);
-            // A member that never responded cannot have delivered: treat
-            // any accidental decode as the erasure it physically is.
-            verdicts.push(match decoded {
-                Ok(d) if slot.responded[i] => StreamVerdict {
-                    preamble_found: true,
-                    crc_ok: d.packet.is_ok(),
-                    preamble_corr: d.preamble_corr,
-                    snr_db: d.snr_db,
-                    packet: d.packet.ok(),
-                    ..lost
-                },
-                _ => lost,
-            });
-        }
-        verdicts
+        let members = self.members.iter().zip(&sep.streams).enumerate();
+        members
+            .map(|(i, (m, stream))| {
+                // A member that never responded cannot have delivered: any
+                // decode of its stream would be an accident, so it is the
+                // erasure it physically is.
+                let decoded = if slot.responded[i] {
+                    self.receiver.decode_envelope(stream, bitrate)
+                } else {
+                    Err(CoreError::NoPacketDetected)
+                };
+                StreamVerdict::new(m.addr, decoded, slot.power_w[i], slot.rectified_v[i])
+            })
+            .collect()
     }
 
     /// Run one collision slot carrying `queries[i]` on member `i`'s

@@ -11,8 +11,9 @@
 //! Everything is keyed on seeds and absolute simulation time, so a run is
 //! bit-reproducible.
 
-use crate::collision_group::{CollisionGroupSimulator, GroupSlotStats, StreamVerdict};
+use crate::collision_group::{CollisionGroupSimulator, GroupSlotStats};
 use crate::link::{LinkConfig, LinkSimulator, SlotEngineStats};
+use crate::receiver::StreamVerdict;
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use pab_channel::noise::NoiseEnvironment;
 use pab_channel::{FaultSchedule, Pool, Position};
@@ -511,11 +512,11 @@ impl FaultNetSimulator {
         // narrate fault windows, energy, the receiver verdict and the
         // MAC reaction — exactly the serial recording order.
         for (addr, verdict, sub) in verdicts {
-            let report = verdict?;
+            let (heard, exchange_samples) = verdict?;
             if let (Some(t), Some(sub)) = (tel.as_deref_mut(), sub.as_ref()) {
                 t.absorb(sub);
             }
-            let exchange_s = report.exchange_samples as f64 / self.cfg.fs_hz;
+            let exchange_s = exchange_samples as f64 / self.cfg.fs_hz;
             slot_s += exchange_s;
             let schedule = self
                 .faults
@@ -546,16 +547,6 @@ impl FaultNetSimulator {
                 }
                 *prev = active;
             }
-            let heard = StreamVerdict {
-                addr,
-                preamble_found: report.preamble_found,
-                crc_ok: report.crc_ok,
-                preamble_corr: report.preamble_corr,
-                snr_db: report.snr_db,
-                packet: report.packet,
-                power_w: report.node_power_w,
-                rectified_v: report.node_rectified_v,
-            };
             slot_bits += self.account(&heard, exchange_s, false, tel.as_deref_mut(), digest)?;
         }
         Ok((slot_s, slot_bits))

@@ -5,7 +5,7 @@
 use crate::medium::Medium;
 use crate::node::{IncidentComponent, NodeOutput, PabNode};
 use crate::projector::Projector;
-use crate::receiver::{trace_verdict, DecodeVerdict, Decoded, Receiver};
+use crate::receiver::{trace_verdict, Decoded, Receiver, StreamVerdict};
 use crate::scratch::{self, Scratch};
 use crate::{hydrophone_sigma_pa, margin_samples, CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use pab_channel::noise::{add_awgn, NoiseEnvironment};
@@ -119,36 +119,6 @@ pub struct LinkReport {
     pub node_output: NodeOutput,
 }
 
-/// The lean verdict of one slot exchange — everything the MAC and the
-/// faultnet bookkeeping consume, none of [`LinkReport`]'s waveform
-/// diagnostics. Produced by [`LinkSimulator::slot_exchange`], whose
-/// steady state never materialises the diagnostic buffers at all.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlotVerdict {
-    /// Whether the decoded packet's CRC passed.
-    pub crc_ok: bool,
-    /// Whether the receiver found a packet preamble (`false` = erasure).
-    pub preamble_found: bool,
-    /// Peak preamble correlation in [0, 1] (0.0 on erasure).
-    // lint: unitless normalized correlation in [0, 1]
-    pub preamble_corr: f64,
-    /// Receiver-estimated SNR of the backscatter modulation, dB.
-    pub snr_db: f64,
-    /// Whether the node powered up.
-    pub node_powered_up: bool,
-    /// Node's peak rectified voltage, volts.
-    pub node_rectified_v: f64,
-    /// The node's average power during the exchange, watts.
-    pub node_power_w: f64,
-    /// Quantized uplink bitrate actually used, bps.
-    pub bitrate_bps: f64,
-    /// Length of the exchange's received window in samples (duration =
-    /// `exchange_samples / fs_hz`).
-    pub exchange_samples: usize,
-    /// The decoded packet (when CRC passed).
-    pub packet: Option<UplinkPacket>,
-}
-
 /// Slot-engine cache and arena counters (see
 /// [`LinkSimulator::slot_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -232,8 +202,8 @@ type ExchKey = (u8, u8, (u8, u16), u16, u64, bool);
 #[derive(Debug)]
 struct CachedExchange {
     y_clean: Vec<f64>,
-    /// The node's `(powered_up, rectified_v, average_power_w)`.
-    node: (bool, f64, f64),
+    /// The node's `(average_power_w, rectified_v)`.
+    node: (f64, f64),
 }
 
 /// Bound on each cache's entry count: past this the whole map is cleared
@@ -513,7 +483,8 @@ impl LinkSimulator {
     }
 
     /// Run one fault-scheduled slot exchange through the caching slot
-    /// engine, returning the lean [`SlotVerdict`] instead of a full
+    /// engine, returning the node's [`StreamVerdict`] and the exchange's
+    /// length in samples (duration = samples / `fs_hz`) instead of a full
     /// [`LinkReport`], and folding the receiver's verdict into `tel` (the
     /// `rx.*` counters and histograms).
     ///
@@ -553,7 +524,7 @@ impl LinkSimulator {
         faults: &FaultSchedule,
         t_start_s: f64,
         tel: Option<&mut pab_telemetry::Recorder>,
-    ) -> Result<SlotVerdict, CoreError> {
+    ) -> Result<(StreamVerdict, usize), CoreError> {
         let fs_hz = self.cfg.fs_hz;
         let cfo_hz = self.projector.cfo_hz + faults.drift_at_hz(t_start_s);
         let divider = self.medium.nodes[0].default_divider;
@@ -603,8 +574,9 @@ impl LinkSimulator {
             self.receive(&mut y, faults, t_start_s);
             let decoded = self.receiver.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
             trace_verdict(&decoded, tel);
-            let node = (node_out.powered_up, node_out.rectified_v, node_out.average_power_w);
-            return Ok(slot_verdict(decoded, node, bitrate, y.len()));
+            let (power_w, rectified_v) = (node_out.average_power_w, node_out.rectified_v);
+            let verdict = StreamVerdict::new(self.cfg.node_addr, decoded, power_w, rectified_v);
+            return Ok((verdict, y.len()));
         }
 
         let ekey: ExchKey = (dest, self.cfg.node_addr, ck, divider, cfo_hz.to_bits(), down);
@@ -617,7 +589,7 @@ impl LinkSimulator {
             }
             let entry = CachedExchange {
                 y_clean,
-                node: (out.powered_up, out.rectified_v, out.average_power_w),
+                node: (out.average_power_w, out.rectified_v),
             };
             self.exch_cache.insert(ekey, entry);
         } else {
@@ -629,7 +601,7 @@ impl LinkSimulator {
         // design cache are warm (untraced; the telemetry recorder may
         // grow its own tables). Pinned by `tests/slot_engine_alloc.rs`.
         let probe0 = scratch::alloc_probe();
-        let (mut y, node) = {
+        let (mut y, (power_w, rectified_v)) = {
             let (cache, pool) = (&self.exch_cache, &mut self.scratch);
             // lint: allow(no-unwrap-in-lib) inserted above under the same key
             let entry = cache.get(&ekey).expect("exchange entry just ensured");
@@ -645,7 +617,8 @@ impl LinkSimulator {
         self.stats.engine_allocs_last = scratch::alloc_probe().saturating_sub(probe0);
         // ---- end engine+decode stage.
 
-        Ok(slot_verdict(decoded, node, bitrate, exchange_samples))
+        let verdict = StreamVerdict::new(self.cfg.node_addr, decoded, power_w, rectified_v);
+        Ok((verdict, exchange_samples))
     }
 
     /// Run a pH sensor query addressed to `addr` (the paper's flagship
@@ -689,39 +662,6 @@ impl LinkSimulator {
         let mut y = self.medium.superpose(&[&tx], &[&node_out.backscatter], n);
         self.receive(&mut y, &FaultSchedule::default(), 0.0);
         self.receiver.demodulate(&y, self.cfg.carrier_hz, 60.0)
-    }
-}
-
-/// The lean verdict of one decoded exchange, given the node's
-/// `(powered_up, rectified_v, average_power_w)` summary.
-fn slot_verdict(
-    decoded: Result<DecodeVerdict, CoreError>,
-    (node_powered_up, node_rectified_v, node_power_w): (bool, f64, f64),
-    bitrate_bps: f64,
-    exchange_samples: usize,
-) -> SlotVerdict {
-    let lost = SlotVerdict {
-        crc_ok: false,
-        preamble_found: false,
-        preamble_corr: 0.0,
-        snr_db: f64::NEG_INFINITY,
-        node_powered_up,
-        node_rectified_v,
-        node_power_w,
-        bitrate_bps,
-        exchange_samples,
-        packet: None,
-    };
-    match decoded {
-        Ok(d) => SlotVerdict {
-            crc_ok: d.packet.is_ok(),
-            preamble_found: true,
-            preamble_corr: d.preamble_corr,
-            snr_db: d.snr_db,
-            packet: d.packet.ok(),
-            ..lost
-        },
-        Err(_) => lost,
     }
 }
 
@@ -914,7 +854,7 @@ mod tests {
                 ..Default::default()
             };
             let mut sim = LinkSimulator::new(cfg).unwrap();
-            let cold = sim
+            let (cold, _) = sim
                 .slot_exchange(
                     pab_net::packet::BROADCAST_ADDR,
                     Command::Ping,
@@ -923,7 +863,7 @@ mod tests {
                     None,
                 )
                 .unwrap();
-            let warm = sim
+            let (warm, _) = sim
                 .slot_exchange(
                     pab_net::packet::BROADCAST_ADDR,
                     Command::Ping,

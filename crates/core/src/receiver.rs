@@ -202,9 +202,10 @@ pub struct Decoded {
     pub envelope: Vec<f64>,
 }
 
-/// The allocation-free decode result: everything the MAC / slot engine
-/// consumes, without the diagnostic buffers [`Decoded`] clones out of the
-/// scratch arena. Use [`Receiver::decode_uplink_verdict`] on hot paths.
+/// The lean decode result of both decoders
+/// ([`Receiver::decode_uplink_verdict`] and [`Receiver::decode_envelope`]):
+/// everything a verdict needs, without the diagnostic buffers [`Decoded`]
+/// clones out of the scratch arena.
 #[derive(Debug, Clone)]
 pub struct DecodeVerdict {
     /// The parsed packet, if the CRC passed.
@@ -216,6 +217,62 @@ pub struct DecodeVerdict {
     /// Peak normalized preamble correlation in [0, 1].
     // lint: unitless normalized correlation in [0, 1]
     pub preamble_corr: f64,
+}
+
+/// The reception record of one node's uplink in one slot: the receiver's
+/// verdict (delivered, CRC-failed or erased) plus the node-side summary.
+/// Both slot engines produce it — an FDMA exchange
+/// ([`LinkSimulator::slot_exchange`](crate::link::LinkSimulator::slot_exchange))
+/// and each zero-forced stream of a collision slot
+/// ([`CollisionOutcome`](crate::collision_group::CollisionOutcome)) — and
+/// faultnet accounts it to the MAC and the trace.
+#[derive(Debug, Clone)]
+pub struct StreamVerdict {
+    /// The address of the node the verdict is about.
+    pub addr: u8,
+    /// Whether the decoder found a preamble (`false` = erasure).
+    pub preamble_found: bool,
+    /// Whether the packet passed CRC.
+    pub crc_ok: bool,
+    /// Preamble correlation peak (detection margin; 0.0 on erasure).
+    // lint: unitless normalized correlation in [0, 1]
+    pub preamble_corr: f64,
+    /// Decoder SNR estimate, dB (−∞ on erasure).
+    pub snr_db: f64,
+    /// The decoded packet when CRC passed.
+    pub packet: Option<UplinkPacket>,
+    /// The node's average power draw over its exchange window, watts
+    /// (`NodeOutput::average_power_w`, the Fig. 11 figure).
+    pub power_w: f64,
+    /// The node's peak rectified voltage over the window, volts
+    /// (`NodeOutput::rectified_v`).
+    pub rectified_v: f64,
+}
+
+impl StreamVerdict {
+    /// The record of node `addr` from one decode attempt and the node's
+    /// `power_w` / `rectified_v` summary. A decode error is an erasure.
+    pub(crate) fn new(
+        addr: u8,
+        decoded: Result<DecodeVerdict, CoreError>,
+        power_w: f64,
+        rectified_v: f64,
+    ) -> Self {
+        let (preamble_corr, snr_db, packet) = match decoded {
+            Ok(d) => (d.preamble_corr, d.snr_db, Some(d.packet)),
+            Err(_) => (0.0, f64::NEG_INFINITY, None),
+        };
+        StreamVerdict {
+            addr,
+            preamble_found: packet.is_some(),
+            crc_ok: matches!(packet, Some(Ok(_))),
+            preamble_corr,
+            snr_db,
+            packet: packet.and_then(Result::ok),
+            power_w,
+            rectified_v,
+        }
+    }
 }
 
 /// What [`Receiver::slice_core`] hands back; the caller owns the decoded
@@ -456,10 +513,12 @@ impl Receiver {
         }
     }
 
-    /// The fused coherent decode pipeline. All heavy buffers come from
-    /// the receiver's [`DecodeScratch`]; the decoded bit/soft streams are
-    /// left in the arena for callers that want to copy them out.
-    fn decode_uplink_core(
+    /// [`decode_uplink`](Self::decode_uplink) without the diagnostic
+    /// copies: the fused coherent decode pipeline. All heavy buffers come
+    /// from the receiver's scratch arena (the decoded bit/soft streams
+    /// are left there), so with a warm arena and memoised front-end this
+    /// performs zero heap allocations end-to-end.
+    pub fn decode_uplink_verdict(
         &self,
         signal: &[f64],
         carrier_hz: f64,
@@ -642,7 +701,7 @@ impl Receiver {
         carrier_hz: f64,
         bitrate_bps: f64,
     ) -> Result<Decoded, CoreError> {
-        let v = self.decode_uplink_core(signal, carrier_hz, bitrate_bps)?;
+        let v = self.decode_uplink_verdict(signal, carrier_hz, bitrate_bps)?;
         let s = self.scratch.borrow();
         Ok(Decoded {
             packet: v.packet,
@@ -656,18 +715,6 @@ impl Receiver {
         })
     }
 
-    /// [`decode_uplink`](Self::decode_uplink) without the diagnostic
-    /// copies: with a warm scratch arena and memoised front-end this
-    /// performs zero heap allocations end-to-end.
-    pub fn decode_uplink_verdict(
-        &self,
-        signal: &[f64],
-        carrier_hz: f64,
-        bitrate_bps: f64,
-    ) -> Result<DecodeVerdict, CoreError> {
-        self.decode_uplink_core(signal, carrier_hz, bitrate_bps)
-    }
-
     /// Decode a packet from an already-demodulated amplitude stream (the
     /// path used after MIMO zero-forcing, where the "envelope" is a
     /// separated stream estimate rather than a single band's magnitude).
@@ -675,7 +722,7 @@ impl Receiver {
         &self,
         envelope: &[f64],
         bitrate_bps: f64,
-    ) -> Result<Decoded, CoreError> {
+    ) -> Result<DecodeVerdict, CoreError> {
         if !(bitrate_bps > 0.0) {
             return Err(CoreError::InvalidConfig("bitrate_bps"));
         }
@@ -706,33 +753,13 @@ impl Receiver {
         if peak_corr < 0.3 {
             return Err(CoreError::NoPacketDetected);
         }
-        let mut decoded = self.slice_and_decode(&centered, start, fs_hz, bitrate_bps)?;
-        decoded.start_sample = start * decim;
-        decoded.preamble_corr = peak_corr;
-        Ok(decoded)
-    }
-
-    /// [`Self::slice_core`] plus the diagnostic copies into a [`Decoded`]
-    /// (the envelope path's tail).
-    fn slice_and_decode(
-        &self,
-        centered: &[f64],
-        start: usize,
-        fs_hz: f64,
-        bitrate_bps: f64,
-    ) -> Result<Decoded, CoreError> {
-        let s = &mut *self.scratch.borrow_mut();
-        let outcome = Self::slice_core(centered, start, fs_hz, bitrate_bps, &mut s.slicer)?;
-        Ok(Decoded {
+        let slicer = &mut self.scratch.borrow_mut().slicer;
+        let outcome = Self::slice_core(&centered, start, fs_hz, bitrate_bps, slicer)?;
+        Ok(DecodeVerdict {
             packet: outcome.packet,
-            bits: s.slicer.bits.clone(),
-            halves: s.slicer.halves.clone(),
-            soft: s.slicer.soft.clone(),
-            start_sample: start,
+            start_sample: start * decim,
             snr_db: outcome.snr_db,
-            // Overwritten by the callers, which know the detection peak.
-            preamble_corr: 0.0,
-            envelope: centered.to_vec(),
+            preamble_corr: peak_corr,
         })
     }
 

@@ -1,12 +1,13 @@
 //! Compact binary trace format: fixed-width little-endian event records.
 //!
-//! Long fault-injection campaigns retain millions of events; at ~100
-//! bytes per CSV row the text exporters dominate disk and parse time.
-//! This module packs each event into one 24-byte record — roughly a 4×
-//! saving over CSV — while keeping the same determinism contract as the
-//! text exporters: the bytes are a pure function of recorder contents
-//! and recorder order, so parallel and serial sweeps produce identical
-//! files.
+//! Long fault-injection campaigns retain millions of events, and the
+//! text exporters dominate disk and parse time. This module packs each
+//! event into one 24-byte record. On the committed fault-resilience
+//! trace (1436 events) that is 34 572 bytes against 77 686 of CSV
+//! (~54 bytes per row, 2.25×) and 138 121 of JSONL (4.0×). It keeps the
+//! text exporters' determinism contract: the bytes are a pure function
+//! of recorder contents and recorder order, so parallel and serial
+//! sweeps produce identical files.
 //!
 //! # Layout
 //!
@@ -18,9 +19,11 @@
 //!            | a f32 | b f32 | c f32            (24 bytes, little-endian)
 //! ```
 //!
-//! `node` is `0xFF` for events with no node attribution. `aux` carries
-//! the event's small integer payload (queries, retries, ladder level,
-//! fault-kind index, ...). `a`/`b`/`c` carry float payloads; `f64`
+//! `kind` and the payload slots of each variant are stated once, in the
+//! event schema of [`event`](crate::event). `node` is `0xFF` for events
+//! with no node attribution. `aux` carries the event's small integer
+//! payload (queries, retries, ladder level, fault-kind index, ...),
+//! saturating at `u16::MAX`. `a`/`b`/`c` carry float payloads; `f64`
 //! values are narrowed to `f32`, and wide counters (`until_slot`,
 //! per-slot bits) ride in a float field — exact up to 2^24, far beyond
 //! any realistic slot count. The decoder widens back to the [`Event`]
@@ -28,7 +31,7 @@
 //! representable in `f32` (true for every counter the simulator emits;
 //! measured floats lose only sub-`f32` precision).
 
-use crate::event::{Event, FaultKind};
+use crate::event::{Event, FaultKind, Slot, Value};
 use crate::recorder::Recorder;
 
 /// File magic, first four bytes of every binary trace.
@@ -41,25 +44,6 @@ pub const BIN_RECORD_LEN: usize = 24;
 /// Sentinel `node` byte for events with no node attribution.
 const NODE_NONE: u8 = 0xFF;
 
-/// Stable kind codes, one per [`Event`] variant. Appending new variants
-/// is fine; renumbering is a format break and needs a version bump.
-const KIND_SLOT_START: u8 = 0;
-const KIND_SLOT_END: u8 = 1;
-const KIND_DETECTION: u8 = 2;
-const KIND_CRC_FAIL: u8 = 3;
-const KIND_ERASURE: u8 = 4;
-const KIND_RETRY: u8 = 5;
-const KIND_BACKOFF: u8 = 6;
-const KIND_QUARANTINE: u8 = 7;
-const KIND_EVICTION: u8 = 8;
-const KIND_RATE_STEP: u8 = 9;
-const KIND_FAULT_ENTER: u8 = 10;
-const KIND_FAULT_EXIT: u8 = 11;
-const KIND_ENERGY_SAMPLE: u8 = 12;
-const KIND_COLLISION_SLOT: u8 = 13;
-const KIND_COLLISION_FALLBACK: u8 = 14;
-const KIND_STREAM_VERDICT: u8 = 15;
-
 /// Narrow an `f64` payload to the record's `f32` field, saturating at
 /// the `f32` range instead of producing infinities.
 fn f32_field(x: f64) -> f32 {
@@ -67,11 +51,6 @@ fn f32_field(x: f64) -> f32 {
         return f32::NAN;
     }
     x.clamp(-f64::from(f32::MAX), f64::from(f32::MAX)) as f32
-}
-
-/// Saturate a wide counter into the 16-bit `aux` field.
-fn aux_field(x: u32) -> u16 {
-    u16::try_from(x).unwrap_or(u16::MAX)
 }
 
 /// Saturate the slot counter into the record's 32-bit slot field.
@@ -104,91 +83,23 @@ fn fault_kind_from_code(code: u16) -> Option<FaultKind> {
     }
 }
 
-/// Split an event into its record fields:
-/// `(kind, node, aux, a, b, c)`.
-fn encode_fields(event: &Event) -> (u8, u8, u16, f32, f32, f32) {
-    let node = event.node().unwrap_or(NODE_NONE);
-    match *event {
-        Event::SlotStart { queries } => (KIND_SLOT_START, node, aux_field(queries), 0.0, 0.0, 0.0),
-        Event::SlotEnd { duration_s, bits } => (
-            KIND_SLOT_END,
-            node,
-            0,
-            f32_field(duration_s),
-            counter_field(bits),
-            0.0,
-        ),
-        Event::Detection { corr, snr_db, .. } => (
-            KIND_DETECTION,
-            node,
-            0,
-            f32_field(corr),
-            f32_field(snr_db),
-            0.0,
-        ),
-        Event::CrcFail { corr, .. } => (KIND_CRC_FAIL, node, 0, f32_field(corr), 0.0, 0.0),
-        Event::Erasure { .. } => (KIND_ERASURE, node, 0, 0.0, 0.0, 0.0),
-        Event::Retry { retries_used, .. } => {
-            (KIND_RETRY, node, aux_field(retries_used), 0.0, 0.0, 0.0)
-        }
-        Event::Backoff { until_slot, .. } => {
-            (KIND_BACKOFF, node, 0, counter_field(until_slot), 0.0, 0.0)
-        }
-        Event::Quarantine { until_slot, probes_failed, .. } => (
-            KIND_QUARANTINE,
-            node,
-            aux_field(probes_failed),
-            counter_field(until_slot),
-            0.0,
-            0.0,
-        ),
-        Event::Eviction { .. } => (KIND_EVICTION, node, 0, 0.0, 0.0, 0.0),
-        Event::RateStep { rate_bps, level, .. } => (
-            KIND_RATE_STEP,
-            node,
-            aux_field(level),
-            f32_field(rate_bps),
-            0.0,
-            0.0,
-        ),
-        Event::FaultEnter { kind, .. } => {
-            (KIND_FAULT_ENTER, node, fault_kind_code(kind), 0.0, 0.0, 0.0)
-        }
-        Event::FaultExit { kind, .. } => {
-            (KIND_FAULT_EXIT, node, fault_kind_code(kind), 0.0, 0.0, 0.0)
-        }
-        Event::EnergySample { harvested_j, power_w, rectified_v, .. } => (
-            KIND_ENERGY_SAMPLE,
-            node,
-            0,
-            f32_field(harvested_j),
-            f32_field(power_w),
-            f32_field(rectified_v),
-        ),
-        Event::CollisionSlot { participants, condition_number } => (
-            KIND_COLLISION_SLOT,
-            node,
-            aux_field(participants),
-            f32_field(condition_number),
-            0.0,
-            0.0,
-        ),
-        Event::CollisionFallback { participants, condition_number } => (
-            KIND_COLLISION_FALLBACK,
-            node,
-            aux_field(participants),
-            f32_field(condition_number),
-            0.0,
-            0.0,
-        ),
-        Event::StreamVerdict { crc_ok, snr_db, .. } => (
-            KIND_STREAM_VERDICT,
-            node,
-            u16::from(crc_ok),
-            f32_field(snr_db),
-            0.0,
-            0.0,
-        ),
+/// A payload value in the 16-bit `aux` slot.
+fn aux_field(value: Value) -> u16 {
+    match value {
+        Value::Int(x) => u16::try_from(x).unwrap_or(u16::MAX),
+        Value::Float(x) => x.clamp(0.0, f64::from(u16::MAX)).round() as u16,
+        Value::Flag(b) => u16::from(b),
+        Value::Kind(k) => fault_kind_code(k),
+    }
+}
+
+/// A payload value in one of the `f32` slots.
+fn float_field(value: Value) -> f32 {
+    match value {
+        Value::Int(x) => counter_field(x),
+        Value::Float(x) => f32_field(x),
+        Value::Flag(b) => f32::from(u8::from(b)),
+        Value::Kind(k) => f32::from(fault_kind_code(k)),
     }
 }
 
@@ -212,15 +123,24 @@ pub fn events_bin(recorders: &[&Recorder]) -> Vec<u8> {
         out.extend_from_slice(&n_records.to_le_bytes());
         // lint: allow(lossy-cast) u32 -> usize widens on every supported target
         for te in rec.events().take(n_records as usize) {
-            let (kind, node, aux, a, b, c) = encode_fields(&te.event);
-            out.push(kind);
-            out.push(node);
+            let layout = te.event.layout();
+            let (mut aux, mut abc) = (0u16, [0.0f32; 3]);
+            for f in layout.fields() {
+                match f.slot {
+                    Slot::Aux => aux = aux_field(f.value),
+                    Slot::A => abc[0] = float_field(f.value),
+                    Slot::B => abc[1] = float_field(f.value),
+                    Slot::C => abc[2] = float_field(f.value),
+                }
+            }
+            out.push(layout.kind);
+            out.push(layout.node.unwrap_or(NODE_NONE));
             out.extend_from_slice(&aux.to_le_bytes());
             out.extend_from_slice(&slot_field(te.slot).to_le_bytes());
             out.extend_from_slice(&f32_field(te.t_s).to_le_bytes());
-            out.extend_from_slice(&a.to_le_bytes());
-            out.extend_from_slice(&b.to_le_bytes());
-            out.extend_from_slice(&c.to_le_bytes());
+            for x in abc {
+                out.extend_from_slice(&x.to_le_bytes());
+            }
         }
     }
     out
@@ -252,65 +172,66 @@ fn read_f32(bytes: &[u8], at: usize) -> f32 {
     f32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
 }
 
-/// Reassemble an [`Event`] from record fields. `None` for an unknown
-/// kind code or fault-kind index (a newer writer, or corruption).
+/// Reassemble an [`Event`] from record fields — the inverse of the
+/// kind codes and slots of the event schema. `None` for an unknown kind
+/// code or fault-kind index (a newer writer, or corruption).
 fn decode_fields(kind: u8, node: u8, aux: u16, a: f32, b: f32, c: f32) -> Option<Event> {
     let node_or_zero = if node == NODE_NONE { 0 } else { node };
     Some(match kind {
-        KIND_SLOT_START => Event::SlotStart { queries: u32::from(aux) },
-        KIND_SLOT_END => Event::SlotEnd {
+        0 => Event::SlotStart { queries: u32::from(aux) },
+        1 => Event::SlotEnd {
             duration_s: f64::from(a),
             bits: f32_counter_to_u64(b),
         },
-        KIND_DETECTION => Event::Detection {
+        2 => Event::Detection {
             node: node_or_zero,
             corr: f64::from(a),
             snr_db: f64::from(b),
         },
-        KIND_CRC_FAIL => Event::CrcFail { node: node_or_zero, corr: f64::from(a) },
-        KIND_ERASURE => Event::Erasure { node: node_or_zero },
-        KIND_RETRY => Event::Retry {
+        3 => Event::CrcFail { node: node_or_zero, corr: f64::from(a) },
+        4 => Event::Erasure { node: node_or_zero },
+        5 => Event::Retry {
             node: node_or_zero,
             retries_used: u32::from(aux),
         },
-        KIND_BACKOFF => Event::Backoff {
+        6 => Event::Backoff {
             node: node_or_zero,
             until_slot: f32_counter_to_u64(a),
         },
-        KIND_QUARANTINE => Event::Quarantine {
+        7 => Event::Quarantine {
             node: node_or_zero,
             until_slot: f32_counter_to_u64(a),
             probes_failed: u32::from(aux),
         },
-        KIND_EVICTION => Event::Eviction { node: node_or_zero },
-        KIND_RATE_STEP => Event::RateStep {
+        8 => Event::Eviction { node: node_or_zero },
+        9 => Event::RateStep {
             node: node_or_zero,
             rate_bps: f64::from(a),
             level: u32::from(aux),
         },
-        KIND_FAULT_ENTER => Event::FaultEnter {
+        10 => Event::FaultEnter {
             node: node_or_zero,
             kind: fault_kind_from_code(aux)?,
         },
-        KIND_FAULT_EXIT => Event::FaultExit {
+        11 => Event::FaultExit {
             node: node_or_zero,
             kind: fault_kind_from_code(aux)?,
         },
-        KIND_ENERGY_SAMPLE => Event::EnergySample {
+        12 => Event::EnergySample {
             node: node_or_zero,
             harvested_j: f64::from(a),
             power_w: f64::from(b),
             rectified_v: f64::from(c),
         },
-        KIND_COLLISION_SLOT => Event::CollisionSlot {
+        13 => Event::CollisionSlot {
             participants: u32::from(aux),
             condition_number: f64::from(a),
         },
-        KIND_COLLISION_FALLBACK => Event::CollisionFallback {
+        14 => Event::CollisionFallback {
             participants: u32::from(aux),
             condition_number: f64::from(a),
         },
-        KIND_STREAM_VERDICT => Event::StreamVerdict {
+        15 => Event::StreamVerdict {
             node: node_or_zero,
             crc_ok: aux != 0,
             snr_db: f64::from(a),
@@ -385,7 +306,7 @@ pub fn decode_events_bin(bytes: &[u8]) -> Result<Vec<BinRecord>, &'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::FaultKind;
+    use crate::event::every_variant;
 
     /// Events whose payloads are exactly representable in `f32`, so the
     /// round trip must be lossless, covering every variant.
@@ -470,6 +391,107 @@ mod tests {
         let mut trailing = good.clone();
         trailing.push(0);
         assert_eq!(decode_events_bin(&trailing), Err("trailing bytes after last section"));
+    }
+
+    /// Every variant with hostile payloads: `f32` narrowing keeps NaN,
+    /// saturates ±inf at ±`f32::MAX` and counters at their slot's width
+    /// (`u16::MAX` in `aux`, `u64::MAX` through a float slot).
+    #[test]
+    fn hostile_payloads_round_trip_every_variant() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut rec = Recorder::new(64);
+            for e in every_variant(x, u64::MAX) {
+                rec.record(e);
+            }
+            let records = decode_events_bin(&events_bin(&[&rec])).expect("decodes");
+            assert_eq!(records.len(), 16);
+            for (got, te) in records.iter().zip(rec.events()) {
+                let (want, got) = (te.event.layout(), got.event.layout());
+                assert_eq!((got.name, got.node), (want.name, want.node));
+                for (g, w) in got.fields().zip(want.fields()) {
+                    let ok = match (w.value, g.value) {
+                        (Value::Float(a), Value::Float(b)) if a.is_nan() => b.is_nan(),
+                        (Value::Float(a), Value::Float(b)) => {
+                            b.to_bits() == f64::from(f32::MAX).copysign(a).to_bits()
+                        }
+                        (Value::Int(_), Value::Int(b)) if w.slot == Slot::Aux => {
+                            b == u64::from(u16::MAX)
+                        }
+                        (a, b) => a == b,
+                    };
+                    assert!(ok, "{} of {}: {:?} -> {:?}", w.key, want.name, w.value, g.value);
+                }
+            }
+        }
+    }
+
+    /// Every truncation of a valid file is an error, never a panic.
+    #[test]
+    fn every_truncation_is_an_error() {
+        let good = events_bin(&[&sample_recorder(0), &sample_recorder(1)]);
+        for len in 0..good.len() {
+            assert!(decode_events_bin(&good[..len]).is_err(), "prefix of {len} bytes");
+        }
+    }
+
+    /// Every single-byte corruption of the file header, the section
+    /// header and the first record decodes to `Ok` or `Err`, never a
+    /// panic; the only corruptions that decode are payload bytes.
+    #[test]
+    fn every_single_byte_corruption_is_ok_or_an_error() {
+        let good = events_bin(&[&sample_recorder(0)]);
+        for at in 0..12 + 8 + BIN_RECORD_LEN {
+            for byte in 0..=u8::MAX {
+                let mut bad = good.clone();
+                bad[at] = byte;
+                match decode_events_bin(&bad) {
+                    Ok(records) => assert_eq!(records.len(), sample_recorder(0).len()),
+                    Err(e) => assert!(!e.is_empty()),
+                }
+            }
+        }
+    }
+
+    /// Seeded random buffers, bare and behind a valid file header, decode
+    /// to `Ok` or `Err`, never a panic.
+    #[test]
+    fn random_buffers_are_ok_or_an_error() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut random_bytes =
+            |n: u64| -> Vec<u8> { (0..n).map(|_| next().to_le_bytes()[0]).collect() };
+        let header = events_bin(&[]);
+        let mut decoded = 0;
+        for i in 0..4096u64 {
+            // Even buffers: up to 255 random bytes. Odd ones: a valid
+            // header over 1–2 sections of 0–3 random records, with 0–3
+            // bytes cut off the end.
+            let buf = if i % 2 == 0 {
+                let len = random_bytes(1)[0];
+                random_bytes(u64::from(len))
+            } else {
+                let mut buf = header[..8].to_vec();
+                let sections = 1 + u32::from(random_bytes(1)[0] % 2);
+                buf.extend_from_slice(&sections.to_le_bytes());
+                for _ in 0..sections {
+                    let records = u32::from(random_bytes(1)[0] % 4);
+                    buf.extend(random_bytes(4));
+                    buf.extend_from_slice(&records.to_le_bytes());
+                    buf.extend(random_bytes(u64::from(records) * 24));
+                }
+                let cut = buf.len() - usize::from(random_bytes(1)[0] % 4);
+                buf.truncate(cut);
+                buf
+            };
+            decoded += usize::from(decode_events_bin(&buf).is_ok());
+        }
+        // Both outcomes occur, so the corpus reaches the record decoder.
+        assert!(decoded > 0 && decoded < 4096, "{decoded} of 4096 decoded");
     }
 
     #[test]

@@ -159,49 +159,151 @@ pub enum Event {
     },
 }
 
+/// A payload value, typed so each exporter can render it its own way.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Value {
+    /// A count or index.
+    Int(u64),
+    /// A measurement.
+    Float(f64),
+    /// A yes/no verdict.
+    Flag(bool),
+    /// An impairment class.
+    Kind(FaultKind),
+}
+
+/// Where a payload field rides in a binary record (see
+/// [`binfmt`](crate::binfmt)): the small-integer `aux` slot or one of the
+/// three float slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slot {
+    Aux,
+    A,
+    B,
+    C,
+}
+
+/// One payload field of an event, as every exporter names it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Field {
+    /// JSONL key.
+    pub key: &'static str,
+    /// CSV column (one of the payload columns of
+    /// [`EVENTS_CSV_HEADER`](crate::export::EVENTS_CSV_HEADER)).
+    pub col: &'static str,
+    /// Binary record slot.
+    pub slot: Slot,
+    /// The value.
+    pub value: Value,
+}
+
+/// Most payload fields any event carries.
+const MAX_FIELDS: usize = 3;
+
+/// An event's export layout: its name, node, binary kind code and
+/// payload fields (in JSONL key order).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Layout {
+    pub name: &'static str,
+    pub node: Option<u8>,
+    /// Binary kind code. Appending new codes is fine; renumbering is a
+    /// format break and needs a version bump.
+    pub kind: u8,
+    fields: [Option<Field>; MAX_FIELDS],
+}
+
+impl Layout {
+    fn new(name: &'static str, kind: u8, node: Option<u8>) -> Self {
+        Layout {
+            name,
+            node,
+            kind,
+            fields: [None; MAX_FIELDS],
+        }
+    }
+
+    fn field(mut self, key: &'static str, col: &'static str, slot: Slot, value: Value) -> Self {
+        if let Some(free) = self.fields.iter_mut().find(|f| f.is_none()) {
+            *free = Some(Field { key, col, slot, value });
+        }
+        self
+    }
+
+    /// The payload fields, in JSONL key order.
+    pub fn fields(&self) -> impl Iterator<Item = &Field> {
+        self.fields.iter().flatten()
+    }
+}
+
 impl Event {
+    /// The event's export layout — the one place each variant's name,
+    /// node, binary kind code and payload fields (JSONL key, CSV column,
+    /// binary slot) are stated. The CSV, JSONL and binary encoders all
+    /// loop over it.
+    #[inline]
+    pub(crate) fn layout(&self) -> Layout {
+        use Slot::{Aux, A, B, C};
+        use Value::{Flag, Float, Int, Kind};
+        let l = Layout::new;
+        match *self {
+            Event::SlotStart { queries } => {
+                l("slot_start", 0, None).field("queries", "detail", Aux, Int(queries.into()))
+            }
+            Event::SlotEnd { duration_s, bits } => l("slot_end", 1, None)
+                .field("duration_s", "duration_s", A, Float(duration_s))
+                .field("bits", "bits", B, Int(bits)),
+            Event::Detection { node, corr, snr_db } => l("detection", 2, Some(node))
+                .field("corr", "corr", A, Float(corr))
+                .field("snr_db", "snr_db", B, Float(snr_db)),
+            Event::CrcFail { node, corr } => {
+                l("crc_fail", 3, Some(node)).field("corr", "corr", A, Float(corr))
+            }
+            Event::Erasure { node } => l("erasure", 4, Some(node)),
+            Event::Retry { node, retries_used } => l("retry", 5, Some(node))
+                .field("retries_used", "detail", Aux, Int(retries_used.into())),
+            Event::Backoff { node, until_slot } => l("backoff", 6, Some(node))
+                .field("until_slot", "until_slot", A, Int(until_slot)),
+            Event::Quarantine { node, until_slot, probes_failed } => l("quarantine", 7, Some(node))
+                .field("until_slot", "until_slot", A, Int(until_slot))
+                .field("probes_failed", "detail", Aux, Int(probes_failed.into())),
+            Event::Eviction { node } => l("eviction", 8, Some(node)),
+            Event::RateStep { node, rate_bps, level } => l("rate_step", 9, Some(node))
+                .field("rate_bps", "rate_bps", A, Float(rate_bps))
+                .field("level", "detail", Aux, Int(level.into())),
+            Event::FaultEnter { node, kind } => {
+                l("fault_enter", 10, Some(node)).field("kind", "detail", Aux, Kind(kind))
+            }
+            Event::FaultExit { node, kind } => {
+                l("fault_exit", 11, Some(node)).field("kind", "detail", Aux, Kind(kind))
+            }
+            Event::EnergySample { node, harvested_j, power_w, rectified_v } => {
+                l("energy_sample", 12, Some(node))
+                    .field("harvested_j", "harvested_j", A, Float(harvested_j))
+                    .field("power_w", "power_w", B, Float(power_w))
+                    .field("rectified_v", "rectified_v", C, Float(rectified_v))
+            }
+            Event::CollisionSlot { participants, condition_number } => l("collision_slot", 13, None)
+                .field("participants", "detail", Aux, Int(participants.into()))
+                .field("condition_number", "condition", A, Float(condition_number)),
+            Event::CollisionFallback { participants, condition_number } => {
+                l("collision_fallback", 14, None)
+                    .field("participants", "detail", Aux, Int(participants.into()))
+                    .field("condition_number", "condition", A, Float(condition_number))
+            }
+            Event::StreamVerdict { node, crc_ok, snr_db } => l("stream_verdict", 15, Some(node))
+                .field("crc_ok", "detail", Aux, Flag(crc_ok))
+                .field("snr_db", "snr_db", A, Float(snr_db)),
+        }
+    }
+
     /// Stable lowercase event name used in exports and per-event counters.
     pub fn name(&self) -> &'static str {
-        match self {
-            Event::SlotStart { .. } => "slot_start",
-            Event::SlotEnd { .. } => "slot_end",
-            Event::Detection { .. } => "detection",
-            Event::CrcFail { .. } => "crc_fail",
-            Event::Erasure { .. } => "erasure",
-            Event::Retry { .. } => "retry",
-            Event::Backoff { .. } => "backoff",
-            Event::Quarantine { .. } => "quarantine",
-            Event::Eviction { .. } => "eviction",
-            Event::RateStep { .. } => "rate_step",
-            Event::FaultEnter { .. } => "fault_enter",
-            Event::FaultExit { .. } => "fault_exit",
-            Event::EnergySample { .. } => "energy_sample",
-            Event::CollisionSlot { .. } => "collision_slot",
-            Event::CollisionFallback { .. } => "collision_fallback",
-            Event::StreamVerdict { .. } => "stream_verdict",
-        }
+        self.layout().name
     }
 
     /// The node the event is about, when it is about one.
     pub fn node(&self) -> Option<u8> {
-        match *self {
-            Event::SlotStart { .. }
-            | Event::SlotEnd { .. }
-            | Event::CollisionSlot { .. }
-            | Event::CollisionFallback { .. } => None,
-            Event::Detection { node, .. }
-            | Event::CrcFail { node, .. }
-            | Event::Erasure { node }
-            | Event::Retry { node, .. }
-            | Event::Backoff { node, .. }
-            | Event::Quarantine { node, .. }
-            | Event::Eviction { node }
-            | Event::RateStep { node, .. }
-            | Event::FaultEnter { node, .. }
-            | Event::FaultExit { node, .. }
-            | Event::EnergySample { node, .. }
-            | Event::StreamVerdict { node, .. } => Some(node),
-        }
+        self.layout().node
     }
 }
 
@@ -217,33 +319,63 @@ pub struct TimedEvent {
 }
 
 #[cfg(test)]
+/// One event of every variant, in kind-code order, with every float
+/// payload `x`, every counter `n` (saturated to the field's width) and
+/// node 254 — the test corpus of all three exporters.
+pub(crate) fn every_variant(x: f64, n: u64) -> [Event; 16] {
+    let node = 254;
+    let n32 = u32::try_from(n).unwrap_or(u32::MAX);
+    let kind = FaultKind::Drift;
+    [
+        Event::SlotStart { queries: n32 },
+        Event::SlotEnd { duration_s: x, bits: n },
+        Event::Detection { node, corr: x, snr_db: x },
+        Event::CrcFail { node, corr: x },
+        Event::Erasure { node },
+        Event::Retry { node, retries_used: n32 },
+        Event::Backoff { node, until_slot: n },
+        Event::Quarantine { node, until_slot: n, probes_failed: n32 },
+        Event::Eviction { node },
+        Event::RateStep { node, rate_bps: x, level: n32 },
+        Event::FaultEnter { node, kind },
+        Event::FaultExit { node, kind },
+        Event::EnergySample { node, harvested_j: x, power_w: x, rectified_v: x },
+        Event::CollisionSlot { participants: n32, condition_number: x },
+        Event::CollisionFallback { participants: n32, condition_number: x },
+        Event::StreamVerdict { node, crc_ok: n % 2 == 1, snr_db: x },
+    ]
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn names_are_stable_and_unique() {
-        let events = [
-            Event::SlotStart { queries: 1 },
-            Event::SlotEnd { duration_s: 0.1, bits: 8 },
-            Event::Detection { node: 1, corr: 0.9, snr_db: 10.0 },
-            Event::CrcFail { node: 1, corr: 0.4 },
-            Event::Erasure { node: 1 },
-            Event::Retry { node: 1, retries_used: 1 },
-            Event::Backoff { node: 1, until_slot: 5 },
-            Event::Quarantine { node: 1, until_slot: 9, probes_failed: 0 },
-            Event::Eviction { node: 1 },
-            Event::RateStep { node: 1, rate_bps: 1024.0, level: 2 },
-            Event::FaultEnter { node: 1, kind: FaultKind::Dropout },
-            Event::FaultExit { node: 1, kind: FaultKind::Dropout },
-            Event::EnergySample { node: 1, harvested_j: 1e-6, power_w: 2e-6, rectified_v: 1.2 },
-            Event::CollisionSlot { participants: 2, condition_number: 4.5 },
-            Event::CollisionFallback { participants: 2, condition_number: 80.0 },
-            Event::StreamVerdict { node: 1, crc_ok: true, snr_db: 12.0 },
-        ];
+        let events = every_variant(0.5, 3);
         let mut names: Vec<&str> = events.iter().map(Event::name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), events.len(), "duplicate event name");
+    }
+
+    /// Kind codes are the variants' indices in `every_variant`, and within
+    /// one event no two fields share a JSONL key, CSV column or binary
+    /// slot.
+    #[test]
+    fn layouts_are_consistent() {
+        for (code, event) in every_variant(0.5, 3).iter().enumerate() {
+            let layout = event.layout();
+            assert_eq!(usize::from(layout.kind), code, "{event:?}");
+            let fields: Vec<&Field> = layout.fields().collect();
+            for (i, a) in fields.iter().enumerate() {
+                for b in &fields[i + 1..] {
+                    assert_ne!(a.key, b.key, "{event:?}");
+                    assert_ne!(a.col, b.col, "{event:?}");
+                    assert_ne!(a.slot, b.slot, "{event:?}");
+                }
+            }
+        }
     }
 
     #[test]

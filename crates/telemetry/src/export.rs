@@ -6,7 +6,7 @@
 //! parallel vs serial runs: nothing here ever consults a clock, a thread
 //! id, or a hash map with randomized iteration order.
 
-use crate::event::Event;
+use crate::event::Value;
 use crate::fmt_f64;
 use crate::recorder::Recorder;
 
@@ -15,57 +15,23 @@ use crate::recorder::Recorder;
 /// plottable per event type without a join.
 pub const EVENTS_CSV_HEADER: &str = "run,slot,t_s,node,event,detail,corr,snr_db,rate_bps,until_slot,duration_s,bits,harvested_j,power_w,rectified_v,condition";
 
-/// Per-event columns beyond the common prefix:
-/// `(detail, corr, snr_db, rate_bps, until_slot, duration_s, bits, harvested_j, power_w, rectified_v, condition)`
-/// — any of which may be empty.
-fn event_columns(event: &Event) -> [String; 11] {
-    let mut cols: [String; 11] = Default::default();
-    match *event {
-        Event::SlotStart { queries } => cols[0] = queries.to_string(),
-        Event::SlotEnd { duration_s, bits } => {
-            cols[5] = fmt_f64(duration_s);
-            cols[6] = bits.to_string();
-        }
-        Event::Detection { corr, snr_db, .. } => {
-            cols[1] = fmt_f64(corr);
-            cols[2] = fmt_f64(snr_db);
-        }
-        Event::CrcFail { corr, .. } => cols[1] = fmt_f64(corr),
-        Event::Erasure { .. } | Event::Eviction { .. } => {}
-        Event::Retry { retries_used, .. } => cols[0] = retries_used.to_string(),
-        Event::Backoff { until_slot, .. } => cols[4] = until_slot.to_string(),
-        Event::Quarantine { until_slot, probes_failed, .. } => {
-            cols[0] = probes_failed.to_string();
-            cols[4] = until_slot.to_string();
-        }
-        Event::RateStep { rate_bps, level, .. } => {
-            cols[0] = level.to_string();
-            cols[3] = fmt_f64(rate_bps);
-        }
-        Event::FaultEnter { kind, .. } | Event::FaultExit { kind, .. } => {
-            cols[0] = kind.name().to_string();
-        }
-        Event::EnergySample { harvested_j, power_w, rectified_v, .. } => {
-            cols[7] = fmt_f64(harvested_j);
-            cols[8] = fmt_f64(power_w);
-            cols[9] = fmt_f64(rectified_v);
-        }
-        Event::CollisionSlot { participants, condition_number }
-        | Event::CollisionFallback { participants, condition_number } => {
-            cols[0] = participants.to_string();
-            cols[10] = fmt_f64(condition_number);
-        }
-        Event::StreamVerdict { crc_ok, snr_db, .. } => {
-            cols[0] = u8::from(crc_ok).to_string();
-            cols[2] = fmt_f64(snr_db);
-        }
+/// Columns of [`EVENTS_CSV_HEADER`] before the payload columns.
+const CSV_PREFIX_COLUMNS: usize = 5;
+
+/// A payload value as a CSV cell.
+fn csv_value(value: Value) -> String {
+    match value {
+        Value::Int(x) => x.to_string(),
+        Value::Float(x) => fmt_f64(x),
+        Value::Flag(b) => u8::from(b).to_string(),
+        Value::Kind(k) => k.name().to_string(),
     }
-    cols
 }
 
 /// Render every retained event of every recorder as CSV, recorder order
 /// then event (recording) order. Header included.
 pub fn events_csv(recorders: &[&Recorder]) -> String {
+    let payload: Vec<&str> = EVENTS_CSV_HEADER.split(',').skip(CSV_PREFIX_COLUMNS).collect();
     let mut out = String::with_capacity(
         EVENTS_CSV_HEADER.len() + 1 + recorders.iter().map(|r| r.len() * 48).sum::<usize>(),
     );
@@ -73,16 +39,23 @@ pub fn events_csv(recorders: &[&Recorder]) -> String {
     out.push('\n');
     for rec in recorders {
         for te in rec.events() {
-            let node = te.event.node().map(|n| n.to_string()).unwrap_or_default();
-            let extra = event_columns(&te.event);
+            let layout = te.event.layout();
+            let mut cells = vec![String::new(); payload.len()];
+            for f in layout.fields() {
+                let col = payload.iter().position(|c| *c == f.col);
+                if let Some(cell) = col.and_then(|i| cells.get_mut(i)) {
+                    *cell = csv_value(f.value);
+                }
+            }
+            let node = layout.node.map(|n| n.to_string()).unwrap_or_default();
             out.push_str(&format!(
                 "{},{},{},{},{},{}\n",
                 rec.run_id(),
                 te.slot,
                 fmt_f64(te.t_s),
                 node,
-                te.event.name(),
-                extra.join(","),
+                layout.name,
+                cells.join(","),
             ));
         }
     }
@@ -99,6 +72,16 @@ fn json_f64(x: f64) -> String {
     }
 }
 
+/// A payload value as a JSON value.
+fn json_value(value: Value) -> String {
+    match value {
+        Value::Int(x) => x.to_string(),
+        Value::Float(x) => json_f64(x),
+        Value::Flag(b) => b.to_string(),
+        Value::Kind(k) => format!("\"{}\"", k.name()),
+    }
+}
+
 /// Render every retained event as one JSON object per line, with only the
 /// fields that event carries. Key order is fixed per event type, so the
 /// output is byte-stable.
@@ -106,69 +89,19 @@ pub fn events_jsonl(recorders: &[&Recorder]) -> String {
     let mut out = String::new();
     for rec in recorders {
         for te in rec.events() {
+            let layout = te.event.layout();
             out.push_str(&format!(
                 "{{\"run\":{},\"slot\":{},\"t_s\":{},\"event\":\"{}\"",
                 rec.run_id(),
                 te.slot,
                 json_f64(te.t_s),
-                te.event.name(),
+                layout.name,
             ));
-            if let Some(node) = te.event.node() {
+            if let Some(node) = layout.node {
                 out.push_str(&format!(",\"node\":{node}"));
             }
-            match te.event {
-                Event::SlotStart { queries } => out.push_str(&format!(",\"queries\":{queries}")),
-                Event::SlotEnd { duration_s, bits } => out.push_str(&format!(
-                    ",\"duration_s\":{},\"bits\":{bits}",
-                    json_f64(duration_s)
-                )),
-                Event::Detection { corr, snr_db, .. } => out.push_str(&format!(
-                    ",\"corr\":{},\"snr_db\":{}",
-                    json_f64(corr),
-                    json_f64(snr_db)
-                )),
-                Event::CrcFail { corr, .. } => {
-                    out.push_str(&format!(",\"corr\":{}", json_f64(corr)))
-                }
-                Event::Erasure { .. } | Event::Eviction { .. } => {}
-                Event::Retry { retries_used, .. } => {
-                    out.push_str(&format!(",\"retries_used\":{retries_used}"))
-                }
-                Event::Backoff { until_slot, .. } => {
-                    out.push_str(&format!(",\"until_slot\":{until_slot}"))
-                }
-                Event::Quarantine { until_slot, probes_failed, .. } => out.push_str(&format!(
-                    ",\"until_slot\":{until_slot},\"probes_failed\":{probes_failed}"
-                )),
-                Event::RateStep { rate_bps, level, .. } => out.push_str(&format!(
-                    ",\"rate_bps\":{},\"level\":{level}",
-                    json_f64(rate_bps)
-                )),
-                Event::FaultEnter { kind, .. } => {
-                    out.push_str(&format!(",\"kind\":\"{}\"", kind.name()))
-                }
-                Event::FaultExit { kind, .. } => {
-                    out.push_str(&format!(",\"kind\":\"{}\"", kind.name()))
-                }
-                Event::EnergySample { harvested_j, power_w, rectified_v, .. } => {
-                    out.push_str(&format!(
-                        ",\"harvested_j\":{},\"power_w\":{},\"rectified_v\":{}",
-                        json_f64(harvested_j),
-                        json_f64(power_w),
-                        json_f64(rectified_v)
-                    ))
-                }
-                Event::CollisionSlot { participants, condition_number }
-                | Event::CollisionFallback { participants, condition_number } => {
-                    out.push_str(&format!(
-                        ",\"participants\":{participants},\"condition_number\":{}",
-                        json_f64(condition_number)
-                    ))
-                }
-                Event::StreamVerdict { crc_ok, snr_db, .. } => out.push_str(&format!(
-                    ",\"crc_ok\":{crc_ok},\"snr_db\":{}",
-                    json_f64(snr_db)
-                )),
+            for f in layout.fields() {
+                out.push_str(&format!(",\"{}\":{}", f.key, json_value(f.value)));
             }
             out.push_str("}\n");
         }
@@ -211,7 +144,7 @@ pub fn summary_csv(recorders: &[&Recorder]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::FaultKind;
+    use crate::event::{every_variant, Event, FaultKind};
 
     fn sample_recorder(run_id: u64) -> Recorder {
         let mut r = Recorder::new(64).with_run_id(run_id);
@@ -243,10 +176,12 @@ mod tests {
         let b = sample_recorder(0);
         let csv = events_csv(&[&a]);
         assert_eq!(csv, events_csv(&[&b]), "same content => same bytes");
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some(EVENTS_CSV_HEADER));
+        assert_eq!(csv.lines().next(), Some(EVENTS_CSV_HEADER));
+        // Every variant's row is exactly as wide as the header.
+        let all = events_csv(&[&a, &every_variant_recorder(0.5, 3)]);
+        assert_eq!(all.lines().count(), 1 + a.len() + 16);
         let cols = EVENTS_CSV_HEADER.split(',').count();
-        for line in lines {
+        for line in all.lines() {
             assert_eq!(line.split(',').count(), cols, "ragged row: {line}");
         }
         assert!(csv.contains("0,0,0,1,detection,,0.875,12.5,,,,,,,"));
@@ -256,6 +191,65 @@ mod tests {
         assert!(csv.contains("0,0,0,,collision_slot,2,,,,,,,,,,4.5"));
         assert!(csv.contains("0,0,0,1,stream_verdict,1,,14.5,,,,,,,,"));
         assert!(csv.contains("0,0,0,,collision_fallback,2,,,,,,,,,,80"));
+    }
+
+    /// Every variant, hostile payloads included, as one recorder.
+    fn every_variant_recorder(x: f64, n: u64) -> Recorder {
+        let mut r = Recorder::new(64);
+        for e in every_variant(x, n) {
+            r.record(e);
+        }
+        r
+    }
+
+    /// Parse an exported cell back into a value of `like`'s type (JSON
+    /// quotes non-finite floats and fault kinds).
+    fn parse_like(like: Value, text: &str) -> Option<Value> {
+        let bare = text.trim_matches('"');
+        Some(match like {
+            Value::Int(_) => Value::Int(bare.parse().ok()?),
+            Value::Float(_) => Value::Float(bare.parse().ok()?),
+            Value::Flag(_) => Value::Flag(matches!(bare, "1" | "true")),
+            Value::Kind(_) => Value::Kind(
+                [FaultKind::Burst, FaultKind::Fade, FaultKind::Dropout, FaultKind::Drift]
+                    .into_iter()
+                    .find(|k| k.name() == bare)?,
+            ),
+        })
+    }
+
+    /// Value equality with NaN equal to itself.
+    fn same(a: Value, b: Value) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan(),
+            _ => a == b,
+        }
+    }
+
+    /// NaN, ±inf and saturated counters of all 16 variants survive the
+    /// CSV and JSONL exporters: every field parses back to its value.
+    #[test]
+    fn hostile_payloads_round_trip_through_the_text_exporters() {
+        let header: Vec<&str> = EVENTS_CSV_HEADER.split(',').collect();
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let rec = every_variant_recorder(x, u64::MAX);
+            let csv = events_csv(&[&rec]);
+            let jsonl = events_jsonl(&[&rec]);
+            let rows = csv.lines().skip(1).zip(jsonl.lines());
+            for (te, (row, line)) in rec.events().zip(rows) {
+                let cells: Vec<&str> = row.split(',').collect();
+                for f in te.event.layout().fields() {
+                    let col = header.iter().position(|c| *c == f.col).expect("known column");
+                    let got = parse_like(f.value, cells[col]);
+                    assert!(got.is_some_and(|v| same(v, f.value)), "csv {}: {row}", f.key);
+                    let key = format!("\"{}\":", f.key);
+                    let at = line.find(&key).expect("json key present") + key.len();
+                    let text = line[at..].split([',', '}']).next().unwrap_or_default();
+                    let got = parse_like(f.value, text);
+                    assert!(got.is_some_and(|v| same(v, f.value)), "jsonl {}: {line}", f.key);
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,8 @@ cargo run --release -q -p pab-experiments --bin ext_future_work
 cargo run --release -q -p pab-experiments --bin ext_mobility
 git diff --exit-code -- results/fig10_concurrent.csv results/ext_three_channels.csv \
     results/ext_collision_faultnet.csv results/ext_fault_resilience.csv \
-    results/fault_trace_summary.csv \
+    results/fault_trace_summary.csv results/fault_trace.csv results/fault_trace.jsonl \
+    results/fault_trace.bin \
     results/fig2_waveform.csv results/fig2_envelope.wav results/fig7_ber_snr.csv \
     results/fig8_snr_bitrate.csv results/app_sensing.csv results/ext_battery_assist.csv \
     results/ext_open_water.csv results/ext_mobility.csv \

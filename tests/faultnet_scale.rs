@@ -147,7 +147,7 @@ fn waveform_cache_is_bitwise_transparent() {
     let mut reference = LinkSimulator::new(LinkConfig::default()).expect("valid config");
     let mut erasures = 0;
     for (t_start_s, command) in sequence {
-        let got = cached
+        let (got, exchange_samples) = cached
             .slot_exchange(7, command, &faults, t_start_s, None)
             .expect("slot exchange");
         let want = reference
@@ -155,11 +155,13 @@ fn waveform_cache_is_bitwise_transparent() {
             .expect("reference exchange");
         let tag = format!("{command:?} at {t_start_s} s");
         assert_eq!(got.packet, want.packet, "{tag}");
+        assert_eq!(got.crc_ok, want.crc_ok, "{tag}");
         assert_eq!(got.preamble_found, want.preamble_found, "{tag}");
         assert_eq!(got.preamble_corr.to_bits(), want.preamble_corr.to_bits(), "{tag}");
         assert_eq!(got.snr_db.to_bits(), want.snr_db.to_bits(), "{tag}");
-        assert_eq!(got.node_power_w.to_bits(), want.node_power_w.to_bits(), "{tag}");
-        assert_eq!(got.exchange_samples, want.received.len(), "{tag}");
+        assert_eq!(got.power_w.to_bits(), want.node_power_w.to_bits(), "{tag}");
+        assert_eq!(got.rectified_v.to_bits(), want.node_rectified_v.to_bits(), "{tag}");
+        assert_eq!(exchange_samples, want.received.len(), "{tag}");
         erasures += usize::from(!got.preamble_found);
     }
     assert!(erasures >= 1, "the dropout must erase");
