@@ -8,8 +8,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use num_complex::Complex64;
 use pab_dsp::correlate::{
-    cross_correlate, cross_correlate_direct, normalized_cross_correlate,
-    normalized_cross_correlate_direct,
+    cross_correlate, cross_correlate_complex, cross_correlate_direct, normalized_cross_correlate,
+    normalized_cross_correlate_direct, RunLengthTemplate,
 };
 use pab_dsp::fir::Fir;
 use pab_dsp::goertzel::tone_amplitude;
@@ -154,6 +154,32 @@ fn bench_direct_vs_fft(c: &mut Criterion) {
     g.finish();
 }
 
+/// The receiver's preamble search kernel at its `fdma_n4` size: the
+/// 563-tap ±1 FM0 template of a 2731 bps node at 96 kHz over one
+/// 60k-sample decode, by overlap-save FFT and by the run-length
+/// (prefix-sum) matched filter the coherent decoder runs.
+fn bench_preamble_search(c: &mut Criterion) {
+    let n = 60_212;
+    let d: Vec<Complex64> = tone(700.0, 96_000.0, 0.0, n)
+        .iter()
+        .zip(tone(1_300.0, 96_000.0, 0.5, n))
+        .map(|(&a, b)| Complex64::new(a, b))
+        .collect();
+    let tpl = pab_core::receiver::preamble_template(32_768.0 / 12.0, 96_000.0);
+    let tc: Vec<Complex64> = tpl.iter().map(|&t| Complex64::new(t, 0.0)).collect();
+    let rl = RunLengthTemplate::new(&tpl);
+    let (mut prefix, mut out) = (Vec::new(), Vec::new());
+    let mut g = c.benchmark_group("dsp");
+    g.throughput(Throughput::Elements(n as u64));
+    g.bench_function("xcorr_complex_563tap_60k_fft", |b| {
+        b.iter(|| cross_correlate_complex(&d, &tc))
+    });
+    g.bench_function("xcorr_complex_563tap_60k_runlength", |b| {
+        b.iter(|| rl.correlate_into(&d, &mut prefix, &mut out))
+    });
+    g.finish();
+}
+
 /// Cached vs uncached FFT planning on the 0.5 s buffer: the uncached
 /// case builds a fresh planner (tables, twiddles, bit-reversal) every
 /// call, the cached case hits the thread-local `PlanCache`.
@@ -240,6 +266,7 @@ criterion_group!(
     bench_nco,
     bench_correlation,
     bench_direct_vs_fft,
+    bench_preamble_search,
     bench_plan_cache,
     bench_image_method,
     bench_channel_apply,

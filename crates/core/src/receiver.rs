@@ -5,18 +5,27 @@
 //! The coherent decoder is organised around a memoised [`FrontEnd`]: all
 //! designs that depend only on `(carrier, bitrate, fs)` — the baseband
 //! Butterworth, the fused mix→filter→decimate polyphase stage, the
-//! detrending filter, the preamble matched-filter template and its FFT'd
-//! correlation kernels — are built once and reused, and every per-decode
-//! buffer lives in a [`DecodeScratch`] arena so a steady-state decode
-//! performs zero heap allocations (pinned by `tests/slot_engine_alloc.rs`).
+//! detrending filter and the preamble matched filter — are built once and
+//! reused, and every per-decode buffer lives in a [`DecodeScratch`] arena
+//! so a steady-state decode performs zero heap allocations (pinned by
+//! `tests/slot_engine_alloc.rs`).
+//!
+//! The preamble search needs no FFT and, until the winner is known, no
+//! square root. The ±1 template is constant over each half-bit, so the
+//! front end keeps it as a [`RunLengthTemplate`]: one tap per run
+//! boundary (25 taps for the 563-sample template at 2731 bps and
+//! 96 kHz), applied to per-tile prefix sums of the baseband. One phasor
+//! pass detrends and CFO-derotates the baseband; the strong-carrier
+//! segment is found on squared trend magnitudes, and windows are ranked
+//! by `|acc|² / energy`, with the normalised correlation computed once,
+//! at the winning window.
 
 use crate::scratch::{DecodeScratch, SlicerScratch};
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use num_complex::Complex64;
-use pab_dsp::correlate::{argmax, normalized_cross_correlate};
-use pab_dsp::fastconv;
+use pab_dsp::correlate::{argmax, normalized_cross_correlate, RunLengthTemplate};
 use pab_dsp::iir::{butter_lowpass, Cascade};
-use pab_dsp::mix::{downconvert, downconvert_into, frequency_shift_into};
+use pab_dsp::mix::{detrend_shift_in_place, downconvert, downconvert_into};
 use pab_dsp::polyphase::PolyphaseDecimator;
 use pab_dsp::stats;
 use pab_net::fm0;
@@ -24,7 +33,7 @@ use pab_net::packet::{UplinkPacket, UPLINK_PREAMBLE};
 use pab_net::NetError;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Designs the receiver rebuilds identically packet after packet —
 /// Butterworth cascades and preamble templates for the envelope path —
@@ -37,9 +46,9 @@ struct RxCaches {
 }
 
 /// Everything the coherent uplink decoder needs that depends only on
-/// `(carrier, bitrate, fs)`: filter designs, the fused decimator, the
-/// matched-filter template and its per-block-size FFT kernels. Built once
-/// per parameter set by [`Receiver::front_end`] and shared via `Arc`.
+/// `(carrier, bitrate, fs)`: filter designs, the fused decimator and the
+/// run-length preamble matched filter. Built once per parameter set by
+/// [`Receiver::front_end`] and shared via `Arc`.
 #[derive(Debug)]
 struct FrontEnd {
     /// Baseband-selection Butterworth (order 4) at the full rate.
@@ -53,14 +62,8 @@ struct FrontEnd {
     aa: Option<PolyphaseDecimator>,
     /// Detrending low-pass (order 2) at the decimated rate.
     trend: Cascade,
-    /// ±1 preamble matched-filter template at `fs2`, widened to complex.
-    template_c: Vec<Complex64>,
-    /// Conjugated template — the source for FFT correlation kernels.
-    template_conj: Vec<Complex64>,
-    /// Template energy `sqrt(Σ t²)`.
-    t_energy: f64,
-    /// FFT'd correlation kernels, keyed by overlap-save block size.
-    xcorr_kfft: Mutex<HashMap<usize, Arc<Vec<Complex64>>>>,
+    /// The ±1 preamble matched filter at `fs2`, as run-boundary taps.
+    template: RunLengthTemplate,
 }
 
 impl FrontEnd {
@@ -82,48 +85,37 @@ impl FrontEnd {
             Some(PolyphaseDecimator::new(fir, decim)?)
         };
         let trend = butter_lowpass(2, (bitrate_bps / 20.0).max(2.0), fs2)?;
-        // The ±1 template, sampled at the decimated rate (identical
-        // construction to Receiver::preamble_template).
-        let halves = fm0::encode(&UPLINK_PREAMBLE, false);
-        let spb2 = fs2 / (2.0 * bitrate_bps);
-        let n = (halves.len() as f64 * spb2).round() as usize;
-        let template: Vec<f64> = (0..n)
-            .map(|i| {
-                let k = ((i as f64 / spb2) as usize).min(halves.len() - 1);
-                if halves[k] {
-                    1.0
-                } else {
-                    -1.0
-                }
-            })
-            .collect();
-        let t_energy = template.iter().map(|x| x * x).sum::<f64>().sqrt();
-        let template_c: Vec<Complex64> =
-            template.iter().map(|&t| Complex64::new(t, 0.0)).collect();
-        let template_conj: Vec<Complex64> = template_c.iter().map(|t| t.conj()).collect();
+        let template = RunLengthTemplate::new(&preamble_template(bitrate_bps, fs2));
         Ok(FrontEnd {
             butter4,
             decim,
             fs2,
             aa,
             trend,
-            template_c,
-            template_conj,
-            t_energy,
-            xcorr_kfft: Mutex::new(HashMap::new()),
+            template,
         })
     }
+}
 
-    /// The FFT of the (time-reversed, zero-padded) conjugated template
-    /// for overlap-save block size `b`, memoised. Block size depends only
-    /// on the input length, which is constant per cache key in the slot
-    /// engine's steady state — so this allocates once and then hits.
-    fn xcorr_kernel(&self, b: usize) -> Arc<Vec<Complex64>> {
-        let mut map = self.xcorr_kfft.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(b)
-            .or_insert_with(|| Arc::new(fastconv::kernel_fft(&self.template_conj, b)))
-            .clone()
-    }
+/// The ±1 uplink-preamble matched-filter template: the FM0 half-bits of
+/// [`UPLINK_PREAMBLE`] sampled at `fs_hz` for a `bitrate_bps` node (a
+/// half-bit spans `fs_hz / (2·bitrate_bps)` samples, fractional in
+/// general). Both decoders correlate against it — the coherent one in
+/// run-length form.
+pub fn preamble_template(bitrate_bps: f64, fs_hz: f64) -> Vec<f64> {
+    let halves = fm0::encode(&UPLINK_PREAMBLE, false);
+    let spb = fs_hz / (2.0 * bitrate_bps);
+    let n = (halves.len() as f64 * spb).round() as usize;
+    (0..n)
+        .map(|i| {
+            let k = ((i as f64 / spb) as usize).min(halves.len() - 1);
+            if halves[k] {
+                1.0
+            } else {
+                -1.0
+            }
+        })
+        .collect()
 }
 
 /// Counters for the decimating front-end: how much work the fused
@@ -385,26 +377,13 @@ impl Receiver {
         Ok(out)
     }
 
-    /// Build the ±1 preamble matched-filter template at `bitrate_bps`
-    /// for sample rate `fs_hz`, memoised per `(bitrate, fs)` pair.
-    fn preamble_template(&self, bitrate_bps: f64, fs_hz: f64) -> Vec<f64> {
+    /// [`preamble_template`], memoised per `(bitrate, fs)` pair.
+    fn cached_preamble_template(&self, bitrate_bps: f64, fs_hz: f64) -> Vec<f64> {
         let key = (bitrate_bps.to_bits(), fs_hz.to_bits());
         if let Some(t) = self.caches.borrow().preamble.get(&key) {
             return t.clone();
         }
-        let halves = fm0::encode(&UPLINK_PREAMBLE, false);
-        let spb = fs_hz / (2.0 * bitrate_bps);
-        let n = (halves.len() as f64 * spb).round() as usize;
-        let template: Vec<f64> = (0..n)
-            .map(|i| {
-                let k = ((i as f64 / spb) as usize).min(halves.len() - 1);
-                if halves[k] {
-                    1.0
-                } else {
-                    -1.0
-                }
-            })
-            .collect();
+        let template = preamble_template(bitrate_bps, fs_hz);
         self.caches
             .borrow_mut()
             .preamble
@@ -572,24 +551,20 @@ impl Receiver {
         s.ext2[pad2..pad2 + n2].copy_from_slice(&s.bb_d);
         fe.trend.filtfilt_complex_in_place(&mut s.ext2, pad2, n2);
         let trend_c = &s.ext2[pad2..pad2 + n2];
-        s.d.clear();
-        s.d.extend(s.bb_d.iter().zip(trend_c).map(|(&x, &t)| x - t));
 
         // CFO correction: the direct-carrier trend rotates at the CFO
         // rate; estimate it where the carrier is strong and derotate.
         // Estimate over the longest *contiguous* strong run: concatenating
         // across carrier-off gaps would add seam phase jumps that bias the
-        // estimate.
-        // One hypot per sample: both the peak fold and the threshold scan
-        // read the same norms, so compute them once.
+        // estimate. "Strong" is |trend| > peak/4, compared in squares.
         s.norms.clear();
-        s.norms.extend(trend_c.iter().map(|x| x.norm()));
-        let trend_peak = s.norms.iter().copied().fold(0.0, f64::max);
-        let threshold = 0.25 * trend_peak;
+        s.norms.extend(trend_c.iter().map(|x| x.norm_sqr()));
+        let peak_sqr = s.norms.iter().copied().fold(0.0, f64::max);
+        let threshold = 0.0625 * peak_sqr;
         let mut best_run = (0usize, 0usize);
         let mut run_start = None;
-        for (i, &norm) in s.norms.iter().enumerate() {
-            if norm > threshold {
+        for (i, &norm_sqr) in s.norms.iter().enumerate() {
+            if norm_sqr > threshold {
                 if run_start.is_none() {
                     run_start = Some(i);
                 }
@@ -605,69 +580,53 @@ impl Receiver {
             }
         }
         let cfo = pab_dsp::correlate::estimate_cfo_hz(&trend_c[best_run.0..best_run.1], fs2);
-        let correct_cfo = cfo.abs() > 0.05;
-        if correct_cfo {
-            frequency_shift_into(&s.d, -cfo, fs2, &mut s.shifted);
+        // One phasor pass: `d` (detrended, derotated) feeds the search;
+        // `bb_d`, derotated in place, feeds the projection.
+        if cfo.abs() > 0.05 {
+            detrend_shift_in_place(&mut s.bb_d, trend_c, -cfo, fs2, &mut s.d);
+        } else {
+            s.d.clear();
+            s.d.extend(s.bb_d.iter().zip(trend_c).map(|(&x, &t)| x - t));
         }
-        let d: &[Complex64] = if correct_cfo { &s.shifted } else { &s.d };
+        let d = &s.d;
 
         // Complex preamble correlation: peak magnitude locates the packet,
-        // peak phase is the modulation direction. The numerator is a
-        // matched-filter correlation — FFT overlap-save with a memoised
-        // kernel FFT for long templates, the direct loop otherwise
-        // (exactly cross_correlate_complex's dispatch) — and the window
-        // energy comes from an O(N) running sum.
-        let m = fe.template_c.len();
+        // peak phase is the modulation direction. The numerator is the
+        // run-length matched filter over tiled prefix sums; the window
+        // energy is an O(N) running sum. The search ranks |acc|²/energy,
+        // so the only square roots are the winner's.
+        let m = fe.template.len();
         if d.len() <= m {
             return Err(CoreError::NoPacketDetected);
         }
-        if fastconv::fft_pays_off(d.len(), m) {
-            let kfft = fe.xcorr_kernel(fastconv::block_size(d.len(), m));
-            fastconv::correlate_valid_cached_into(d, m, &kfft, &mut s.num);
-        } else {
-            s.num.clear();
-            s.num.extend((0..=d.len() - m).map(|i| {
-                d[i..i + m]
-                    .iter()
-                    .zip(&fe.template_c)
-                    .map(|(a, b)| a * b.conj())
-                    .sum::<Complex64>()
-            }));
-        }
-        let mut best = (0usize, 0.0f64, Complex64::new(0.0, 0.0));
-        // Running window energy for normalisation.
+        fe.template.correlate_into(d, &mut s.prefix, &mut s.num);
+        // (index, score, numerator, window energy) of the best window.
+        let mut best = (0usize, 0.0f64, Complex64::new(0.0, 0.0), 0.0f64);
         let mut win_energy: f64 = d[..m].iter().map(|c| c.norm_sqr()).sum();
         for (i, &acc) in s.num.iter().enumerate() {
             if i > 0 {
                 // lint: allow(panic-path) num.len() == d.len()-m+1, so i+m-1 < d.len(); i > 0 checked
                 win_energy += d[i + m - 1].norm_sqr() - d[i - 1].norm_sqr();
             }
-            let denom = win_energy.max(1e-30).sqrt() * fe.t_energy;
-            let score = acc.norm() / denom;
+            let score = acc.norm_sqr() / win_energy.max(1e-30);
             if score > best.1 {
-                best = (i, score, acc);
+                best = (i, score, acc, win_energy);
             }
         }
-        let (start, peak_corr, peak_acc) = best;
-        if peak_corr < 0.3 {
+        let (start, _, peak_acc, peak_energy) = best;
+        let peak_corr = peak_acc.norm() / (peak_energy.max(1e-30).sqrt() * fe.template.norm());
+        if !(peak_corr >= 0.3) {
             return Err(CoreError::NoPacketDetected);
         }
-        let theta = peak_acc.arg();
         // Slice the *raw* (un-detrended) projected baseband: inside the
         // packet the baseline is the constant CW illumination, and the
         // detrending high-pass would otherwise leak a slow step transient
         // into the first tens of milliseconds of soft values (fatal at
         // low bitrates where that spans many bits). The cluster means in
         // slice_core absorb the constant offset.
-        let rot = Complex64::from_polar(1.0, -theta);
-        let raw: &[Complex64] = if correct_cfo {
-            frequency_shift_into(&s.bb_d, -cfo, fs2, &mut s.raw);
-            &s.raw
-        } else {
-            &s.bb_d
-        };
+        let rot = Complex64::from_polar(1.0, -peak_acc.arg());
         s.projected.clear();
-        s.projected.extend(raw.iter().map(|&c| (c * rot).re));
+        s.projected.extend(s.bb_d.iter().map(|&c| (c * rot).re));
 
         let outcome = Self::slice_core(&s.projected, start, fs2, bitrate_bps, &mut s.slicer)?;
         Ok(DecodeVerdict {
@@ -744,7 +703,7 @@ impl Receiver {
             .zip(&trend)
             .map(|(&e, &t)| e - t)
             .collect();
-        let template = self.preamble_template(bitrate_bps, fs_hz);
+        let template = self.cached_preamble_template(bitrate_bps, fs_hz);
         if centered.len() <= template.len() {
             return Err(CoreError::NoPacketDetected);
         }
@@ -1042,6 +1001,136 @@ mod tests {
             assert_eq!(d.start_sample, v.start_sample);
             assert_eq!(d.snr_db.to_bits(), v.snr_db.to_bits());
             assert_eq!(d.preamble_corr.to_bits(), v.preamble_corr.to_bits());
+        }
+    }
+
+    /// Check `got` against the direct O(N·M) correlation, output by
+    /// output, to within `1e-12·‖window‖·‖template‖`; `at` names the
+    /// outputs to check.
+    fn assert_matches_direct(
+        x: &[Complex64],
+        tc: &[Complex64],
+        got: &[Complex64],
+        at: impl Iterator<Item = usize>,
+        tag: &str,
+    ) {
+        let m = tc.len();
+        let t_norm = (m as f64).sqrt();
+        for i in at {
+            let want = pab_dsp::correlate::cross_correlate_complex_direct(&x[i..i + m], tc)[0];
+            let w_norm = x[i..i + m].iter().map(|c| c.norm_sqr()).sum::<f64>().sqrt();
+            let err = (got[i] - want).norm();
+            assert!(err <= 1e-12 * w_norm * t_norm, "{tag} i={i}: err {err:e}");
+        }
+    }
+
+    #[test]
+    fn run_length_matched_filter_matches_the_direct_correlation() {
+        use pab_dsp::correlate::PREFIX_TILE;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
+        let (mut prefix, mut out) = (Vec::new(), Vec::new());
+        // The front end's templates: decimation 1 at 96 kHz, and 23 at
+        // 192 kHz, where a half-bit spans a fractional 16.3 samples.
+        for (bitrate, fs_hz, decim) in [
+            (32_768.0 / 12.0, 96_000.0, 1),
+            (2048.0, 96_000.0, 1),
+            (1024.0, 96_000.0, 2),
+            (256.0, 192_000.0, 23),
+        ] {
+            let fe = FrontEnd::new(bitrate, fs_hz).unwrap();
+            assert_eq!(fe.decim, decim);
+            let dense = preamble_template(bitrate, fe.fs2);
+            assert_eq!(fe.template, RunLengthTemplate::new(&dense));
+            let m = dense.len();
+            let tc: Vec<Complex64> = dense.iter().map(|&t| Complex64::new(t, 0.0)).collect();
+            // Output counts 1 and 2 (input lengths m and m+1), then each
+            // of the first two tile boundaries ±1.
+            let t = PREFIX_TILE;
+            for outputs in [1, 2, t - 1, t, t + 1, 2 * t - 1, 2 * t, 2 * t + 1] {
+                let x: Vec<Complex64> = (0..outputs + m - 1)
+                    .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                    .collect();
+                fe.template.correlate_into(&x, &mut prefix, &mut out);
+                assert_eq!(out.len(), outputs);
+                assert_matches_direct(
+                    &x,
+                    &tc,
+                    &out,
+                    0..outputs,
+                    &format!("{bitrate} bps n={}", x.len()),
+                );
+            }
+        }
+        // The 2731 bps template over 2^20 samples riding on a DC offset
+        // 10^3 times the ±1 modulation: the per-tile restart keeps the
+        // prefix sums, and so the error, from growing with the length.
+        let fe = FrontEnd::new(32_768.0 / 12.0, 96_000.0).unwrap();
+        let dense = preamble_template(32_768.0 / 12.0, fe.fs2);
+        assert_eq!((dense.len(), fe.template.taps().len()), (563, 25));
+        let tc: Vec<Complex64> = dense.iter().map(|&t| Complex64::new(t, 0.0)).collect();
+        let dc = Complex64::from_polar(1e3, 0.7);
+        let x: Vec<Complex64> = (0..1usize << 20)
+            .map(|_| {
+                let s = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+                dc + Complex64::new(s, rng.gen_range(-1.0..1.0))
+            })
+            .collect();
+        fe.template.correlate_into(&x, &mut prefix, &mut out);
+        let edges =
+            (1..out.len() / PREFIX_TILE).flat_map(|k| [k * PREFIX_TILE - 1, k * PREFIX_TILE]);
+        let at = (0..out.len())
+            .step_by(997)
+            .chain(edges)
+            .chain([out.len() - 1]);
+        assert_matches_direct(&x, &tc, &out, at, "2^20 samples with DC");
+    }
+
+    #[test]
+    fn run_length_search_finds_what_the_fft_search_found() {
+        // The FFT correlator and sqrt-normalised argmax this search
+        // replaced, rerun on the detrended stream each decode leaves in
+        // the scratch arena: same start, same packet, and a correlation
+        // peak equal to rounding.
+        use pab_dsp::correlate::cross_correlate_complex;
+        use rand::SeedableRng;
+        let p = test_packet();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let rx = Receiver::default();
+        let mut noisy = synth_waveform(&p, 1024.0, rx.fs_hz, 15_000.0, 1.0, 0.4, 0.01);
+        pab_channel::noise::add_awgn(&mut noisy, 0.15, &mut rng);
+        let mut cases = vec![(1024.0, noisy)];
+        for bitrate in [2730.67, 1024.0, 256.0] {
+            cases.push((
+                bitrate,
+                synth_waveform(&p, bitrate, rx.fs_hz, 15_000.0, 1.0, 0.4, 0.01),
+            ));
+        }
+        for (bitrate, w) in cases {
+            let v = rx.decode_uplink_verdict(&w, 15_000.0, bitrate).unwrap();
+            assert_eq!(v.packet.unwrap(), p, "bitrate={bitrate}");
+            let fe = rx.front_end(15_000.0, bitrate).unwrap();
+            let s = rx.scratch.borrow();
+            let tc: Vec<Complex64> = preamble_template(bitrate, fe.fs2)
+                .iter()
+                .map(|&t| Complex64::new(t, 0.0))
+                .collect();
+            let m = tc.len();
+            let num = cross_correlate_complex(&s.d, &tc);
+            let mut best = (0usize, 0.0f64);
+            let mut win_energy: f64 = s.d[..m].iter().map(|c| c.norm_sqr()).sum();
+            for (i, acc) in num.iter().enumerate() {
+                if i > 0 {
+                    win_energy += s.d[i + m - 1].norm_sqr() - s.d[i - 1].norm_sqr();
+                }
+                let score = acc.norm() / (win_energy.max(1e-30).sqrt() * fe.template.norm());
+                if score > best.1 {
+                    best = (i, score);
+                }
+            }
+            assert_eq!(best.0 * fe.decim, v.start_sample, "bitrate={bitrate}");
+            let rel = (best.1 - v.preamble_corr).abs() / best.1;
+            assert!(rel < 1e-9, "bitrate={bitrate}: corr drift {rel:e}");
         }
     }
 

@@ -94,19 +94,21 @@ pub(crate) struct DecodeScratch {
     /// Padded full-rate complex baseband: `filtfilt` reflections in the
     /// margins, the downconverted signal in the centre.
     pub(crate) ext: Vec<Complex64>,
-    /// Decimated complex baseband (post anti-alias).
+    /// Decimated complex baseband (post anti-alias), CFO-derotated in
+    /// place once the offset is known: the stream the projection reads.
     pub(crate) bb_d: Vec<Complex64>,
     /// Padded trend-filter workspace at the decimated rate.
     pub(crate) ext2: Vec<Complex64>,
-    /// Detrended baseband.
+    /// Detrended, CFO-derotated baseband: the stream the preamble
+    /// search reads.
     pub(crate) d: Vec<Complex64>,
-    /// CFO-derotated detrended baseband.
-    pub(crate) shifted: Vec<Complex64>,
-    /// CFO-derotated raw (un-detrended) baseband.
-    pub(crate) raw: Vec<Complex64>,
+    /// Prefix sums of `d` over one output tile of the run-length matched
+    /// filter (`PREFIX_TILE` outputs plus the template length), restarted
+    /// per tile so it stays small whatever the signal length.
+    pub(crate) prefix: Vec<Complex64>,
     /// Matched-filter correlation numerator.
     pub(crate) num: Vec<Complex64>,
-    /// Trend magnitudes for the CFO-segment search.
+    /// Squared trend magnitudes for the CFO-segment search.
     pub(crate) norms: Vec<f64>,
     /// Projected real modulation stream fed to the slicer.
     pub(crate) projected: Vec<f64>,

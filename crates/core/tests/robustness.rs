@@ -85,3 +85,82 @@ proptest! {
         }
     }
 }
+
+/// A hostile-input verdict is either a typed error or a detection whose
+/// correlation is a finite number in the detection range [0.3, 1].
+fn assert_sane(tag: &str, r: Result<pab_core::receiver::DecodeVerdict, pab_core::CoreError>) {
+    if let Ok(v) = r {
+        assert!(
+            v.preamble_corr.is_finite() && (0.3..=1.0).contains(&v.preamble_corr),
+            "{tag}: preamble_corr {}",
+            v.preamble_corr
+        );
+    }
+}
+
+/// The full-rate coherent path (96 kHz, 2731 bps: decimation 1) on
+/// inputs no hydrophone should produce.
+#[test]
+fn hostile_inputs_give_typed_errors_or_sane_verdicts() {
+    let rx = Receiver::new(1.0e-3, 96_000.0);
+    let bitrate = 32_768.0 / 12.0;
+    let n = 20_000;
+    let mut nco = pab_dsp::mix::Nco::new(15_000.0, 96_000.0);
+    let carrier: Vec<f64> = (0..n).map(|_| nco.next_sample()).collect();
+    let square: Vec<f64> = (0..n)
+        .map(|i| if (i / 7) % 2 == 0 { 1.0 } else { -1.0 })
+        .collect();
+    let cases: [(&str, Vec<f64>); 6] = [
+        ("zeros", vec![0.0; n]),
+        ("dc", vec![0.75; n]),
+        ("clipped square", square),
+        ("+inf", vec![f64::INFINITY; n]),
+        ("-inf", vec![f64::NEG_INFINITY; n]),
+        ("64 samples", carrier[..64].to_vec()),
+    ];
+    for (tag, w) in cases {
+        assert_sane(tag, rx.decode_uplink_verdict(&w, 15_000.0, bitrate));
+    }
+    let mut one_inf = carrier.clone();
+    one_inf[n / 2] = f64::NEG_INFINITY;
+    assert_sane(
+        "one -inf sample",
+        rx.decode_uplink_verdict(&one_inf, 15_000.0, bitrate),
+    );
+}
+
+/// A NaN anywhere in the recording must never produce a detection.
+#[test]
+fn a_nan_sample_is_never_a_detection() {
+    let rx = Receiver::new(1.0e-3, 96_000.0);
+    let bitrate = 32_768.0 / 12.0;
+    let n = 20_000;
+    let mut nco = pab_dsp::mix::Nco::new(15_000.0, 96_000.0);
+    let carrier: Vec<f64> = (0..n).map(|_| 0.4 * nco.next_sample()).collect();
+    for at in [0, n / 3, n - 1] {
+        let mut w = carrier.clone();
+        w[at] = f64::NAN;
+        assert!(
+            rx.decode_uplink_verdict(&w, 15_000.0, bitrate).is_err(),
+            "NaN at {at} was detected as a packet"
+        );
+    }
+    assert!(rx
+        .decode_uplink_verdict(&vec![f64::NAN; n], 15_000.0, bitrate)
+        .is_err());
+}
+
+/// A 10⁷-sample recording (52 s at 192 kHz) decodes without trouble:
+/// the per-tile prefix sums keep the matched filter's rounding bounded.
+#[test]
+fn ten_million_samples_give_a_sane_verdict() {
+    use rand::SeedableRng;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+    let mut w = pab_channel::noise::awgn(10_000_000, 0.05, &mut rng);
+    let mut nco = pab_dsp::mix::Nco::new(15_000.0, 192_000.0);
+    for x in w.iter_mut() {
+        *x += 0.4 * nco.next_sample();
+    }
+    let rx = Receiver::new(1.0e-3, 192_000.0);
+    assert_sane("1e7 samples", rx.decode_uplink_verdict(&w, 15_000.0, 256.0));
+}

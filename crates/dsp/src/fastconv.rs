@@ -27,10 +27,9 @@ pub fn fft_pays_off(signal_len: usize, kernel_len: usize) -> bool {
 /// Pick the FFT block size for a kernel of `m` taps sliding over `n`
 /// samples: at least 8× the kernel (so ≥ 7/8 of every block is fresh
 /// output), at least 1024 (so per-block bookkeeping stays negligible),
-/// and no bigger than one FFT covering the whole problem. Public so
-/// callers that memoise [`kernel_fft`] across calls can key their cache
-/// on the block size this engine will actually use.
-pub fn block_size(n: usize, m: usize) -> usize {
+/// and no bigger than one FFT covering the whole problem. Callers that
+/// memoise [`kernel_fft`] across calls key their cache on it.
+pub(crate) fn block_size(n: usize, m: usize) -> usize {
     let whole = (n + m - 1).next_power_of_two();
     (8 * m).max(1024).next_power_of_two().min(whole)
 }
@@ -42,7 +41,7 @@ pub fn block_size(n: usize, m: usize) -> usize {
 /// intended call. Pure function of `(kernel, b)` — memoise it to strip
 /// the per-call kernel transform from repeated correlations against the
 /// same template.
-pub fn kernel_fft(kernel: &[Complex64], b: usize) -> Vec<Complex64> {
+pub(crate) fn kernel_fft(kernel: &[Complex64], b: usize) -> Vec<Complex64> {
     let m = kernel.len();
     debug_assert!(m >= 1 && m <= b);
     with_thread_cache(|cache| {
@@ -61,35 +60,15 @@ pub fn kernel_fft(kernel: &[Complex64], b: usize) -> Vec<Complex64> {
 /// guarantees `1 ≤ kernel.len() ≤ signal.len()`. Conjugate the kernel
 /// first for a conjugating correlation.
 pub(crate) fn correlate_valid(signal: &[Complex64], kernel: &[Complex64]) -> Vec<Complex64> {
-    let m = kernel.len();
-    let kfft = kernel_fft(kernel, block_size(signal.len(), m));
-    let mut out = Vec::new();
-    correlate_valid_cached_into(signal, m, &kfft, &mut out);
-    out
-}
-
-/// The overlap-save block loop behind [`correlate_valid`], with the
-/// kernel transform supplied by the caller (see [`kernel_fft`]) and the
-/// output appended to a cleared caller-owned buffer. `m` is the kernel
-/// tap count; `kfft.len()` must be `block_size(signal.len(), m)`. Writes
-/// exactly the samples `correlate_valid` returns — same blocks, same
-/// scaling, same order — while letting hot paths reuse both the kernel
-/// transform and the output allocation across calls.
-pub fn correlate_valid_cached_into(
-    signal: &[Complex64],
-    m: usize,
-    kfft: &[Complex64],
-    out: &mut Vec<Complex64>,
-) {
     let n = signal.len();
-    let b = kfft.len();
+    let m = kernel.len();
     debug_assert!(m >= 1 && m <= n);
-    debug_assert_eq!(b, block_size(n, m));
+    let b = block_size(n, m);
+    let kfft = kernel_fft(kernel, b);
     let out_len = n - m + 1;
     let step = b - (m - 1);
 
-    out.clear();
-    out.reserve(out_len);
+    let mut out = Vec::with_capacity(out_len);
     let scale = 1.0 / b as f64;
     let mut start = 0usize;
     while start < out_len {
@@ -99,7 +78,7 @@ pub fn correlate_valid_cached_into(
                 // lint: allow(panic-path) take = (n-start).min(b) bounds both slices
                 buf[..take].copy_from_slice(&signal[start..start + take]);
                 cache.fft_in_place(buf);
-                for (x, y) in buf.iter_mut().zip(kfft) {
+                for (x, y) in buf.iter_mut().zip(&kfft) {
                     *x *= *y;
                 }
                 cache.inverse(b).process(buf);
@@ -111,6 +90,7 @@ pub fn correlate_valid_cached_into(
         });
         start += step;
     }
+    out
 }
 
 /// Real-input wrapper around [`correlate_valid`].

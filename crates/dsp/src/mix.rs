@@ -146,24 +146,32 @@ pub fn upconvert(baseband: &[Complex64], carrier_hz: f64, fs_hz: f64) -> Vec<f64
 /// Apply a frequency shift to a complex baseband signal (used for CFO
 /// correction after estimation).
 pub fn frequency_shift(signal: &[Complex64], shift_hz: f64, fs_hz: f64) -> Vec<Complex64> {
-    let mut out = Vec::new();
-    frequency_shift_into(signal, shift_hz, fs_hz, &mut out);
+    let w = TAU * shift_hz / fs_hz;
+    let mut out = vec![Complex64::new(0.0, 0.0); signal.len()];
+    for_each_phasor(signal.len(), w, 0.0, |i, rot| out[i] = signal[i] * rot);
     out
 }
 
-/// [`frequency_shift`] into a caller-owned buffer, cleared and resized to
-/// `signal.len()` — identical values, zero steady-state allocation once
-/// the buffer's capacity has grown to the working size.
-pub fn frequency_shift_into(
-    signal: &[Complex64],
+/// Detrend and frequency-shift in one phasor pass: with `rot` the
+/// [`frequency_shift`] phasor, writes `detrended[i] = (x[i] − trend[i])·rot`
+/// (`detrended` is cleared and resized to `x.len()`) and shifts `x` in
+/// place, `x[i] ← x[i]·rot`. Both are bitwise what [`frequency_shift`]
+/// gives on the difference and on `x`. `trend` must be as long as `x`.
+pub fn detrend_shift_in_place(
+    x: &mut [Complex64],
+    trend: &[Complex64],
     shift_hz: f64,
     fs_hz: f64,
-    out: &mut Vec<Complex64>,
+    detrended: &mut Vec<Complex64>,
 ) {
+    assert_eq!(x.len(), trend.len());
     let w = TAU * shift_hz / fs_hz;
-    out.clear();
-    out.resize(signal.len(), Complex64::new(0.0, 0.0));
-    for_each_phasor(signal.len(), w, 0.0, |i, rot| out[i] = signal[i] * rot);
+    detrended.clear();
+    detrended.resize(x.len(), Complex64::new(0.0, 0.0));
+    for_each_phasor(x.len(), w, 0.0, |i, rot| {
+        detrended[i] = (x[i] - trend[i]) * rot;
+        x[i] *= rot;
+    });
 }
 
 #[cfg(test)]
@@ -258,5 +266,33 @@ mod tests {
         let shifted = frequency_shift(&bb, -100.0, fs_hz);
         let mean = shifted.iter().sum::<Complex64>() / shifted.len() as f64;
         assert!((mean.norm() - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn fused_detrend_shift_is_bitwise_the_separate_passes() {
+        let fs_hz = 96_000.0;
+        let n = 2 * super::PHASOR_RESYNC + 93;
+        let x: Vec<Complex64> = (0..n)
+            .map(|i| {
+                Complex64::new(
+                    ((i * 13) % 29) as f64 / 3.0 - 4.0,
+                    ((i * 7) % 11) as f64 * 0.3,
+                )
+            })
+            .collect();
+        let trend: Vec<Complex64> = (0..n)
+            .map(|i| Complex64::new(1.0 + i as f64 * 1e-3, -0.5))
+            .collect();
+        let diff: Vec<Complex64> = x.iter().zip(&trend).map(|(&a, &t)| a - t).collect();
+        let want_d = frequency_shift(&diff, -3.7, fs_hz);
+        let want_x = frequency_shift(&x, -3.7, fs_hz);
+        let mut got_x = x.clone();
+        let mut got_d = Vec::new();
+        detrend_shift_in_place(&mut got_x, &trend, -3.7, fs_hz, &mut got_d);
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        assert_eq!(bits(&got_d), bits(&want_d));
+        assert_eq!(bits(&got_x), bits(&want_x));
     }
 }
