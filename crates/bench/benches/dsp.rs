@@ -11,7 +11,7 @@ use pab_dsp::correlate::{
     cross_correlate, cross_correlate_complex, cross_correlate_direct, normalized_cross_correlate,
     normalized_cross_correlate_direct, RunLengthTemplate,
 };
-use pab_dsp::fir::Fir;
+use pab_dsp::fir::{Fir, FoldedHilbert};
 use pab_dsp::goertzel::tone_amplitude;
 use pab_dsp::iir::butter_lowpass;
 use pab_dsp::mix::{downconvert, tone, Nco};
@@ -54,12 +54,38 @@ fn bench_fir(c: &mut Criterion) {
     g.finish();
 }
 
+/// The node's quadrature kernel: the 127-tap Hamming Hilbert design run
+/// folded, 32 tap pairs per output.
 fn bench_hilbert(c: &mut Criterion) {
     let s = signal();
-    let h = pab_dsp::fir::hilbert(127, Window::Hamming).unwrap();
+    let h = FoldedHilbert::new(127, Window::Hamming).unwrap();
     let mut g = c.benchmark_group("dsp");
     g.throughput(Throughput::Elements(N as u64));
     g.bench_function("hilbert127_500ms", |b| b.iter(|| h.filter(&s)));
+    g.finish();
+}
+
+/// The receiver's two zero-phase baseband filters on a 60k-sample
+/// complex decode window: the order-2 detrend trend filter and the
+/// order-4 Butterworth (one and two biquad sections).
+fn bench_filtfilt_complex(c: &mut Criterion) {
+    const LEN: usize = 60_000;
+    let x: Vec<Complex64> = (0..LEN)
+        .map(|i| Complex64::from_polar(1.0, i as f64 * 0.01))
+        .collect();
+    let mut g = c.benchmark_group("dsp");
+    g.throughput(Throughput::Elements(LEN as u64));
+    for order in [2, 4] {
+        let lp = butter_lowpass(order, 2_000.0, FS).unwrap();
+        let pad = lp.filtfilt_pad(LEN);
+        let mut ext = vec![Complex64::new(0.0, 0.0); LEN + 2 * pad];
+        g.bench_function(&format!("filtfilt_complex_order{order}_60k"), |b| {
+            b.iter(|| {
+                ext[pad..pad + LEN].copy_from_slice(&x);
+                lp.filtfilt_complex_in_place(&mut ext, pad, LEN);
+            })
+        });
+    }
     g.finish();
 }
 
@@ -258,6 +284,7 @@ criterion_group!(
     dsp,
     bench_downconvert,
     bench_butterworth,
+    bench_filtfilt_complex,
     bench_fir,
     bench_hilbert,
     bench_decimate,

@@ -54,6 +54,11 @@ pub fn solve_linear(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, CoreError> {
     if a.len() != n || a.iter().any(|r| r.len() != n) {
         return Err(CoreError::InvalidConfig("non-square system"));
     }
+    // Non-finite entries would pass the singularity tests below (see
+    // `solve_linear_complex`).
+    if !(a.iter().flatten().all(|v| v.is_finite()) && b.iter().all(|v| v.is_finite())) {
+        return Err(CoreError::InvalidConfig("non-finite system"));
+    }
     // Relative singularity scale: the largest entry of the input matrix.
     // An all-zero matrix is singular outright.
     let scale = a
@@ -205,6 +210,13 @@ pub fn solve_linear_complex(
     let n = b.len();
     if a.len() != n || a.iter().any(|r| r.len() != n) {
         return Err(CoreError::InvalidConfig("non-square system"));
+    }
+    // A NaN would slip past both singularity tests below (`f64::max`
+    // drops it from the scale and `NaN < x` is false) and come out as a
+    // NaN solution; an infinity would be misreported as singular.
+    let finite = |v: &Complex64| v.re.is_finite() && v.im.is_finite();
+    if !(a.iter().flatten().all(finite) && b.iter().all(finite)) {
+        return Err(CoreError::InvalidConfig("non-finite system"));
     }
     // Relative singularity scale, as in the real-valued solver.
     let scale = a
@@ -758,6 +770,36 @@ mod tests {
     }
 
     #[test]
+    fn complex_solver_rejects_hostile_systems() {
+        let c = |re: f64| Complex64::new(re, 0.0);
+        let nan = c(f64::NAN);
+        let eye = || vec![vec![c(1.0), c(0.0)], vec![c(0.0), c(1.0)]];
+        let mut nan_below_pivot = eye();
+        nan_below_pivot[0][1] = nan;
+        let non_finite = [
+            (eye(), vec![nan, c(1.0)]),
+            (nan_below_pivot, vec![c(1.0), c(1.0)]),
+            (
+                vec![vec![c(f64::INFINITY), c(0.0)], vec![c(0.0), c(1.0)]],
+                vec![c(1.0); 2],
+            ),
+            (eye(), vec![c(1.0), Complex64::new(0.0, f64::NEG_INFINITY)]),
+        ];
+        for (a, b) in &non_finite {
+            let got = solve_linear_complex(a, b);
+            let typed = matches!(got, Err(CoreError::InvalidConfig("non-finite system")));
+            assert!(typed, "{a:?} x = {b:?} gave {got:?}");
+        }
+        let ragged = vec![vec![c(1.0), c(0.0)], vec![c(1.0)]];
+        let zero = vec![vec![c(0.0); 2]; 2];
+        for (a, b) in [(ragged, vec![c(1.0); 2]), (zero, vec![c(0.0); 2])] {
+            assert!(solve_linear_complex(&a, &b).is_err(), "{a:?}");
+        }
+        // The empty system has the empty solution.
+        assert!(solve_linear_complex(&[], &[]).unwrap().is_empty());
+    }
+
+    #[test]
     fn solve_linear_accepts_tiny_well_scaled_system() {
         // Uniformly tiny but well-conditioned: the old absolute 1e-12
         // pivot floor rejected this outright.
@@ -769,6 +811,8 @@ mod tests {
         assert!((x[1] - 3.0).abs() < 1e-9, "x1 {}", x[1]);
         let zero = vec![vec![0.0, 0.0], vec![0.0, 0.0]];
         assert!(solve_linear(&zero, &[0.0, 0.0]).is_err());
+        let eye = vec![vec![1.0, f64::NAN], vec![0.0, 1.0]];
+        assert!(solve_linear(&eye, &[1.0, 1.0]).is_err());
     }
 
     #[test]

@@ -115,7 +115,8 @@ pub struct LinkReport {
     pub envelope: Vec<f64>,
     /// Raw recorded voltage waveform at the hydrophone (diagnostics).
     pub received: Vec<f64>,
-    /// Node-side output (diagnostics).
+    /// Node-side output (diagnostics). Under a fade, its backscatter is
+    /// what reached the uplink channel: scaled by the fade's gain.
     pub node_output: NodeOutput,
 }
 
@@ -206,6 +207,16 @@ struct CachedExchange {
     node: (f64, f64),
 }
 
+/// What a fade-overlapped exchange reuses for its wave key: the node's
+/// clean incident field and the direct projector→hydrophone pressure over
+/// the exchange window. The fade scales neither, so only the node and its
+/// uplink leg run per faded exchange.
+#[derive(Debug)]
+struct FadeFreeLegs {
+    incident: Vec<IncidentComponent>,
+    direct: Vec<f64>,
+}
+
 /// Bound on each cache's entry count: past this the whole map is cleared
 /// (drift ramps insert one entry per distinct offset; wholesale clearing
 /// keeps the worst case bounded without LRU bookkeeping).
@@ -235,7 +246,7 @@ pub struct LinkSimulator {
     scratch: Scratch,
     wave_cache: BTreeMap<WaveKey, Arc<Vec<f64>>>,
     exch_cache: BTreeMap<ExchKey, CachedExchange>,
-    incident_cache: BTreeMap<WaveKey, Arc<Vec<IncidentComponent>>>,
+    legs_cache: BTreeMap<WaveKey, FadeFreeLegs>,
     stats: SlotEngineStats,
 }
 
@@ -274,7 +285,7 @@ impl LinkSimulator {
             scratch: Scratch::new(),
             wave_cache: BTreeMap::new(),
             exch_cache: BTreeMap::new(),
-            incident_cache: BTreeMap::new(),
+            legs_cache: BTreeMap::new(),
             stats: SlotEngineStats::default(),
         })
     }
@@ -405,7 +416,7 @@ impl LinkSimulator {
         let window_s = tx_wave.len() as f64 / self.cfg.fs_hz;
         let down = faults.node_down_during(t_start_s, t_start_s + window_s);
         let fade = (!faults.is_quiet()).then_some((faults, t_start_s));
-        let (mut y, node_out) = self.clean_exchange(&tx_wave, incident, fade, down)?;
+        let (mut y, node_out) = self.clean_exchange(&tx_wave, incident, fade, down, None)?;
         self.receive(&mut y, faults, t_start_s);
         let bitrate = self.bitrate_bps();
         let decoded = self.receiver.decode_uplink(&y, self.cfg.carrier_hz, bitrate);
@@ -415,32 +426,40 @@ impl LinkSimulator {
     /// The noiseless exchange at the hydrophone, from the node's incident
     /// field on: the `fade` gains (schedule, exchange start) on the
     /// node's downlink, the node (or, `down`, its browned-out silence),
-    /// the faded backscatter, and the medium's superposition over
-    /// `incident_len + margin` samples. Without a fade nothing is
-    /// multiplied and the backscatter is superposed as the node made it.
+    /// the same gains on its backscatter, and the medium's superposition
+    /// over `incident_len + margin` samples. The fade's gain is evaluated
+    /// once per sample and scales both legs; without a fade nothing is
+    /// multiplied. `direct`, when given, is the medium's direct leg over
+    /// that window, kept from an earlier exchange with the same wave.
     fn clean_exchange(
         &self,
         tx_wave: &[f64],
         mut incident: Vec<IncidentComponent>,
         fade: Option<(&FaultSchedule, f64)>,
         down: bool,
+        direct: Option<&[f64]>,
     ) -> Result<(Vec<f64>, NodeOutput), CoreError> {
         let fs_hz = self.cfg.fs_hz;
+        let incident_len = incident[0].samples.len();
+        let gains: Option<Vec<f64>> = fade.map(|(faults, t_start_s)| {
+            (0..incident_len)
+                .map(|i| faults.gain_at(t_start_s + i as f64 / fs_hz))
+                .collect()
+        });
         let apply_fade = |samples: &mut [f64]| {
-            if let Some((faults, t_start_s)) = fade {
-                for (i, s) in samples.iter_mut().enumerate() {
-                    *s *= faults.gain_at(t_start_s + i as f64 / fs_hz);
+            if let Some(gains) = &gains {
+                for (s, g) in samples.iter_mut().zip(gains) {
+                    *s *= g;
                 }
             }
         };
         for c in &mut incident {
             apply_fade(&mut c.samples);
         }
-        let incident_len = incident[0].samples.len();
         // A brown-out anywhere in the exchange silences the node: it
         // cannot hold charge through the window, so nothing decodes and
         // nothing backscatters (the receiver will report an erasure).
-        let node_out = if down {
+        let mut node_out = if down {
             NodeOutput {
                 powered_up: false,
                 rectified_v: 0.0,
@@ -458,16 +477,15 @@ impl LinkSimulator {
         // Free the incident field before the superposition allocates its
         // window, so a cache miss holds no more buffers at its peak.
         drop(incident);
+        for bs in &mut node_out.backscatter {
+            apply_fade(bs);
+        }
         let rx_len = incident_len + margin_samples(fs_hz)?;
-        let y = if fade.is_some() {
-            let mut backscatter = node_out.backscatter.clone();
-            for bs in &mut backscatter {
-                apply_fade(bs);
-            }
-            self.medium.superpose(&[tx_wave], &[&backscatter], rx_len)
-        } else {
-            self.medium.superpose(&[tx_wave], &[&node_out.backscatter], rx_len)
+        let mut y = match direct {
+            Some(direct) => direct.to_vec(),
+            None => self.medium.direct_pressure(&[tx_wave], rx_len),
         };
+        self.medium.add_backscatter(&mut y, &[&node_out.backscatter]);
         Ok((y, node_out))
     }
 
@@ -505,10 +523,17 @@ impl LinkSimulator {
     ///   memoized on the same key plus the brown-out flag. Outside fade
     ///   windows the fault gain is exactly 1.0 and multiplying by 1.0 is
     ///   the identity on every `f64`, so the memo stays valid under any
-    ///   schedule whose fade windows miss the exchange; fade-overlapped
-    ///   exchanges bypass the cache and run the full chain. Drift ramps
+    ///   schedule whose fade windows miss the exchange. Drift ramps
     ///   participate through the key (the offset in force at the
     ///   exchange start), hitting once a clamped ramp saturates.
+    /// * a **fade-overlapped** exchange bypasses that memo, but the fade
+    ///   touches only the node's two legs. The node's clean incident
+    ///   field and the direct projector→hydrophone pressure are memoized
+    ///   on the wave key, so a bypass evaluates the fade gain once per
+    ///   sample, scales the incident field and then the node's
+    ///   backscatter in place with it, and runs only the node and its
+    ///   uplink propagation, added onto a copy of the direct pressure in
+    ///   the medium's summation order.
     /// * On a cache hit, the only per-exchange work before decoding is a
     ///   scratch-arena copy of the memoized waveform, in-place AWGN and
     ///   burst noise, and the in-place pressure→volts scaling — zero
@@ -552,25 +577,30 @@ impl LinkSimulator {
         let bitrate = self.bitrate_bps();
         if faults.fade_active_during(t_start_s, t_start_s + window_s) {
             // Per-sample fade gains make the exchange time-dependent, so
-            // the post-node chain must run in full — but the query
-            // waveform above and the clean downlink propagation are still
-            // pure functions of the wave key, so reuse both and only pay
-            // for the fade-dependent stages.
+            // the node and its uplink leg must run in full — but the
+            // query waveform above, the clean downlink propagation and
+            // the direct path are pure functions of the wave key, so
+            // reuse all three and only pay for the fade-dependent stages.
             self.stats.bypasses += 1;
-            let incident = match self.incident_cache.get(&wkey) {
-                Some(v) => Arc::clone(v),
-                None => {
-                    let v = Arc::new(self.medium.incident(0, &[&tx_wave[..]]));
-                    if self.incident_cache.len() >= CACHE_CAP {
-                        self.incident_cache.clear();
-                    }
-                    self.incident_cache.insert(wkey, Arc::clone(&v));
-                    v
+            if !self.legs_cache.contains_key(&wkey) {
+                let incident = self.medium.incident(0, &[&tx_wave[..]]);
+                let rx_len = incident[0].samples.len() + margin_samples(fs_hz)?;
+                let direct = self.medium.direct_pressure(&[&tx_wave[..]], rx_len);
+                if self.legs_cache.len() >= CACHE_CAP {
+                    self.legs_cache.clear();
                 }
-            };
+                self.legs_cache.insert(wkey, FadeFreeLegs { incident, direct });
+            }
+            // lint: allow(no-unwrap-in-lib) inserted above under the same key
+            let legs = self.legs_cache.get(&wkey).expect("legs entry just ensured");
             let fade = Some((faults, t_start_s));
-            let (mut y, node_out) =
-                self.clean_exchange(&tx_wave, incident.as_ref().clone(), fade, down)?;
+            let (mut y, node_out) = self.clean_exchange(
+                &tx_wave,
+                legs.incident.clone(),
+                fade,
+                down,
+                Some(&legs.direct),
+            )?;
             self.receive(&mut y, faults, t_start_s);
             let decoded = self.receiver.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
             trace_verdict(&decoded, tel);
@@ -583,7 +613,7 @@ impl LinkSimulator {
         if !self.exch_cache.contains_key(&ekey) {
             self.stats.exchange_misses += 1;
             let incident = self.medium.incident(0, &[&tx_wave[..]]);
-            let (y_clean, out) = self.clean_exchange(&tx_wave, incident, None, down)?;
+            let (y_clean, out) = self.clean_exchange(&tx_wave, incident, None, down, None)?;
             if self.exch_cache.len() >= CACHE_CAP {
                 self.exch_cache.clear();
             }
@@ -646,11 +676,9 @@ impl LinkSimulator {
             .projector
             .continuous_wave(self.cfg.carrier_hz, total_s - projector_start_s);
         let mut tx = vec![0.0; n];
-        let off = (projector_start_s * fs_hz).floor() as usize;
-        for (i, &s) in cw.iter().enumerate() {
-            if off + i < n {
-                tx[off + i] = s;
-            }
+        let off = ((projector_start_s * fs_hz).floor() as usize).min(n);
+        for (t, &s) in tx[off..].iter_mut().zip(&cw) {
+            *t = s;
         }
         let incident = self.medium.incident(0, &[&tx]);
         let node_out = self.medium.nodes[0].process_fixed_toggle(

@@ -96,16 +96,31 @@ impl Medium {
         backscatter: &[&[Vec<f64>]],
         rx_len: usize,
     ) -> Vec<f64> {
+        let mut y = self.direct_pressure(waves, rx_len);
+        self.add_backscatter(&mut y, backscatter);
+        y
+    }
+
+    /// The direct leg of [`superpose`](Self::superpose): every carrier's
+    /// projector→hydrophone pressure over `rx_len` samples. It does not
+    /// depend on the nodes, so a caller may keep it and add only
+    /// [`add_backscatter`](Self::add_backscatter) per exchange.
+    pub(crate) fn direct_pressure<W: AsRef<[f64]>>(&self, waves: &[W], rx_len: usize) -> Vec<f64> {
         let mut y = vec![0.0; rx_len];
         for (ch, w) in self.direct.iter().zip(waves) {
             ch.apply_into(&mut y, w.as_ref(), self.fs_hz);
         }
+        y
+    }
+
+    /// The backscatter leg of [`superpose`](Self::superpose), added into
+    /// `y` after the direct leg.
+    pub(crate) fn add_backscatter(&self, y: &mut [f64], backscatter: &[&[Vec<f64>]]) {
         for (chans, node_bs) in self.up.iter().zip(backscatter) {
             for (ch, bs) in chans.iter().zip(node_bs.iter()) {
-                ch.apply_into(&mut y, bs, self.fs_hz);
+                ch.apply_into(y, bs, self.fs_hz);
             }
         }
-        y
     }
 
     /// One noiseless slot: every node processes its incident field (with

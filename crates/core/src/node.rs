@@ -14,6 +14,7 @@ use crate::CoreError;
 use pab_analog::frontend::SwitchState;
 use pab_analog::RectoPiezo;
 use pab_dsp::envelope::{edges, rectified_envelope, SchmittTrigger};
+use pab_dsp::fir::FoldedHilbert;
 use pab_mcu::{Mcu, Pin, PowerProfile};
 use pab_net::packet::DownlinkQuery;
 use pab_piezo::Transducer;
@@ -99,13 +100,13 @@ pub struct PabNode {
     caches: std::cell::RefCell<NodeCaches>,
 }
 
-/// Per-node design memos: the Hilbert quadrature FIR (fixed 127-tap
+/// Per-node design memos: the folded Hilbert quadrature (fixed 127-tap
 /// Hamming), the switch-smoothing Butterworth keyed on its exact
 /// `(cutoff, fs)` bits, and the numerically-measured modulation
 /// bandwidth per front-end index.
 #[derive(Debug, Clone, Default)]
 struct NodeCaches {
-    hilbert: Option<pab_dsp::fir::Fir>,
+    hilbert: Option<FoldedHilbert>,
     butter: Option<((u64, u64), pab_dsp::iir::Cascade)>,
     mod_bw_hz: std::collections::BTreeMap<usize, f64>,
 }
@@ -214,26 +215,17 @@ impl PabNode {
         g_off: num_complex::Complex64,
     ) -> Result<Vec<f64>, CoreError> {
         let mut caches = self.caches.borrow_mut();
-        if caches.hilbert.is_none() {
-            caches.hilbert = Some(pab_dsp::fir::hilbert(
-                127,
-                pab_dsp::window::Window::Hamming,
-            )?);
-        }
-        let hil = match caches.hilbert.as_ref() {
+        let hil = match &mut caches.hilbert {
             Some(h) => h,
-            None => return Err(CoreError::InvalidConfig("hilbert cache empty")),
+            empty => empty.insert(FoldedHilbert::new(127, pab_dsp::window::Window::Hamming)?),
         };
-        let gd = hil.group_delay();
-        let xh = hil.filter(samples);
-        let n = samples.len();
-        let mut out = vec![0.0; n];
-        for i in 0..n {
-            // In-phase path delayed to match the Hilbert path's delay.
-            let xd = if i >= gd { samples[i - gd] } else { 0.0 };
-            let sgn = smooth_switch[i].clamp(0.0, 1.0);
-            let g = g_off + (g_on - g_off) * sgn;
-            out[i] = g.re * xd - g.im * xh[i];
+        // The quadrature path, then each sample modulated in place against
+        // the in-phase path delayed to match it.
+        let mut out = hil.filter(samples);
+        let delayed = std::iter::repeat_n(0.0, hil.group_delay()).chain(samples.iter().copied());
+        for ((o, xd), &sw) in out.iter_mut().zip(delayed).zip(smooth_switch) {
+            let g = g_off + (g_on - g_off) * sw.clamp(0.0, 1.0);
+            *o = g.re * xd - g.im * *o;
         }
         Ok(out)
     }

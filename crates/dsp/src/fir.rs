@@ -191,6 +191,91 @@ pub fn hilbert(num_taps: usize, window: Window) -> Result<Fir, DspError> {
     Fir::from_taps(taps)
 }
 
+/// Outputs per register tile of [`FoldedHilbert::filter`]: eight
+/// independent accumulators, so the tap sum runs across outputs rather
+/// than down one serial add chain.
+const HILBERT_LANES: usize = 8;
+
+/// A [`hilbert`] design run in folded form. Its taps vanish at even
+/// offsets from the centre `c` and are antisymmetric about it, so the
+/// causal output of [`Fir::filter`] is
+/// `y[i] = Σ_j h_j·(x[i−c−j] − x[i−c+j])` over odd `j ≤ c`, where `h_j`
+/// is the tap at `c + j` and `x` is zero before its first sample: one
+/// multiply per tap pair (32 for the node's 127 taps), and no transform.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FoldedHilbert {
+    /// `h_j` for `j = 1, 3, 5, …`, up to the centre offset.
+    half: Vec<f64>,
+    /// The centre tap index, which is also the group delay.
+    centre: usize,
+}
+
+impl FoldedHilbert {
+    /// Fold the `num_taps` [`hilbert`] design.
+    pub fn new(num_taps: usize, window: Window) -> Result<Self, DspError> {
+        let fir = hilbert(num_taps, window)?;
+        let centre = fir.group_delay();
+        let half = fir.taps()[centre + 1..]
+            .iter()
+            .step_by(2)
+            .copied()
+            .collect();
+        Ok(FoldedHilbert { half, centre })
+    }
+
+    /// Group delay in samples (the centre tap index).
+    pub fn group_delay(&self) -> usize {
+        self.centre
+    }
+
+    /// The quadrature of `x`, same length and alignment as
+    /// [`Fir::filter`] on the unfolded design. Outputs from `2c` on, where
+    /// every tap pair reads inside `x`, run in tiles of eight; the rest
+    /// take the zero-padded scalar form. Both sum the pairs in the same
+    /// order, so an output's bits do not depend on which path computed it.
+    pub fn filter(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; x.len()];
+        let c = self.centre;
+        let edge = (2 * c).min(x.len());
+        let (head, body) = y.split_at_mut(edge);
+        for (i, yi) in head.iter_mut().enumerate() {
+            *yi = self.output_at(x, i);
+        }
+        let mut tiles = body.chunks_exact_mut(HILBERT_LANES);
+        for (t, tile) in tiles.by_ref().enumerate() {
+            let start = edge + t * HILBERT_LANES;
+            let mut acc = [0.0; HILBERT_LANES];
+            for (k, &h) in self.half.iter().enumerate() {
+                let j = 2 * k + 1;
+                // lint: allow(panic-path) start >= 2c >= c + j
+                let early = &x[start - c - j..][..HILBERT_LANES];
+                // lint: allow(panic-path) j <= c, so start - c + j + LANES <= start + LANES <= x.len()
+                let late = &x[start - c + j..][..HILBERT_LANES];
+                for l in 0..HILBERT_LANES {
+                    acc[l] += h * (early[l] - late[l]);
+                }
+            }
+            tile.copy_from_slice(&acc);
+        }
+        let done = x.len() - tiles.into_remainder().len();
+        for (i, yi) in y.iter_mut().enumerate().skip(done) {
+            *yi = self.output_at(x, i);
+        }
+        y
+    }
+
+    /// One output with `x` zero-padded before its start.
+    fn output_at(&self, x: &[f64], i: usize) -> f64 {
+        let at = |k: Option<usize>| k.and_then(|k| x.get(k)).copied().unwrap_or(0.0);
+        let mut acc = 0.0;
+        for (k, &h) in self.half.iter().enumerate() {
+            let j = 2 * k + 1;
+            acc += h * (at(i.checked_sub(self.centre + j)) - at((i + j).checked_sub(self.centre)));
+        }
+        acc
+    }
+}
+
 /// Moving-average filter output ("same" causal alignment) — a cheap
 /// integrate-and-dump stand-in used by bit-rate-flexible decoders.
 pub fn moving_average(x: &[f64], len: usize) -> Vec<f64> {
@@ -330,7 +415,39 @@ mod tests {
     }
 
     #[test]
+    fn folded_hilbert_matches_the_direct_loop() {
+        let fir = hilbert(127, Window::Hamming).unwrap();
+        let folded = FoldedHilbert::new(127, Window::Hamming).unwrap();
+        assert_eq!(folded.group_delay(), fir.group_delay());
+        assert_eq!(folded.half.len(), 32);
+        let h_norm = fir.taps().iter().map(|t| t * t).sum::<f64>().sqrt();
+        // Around the 2c = 126 switch to tiles, and a long run of tiles
+        // that ends in a partial one.
+        for n in [0, 1, 62, 63, 64, 127, 128, 100_000] {
+            let x: Vec<f64> = (0..n)
+                .map(|i| ((i * 37 + 11) % 101) as f64 - 50.0 + (i as f64 * 0.013).sin())
+                .collect();
+            let x_norm = x.iter().map(|v| v * v).sum::<f64>().sqrt();
+            let want = fir.filter_direct(&x);
+            let got = folded.filter(&x);
+            assert_eq!(got.len(), n);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (g - w).abs() <= 1e-12 * x_norm * h_norm,
+                    "n {n} at {i}: {g} vs {w}"
+                );
+            }
+            // Tiles and the zero-padded scalar form agree bitwise.
+            for (i, g) in got.iter().enumerate().step_by(97) {
+                let scalar = folded.output_at(&x, i);
+                assert_eq!(g.to_bits(), scalar.to_bits(), "n {n} at {i}");
+            }
+        }
+    }
+
+    #[test]
     fn hilbert_rejects_tiny_designs() {
+        assert!(FoldedHilbert::new(1, Window::Hamming).is_err());
         assert!(hilbert(1, Window::Hamming).is_err());
     }
 

@@ -11,6 +11,7 @@
 
 use crate::DspError;
 use num_complex::Complex64;
+use std::ops::{Add, Mul, Sub};
 
 /// One second-order (biquad) section in Direct Form II transposed.
 ///
@@ -44,27 +45,60 @@ impl Biquad {
     }
 }
 
-/// Per-section run state for streaming filtering.
-#[derive(Debug, Clone, Copy, Default)]
-struct BiquadState {
-    s1: f64,
-    s2: f64,
+/// A sample the real biquad coefficients act on: `f64`, or `Complex64`,
+/// whose real and imaginary parts filter independently.
+trait Sample: Copy + Add<Output = Self> + Sub<Output = Self> + Mul<f64, Output = Self> {
+    const ZERO: Self;
 }
 
-impl BiquadState {
-    #[inline]
-    fn step(&mut self, c: &Biquad, x: f64) -> f64 {
-        let y = c.b[0] * x + self.s1;
-        self.s1 = c.b[1] * x - c.a[0] * y + self.s2;
-        self.s2 = c.b[2] * x - c.a[1] * y;
-        y
+impl Sample for f64 {
+    const ZERO: Self = 0.0;
+}
+
+impl Sample for Complex64 {
+    const ZERO: Self = Complex64::new(0.0, 0.0);
+}
+
+/// One in-place pass of `sections` over `buf` from zero state, walking
+/// it end-to-start when `reverse`. Sections run two at a time with their
+/// states in locals; a longer cascade runs its pairs one after another,
+/// which is bitwise the sample-by-sample loop because each section still
+/// sees the same input sequence.
+fn cascade_pass<T: Sample>(sections: &[Biquad], buf: &mut [T], reverse: bool) {
+    for pair in sections.chunks(2) {
+        match pair {
+            [a, b] => run_sections(&[*a, *b], buf, reverse),
+            [a] => run_sections(&[*a], buf, reverse),
+            _ => {}
+        }
     }
 }
 
-/// Cascades at or below this many sections (filter order 16) run
-/// [`Cascade::filtfilt_complex_in_place`] with stack-allocated biquad
-/// states; longer cascades fall back to a heap-allocated state vector.
-const MAX_INLINE_SECTIONS: usize = 8;
+fn run_sections<T: Sample, const N: usize>(sections: &[Biquad; N], buf: &mut [T], reverse: bool) {
+    if reverse {
+        step_sections(sections, buf.iter_mut().rev());
+    } else {
+        step_sections(sections, buf.iter_mut());
+    }
+}
+
+/// The Direct Form II transposed recurrence of `N` cascaded sections.
+fn step_sections<'a, T: Sample + 'a, const N: usize>(
+    sections: &[Biquad; N],
+    samples: impl Iterator<Item = &'a mut T>,
+) {
+    let mut state = [(T::ZERO, T::ZERO); N];
+    for x in samples {
+        let mut v = *x;
+        for (c, (s1, s2)) in sections.iter().zip(state.iter_mut()) {
+            let y = v * c.b[0] + *s1;
+            *s1 = v * c.b[1] - y * c.a[0] + *s2;
+            *s2 = v * c.b[2] - y * c.a[1];
+            v = y;
+        }
+        *x = v;
+    }
+}
 
 /// A cascade of biquad sections (second-order-sections filter).
 #[derive(Debug, Clone, PartialEq)]
@@ -92,16 +126,9 @@ impl Cascade {
 
     /// Causal (single-pass) filtering with zero initial state.
     pub fn filter(&self, x: &[f64]) -> Vec<f64> {
-        let mut states = vec![BiquadState::default(); self.sections.len()];
-        x.iter()
-            .map(|&xi| {
-                let mut v = xi;
-                for (c, st) in self.sections.iter().zip(states.iter_mut()) {
-                    v = st.step(c, v);
-                }
-                v
-            })
-            .collect()
+        let mut y = x.to_vec();
+        cascade_pass(&self.sections, &mut y, false);
+        y
     }
 
     /// Zero-phase forward-backward filtering with odd-reflection edge
@@ -113,38 +140,7 @@ impl Cascade {
     /// reverse→filter→reverse sequence of the textbook formulation
     /// without materialising the reversed copies.
     pub fn filtfilt(&self, x: &[f64]) -> Vec<f64> {
-        if x.is_empty() {
-            return Vec::new();
-        }
-        let pad = (3 * (2 * self.sections.len() + 1)).min(x.len().saturating_sub(1));
-        let n = x.len();
-        let mut ext = Vec::with_capacity(n + 2 * pad);
-        // Odd reflection about the first/last sample reduces edge transients.
-        for i in (1..=pad).rev() {
-            ext.push(2.0 * x[0] - x[i]);
-        }
-        ext.extend_from_slice(x);
-        for i in 1..=pad {
-            // lint: allow(panic-path) pad <= n-1 via .min(len-1), so n-1-i >= 0
-            ext.push(2.0 * x[n - 1] - x[n - 1 - i]);
-        }
-        let mut states = vec![BiquadState::default(); self.sections.len()];
-        for xi in ext.iter_mut() {
-            let mut v = *xi;
-            for (c, st) in self.sections.iter().zip(states.iter_mut()) {
-                v = st.step(c, v);
-            }
-            *xi = v;
-        }
-        let mut states = vec![BiquadState::default(); self.sections.len()];
-        for xi in ext.iter_mut().rev() {
-            let mut v = *xi;
-            for (c, st) in self.sections.iter().zip(states.iter_mut()) {
-                v = st.step(c, v);
-            }
-            *xi = v;
-        }
-        ext[pad..pad + n].to_vec()
+        self.filtfilt_padded(x)
     }
 
     /// Filter a complex signal. The real coefficients act on the real and
@@ -152,34 +148,27 @@ impl Cascade {
     /// complex samples — numerically identical to filtering the two parts
     /// separately, without splitting the buffer into two temporaries.
     pub fn filter_complex(&self, x: &[Complex64]) -> Vec<Complex64> {
-        let zero = Complex64::new(0.0, 0.0);
-        let mut states = vec![(zero, zero); self.sections.len()];
-        x.iter()
-            .map(|&xi| {
-                let mut v = xi;
-                for (c, st) in self.sections.iter().zip(states.iter_mut()) {
-                    let y = v * c.b[0] + st.0;
-                    st.0 = v * c.b[1] - y * c.a[0] + st.1;
-                    st.1 = v * c.b[2] - y * c.a[1];
-                    v = y;
-                }
-                v
-            })
-            .collect()
+        let mut y = x.to_vec();
+        cascade_pass(&self.sections, &mut y, false);
+        y
     }
 
     /// Zero-phase filtering of a complex signal, with the same
     /// odd-reflection padding and in-place two-pass structure as
     /// [`Cascade::filtfilt`].
     pub fn filtfilt_complex(&self, x: &[Complex64]) -> Vec<Complex64> {
+        self.filtfilt_padded(x)
+    }
+
+    fn filtfilt_padded<T: Sample>(&self, x: &[T]) -> Vec<T> {
         if x.is_empty() {
             return Vec::new();
         }
-        let pad = self.filtfilt_pad(x.len());
         let n = x.len();
-        let mut ext = vec![Complex64::new(0.0, 0.0); n + 2 * pad];
+        let pad = self.filtfilt_pad(n);
+        let mut ext = vec![T::ZERO; n + 2 * pad];
         ext[pad..pad + n].copy_from_slice(x);
-        self.filtfilt_complex_in_place(&mut ext, pad, n);
+        self.filtfilt_in_place(&mut ext, pad, n);
         ext[pad..pad + n].to_vec()
     }
 
@@ -204,6 +193,10 @@ impl Cascade {
     /// (e.g. fusing a downconversion mix into the write) so the unpadded
     /// full-rate signal never materialises separately.
     pub fn filtfilt_complex_in_place(&self, ext: &mut [Complex64], pad: usize, n: usize) {
+        self.filtfilt_in_place(ext, pad, n);
+    }
+
+    fn filtfilt_in_place<T: Sample>(&self, ext: &mut [T], pad: usize, n: usize) {
         if n == 0 {
             return;
         }
@@ -219,41 +212,8 @@ impl Cascade {
             // lint: allow(panic-path) ext.len() == n + 2*pad, so pad+n-1±i stays in bounds
             ext[pad + n - 1 + i] = xl * 2.0 - ext[pad + n - 1 - i];
         }
-        // Fixed-size state storage keeps the steady-state call
-        // allocation-free; decode-path cascades are at most order 16.
-        let zero = Complex64::new(0.0, 0.0);
-        let mut state_buf = [(zero, zero); MAX_INLINE_SECTIONS];
-        let mut state_vec;
-        let states: &mut [(Complex64, Complex64)] =
-            if self.sections.len() <= MAX_INLINE_SECTIONS {
-                &mut state_buf[..self.sections.len()]
-            } else {
-                state_vec = vec![(zero, zero); self.sections.len()];
-                &mut state_vec
-            };
-        for xi in ext.iter_mut() {
-            let mut v = *xi;
-            for (c, st) in self.sections.iter().zip(states.iter_mut()) {
-                let y = v * c.b[0] + st.0;
-                st.0 = v * c.b[1] - y * c.a[0] + st.1;
-                st.1 = v * c.b[2] - y * c.a[1];
-                v = y;
-            }
-            *xi = v;
-        }
-        for st in states.iter_mut() {
-            *st = (zero, zero);
-        }
-        for xi in ext.iter_mut().rev() {
-            let mut v = *xi;
-            for (c, st) in self.sections.iter().zip(states.iter_mut()) {
-                let y = v * c.b[0] + st.0;
-                st.0 = v * c.b[1] - y * c.a[0] + st.1;
-                st.1 = v * c.b[2] - y * c.a[1];
-                v = y;
-            }
-            *xi = v;
-        }
+        cascade_pass(&self.sections, ext, false);
+        cascade_pass(&self.sections, ext, true);
     }
 
     /// Magnitude response of the full cascade at `freq_hz`.
@@ -391,6 +351,86 @@ mod tests {
     use super::*;
     use crate::mix::tone;
     use crate::stats::rms;
+
+    /// The sample-major loop the cascade pass replaced: for each sample,
+    /// every section in order, states in a vector.
+    fn reference_pass(sections: &[Biquad], buf: &mut [f64], reverse: bool) {
+        let mut states = vec![(0.0, 0.0); sections.len()];
+        let mut step = |x: &mut f64| {
+            let mut v = *x;
+            for (c, st) in sections.iter().zip(states.iter_mut()) {
+                let y = c.b[0] * v + st.0;
+                st.0 = c.b[1] * v - c.a[0] * y + st.1;
+                st.1 = c.b[2] * v - c.a[1] * y;
+                v = y;
+            }
+            *x = v;
+        };
+        if reverse {
+            buf.iter_mut().rev().for_each(&mut step);
+        } else {
+            buf.iter_mut().for_each(&mut step);
+        }
+    }
+
+    fn reference_filtfilt(sections: &[Biquad], x: &[f64]) -> Vec<f64> {
+        let n = x.len();
+        let pad = (3 * (2 * sections.len() + 1)).min(n - 1);
+        let mut ext: Vec<f64> = (1..=pad).rev().map(|i| 2.0 * x[0] - x[i]).collect();
+        ext.extend_from_slice(x);
+        ext.extend((1..=pad).map(|i| 2.0 * x[n - 1] - x[n - 1 - i]));
+        reference_pass(sections, &mut ext, false);
+        reference_pass(sections, &mut ext, true);
+        ext[pad..pad + n].to_vec()
+    }
+
+    #[test]
+    fn cascade_pass_matches_the_reference_loop_bitwise() {
+        let same = |got: &[f64], want: &[f64], tag: &str| {
+            assert_eq!(got.len(), want.len(), "{tag}");
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{tag} at {i}");
+            }
+        };
+        // Orders 1..=8 give 1 to 4 sections: the one- and two-section
+        // passes and the pairwise runs of longer cascades.
+        for order in 1..=8 {
+            let f = butter_lowpass(order, 1_500.0, 48_000.0).unwrap();
+            assert_eq!(f.num_sections(), order.div_ceil(2));
+            for n in [1, 2, 3, 40, 2_000] {
+                let tag = format!("order {order}, n {n}");
+                let x: Vec<Complex64> = (0..n)
+                    .map(|i| {
+                        Complex64::new(((i * 7) % 23) as f64 - 11.0, ((i * 13) % 19) as f64 * 0.3)
+                    })
+                    .collect();
+                let re: Vec<f64> = x.iter().map(|c| c.re).collect();
+                let im: Vec<f64> = x.iter().map(|c| c.im).collect();
+                let mut want_re = re.clone();
+                reference_pass(f.sections(), &mut want_re, false);
+                let mut want_im = im.clone();
+                reference_pass(f.sections(), &mut want_im, false);
+                same(&f.filter(&re), &want_re, &tag);
+                let yc = f.filter_complex(&x);
+                same(&yc.iter().map(|c| c.re).collect::<Vec<_>>(), &want_re, &tag);
+                same(&yc.iter().map(|c| c.im).collect::<Vec<_>>(), &want_im, &tag);
+
+                let (want_re, want_im) = (
+                    reference_filtfilt(f.sections(), &re),
+                    reference_filtfilt(f.sections(), &im),
+                );
+                same(&f.filtfilt(&re), &want_re, &tag);
+                let yc = f.filtfilt_complex(&x);
+                same(&yc.iter().map(|c| c.re).collect::<Vec<_>>(), &want_re, &tag);
+                same(&yc.iter().map(|c| c.im).collect::<Vec<_>>(), &want_im, &tag);
+                let pad = f.filtfilt_pad(n);
+                let mut ext = vec![Complex64::new(0.0, 0.0); n + 2 * pad];
+                ext[pad..pad + n].copy_from_slice(&x);
+                f.filtfilt_complex_in_place(&mut ext, pad, n);
+                assert_eq!(&ext[pad..pad + n], &yc[..], "{tag}");
+            }
+        }
+    }
 
     #[test]
     fn complex_filtering_matches_separate_re_im_bitwise() {

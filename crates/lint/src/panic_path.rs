@@ -42,6 +42,9 @@ pub const PANIC_SCOPE: &[&str] = &[
     "crates/core/src/collision_group.rs",
     "crates/core/src/faultnet.rs",
     "crates/core/src/firmware.rs",
+    "crates/core/src/link.rs",
+    "crates/core/src/medium.rs",
+    "crates/core/src/node.rs",
     "crates/core/src/receiver.rs",
 ];
 

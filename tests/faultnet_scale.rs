@@ -98,7 +98,8 @@ fn parallel_matches_serial_at_n4_and_n8() {
 /// a link's slot engine must decode, exchange for exchange, exactly what
 /// an identical link's uncached reference (`run_query_to_faulted`)
 /// decodes. The sequence runs a saturating drift ramp (new oscillator
-/// offsets, then a steady one), a burst, a fade (cache bypass), a
+/// offsets, then a steady one), a burst, a fade (cache bypass, twice on
+/// one wave key, so the bypass's own memo both fills and hits), a
 /// dropout (erasure) and `ReadSensor` queries, so memo misses, memo hits
 /// and bypasses all occur.
 #[test]
@@ -138,6 +139,9 @@ fn waveform_cache_is_bitwise_transparent() {
         (9.0, ph),
         (10.2, Command::Ping),
         (20.5, Command::Ping),
+        // Same wave key inside the fade: the bypass reuses the incident
+        // field and direct pressure the exchange above memoized.
+        (20.8, Command::Ping),
         (21.0, ph),
         (30.2, Command::Ping),
         (30.5, Command::Ping),
@@ -168,7 +172,7 @@ fn waveform_cache_is_bitwise_transparent() {
     let stats = cached.slot_stats();
     assert!(stats.exchange_hits > 0 && stats.wave_hits > 0, "{stats:?}");
     assert!(stats.exchange_misses > 0 && stats.wave_misses > 0, "{stats:?}");
-    assert!(stats.bypasses > 0, "{stats:?}");
+    assert_eq!(stats.bypasses, 3, "{stats:?}");
 }
 
 /// Untraced runs must not depend on tracing either: attaching a recorder
