@@ -1,22 +1,18 @@
 //! Benchmarks for the DSP primitives on the receiver hot path.
 //!
-//! The `*_direct` / `*_fft` pairs pin down the overlap-save crossover
-//! (`pab_dsp::fastconv`), and the planner pair measures what the
-//! thread-local `PlanCache` saves per call; `scripts/bench.sh` parses
+//! The `fir127_*_direct` / `*_fft` pair pins down the overlap-save
+//! crossover (`pab_dsp::fastconv`), and the planner pair measures what
+//! the thread-local `PlanCache` saves per call; `scripts/bench.sh` parses
 //! these into `BENCH_PR3.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use num_complex::Complex64;
-use pab_dsp::correlate::{
-    cross_correlate, cross_correlate_complex, cross_correlate_direct, normalized_cross_correlate,
-    normalized_cross_correlate_direct, RunLengthTemplate,
-};
+use pab_dsp::correlate::RunLengthTemplate;
 use pab_dsp::fir::{Fir, FoldedHilbert};
 use pab_dsp::goertzel::tone_amplitude;
 use pab_dsp::iir::butter_lowpass;
 use pab_dsp::mix::{downconvert, tone, Nco};
 use pab_dsp::polyphase::PolyphaseDecimator;
-use pab_dsp::resample::decimate;
 use pab_dsp::window::Window;
 
 const FS: f64 = 192_000.0;
@@ -89,16 +85,6 @@ fn bench_filtfilt_complex(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_decimate(c: &mut Criterion) {
-    let s = signal();
-    let mut g = c.benchmark_group("dsp");
-    g.throughput(Throughput::Elements(N as u64));
-    g.bench_function("decimate_by_8_500ms", |b| {
-        b.iter(|| decimate(&s, 8, FS).unwrap())
-    });
-    g.finish();
-}
-
 /// The receiver's fused anti-alias decimator on 0.5 s of complex
 /// baseband, at the factors either side of its FFT/direct crossover.
 /// Decim 2 runs overlap-save, whose cost barely depends on the factor;
@@ -143,38 +129,13 @@ fn bench_nco(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_correlation(c: &mut Criterion) {
-    // Template the size of the uplink preamble at 1 kbps, decimated.
-    let s: Vec<f64> = tone(500.0, 12_000.0, 0.0, 12_000);
-    let tpl: Vec<f64> = (0..512).map(|i| if (i / 16) % 2 == 0 { 1.0 } else { -1.0 }).collect();
-    let mut g = c.benchmark_group("dsp");
-    g.throughput(Throughput::Elements(s.len() as u64));
-    g.bench_function("normalized_xcorr_512tap", |b| {
-        b.iter(|| normalized_cross_correlate(&s, &tpl))
-    });
-    g.finish();
-}
-
-/// Direct-vs-FFT pairs at 0.5 s @ 192 kHz — the workloads the
-/// `fastconv` crossover dispatch decides between.
+/// The direct-vs-FFT pair at 0.5 s @ 192 kHz — the workload the
+/// `fastconv` crossover dispatch of `Fir::filter` decides between.
 fn bench_direct_vs_fft(c: &mut Criterion) {
     let s = signal();
-    let tpl: Vec<f64> = (0..512)
-        .map(|i| if (i / 16) % 2 == 0 { 1.0 } else { -1.0 })
-        .collect();
     let fir = Fir::lowpass(127, 2_000.0, FS, Window::Hamming).unwrap();
     let mut g = c.benchmark_group("dsp");
     g.throughput(Throughput::Elements(N as u64));
-    g.bench_function("xcorr_512tap_500ms_direct", |b| {
-        b.iter(|| cross_correlate_direct(&s, &tpl))
-    });
-    g.bench_function("xcorr_512tap_500ms_fft", |b| b.iter(|| cross_correlate(&s, &tpl)));
-    g.bench_function("norm_xcorr_512tap_500ms_direct", |b| {
-        b.iter(|| normalized_cross_correlate_direct(&s, &tpl))
-    });
-    g.bench_function("norm_xcorr_512tap_500ms_fft", |b| {
-        b.iter(|| normalized_cross_correlate(&s, &tpl))
-    });
     g.bench_function("fir127_500ms_direct", |b| b.iter(|| fir.filter_direct(&s)));
     g.bench_function("fir127_500ms_fft", |b| b.iter(|| fir.filter(&s)));
     g.finish();
@@ -182,8 +143,8 @@ fn bench_direct_vs_fft(c: &mut Criterion) {
 
 /// The receiver's preamble search kernel at its `fdma_n4` size: the
 /// 563-tap ±1 FM0 template of a 2731 bps node at 96 kHz over one
-/// 60k-sample decode, by overlap-save FFT and by the run-length
-/// (prefix-sum) matched filter the coherent decoder runs.
+/// 60k-sample decode, by the run-length (prefix-sum) matched filter both
+/// decoders run.
 fn bench_preamble_search(c: &mut Criterion) {
     let n = 60_212;
     let d: Vec<Complex64> = tone(700.0, 96_000.0, 0.0, n)
@@ -192,16 +153,38 @@ fn bench_preamble_search(c: &mut Criterion) {
         .map(|(&a, b)| Complex64::new(a, b))
         .collect();
     let tpl = pab_core::receiver::preamble_template(32_768.0 / 12.0, 96_000.0);
-    let tc: Vec<Complex64> = tpl.iter().map(|&t| Complex64::new(t, 0.0)).collect();
     let rl = RunLengthTemplate::new(&tpl);
     let (mut prefix, mut out) = (Vec::new(), Vec::new());
     let mut g = c.benchmark_group("dsp");
     g.throughput(Throughput::Elements(n as u64));
-    g.bench_function("xcorr_complex_563tap_60k_fft", |b| {
-        b.iter(|| cross_correlate_complex(&d, &tc))
-    });
     g.bench_function("xcorr_complex_563tap_60k_runlength", |b| {
         b.iter(|| rl.correlate_into(&d, &mut prefix, &mut out))
+    });
+    g.finish();
+}
+
+/// The collision path's per-stream decoder: `decode_envelope` on a
+/// zero-forced-like amplitude stream at 192 kHz — a 1024 bps sensor
+/// packet (decimation 5) with 50 ms of the low level either side.
+fn bench_decode_envelope(c: &mut Criterion) {
+    use pab_net::fm0;
+    use pab_net::packet::{SensorKind, UplinkPacket};
+    let p = UplinkPacket::sensor_reading(3, 1, SensorKind::Ph, 7.0);
+    let halves = fm0::encode(&p.to_bits().unwrap(), false);
+    let spb = FS / (2.0 * 1024.0);
+    let lead = (0.05 * FS) as usize;
+    let mut env = vec![0.4; lead];
+    for (k, &h) in halves.iter().enumerate() {
+        let len = ((k + 1) as f64 * spb) as usize - (k as f64 * spb) as usize;
+        env.extend(std::iter::repeat_n(if h { 1.0 } else { 0.4 }, len));
+    }
+    env.extend(std::iter::repeat_n(0.4, lead));
+    let rx = pab_core::receiver::Receiver::new(1.0e-3, FS);
+    assert!(rx.decode_envelope(&env, 1024.0).unwrap().packet.is_ok());
+    let mut g = c.benchmark_group("dsp");
+    g.throughput(Throughput::Elements(env.len() as u64));
+    g.bench_function("decode_envelope_1024bps_192k", |b| {
+        b.iter(|| rx.decode_envelope(&env, 1024.0).unwrap())
     });
     g.finish();
 }
@@ -287,13 +270,12 @@ criterion_group!(
     bench_filtfilt_complex,
     bench_fir,
     bench_hilbert,
-    bench_decimate,
     bench_polyphase,
     bench_goertzel,
     bench_nco,
-    bench_correlation,
     bench_direct_vs_fft,
     bench_preamble_search,
+    bench_decode_envelope,
     bench_plan_cache,
     bench_image_method,
     bench_channel_apply,

@@ -524,21 +524,9 @@ impl FaultNetSimulator {
                 .ok_or(CoreError::InvalidConfig("missing fault schedule"))?;
 
             if let Some(t) = tel.as_deref_mut() {
-                let window = (self.t_now_s, self.t_now_s + exchange_s);
-                let active = [
-                    schedule.burst_active_during(window.0, window.1),
-                    schedule.fade_active_during(window.0, window.1),
-                    schedule.node_down_during(window.0, window.1),
-                    schedule.drift_active_during(window.0, window.1),
-                ];
+                let active = faults_active(schedule, self.t_now_s, self.t_now_s + exchange_s);
                 let prev = fault_state.entry(addr).or_default();
-                const KINDS: [FaultKind; 4] = [
-                    FaultKind::Burst,
-                    FaultKind::Fade,
-                    FaultKind::Dropout,
-                    FaultKind::Drift,
-                ];
-                for (k, kind) in KINDS.into_iter().enumerate() {
+                for (k, kind) in FAULT_KINDS.into_iter().enumerate() {
                     match (prev[k], active[k]) {
                         (false, true) => t.record(Event::FaultEnter { node: addr, kind }),
                         (true, false) => t.record(Event::FaultExit { node: addr, kind }),
@@ -800,16 +788,30 @@ fn group_viable(
             }
         }
     }
-    let (w0, w1) = (t_start_s, t_start_s + horizon_s);
-    group.iter().all(|a| match faults.get(a) {
-        Some(s) => {
-            !s.burst_active_during(w0, w1)
-                && !s.fade_active_during(w0, w1)
-                && !s.node_down_during(w0, w1)
-                && !s.drift_active_during(w0, w1)
-        }
-        None => false,
+    group.iter().all(|a| {
+        faults
+            .get(a)
+            .is_some_and(|s| faults_active(s, t_start_s, t_start_s + horizon_s) == [false; 4])
     })
+}
+
+/// The fault kinds in the order [`faults_active`] reports them.
+const FAULT_KINDS: [FaultKind; 4] = [
+    FaultKind::Burst,
+    FaultKind::Fade,
+    FaultKind::Dropout,
+    FaultKind::Drift,
+];
+
+/// Which of `schedule`'s fault kinds touch `[start_s, end_s)`, in
+/// [`FAULT_KINDS`] order.
+fn faults_active(schedule: &FaultSchedule, start_s: f64, end_s: f64) -> [bool; 4] {
+    [
+        schedule.burst_active_during(start_s, end_s),
+        schedule.fade_active_during(start_s, end_s),
+        schedule.node_down_during(start_s, end_s),
+        schedule.drift_active_during(start_s, end_s),
+    ]
 }
 
 /// Fold one delivered packet into an FNV-1a digest: address, kind, seq,

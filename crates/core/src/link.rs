@@ -311,11 +311,6 @@ impl LinkSimulator {
         &self.cfg
     }
 
-    /// Mutable access to the node (tune thresholds, add front ends).
-    pub fn node_mut(&mut self) -> &mut PabNode {
-        &mut self.medium.nodes[0]
-    }
-
     /// Mutable access to the projector (PWM timing, CFO).
     pub fn projector_mut(&mut self) -> &mut Projector {
         &mut self.projector

@@ -2,28 +2,29 @@
 //! low-pass, packet detection by preamble correlation, CFO estimation, and
 //! a maximum-likelihood FM0 decoder, with CRC verification.
 //!
-//! The coherent decoder is organised around a memoised [`FrontEnd`]: all
-//! designs that depend only on `(carrier, bitrate, fs)` — the baseband
-//! Butterworth, the fused mix→filter→decimate polyphase stage, the
-//! detrending filter and the preamble matched filter — are built once and
-//! reused, and every per-decode buffer lives in a [`DecodeScratch`] arena
-//! so a steady-state decode performs zero heap allocations (pinned by
+//! Both decoders — the coherent one ([`Receiver::decode_uplink_verdict`])
+//! and the one that takes an already-separated amplitude stream
+//! ([`Receiver::decode_envelope`], the collision path) — run on one
+//! memoised [`FrontEnd`] per bitrate: all designs that depend only on
+//! `(bitrate, fs)` — the baseband Butterworth, the fused
+//! mix→filter→decimate polyphase stage, the detrending filter and the
+//! preamble matched filter — are built once and reused, and every
+//! per-decode buffer lives in a [`DecodeScratch`] arena so a steady-state
+//! coherent decode performs zero heap allocations (pinned by
 //! `tests/slot_engine_alloc.rs`).
 //!
-//! The preamble search needs no FFT and, until the winner is known, no
-//! square root. The ±1 template is constant over each half-bit, so the
-//! front end keeps it as a [`RunLengthTemplate`]: one tap per run
-//! boundary (25 taps for the 563-sample template at 2731 bps and
-//! 96 kHz), applied to per-tile prefix sums of the baseband. One phasor
-//! pass detrends and CFO-derotates the baseband; the strong-carrier
-//! segment is found on squared trend magnitudes, and windows are ranked
-//! by `|acc|² / energy`, with the normalised correlation computed once,
-//! at the winning window.
+//! Both decoders share one preamble search, which needs no FFT and, until
+//! the winner is known, no square root. The ±1 template is constant over
+//! each half-bit, so the front end keeps it as a [`RunLengthTemplate`]:
+//! one tap per run boundary (25 taps for the 563-sample template at
+//! 2731 bps and 96 kHz), applied to per-tile prefix sums of the detrended
+//! stream. Windows are ranked by `|acc|² / energy`, with the normalised
+//! correlation computed once, at the winning window.
 
 use crate::scratch::{DecodeScratch, SlicerScratch};
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use num_complex::Complex64;
-use pab_dsp::correlate::{argmax, normalized_cross_correlate, RunLengthTemplate};
+use pab_dsp::correlate::RunLengthTemplate;
 use pab_dsp::iir::{butter_lowpass, Cascade};
 use pab_dsp::mix::{detrend_shift_in_place, downconvert, downconvert_into};
 use pab_dsp::polyphase::PolyphaseDecimator;
@@ -35,19 +36,9 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Designs the receiver rebuilds identically packet after packet —
-/// Butterworth cascades and preamble templates for the envelope path —
-/// memoised behind a `RefCell` so `&self` decode calls stay ergonomic.
-/// Keys use `f64::to_bits` so identical parameters hit deterministically.
-#[derive(Debug, Clone, Default)]
-struct RxCaches {
-    butter: HashMap<(usize, u64, u64), Cascade>,
-    preamble: HashMap<(u64, u64), Vec<f64>>,
-}
-
-/// Everything the coherent uplink decoder needs that depends only on
-/// `(carrier, bitrate, fs)`: filter designs, the fused decimator and the
-/// run-length preamble matched filter. Built once per parameter set by
+/// Everything both uplink decoders need that depends only on
+/// `(bitrate, fs)`: filter designs, the fused decimator and the
+/// run-length preamble matched filter. Built once per bitrate by
 /// [`Receiver::front_end`] and shared via `Arc`.
 #[derive(Debug)]
 struct FrontEnd {
@@ -95,13 +86,52 @@ impl FrontEnd {
             template,
         })
     }
+
+    /// The preamble search both decoders run on their detrended stream
+    /// `d` at `fs2`: the run-length matched filter over tiled prefix sums,
+    /// an O(N) running window energy, and windows ranked by
+    /// `|acc|² / energy`, so the only square roots are the winner's.
+    /// Returns the winning window's start, its matched-filter output
+    /// (whose phase is the modulation direction) and its normalised
+    /// correlation. A stream no longer than the template, or a winner
+    /// below 0.3 (NaN included), is [`CoreError::NoPacketDetected`].
+    fn find_preamble(
+        &self,
+        d: &[Complex64],
+        prefix: &mut Vec<Complex64>,
+        num: &mut Vec<Complex64>,
+    ) -> Result<(usize, Complex64, f64), CoreError> {
+        let m = self.template.len();
+        if d.len() <= m {
+            return Err(CoreError::NoPacketDetected);
+        }
+        self.template.correlate_into(d, prefix, num);
+        // (index, score, numerator, window energy) of the best window.
+        let mut best = (0usize, 0.0f64, Complex64::new(0.0, 0.0), 0.0f64);
+        let mut win_energy: f64 = d[..m].iter().map(|c| c.norm_sqr()).sum();
+        for (i, &acc) in num.iter().enumerate() {
+            if i > 0 {
+                // lint: allow(panic-path) num.len() == d.len()-m+1, so i+m-1 < d.len(); i > 0 checked
+                win_energy += d[i + m - 1].norm_sqr() - d[i - 1].norm_sqr();
+            }
+            let score = acc.norm_sqr() / win_energy.max(1e-30);
+            if score > best.1 {
+                best = (i, score, acc, win_energy);
+            }
+        }
+        let (start, _, acc, energy) = best;
+        let corr = acc.norm() / (energy.max(1e-30).sqrt() * self.template.norm());
+        if !(corr >= 0.3) {
+            return Err(CoreError::NoPacketDetected);
+        }
+        Ok((start, acc, corr))
+    }
 }
 
 /// The ±1 uplink-preamble matched-filter template: the FM0 half-bits of
 /// [`UPLINK_PREAMBLE`] sampled at `fs_hz` for a `bitrate_bps` node (a
 /// half-bit spans `fs_hz / (2·bitrate_bps)` samples, fractional in
-/// general). Both decoders correlate against it — the coherent one in
-/// run-length form.
+/// general). Both decoders correlate against it, in run-length form.
 pub fn preamble_template(bitrate_bps: f64, fs_hz: f64) -> Vec<f64> {
     let halves = fm0::encode(&UPLINK_PREAMBLE, false);
     let spb = fs_hz / (2.0 * bitrate_bps);
@@ -124,9 +154,9 @@ pub fn preamble_template(bitrate_bps: f64, fs_hz: f64) -> Vec<f64> {
 /// simulator expose roll-ups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontEndStats {
-    /// Coherent decode attempts.
+    /// Decode attempts, by either decoder.
     pub decodes: u64,
-    /// Full-rate complex baseband samples entering the decimator.
+    /// Full-rate samples entering the decimator.
     pub samples_in: u64,
     /// Decimated samples leaving it.
     pub samples_out: u64,
@@ -154,9 +184,9 @@ impl FrontEndStats {
 
 /// The hydrophone + offline decoder.
 ///
-/// Holds per-instance design caches (filters, templates, front-ends) and
-/// the decode scratch arena, so keep one `Receiver` alive across packets
-/// in Monte-Carlo sweeps rather than constructing a fresh one per decode.
+/// Holds the per-bitrate front-end designs and the decode scratch arena,
+/// so keep one `Receiver` alive across packets in Monte-Carlo sweeps
+/// rather than constructing a fresh one per decode.
 #[derive(Debug, Clone)]
 pub struct Receiver {
     /// Hydrophone sensitivity, volts per pascal (H2a: −180 dB re 1 V/µPa
@@ -164,8 +194,7 @@ pub struct Receiver {
     pub sensitivity_v_per_pa: f64,
     /// Sample rate, Hz.
     pub fs_hz: f64,
-    caches: RefCell<RxCaches>,
-    front_ends: RefCell<HashMap<(u64, u64), Arc<FrontEnd>>>,
+    front_ends: RefCell<HashMap<u64, Arc<FrontEnd>>>,
     scratch: RefCell<DecodeScratch>,
     fe_stats: Cell<FrontEndStats>,
 }
@@ -287,28 +316,16 @@ impl Receiver {
         Receiver {
             sensitivity_v_per_pa,
             fs_hz,
-            caches: RefCell::new(RxCaches::default()),
             front_ends: RefCell::new(HashMap::new()),
             scratch: RefCell::new(DecodeScratch::default()),
             fe_stats: Cell::new(FrontEndStats::default()),
         }
     }
 
-    /// Memoised [`butter_lowpass`] design.
-    fn cached_butter(&self, order: usize, cutoff_hz: f64, fs_hz: f64) -> Result<Cascade, CoreError> {
-        let key = (order, cutoff_hz.to_bits(), fs_hz.to_bits());
-        if let Some(c) = self.caches.borrow().butter.get(&key) {
-            return Ok(c.clone());
-        }
-        let c = butter_lowpass(order, cutoff_hz, fs_hz)?;
-        self.caches.borrow_mut().butter.insert(key, c.clone());
-        Ok(c)
-    }
-
-    /// The memoised coherent front-end for `(carrier_hz, bitrate_bps)` at
-    /// this receiver's sample rate.
-    fn front_end(&self, carrier_hz: f64, bitrate_bps: f64) -> Result<Arc<FrontEnd>, CoreError> {
-        let key = (carrier_hz.to_bits(), bitrate_bps.to_bits());
+    /// The memoised front end for `bitrate_bps` at this receiver's
+    /// sample rate (keyed by `f64::to_bits`; no design reads the carrier).
+    fn front_end(&self, bitrate_bps: f64) -> Result<Arc<FrontEnd>, CoreError> {
+        let key = bitrate_bps.to_bits();
         if let Some(fe) = self.front_ends.borrow().get(&key) {
             let mut st = self.fe_stats.get();
             st.design_hits += 1;
@@ -328,6 +345,19 @@ impl Receiver {
         self.fe_stats.get()
     }
 
+    /// Count one decode whose `n` full-rate samples left `fe`'s
+    /// decimator as `n2`.
+    fn count_decode(&self, fe: &FrontEnd, n: usize, n2: usize) {
+        let mut st = self.fe_stats.get();
+        st.decodes += 1;
+        st.samples_in += n as u64;
+        st.samples_out += n2 as u64;
+        if let Some(aa) = &fe.aa {
+            st.macs_saved += aa.direct_macs_saved(n);
+        }
+        self.fe_stats.set(st);
+    }
+
     /// Convert a pressure waveform into the recorded voltage waveform.
     pub fn record(&self, pressure: &[f64]) -> Vec<f64> {
         pressure
@@ -345,8 +375,7 @@ impl Receiver {
         cutoff_hz: f64,
     ) -> Result<Vec<Complex64>, CoreError> {
         let bb = downconvert(signal, carrier_hz, self.fs_hz);
-        let lp = self.cached_butter(4, cutoff_hz, self.fs_hz)?;
-        Ok(lp.filtfilt_complex(&bb))
+        Ok(butter_lowpass(4, cutoff_hz, self.fs_hz)?.filtfilt_complex(&bb))
     }
 
     /// Demodulate a received waveform around `carrier_hz`: downconvert,
@@ -375,20 +404,6 @@ impl Receiver {
             *c = 2.0 * *c;
         }
         Ok(out)
-    }
-
-    /// [`preamble_template`], memoised per `(bitrate, fs)` pair.
-    fn cached_preamble_template(&self, bitrate_bps: f64, fs_hz: f64) -> Vec<f64> {
-        let key = (bitrate_bps.to_bits(), fs_hz.to_bits());
-        if let Some(t) = self.caches.borrow().preamble.get(&key) {
-            return t.clone();
-        }
-        let template = preamble_template(bitrate_bps, fs_hz);
-        self.caches
-            .borrow_mut()
-            .preamble
-            .insert(key, template.clone());
-        template
     }
 
     /// Maximum-likelihood FM0 half-bit sequence detection.
@@ -509,7 +524,7 @@ impl Receiver {
         if signal.len() < 64 {
             return Err(CoreError::InvalidConfig("signal too short"));
         }
-        let fe = self.front_end(carrier_hz, bitrate_bps)?;
+        let fe = self.front_end(bitrate_bps)?;
         let s = &mut *self.scratch.borrow_mut();
         let n = signal.len();
 
@@ -535,15 +550,7 @@ impl Receiver {
         }
         let n2 = s.bb_d.len();
         let fs2 = fe.fs2;
-
-        let mut st = self.fe_stats.get();
-        st.decodes += 1;
-        st.samples_in += n as u64;
-        st.samples_out += n2 as u64;
-        if let Some(aa) = &fe.aa {
-            st.macs_saved += aa.direct_macs_saved(n);
-        }
-        self.fe_stats.set(st);
+        self.count_decode(&fe, n, n2);
 
         // Complex detrend: the slow trend is the direct-carrier phasor.
         let pad2 = fe.trend.filtfilt_pad(n2);
@@ -588,36 +595,10 @@ impl Receiver {
             s.d.clear();
             s.d.extend(s.bb_d.iter().zip(trend_c).map(|(&x, &t)| x - t));
         }
-        let d = &s.d;
 
         // Complex preamble correlation: peak magnitude locates the packet,
-        // peak phase is the modulation direction. The numerator is the
-        // run-length matched filter over tiled prefix sums; the window
-        // energy is an O(N) running sum. The search ranks |acc|²/energy,
-        // so the only square roots are the winner's.
-        let m = fe.template.len();
-        if d.len() <= m {
-            return Err(CoreError::NoPacketDetected);
-        }
-        fe.template.correlate_into(d, &mut s.prefix, &mut s.num);
-        // (index, score, numerator, window energy) of the best window.
-        let mut best = (0usize, 0.0f64, Complex64::new(0.0, 0.0), 0.0f64);
-        let mut win_energy: f64 = d[..m].iter().map(|c| c.norm_sqr()).sum();
-        for (i, &acc) in s.num.iter().enumerate() {
-            if i > 0 {
-                // lint: allow(panic-path) num.len() == d.len()-m+1, so i+m-1 < d.len(); i > 0 checked
-                win_energy += d[i + m - 1].norm_sqr() - d[i - 1].norm_sqr();
-            }
-            let score = acc.norm_sqr() / win_energy.max(1e-30);
-            if score > best.1 {
-                best = (i, score, acc, win_energy);
-            }
-        }
-        let (start, _, peak_acc, peak_energy) = best;
-        let peak_corr = peak_acc.norm() / (peak_energy.max(1e-30).sqrt() * fe.template.norm());
-        if !(peak_corr >= 0.3) {
-            return Err(CoreError::NoPacketDetected);
-        }
+        // peak phase is the modulation direction.
+        let (start, peak_acc, peak_corr) = fe.find_preamble(&s.d, &mut s.prefix, &mut s.num)?;
         // Slice the *raw* (un-detrended) projected baseband: inside the
         // packet the baseline is the constant CW illumination, and the
         // detrending high-pass would otherwise leak a slow step transient
@@ -677,6 +658,12 @@ impl Receiver {
     /// Decode a packet from an already-demodulated amplitude stream (the
     /// path used after MIMO zero-forcing, where the "envelope" is a
     /// separated stream estimate rather than a single band's magnitude).
+    ///
+    /// Runs on the same memoised [`FrontEnd`] as the coherent decoder:
+    /// its anti-alias decimator brings a half-bit to ~16 samples, its
+    /// trend filter detrends, and its preamble search runs on the real
+    /// stream. The amplitude stream has a sign, so a winner whose
+    /// correlation is not positive (an inverted stream) is no packet.
     pub fn decode_envelope(
         &self,
         envelope: &[f64],
@@ -685,40 +672,36 @@ impl Receiver {
         if !(bitrate_bps > 0.0) {
             return Err(CoreError::InvalidConfig("bitrate_bps"));
         }
-        // Decimate so a half-bit spans ~16 samples: this keeps the
-        // detrending filter's normalised cutoff numerically sane at low
-        // bitrates and makes symbol processing bitrate-independent.
-        let spb_raw = self.fs_hz / (2.0 * bitrate_bps);
-        let decim = ((spb_raw / 16.0).floor() as usize).max(1);
-        let envelope = pab_dsp::resample::decimate(envelope, decim, self.fs_hz)?;
-        let fs_hz = self.fs_hz / decim as f64;
+        let fe = self.front_end(bitrate_bps)?;
+        let s = &mut *self.scratch.borrow_mut();
+        match &fe.aa {
+            Some(aa) => aa.decimate_into(envelope, &mut s.projected),
+            None => {
+                s.projected.clear();
+                s.projected.extend_from_slice(envelope);
+            }
+        }
+        self.count_decode(&fe, envelope.len(), s.projected.len());
         // Detrend: the backscatter modulation rides on the much larger
         // direct-path carrier level (Fig. 2), and that baseline also moves
         // when the projector keys on/off. A low-pass trend (well below the
         // bit rate) subtracted out leaves just the modulation.
-        let trend_cutoff = (bitrate_bps / 20.0).max(2.0);
-        let trend = butter_lowpass(2, trend_cutoff, fs_hz)?.filtfilt(&envelope);
-        let centered: Vec<f64> = envelope
-            .iter()
-            .zip(&trend)
-            .map(|(&e, &t)| e - t)
-            .collect();
-        let template = self.cached_preamble_template(bitrate_bps, fs_hz);
-        if centered.len() <= template.len() {
+        let trend = fe.trend.filtfilt(&s.projected);
+        for (e, t) in s.projected.iter_mut().zip(&trend) {
+            *e -= t;
+        }
+        s.d.clear();
+        s.d.extend(s.projected.iter().map(|&e| Complex64::new(e, 0.0)));
+        let (start, acc, corr) = fe.find_preamble(&s.d, &mut s.prefix, &mut s.num)?;
+        if acc.re <= 0.0 {
             return Err(CoreError::NoPacketDetected);
         }
-        let corr = normalized_cross_correlate(&centered, &template);
-        let (start, peak_corr) = argmax(&corr).ok_or(CoreError::NoPacketDetected)?;
-        if peak_corr < 0.3 {
-            return Err(CoreError::NoPacketDetected);
-        }
-        let slicer = &mut self.scratch.borrow_mut().slicer;
-        let outcome = Self::slice_core(&centered, start, fs_hz, bitrate_bps, slicer)?;
+        let outcome = Self::slice_core(&s.projected, start, fe.fs2, bitrate_bps, &mut s.slicer)?;
         Ok(DecodeVerdict {
             packet: outcome.packet,
-            start_sample: start * decim,
+            start_sample: start * fe.decim,
             snr_db: outcome.snr_db,
-            preamble_corr: peak_corr,
+            preamble_corr: corr,
         })
     }
 
@@ -912,7 +895,34 @@ mod tests {
     use super::*;
     use pab_net::packet::UplinkKind;
 
-    /// Synthesise a clean backscatter envelope waveform for a packet.
+    /// The two-level FM0 amplitude envelope of a packet, with `lead_s`
+    /// of the low level before and after it.
+    fn synth_envelope(
+        packet: &UplinkPacket,
+        bitrate: f64,
+        fs_hz: f64,
+        amp_hi: f64,
+        amp_lo: f64,
+        lead_s: f64,
+    ) -> Vec<f64> {
+        let halves = fm0::encode(&packet.to_bits().unwrap(), false);
+        let spb = fs_hz / (2.0 * bitrate);
+        let lead = (lead_s * fs_hz) as usize;
+        let n = lead + (halves.len() as f64 * spb) as usize + lead;
+        (0..n)
+            .map(|i| {
+                let half = i.checked_sub(lead).map(|j| (j as f64 / spb) as usize);
+                if half.and_then(|k| halves.get(k)) == Some(&true) {
+                    amp_hi
+                } else {
+                    amp_lo
+                }
+            })
+            .collect()
+    }
+
+    /// Synthesise a clean backscatter waveform for a packet: the
+    /// [`synth_envelope`] on a `carrier` Hz tone.
     fn synth_waveform(
         packet: &UplinkPacket,
         bitrate: f64,
@@ -922,30 +932,11 @@ mod tests {
         amp_lo: f64,
         lead_s: f64,
     ) -> Vec<f64> {
-        let halves = fm0::encode(&packet.to_bits().unwrap(), false);
-        let spb = fs_hz / (2.0 * bitrate);
-        let lead = (lead_s * fs_hz) as usize;
-        let n = lead + (halves.len() as f64 * spb) as usize + lead;
-        let mut w = Vec::with_capacity(n);
         let mut nco = pab_dsp::mix::Nco::new(carrier, fs_hz);
-        for i in 0..n {
-            let amp = if i < lead {
-                amp_lo
-            } else {
-                let k = ((i - lead) as f64 / spb) as usize;
-                if k < halves.len() {
-                    if halves[k] {
-                        amp_hi
-                    } else {
-                        amp_lo
-                    }
-                } else {
-                    amp_lo
-                }
-            };
-            w.push(amp * nco.next_sample());
-        }
-        w
+        synth_envelope(packet, bitrate, fs_hz, amp_hi, amp_lo, lead_s)
+            .into_iter()
+            .map(|amp| amp * nco.next_sample())
+            .collect()
     }
 
     fn test_packet() -> UplinkPacket {
@@ -1086,13 +1077,42 @@ mod tests {
         assert_matches_direct(&x, &tc, &out, at, "2^20 samples with DC");
     }
 
+    /// The exhaustive search the run-length one replaced, rerun on the
+    /// detrended stream the last decode left in the scratch arena: the
+    /// direct O(N·M) correlation, each window normalised with its own
+    /// square root. Returns the winner's start (full-rate samples) and
+    /// normalised correlation.
+    fn direct_search(rx: &Receiver, bitrate: f64) -> (usize, f64) {
+        let fe = rx.front_end(bitrate).unwrap();
+        let s = rx.scratch.borrow();
+        let tc: Vec<Complex64> = preamble_template(bitrate, fe.fs2)
+            .iter()
+            .map(|&t| Complex64::new(t, 0.0))
+            .collect();
+        let m = tc.len();
+        let num = pab_dsp::correlate::cross_correlate_complex_direct(&s.d, &tc);
+        let mut best = (0usize, 0.0f64);
+        for (i, acc) in num.iter().enumerate() {
+            let energy: f64 = s.d[i..i + m].iter().map(|c| c.norm_sqr()).sum();
+            let score = acc.norm() / (energy.max(1e-30).sqrt() * fe.template.norm());
+            if score > best.1 {
+                best = (i, score);
+            }
+        }
+        (best.0 * fe.decim, best.1)
+    }
+
+    fn assert_found_what_direct_search_finds(rx: &Receiver, bitrate: f64, v: &DecodeVerdict) {
+        let (start, corr) = direct_search(rx, bitrate);
+        assert_eq!(start, v.start_sample, "bitrate={bitrate}");
+        let rel = (corr - v.preamble_corr).abs() / corr;
+        assert!(rel < 1e-9, "bitrate={bitrate}: corr drift {rel:e}");
+    }
+
     #[test]
     fn run_length_search_finds_what_the_fft_search_found() {
-        // The FFT correlator and sqrt-normalised argmax this search
-        // replaced, rerun on the detrended stream each decode leaves in
-        // the scratch arena: same start, same packet, and a correlation
-        // peak equal to rounding.
-        use pab_dsp::correlate::cross_correlate_complex;
+        // The FFT correlator this search replaced is gone from pab-dsp;
+        // the direct correlation it equalled stands in as the oracle.
         use rand::SeedableRng;
         let p = test_packet();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
@@ -1108,29 +1128,27 @@ mod tests {
         }
         for (bitrate, w) in cases {
             let v = rx.decode_uplink_verdict(&w, 15_000.0, bitrate).unwrap();
-            assert_eq!(v.packet.unwrap(), p, "bitrate={bitrate}");
-            let fe = rx.front_end(15_000.0, bitrate).unwrap();
-            let s = rx.scratch.borrow();
-            let tc: Vec<Complex64> = preamble_template(bitrate, fe.fs2)
-                .iter()
-                .map(|&t| Complex64::new(t, 0.0))
-                .collect();
-            let m = tc.len();
-            let num = cross_correlate_complex(&s.d, &tc);
-            let mut best = (0usize, 0.0f64);
-            let mut win_energy: f64 = s.d[..m].iter().map(|c| c.norm_sqr()).sum();
-            for (i, acc) in num.iter().enumerate() {
-                if i > 0 {
-                    win_energy += s.d[i + m - 1].norm_sqr() - s.d[i - 1].norm_sqr();
-                }
-                let score = acc.norm() / (win_energy.max(1e-30).sqrt() * fe.template.norm());
-                if score > best.1 {
-                    best = (i, score);
-                }
-            }
-            assert_eq!(best.0 * fe.decim, v.start_sample, "bitrate={bitrate}");
-            let rel = (best.1 - v.preamble_corr).abs() / best.1;
-            assert!(rel < 1e-9, "bitrate={bitrate}: corr drift {rel:e}");
+            assert_eq!(v.packet.as_ref().unwrap(), &p, "bitrate={bitrate}");
+            assert_found_what_direct_search_finds(&rx, bitrate, &v);
+        }
+    }
+
+    #[test]
+    fn envelope_decoder_finds_what_the_direct_search_finds() {
+        // Amplitude streams as zero-forcing leaves them: the two-level
+        // envelope plus noise, at 192 kHz, where 1024, 512 and 256 bps
+        // decimate by 5, 11 and 23.
+        use rand::SeedableRng;
+        let p = test_packet();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+        let rx = Receiver::new(1.0e-3, 192_000.0);
+        for (bitrate, decim) in [(1024.0, 5), (512.0, 11), (256.0, 23)] {
+            assert_eq!(rx.front_end(bitrate).unwrap().decim, decim);
+            let mut env = synth_envelope(&p, bitrate, rx.fs_hz, 1.0, 0.4, 0.05);
+            pab_channel::noise::add_awgn(&mut env, 0.1, &mut rng);
+            let v = rx.decode_envelope(&env, bitrate).unwrap();
+            assert_eq!(v.packet.as_ref().unwrap(), &p, "bitrate={bitrate}");
+            assert_found_what_direct_search_finds(&rx, bitrate, &v);
         }
     }
 
@@ -1148,6 +1166,11 @@ mod tests {
         assert_eq!(st.design_misses, 1, "one front-end design for one rate");
         assert_eq!(st.design_hits, 1, "second decode must hit the cache");
         assert!(st.samples_in > st.samples_out, "decimation must shrink");
+        // The envelope decoder and another carrier reuse the same design.
+        let _ = rx.decode_envelope(&w, 1024.0);
+        let _ = rx.decode_uplink_verdict(&w, 18_000.0, 1024.0);
+        let st = rx.frontend_stats();
+        assert_eq!((st.design_misses, st.design_hits), (1, 3));
     }
 
     #[test]

@@ -98,8 +98,8 @@ fn assert_sane(tag: &str, r: Result<pab_core::receiver::DecodeVerdict, pab_core:
     }
 }
 
-/// The full-rate coherent path (96 kHz, 2731 bps: decimation 1) on
-/// inputs no hydrophone should produce.
+/// The full-rate coherent path (96 kHz, 2731 bps: decimation 1) and the
+/// envelope decoder on inputs no hydrophone should produce.
 #[test]
 fn hostile_inputs_give_typed_errors_or_sane_verdicts() {
     let rx = Receiver::new(1.0e-3, 96_000.0);
@@ -127,6 +127,49 @@ fn hostile_inputs_give_typed_errors_or_sane_verdicts() {
         "one -inf sample",
         rx.decode_uplink_verdict(&one_inf, 15_000.0, bitrate),
     );
+
+    // The envelope decoder (the collision path's), at 192 kHz: on a
+    // separated stream none of these is a packet, so each is an error.
+    let rx = Receiver::new(1.0e-3, 192_000.0);
+    let packet = envelope_packet();
+    assert!(
+        rx.decode_envelope(&packet, 1_024.0).unwrap().packet.is_ok(),
+        "the clean packet itself must decode"
+    );
+    let n = packet.len();
+    let cases: [(&str, Vec<f64>); 8] = [
+        ("NaN", vec![f64::NAN; n]),
+        ("+inf", vec![f64::INFINITY; n]),
+        ("-inf", vec![f64::NEG_INFINITY; n]),
+        ("zeros", vec![0.0; n]),
+        ("dc", vec![0.75; n]),
+        ("64 samples", packet[..64].to_vec()),
+        ("empty", Vec::new()),
+        ("inverted packet", packet.iter().map(|x| -x).collect()),
+    ];
+    for (tag, w) in cases {
+        let r = rx.decode_envelope(&w, 1_024.0);
+        assert!(r.is_err(), "{tag}: {:?}", r.map(|v| v.preamble_corr));
+    }
+}
+
+/// A clean 1024 bps packet as the amplitude stream zero-forcing hands
+/// [`Receiver::decode_envelope`]: FM0 levels 1.0 / 0.4 with 50 ms of the
+/// low level on either side, at 192 kHz (decimation 5).
+fn envelope_packet() -> Vec<f64> {
+    use pab_net::fm0;
+    use pab_net::packet::{SensorKind, UplinkPacket};
+    let p = UplinkPacket::sensor_reading(3, 1, SensorKind::Ph, 7.0);
+    let halves = fm0::encode(&p.to_bits().unwrap(), false);
+    let spb = 192_000.0 / (2.0 * 1_024.0);
+    let lead = 9_600;
+    let mut w = vec![0.4; lead];
+    for (k, &h) in halves.iter().enumerate() {
+        let len = ((k + 1) as f64 * spb) as usize - (k as f64 * spb) as usize;
+        w.extend(std::iter::repeat_n(if h { 1.0 } else { 0.4 }, len));
+    }
+    w.extend(std::iter::repeat_n(0.4, lead));
+    w
 }
 
 /// A NaN anywhere in the recording must never produce a detection.
@@ -148,6 +191,19 @@ fn a_nan_sample_is_never_a_detection() {
     assert!(rx
         .decode_uplink_verdict(&vec![f64::NAN; n], 15_000.0, bitrate)
         .is_err());
+    // The envelope decoder, on a clean packet stream at 192 kHz: a NaN
+    // the decimator reads spreads through the whole stream by way of the
+    // trend filter, so even the real packet must not be detected.
+    let rx = Receiver::new(1.0e-3, 192_000.0);
+    let packet = envelope_packet();
+    for at in [0, packet.len() / 3, 2 * packet.len() / 3] {
+        let mut w = packet.clone();
+        w[at] = f64::NAN;
+        assert!(
+            rx.decode_envelope(&w, 1_024.0).is_err(),
+            "NaN at {at} of the envelope was detected as a packet"
+        );
+    }
 }
 
 /// A 10⁷-sample recording (52 s at 192 kHz) decodes without trouble:

@@ -3,130 +3,12 @@
 //! ("standard packet detection and carrier frequency offset correction
 //! using the preamble").
 
-use crate::fastconv;
 use num_complex::Complex64;
 
-/// Sliding cross-correlation of `signal` against `template` (valid-mode:
-/// output length = signal.len() - template.len() + 1). Empty output when
-/// the template is longer than the signal.
-///
-/// Templates of [`fastconv::FFT_CROSSOVER_TAPS`] taps or more run an
-/// O(N log N) FFT overlap-save path; shorter ones run the direct loop
-/// (see [`cross_correlate_direct`]).
-pub fn cross_correlate(signal: &[f64], template: &[f64]) -> Vec<f64> {
-    if template.is_empty() || signal.len() < template.len() {
-        return Vec::new();
-    }
-    if fastconv::fft_pays_off(signal.len(), template.len()) {
-        fastconv::correlate_valid_real(signal, template)
-    } else {
-        cross_correlate_direct(signal, template)
-    }
-}
-
-/// The direct O(N·M) sliding-window correlation. Public so equivalence
-/// tests and benchmarks can compare it against the FFT fast path of
-/// [`cross_correlate`].
-pub fn cross_correlate_direct(signal: &[f64], template: &[f64]) -> Vec<f64> {
-    if template.is_empty() || signal.len() < template.len() {
-        return Vec::new();
-    }
-    let m = template.len();
-    (0..=signal.len() - m)
-        .map(|i| {
-            signal[i..i + m]
-                .iter()
-                .zip(template)
-                .map(|(a, b)| a * b)
-                .sum()
-        })
-        .collect()
-}
-
-/// Normalised cross-correlation in `[-1, 1]`: correlation divided by the
-/// local signal energy and template energy. Robust to amplitude scaling,
-/// which matters because backscatter modulation depth varies with range.
-///
-/// Long templates use the FFT path for the numerator and a running-sum
-/// window energy for the denominator, making the whole computation
-/// O(N log N) instead of O(N·M) (see [`normalized_cross_correlate_direct`]).
-pub fn normalized_cross_correlate(signal: &[f64], template: &[f64]) -> Vec<f64> {
-    if template.is_empty() || signal.len() < template.len() {
-        return Vec::new();
-    }
-    let m = template.len();
-    let t_energy: f64 = template.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if t_energy == 0.0 {
-        return vec![0.0; signal.len() - m + 1];
-    }
-    if !fastconv::fft_pays_off(signal.len(), m) {
-        return normalized_cross_correlate_direct(signal, template);
-    }
-    let mut num = fastconv::correlate_valid_real(signal, template);
-    // Running-sum window energy: O(N) total instead of O(N·M). The
-    // incremental subtraction can leave a tiny negative residue from
-    // cancellation, hence the max(0.0) before sqrt.
-    let mut win_energy: f64 = signal[..m].iter().map(|x| x * x).sum();
-    for (i, v) in num.iter_mut().enumerate() {
-        if i > 0 {
-            // lint: allow(panic-path) i > 0 checked on the previous line
-            let leaving = signal[i - 1];
-            // lint: allow(panic-path) num.len() == n-m+1, so i+m-1 < n
-            let entering = signal[i + m - 1];
-            win_energy += entering * entering - leaving * leaving;
-        }
-        let s_energy = win_energy.max(0.0).sqrt();
-        *v = if s_energy == 0.0 {
-            0.0
-        } else {
-            *v / (s_energy * t_energy)
-        };
-    }
-    num
-}
-
-/// The direct O(N·M) normalised correlation, recomputing each window's
-/// energy exactly. Reference implementation for [`normalized_cross_correlate`].
-pub fn normalized_cross_correlate_direct(signal: &[f64], template: &[f64]) -> Vec<f64> {
-    if template.is_empty() || signal.len() < template.len() {
-        return Vec::new();
-    }
-    let m = template.len();
-    let t_energy: f64 = template.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if t_energy == 0.0 {
-        return vec![0.0; signal.len() - m + 1];
-    }
-    (0..=signal.len() - m)
-        .map(|i| {
-            let win = &signal[i..i + m];
-            let s_energy: f64 = win.iter().map(|x| x * x).sum::<f64>().sqrt();
-            if s_energy == 0.0 {
-                0.0
-            } else {
-                win.iter().zip(template).map(|(a, b)| a * b).sum::<f64>()
-                    / (s_energy * t_energy)
-            }
-        })
-        .collect()
-}
-
-/// Complex correlation for baseband packet detection: conjugates the
-/// template, matching the matched-filter convention. Long templates use
-/// the FFT overlap-save path.
-pub fn cross_correlate_complex(signal: &[Complex64], template: &[Complex64]) -> Vec<Complex64> {
-    if template.is_empty() || signal.len() < template.len() {
-        return Vec::new();
-    }
-    if fastconv::fft_pays_off(signal.len(), template.len()) {
-        let conj: Vec<Complex64> = template.iter().map(|t| t.conj()).collect();
-        fastconv::correlate_valid(signal, &conj)
-    } else {
-        cross_correlate_complex_direct(signal, template)
-    }
-}
-
-/// The direct O(N·M) complex correlation. Reference implementation for
-/// [`cross_correlate_complex`].
+/// Valid-mode complex correlation for baseband packet detection,
+/// conjugating the template (the matched-filter convention), by the
+/// direct O(N·M) loop. The reference the [`RunLengthTemplate`] fast path
+/// is tested against.
 pub fn cross_correlate_complex_direct(
     signal: &[Complex64],
     template: &[Complex64],
@@ -211,7 +93,7 @@ impl RunLengthTemplate {
 
     /// Valid-mode correlation of `signal` against the template,
     /// `out[i] = Σ_k signal[i+k]·t[k]` for `i` in `0..=signal.len()−len`
-    /// (the template is real, so this is [`cross_correlate_complex`]'s
+    /// (the template is real, so this is [`cross_correlate_complex_direct`]'s
     /// conjugating correlation). `out` is cleared first and left empty
     /// when the template is empty or longer than the signal.
     ///
@@ -274,14 +156,6 @@ impl RunLengthTemplate {
     }
 }
 
-/// Index and value of the maximum of a real sequence; `None` when empty.
-pub fn argmax(x: &[f64]) -> Option<(usize, f64)> {
-    x.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, &v)| (i, v))
-}
-
 /// Estimate a carrier frequency offset from a known-constant-envelope
 /// segment of complex baseband: the mean phase increment per sample maps
 /// to a frequency. Returns Hz. The segment should contain only the
@@ -303,6 +177,18 @@ mod tests {
     use super::*;
     use crate::mix::{complex_tone, tone};
 
+    fn complex(x: &[f64]) -> Vec<Complex64> {
+        x.iter().map(|&v| Complex64::new(v, 0.0)).collect()
+    }
+
+    /// Index and value of the largest `score` over the outputs.
+    fn peak(scores: impl Iterator<Item = f64>) -> (usize, f64) {
+        scores
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap()
+    }
+
     #[test]
     fn correlation_peaks_at_embedded_template() {
         let template = vec![1.0, -1.0, 1.0, 1.0, -1.0];
@@ -310,36 +196,56 @@ mod tests {
         for (i, &t) in template.iter().enumerate() {
             signal[20 + i] = t;
         }
-        let c = cross_correlate(&signal, &template);
-        let (imax, _) = argmax(&c).unwrap();
-        assert_eq!(imax, 20);
+        let (mut prefix, mut out) = (Vec::new(), Vec::new());
+        RunLengthTemplate::new(&template).correlate_into(&complex(&signal), &mut prefix, &mut out);
+        assert_eq!(peak(out.iter().map(|c| c.re)).0, 20);
     }
 
     #[test]
     fn normalized_correlation_is_scale_invariant() {
+        // The receiver's normalisation: |acc| / (‖window‖·‖template‖).
         let template = vec![1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, -1.0];
         let mut signal = vec![0.0; 64];
         for (i, &t) in template.iter().enumerate() {
             signal[30 + i] = 0.001 * t; // tiny amplitude
         }
-        let c = normalized_cross_correlate(&signal, &template);
-        let (imax, v) = argmax(&c).unwrap();
+        let rl = RunLengthTemplate::new(&template);
+        let x = complex(&signal);
+        let (mut prefix, mut out) = (Vec::new(), Vec::new());
+        rl.correlate_into(&x, &mut prefix, &mut out);
+        let (imax, v) = peak(out.iter().enumerate().map(|(i, acc)| {
+            let energy: f64 = x[i..i + rl.len()].iter().map(|c| c.norm_sqr()).sum();
+            if energy == 0.0 {
+                0.0
+            } else {
+                acc.norm() / (energy.sqrt() * rl.norm())
+            }
+        }));
         assert_eq!(imax, 30);
         assert!(v > 0.999, "v={v}");
     }
 
     #[test]
     fn empty_and_short_inputs_yield_empty() {
-        assert!(cross_correlate(&[1.0], &[1.0, 2.0]).is_empty());
-        assert!(cross_correlate(&[1.0, 2.0], &[]).is_empty());
-        assert!(normalized_cross_correlate(&[], &[1.0]).is_empty());
-        assert!(cross_correlate_complex(&[], &[Complex64::new(1.0, 0.0)]).is_empty());
+        let one = [Complex64::new(1.0, 0.0)];
+        assert!(cross_correlate_complex_direct(&one, &[one[0], one[0]]).is_empty());
+        assert!(cross_correlate_complex_direct(&one, &[]).is_empty());
+        assert!(cross_correlate_complex_direct(&[], &one).is_empty());
+        let (mut prefix, mut out) = (Vec::new(), vec![one[0]]);
+        RunLengthTemplate::new(&[1.0, 2.0]).correlate_into(&one, &mut prefix, &mut out);
+        assert!(out.is_empty());
+        RunLengthTemplate::new(&[]).correlate_into(&one, &mut prefix, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn zero_template_gives_zero_correlation() {
-        let c = normalized_cross_correlate(&[1.0, 2.0, 3.0], &[0.0, 0.0]);
-        assert_eq!(c, vec![0.0, 0.0]);
+        let rl = RunLengthTemplate::new(&[0.0, 0.0]);
+        assert!(rl.taps().is_empty());
+        assert_eq!(rl.norm(), 0.0);
+        let (mut prefix, mut out) = (Vec::new(), Vec::new());
+        rl.correlate_into(&complex(&[1.0, 2.0, 3.0]), &mut prefix, &mut out);
+        assert_eq!(out, vec![Complex64::new(0.0, 0.0); 2]);
     }
 
     #[test]
@@ -349,41 +255,8 @@ mod tests {
         for (i, &t) in tpl.iter().enumerate() {
             sig[100 + i] = t;
         }
-        let c = cross_correlate_complex(&sig, &tpl);
-        let mags: Vec<f64> = c.iter().map(|x| x.norm()).collect();
-        let (imax, _) = argmax(&mags).unwrap();
-        assert_eq!(imax, 100);
-    }
-
-    #[test]
-    fn fft_path_matches_direct_above_crossover() {
-        // 512-tap template over 8k samples takes the FFT path.
-        let signal: Vec<f64> = (0..8_192).map(|i| ((i * 31 + 7) % 19) as f64 - 9.0).collect();
-        let template: Vec<f64> = (0..512).map(|i| (i as f64 * 0.013).sin()).collect();
-        assert!(crate::fastconv::fft_pays_off(signal.len(), template.len()));
-        let fft = cross_correlate(&signal, &template);
-        let dir = cross_correlate_direct(&signal, &template);
-        for (a, b) in fft.iter().zip(&dir) {
-            assert!((a - b).abs() < 1e-9 * template.len() as f64);
-        }
-        let nfft = normalized_cross_correlate(&signal, &template);
-        let ndir = normalized_cross_correlate_direct(&signal, &template);
-        for (a, b) in nfft.iter().zip(&ndir) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn complex_fft_path_matches_direct() {
-        let signal: Vec<Complex64> = (0..4_096)
-            .map(|i| Complex64::new(((i * 13) % 23) as f64 - 11.0, ((i * 5) % 9) as f64))
-            .collect();
-        let template = complex_tone(1_500.0, 48_000.0, 0.2, 256);
-        let fft = cross_correlate_complex(&signal, &template);
-        let dir = cross_correlate_complex_direct(&signal, &template);
-        for (a, b) in fft.iter().zip(&dir) {
-            assert!((a - b).norm() < 1e-9 * template.len() as f64);
-        }
+        let c = cross_correlate_complex_direct(&sig, &tpl);
+        assert_eq!(peak(c.iter().map(|x| x.norm())).0, 100);
     }
 
     #[test]

@@ -1,30 +1,11 @@
 //! Envelope detection.
 //!
 //! The PAB node's downlink decoder is an analog envelope detector followed
-//! by a Schmitt trigger (§4.2.1); the hydrophone-side demodulator recovers
-//! the backscatter amplitude envelope after downconversion (Fig. 2). Both
-//! paths are modelled here.
+//! by a Schmitt trigger (§4.2.1), modelled here. The hydrophone-side
+//! demodulator (Fig. 2) is the receiver's, in `pab-core`.
 
 use crate::iir::butter_lowpass;
-use crate::mix::downconvert;
 use crate::DspError;
-
-/// Coherent-ish envelope via complex downconversion + low-pass magnitude.
-///
-/// This is the exact pipeline of the paper's Fig. 2: "received signal after
-/// demodulation and low-pass filtering".
-pub fn demodulate_envelope(
-    signal: &[f64],
-    carrier_hz: f64,
-    fs_hz: f64,
-    cutoff_hz: f64,
-) -> Result<Vec<f64>, DspError> {
-    let bb = downconvert(signal, carrier_hz, fs_hz);
-    let lp = butter_lowpass(4, cutoff_hz, fs_hz)?;
-    let filtered = lp.filtfilt_complex(&bb);
-    // Factor 2 undoes the 1/2 amplitude scaling of real->complex mixing.
-    Ok(filtered.iter().map(|c| 2.0 * c.norm()).collect())
-}
 
 /// Asynchronous (diode-style) envelope: full-wave rectify then low-pass.
 /// Mirrors the node's analog detector, which has no carrier reference.
@@ -156,16 +137,6 @@ mod tests {
                 amp * x
             })
             .collect()
-    }
-
-    #[test]
-    fn demodulated_envelope_tracks_ask_levels() {
-        let fs_hz = 192_000.0;
-        let sig = ask_signal(fs_hz, 15_000.0, 1.0, 0.4, 19_200);
-        let env = demodulate_envelope(&sig, 15_000.0, fs_hz, 500.0).unwrap();
-        // Sample mid-way through each state.
-        assert!((env[9_600] - 1.0).abs() < 0.05, "{}", env[9_600]);
-        assert!((env[28_800] - 0.4).abs() < 0.05, "{}", env[28_800]);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Overlap-save FFT convolution/correlation — the O(N log B) engine
-//! behind [`crate::correlate`] and [`crate::fir`]'s long-kernel fast
-//! paths.
+//! Overlap-save FFT convolution — the O(N log B) engine behind
+//! [`crate::fir`]'s and [`crate::polyphase`]'s long-kernel fast paths.
 //!
 //! The input is processed in fixed power-of-two blocks of `B` samples
 //! overlapping by `m − 1` (the kernel length minus one); each block costs
@@ -15,7 +14,7 @@ use num_complex::Complex64;
 /// Kernel lengths at or above this run the FFT path; shorter kernels run
 /// the direct O(N·M) loops, which win below roughly this size on the
 /// benchmarked 0.5 s PAB waveforms (`cargo bench -p pab-bench --bench
-/// dsp`, `xcorr_*`/`fir_*` pairs).
+/// dsp`, `fir_*` pairs).
 pub const FFT_CROSSOVER_TAPS: usize = 48;
 
 /// True when the FFT path is expected to beat the direct loop for a
@@ -91,13 +90,6 @@ pub(crate) fn correlate_valid(signal: &[Complex64], kernel: &[Complex64]) -> Vec
         start += step;
     }
     out
-}
-
-/// Real-input wrapper around [`correlate_valid`].
-pub(crate) fn correlate_valid_real(signal: &[f64], kernel: &[f64]) -> Vec<f64> {
-    let s: Vec<Complex64> = signal.iter().map(|&x| Complex64::new(x, 0.0)).collect();
-    let k: Vec<Complex64> = kernel.iter().map(|&x| Complex64::new(x, 0.0)).collect();
-    correlate_valid(&s, &k).into_iter().map(|c| c.re).collect()
 }
 
 /// Causal "same"-length convolution `y[i] = Σ_k taps[k] · x[i−k]`

@@ -161,18 +161,6 @@ pub fn spectrogram(
     Ok((times, freqs, mags))
 }
 
-/// Convenience: locate the dominant carriers of a real signal.
-pub fn detect_carriers(
-    signal: &[f64],
-    fs_hz: f64,
-    threshold: f64, // lint: unitless — in the spectrum's own amplitude units
-    min_separation_hz: f64,
-    max_carriers: usize,
-) -> Result<Vec<Peak>, DspError> {
-    let (f, a) = amplitude_spectrum(signal, fs_hz, Window::Hann)?;
-    Ok(find_peaks(&f, &a, threshold, min_separation_hz, max_carriers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,7 +201,8 @@ mod tests {
         for (s, t) in sig.iter_mut().zip(&t2) {
             *s += 0.8 * t;
         }
-        let peaks = detect_carriers(&sig, fs_hz, 0.1, 500.0, 4).unwrap();
+        let (f, a) = amplitude_spectrum(&sig, fs_hz, Window::Hann).unwrap();
+        let peaks = find_peaks(&f, &a, 0.1, 500.0, 4);
         assert_eq!(peaks.len(), 2);
         let mut fs_found: Vec<f64> = peaks.iter().map(|p| p.frequency_hz).collect();
         fs_found.sort_by(f64::total_cmp);

@@ -69,13 +69,6 @@ pub fn tone_amplitude(signal: &[f64], freq_hz: f64, fs_hz: f64) -> f64 {
     2.0 * goertzel(signal, freq_hz, fs_hz).norm() / signal.len() as f64
 }
 
-/// Mean power of the component at `freq_hz` (unit sine reads 0.5).
-// lint: unitless power in the input's own units squared
-pub fn tone_power(signal: &[f64], freq_hz: f64, fs_hz: f64) -> f64 {
-    let a = tone_amplitude(signal, freq_hz, fs_hz);
-    a * a / 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,13 +97,6 @@ mod tests {
         let sig: Vec<f64> = tone(2_000.0, fs_hz, 0.4, 4800).iter().map(|x| 3.5 * x).collect();
         let a = tone_amplitude(&sig, 2_000.0, fs_hz);
         assert!((a - 3.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn power_of_unit_sine_is_half() {
-        let fs_hz = 48_000.0;
-        let sig = tone(1_500.0, fs_hz, 1.0, 9600);
-        assert!((tone_power(&sig, 1_500.0, fs_hz) - 0.5).abs() < 1e-6);
     }
 
     #[test]

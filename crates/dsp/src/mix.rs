@@ -57,7 +57,6 @@ pub fn complex_tone(freq_hz: f64, fs_hz: f64, phase_rad: f64, n: usize) -> Vec<C
 pub struct Nco {
     phase: f64,
     phase_inc: f64,
-    fs_hz: f64,
 }
 
 impl Nco {
@@ -66,13 +65,7 @@ impl Nco {
         Nco {
             phase: 0.0,
             phase_inc: TAU * freq_hz / fs_hz,
-            fs_hz,
         }
-    }
-
-    /// Retune the oscillator; phase stays continuous.
-    pub fn set_frequency(&mut self, freq_hz: f64) {
-        self.phase_inc = TAU * freq_hz / self.fs_hz;
     }
 
     /// Produce the next real sample (sine convention).
@@ -88,7 +81,7 @@ impl Nco {
     /// Samples come from a phasor recurrence (one complex multiply each)
     /// re-anchored from the exact running phase every [`PHASOR_RESYNC`]
     /// samples; the phase accumulator itself advances exactly as in
-    /// [`Nco::next_sample`], so retuning mid-stream stays continuous.
+    /// [`Nco::next_sample`], so the two can be interleaved without a phase jump.
     pub fn fill(&mut self, out: &mut [f64]) {
         let step = Complex64::from_polar(1.0, self.phase_inc);
         let mut i = 0;
@@ -187,20 +180,6 @@ mod tests {
         for (a, b) in direct.iter().zip(&buf) {
             assert!((a - b).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn nco_phase_continuous_across_retune() {
-        let mut nco = Nco::new(1_000.0, 48_000.0);
-        let mut prev = nco.next_sample();
-        for _ in 0..37 {
-            prev = nco.next_sample();
-        }
-        nco.set_frequency(1_200.0);
-        let next = nco.next_sample();
-        // Change between consecutive samples must stay bounded by max slope.
-        let max_step = TAU * 1_200.0 / 48_000.0;
-        assert!((next - prev).abs() <= max_step + 1e-9);
     }
 
     #[test]

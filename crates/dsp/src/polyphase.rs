@@ -493,4 +493,32 @@ mod tests {
         assert!(pd.decimate(&[]).is_empty());
         assert!(pd.decimate_complex(&[]).is_empty());
     }
+
+    /// Decimate by 4 with the receiver's anti-alias design: 127 Hamming
+    /// taps at 80% of the new Nyquist.
+    fn decimate_by_4(x: &[f64], fs_hz: f64) -> Vec<f64> {
+        let f = Fir::lowpass(127, 0.8 * fs_hz / 8.0, fs_hz, Window::Hamming).unwrap();
+        PolyphaseDecimator::new(f, 4).unwrap().decimate(x)
+    }
+
+    #[test]
+    fn decimation_preserves_in_band_tone() {
+        let fs_hz = 48_000.0;
+        let x = crate::mix::tone(1_000.0, fs_hz, 0.0, 9600);
+        let y = decimate_by_4(&x, fs_hz);
+        assert_eq!(y.len(), 2400);
+        let a = crate::goertzel::tone_amplitude(&y[600..], 1_000.0, fs_hz / 4.0);
+        assert!((a - 1.0).abs() < 0.05, "a={a}");
+    }
+
+    #[test]
+    fn decimation_removes_aliasing_tone() {
+        let fs_hz = 48_000.0;
+        // 10 kHz would alias to 2 kHz after /4 (new Nyquist 6 kHz) if not
+        // filtered.
+        let x = crate::mix::tone(10_000.0, fs_hz, 0.0, 9600);
+        let y = decimate_by_4(&x, fs_hz);
+        let alias = crate::goertzel::tone_amplitude(&y[600..], 2_000.0, fs_hz / 4.0);
+        assert!(alias < 0.01, "alias={alias}");
+    }
 }

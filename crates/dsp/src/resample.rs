@@ -1,14 +1,11 @@
-//! Decimation and fractional delay.
+//! Fractional delay.
 //!
 //! The acoustic channel applies propagation delays that are not integer
 //! numbers of samples; [`fractional_delay`] implements the linear-
-//! interpolation delay line used by the channel simulator. [`decimate`]
-//! provides anti-aliased sample-rate reduction for the receiver's
-//! post-downconversion processing.
+//! interpolation delay line used by the channel simulator, and
+//! [`add_delayed_scaled`] its allocation-free superposing form.
+//! Anti-aliased decimation is [`crate::polyphase::PolyphaseDecimator`].
 
-use crate::fir::Fir;
-use crate::polyphase::PolyphaseDecimator;
-use crate::window::Window;
 use crate::DspError;
 
 /// Delay a signal by `delay_samples` (may be fractional, must be >= 0),
@@ -90,28 +87,9 @@ pub fn add_delayed_scaled(
     }
 }
 
-/// Anti-aliased decimation by integer factor `m`: low-pass at 80% of the
-/// new Nyquist, then keep every m-th sample. Returns the decimated signal.
-///
-/// Runs the fused [`PolyphaseDecimator`], which never materialises the
-/// full-rate filtered signal.
-pub fn decimate(x: &[f64], m: usize, fs_hz: f64) -> Result<Vec<f64>, DspError> {
-    if m == 0 {
-        return Err(DspError::InvalidParameter("decimation factor must be >= 1"));
-    }
-    if m == 1 {
-        return Ok(x.to_vec());
-    }
-    let new_nyquist = fs_hz / (2.0 * m as f64);
-    let f = Fir::lowpass(127, 0.8 * new_nyquist, fs_hz, Window::Hamming)?;
-    let pd = PolyphaseDecimator::new(f, m)?;
-    Ok(pd.decimate(x))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::goertzel::tone_amplitude;
     use crate::mix::tone;
 
     #[test]
@@ -163,29 +141,8 @@ mod tests {
     }
 
     #[test]
-    fn decimate_preserves_in_band_tone() {
-        let fs_hz = 48_000.0;
-        let x = tone(1_000.0, fs_hz, 0.0, 9600);
-        let y = decimate(&x, 4, fs_hz).unwrap();
-        assert_eq!(y.len(), 2400);
-        let a = tone_amplitude(&y[600..], 1_000.0, fs_hz / 4.0);
-        assert!((a - 1.0).abs() < 0.05, "a={a}");
-    }
-
-    #[test]
-    fn decimate_removes_aliasing_tone() {
-        let fs_hz = 48_000.0;
-        // 10 kHz would alias after /4 (new Nyquist 6 kHz) if not filtered.
-        let x = tone(10_000.0, fs_hz, 0.0, 9600);
-        let y = decimate(&x, 4, fs_hz).unwrap();
-        let alias = tone_amplitude(&y[600..], 2_000.0, fs_hz / 4.0);
-        assert!(alias < 0.01, "alias={alias}");
-    }
-
-    #[test]
     fn rejects_invalid_parameters() {
         assert!(fractional_delay(&[1.0], -1.0).is_err());
         assert!(fractional_delay(&[1.0], f64::NAN).is_err());
-        assert!(decimate(&[1.0], 0, 48_000.0).is_err());
     }
 }

@@ -1,14 +1,11 @@
-//! Property tests pinning the FFT fast path to the direct reference
-//! implementations across random lengths straddling the overlap-save
-//! crossover (`FFT_CROSSOVER_TAPS`), so the dispatch in
-//! `cross_correlate` / `normalized_cross_correlate` / `Fir::filter`
-//! can never silently change numerics by more than 1e-9.
+//! Property tests pinning the fast paths to the direct reference
+//! implementations: the run-length preamble correlator against the
+//! direct complex correlation, and `Fir::filter`'s overlap-save dispatch
+//! across random lengths straddling the crossover (`FFT_CROSSOVER_TAPS`),
+//! so neither can silently change numerics by more than 1e-9.
 
 use num_complex::Complex64;
-use pab_dsp::correlate::{
-    cross_correlate, cross_correlate_complex, cross_correlate_complex_direct,
-    cross_correlate_direct, normalized_cross_correlate, normalized_cross_correlate_direct,
-};
+use pab_dsp::correlate::{cross_correlate_complex_direct, RunLengthTemplate};
 use pab_dsp::fastconv::FFT_CROSSOVER_TAPS;
 use pab_dsp::fir::Fir;
 use pab_dsp::window::Window;
@@ -23,56 +20,14 @@ fn random_signal(rng: &mut ChaCha8Rng, n: usize) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Plain correlation: FFT path equals the direct O(N·M) loop.
-    /// Kernel lengths are drawn across the crossover (half below
-    /// `FFT_CROSSOVER_TAPS`, half above), so both dispatch arms and the
-    /// boundary itself get exercised.
-    #[test]
-    fn cross_correlate_matches_direct(
-        sig_len in 16usize..4096,
-        tpl_len in 1usize..(3 * FFT_CROSSOVER_TAPS),
-        seed in any::<u64>(),
-    ) {
-        let tpl_len = tpl_len.min(sig_len);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let s = random_signal(&mut rng, sig_len);
-        let t = random_signal(&mut rng, tpl_len);
-        let fast = cross_correlate(&s, &t);
-        let slow = cross_correlate_direct(&s, &t);
-        prop_assert_eq!(fast.len(), slow.len());
-        // Tolerance scales with the dot-product length (units cancel:
-        // inputs are O(1)).
-        let tol = 1e-9 * tpl_len as f64;
-        for (a, b) in fast.iter().zip(&slow) {
-            prop_assert!((a - b).abs() < tol, "{a} vs {b}");
-        }
-    }
-
-    /// Normalised correlation: FFT numerator + running-sum energy equals
-    /// the direct per-lag normalisation.
-    #[test]
-    fn normalized_cross_correlate_matches_direct(
-        sig_len in 16usize..4096,
-        tpl_len in 2usize..(3 * FFT_CROSSOVER_TAPS),
-        seed in any::<u64>(),
-    ) {
-        let tpl_len = tpl_len.min(sig_len);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let s = random_signal(&mut rng, sig_len);
-        let t = random_signal(&mut rng, tpl_len);
-        let fast = normalized_cross_correlate(&s, &t);
-        let slow = normalized_cross_correlate_direct(&s, &t);
-        prop_assert_eq!(fast.len(), slow.len());
-        for (a, b) in fast.iter().zip(&slow) {
-            prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-    }
-
-    /// Complex correlation (the CFO-tolerant preamble search).
+    /// Complex correlation (the preamble search): the run-length form of
+    /// a random piecewise-constant real template equals the direct
+    /// conjugating O(N·M) loop.
     #[test]
     fn cross_correlate_complex_matches_direct(
         sig_len in 16usize..2048,
         tpl_len in 1usize..(3 * FFT_CROSSOVER_TAPS),
+        max_run in 1usize..20,
         seed in any::<u64>(),
     ) {
         let tpl_len = tpl_len.min(sig_len);
@@ -80,11 +35,15 @@ proptest! {
         let s: Vec<Complex64> = (0..sig_len)
             .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
             .collect();
-        let t: Vec<Complex64> = (0..tpl_len)
-            .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-            .collect();
-        let fast = cross_correlate_complex(&s, &t);
-        let slow = cross_correlate_complex_direct(&s, &t);
+        let mut t = Vec::with_capacity(tpl_len);
+        while t.len() < tpl_len {
+            let (run, level) = (rng.gen_range(1..=max_run), rng.gen_range(-1.0..1.0));
+            t.extend(std::iter::repeat_n(level, run.min(tpl_len - t.len())));
+        }
+        let (mut prefix, mut fast) = (Vec::new(), Vec::new());
+        RunLengthTemplate::new(&t).correlate_into(&s, &mut prefix, &mut fast);
+        let tc: Vec<Complex64> = t.iter().map(|&x| Complex64::new(x, 0.0)).collect();
+        let slow = cross_correlate_complex_direct(&s, &tc);
         prop_assert_eq!(fast.len(), slow.len());
         let tol = 1e-9 * tpl_len as f64;
         for (a, b) in fast.iter().zip(&slow) {

@@ -298,33 +298,6 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "sample {} differs", i);
         }
     }
-
-    /// `resample::decimate` designs the historical anti-alias low-pass
-    /// and runs it through the polyphase kernel: bitwise its path's
-    /// oracle.
-    #[test]
-    fn resample_decimate_matches_historical_pipeline(
-        decim in 2usize..25,
-        n in 1usize..3000,
-        seed in any::<u64>(),
-    ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let fs_hz = 48_000.0;
-        let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        // The historical design, verbatim: the anti-alias low-pass at 80%
-        // of the new Nyquist, then keep every m-th output.
-        // (Same association order as decimate: 0.8 * (fs / 2m), not
-        // (0.8 * fs) / 2m — f64 multiplication is not associative.)
-        let new_nyquist = fs_hz / (2.0 * decim as f64);
-        let f = Fir::lowpass(127, 0.8 * new_nyquist, fs_hz, Window::Hamming).unwrap();
-        let reference = decim_oracle(&f, &x, decim);
-        let fast = pab_dsp::resample::decimate(&x, decim, fs_hz).unwrap();
-        prop_assert_eq!(fast.len(), reference.len());
-        for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "sample {} differs", i);
-        }
-    }
 }
 
 /// The source-major loop `add_delayed_scaled` ran before it went

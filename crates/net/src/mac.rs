@@ -788,6 +788,9 @@ impl ResilientMac {
     }
 
     /// Record the physical-layer observation for one scheduled query.
+    /// A non-finite margin is rejected before any state changes: folded
+    /// into the link-quality EWMA it would poison that node's quality for
+    /// good.
     pub fn record(&mut self, addr: u8, obs: RxObservation) -> Result<TxOutcome, NetError> {
         self.record_traced(addr, obs, None)
     }
@@ -809,6 +812,11 @@ impl ResilientMac {
             MacPolicy::Adaptive(cfg) => Some(cfg.clone()),
             _ => None,
         };
+        if let RxObservation::Delivered { margin } | RxObservation::CrcFailed { margin } = obs {
+            if !margin.is_finite() {
+                return Err(NetError::InvalidField("non-finite margin"));
+            }
+        }
         let slot = self.slots_used;
         let st = self
             .state
@@ -1495,6 +1503,26 @@ mod tests {
             1
         )
         .is_err());
+    }
+
+    #[test]
+    fn resilient_mac_rejects_non_finite_margins_untouched() {
+        let mut mac = adaptive_mac(1);
+        mac.record(1, RxObservation::CrcFailed { margin: 0.5 }).unwrap();
+        let before = (mac.quality(1), mac.stats(1), mac.slots_used());
+        for margin in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for obs in [
+                RxObservation::Delivered { margin },
+                RxObservation::CrcFailed { margin },
+            ] {
+                assert!(mac.record(1, obs).is_err(), "{obs:?} was accepted");
+                let after = (mac.quality(1), mac.stats(1), mac.slots_used());
+                assert_eq!(after, before, "{obs:?} changed the MAC state");
+            }
+        }
+        // A finite margin still folds in.
+        mac.record(1, RxObservation::Delivered { margin: 0.9 }).unwrap();
+        assert!(mac.quality(1).is_finite() && mac.quality(1) > before.0);
     }
 
     #[test]

@@ -47,6 +47,12 @@ cargo run --release -q -p pab-experiments --bin fig8_snr_bitrate
 cargo run --release -q -p pab-experiments --bin app_sensing
 cargo run --release -q -p pab-experiments --bin ext_future_work
 cargo run --release -q -p pab-experiments --bin ext_mobility
+
+echo "==> fig3_rectopiezo + fig9_range + fig11_power + baseline_active  (committed analytic-figure results must regenerate unchanged)"
+cargo run --release -q -p pab-experiments --bin fig3_rectopiezo
+cargo run --release -q -p pab-experiments --bin fig9_range
+cargo run --release -q -p pab-experiments --bin fig11_power
+cargo run --release -q -p pab-experiments --bin baseline_active
 git diff --exit-code -- results/fig10_concurrent.csv results/ext_three_channels.csv \
     results/ext_collision_faultnet.csv results/ext_fault_resilience.csv \
     results/fault_trace_summary.csv results/fault_trace.csv results/fault_trace.jsonl \
@@ -54,6 +60,8 @@ git diff --exit-code -- results/fig10_concurrent.csv results/ext_three_channels.
     results/fig2_waveform.csv results/fig2_envelope.wav results/fig7_ber_snr.csv \
     results/fig8_snr_bitrate.csv results/app_sensing.csv results/ext_battery_assist.csv \
     results/ext_open_water.csv results/ext_mobility.csv \
+    results/fig3_rectopiezo.csv results/fig9_range.csv results/fig11_power.csv \
+    results/baseline_active.csv \
     || { echo "results/ drifted from the code: re-run the binaries and commit the CSVs on purpose"; exit 1; }
 
 if cargo clippy --version >/dev/null 2>&1; then
