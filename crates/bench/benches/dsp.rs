@@ -263,6 +263,21 @@ fn bench_awgn(c: &mut Criterion) {
     g.finish();
 }
 
+/// One million raw draws, the RNG under the AWGN stage (two ChaCha8
+/// words per draw).
+fn bench_chacha8(c: &mut Criterion) {
+    use rand::{RngCore, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    const DRAWS: usize = 1_000_000;
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let mut g = c.benchmark_group("dsp");
+    g.throughput(Throughput::Elements(DRAWS as u64));
+    g.bench_function("chacha8_next_u64_1m", |b| {
+        b.iter(|| (0..DRAWS).fold(0u64, |acc, _| acc ^ rng.next_u64()))
+    });
+    g.finish();
+}
+
 criterion_group!(
     dsp,
     bench_downconvert,
@@ -279,6 +294,7 @@ criterion_group!(
     bench_plan_cache,
     bench_image_method,
     bench_channel_apply,
-    bench_awgn
+    bench_awgn,
+    bench_chacha8
 );
 criterion_main!(dsp);

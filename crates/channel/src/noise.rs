@@ -10,10 +10,13 @@
 //!
 //! Samples come from one sampler, [`standard_normal`]: a 256-layer
 //! Marsaglia–Tsang ziggurat over the seeded RNG. About 98.5% of draws cost
-//! one `next_u64`, a table lookup, a multiply and a compare; the rest take
-//! the exact `exp` test at a layer's edge or Marsaglia's tail algorithm
-//! beyond the base layer. The tables are built once, in static storage,
-//! so drawing never allocates.
+//! one inlined `next_u64` (two buffered words; the ChaCha8 block behind
+//! them is computed once per eight draws), a table lookup, a multiply, a
+//! compare and an OR of the sign bit, with no branch on the random sign;
+//! the rest take the exact `exp` test at a layer's edge or Marsaglia's
+//! tail algorithm beyond the base layer. The tables are built once, in
+//! static storage, so drawing never allocates. The stream is pinned by a
+//! digest test: a change to it moves every noisy result in `results/`.
 
 use crate::ChannelError;
 use rand::Rng;
@@ -110,13 +113,19 @@ impl Ziggurat {
         x[1] = ZIG_R;
         // Each layer's top edge sits where its area reaches V; the last
         // layer closes at the density's peak, x[256] = 0.
-        for i in 1..ZIG_LAYERS - 1 {
-            x[i + 1] = (-2.0 * (pdf(x[i]) + ZIG_AREA / x[i]).ln()).sqrt();
+        let mut edge = ZIG_R;
+        for next in &mut x[2..ZIG_LAYERS] {
+            edge = (-2.0 * (pdf(edge) + ZIG_AREA / edge).ln()).sqrt();
+            *next = edge;
         }
         Ziggurat { x, f: x.map(pdf) }
     }
 
     /// One N(0, 1) draw.
+    ///
+    /// Every candidate is non-negative, so the sign is bit 8 of the word
+    /// moved into the sign bit: exactly `±1.0 * x`, `+0` becoming `-0.0`
+    /// included, without a branch on a coin flip.
     #[inline]
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         loop {
@@ -124,19 +133,24 @@ impl Ziggurat {
             // uniform in [0, 1) across the layer's width.
             let bits = rng.next_u64();
             let i = (bits & 0xff) as usize;
-            let sign = if bits & 0x100 == 0 { 1.0 } else { -1.0 };
-            let x = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * self.x[i];
-            if x < self.x[i + 1] {
-                return sign * x;
+            let sign = (bits & 0x100) << 55;
+            let signed = |x: f64| f64::from_bits(x.to_bits() | sign);
+            // lint: allow(panic-path) i = bits & 0xff < 256 and both tables have 257 entries
+            let (x_i, x_next) = (self.x[i], self.x[i + 1]);
+            let x = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * x_i;
+            if x < x_next {
+                return signed(x);
             }
             if i == 0 {
-                return sign * (ZIG_R + tail_excess(rng));
+                return signed(ZIG_R + tail_excess(rng));
             }
             // Edge of layer i: accept if a uniform height in the layer
             // falls under the density.
-            let y = self.f[i] + (self.f[i + 1] - self.f[i]) * rng.gen::<f64>();
+            // lint: allow(panic-path) i = bits & 0xff < 256 and both tables have 257 entries
+            let (f_i, f_next) = (self.f[i], self.f[i + 1]);
+            let y = f_i + (f_next - f_i) * rng.gen::<f64>();
             if y < (-0.5 * x * x).exp() {
-                return sign * x;
+                return signed(x);
             }
         }
     }
@@ -396,25 +410,83 @@ mod tests {
             (beyond - p * n as f64).abs() < 5.0 * sd,
             "{beyond} draws beyond R"
         );
+    }
 
-        // A word naming layer 0 with a uniform near 1 lands past R on the
-        // base layer's rectangle, so the next draw is a tail draw.
-        struct Words(std::vec::IntoIter<u64>);
-        impl rand::RngCore for Words {
-            fn next_u32(&mut self) -> u32 {
-                self.next_u64() as u32
-            }
-            fn next_u64(&mut self) -> u64 {
-                self.0.next().expect("scripted words ran out")
-            }
+    /// An RNG that replays scripted words.
+    struct Words<'a>(std::slice::Iter<'a, u64>);
+
+    impl RngCore for Words<'_> {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
         }
-        let base_edge = (u64::MAX << 11) | 0x100; // layer 0, negative, u ≈ 1
-        let half = 1u64 << 63; // uniform 0.5 for both tail draws
-        let mut words = Words(vec![base_edge, half, half].into_iter());
-        let x = standard_normal(&mut words);
-        let excess = std::f64::consts::LN_2 / ZIG_R;
-        assert_eq!(x, -(ZIG_R + excess));
-        assert!(words.0.next().is_none());
+        fn next_u64(&mut self) -> u64 {
+            *self.0.next().expect("scripted words ran out")
+        }
+    }
+
+    /// Draw from scripted words, checking that all of them were used.
+    fn draw_from(words: &[u64]) -> f64 {
+        let mut rng = Words(words.iter());
+        let x = standard_normal(&mut rng);
+        assert!(rng.0.next().is_none(), "{words:x?}: words left over");
+        x
+    }
+
+    #[test]
+    fn sign_is_bit_8_on_every_return_path() {
+        let z = ziggurat();
+        let sign = 0x100u64;
+        let uniform = |bits: u64| (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        // Fast path: layer 5 at half its width is inside the next edge.
+        let fast = (1u64 << 63) | 5;
+        let x = uniform(fast) * z.x[5];
+        assert!(x < z.x[6]);
+        assert_eq!(draw_from(&[fast]).to_bits(), x.to_bits());
+        assert_eq!(draw_from(&[fast | sign]).to_bits(), (-x).to_bits());
+        // A zero uniform gives +0 and, with the sign bit, -0.0.
+        assert_eq!(draw_from(&[3]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(draw_from(&[3 | sign]).to_bits(), (-0.0f64).to_bits());
+        // Edge path: layer 1 at 99% of its width lies past x[2], and a
+        // zero height (the second word) is under the density.
+        let edge = (((0.99 * (1u64 << 53) as f64) as u64) << 11) | 1;
+        let x = uniform(edge) * z.x[1];
+        assert!(x >= z.x[2]);
+        assert_eq!(draw_from(&[edge, 0]).to_bits(), x.to_bits());
+        assert_eq!(draw_from(&[edge | sign, 0]).to_bits(), (-x).to_bits());
+        // Tail path: a word naming layer 0 with a uniform near 1 lands
+        // past R on the base layer's rectangle, so the next two words are
+        // the tail draw's uniforms (0.5 each).
+        let base_edge = u64::MAX << 11;
+        let half = 1u64 << 63;
+        let x = ZIG_R + std::f64::consts::LN_2 / ZIG_R;
+        assert_eq!(draw_from(&[base_edge, half, half]).to_bits(), x.to_bits());
+        assert_eq!(
+            draw_from(&[base_edge | sign, half, half]).to_bits(),
+            (-x).to_bits()
+        );
+    }
+
+    /// FNV-1a over the little-endian bits of every sample.
+    fn fnv1a_bits(x: &[f64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in x.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn awgn_stream_is_pinned() {
+        // The first 2^20 draws of two seeds, bit for bit. Every noisy
+        // result in `results/` and every replay digest rests on this
+        // stream: a change to the sampler or to ChaCha8 must fail here.
+        for (seed, digest) in [
+            (7u64, 0x9ce8_cddc_f730_9ba8u64),
+            (2019, 0xf944_e1bb_0b6e_d27a),
+        ] {
+            let got = fnv1a_bits(&draws(seed, 1 << 20));
+            assert_eq!(got, digest, "seed {seed}: digest {got:#018x}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use num_complex::Complex64;
 use pab_dsp::correlate::RunLengthTemplate;
 use pab_dsp::iir::{butter_lowpass, Cascade};
-use pab_dsp::mix::{detrend_shift_in_place, downconvert, downconvert_into};
+use pab_dsp::mix::{detrend_shift_in_place, downconvert_into};
 use pab_dsp::polyphase::PolyphaseDecimator;
 use pab_dsp::stats;
 use pab_net::fm0;
@@ -367,15 +367,24 @@ impl Receiver {
     }
 
     /// Downconvert at `carrier_hz` and Butterworth low-pass at
-    /// `cutoff_hz`: the analysis front shared by both demodulators.
+    /// `cutoff_hz`: the analysis front shared by both demodulators, in one
+    /// buffer. The mix writes the centre of the filter's padded
+    /// workspace and the filter runs in place; the filtered signal is
+    /// `ext[pad..pad + signal.len()]` of the returned `(ext, pad)`,
+    /// bitwise `filtfilt_complex(&downconvert(..))`.
     fn downconvert_lowpass(
         &self,
         signal: &[f64],
         carrier_hz: f64,
         cutoff_hz: f64,
-    ) -> Result<Vec<Complex64>, CoreError> {
-        let bb = downconvert(signal, carrier_hz, self.fs_hz);
-        Ok(butter_lowpass(4, cutoff_hz, self.fs_hz)?.filtfilt_complex(&bb))
+    ) -> Result<(Vec<Complex64>, usize), CoreError> {
+        let butter = butter_lowpass(4, cutoff_hz, self.fs_hz)?;
+        let n = signal.len();
+        let pad = butter.filtfilt_pad(n);
+        let mut ext = vec![Complex64::new(0.0, 0.0); n + 2 * pad];
+        downconvert_into(signal, carrier_hz, self.fs_hz, &mut ext[pad..pad + n]);
+        butter.filtfilt_complex_in_place(&mut ext, pad, n);
+        Ok((ext, pad))
     }
 
     /// Demodulate a received waveform around `carrier_hz`: downconvert,
@@ -386,8 +395,11 @@ impl Receiver {
         carrier_hz: f64,
         cutoff_hz: f64,
     ) -> Result<Vec<f64>, CoreError> {
-        let filtered = self.downconvert_lowpass(signal, carrier_hz, cutoff_hz)?;
-        Ok(filtered.iter().map(|c| 2.0 * c.norm()).collect())
+        let (ext, pad) = self.downconvert_lowpass(signal, carrier_hz, cutoff_hz)?;
+        Ok(ext[pad..pad + signal.len()]
+            .iter()
+            .map(|c| 2.0 * c.norm())
+            .collect())
     }
 
     /// Coherent demodulation: downconvert at `carrier_hz` and low-pass,
@@ -399,11 +411,14 @@ impl Receiver {
         carrier_hz: f64,
         cutoff_hz: f64,
     ) -> Result<Vec<Complex64>, CoreError> {
-        let mut out = self.downconvert_lowpass(signal, carrier_hz, cutoff_hz)?;
-        for c in out.iter_mut() {
-            *c = 2.0 * *c;
+        let (mut ext, pad) = self.downconvert_lowpass(signal, carrier_hz, cutoff_hz)?;
+        // Compact the filtered centre to the front, scaling on the way.
+        for i in 0..signal.len() {
+            // lint: allow(panic-path) i < signal.len() and ext.len() == signal.len() + 2·pad
+            ext[i] = 2.0 * ext[pad + i];
         }
-        Ok(out)
+        ext.truncate(signal.len());
+        Ok(ext)
     }
 
     /// Maximum-likelihood FM0 half-bit sequence detection.
@@ -682,20 +697,27 @@ impl Receiver {
             }
         }
         self.count_decode(&fe, envelope.len(), s.projected.len());
-        // Detrend: the backscatter modulation rides on the much larger
-        // direct-path carrier level (Fig. 2), and that baseline also moves
-        // when the projector keys on/off. A low-pass trend (well below the
-        // bit rate) subtracted out leaves just the modulation.
+        // Detrend for the search: the backscatter modulation rides on the
+        // much larger direct-path carrier level (Fig. 2), and that baseline
+        // also moves when the projector keys on/off. A low-pass trend (well
+        // below the bit rate) subtracted out leaves just the modulation.
         let trend = fe.trend.filtfilt(&s.projected);
-        for (e, t) in s.projected.iter_mut().zip(&trend) {
-            *e -= t;
-        }
         s.d.clear();
-        s.d.extend(s.projected.iter().map(|&e| Complex64::new(e, 0.0)));
+        s.d.extend(
+            s.projected
+                .iter()
+                .zip(&trend)
+                .map(|(&e, &t)| Complex64::new(e - t, 0.0)),
+        );
         let (start, acc, corr) = fe.find_preamble(&s.d, &mut s.prefix, &mut s.num)?;
         if acc.re <= 0.0 {
             return Err(CoreError::NoPacketDetected);
         }
+        // Slice the *raw* decimated stream, as the coherent decoder does:
+        // the trend filter's edge transient bends the stream's last ~10 ms
+        // at low bitrates, enough to flip a packet's last bit when the
+        // stream ends just after it. The cluster means absorb the
+        // baseline.
         let outcome = Self::slice_core(&s.projected, start, fe.fs2, bitrate_bps, &mut s.slicer)?;
         Ok(DecodeVerdict {
             packet: outcome.packet,
@@ -1149,6 +1171,70 @@ mod tests {
             let v = rx.decode_envelope(&env, bitrate).unwrap();
             assert_eq!(v.packet.as_ref().unwrap(), &p, "bitrate={bitrate}");
             assert_found_what_direct_search_finds(&rx, bitrate, &v);
+        }
+    }
+
+    #[test]
+    fn envelope_decoder_keeps_the_last_bit_when_the_stream_ends_soon_after() {
+        // A 256 bps packet whose stream ends 5 or 10 ms after it: the trend
+        // filter's edge transient covers the last bits, so only slicing
+        // the raw decimated stream decodes them.
+        use rand::SeedableRng;
+        let p = test_packet();
+        let rx = Receiver::new(1.0e-3, 192_000.0);
+        let lead = (0.05 * rx.fs_hz) as usize;
+        for tail_s in [0.005, 0.010] {
+            for seed in 0..8 {
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+                let mut env = synth_envelope(&p, 256.0, rx.fs_hz, 1.0, 0.4, 0.05);
+                env.truncate(env.len() - lead + (tail_s * rx.fs_hz) as usize);
+                pab_channel::noise::add_awgn(&mut env, 0.1, &mut rng);
+                let v = rx.decode_envelope(&env, 256.0).unwrap();
+                assert_eq!(
+                    v.packet.ok(),
+                    Some(p.clone()),
+                    "tail {tail_s} s, seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_buffer_demodulators_are_bitwise_the_separate_passes() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        let rx = Receiver::new(1.0e-3, 192_000.0);
+        for n in [0, 1, 2, 40, 5_000] {
+            let mut w = synth_waveform(&test_packet(), 1024.0, rx.fs_hz, 15_000.0, 1.0, 0.4, 0.01);
+            w.truncate(n);
+            pab_channel::noise::add_awgn(&mut w, 0.1, &mut rng);
+            // The composition the one-buffer front replaced.
+            let filtered = butter_lowpass(4, 2_048.0, rx.fs_hz)
+                .unwrap()
+                .filtfilt_complex(&pab_dsp::mix::downconvert(&w, 15_000.0, rx.fs_hz));
+            let want_c: Vec<(u64, u64)> = filtered
+                .iter()
+                .map(|&c| 2.0 * c)
+                .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                .collect();
+            let want_env: Vec<u64> = filtered
+                .iter()
+                .map(|c| (2.0 * c.norm()).to_bits())
+                .collect();
+            let got_c: Vec<(u64, u64)> = rx
+                .demodulate_complex(&w, 15_000.0, 2_048.0)
+                .unwrap()
+                .iter()
+                .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                .collect();
+            let got_env: Vec<u64> = rx
+                .demodulate(&w, 15_000.0, 2_048.0)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got_c, want_c, "n {n}");
+            assert_eq!(got_env, want_env, "n {n}");
         }
     }
 

@@ -15,14 +15,39 @@ use std::f64::consts::TAU;
 /// requires — while amortising the two trig calls to ~0.4% of samples.
 const PHASOR_RESYNC: usize = 512;
 
-/// Call `f(i, rot)` with `rot = exp(j(w·i + phase0))` for `i` in `0..n`.
-/// The phasor advances by one complex multiply per sample instead of a
-/// sin/cos pair, re-anchoring every [`PHASOR_RESYNC`] samples.
+/// Phasor blocks advanced together by [`for_each_phasor`]: four
+/// independent complex-multiply chains instead of one serial chain.
+const PHASOR_LANES: usize = 4;
+
+/// Call `f(i, rot)` with `rot = exp(j(w·i + phase0))` once for every `i`
+/// in `0..n`. The phasor advances by one complex multiply per sample
+/// instead of a sin/cos pair, re-anchoring from `from_polar` at every
+/// multiple of [`PHASOR_RESYNC`].
+///
+/// Blocks between anchors do not depend on each other, so whole blocks
+/// run [`PHASOR_LANES`] at a time, one phasor each, interleaved sample by
+/// sample; the remaining blocks run one after another. Every index still
+/// gets the same anchor and the same multiplies, so `rot` is bitwise the
+/// sequential recurrence's, but the indices are visited out of order: `f`
+/// must touch only index `i` of whatever it reads and writes.
 fn for_each_phasor(n: usize, w: f64, phase0: f64, mut f: impl FnMut(usize, Complex64)) {
     let step = Complex64::from_polar(1.0, w);
+    let anchor = |i: usize| Complex64::from_polar(1.0, w * i as f64 + phase0);
+    let group = PHASOR_LANES * PHASOR_RESYNC;
     let mut i = 0;
+    while i + group <= n {
+        let mut rot: [Complex64; PHASOR_LANES] =
+            std::array::from_fn(|l| anchor(i + l * PHASOR_RESYNC));
+        for k in i..i + PHASOR_RESYNC {
+            for (l, r) in rot.iter_mut().enumerate() {
+                f(k + l * PHASOR_RESYNC, *r);
+                *r *= step;
+            }
+        }
+        i += group;
+    }
     while i < n {
-        let mut rot = Complex64::from_polar(1.0, w * i as f64 + phase0);
+        let mut rot = anchor(i);
         let end = (i + PHASOR_RESYNC).min(n);
         for k in i..end {
             f(k, rot);
@@ -170,6 +195,49 @@ pub fn detrend_shift_in_place(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-block-at-a-time recurrence [`for_each_phasor`] replaced,
+    /// kept as its oracle.
+    fn sequential_phasors(n: usize, w: f64, phase0: f64) -> Vec<Complex64> {
+        let step = Complex64::from_polar(1.0, w);
+        let mut out = Vec::with_capacity(n);
+        let mut i = 0;
+        while i < n {
+            let mut rot = Complex64::from_polar(1.0, w * i as f64 + phase0);
+            let end = (i + PHASOR_RESYNC).min(n);
+            for _ in i..end {
+                out.push(rot);
+                rot *= step;
+            }
+            i = end;
+        }
+        out
+    }
+
+    #[test]
+    fn interleaved_phasors_are_bitwise_the_sequential_recurrence() {
+        let group = PHASOR_LANES * PHASOR_RESYNC;
+        let mut sizes = vec![0, 1, 511, 512, 513, 2047, 2048, 2049];
+        for k in 1..=3 {
+            sizes.extend([k * group - 1, k * group + 1]);
+        }
+        let w = TAU * 15_321.7 / 192_000.0;
+        for n in sizes {
+            let want = sequential_phasors(n, -w, 0.4);
+            let mut got = vec![None; n];
+            for_each_phasor(n, -w, 0.4, |i, rot| {
+                assert!(got[i].replace(rot).is_none(), "n {n}: index {i} twice");
+            });
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                let g = g.unwrap_or_else(|| panic!("n {n}: index {i} never visited"));
+                assert_eq!(
+                    (g.re.to_bits(), g.im.to_bits()),
+                    (w.re.to_bits(), w.im.to_bits()),
+                    "n {n} at {i}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn nco_matches_tone() {

@@ -13,15 +13,17 @@
 //!   skipping the discarded-output emission and the intermediate
 //!   full-rate allocation.
 //! * **Direct** otherwise: the per-output summation at the kept indices
-//!   only, costing `taps × outputs` MACs instead of `taps × inputs`. Its
-//!   outputs are bitwise identical to `Fir::filter_direct` + `step_by`
-//!   (and agree with the FFT path to rounding).
+//!   only, costing `taps × outputs` MACs instead of `taps × inputs`, with
+//!   four kept outputs summed side by side. Its outputs are bitwise
+//!   identical to `Fir::filter_direct` + `step_by` (and agree with the FFT
+//!   path to rounding).
 //!
 //! The crossover is measured (127 taps, 60k and 120k complex samples on
-//! a 2-vCPU host): direct time over FFT time is 1.97 and 1.53 at decim
-//! 2, 0.77–0.86 at decim 3–5 and 0.12–0.44 at decim 8–23. The
-//! `polyphase_decim*` benches re-measure it; on 96k samples they put
-//! decim 3 near a tie, which no FM0 ladder rung lands on.
+//! a 2-vCPU host): before the direct path was tiled, direct time over FFT
+//! time was 1.97 and 1.53 at decim 2, 0.77–0.86 at decim 3–5 and
+//! 0.12–0.44 at decim 8–23. Tiling made the direct path about 1.7–2×
+//! cheaper, which may have moved the decim-2 crossover; moving it would
+//! move bits. The `polyphase_decim*` benches re-measure it.
 //!
 //! Both paths preserve `Fir::filter`'s "same"-causal alignment: output
 //! `q` is the full convolution output at input index `q·decim`.
@@ -32,6 +34,7 @@ use crate::plan::with_thread_cache;
 use crate::DspError;
 use num_complex::Complex64;
 use std::collections::HashMap;
+use std::ops::AddAssign;
 use std::sync::{Arc, Mutex};
 
 /// A decimating FIR filter that evaluates the convolution only at the
@@ -134,7 +137,8 @@ impl PolyphaseDecimator {
             // of the emitted sample reproduces its bits.
             self.fft_decimate(x.len(), |i| Complex64::new(x[i], 0.0), |c| out.push(c.re));
         } else {
-            self.direct_real(x, out);
+            // `taps[k] * x[i-k]`, as `Fir::filter_direct` forms it.
+            self.direct(x, out, |v, t| t * v);
         }
     }
 
@@ -169,59 +173,70 @@ impl PolyphaseDecimator {
             } else {
                 self.fft_decimate(x.len(), |i| gain * x[i], |c| out.push(c));
             }
+        } else if gain == 1.0 {
+            // `x[i-k] * taps[k]`, as `Fir::filter_complex`'s direct
+            // branch forms it, on the scaled input when gain != 1.
+            self.direct(x, out, |v, t| v * t);
         } else {
-            self.direct_complex(x, gain, out);
+            self.direct(x, out, |v, t| (gain * v) * t);
         }
     }
 
-    /// Direct summation at kept indices, real input. Per-output loop is
-    /// exactly [`Fir::filter_direct`]'s (`taps[k] * x[i-k]`, ascending
-    /// `k`), evaluated only at `i = q·decim`.
-    fn direct_real(&self, x: &[f64], out: &mut Vec<f64>) {
+    /// The direct kept-output loop: output `i = q·decim` is
+    /// `Σ_k term(x[i−k], taps[k])` over ascending `k`, from a zero
+    /// accumulator, stopping at `k = i` near the start. Outputs whose
+    /// window lies inside `x` run in tiles of four, one accumulator
+    /// each, so four tap sums advance together instead of one serial
+    /// add chain (about 1.7–2× on the 127-tap front end); the head and
+    /// the tail run one output at a time. Each output sums the same terms
+    /// in the same order on either path, so its bits do not depend on
+    /// which one computed it.
+    fn direct<T: Copy + Default + AddAssign>(
+        &self,
+        x: &[T],
+        out: &mut Vec<T>,
+        term: impl Fn(T, f64) -> T,
+    ) {
         let taps = self.fir.taps();
-        let m = taps.len();
-        let mut i = 0usize;
-        while i < x.len() {
-            let mut acc = 0.0;
-            let kmax = m.min(i + 1);
-            for k in 0..kmax {
-                // lint: allow(panic-path) k < kmax = m.min(i+1), so i-k >= 0 and k < m
-                acc += taps[k] * x[i - k];
+        let (m, d, n) = (taps.len(), self.decim, x.len());
+        let output_at = |i: usize| {
+            let mut acc = T::default();
+            for (k, &t) in taps.iter().enumerate().take(i + 1) {
+                // lint: allow(panic-path) take(i + 1) keeps k <= i
+                acc += term(x[i - k], t);
             }
-            out.push(acc);
-            i += self.decim;
+            acc
+        };
+        let mut i = 0usize;
+        while i < n && i + 1 < m {
+            out.push(output_at(i));
+            i += d;
         }
-    }
-
-    /// Direct summation at kept indices, complex input with read-time
-    /// gain. Per-output loop is exactly [`Fir::filter_complex`]'s
-    /// direct branch (`x[i-k] * taps[k]`, ascending `k`).
-    fn direct_complex(&self, x: &[Complex64], gain: f64, out: &mut Vec<Complex64>) {
-        let taps = self.fir.taps();
-        let m = taps.len();
-        let mut i = 0usize;
-        if gain == 1.0 {
-            while i < x.len() {
-                let mut acc = Complex64::new(0.0, 0.0);
-                let kmax = m.min(i + 1);
-                for k in 0..kmax {
-                    // lint: allow(panic-path) k < kmax = m.min(i+1), so i-k >= 0 and k < m
-                    acc += x[i - k] * taps[k];
-                }
-                out.push(acc);
-                i += self.decim;
+        let span = 3 * d;
+        while i + span < n {
+            // Output i + l·d of the tile reads x[i + l·d − k] for ascending
+            // k: its window, walked backwards.
+            // lint: allow(panic-path) i >= m - 1 after the head loop and i + span < n
+            let lane = |l: usize| x[i + l * d + 1 - m..=i + l * d].iter().rev();
+            let mut acc = [T::default(); 4];
+            for ((((&t, &v0), &v1), &v2), &v3) in taps
+                .iter()
+                .zip(lane(0))
+                .zip(lane(1))
+                .zip(lane(2))
+                .zip(lane(3))
+            {
+                acc[0] += term(v0, t);
+                acc[1] += term(v1, t);
+                acc[2] += term(v2, t);
+                acc[3] += term(v3, t);
             }
-        } else {
-            while i < x.len() {
-                let mut acc = Complex64::new(0.0, 0.0);
-                let kmax = m.min(i + 1);
-                for k in 0..kmax {
-                    // lint: allow(panic-path) k < kmax = m.min(i+1), so i-k >= 0 and k < m
-                    acc += (gain * x[i - k]) * taps[k];
-                }
-                out.push(acc);
-                i += self.decim;
-            }
+            out.extend_from_slice(&acc);
+            i += 4 * d;
+        }
+        while i < n {
+            out.push(output_at(i));
+            i += d;
         }
     }
 

@@ -277,25 +277,49 @@ proptest! {
     /// From decimation 3 up the decimator always runs direct: bitwise
     /// `Fir::filter_direct` + `step_by` (same summation order, just
     /// skipping the dropped outputs), even where `Fir::filter` would
-    /// take the FFT.
+    /// take the FFT. The length is built from the direct path's three
+    /// parts: the head outputs whose window starts before the input,
+    /// `tiles` whole tiles of four, and `ragged` outputs left over,
+    /// for real input and for complex input at read-time gain 1 and 2.
     #[test]
     fn polyphase_direct_is_bitwise_direct_filter_step_by(
         half_taps in 1usize..100,
         decim in 3usize..25,
-        n in 1usize..2000,
+        tiles in 0usize..6,
+        ragged in 0usize..4,
+        slack in 0usize..25,
+        gain in prop_oneof![Just(1.0f64), Just(2.0f64)],
         seed in any::<u64>(),
     ) {
         use pab_dsp::polyphase::PolyphaseDecimator;
         use rand::{Rng, SeedableRng};
+        let m = 2 * half_taps + 1;
+        let head = (m - 1).div_ceil(decim);
+        let outputs = head + 4 * tiles + ragged;
+        let n = (outputs - 1) * decim + 1 + slack % decim;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let fir = Fir::lowpass(2 * half_taps + 1, 4_000.0, 48_000.0, Window::Hamming).unwrap();
+        let fir = Fir::lowpass(m, 4_000.0, 48_000.0, Window::Hamming).unwrap();
         let reference: Vec<f64> = fir.filter_direct(&x).into_iter().step_by(decim).collect();
+        let xc: Vec<Complex64> = x
+            .iter()
+            .map(|&re| Complex64::new(re, rng.gen_range(-1.0..1.0)))
+            .collect();
+        let scaled: Vec<Complex64> = xc.iter().map(|&c| gain * c).collect();
+        let reference_c = decim_oracle_complex(&fir, &scaled, decim);
         let pd = PolyphaseDecimator::new(fir, decim).unwrap();
         let fast = pd.decimate(&x);
+        prop_assert_eq!(fast.len(), outputs);
         prop_assert_eq!(fast.len(), reference.len());
         for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "sample {} differs", i);
+        }
+        let mut fast_c = Vec::new();
+        pd.decimate_complex_scaled_into(&xc, gain, &mut fast_c);
+        prop_assert_eq!(fast_c.len(), reference_c.len());
+        for (i, (a, b)) in fast_c.iter().zip(&reference_c).enumerate() {
+            prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "re {} differs", i);
+            prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "im {} differs", i);
         }
     }
 }

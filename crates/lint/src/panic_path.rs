@@ -26,9 +26,12 @@ use crate::lints::{filter_waived, Violation};
 use crate::scan::ParsedFile;
 use crate::token::{Tok, TokKind};
 
-/// Demod hot-path files where index expressions are policed. These are
-/// the per-sample loops between raw waveform and decoded bits.
+/// Hot-path files where index expressions are policed. These are the
+/// per-sample loops between the projected waveform and decoded bits:
+/// the channel's propagation and noise kernels and the demod chain.
 pub const PANIC_SCOPE: &[&str] = &[
+    "crates/channel/src/noise.rs",
+    "crates/channel/src/propagation.rs",
     "crates/dsp/src/correlate.rs",
     "crates/dsp/src/envelope.rs",
     "crates/dsp/src/fastconv.rs",
