@@ -247,6 +247,19 @@ fn bench_channel_apply(c: &mut Criterion) {
     g.throughput(Throughput::Elements(N as u64));
     g.bench_function("multipath_apply_order3_500ms", |b| b.iter(|| ch.apply(&s, FS)));
     g.finish();
+    // The same channel on a PWM query: the keyed-off stretches are exact
+    // zeros, which the kernel skips.
+    let mut projector = pab_core::projector::Projector::new(100.0).unwrap();
+    projector.fs_hz = FS;
+    let query = pab_net::packet::DownlinkQuery {
+        dest: 2,
+        command: pab_net::packet::Command::Ping,
+    };
+    let (q, _) = projector.query_waveform(&query, 15_000.0, 0.1).unwrap();
+    let mut g = c.benchmark_group("dsp");
+    g.throughput(Throughput::Elements(q.len() as u64));
+    g.bench_function("multipath_apply_query_192k", |b| b.iter(|| ch.apply(&q, FS)));
+    g.finish();
 }
 
 fn bench_awgn(c: &mut Criterion) {

@@ -62,6 +62,35 @@ pub struct PathFade {
     pub floor_ratio: f64,
 }
 
+impl PathFade {
+    /// Where `t_s` falls in the fade window: 0 at onset, 1 at the end.
+    fn position(&self, t_s: f64) -> f64 {
+        (t_s - self.start_s) / self.duration_s
+    }
+
+    /// The fade's gain factor at `t_s`, or `None` outside its window.
+    fn factor_at(&self, t_s: f64) -> Option<f64> {
+        let u = self.position(t_s);
+        // 0 at the edges, 1 at the centre.
+        (0.0..=1.0).contains(&u).then(|| {
+            let shape = 0.5 * (1.0 - (std::f64::consts::TAU * u).cos());
+            1.0 - (1.0 - self.floor_ratio) * shape
+        })
+    }
+}
+
+/// The product, in order, of every fade's factor at `t_s` (1.0 when none
+/// applies).
+fn fade_product(fades: &[PathFade], t_s: f64) -> f64 {
+    let mut g = 1.0;
+    for fade in fades {
+        if let Some(factor) = fade.factor_at(t_s) {
+            g *= factor;
+        }
+    }
+    g
+}
+
 /// A node dropout window: the node's storage browned out (or it sank
 /// below the power-up threshold), so it neither decodes nor backscatters
 /// for the duration.
@@ -170,16 +199,25 @@ impl FaultSchedule {
     /// active).
     // lint: unitless product of raised-cosine fade profiles, linear gain
     pub fn gain_at(&self, t_s: f64) -> f64 {
-        let mut g = 1.0;
-        for fade in &self.fades {
-            let u = (t_s - fade.start_s) / fade.duration_s;
-            if (0.0..=1.0).contains(&u) {
-                // 0 at the edges, 1 at the centre.
-                let shape = 0.5 * (1.0 - (std::f64::consts::TAU * u).cos());
-                g *= 1.0 - (1.0 - fade.floor_ratio) * shape;
-            }
-        }
-        g
+        fade_product(&self.fades, t_s)
+    }
+
+    /// [`gain_at`](Self::gain_at) at the `n` sample times
+    /// `t_start_s + i / fs_hz`, bit for bit, evaluating per sample only
+    /// the fades that can apply to one of them. A fade's window position
+    /// `u` grows with `t`, and the sample times grow with `i`, so a fade
+    /// whose `u` is below 0 at the last sample or above 1 at the first
+    /// applies to none. The rest keep schedule order.
+    pub fn gains(&self, t_start_s: f64, fs_hz: f64, n: usize) -> Vec<f64> {
+        let t_at = |i: usize| t_start_s + i as f64 / fs_hz;
+        let t_last = t_at(n.saturating_sub(1));
+        let fades: Vec<PathFade> = self
+            .fades
+            .iter()
+            .filter(|f| f.position(t_last) >= 0.0 && f.position(t_start_s) <= 1.0)
+            .copied()
+            .collect();
+        (0..n).map(|i| fade_product(&fades, t_at(i))).collect()
     }
 
     /// Whether the node is browned out at any point during
@@ -343,6 +381,51 @@ mod tests {
             })
             .unwrap();
         assert!((f.gain_at(1.0) - 0.25).abs() < 1e-12);
+    }
+
+    /// `gains` must be `gain_at` at every sample, bit for bit: before,
+    /// across and after a fade's start and end, under two overlapping
+    /// fades, and with no fade in reach or none at all.
+    #[test]
+    fn gains_are_gain_at_bit_for_bit() {
+        let fade = |start_s: f64, duration_s: f64, floor_ratio: f64| PathFade {
+            start_s,
+            duration_s,
+            floor_ratio,
+        };
+        let f = FaultSchedule::new(3)
+            .with_fade(fade(0.4, 0.3, 0.2))
+            .unwrap()
+            .with_fade(fade(0.6, 0.5, 0.55))
+            .unwrap()
+            .with_fade(fade(5.0, 1.0, 0.1))
+            .unwrap()
+            .with_fade(fade(0.03, 0.011, 0.3))
+            .unwrap();
+        let fs_hz = 96_000.0;
+        let n = 9_600;
+        // Windows straddling each start and end, the overlap, a whole
+        // fade inside one window, and a window no fade reaches.
+        let starts = [0.0, 0.35, 0.39999, 0.65, 0.69, 1.05, 1.099_99, 2.0, 4.95];
+        let quiet = FaultSchedule::new(3);
+        for t_start_s in starts {
+            for (what, sched) in [("faded", &f), ("quiet", &quiet)] {
+                let gains = sched.gains(t_start_s, fs_hz, n);
+                assert_eq!(gains.len(), n);
+                for (i, g) in gains.iter().enumerate() {
+                    let want = sched.gain_at(t_start_s + i as f64 / fs_hz);
+                    assert_eq!(
+                        g.to_bits(),
+                        want.to_bits(),
+                        "{what} {t_start_s} s, sample {i}"
+                    );
+                }
+            }
+        }
+        // The overlap really multiplies two factors, and edges really move.
+        let both = f.gains(0.65, fs_hz, 1)[0];
+        assert!(both < f.gains(0.45, fs_hz, 1)[0].min(f.gains(1.0, fs_hz, 1)[0]));
+        assert!(f.gains(0.0, fs_hz, 0).is_empty());
     }
 
     #[test]

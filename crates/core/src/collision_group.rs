@@ -34,9 +34,8 @@
 //!
 //! Determinism: the engine owns a ChaCha8 RNG seeded from
 //! [`MultiNodeConfig::seed`] (a faultnet group derives it from the network
-//! seed and the member addresses), every slot runs inline (never fanned
-//! through the parallel engine), and AWGN is drawn in slot order — so
-//! same-seed runs are bit-identical regardless of `parallel_slots`.
+//! seed and the member addresses), every slot runs inline, and AWGN is
+//! drawn in slot order — so same-seed runs are bit-identical.
 //!
 //! Cost: everything before the noise (query synthesis, k² downlink
 //! propagations, k node pipelines, the hydrophone superposition) is a

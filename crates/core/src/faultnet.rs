@@ -78,11 +78,11 @@ pub struct FaultNetConfig {
     pub drive_voltage_v: f64,
     /// Image-method reflection order.
     pub max_reflections: usize,
-    /// Fan each slot's independent per-node exchanges through the
-    /// parallel sweep engine. Only a collision slot that falls back to
-    /// FDMA carries more than one. Bit-identical to the serial path by the
-    /// order-stable-collect + per-exchange-sub-recorder contract, so this
-    /// is purely a wall-clock knob.
+    /// Has no effect. It used to fan a slot's per-node exchanges out
+    /// through the parallel sweep engine, but only a collision slot that
+    /// falls back to FDMA carries more than one, and those exchanges are
+    /// time-shared: each starts where the previous one ended, so they run
+    /// in order.
     pub parallel_slots: bool,
     /// How concurrent uplinks are scheduled and modelled (see
     /// [`Concurrency`]). The default [`Concurrency::Serialized`] time-shares
@@ -390,6 +390,7 @@ impl FaultNetSimulator {
                 )?,
                 SlotKind::Fdma => self.run_fdma_queries(
                     plan.queries,
+                    self.t_now_s,
                     tel.as_deref_mut(),
                     &mut fault_state,
                     &mut digest,
@@ -446,85 +447,52 @@ impl FaultNetSimulator {
         })
     }
 
-    /// Run one slot's FDMA queries through the per-link simulators and
-    /// return `(slot_duration_s, delivered_bits)`.
+    /// Run one slot's FDMA queries through the per-link simulators,
+    /// starting at `t_start_s`, and return `(slot_duration_s,
+    /// delivered_bits)`.
     ///
-    /// Exchanges fan out through the sweep engine. The FDMA scheduler
-    /// never puts two queries on one channel, so the scheduled addresses
-    /// are distinct and each exchange owns its simulator outright for the
-    /// duration of the slot (moved out of the map here, moved back in
-    /// below). Traced exchanges record into fresh per-exchange
-    /// sub-recorders that the post-pass absorbs in query order, which is
-    /// what keeps parallel traced runs byte-identical to serial ones.
-    ///
-    /// The medium is time-shared, so a multi-query slot — the collision
-    /// fallback path — costs the *sum* of its exchanges.
+    /// The medium is time-shared, so a multi-query slot (the collision
+    /// fallback path) runs its exchanges one after another: each starts
+    /// where the previous one ended, its fault windows are tested over
+    /// its own interval, and the slot costs the *sum* of its exchanges.
+    /// Each exchange is narrated and accounted before the next runs.
     fn run_fdma_queries(
         &mut self,
         queries: Vec<ScheduledQuery>,
+        t_start_s: f64,
         mut tel: Option<&mut Recorder>,
         fault_state: &mut BTreeMap<u8, [bool; 4]>,
         digest: &mut u64,
     ) -> Result<(f64, u64), CoreError> {
-        let mut slot_s = 0.0f64;
-        let mut slot_bits = 0u64;
-        let mut points = Vec::with_capacity(queries.len());
+        // Actuate the rate ladder first: command every node's divider
+        // from the MAC state at the start of the slot.
         for q in &queries {
             let addr = q.query.dest;
-            let mut sim = self
-                .sims
-                .remove(&addr)
-                .ok_or(CoreError::InvalidConfig("scheduled unknown address"))?;
+            let rate_bps = self.mac.rate_bps(addr);
+            self.sims
+                .get_mut(&addr)
+                .ok_or(CoreError::InvalidConfig("scheduled unknown address"))?
+                .set_bitrate_target(rate_bps)?;
+        }
+        let mut slot_s = 0.0f64;
+        let mut slot_bits = 0u64;
+        for q in &queries {
+            let addr = q.query.dest;
+            let t_s = t_start_s + slot_s;
             let schedule = self
                 .faults
                 .get(&addr)
                 .ok_or(CoreError::InvalidConfig("missing fault schedule"))?;
-            // Actuate the rate ladder: command the node's divider.
-            sim.set_bitrate_target(self.mac.rate_bps(addr))?;
-            points.push((addr, q.query.command, sim, schedule));
-        }
-        let t_start_s = self.t_now_s;
-        let tracing = tel.is_some();
-        let exchange = |_i: usize,
-                        (addr, command, mut sim, schedule): (
-            u8,
-            Command,
-            LinkSimulator,
-            &FaultSchedule,
-        )| {
-            let mut sub = tracing.then(|| Recorder::new(16));
-            let verdict = sim.slot_exchange(addr, command, schedule, t_start_s, sub.as_mut());
-            (addr, sim, verdict, sub)
-        };
-        let outcomes = if self.cfg.parallel_slots {
-            pab_sweep::run(points, exchange)
-        } else {
-            pab_sweep::run_serial(points, exchange)
-        };
-        // Re-home every simulator before touching any verdict, so an
-        // exchange error cannot strand the other nodes' simulators.
-        let mut verdicts = Vec::with_capacity(outcomes.len());
-        for (addr, sim, verdict, sub) in outcomes {
-            self.sims.insert(addr, sim);
-            verdicts.push((addr, verdict, sub));
-        }
-        // Post-pass in query order: absorb each exchange's trace, then
-        // narrate fault windows, energy, the receiver verdict and the
-        // MAC reaction — exactly the serial recording order.
-        for (addr, verdict, sub) in verdicts {
-            let (heard, exchange_samples) = verdict?;
-            if let (Some(t), Some(sub)) = (tel.as_deref_mut(), sub.as_ref()) {
-                t.absorb(sub);
-            }
+            let sim = self
+                .sims
+                .get_mut(&addr)
+                .ok_or(CoreError::InvalidConfig("scheduled unknown address"))?;
+            let (heard, exchange_samples) =
+                sim.slot_exchange(addr, q.query.command, schedule, t_s, tel.as_deref_mut())?;
             let exchange_s = exchange_samples as f64 / self.cfg.fs_hz;
             slot_s += exchange_s;
-            let schedule = self
-                .faults
-                .get(&addr)
-                .ok_or(CoreError::InvalidConfig("missing fault schedule"))?;
-
             if let Some(t) = tel.as_deref_mut() {
-                let active = faults_active(schedule, self.t_now_s, self.t_now_s + exchange_s);
+                let active = faults_active(schedule, t_s, t_s + exchange_s);
                 let prev = fault_state.entry(addr).or_default();
                 for (k, kind) in FAULT_KINDS.into_iter().enumerate() {
                     match (prev[k], active[k]) {
@@ -686,7 +654,8 @@ impl FaultNetSimulator {
     /// Abandon a proposed collision: blacklist the group so it is never
     /// proposed again, narrate the fallback, and run the already-scheduled
     /// queries as (time-shared) FDMA so every query still feeds the MAC an
-    /// observation.
+    /// observation. The exchanges start after the `spent_s` of training
+    /// already charged to the slot.
     fn collision_fallback(
         &mut self,
         queries: Vec<ScheduledQuery>,
@@ -704,7 +673,8 @@ impl FaultNetSimulator {
         }
         self.bad_groups
             .insert(queries.iter().map(|q| q.query.dest).collect());
-        let (fdma_s, bits) = self.run_fdma_queries(queries, tel, fault_state, digest)?;
+        let t_start_s = self.t_now_s + spent_s;
+        let (fdma_s, bits) = self.run_fdma_queries(queries, t_start_s, tel, fault_state, digest)?;
         Ok((spent_s + fdma_s, bits))
     }
 

@@ -436,11 +436,8 @@ impl LinkSimulator {
     ) -> Result<(Vec<f64>, NodeOutput), CoreError> {
         let fs_hz = self.cfg.fs_hz;
         let incident_len = incident[0].samples.len();
-        let gains: Option<Vec<f64>> = fade.map(|(faults, t_start_s)| {
-            (0..incident_len)
-                .map(|i| faults.gain_at(t_start_s + i as f64 / fs_hz))
-                .collect()
-        });
+        let gains: Option<Vec<f64>> =
+            fade.map(|(faults, t_start_s)| faults.gains(t_start_s, fs_hz, incident_len));
         let apply_fade = |samples: &mut [f64]| {
             if let Some(gains) = &gains {
                 for (s, g) in samples.iter_mut().zip(gains) {

@@ -159,6 +159,48 @@ mod tests {
         assert!((tail_amp - p.source_pressure_pa()).abs() / tail_amp < 0.02);
     }
 
+    /// The PWM downlink is the sparse source the propagation kernel skips
+    /// through; on real queries at both slot rates, through a real
+    /// image-method channel, it must leave every sample bitwise where the
+    /// dense per-tap loop does.
+    #[test]
+    fn query_waveform_propagates_bitwise_like_the_per_tap_loop() {
+        use pab_channel::{Pool, Position};
+        use pab_dsp::resample::add_delayed_scaled;
+        let queries = [
+            (96_000.0, Command::SetBitrateDivider(0x2a5)),
+            (192_000.0, Command::Ping),
+        ];
+        for (fs_hz, command) in queries {
+            let mut p = Projector::new(100.0).unwrap();
+            p.fs_hz = fs_hz;
+            let q = DownlinkQuery { dest: 2, command };
+            let (w, _) = p.query_waveform(&q, 15_000.0, 0.1).unwrap();
+            let zeros = w.iter().filter(|&&x| x == 0.0).count();
+            assert!(
+                zeros > w.len() / 4,
+                "{fs_hz} Hz: {zeros} zeros in {}",
+                w.len()
+            );
+            let ch = Pool::pool_a()
+                .channel(
+                    &Position::new(0.5, 1.5, 0.6),
+                    &Position::new(1.5, 1.8, 0.6),
+                    3,
+                    15_000.0,
+                )
+                .unwrap();
+            let got = ch.apply(&w, fs_hz);
+            let mut want = vec![0.0; got.len()];
+            for t in ch.taps() {
+                add_delayed_scaled(&mut want, &w, t.delay_s * fs_hz, t.gain);
+            }
+            for (i, (g, x)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), x.to_bits(), "{fs_hz} Hz: sample {i}");
+            }
+        }
+    }
+
     #[test]
     fn query_duration_matches_pwm_timing() {
         let p = Projector::new(36.0).unwrap();

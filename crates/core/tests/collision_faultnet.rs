@@ -6,12 +6,13 @@
 //! format — with a clean FDMA fallback when the channel matrix is
 //! ill-conditioned.
 
+use pab_channel::{DropoutWindow, FaultSchedule};
 use pab_core::faultnet::{FaultNetConfig, FaultNetSimulator};
 use pab_net::mac::{
     AdaptiveConfig, ChannelPlan, CollisionPolicy, Concurrency, MacPolicy, RateLadder,
 };
 use pab_telemetry::export::{events_csv, events_jsonl, summary_csv};
-use pab_telemetry::{events_bin, Recorder};
+use pab_telemetry::{events_bin, Event, FaultKind, Recorder};
 
 /// A two-node network whose carrier spacing (5 kHz) clears twice the FM0
 /// main lobe at the ladder's 1024 bps top rung (2 × 2 × 1024 Hz), so the
@@ -114,6 +115,107 @@ fn ill_conditioned_group_falls_back_to_fdma_with_same_payload_bits() {
         fallback.bit_digest, serialized.bit_digest,
         "fallback must deliver the same payload bits as the FDMA baseline"
     );
+}
+
+/// The fallback's FDMA exchanges are time-shared: the second starts after
+/// the training slots and the first exchange. A dropout on node 2 over
+/// exactly that interval must silence it, and an exchange simulated at
+/// the slot's start would miss it.
+#[test]
+fn fallback_exchanges_run_at_their_own_time() {
+    let strict = || {
+        Concurrency::Collision(CollisionPolicy {
+            max_condition: 1.0001,
+            ..Default::default()
+        })
+    };
+    // A healthy traced run gives the fallback slot's length and node 2's
+    // exchange length (its energy sample is power × duration).
+    let mut tel = Recorder::new(16_384);
+    FaultNetSimulator::new(wide_pair_cfg(strict()))
+        .unwrap()
+        .run_with_recorder(Some(&mut tel))
+        .unwrap();
+    let fallback = *tel
+        .events()
+        .find(|e| matches!(e.event, Event::CollisionFallback { .. }))
+        .expect("the strict gate forces a fallback");
+    let in_slot = || tel.events().filter(|e| e.slot == fallback.slot);
+    let slot_s = in_slot()
+        .find_map(|e| match e.event {
+            Event::SlotEnd { duration_s, .. } => Some(duration_s),
+            _ => None,
+        })
+        .unwrap();
+    let node2_s = in_slot()
+        .find_map(|e| match e.event {
+            Event::EnergySample {
+                node: 2,
+                harvested_j,
+                power_w,
+                ..
+            } => Some(harvested_j / power_w),
+            _ => None,
+        })
+        .unwrap();
+    assert!(in_slot().any(|e| matches!(e.event, Event::Detection { node: 2, .. })));
+
+    // Node 2's exchange is the slot's last: it ends with the slot.
+    let node2_start_s = fallback.t_s + slot_s - node2_s;
+    let margin_s = 1e-3;
+    let mut cfg = wide_pair_cfg(strict());
+    cfg.nodes[1].faults = FaultSchedule::new(7)
+        .with_dropout(DropoutWindow {
+            start_s: node2_start_s + margin_s,
+            duration_s: node2_s - 2.0 * margin_s,
+        })
+        .unwrap();
+    assert!(
+        node2_start_s > fallback.t_s + node2_s,
+        "an exchange simulated at the slot's start would miss the window"
+    );
+    let mut tel = Recorder::new(16_384);
+    let report = FaultNetSimulator::new(cfg)
+        .unwrap()
+        .run_with_recorder(Some(&mut tel))
+        .unwrap();
+    let first: Vec<Event> = tel
+        .events()
+        .filter(|e| e.slot == fallback.slot)
+        .map(|e| e.event)
+        .collect();
+    // Node 2 browned out for its whole exchange: nothing harvested and
+    // nothing delivered. (Its silent exchange is not always an erasure:
+    // the fixed 0.3 preamble threshold can fire on noise alone, which
+    // then fails CRC.)
+    assert!(
+        first.contains(&Event::FaultEnter {
+            node: 2,
+            kind: FaultKind::Dropout
+        }),
+        "{first:?}"
+    );
+    assert!(
+        first
+            .iter()
+            .any(|e| matches!(e, Event::EnergySample { node: 2, power_w, .. } if *power_w == 0.0)),
+        "{first:?}"
+    );
+    assert!(
+        !first
+            .iter()
+            .any(|e| matches!(e, Event::Detection { node: 2, .. })),
+        "{first:?}"
+    );
+    assert!(
+        first
+            .iter()
+            .any(|e| matches!(e, Event::Detection { node: 1, .. })),
+        "node 1 runs before the window: {first:?}"
+    );
+    // The window covers only that exchange: node 2 recovers.
+    assert!(report.completed, "{report:?}");
+    assert_eq!(report.delivered_total, 8);
 }
 
 fn identity_cfg(n: usize) -> FaultNetConfig {

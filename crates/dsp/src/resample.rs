@@ -1,39 +1,11 @@
 //! Fractional delay.
 //!
 //! The acoustic channel applies propagation delays that are not integer
-//! numbers of samples; [`fractional_delay`] implements the linear-
-//! interpolation delay line used by the channel simulator, and
-//! [`add_delayed_scaled`] its allocation-free superposing form.
-//! Anti-aliased decimation is [`crate::polyphase::PolyphaseDecimator`].
-
-use crate::DspError;
-
-/// Delay a signal by `delay_samples` (may be fractional, must be >= 0),
-/// using linear interpolation between neighbouring samples. The output has
-/// the same length as the input; the signal is zero before it "arrives".
-pub fn fractional_delay(x: &[f64], delay_samples: f64) -> Result<Vec<f64>, DspError> {
-    if !(delay_samples >= 0.0) || !delay_samples.is_finite() {
-        return Err(DspError::InvalidParameter(
-            "delay_samples must be finite and non-negative",
-        ));
-    }
-    let int = delay_samples.floor() as usize;
-    let frac = delay_samples - delay_samples.floor();
-    let n = x.len();
-    let mut y = vec![0.0; n];
-    #[allow(clippy::needless_range_loop)] // index math mirrors the formula
-    for i in 0..n {
-        // y[i] = x[i - delay] interpolated.
-        if i < int {
-            continue;
-        }
-        let j = i - int;
-        let a = x.get(j).copied().unwrap_or(0.0);
-        let b = j.checked_sub(1).and_then(|k| x.get(k)).copied().unwrap_or(0.0);
-        y[i] = a * (1.0 - frac) + b * frac;
-    }
-    Ok(y)
-}
+//! numbers of samples. [`add_delayed_scaled`] adds one such delayed,
+//! scaled copy into a buffer with linear interpolation: it is one tap of
+//! `pab_channel::MultipathChannel`, whose sparse, tiled kernel must match
+//! a loop of it over the taps bit for bit. Anti-aliased decimation is
+//! [`crate::polyphase::PolyphaseDecimator`].
 
 /// Add `src` delayed by `delay_samples` and scaled by `gain` into `dst`
 /// without allocating. Samples that fall beyond `dst` are dropped, and so
@@ -90,35 +62,6 @@ pub fn add_delayed_scaled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mix::tone;
-
-    #[test]
-    fn integer_delay_shifts_exactly() {
-        let x = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        let y = fractional_delay(&x, 2.0).unwrap();
-        assert_eq!(y, vec![0.0, 0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn half_sample_delay_interpolates() {
-        let x = vec![0.0, 1.0, 0.0, 0.0];
-        let y = fractional_delay(&x, 0.5).unwrap();
-        assert_eq!(y, vec![0.0, 0.5, 0.5, 0.0]);
-    }
-
-    #[test]
-    fn fractional_delay_of_tone_shifts_phase() {
-        let fs_hz = 48_000.0;
-        let f = 1_000.0;
-        let x = tone(f, fs_hz, 0.0, 4800);
-        let d = 7.3;
-        let y = fractional_delay(&x, d).unwrap();
-        // Compare against analytically delayed tone (skip the transient).
-        let expected = tone(f, fs_hz, -std::f64::consts::TAU * f / fs_hz * d, 4800);
-        for i in 100..4700 {
-            assert!((y[i] - expected[i]).abs() < 0.01, "at {i}");
-        }
-    }
 
     #[test]
     fn add_delayed_scaled_superposes() {
@@ -138,11 +81,5 @@ mod tests {
             add_delayed_scaled(&mut dst, &src, delay, 1.0);
             assert_eq!(dst, before, "delay {delay}");
         }
-    }
-
-    #[test]
-    fn rejects_invalid_parameters() {
-        assert!(fractional_delay(&[1.0], -1.0).is_err());
-        assert!(fractional_delay(&[1.0], f64::NAN).is_err());
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Run the Criterion DSP suite plus a fig7 wall-clock timing and the
 # collision vs FDMA goodput, and emit a machine-readable JSON map (kernel
-# name -> mean ns, end-to-end figure time, goodput per concurrency arm)
+# name -> median ns, end-to-end figure time, goodput per concurrency arm)
 # to stdout-visible file $1 (default: bench_run.json). Slot throughput
 # and per-layer shares come from pab_bench (see BENCHMARK.json).
 #
@@ -33,11 +33,11 @@ cargo build --release -p pab-experiments --bin ext_collision_faultnet >/dev/null
 ./target/release/ext_collision_faultnet >/dev/null
 colcsv="results/ext_collision_faultnet.csv"
 
-# Parse the criterion shim's report lines:
-#   <id>  <value> <unit>  [<n> iters]  (<rate>)
+# Parse the criterion shim's report lines (the median is recorded):
+#   <id>  <median> <unit>  [<min> – <max>, <w> windows, <n> iters]  (<rate>)
 awk -v fig7="$fig7_s" -v colcsv="$colcsv" '
 BEGIN { print "{"; print "  \"kernels_ns\": {"; first = 1 }
-/\[[0-9]+ iters\]/ {
+/ windows, [0-9]+ iters\]/ {
     id = $1; v = $2; u = $3
     if (u == "s")       f = 1e9
     else if (u == "ms") f = 1e6

@@ -1,8 +1,9 @@
 //! N-node slot-engine determinism suite: the fault-injected network must
-//! produce byte-identical results whether its per-slot exchanges fan out
-//! through the parallel sweep engine or run serially, and whether or not
-//! a trace recorder is attached; and a link's cached slot engine must
-//! reproduce its uncached reference exchange bit for bit. These are the
+//! produce byte-identical results whatever `parallel_slots` says (it no
+//! longer has an effect: a slot's exchanges are time-shared and run in
+//! order), and whether or not a trace recorder is attached; and a link's
+//! cached slot engine must reproduce its uncached reference exchange bit
+//! for bit. These are the
 //! load-bearing invariants behind the slot engine's perf work — a cache
 //! or a thread pool that changed a single bit would silently invalidate
 //! every sweep result.
@@ -50,7 +51,7 @@ fn run_traced(mut cfg: FaultNetConfig, parallel: bool) -> (FaultNetReport, Recor
     (report, tel)
 }
 
-/// Parallel and serial slot fan-out must agree bit-for-bit — on the
+/// Both `parallel_slots` settings must agree bit-for-bit — on the
 /// report, on the packet digest, and on every telemetry export format
 /// (CSV, JSONL, summary, binary) — at both N=4 and N=8.
 #[test]
