@@ -189,6 +189,43 @@ fn bench_decode_envelope(c: &mut Criterion) {
     g.finish();
 }
 
+/// The coherent decoder, `decode_uplink_verdict`, on a clean sensor
+/// packet keyed onto a 15 kHz carrier with 50 ms of the low level either
+/// side: at 256 bps and 192 kHz (decimation 23, where the Butterworth
+/// runs at the decimated rate) and at 2731 bps and 96 kHz (decimation
+/// 1, the full-rate control).
+fn bench_decode_verdict(c: &mut Criterion) {
+    use pab_net::fm0;
+    use pab_net::packet::{SensorKind, UplinkPacket};
+    let p = UplinkPacket::sensor_reading(3, 1, SensorKind::Ph, 7.0);
+    let halves = fm0::encode(&p.to_bits().unwrap(), false);
+    let mut g = c.benchmark_group("dsp");
+    for (name, bitrate, fs) in [
+        ("decode_verdict_256bps_192k", 256.0, 192_000.0),
+        ("decode_verdict_2731bps_96k", 32_768.0 / 12.0, 96_000.0),
+    ] {
+        let spb = fs / (2.0 * bitrate);
+        let lead = (0.05 * fs) as usize;
+        let n = 2 * lead + (halves.len() as f64 * spb) as usize;
+        let mut nco = Nco::new(15_000.0, fs);
+        let w: Vec<f64> = (0..n)
+            .map(|i| {
+                let k = i.checked_sub(lead).map(|j| (j as f64 / spb) as usize);
+                let hi = k.and_then(|k| halves.get(k)) == Some(&true);
+                (if hi { 1.0 } else { 0.4 }) * nco.next_sample()
+            })
+            .collect();
+        let rx = pab_core::receiver::Receiver::new(1.0e-3, fs);
+        let v = rx.decode_uplink_verdict(&w, 15_000.0, bitrate).unwrap();
+        assert!(v.packet.is_ok(), "{name}: the packet must decode");
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_function(name, |b| {
+            b.iter(|| rx.decode_uplink_verdict(&w, 15_000.0, bitrate).unwrap())
+        });
+    }
+    g.finish();
+}
+
 /// Cached vs uncached FFT planning on the 0.5 s buffer: the uncached
 /// case builds a fresh planner (tables, twiddles, bit-reversal) every
 /// call, the cached case hits the thread-local `PlanCache`.
@@ -304,6 +341,7 @@ criterion_group!(
     bench_direct_vs_fft,
     bench_preamble_search,
     bench_decode_envelope,
+    bench_decode_verdict,
     bench_plan_cache,
     bench_image_method,
     bench_channel_apply,

@@ -300,8 +300,8 @@ impl LinkSimulator {
         }
     }
 
-    /// The receiver's decimating front-end counters (fused
-    /// mix→filter→decimate work, MACs saved, design cache hits).
+    /// The receiver's decimating front-end counters (samples into and
+    /// out of the anti-alias decimator, MACs saved, design cache hits).
     pub fn frontend_stats(&self) -> crate::receiver::FrontEndStats {
         self.receiver.frontend_stats()
     }

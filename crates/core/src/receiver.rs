@@ -6,12 +6,19 @@
 //! and the one that takes an already-separated amplitude stream
 //! ([`Receiver::decode_envelope`], the collision path) — run on one
 //! memoised [`FrontEnd`] per bitrate: all designs that depend only on
-//! `(bitrate, fs)` — the baseband Butterworth, the fused
-//! mix→filter→decimate polyphase stage, the detrending filter and the
-//! preamble matched filter — are built once and reused, and every
+//! `(bitrate, fs)` — the kept-output polyphase anti-alias decimator, the
+//! baseband Butterworth at the decimated rate, the detrending filter and
+//! the preamble matched filter — are built once and reused, and every
 //! per-decode buffer lives in a [`DecodeScratch`] arena so a steady-state
 //! coherent decode performs zero heap allocations (pinned by
 //! `tests/slot_engine_alloc.rs`).
+//!
+//! The coherent decoder mixes, decimates, then filters: only the NCO mix
+//! and the anti-alias FIR's kept outputs run at the full rate, and the
+//! order-4 Butterworth runs forward and backward at the decimated rate.
+//! The anti-alias FIR holds every band that folds onto the Butterworth
+//! passband at least 50 dB down. At decimation 1 nothing is decimated
+//! and the Butterworth runs at the full rate, as it always has.
 //!
 //! Both decoders share one preamble search, which needs no FFT and, until
 //! the winner is known, no square root. The ±1 template is constant over
@@ -42,14 +49,17 @@ use std::sync::Arc;
 /// [`Receiver::front_end`] and shared via `Arc`.
 #[derive(Debug)]
 struct FrontEnd {
-    /// Baseband-selection Butterworth (order 4) at the full rate.
+    /// Baseband-selection Butterworth (order 4) at `fs2`, run after the
+    /// anti-alias decimator (at the full rate when `decim == 1`).
     butter4: Cascade,
     /// Decimation factor to ~16 samples per half-bit.
     decim: usize,
     /// Decimated sample rate, Hz.
     fs2: f64,
-    /// Fused anti-alias decimator; `None` when `decim == 1` (the
-    /// historical pipeline applies no anti-alias filter in that case).
+    /// Kept-output anti-alias decimator, long enough to hold every band
+    /// that folds onto `butter4`'s passband 50 dB down
+    /// ([`anti_alias_taps`]); `None` when `decim == 1` (the historical
+    /// pipeline applies no anti-alias filter in that case).
     aa: Option<PolyphaseDecimator>,
     /// Detrending low-pass (order 2) at the decimated rate.
     trend: Cascade,
@@ -59,16 +69,17 @@ struct FrontEnd {
 
 impl FrontEnd {
     fn new(bitrate_bps: f64, fs_hz: f64) -> Result<FrontEnd, CoreError> {
-        let cutoff = (2.0 * bitrate_bps).clamp(200.0, 0.4 * fs_hz);
-        let butter4 = butter_lowpass(4, cutoff, fs_hz)?;
         let spb_raw = fs_hz / (2.0 * bitrate_bps);
         let decim = ((spb_raw / 16.0).floor() as usize).max(1);
         let fs2 = fs_hz / decim as f64;
+        // `max`/`min`, not `clamp`: below ~16 bps 0.4·fs2 is under 200 Hz.
+        let cutoff = (2.0 * bitrate_bps).max(200.0).min(0.4 * fs2);
+        let butter4 = butter_lowpass(4, cutoff, fs2)?;
         let aa = if decim == 1 {
             None
         } else {
             let fir = pab_dsp::fir::Fir::lowpass(
-                127,
+                anti_alias_taps(fs_hz, fs2, cutoff),
                 0.8 * fs_hz / (2.0 * decim as f64),
                 fs_hz,
                 pab_dsp::window::Window::Hamming,
@@ -128,6 +139,20 @@ impl FrontEnd {
     }
 }
 
+/// Length of the Hamming anti-alias FIR that decimates `fs_hz` to `fs2`
+/// ahead of a Butterworth passband of `cutoff_hz`. The bands that fold
+/// onto that passband are `k·fs2 ± cutoff_hz`; the nearest starts at
+/// `fs2 − cutoff_hz`, `0.6·fs2 − cutoff_hz` past the FIR's cutoff of
+/// `0.4·fs2`. A Hamming-windowed sinc of `N` taps is 50 dB down about
+/// `2·fs/N` past its cutoff, so the FIR keeps its historical 127 taps
+/// where they span that gap (every decimation up to 30 at 96 or
+/// 192 kHz) and grows where they do not: 225 taps for 100 bps at
+/// 192 kHz, decimation 60.
+fn anti_alias_taps(fs_hz: f64, fs2: f64, cutoff_hz: f64) -> usize {
+    let need = (2.0 * fs_hz / (0.6 * fs2 - cutoff_hz)).ceil() as usize;
+    (need | 1).max(127)
+}
+
 /// The ±1 uplink-preamble matched-filter template: the FM0 half-bits of
 /// [`UPLINK_PREAMBLE`] sampled at `fs_hz` for a `bitrate_bps` node (a
 /// half-bit spans `fs_hz / (2·bitrate_bps)` samples, fractional in
@@ -148,8 +173,8 @@ pub fn preamble_template(bitrate_bps: f64, fs_hz: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Counters for the decimating front-end: how much work the fused
-/// mix→filter→decimate stage did and saved. Aggregated per receiver;
+/// Counters for the decimating front-end: how much work its anti-alias
+/// decimator did and saved. Aggregated per receiver;
 /// [`crate::link::LinkSimulator::frontend_stats`] and the faultnet
 /// simulator expose roll-ups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -543,29 +568,52 @@ impl Receiver {
         let s = &mut *self.scratch.borrow_mut();
         let n = signal.len();
 
-        // Fused mix→filter: downconvert straight into the centre of the
-        // filtfilt workspace (the NCO phasor recurrence runs inside the
-        // write loop; no full-rate intermediate vector), then run the
-        // Butterworth forward-backward pass in place. The pad margins are
-        // filled with odd reflections by the filter itself.
-        let pad = fe.butter4.filtfilt_pad(n);
-        s.ext.resize(n + 2 * pad, Complex64::new(0.0, 0.0));
-        downconvert_into(signal, carrier_hz, self.fs_hz, &mut s.ext[pad..pad + n]);
-        fe.butter4.filtfilt_complex_in_place(&mut s.ext, pad, n);
-        let bb = &s.ext[pad..pad + n];
-
-        // Fused filter→decimate, with the coherent ×2 (undoing the
-        // real→complex mixing loss) applied as each sample is read.
+        // The coherent ×2 undoes the real→complex mixing loss.
         match &fe.aa {
-            Some(aa) => aa.decimate_complex_scaled_into(bb, 2.0, &mut s.bb_d),
+            Some(aa) => {
+                // Mix→decimate→filter: the only full-rate stages are the
+                // NCO mix and the kept-output anti-alias FIR (×2 applied
+                // as each sample is read); the Butterworth then runs
+                // forward and backward at fs2, in the centre of the
+                // now-free mix buffer, its margins filled with odd
+                // reflections by the filter itself.
+                s.ext.resize(n, Complex64::new(0.0, 0.0));
+                downconvert_into(signal, carrier_hz, self.fs_hz, &mut s.ext);
+                aa.decimate_complex_scaled_into(&s.ext, 2.0, &mut s.bb_d);
+                let n2 = s.bb_d.len();
+                let pad = fe.butter4.filtfilt_pad(n2);
+                s.ext.resize(n2 + 2 * pad, Complex64::new(0.0, 0.0));
+                s.ext[pad..pad + n2].copy_from_slice(&s.bb_d);
+                fe.butter4.filtfilt_complex_in_place(&mut s.ext, pad, n2);
+                s.bb_d.copy_from_slice(&s.ext[pad..pad + n2]);
+            }
             None => {
+                // Mix→filter at the full rate: downconvert straight into
+                // the centre of the filtfilt workspace (the NCO phasor
+                // recurrence runs inside the write loop), filter in
+                // place, scale on the copy out.
+                let pad = fe.butter4.filtfilt_pad(n);
+                s.ext.resize(n + 2 * pad, Complex64::new(0.0, 0.0));
+                downconvert_into(signal, carrier_hz, self.fs_hz, &mut s.ext[pad..pad + n]);
+                fe.butter4.filtfilt_complex_in_place(&mut s.ext, pad, n);
                 s.bb_d.clear();
-                s.bb_d.extend(bb.iter().map(|&c| 2.0 * c));
+                s.bb_d.extend(s.ext[pad..pad + n].iter().map(|&c| 2.0 * c));
             }
         }
+        self.count_decode(&fe, n, s.bb_d.len());
+        Self::decode_baseband(&fe, s, bitrate_bps)
+    }
+
+    /// The coherent decode from the decimated, ×2-scaled complex baseband
+    /// in `s.bb_d` (at `fe.fs2`) on: detrend, CFO correction, preamble
+    /// search, projection onto the modulation direction, slicing.
+    fn decode_baseband(
+        fe: &FrontEnd,
+        s: &mut DecodeScratch,
+        bitrate_bps: f64,
+    ) -> Result<DecodeVerdict, CoreError> {
         let n2 = s.bb_d.len();
         let fs2 = fe.fs2;
-        self.count_decode(&fe, n, n2);
 
         // Complex detrend: the slow trend is the direct-carrier phasor.
         let pad2 = fe.trend.filtfilt_pad(n2);
@@ -1152,6 +1200,126 @@ mod tests {
             let v = rx.decode_uplink_verdict(&w, 15_000.0, bitrate).unwrap();
             assert_eq!(v.packet.as_ref().unwrap(), &p, "bitrate={bitrate}");
             assert_found_what_direct_search_finds(&rx, bitrate, &v);
+        }
+    }
+
+    /// Worst gain, dB, of the FIR `taps` (direct DTFT at `fs_hz`, 65
+    /// points a band) over every band `[k·fs2 − c, k·fs2 + c]`, `k ≥ 1`,
+    /// that starts below fs/2: the bands decimation to `fs2` folds onto
+    /// a baseband passband of `c` Hz.
+    fn worst_folding_gain_db(taps: &[f64], fs_hz: f64, fs2: f64, c: f64) -> f64 {
+        let gain_db = |f: f64| {
+            let w = 2.0 * std::f64::consts::PI * f / fs_hz;
+            let h: Complex64 = taps
+                .iter()
+                .enumerate()
+                .map(|(k, &t)| t * Complex64::from_polar(1.0, -w * k as f64))
+                .sum();
+            20.0 * h.norm().log10()
+        };
+        let mut worst = f64::NEG_INFINITY;
+        let mut k = 1.0;
+        while k * fs2 - c < fs_hz / 2.0 {
+            let (lo, hi) = (k * fs2 - c, (k * fs2 + c).min(fs_hz / 2.0));
+            for j in 0..=64 {
+                worst = worst.max(gain_db(lo + (hi - lo) * j as f64 / 64.0));
+            }
+            k += 1.0;
+        }
+        worst
+    }
+
+    #[test]
+    fn anti_alias_fir_holds_every_folding_band_50_db_down() {
+        // Every Fig. 8 bitrate (32 768 Hz / (2·divider)) and ladder rung.
+        let fig8 =
+            [164.0, 82.0, 41.0, 27.0, 20.0, 16.0, 8.0, 6.0, 3.0].map(|div| 32_768.0 / (2.0 * div));
+        let ladder = [32_768.0 / 12.0, 2048.0, 1024.0, 512.0, 256.0];
+        for fs_hz in [96_000.0, 192_000.0] {
+            for bitrate in fig8.into_iter().chain(ladder) {
+                let fe = FrontEnd::new(bitrate, fs_hz).unwrap();
+                let Some(aa) = &fe.aa else { continue };
+                let c = (2.0 * bitrate).max(200.0).min(0.4 * fe.fs2);
+                let worst = worst_folding_gain_db(aa.taps(), fs_hz, fe.fs2, c);
+                let tag = format!("{bitrate:.1} bps at {fs_hz} Hz, decim {}", fe.decim);
+                assert!(worst <= -50.0, "{tag}: folds in at {worst:.1} dB");
+                if fe.decim <= 30 {
+                    assert_eq!(aa.taps().len(), 127, "{tag}: lengthened needlessly");
+                }
+            }
+        }
+        // The plain 127-tap design leaves 100 bps at 192 kHz (decimation
+        // 60) only ~23 dB of protection: the bound has teeth.
+        let fe = FrontEnd::new(32_768.0 / 328.0, 192_000.0).unwrap();
+        assert_eq!(fe.decim, 60);
+        let plain = pab_dsp::fir::Fir::lowpass(
+            127,
+            0.8 * 192_000.0 / 120.0,
+            192_000.0,
+            pab_dsp::window::Window::Hamming,
+        )
+        .unwrap();
+        let worst = worst_folding_gain_db(plain.taps(), 192_000.0, fe.fs2, 200.0);
+        assert!(worst > -30.0, "plain 127 taps: {worst:.1} dB");
+    }
+
+    /// The front end's previous order, kept as the oracle for the
+    /// decimate-first one: mix, order-4 Butterworth at the full rate
+    /// (cutoff `(2·bitrate).clamp(200, 0.4·fs)`), then the front end's
+    /// own anti-alias decimator with the coherent ×2, then the shared
+    /// baseband decode. Up to decimation 30 that decimator is the
+    /// historical 127-tap one, so this is the previous pipeline; above,
+    /// sharing it isolates the reorder from the longer FIR's extra group
+    /// delay.
+    fn decode_in_the_old_order(
+        rx: &Receiver,
+        signal: &[f64],
+        carrier_hz: f64,
+        bitrate: f64,
+    ) -> Result<DecodeVerdict, CoreError> {
+        let fe = rx.front_end(bitrate).unwrap();
+        let cutoff = (2.0 * bitrate).clamp(200.0, 0.4 * rx.fs_hz);
+        let filtered = butter_lowpass(4, cutoff, rx.fs_hz)
+            .unwrap()
+            .filtfilt_complex(&pab_dsp::mix::downconvert(signal, carrier_hz, rx.fs_hz));
+        let s = &mut *rx.scratch.borrow_mut();
+        match &fe.aa {
+            Some(aa) => aa.decimate_complex_scaled_into(&filtered, 2.0, &mut s.bb_d),
+            None => s.bb_d = filtered.iter().map(|&c| 2.0 * c).collect(),
+        }
+        Receiver::decode_baseband(&fe, s, bitrate)
+    }
+
+    #[test]
+    fn decimating_first_decodes_what_filtering_first_decoded() {
+        use rand::SeedableRng;
+        let p = test_packet();
+        let ladder = [32_768.0 / 12.0, 2048.0, 1024.0, 512.0, 256.0];
+        for fs_hz in [96_000.0, 192_000.0] {
+            let rx = Receiver::new(1.0e-3, fs_hz);
+            for bitrate in ladder.into_iter().chain([32_768.0 / 328.0]) {
+                let decim = rx.front_end(bitrate).unwrap().decim;
+                for seed in 0..2 {
+                    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+                    let mut w = synth_waveform(&p, bitrate, fs_hz, 15_000.0, 1.0, 0.4, 0.02);
+                    pab_channel::noise::add_awgn(&mut w, 0.3, &mut rng);
+                    let tag = format!("{bitrate:.1} bps at {fs_hz} Hz, decim {decim}, seed {seed}");
+                    let new = rx.decode_uplink_verdict(&w, 15_000.0, bitrate).unwrap();
+                    let old = decode_in_the_old_order(&rx, &w, 15_000.0, bitrate).unwrap();
+                    assert_eq!(new.packet.as_ref().ok(), Some(&p), "{tag}");
+                    assert_eq!(old.packet.as_ref().ok(), Some(&p), "{tag}");
+                    let drift = new.start_sample.abs_diff(old.start_sample);
+                    assert!(drift <= decim, "{tag}: start drift {drift}");
+                    let gap = (new.snr_db - old.snr_db).abs();
+                    assert!(gap <= 0.25, "{tag}: snr {} vs {}", new.snr_db, old.snr_db);
+                    if decim == 1 {
+                        assert_eq!(new.start_sample, old.start_sample, "{tag}");
+                        assert_eq!(new.snr_db.to_bits(), old.snr_db.to_bits(), "{tag}");
+                        let corr = (new.preamble_corr, old.preamble_corr);
+                        assert_eq!(corr.0.to_bits(), corr.1.to_bits(), "{tag}");
+                    }
+                }
+            }
         }
     }
 

@@ -91,8 +91,10 @@ impl Scratch {
 /// arena's contract, pinned end-to-end by `tests/slot_engine_alloc.rs`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DecodeScratch {
-    /// Padded full-rate complex baseband: `filtfilt` reflections in the
-    /// margins, the downconverted signal in the centre.
+    /// The Butterworth's padded `filtfilt` workspace, reflections in
+    /// the margins: at decimation 1 the downconverted signal fills its
+    /// centre; above, it first holds the full-rate mix the anti-alias
+    /// decimator reads, then the decimated baseband.
     pub(crate) ext: Vec<Complex64>,
     /// Decimated complex baseband (post anti-alias), CFO-derotated in
     /// place once the offset is known: the stream the projection reads.

@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+# The slot benchmark builds from its own manifest and lock file; a break
+# in either fails here rather than in the benchmark run.
+echo "==> pab_bench standalone build (crates/experiments/src/bin/pab_bench/Cargo.toml)"
+cargo build --release --locked --manifest-path crates/experiments/src/bin/pab_bench/Cargo.toml --target-dir target/pab-bench
+
 echo "==> cargo test -q  (includes pab-lint enforcement)"
 cargo test -q
 

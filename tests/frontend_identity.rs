@@ -1,6 +1,6 @@
-//! Decode-level regression for the decimating front-end: the fused
-//! mix→filter→decimate pipeline must decode exactly what the historical
-//! pipeline decoded.
+//! Decode-level regression for the decimating front-end: the
+//! mix→decimate→filter pipeline must decode exactly what the pinned
+//! digests record.
 //!
 //! Two layers of evidence:
 //!

@@ -87,7 +87,7 @@ fn steady_state_slots_allocate_nothing_in_the_engine_stage() {
     );
     // The claim under test: the most recent engine+decode stage of every
     // simulator in the network — including the entire coherent decode
-    // pipeline, mix→filter→decimate through slicing and CRC — ran
+    // pipeline, mix→decimate→filter through slicing and CRC — ran
     // allocation-free (`merge` folds per-node values with max, so one
     // allocating node would show).
     assert_eq!(
