@@ -110,7 +110,7 @@ impl RectoPiezo {
 
     /// Electrical load presented to the piezo terminals in each switch
     /// state.
-    pub fn load_impedance(&self, state: SwitchState, freq_hz: f64) -> Complex64 {
+    fn load_impedance(&self, state: SwitchState, freq_hz: f64) -> Complex64 {
         match state {
             SwitchState::Reflective => self.switch.closed_impedance(),
             SwitchState::Absorptive => self
@@ -120,7 +120,7 @@ impl RectoPiezo {
     }
 
     /// Electrical reflection coefficient (Eq. 2) in a given state.
-    pub fn reflection_coefficient(&self, state: SwitchState, freq_hz: f64) -> Complex64 {
+    fn reflection_coefficient(&self, state: SwitchState, freq_hz: f64) -> Complex64 {
         self.transducer
             .reflection_coefficient(self.load_impedance(state, freq_hz), freq_hz)
     }

@@ -110,16 +110,6 @@ impl MatchingNetwork {
         MatchingNetwork::new(series, shunt_c)
     }
 
-    /// Loaded quality factor of the section when designed for `z_source`
-    /// into `r_load_ohms` (`√(R_load/R_s − 1)`).
-    // lint: unitless quality factor
-    pub fn loaded_q(z_source: Complex64, r_load_ohms: f64) -> f64 {
-        if z_source.re <= 0.0 || r_load_ohms <= z_source.re {
-            return 0.0;
-        }
-        (r_load_ohms / z_source.re - 1.0).sqrt()
-    }
-
     /// Complex voltage gain from source open-circuit voltage to the load:
     /// `V_load / Voc = Zp / (Zs + Z_series + Zp)` with
     /// `Zp = Z_shuntC ∥ R_load`.
@@ -138,6 +128,7 @@ impl MatchingNetwork {
     }
 
     /// Power delivered into `r_load_ohms` for open-circuit amplitude `voc_volts`.
+    // lint: allow(dead-pub) test-oracle lmatch_achieves_available_power_w the L-match's delivered power the property checks
     pub fn delivered_power_w(
         &self,
         voc_volts: f64,
@@ -162,6 +153,17 @@ mod tests {
     use super::*;
     use crate::impedance::available_power_w;
     use pab_piezo::Transducer;
+
+    impl MatchingNetwork {
+        /// Loaded quality factor of the section when designed for `z_source`
+        /// into `r_load_ohms` (`√(R_load/R_s − 1)`).
+        fn loaded_q(z_source: Complex64, r_load_ohms: f64) -> f64 {
+            if z_source.re <= 0.0 || r_load_ohms <= z_source.re {
+                return 0.0;
+            }
+            (r_load_ohms / z_source.re - 1.0).sqrt()
+        }
+    }
 
     #[test]
     fn design_achieves_available_power_w() {

@@ -74,13 +74,6 @@ impl MultiStageRectifier {
         2.0 * self.stages as f64 * (v_peak_v - self.diode_drop_v).max(0.0)
     }
 
-    /// DC output when the load draws `i_load_a` amps: droop through the
-    /// output resistance, floored at zero.
-    pub fn loaded_dc_v(&self, v_peak_v: f64, i_load_a: f64) -> f64 {
-        (self.open_circuit_dc_v(v_peak_v) - i_load_a.max(0.0) * self.output_resistance_ohms)
-            .max(0.0)
-    }
-
     /// DC output when feeding a resistive DC load `r_load_ohms` (voltage
     /// divider between output resistance and load), capped so output power
     /// never exceeds `max_efficiency` × the AC power accepted at the input.
@@ -95,22 +88,6 @@ impl MultiStageRectifier {
         v_model.min(v_cap)
     }
 
-    /// AC-to-DC conversion efficiency at input amplitude `v_peak_v` into DC
-    /// load `r_load_ohms`: output DC power / input AC power.
-    // lint: unitless output/input power ratio in [0, 1]
-    pub fn efficiency(&self, v_peak_v: f64, r_load_ohms: f64) -> f64 {
-        if v_peak_v <= 0.0 || r_load_ohms <= 0.0 {
-            return 0.0;
-        }
-        let p_in = v_peak_v * v_peak_v / (2.0 * self.input_resistance_ohms);
-        if p_in == 0.0 {
-            return 0.0;
-        }
-        let v_out = self.dc_into_load_v(v_peak_v, r_load_ohms);
-        let p_out = v_out * v_out / r_load_ohms;
-        (p_out / p_in).min(1.0)
-    }
-
     /// Minimum input amplitude that produces any DC output at all (the
     /// rectifier's dead zone — the reason weak signals can't cold-start a
     /// node even though they carry nonzero power).
@@ -122,6 +99,30 @@ impl MultiStageRectifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MultiStageRectifier {
+        /// DC output when the load draws `i_load_a` amps: droop through the
+        /// output resistance, floored at zero.
+        fn loaded_dc_v(&self, v_peak_v: f64, i_load_a: f64) -> f64 {
+            (self.open_circuit_dc_v(v_peak_v) - i_load_a.max(0.0) * self.output_resistance_ohms)
+                .max(0.0)
+        }
+
+        /// AC-to-DC conversion efficiency at input amplitude `v_peak_v` into DC
+        /// load `r_load_ohms`: output DC power / input AC power.
+        fn efficiency(&self, v_peak_v: f64, r_load_ohms: f64) -> f64 {
+            if v_peak_v <= 0.0 || r_load_ohms <= 0.0 {
+                return 0.0;
+            }
+            let p_in = v_peak_v * v_peak_v / (2.0 * self.input_resistance_ohms);
+            if p_in == 0.0 {
+                return 0.0;
+            }
+            let v_out = self.dc_into_load_v(v_peak_v, r_load_ohms);
+            let p_out = v_out * v_out / r_load_ohms;
+            (p_out / p_in).min(1.0)
+        }
+    }
 
     #[test]
     fn below_diode_drop_outputs_nothing() {

@@ -39,6 +39,7 @@ impl Ldo {
 
     /// The node's LP5900SD-1.8: 1.8 V out, ~0.1 V dropout, 25 µA ground
     /// current at the node's operating point.
+    // lint: allow(dead-pub) test-oracle ldo_output_bounded the node's LDO, exercised only by its output-bound property
     pub fn lp5900_1v8() -> Self {
         Ldo {
             output_v: 1.8,
@@ -48,12 +49,13 @@ impl Ldo {
     }
 
     /// Whether the regulator is in regulation at input voltage `vin_v`.
-    pub fn in_regulation(&self, vin_v: f64) -> bool {
+    fn in_regulation(&self, vin_v: f64) -> bool {
         vin_v >= self.output_v + self.dropout_v
     }
 
     /// Output voltage for a given input: regulated when possible, tracking
     /// (input minus dropout, floored at 0) when not.
+    // lint: allow(dead-pub) test-oracle ldo_output_bounded
     pub fn vout_v(&self, vin_v: f64) -> f64 {
         if self.in_regulation(vin_v) {
             self.output_v
@@ -61,24 +63,26 @@ impl Ldo {
             (vin_v - self.dropout_v).max(0.0)
         }
     }
-
-    /// Input current drawn from the storage capacitor when the load draws
-    /// `i_load_a` at the output (LDO is a linear pass device: input current =
-    /// load current + quiescent).
-    pub fn input_current_a(&self, i_load_a: f64) -> f64 {
-        i_load_a.max(0.0) + self.quiescent_a
-    }
-
-    /// Power dissipated inside the regulator at `vin_v` with load `i_load_a`.
-    pub fn dissipation_w(&self, vin_v: f64, i_load_a: f64) -> f64 {
-        let vout = self.vout_v(vin_v);
-        ((vin_v - vout) * i_load_a.max(0.0) + vin_v * self.quiescent_a).max(0.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Ldo {
+        /// Input current drawn from the storage capacitor when the load draws
+        /// `i_load_a` at the output (LDO is a linear pass device: input current =
+        /// load current + quiescent).
+        fn input_current_a(&self, i_load_a: f64) -> f64 {
+            i_load_a.max(0.0) + self.quiescent_a
+        }
+
+        /// Power dissipated inside the regulator at `vin_v` with load `i_load_a`.
+        fn dissipation_w(&self, vin_v: f64, i_load_a: f64) -> f64 {
+            let vout = self.vout_v(vin_v);
+            ((vin_v - vout) * i_load_a.max(0.0) + vin_v * self.quiescent_a).max(0.0)
+        }
+    }
 
     #[test]
     fn regulates_above_dropout() {

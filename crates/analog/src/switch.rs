@@ -57,28 +57,30 @@ impl BackscatterSwitch {
     pub fn closed_impedance(&self) -> Complex64 {
         Complex64::new(self.on_resistance_ohms, 0.0)
     }
-
-    /// Impedance when open: effectively removed from the circuit.
-    pub fn open_impedance(&self) -> Complex64 {
-        Complex64::new(self.off_resistance_ohms, 0.0)
-    }
-
-    /// Whether a gate drive voltage can actuate the switch.
-    pub fn can_actuate(&self, gate_v: f64) -> bool {
-        gate_v >= self.gate_threshold_v
-    }
-
-    /// Energy to toggle the gate capacitance once: `C_g · V²` (the only
-    /// energy backscatter modulation itself costs — the "near-zero power"
-    /// of the paper).
-    pub fn switching_energy_j(&self, gate_capacitance_f: f64, rail_v: f64) -> f64 {
-        gate_capacitance_f.max(0.0) * rail_v * rail_v
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BackscatterSwitch {
+        /// Impedance when open: effectively removed from the circuit.
+        fn open_impedance(&self) -> Complex64 {
+            Complex64::new(self.off_resistance_ohms, 0.0)
+        }
+
+        /// Whether a gate drive voltage can actuate the switch.
+        fn can_actuate(&self, gate_v: f64) -> bool {
+            gate_v >= self.gate_threshold_v
+        }
+
+        /// Energy to toggle the gate capacitance once: `C_g · V²` (the only
+        /// energy backscatter modulation itself costs — the "near-zero power"
+        /// of the paper).
+        fn switching_energy_j(&self, gate_capacitance_f: f64, rail_v: f64) -> f64 {
+            gate_capacitance_f.max(0.0) * rail_v * rail_v
+        }
+    }
 
     #[test]
     fn closed_is_nearly_short() {

@@ -198,7 +198,7 @@ impl FaultSchedule {
     /// every active fade's raised-cosine profile (1.0 when none is
     /// active).
     // lint: unitless product of raised-cosine fade profiles, linear gain
-    pub fn gain_at(&self, t_s: f64) -> f64 {
+    pub fn gain_at(&self, t_s: f64) -> f64 { // lint: allow(dead-pub) api crates/experiments/src/bin/pab_bench/layers.rs
         fade_product(&self.fades, t_s)
     }
 

@@ -45,14 +45,13 @@ impl MovingPath {
     }
 
     /// Range at time `t_s`, meters (floored at a near-field limit).
-    pub fn distance_at_m(&self, t_s: f64) -> f64 {
+    fn distance_at_m(&self, t_s: f64) -> f64 {
         (self.initial_distance_m + self.velocity_m_s * t_s)
             .max(crate::propagation::NEAR_FIELD_LIMIT_M)
     }
 
     /// The Doppler factor `1 − v/c` (received-rate compression ratio).
-    // lint: unitless rate-compression ratio 1 - v/c
-    pub fn doppler_factor(&self) -> f64 {
+    fn doppler_factor(&self) -> f64 {
         1.0 - self.velocity_m_s / self.sound_speed_m_s
     }
 
@@ -67,7 +66,7 @@ impl MovingPath {
     /// ramp's accumulated offset at emission time `t_s`, and *that* tone
     /// rides the moving path — so drift and Doppler compose
     /// multiplicatively, `(f₀ + Δf(t)) · (1 − v/c)`, not additively.
-    pub fn observed_frequency_with_drift_hz(
+    fn observed_frequency_with_drift_hz(
         &self,
         freq_hz: f64,
         drift: &DriftRamp,

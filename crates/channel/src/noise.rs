@@ -48,7 +48,7 @@ impl NoiseEnvironment {
     /// * thermal:    `-15 + 20 log f`
     ///
     /// summed in power.
-    pub fn spectral_level_db(&self, freq_hz: f64) -> f64 {
+    fn spectral_level_db(&self, freq_hz: f64) -> f64 {
         match *self {
             NoiseEnvironment::Tank { level_db } => level_db,
             NoiseEnvironment::OpenWater { wind_m_s, shipping } => {
@@ -178,7 +178,7 @@ fn ziggurat() -> &'static Ziggurat {
 /// Draw one standard-normal sample (256-layer ziggurat; see the module
 /// docs). The same RNG state always gives the same sample.
 // lint: unitless N(0,1) draw; caller applies the scale
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 { // lint: allow(dead-pub) test-oracle zero_forcing_separates_streams
     ziggurat().sample(rng)
 }
 
@@ -200,19 +200,11 @@ pub fn add_awgn<R: Rng + ?Sized>(signal: &mut [f64], sigma_pa: f64, rng: &mut R)
 
 /// Generate `n` samples of white Gaussian noise with standard deviation
 /// `sigma_pa`: [`add_awgn`] over silence, so both draw the same stream.
+// lint: allow(dead-pub) test-oracle same_seed_noise_is_bit_identical allocating form of add_awgn for the determinism and robustness suites
 pub fn awgn<R: Rng + ?Sized>(n: usize, sigma_pa: f64, rng: &mut R) -> Vec<f64> {
     let mut out = vec![0.0; n];
     add_awgn(&mut out, sigma_pa, rng);
     out
-}
-
-/// Sigma needed for a target SNR (dB) given a signal power (linear).
-/// The returned sigma is in the signal's own amplitude units.
-pub fn sigma_for_snr_db(
-    signal_power: f64, // lint: unitless — linear power in the signal's own units; only the SNR ratio matters
-    snr_db: f64,
-) -> f64 {
-    (signal_power / 10f64.powf(snr_db / 10.0)).sqrt()
 }
 
 #[cfg(test)]
@@ -220,6 +212,15 @@ mod tests {
     use super::*;
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// Sigma needed for a target SNR (dB) given a signal power (linear).
+    /// The returned sigma is in the signal's own amplitude units.
+    fn sigma_for_snr_db(
+        signal_power: f64,
+        snr_db: f64,
+    ) -> f64 {
+        (signal_power / 10f64.powf(snr_db / 10.0)).sqrt()
+    }
 
     #[test]
     fn tank_level_is_flat() {

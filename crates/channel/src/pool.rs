@@ -31,6 +31,7 @@ impl Position {
     }
 
     /// Euclidean distance to another position.
+    // lint: allow(dead-pub) test-oracle direct_path_dominates geometry check for the image-method property
     pub fn distance_to_m(&self, other: &Position) -> f64 {
         ((self.x_m - other.x_m).powi(2) + (self.y_m - other.y_m).powi(2) + (self.z_m - other.z_m).powi(2))
             .sqrt()
@@ -94,7 +95,7 @@ impl Pool {
     }
 
     /// Validate that a position lies inside the water volume.
-    pub fn check_position(&self, p: &Position) -> Result<(), ChannelError> {
+    fn check_position(&self, p: &Position) -> Result<(), ChannelError> {
         let checks = [
             ('x', p.x_m, self.length_m),
             ('y', p.y_m, self.width_m),

@@ -38,21 +38,6 @@ impl MultipathChannel {
         Ok(MultipathChannel { taps })
     }
 
-    /// A single direct path: free-field spherical spreading over
-    /// `distance_m` at sound speed `c`.
-    pub fn free_field(distance_m: f64, sound_speed_m_s: f64) -> Result<Self, ChannelError> {
-        if !(distance_m > 0.0) {
-            return Err(ChannelError::InvalidParameter("distance_m"));
-        }
-        if !(sound_speed_m_s > 0.0) {
-            return Err(ChannelError::InvalidParameter("sound_speed_m_s"));
-        }
-        MultipathChannel::new(vec![Tap {
-            delay_s: distance_m / sound_speed_m_s,
-            gain: 1.0 / distance_m.max(NEAR_FIELD_LIMIT_M),
-        }])
-    }
-
     /// The taps, sorted by delay.
     pub fn taps(&self) -> &[Tap] {
         &self.taps
@@ -77,30 +62,9 @@ impl MultipathChannel {
     }
 
     /// Sum of |gain| — an upper bound on constructive interference.
-    // lint: unitless linear amplitude gain bound
-    pub fn total_energy_gain(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_energy_gain(&self) -> f64 {
         self.taps.iter().map(|t| t.gain * t.gain).sum::<f64>().sqrt()
-    }
-
-    /// RMS delay spread, seconds — multipath severity metric.
-    pub fn rms_delay_spread_s(&self) -> f64 {
-        let p_total: f64 = self.taps.iter().map(|t| t.gain * t.gain).sum();
-        if p_total == 0.0 {
-            return 0.0;
-        }
-        let mean: f64 = self
-            .taps
-            .iter()
-            .map(|t| t.delay_s * t.gain * t.gain)
-            .sum::<f64>()
-            / p_total;
-        let var: f64 = self
-            .taps
-            .iter()
-            .map(|t| (t.delay_s - mean).powi(2) * t.gain * t.gain)
-            .sum::<f64>()
-            / p_total;
-        var.sqrt()
     }
 
     /// Length of the buffer [`apply`](Self::apply) produces for an input
@@ -108,7 +72,7 @@ impl MultipathChannel {
     /// delay (plus interpolation slack) so no energy is truncated. Lets
     /// callers pre-size accumulation buffers that must match `apply`'s
     /// framing exactly.
-    pub fn output_len(&self, input_len: usize, fs_hz: f64) -> usize {
+    fn output_len(&self, input_len: usize, fs_hz: f64) -> usize {
         let max_delay = self.taps.last().map(|t| t.delay_s).unwrap_or(0.0);
         input_len + (max_delay * fs_hz).ceil() as usize + 2
     }
@@ -299,6 +263,44 @@ fn add_tap_to_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MultipathChannel {
+        /// A single direct path: free-field spherical spreading over
+        /// `distance_m` at sound speed `c`.
+        fn free_field(distance_m: f64, sound_speed_m_s: f64) -> Result<Self, ChannelError> {
+            if !(distance_m > 0.0) {
+                return Err(ChannelError::InvalidParameter("distance_m"));
+            }
+            if !(sound_speed_m_s > 0.0) {
+                return Err(ChannelError::InvalidParameter("sound_speed_m_s"));
+            }
+            MultipathChannel::new(vec![Tap {
+                delay_s: distance_m / sound_speed_m_s,
+                gain: 1.0 / distance_m.max(NEAR_FIELD_LIMIT_M),
+            }])
+        }
+
+        /// RMS delay spread, seconds — multipath severity metric.
+        fn rms_delay_spread_s(&self) -> f64 {
+            let p_total: f64 = self.taps.iter().map(|t| t.gain * t.gain).sum();
+            if p_total == 0.0 {
+                return 0.0;
+            }
+            let mean: f64 = self
+                .taps
+                .iter()
+                .map(|t| t.delay_s * t.gain * t.gain)
+                .sum::<f64>()
+                / p_total;
+            let var: f64 = self
+                .taps
+                .iter()
+                .map(|t| (t.delay_s - mean).powi(2) * t.gain * t.gain)
+                .sum::<f64>()
+                / p_total;
+            var.sqrt()
+        }
+    }
 
     #[test]
     fn free_field_single_tap() {

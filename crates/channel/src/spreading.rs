@@ -23,8 +23,7 @@ pub enum Spreading {
 
 impl Spreading {
     /// The spreading exponent `k` of this law.
-    // lint: unitless spreading-law exponent k
-    pub fn exponent(self) -> f64 {
+    fn exponent(self) -> f64 {
         match self {
             Spreading::Spherical => 2.0,
             Spreading::Cylindrical => 1.0,
@@ -36,6 +35,7 @@ impl Spreading {
     ///
     /// Distances below 1 m are clamped to 1 m (source levels are referenced
     /// to 1 m; nearer fields are not modelled).
+    // lint: allow(dead-pub) test-oracle spreading_monotone the spreading law the monotonicity property checks
     pub fn amplitude_factor(self, distance_m: f64) -> Result<f64, ChannelError> {
         if !(distance_m > 0.0) || !distance_m.is_finite() {
             return Err(ChannelError::InvalidParameter("distance_m"));
@@ -43,20 +43,22 @@ impl Spreading {
         let d = distance_m.max(1.0);
         Ok(d.powf(-self.exponent() / 2.0))
     }
-
-    /// Transmission loss in dB at `distance_m` relative to 1 m.
-    pub fn transmission_loss_db(self, distance_m: f64) -> Result<f64, ChannelError> {
-        if !(distance_m > 0.0) || !distance_m.is_finite() {
-            return Err(ChannelError::InvalidParameter("distance_m"));
-        }
-        let d = distance_m.max(1.0);
-        Ok(10.0 * self.exponent() * d.log10())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Spreading {
+        /// Transmission loss in dB at `distance_m` relative to 1 m.
+        fn transmission_loss_db(self, distance_m: f64) -> Result<f64, ChannelError> {
+            if !(distance_m > 0.0) || !distance_m.is_finite() {
+                return Err(ChannelError::InvalidParameter("distance_m"));
+            }
+            let d = distance_m.max(1.0);
+            Ok(10.0 * self.exponent() * d.log10())
+        }
+    }
 
     #[test]
     fn spherical_is_inverse_distance() {

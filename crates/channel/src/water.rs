@@ -51,17 +51,13 @@ impl WaterProperties {
         998.2 - 0.2 * (self.temperature_c - 20.0) + 0.76 * self.salinity_ppt
     }
 
-    /// Characteristic acoustic impedance `ρc`, rayl (Pa·s/m).
-    pub fn acoustic_impedance_rayl(&self) -> f64 {
-        self.density_kg_m3() * self.sound_speed_m_s()
-    }
-
     /// Thorp absorption coefficient at `freq_hz`, in dB/km.
     ///
     /// The classic formula (f in kHz):
     /// `α = 0.11 f²/(1+f²) + 44 f²/(4100+f²) + 2.75e-4 f² + 0.003`.
     /// At PAB's 12–18 kHz this is ~1–3 dB/km — negligible over 10 m, but
     /// included so ocean-scale scenarios stay honest.
+    // lint: allow(dead-pub) test-oracle thorp_monotone absorption law the monotonicity property checks
     pub fn thorp_absorption_db_per_km(&self, freq_hz: f64) -> f64 {
         let f = (freq_hz / 1000.0).max(0.0);
         let f2 = f * f;
@@ -80,6 +76,13 @@ impl WaterProperties {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl WaterProperties {
+        /// Characteristic acoustic impedance `ρc`, rayl (Pa·s/m).
+        fn acoustic_impedance_rayl(&self) -> f64 {
+            self.density_kg_m3() * self.sound_speed_m_s()
+        }
+    }
 
     #[test]
     fn sound_speed_in_tank_near_1482() {

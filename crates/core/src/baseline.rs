@@ -41,8 +41,7 @@ impl ActiveAcousticNode {
     }
 
     /// Duty cycle: fraction of time the node can afford to transmit.
-    // lint: unitless fraction of time in [0, 1]
-    pub fn duty_cycle(&self) -> f64 {
+    fn duty_cycle(&self) -> f64 {
         (self.harvest_power_w / self.tx_power_w).min(1.0)
     }
 

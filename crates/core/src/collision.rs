@@ -27,7 +27,7 @@ use pab_dsp::stats::{mean, variance};
 /// spreading/absorption losses) sails through, where the old absolute
 /// `det.abs() < 1e-15` test wrongly rejected it (det scales as gain²).
 // lint: unitless condition number (ratio of singular values)
-pub const SINGULAR_CONDITION: f64 = 1.0 / (4.0 * f64::EPSILON);
+const SINGULAR_CONDITION: f64 = 1.0 / (4.0 * f64::EPSILON);
 
 /// Relative pivot threshold for Gaussian elimination: a pivot below
 /// `scale · 1e-12` (where `scale` is the largest |entry| of the input
@@ -37,26 +37,19 @@ pub const SINGULAR_CONDITION: f64 = 1.0 / (4.0 * f64::EPSILON);
 // lint: unitless relative threshold on pivot magnitude
 const PIVOT_RTOL: f64 = 1e-12;
 
-/// Affine channel of one receive band: `y = offset + gains · x`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AffineChannel {
-    /// DC offset (un-modulated carrier + constant reflections).
-    // lint: unitless DC offset in normalized envelope amplitude
-    pub offset: f64,
-    /// Gain per transmit stream.
-    pub gains: Vec<f64>,
-}
-
-/// Solve a small dense linear system `A x = b` by Gaussian elimination
-/// with partial pivoting. `a` is row-major `n×n`.
-pub fn solve_linear(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, CoreError> {
+/// Solve a small dense linear system `A X = B` with `M` right-hand sides
+/// by Gaussian elimination with partial pivoting. `a` is row-major `n×n`
+/// and `b[i]` is row `i` of `B`. The pivots depend on `A` alone and every
+/// column of `B` gets the same operations, so each column of `X` is
+/// bitwise what a one-column solve gives.
+fn solve_linear<const M: usize>(a: &[Vec<f64>], b: &[[f64; M]]) -> Result<Vec<[f64; M]>, CoreError> {
     let n = b.len();
     if a.len() != n || a.iter().any(|r| r.len() != n) {
         return Err(CoreError::InvalidConfig("non-square system"));
     }
     // Non-finite entries would pass the singularity tests below (see
     // `solve_linear_complex`).
-    if !(a.iter().flatten().all(|v| v.is_finite()) && b.iter().all(|v| v.is_finite())) {
+    if !(a.iter().flatten().all(|v| v.is_finite()) && b.iter().flatten().all(|v| v.is_finite())) {
         return Err(CoreError::InvalidConfig("non-finite system"));
     }
     // Relative singularity scale: the largest entry of the input matrix.
@@ -71,9 +64,9 @@ pub fn solve_linear(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, CoreError> {
     let mut m: Vec<Vec<f64>> = a
         .iter()
         .zip(b)
-        .map(|(row, &bi)| {
+        .map(|(row, bi)| {
             let mut r = row.clone();
-            r.push(bi);
+            r.extend_from_slice(bi);
             r
         })
         .collect();
@@ -92,56 +85,18 @@ pub fn solve_linear(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, CoreError> {
         for row in 0..n {
             if row != col {
                 let f = m[row][col] / m[col][col];
-                for k in col..=n {
+                for k in col..n + M {
                     m[row][k] -= f * m[col][k];
                 }
             }
         }
     }
-    Ok((0..n).map(|i| m[i][n] / m[i][i]).collect())
-}
-
-/// Least-squares estimate of one receive band's affine channel from known
-/// training streams: minimises `Σ (y − c − Σ_i a_i x_i)²`.
-pub fn estimate_channel(y: &[f64], x: &[&[f64]]) -> Result<AffineChannel, CoreError> {
-    let n = y.len();
-    if n == 0 || x.is_empty() {
-        return Err(CoreError::InvalidConfig("empty training data"));
-    }
-    if x.iter().any(|xi| xi.len() != n) {
-        return Err(CoreError::InvalidConfig("training length mismatch"));
-    }
-    let k = x.len();
-    // Design matrix columns: [1, x_0, ..., x_{k-1}]; normal equations.
-    let dim = k + 1;
-    let mut ata = vec![vec![0.0; dim]; dim];
-    let mut atb = vec![0.0; dim];
-    let col = |i: usize, t: usize| -> f64 {
-        if i == 0 {
-            1.0
-        } else {
-            x[i - 1][t]
-        }
-    };
-    for t in 0..n {
-        for i in 0..dim {
-            let ci = col(i, t);
-            atb[i] += ci * y[t];
-            for j in 0..dim {
-                ata[i][j] += ci * col(j, t);
-            }
-        }
-    }
-    let sol = solve_linear(&ata, &atb)?;
-    Ok(AffineChannel {
-        offset: sol[0],
-        gains: sol[1..].to_vec(),
-    })
+    Ok((0..n).map(|i| std::array::from_fn(|j| m[i][n + j] / m[i][i])).collect())
 }
 
 /// SINR (dB) of an estimated stream against its ground truth: regress
 /// `est = α + β·truth` and compare explained to residual power.
-pub fn sinr_db(estimate: &[f64], truth: &[f64]) -> f64 {
+fn sinr_db(estimate: &[f64], truth: &[f64]) -> f64 {
     let n = estimate.len().min(truth.len());
     if n < 2 {
         return f64::NEG_INFINITY;
@@ -180,29 +135,52 @@ pub struct ComplexAffineChannel {
 }
 
 /// Least-squares estimate of a complex affine channel from known real
-/// training streams (real and imaginary parts regress independently).
+/// training streams: minimises `Σ |y − c − Σ_i a_i x_i|²`. The streams
+/// are real, so the real and imaginary parts regress on one normal matrix
+/// and are solved as its two right-hand sides.
 pub fn estimate_channel_complex(
     y: &[num_complex::Complex64],
     x: &[&[f64]],
 ) -> Result<ComplexAffineChannel, CoreError> {
-    let re: Vec<f64> = y.iter().map(|c| c.re).collect();
-    let im: Vec<f64> = y.iter().map(|c| c.im).collect();
-    let ch_re = estimate_channel(&re, x)?;
-    let ch_im = estimate_channel(&im, x)?;
+    let n = y.len();
+    if n == 0 || x.is_empty() {
+        return Err(CoreError::InvalidConfig("empty training data"));
+    }
+    if x.iter().any(|xi| xi.len() != n) {
+        return Err(CoreError::InvalidConfig("training length mismatch"));
+    }
+    // Design matrix columns: [1, x_0, ..., x_{k-1}]; normal equations.
+    let dim = x.len() + 1;
+    let mut ata = vec![vec![0.0; dim]; dim];
+    let mut atb = vec![[0.0; 2]; dim];
+    let col = |i: usize, t: usize| -> f64 {
+        if i == 0 {
+            1.0
+        } else {
+            x[i - 1][t]
+        }
+    };
+    for (t, yt) in y.iter().enumerate() {
+        for i in 0..dim {
+            let ci = col(i, t);
+            atb[i][0] += ci * yt.re;
+            atb[i][1] += ci * yt.im;
+            for j in 0..dim {
+                ata[i][j] += ci * col(j, t);
+            }
+        }
+    }
+    let sol = solve_linear(&ata, &atb)?;
+    let c = |[re, im]: [f64; 2]| num_complex::Complex64::new(re, im);
     Ok(ComplexAffineChannel {
-        offset: num_complex::Complex64::new(ch_re.offset, ch_im.offset),
-        gains: ch_re
-            .gains
-            .iter()
-            .zip(&ch_im.gains)
-            .map(|(&r, &i)| num_complex::Complex64::new(r, i))
-            .collect(),
+        offset: c(sol[0]),
+        gains: sol[1..].iter().map(|&s| c(s)).collect(),
     })
 }
 
 /// Solve a small dense *complex* linear system `A x = b` by Gaussian
 /// elimination with partial pivoting (row-major `n×n`).
-pub fn solve_linear_complex(
+fn solve_linear_complex(
     a: &[Vec<num_complex::Complex64>],
     b: &[num_complex::Complex64],
 ) -> Result<Vec<num_complex::Complex64>, CoreError> {
@@ -260,7 +238,7 @@ pub fn solve_linear_complex(
 }
 
 /// Invert an `n×n` complex matrix by solving against identity columns.
-pub fn invert_complex(
+fn invert_complex(
     a: &[Vec<num_complex::Complex64>],
 ) -> Result<Vec<Vec<num_complex::Complex64>>, CoreError> {
     use num_complex::Complex64;
@@ -488,6 +466,12 @@ mod tests {
         Complex64::new(v, 0.0)
     }
 
+    /// One right-hand side through the multi-column solver.
+    fn solve_linear(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, CoreError> {
+        let rows: Vec<[f64; 1]> = b.iter().map(|&v| [v]).collect();
+        Ok(super::solve_linear(a, &rows)?.into_iter().map(|[x]| x).collect())
+    }
+
     #[test]
     fn solve_linear_3x3() {
         let a = vec![
@@ -500,6 +484,26 @@ mod tests {
         assert!((x[0] - 2.0).abs() < 1e-9);
         assert!((x[1] - 3.0).abs() < 1e-9);
         assert!((x[2] + 1.0).abs() < 1e-9);
+    }
+
+    /// Two right-hand sides in one pass are bitwise two one-column solves:
+    /// the pivots depend on `A` alone.
+    #[test]
+    fn two_column_solve_is_bitwise_two_one_column_solves() {
+        let a = vec![
+            vec![2.0, 1.0, -1.0],
+            vec![-3.0, -1.0, 2.0],
+            vec![-2.0, 1.0, 2.0],
+        ];
+        let cols = [[8.0, -11.0, -3.0], [0.1, 2.5, -7.25]];
+        let rows: Vec<[f64; 2]> = (0..3).map(|i| [cols[0][i], cols[1][i]]).collect();
+        let both = super::solve_linear(&a, &rows).unwrap();
+        for (j, b) in cols.iter().enumerate() {
+            let one = solve_linear(&a, b).unwrap();
+            for (x, y) in both.iter().zip(&one) {
+                assert_eq!(x[j].to_bits(), y.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -515,13 +519,16 @@ mod tests {
         let n = 4000;
         let x1 = square_wave(n, 7, 0);
         let x2 = square_wave(n, 11, 3);
-        let y: Vec<f64> = (0..n)
-            .map(|t| 0.8 + 0.5 * x1[t] - 0.2 * x2[t] + 0.01 * standard_normal(&mut rng))
+        let y: Vec<Complex64> = (0..n)
+            .map(|t| re(0.8 + 0.5 * x1[t] - 0.2 * x2[t] + 0.01 * standard_normal(&mut rng)))
             .collect();
-        let ch = estimate_channel(&y, &[&x1, &x2]).unwrap();
-        assert!((ch.offset - 0.8).abs() < 0.01, "offset {}", ch.offset);
-        assert!((ch.gains[0] - 0.5).abs() < 0.01);
-        assert!((ch.gains[1] + 0.2).abs() < 0.01);
+        let ch = estimate_channel_complex(&y, &[&x1, &x2]).unwrap();
+        assert!((ch.offset.re - 0.8).abs() < 0.01, "offset {}", ch.offset);
+        assert!((ch.gains[0].re - 0.5).abs() < 0.01);
+        assert!((ch.gains[1].re + 0.2).abs() < 0.01);
+        // A real observation regresses to an exactly real channel.
+        assert_eq!(ch.offset.im, 0.0);
+        assert!(ch.gains.iter().all(|g| g.im == 0.0));
     }
 
     #[test]
@@ -820,5 +827,45 @@ mod tests {
         let x = square_wave(1000, 9, 0);
         assert!(sinr_db(&x, &x) > 100.0);
         assert_eq!(sinr_db(&[1.0], &[1.0]), f64::NEG_INFINITY);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `solve_linear` (partial-pivoting Gaussian elimination) and the
+        /// closed-form adjugate inverse are two routes to the same x in
+        /// `A x = b`; on well-conditioned systems they must agree to 1e-9.
+        #[test]
+        fn solve_linear_matches_closed_form_2x2_inverse(
+            (a, b, c, d, b0, b1) in (
+                -10.0f64..10.0,
+                -10.0f64..10.0,
+                -10.0f64..10.0,
+                -10.0f64..10.0,
+                -10.0f64..10.0,
+                -10.0f64..10.0,
+            ),
+        ) {
+            let det = a * d - b * c;
+            let scale = a.abs().max(b.abs()).max(c.abs()).max(d.abs());
+            // Keep the closed-form inverse itself trustworthy: reject draws
+            // whose determinant is small relative to the squared entry scale.
+            proptest::prop_assume!(scale > 1e-3 && det.abs() > 1e-3 * scale * scale);
+
+            let closed = [
+                (d * b0 - b * b1) / det,
+                (a * b1 - c * b0) / det,
+            ];
+            let x = solve_linear(
+                &[vec![a, b], vec![c, d]],
+                &[b0, b1],
+            ).unwrap();
+            for (got, want) in x.iter().zip(closed) {
+                proptest::prop_assert!(
+                    (got - want).abs() <= 1e-9 * (1.0 + want.abs()),
+                    "gauss {got} vs closed-form {want} (det {det})"
+                );
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! slot, whoever drives it:
 //!
 //! * **faultnet groups** ([`CollisionGroupSimulator::new`]) are drawn
-//!   from a [`FaultNetConfig`](crate::faultnet::FaultNetConfig) so the
+//!   from a [`FaultNetConfig`] so the
 //!   fault-injected MAC round can schedule collision slots
 //!   opportunistically;
 //! * **standalone experiments** ([`CollisionGroupSimulator::with_config`])
@@ -24,7 +24,7 @@
 //!   [`CollisionPolicy`](pab_net::mac::CollisionPolicy) gate before any
 //!   collision is attempted — an ill-conditioned geometry reports its
 //!   condition number and the round falls back to FDMA;
-//! * **collision slots** ([`CollisionGroupSimulator::collide`]) transmit
+//! * **collision slots** (`CollisionGroupSimulator::collide`) transmit
 //!   one [`DownlinkQuery`] per member carrier — a broadcast on every
 //!   carrier for faultnet groups and the three-channel run, each member's
 //!   addressed query for Fig. 10 — every powered member answers
@@ -264,9 +264,8 @@ struct SlotOutput {
 /// per-carrier queries.
 type CleanKey = (u16, Vec<DownlinkQuery>);
 
-/// Slot counters of one collision group (or, from
-/// [`FaultNetSimulator::group_stats`](crate::faultnet::FaultNetSimulator::group_stats),
-/// of every group of a network).
+/// Slot counters of one collision group (the faultnet tests sum them
+/// over every group of a network).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupSlotStats {
     /// Addressed training slots run (k per training pass).
@@ -687,7 +686,7 @@ impl CollisionGroupSimulator {
     /// Requires a valid training pass ([`train`](Self::train)); surfaces
     /// [`CoreError::SingularChannel`] when the estimated matrix is too
     /// ill-conditioned to invert.
-    pub fn collide(&mut self, queries: &[DownlinkQuery]) -> Result<CollisionOutcome, CoreError> {
+    fn collide(&mut self, queries: &[DownlinkQuery]) -> Result<CollisionOutcome, CoreError> {
         let sep = self.separate(queries)?;
         Ok(CollisionOutcome {
             verdicts: self.verdicts(&sep),
@@ -695,7 +694,7 @@ impl CollisionGroupSimulator {
         })
     }
 
-    /// [`collide`](Self::collide) with one query addressed to
+    /// `collide` with one query addressed to
     /// [`BROADCAST_ADDR`] on every member carrier, so every member
     /// answers concurrently.
     pub fn collision_slot(&mut self, command: Command) -> Result<CollisionOutcome, CoreError> {

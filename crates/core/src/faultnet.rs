@@ -11,7 +11,7 @@
 //! Everything is keyed on seeds and absolute simulation time, so a run is
 //! bit-reproducible.
 
-use crate::collision_group::{CollisionGroupSimulator, GroupSlotStats};
+use crate::collision_group::CollisionGroupSimulator;
 use crate::link::{LinkConfig, LinkSimulator, SlotEngineStats};
 use crate::receiver::StreamVerdict;
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
@@ -307,11 +307,6 @@ impl FaultNetSimulator {
             bad_groups: BTreeSet::new(),
             t_now_s: 0.0,
         })
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &FaultNetConfig {
-        &self.cfg
     }
 
     /// Run the inventory round to completion or `max_slots`, whichever
@@ -685,6 +680,7 @@ impl FaultNetSimulator {
 
     /// Slot-engine cache/arena counters summed across every node's
     /// simulator (see [`SlotEngineStats`]).
+    // lint: allow(dead-pub) test-oracle steady_state_slots_allocate_nothing_in_the_engine_stage slot-engine counters the allocation and cache tests read
     pub fn slot_stats(&self) -> SlotEngineStats {
         let mut total = SlotEngineStats::default();
         for sim in self.sims.values() {
@@ -698,18 +694,6 @@ impl FaultNetSimulator {
         let mut total = crate::receiver::FrontEndStats::default();
         for sim in self.sims.values() {
             total.merge(&sim.frontend_stats());
-        }
-        total
-    }
-
-    /// Collision-group slot counters (training slots, collision slots,
-    /// clean-slot memo hits/misses) summed across every group built so
-    /// far. Kept apart from [`slot_stats`](Self::slot_stats), which counts
-    /// the per-node link engines only.
-    pub fn group_stats(&self) -> GroupSlotStats {
-        let mut total = GroupSlotStats::default();
-        for group in self.groups.values() {
-            total.merge(&group.stats());
         }
         total
     }
@@ -805,6 +789,21 @@ fn fnv1a_packet(mut digest: u64, addr: u8, packet: &UplinkPacket) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collision_group::GroupSlotStats;
+
+    impl FaultNetSimulator {
+        /// Collision-group slot counters (training slots, collision slots,
+        /// clean-slot memo hits/misses) summed across every group built so
+        /// far. Kept apart from [`slot_stats`](Self::slot_stats), which counts
+        /// the per-node link engines only.
+        fn group_stats(&self) -> GroupSlotStats {
+            let mut total = GroupSlotStats::default();
+            for group in self.groups.values() {
+                total.merge(&group.stats());
+            }
+            total
+        }
+    }
 
     fn small_cfg() -> FaultNetConfig {
         FaultNetConfig {

@@ -88,7 +88,7 @@ impl PabFirmware {
     }
 
     /// Half-bit period for the current divider, seconds.
-    pub fn half_bit_period_s(&self, svc: &McuServices) -> f64 {
+    fn half_bit_period_s(&self, svc: &McuServices) -> f64 {
         svc.clock().ticks_to_seconds(self.divider.max(1) as u64)
     }
 

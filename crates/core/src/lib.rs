@@ -30,10 +30,11 @@
 //!
 //! ```
 //! use pab_core::link::{LinkConfig, LinkSimulator};
+//! use pab_net::packet::{Command, SensorKind};
 //!
 //! let cfg = LinkConfig::default(); // 15 kHz, pool A, 1 m link, ~2.7 kbps
 //! let mut sim = LinkSimulator::new(cfg).unwrap();
-//! let report = sim.run_sensor_query(7).unwrap();
+//! let report = sim.run_query(Command::ReadSensor(SensorKind::Ph)).unwrap();
 //! assert!(report.crc_ok);
 //! ```
 // `!(x > 0.0)` is used deliberately throughout: unlike `x <= 0.0` it is

@@ -306,16 +306,6 @@ impl LinkSimulator {
         self.receiver.frontend_stats()
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &LinkConfig {
-        &self.cfg
-    }
-
-    /// Mutable access to the projector (PWM timing, CFO).
-    pub fn projector_mut(&mut self) -> &mut Projector {
-        &mut self.projector
-    }
-
     /// The quantized bitrate the node will use.
     pub fn bitrate_bps(&self) -> f64 {
         Clock::watch_crystal()
@@ -370,7 +360,7 @@ impl LinkSimulator {
 
     /// Run one query/response exchange addressed to `dest`: a faulted
     /// exchange under a quiet schedule at t = 0.
-    pub fn run_query_to(
+    fn run_query_to(
         &mut self,
         dest: u8,
         command: Command,
@@ -379,7 +369,7 @@ impl LinkSimulator {
     }
 
     /// Run one query/response exchange addressed to `dest` with a
-    /// [`FaultSchedule`](pab_channel::FaultSchedule) applied at the sample
+    /// [`FaultSchedule`] applied at the sample
     /// level, the exchange starting at absolute simulation time
     /// `t_start_s`:
     ///
@@ -398,6 +388,7 @@ impl LinkSimulator {
     /// This is the uncached reference for
     /// [`slot_exchange`](Self::slot_exchange), returning every
     /// diagnostic buffer.
+    // lint: allow(dead-pub) test-oracle inventory_round_retransmits_through_a_lossy_link one exchange under a fault schedule, outside any MAC
     pub fn run_query_to_faulted(
         &mut self,
         dest: u8,
@@ -643,14 +634,6 @@ impl LinkSimulator {
         Ok((verdict, exchange_samples))
     }
 
-    /// Run a pH sensor query addressed to `addr` (the paper's flagship
-    /// application). The simulator hosts a single node at
-    /// `config().node_addr`; addressing anything else exercises the
-    /// firmware's address filter and yields no response.
-    pub fn run_sensor_query(&mut self, addr: u8) -> Result<LinkReport, CoreError> {
-        self.run_query_to(addr, Command::ReadSensor(SensorKind::Ph))
-    }
-
     /// Fig. 2 reproduction: CW downlink, node toggling every
     /// `half_period_s` starting `toggle_start_s` after the projector
     /// begins at `projector_start_s`. Returns the receiver's demodulated
@@ -723,6 +706,26 @@ fn build_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LinkSimulator {
+        /// The configuration in use.
+        fn config(&self) -> &LinkConfig {
+            &self.cfg
+        }
+
+        /// Mutable access to the projector (PWM timing, CFO).
+        fn projector_mut(&mut self) -> &mut Projector {
+            &mut self.projector
+        }
+
+        /// Run a pH sensor query addressed to `addr` (the paper's flagship
+        /// application). The simulator hosts a single node at
+        /// `config().node_addr`; addressing anything else exercises the
+        /// firmware's address filter and yields no response.
+        fn run_sensor_query(&mut self, addr: u8) -> Result<LinkReport, CoreError> {
+            self.run_query_to(addr, Command::ReadSensor(SensorKind::Ph))
+        }
+    }
 
     /// NaN, infinite and negative noise scales, and non-finite ambient
     /// levels, are typed config errors; zero stays the noiseless case.

@@ -163,7 +163,7 @@ impl PabNode {
     /// Measured numerically as half the spectral width over which the
     /// backscatter modulation depth stays above half its in-band maximum
     /// (sidebands outside that region are strongly attenuated).
-    pub fn modulation_bandwidth_hz(frontend: &RectoPiezo) -> f64 {
+    fn modulation_bandwidth_hz(frontend: &RectoPiezo) -> f64 {
         let f0 = frontend.match_frequency_hz();
         let step = 100.0;
         let span = 10_000.0;

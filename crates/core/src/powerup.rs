@@ -37,7 +37,7 @@ pub fn carrier_amplitude_at(
 
 /// Rectified DC voltage a recto-piezo builds at a position (Fig. 3 /
 /// Fig. 9 quantity, measured into a light 1 MΩ load).
-pub fn rectified_voltage_at(
+fn rectified_voltage_at(
     pool: &Pool,
     frontend: &RectoPiezo,
     src: &Position,

@@ -49,7 +49,7 @@ impl Projector {
 
     /// Source pressure amplitude at 1 m, pascals (frequency-flat — see
     /// module docs).
-    pub fn source_pressure_pa(&self) -> f64 {
+    pub(crate) fn source_pressure_pa(&self) -> f64 {
         self.transducer.tx_sensitivity_pa_m_per_v * self.drive_voltage_v
     }
 
@@ -108,20 +108,6 @@ impl Projector {
         }
         Ok((out, query_end_s))
     }
-
-    /// Sum several per-carrier waveforms into one pressure waveform
-    /// (dual-frequency downlink for concurrent FDMA, §6.3). Buffers of
-    /// different lengths are zero-extended.
-    pub fn sum_waveforms(waves: &[Vec<f64>]) -> Vec<f64> {
-        let n = waves.iter().map(Vec::len).max().unwrap_or(0);
-        let mut out = vec![0.0; n];
-        for w in waves {
-            for (o, &s) in out.iter_mut().zip(w) {
-                *o += s;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -129,6 +115,22 @@ mod tests {
     use super::*;
     use pab_dsp::goertzel::tone_amplitude;
     use pab_net::packet::Command;
+
+    impl Projector {
+        /// Sum several per-carrier waveforms into one pressure waveform
+        /// (dual-frequency downlink for concurrent FDMA, §6.3). Buffers of
+        /// different lengths are zero-extended.
+        fn sum_waveforms(waves: &[Vec<f64>]) -> Vec<f64> {
+            let n = waves.iter().map(Vec::len).max().unwrap_or(0);
+            let mut out = vec![0.0; n];
+            for w in waves {
+                for (o, &s) in out.iter_mut().zip(w) {
+                    *o += s;
+                }
+            }
+            out
+        }
+    }
 
     #[test]
     fn cw_has_requested_amplitude_and_frequency() {

@@ -5,11 +5,11 @@
 //! Both decoders — the coherent one ([`Receiver::decode_uplink_verdict`])
 //! and the one that takes an already-separated amplitude stream
 //! ([`Receiver::decode_envelope`], the collision path) — run on one
-//! memoised [`FrontEnd`] per bitrate: all designs that depend only on
+//! memoised `FrontEnd` per bitrate: all designs that depend only on
 //! `(bitrate, fs)` — the kept-output polyphase anti-alias decimator, the
 //! baseband Butterworth at the decimated rate, the detrending filter and
 //! the preamble matched filter — are built once and reused, and every
-//! per-decode buffer lives in a [`DecodeScratch`] arena so a steady-state
+//! per-decode buffer lives in a `DecodeScratch` arena so a steady-state
 //! coherent decode performs zero heap allocations (pinned by
 //! `tests/slot_engine_alloc.rs`).
 //!
@@ -98,6 +98,15 @@ impl FrontEnd {
         })
     }
 
+    /// Where the packet starts in the full-rate input, given the winning
+    /// window's index in the decimated stream: `start · decim` less the
+    /// causal anti-alias FIR's group delay, `(taps − 1)/2` (the
+    /// Butterworths run zero-phase, so they add none).
+    fn start_sample(&self, start: usize) -> usize {
+        let delay = self.aa.as_ref().map_or(0, |aa| (aa.taps().len() - 1) / 2);
+        (start * self.decim).saturating_sub(delay)
+    }
+
     /// The preamble search both decoders run on their detrended stream
     /// `d` at `fs2`: the run-length matched filter over tiled prefix sums,
     /// an O(N) running window energy, and windows ranked by
@@ -157,6 +166,7 @@ fn anti_alias_taps(fs_hz: f64, fs2: f64, cutoff_hz: f64) -> usize {
 /// [`UPLINK_PREAMBLE`] sampled at `fs_hz` for a `bitrate_bps` node (a
 /// half-bit spans `fs_hz / (2·bitrate_bps)` samples, fractional in
 /// general). Both decoders correlate against it, in run-length form.
+// lint: allow(dead-pub) test-oracle bench_preamble_search the template the preamble-search bench row correlates against
 pub fn preamble_template(bitrate_bps: f64, fs_hz: f64) -> Vec<f64> {
     let halves = fm0::encode(&UPLINK_PREAMBLE, false);
     let spb = fs_hz / (2.0 * bitrate_bps);
@@ -452,6 +462,7 @@ impl Receiver {
     /// bit boundary (FM0 invariant); the mid-bit flip is free and encodes
     /// the data. Metric: squared distance of each soft half-bit to the
     /// learned high/low cluster means.
+    // lint: allow(dead-pub) test-oracle ml_vs_threshold the fixed-threshold ML slicer the ablation compares
     pub fn ml_fm0_halves(
         soft: &[f64],
         mu_lo: f64, // lint: unitless — cluster mean in the soft samples' own units
@@ -464,7 +475,7 @@ impl Receiver {
 
     /// [`Self::ml_fm0_halves`] with per-half cluster means, tracking slow
     /// baseline wander across long packets.
-    pub fn ml_fm0_halves_adaptive(soft: &[f64], mu_lo: &[f64], mu_hi: &[f64]) -> Vec<bool> {
+    fn ml_fm0_halves_adaptive(soft: &[f64], mu_lo: &[f64], mu_hi: &[f64]) -> Vec<bool> {
         let mut back = Vec::new();
         let mut out = Vec::new();
         Self::ml_fm0_halves_adaptive_into(soft, mu_lo, mu_hi, &mut back, &mut out);
@@ -675,7 +686,7 @@ impl Receiver {
         let outcome = Self::slice_core(&s.projected, start, fs2, bitrate_bps, &mut s.slicer)?;
         Ok(DecodeVerdict {
             packet: outcome.packet,
-            start_sample: start * fe.decim,
+            start_sample: fe.start_sample(start),
             snr_db: outcome.snr_db,
             preamble_corr: peak_corr,
         })
@@ -722,7 +733,7 @@ impl Receiver {
     /// path used after MIMO zero-forcing, where the "envelope" is a
     /// separated stream estimate rather than a single band's magnitude).
     ///
-    /// Runs on the same memoised [`FrontEnd`] as the coherent decoder:
+    /// Runs on the same memoised `FrontEnd` as the coherent decoder:
     /// its anti-alias decimator brings a half-bit to ~16 samples, its
     /// trend filter detrends, and its preamble search runs on the real
     /// stream. The amplitude stream has a sign, so a winner whose
@@ -769,7 +780,7 @@ impl Receiver {
         let outcome = Self::slice_core(&s.projected, start, fe.fs2, bitrate_bps, &mut s.slicer)?;
         Ok(DecodeVerdict {
             packet: outcome.packet,
-            start_sample: start * fe.decim,
+            start_sample: fe.start_sample(start),
             snr_db: outcome.snr_db,
             preamble_corr: corr,
         })
@@ -1169,7 +1180,7 @@ mod tests {
                 best = (i, score);
             }
         }
-        (best.0 * fe.decim, best.1)
+        (fe.start_sample(best.0), best.1)
     }
 
     fn assert_found_what_direct_search_finds(rx: &Receiver, bitrate: f64, v: &DecodeVerdict) {
@@ -1339,6 +1350,46 @@ mod tests {
             let v = rx.decode_envelope(&env, bitrate).unwrap();
             assert_eq!(v.packet.as_ref().unwrap(), &p, "bitrate={bitrate}");
             assert_found_what_direct_search_finds(&rx, bitrate, &v);
+        }
+    }
+
+    /// `start_sample` is where the packet starts in the caller's stream:
+    /// both decoders take the anti-alias FIR's group delay back off the
+    /// decimated preamble index (63 samples with 127 taps, 112 with 225).
+    #[test]
+    fn start_sample_is_where_the_packet_was_placed() {
+        let p = test_packet();
+        let ladder = [32_768.0 / 12.0, 2048.0, 1024.0, 512.0, 256.0];
+        let lead_s = 0.02;
+        for fs_hz in [96_000.0, 192_000.0] {
+            let rx = Receiver::new(1.0e-3, fs_hz);
+            let lead = (lead_s * fs_hz) as usize;
+            for bitrate in ladder.into_iter().chain([32_768.0 / 328.0]) {
+                let decim = rx.front_end(bitrate).unwrap().decim;
+                let w = synth_waveform(&p, bitrate, fs_hz, 15_000.0, 1.0, 0.4, lead_s);
+                let v = rx.decode_uplink_verdict(&w, 15_000.0, bitrate).unwrap();
+                let tag = format!("coherent, {bitrate:.1} bps at {fs_hz} Hz, decim {decim}");
+                assert_eq!(v.packet.as_ref().ok(), Some(&p), "{tag}");
+                assert!(
+                    v.start_sample.abs_diff(lead) <= decim.max(2),
+                    "{tag}: start {} for a packet at {lead}",
+                    v.start_sample
+                );
+            }
+        }
+        let rx = Receiver::new(1.0e-3, 192_000.0);
+        let lead = (lead_s * rx.fs_hz) as usize;
+        for bitrate in [1024.0, 512.0, 256.0] {
+            let decim = rx.front_end(bitrate).unwrap().decim;
+            let env = synth_envelope(&p, bitrate, rx.fs_hz, 1.0, 0.4, lead_s);
+            let v = rx.decode_envelope(&env, bitrate).unwrap();
+            let tag = format!("envelope, {bitrate} bps at 192 kHz, decim {decim}");
+            assert_eq!(v.packet.as_ref().ok(), Some(&p), "{tag}");
+            assert!(
+                v.start_sample.abs_diff(lead) <= decim.max(2),
+                "{tag}: start {} for a packet at {lead}",
+                v.start_sample
+            );
         }
     }
 

@@ -9,6 +9,7 @@ use num_complex::Complex64;
 /// conjugating the template (the matched-filter convention), by the
 /// direct O(N·M) loop. The reference the [`RunLengthTemplate`] fast path
 /// is tested against.
+// lint: allow(dead-pub) test-oracle cross_correlate_complex_matches_direct the direct-sum oracle for the FFT and run-length correlators
 pub fn cross_correlate_complex_direct(
     signal: &[Complex64],
     template: &[Complex64],
@@ -32,6 +33,7 @@ pub fn cross_correlate_complex_direct(
 /// The prefix sum restarts at every tile, so its magnitude (and with it
 /// the rounding error of each output) is bounded by about
 /// `PREFIX_TILE + template.len()` samples, whatever the signal length.
+// lint: allow(dead-pub) test-oracle run_length_matched_filter_matches_the_direct_correlation tile size the receiver tests straddle
 pub const PREFIX_TILE: usize = 2048;
 
 /// A real template that is constant over runs of samples — the ±1 FM0

@@ -15,6 +15,7 @@ use num_complex::Complex64;
 /// the direct O(N·M) loops, which win below roughly this size on the
 /// benchmarked 0.5 s PAB waveforms (`cargo bench -p pab-bench --bench
 /// dsp`, `fir_*` pairs).
+// lint: allow(dead-pub) test-oracle fir_filter_matches_direct crossover the fast-path property straddles
 pub const FFT_CROSSOVER_TAPS: usize = 48;
 
 /// True when the FFT path is expected to beat the direct loop for a

@@ -1,170 +1,169 @@
-//! FFT helpers built on `rustfft`: spectra, peak search, and the carrier
-//! identification step of the PAB receiver (§5.1(b) of the paper: "the
-//! decoder identifies the different transmitted frequencies on the downlink
-//! using FFT and peak detection").
+//! Test-only spectral analysis oracles: a forward FFT on the thread-local
+//! plan cache, and the spectrum, peak-search and spectrogram helpers built
+//! on it. No simulator stage identifies carriers by FFT, so the module is
+//! compiled for tests only.
 
 use crate::plan::with_thread_cache;
-use crate::window::Window;
-use crate::DspError;
 use num_complex::Complex64;
 
 /// Forward FFT of a complex buffer (in place semantics hidden; returns a new
 /// vector). Length may be any size supported by rustfft (all sizes are).
 /// Plans come from the thread-local [`crate::plan::PlanCache`], so repeated
 /// transforms of the same length pay the planning cost once.
-pub fn fft(input: &[Complex64]) -> Vec<Complex64> {
+pub(crate) fn fft(input: &[Complex64]) -> Vec<Complex64> {
     let mut buf = input.to_vec();
     with_thread_cache(|c| c.fft_in_place(&mut buf));
     buf
-}
-
-/// Inverse FFT with 1/N normalisation so `ifft(fft(x)) == x`.
-pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
-    let mut buf = input.to_vec();
-    with_thread_cache(|c| c.ifft_in_place(&mut buf));
-    buf
-}
-
-/// One-sided amplitude spectrum of a real signal.
-///
-/// Applies `window`, computes the FFT and returns `(frequencies_hz,
-/// amplitudes)` for bins `0..=N/2`. Amplitudes are normalised by window
-/// coherent gain and scaled so a full-scale sine of amplitude `A` shows a
-/// peak of `A`.
-pub fn amplitude_spectrum(
-    signal: &[f64],
-    fs_hz: f64,
-    window: Window,
-) -> Result<(Vec<f64>, Vec<f64>), DspError> {
-    if signal.len() < 2 {
-        return Err(DspError::InputTooShort {
-            needed: 2,
-            got: signal.len(),
-        });
-    }
-    if !(fs_hz > 0.0) {
-        return Err(DspError::InvalidParameter("fs_hz must be positive"));
-    }
-    let n = signal.len();
-    let w = window.generate(n);
-    let gain = window.coherent_gain(n);
-    let mut buf: Vec<Complex64> = signal
-        .iter()
-        .zip(&w)
-        .map(|(&s, &w)| Complex64::new(s * w, 0.0))
-        .collect();
-    with_thread_cache(|c| c.fft_in_place(&mut buf));
-    let half = n / 2;
-    let mut freqs = Vec::with_capacity(half + 1);
-    let mut amps = Vec::with_capacity(half + 1);
-    for (k, c) in buf.iter().take(half + 1).enumerate() {
-        freqs.push(k as f64 * fs_hz / n as f64);
-        // Factor 2 accounts for the mirrored negative-frequency energy
-        // (except at DC and Nyquist).
-        let two = if k == 0 || (n.is_multiple_of(2) && k == half) {
-            1.0
-        } else {
-            2.0
-        };
-        amps.push(two * c.norm() / (n as f64 * gain));
-    }
-    Ok((freqs, amps))
-}
-
-/// A spectral peak located by [`find_peaks`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Peak {
-    /// Peak frequency in Hz (bin center).
-    pub frequency_hz: f64,
-    /// Peak amplitude in the same units as the input spectrum.
-    // lint: unitless spectrum amplitude in the input's own units
-    pub amplitude: f64,
-}
-
-/// Find up to `max_peaks` local maxima above `threshold`, sorted by
-/// descending amplitude, with a minimum spacing of `min_separation_hz`
-/// between reported peaks. This mirrors the receiver's carrier search.
-pub fn find_peaks(
-    freqs: &[f64],
-    amps: &[f64],
-    threshold: f64, // lint: unitless — in the spectrum's own amplitude units
-    min_separation_hz: f64,
-    max_peaks: usize,
-) -> Vec<Peak> {
-    assert_eq!(freqs.len(), amps.len(), "spectrum arrays must align");
-    let mut candidates: Vec<Peak> = Vec::new();
-    for i in 1..amps.len().saturating_sub(1) {
-        if amps[i] >= threshold && amps[i] >= amps[i - 1] && amps[i] >= amps[i + 1] {
-            candidates.push(Peak {
-                frequency_hz: freqs[i],
-                amplitude: amps[i],
-            });
-        }
-    }
-    candidates.sort_by(|a, b| b.amplitude.total_cmp(&a.amplitude));
-    let mut kept: Vec<Peak> = Vec::new();
-    for c in candidates {
-        if kept.len() >= max_peaks {
-            break;
-        }
-        if kept
-            .iter()
-            .all(|k| (k.frequency_hz - c.frequency_hz).abs() >= min_separation_hz)
-        {
-            kept.push(c);
-        }
-    }
-    kept
-}
-
-/// Result of [`spectrogram`]: `(times_s, freqs_hz, magnitudes)`.
-pub type Spectrogram = (Vec<f64>, Vec<f64>, Vec<Vec<f64>>);
-
-/// A short-time Fourier magnitude spectrogram.
-///
-/// Returns `(times_s, freqs_hz, magnitudes)` where `magnitudes[t][k]` is
-/// the windowed amplitude of frame `t` at frequency bin `k` — the
-/// diagnostic view used to eyeball downlink keying and backscatter
-/// sidebands (the time-frequency version of Fig. 2).
-pub fn spectrogram(
-    signal: &[f64],
-    fs_hz: f64,
-    frame_len: usize,
-    hop: usize,
-    window: Window,
-) -> Result<Spectrogram, DspError> {
-    if frame_len < 2 {
-        return Err(DspError::InvalidOrder(frame_len));
-    }
-    if hop == 0 {
-        return Err(DspError::InvalidParameter("hop must be positive"));
-    }
-    if signal.len() < frame_len {
-        return Err(DspError::InputTooShort {
-            needed: frame_len,
-            got: signal.len(),
-        });
-    }
-    let mut times = Vec::new();
-    let mut mags = Vec::new();
-    let mut freqs = Vec::new();
-    let mut start = 0;
-    while start + frame_len <= signal.len() {
-        let (f, a) = amplitude_spectrum(&signal[start..start + frame_len], fs_hz, window)?;
-        if freqs.is_empty() {
-            freqs = f;
-        }
-        times.push((start + frame_len / 2) as f64 / fs_hz);
-        mags.push(a);
-        start += hop;
-    }
-    Ok((times, freqs, mags))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mix::tone;
+    use crate::window::Window;
+    use crate::DspError;
+
+    /// A spectral peak located by [`find_peaks`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Peak {
+        /// Peak frequency in Hz (bin center).
+        frequency_hz: f64,
+        /// Peak amplitude in the same units as the input spectrum.
+        amplitude: f64,
+    }
+
+    /// Result of [`spectrogram`]: `(times_s, freqs_hz, magnitudes)`.
+    type Spectrogram = (Vec<f64>, Vec<f64>, Vec<Vec<f64>>);
+
+    /// Inverse FFT with 1/N normalisation so `ifft(fft(x)) == x`.
+    fn ifft(input: &[Complex64]) -> Vec<Complex64> {
+        let mut buf = input.to_vec();
+        with_thread_cache(|c| c.ifft_in_place(&mut buf));
+        buf
+    }
+
+    /// One-sided amplitude spectrum of a real signal.
+    ///
+    /// Applies `window`, computes the FFT and returns `(frequencies_hz,
+    /// amplitudes)` for bins `0..=N/2`. Amplitudes are normalised by window
+    /// coherent gain and scaled so a full-scale sine of amplitude `A` shows a
+    /// peak of `A`.
+    fn amplitude_spectrum(
+        signal: &[f64],
+        fs_hz: f64,
+        window: Window,
+    ) -> Result<(Vec<f64>, Vec<f64>), DspError> {
+        if signal.len() < 2 {
+            return Err(DspError::InputTooShort {
+                needed: 2,
+                got: signal.len(),
+            });
+        }
+        if !(fs_hz > 0.0) {
+            return Err(DspError::InvalidParameter("fs_hz must be positive"));
+        }
+        let n = signal.len();
+        let w = window.generate(n);
+        let gain = window.coherent_gain(n);
+        let mut buf: Vec<Complex64> = signal
+            .iter()
+            .zip(&w)
+            .map(|(&s, &w)| Complex64::new(s * w, 0.0))
+            .collect();
+        with_thread_cache(|c| c.fft_in_place(&mut buf));
+        let half = n / 2;
+        let mut freqs = Vec::with_capacity(half + 1);
+        let mut amps = Vec::with_capacity(half + 1);
+        for (k, c) in buf.iter().take(half + 1).enumerate() {
+            freqs.push(k as f64 * fs_hz / n as f64);
+            // Factor 2 accounts for the mirrored negative-frequency energy
+            // (except at DC and Nyquist).
+            let two = if k == 0 || (n.is_multiple_of(2) && k == half) {
+                1.0
+            } else {
+                2.0
+            };
+            amps.push(two * c.norm() / (n as f64 * gain));
+        }
+        Ok((freqs, amps))
+    }
+
+    /// Find up to `max_peaks` local maxima above `threshold`, sorted by
+    /// descending amplitude, with a minimum spacing of `min_separation_hz`
+    /// between reported peaks. This mirrors the receiver's carrier search.
+    fn find_peaks(
+        freqs: &[f64],
+        amps: &[f64],
+        threshold: f64, // lint: unitless — in the spectrum's own amplitude units
+        min_separation_hz: f64,
+        max_peaks: usize,
+    ) -> Vec<Peak> {
+        assert_eq!(freqs.len(), amps.len(), "spectrum arrays must align");
+        let mut candidates: Vec<Peak> = Vec::new();
+        for i in 1..amps.len().saturating_sub(1) {
+            if amps[i] >= threshold && amps[i] >= amps[i - 1] && amps[i] >= amps[i + 1] {
+                candidates.push(Peak {
+                    frequency_hz: freqs[i],
+                    amplitude: amps[i],
+                });
+            }
+        }
+        candidates.sort_by(|a, b| b.amplitude.total_cmp(&a.amplitude));
+        let mut kept: Vec<Peak> = Vec::new();
+        for c in candidates {
+            if kept.len() >= max_peaks {
+                break;
+            }
+            if kept
+                .iter()
+                .all(|k| (k.frequency_hz - c.frequency_hz).abs() >= min_separation_hz)
+            {
+                kept.push(c);
+            }
+        }
+        kept
+    }
+
+    /// A short-time Fourier magnitude spectrogram.
+    ///
+    /// Returns `(times_s, freqs_hz, magnitudes)` where `magnitudes[t][k]` is
+    /// the windowed amplitude of frame `t` at frequency bin `k` — the
+    /// diagnostic view used to eyeball downlink keying and backscatter
+    /// sidebands (the time-frequency version of Fig. 2).
+    fn spectrogram(
+        signal: &[f64],
+        fs_hz: f64,
+        frame_len: usize,
+        hop: usize,
+        window: Window,
+    ) -> Result<Spectrogram, DspError> {
+        if frame_len < 2 {
+            return Err(DspError::InvalidOrder(frame_len));
+        }
+        if hop == 0 {
+            return Err(DspError::InvalidParameter("hop must be positive"));
+        }
+        if signal.len() < frame_len {
+            return Err(DspError::InputTooShort {
+                needed: frame_len,
+                got: signal.len(),
+            });
+        }
+        let mut times = Vec::new();
+        let mut mags = Vec::new();
+        let mut freqs = Vec::new();
+        let mut start = 0;
+        while start + frame_len <= signal.len() {
+            let (f, a) = amplitude_spectrum(&signal[start..start + frame_len], fs_hz, window)?;
+            if freqs.is_empty() {
+                freqs = f;
+            }
+            times.push((start + frame_len / 2) as f64 / fs_hz);
+            mags.push(a);
+            start += hop;
+        }
+        Ok((times, freqs, mags))
+    }
 
     #[test]
     fn fft_ifft_roundtrip() {

@@ -13,7 +13,7 @@ pub struct Fir {
 
 impl Fir {
     /// Build directly from taps. Errors on an empty tap vector.
-    pub fn from_taps(taps: Vec<f64>) -> Result<Self, DspError> {
+    fn from_taps(taps: Vec<f64>) -> Result<Self, DspError> {
         if taps.is_empty() {
             return Err(DspError::InvalidOrder(0));
         }
@@ -72,33 +72,6 @@ impl Fir {
         Ok(Fir { taps })
     }
 
-    /// Band-pass design by modulating a low-pass prototype to the band
-    /// center.
-    pub fn bandpass(
-        num_taps: usize,
-        low_hz: f64,
-        high_hz: f64,
-        fs_hz: f64,
-        window: Window,
-    ) -> Result<Self, DspError> {
-        if !(low_hz < high_hz) {
-            return Err(DspError::InvalidParameter("low_hz must be < high_hz"));
-        }
-        let half_bw = (high_hz - low_hz) / 2.0;
-        let center = (high_hz + low_hz) / 2.0;
-        let proto = Fir::lowpass(num_taps, half_bw, fs_hz, window)?;
-        let n = proto.taps.len();
-        let mid = (n - 1) as f64 / 2.0;
-        let taps: Vec<f64> = proto
-            .taps
-            .iter()
-            .enumerate()
-            // Factor 2 restores unity passband gain after modulation.
-            .map(|(i, &t)| 2.0 * t * (2.0 * PI * center / fs_hz * (i as f64 - mid)).cos())
-            .collect();
-        Ok(Fir { taps })
-    }
-
     /// Full convolution filtering, output length = input length ("same"
     /// alignment: `output[i]` uses input ending at `i`; i.e. causal filter).
     ///
@@ -116,6 +89,7 @@ impl Fir {
     /// The direct O(N·M) convolution loop. Public so equivalence tests and
     /// benchmarks can compare it against the FFT fast path of
     /// [`Fir::filter`].
+    // lint: allow(dead-pub) test-oracle fir_filter_matches_direct the direct-loop oracle for the FFT and polyphase paths
     pub fn filter_direct(&self, x: &[f64]) -> Vec<f64> {
         let m = self.taps.len();
         let mut y = vec![0.0; x.len()];
@@ -136,6 +110,7 @@ impl Fir {
     /// the real and imaginary parts independently, without splitting the
     /// buffer into two temporaries — the receiver's decimation and
     /// matched-filter stages use it to keep baseband complex end-to-end.
+    // lint: allow(dead-pub) test-oracle decim_oracle_complex complex oracle for the polyphase decimator
     pub fn filter_complex(&self, x: &[num_complex::Complex64]) -> Vec<num_complex::Complex64> {
         if crate::fastconv::fft_pays_off(x.len(), self.taps.len()) {
             return crate::fastconv::convolve_same(x, &self.taps);
@@ -152,18 +127,6 @@ impl Fir {
             *yi = acc;
         }
         y
-    }
-
-    /// Magnitude response at `freq_hz`.
-    // lint: unitless linear magnitude response
-    pub fn magnitude_at(&self, freq_hz: f64, fs_hz: f64) -> f64 {
-        let w = 2.0 * PI * freq_hz / fs_hz;
-        let (mut re, mut im) = (0.0, 0.0);
-        for (k, &t) in self.taps.iter().enumerate() {
-            re += t * (w * k as f64).cos();
-            im -= t * (w * k as f64).sin();
-        }
-        (re * re + im * im).sqrt()
     }
 }
 
@@ -276,28 +239,67 @@ impl FoldedHilbert {
     }
 }
 
-/// Moving-average filter output ("same" causal alignment) — a cheap
-/// integrate-and-dump stand-in used by bit-rate-flexible decoders.
-pub fn moving_average(x: &[f64], len: usize) -> Vec<f64> {
-    assert!(len > 0, "window length must be positive");
-    let mut y = vec![0.0; x.len()];
-    let mut acc = 0.0;
-    for i in 0..x.len() {
-        acc += x[i];
-        if i >= len {
-            // lint: allow(panic-path) i >= len checked on the previous line
-            acc -= x[i - len];
-        }
-        y[i] = acc / len.min(i + 1) as f64;
-    }
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mix::tone;
     use crate::stats::rms;
+
+    impl Fir {
+        /// Band-pass design by modulating a low-pass prototype to the band
+        /// center.
+        fn bandpass(
+            num_taps: usize,
+            low_hz: f64,
+            high_hz: f64,
+            fs_hz: f64,
+            window: Window,
+        ) -> Result<Self, DspError> {
+            if !(low_hz < high_hz) {
+                return Err(DspError::InvalidParameter("low_hz must be < high_hz"));
+            }
+            let half_bw = (high_hz - low_hz) / 2.0;
+            let center = (high_hz + low_hz) / 2.0;
+            let proto = Fir::lowpass(num_taps, half_bw, fs_hz, window)?;
+            let n = proto.taps.len();
+            let mid = (n - 1) as f64 / 2.0;
+            let taps: Vec<f64> = proto
+                .taps
+                .iter()
+                .enumerate()
+                // Factor 2 restores unity passband gain after modulation.
+                .map(|(i, &t)| 2.0 * t * (2.0 * PI * center / fs_hz * (i as f64 - mid)).cos())
+                .collect();
+            Ok(Fir { taps })
+        }
+
+        /// Magnitude response at `freq_hz`.
+        fn magnitude_at(&self, freq_hz: f64, fs_hz: f64) -> f64 {
+            let w = 2.0 * PI * freq_hz / fs_hz;
+            let (mut re, mut im) = (0.0, 0.0);
+            for (k, &t) in self.taps.iter().enumerate() {
+                re += t * (w * k as f64).cos();
+                im -= t * (w * k as f64).sin();
+            }
+            (re * re + im * im).sqrt()
+        }
+    }
+
+    /// Moving-average filter output ("same" causal alignment) — a cheap
+    /// integrate-and-dump stand-in used by bit-rate-flexible decoders.
+    fn moving_average(x: &[f64], len: usize) -> Vec<f64> {
+        assert!(len > 0, "window length must be positive");
+        let mut y = vec![0.0; x.len()];
+        let mut acc = 0.0;
+        for i in 0..x.len() {
+            acc += x[i];
+            if i >= len {
+                acc -= x[i - len];
+            }
+            y[i] = acc / len.min(i + 1) as f64;
+        }
+        y
+    }
 
     #[test]
     fn lowpass_passes_dc_rejects_high() {

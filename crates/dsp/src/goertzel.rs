@@ -32,7 +32,7 @@ impl GoertzelBin {
     }
 
     /// Complex DFT coefficient of `signal` at this bin (not normalised by N).
-    pub fn evaluate(&self, signal: &[f64]) -> Complex64 {
+    fn evaluate(&self, signal: &[f64]) -> Complex64 {
         let n = signal.len();
         if n == 0 {
             return Complex64::new(0.0, 0.0);
@@ -55,14 +55,14 @@ impl GoertzelBin {
 /// Complex DFT coefficient of `signal` at `freq_hz` (not normalised by N).
 /// One-shot convenience over [`GoertzelBin`]; hoist the bin out of the loop
 /// when evaluating the same frequency repeatedly.
-pub fn goertzel(signal: &[f64], freq_hz: f64, fs_hz: f64) -> Complex64 {
+fn goertzel(signal: &[f64], freq_hz: f64, fs_hz: f64) -> Complex64 {
     GoertzelBin::new(freq_hz, fs_hz).evaluate(signal)
 }
 
 /// Amplitude of the sinusoidal component at `freq_hz` (a unit sine reads 1.0,
 /// assuming an integer number of periods fits the block).
 // lint: unitless amplitude in the input's own units
-pub fn tone_amplitude(signal: &[f64], freq_hz: f64, fs_hz: f64) -> f64 {
+pub fn tone_amplitude(signal: &[f64], freq_hz: f64, fs_hz: f64) -> f64 { // lint: allow(dead-pub) test-oracle cw_has_requested_amplitude_and_frequency
     if signal.is_empty() {
         return 0.0;
     }

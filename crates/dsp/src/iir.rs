@@ -3,10 +3,10 @@
 //!
 //! The PAB receiver "employs a Butterworth filter on each of the receive
 //! channels to isolate the signal of interest and reduce interference from
-//! concurrent transmissions" (§5.1(b)). [`butter_lowpass`] /
-//! [`butter_highpass`] implement standard bilinear-transform Butterworth
-//! designs; [`butter_bandpass`] is a high-pass/low-pass cascade (documented
-//! approximation). [`Cascade::filtfilt`] provides the zero-phase offline
+//! concurrent transmissions" (§5.1(b)). [`butter_lowpass`] implements
+//! the standard bilinear-transform Butterworth design (the high-pass and
+//! band-pass designs the receiver never used live in the tests).
+//! [`Cascade::filtfilt`] provides the zero-phase offline
 //! filtering MATLAB's `filtfilt` would have supplied in the paper's decoder.
 
 use crate::DspError;
@@ -22,27 +22,6 @@ pub struct Biquad {
     pub b: [f64; 3],
     /// Denominator coefficients `[a1, a2]` (a0 normalised to 1).
     pub a: [f64; 2],
-}
-
-impl Biquad {
-    /// Identity (pass-through) section.
-    pub fn identity() -> Self {
-        Biquad {
-            b: [1.0, 0.0, 0.0],
-            a: [0.0, 0.0],
-        }
-    }
-
-    /// Evaluate the magnitude response at `freq_hz` for sample rate `fs_hz`.
-    // lint: unitless linear magnitude response
-    pub fn magnitude_at(&self, freq_hz: f64, fs_hz: f64) -> f64 {
-        let w = std::f64::consts::TAU * freq_hz / fs_hz;
-        let z1 = Complex64::from_polar(1.0, -w);
-        let z2 = z1 * z1;
-        let num = Complex64::new(self.b[0], 0.0) + z1 * self.b[1] + z2 * self.b[2];
-        let den = Complex64::new(1.0, 0.0) + z1 * self.a[0] + z2 * self.a[1];
-        (num / den).norm()
-    }
 }
 
 /// A sample the real biquad coefficients act on: `f64`, or `Complex64`,
@@ -112,18 +91,6 @@ impl Cascade {
         Cascade { sections }
     }
 
-    /// The biquad sections of this cascade.
-    pub fn sections(&self) -> &[Biquad] {
-        &self.sections
-    }
-
-    /// Number of cascaded biquad sections. First-order analog prototypes
-    /// appear as biquads with a pole/zero cancellation at z = -1, so this
-    /// is `ceil(order / 2)` for the designs in this module.
-    pub fn num_sections(&self) -> usize {
-        self.sections.len()
-    }
-
     /// Causal (single-pass) filtering with zero initial state.
     pub fn filter(&self, x: &[f64]) -> Vec<f64> {
         let mut y = x.to_vec();
@@ -143,19 +110,10 @@ impl Cascade {
         self.filtfilt_padded(x)
     }
 
-    /// Filter a complex signal. The real coefficients act on the real and
-    /// imaginary parts independently, so the biquads run directly on the
-    /// complex samples — numerically identical to filtering the two parts
-    /// separately, without splitting the buffer into two temporaries.
-    pub fn filter_complex(&self, x: &[Complex64]) -> Vec<Complex64> {
-        let mut y = x.to_vec();
-        cascade_pass(&self.sections, &mut y, false);
-        y
-    }
-
     /// Zero-phase filtering of a complex signal, with the same
     /// odd-reflection padding and in-place two-pass structure as
     /// [`Cascade::filtfilt`].
+    // lint: allow(dead-pub) test-oracle decode_in_the_old_order the receiver's filter-first reference path
     pub fn filtfilt_complex(&self, x: &[Complex64]) -> Vec<Complex64> {
         self.filtfilt_padded(x)
     }
@@ -214,15 +172,6 @@ impl Cascade {
         }
         cascade_pass(&self.sections, ext, false);
         cascade_pass(&self.sections, ext, true);
-    }
-
-    /// Magnitude response of the full cascade at `freq_hz`.
-    // lint: unitless linear magnitude response
-    pub fn magnitude_at(&self, freq_hz: f64, fs_hz: f64) -> f64 {
-        self.sections
-            .iter()
-            .map(|s| s.magnitude_at(freq_hz, fs_hz))
-            .product()
     }
 }
 
@@ -299,58 +248,102 @@ pub fn butter_lowpass(n: usize, cutoff_hz: f64, fs_hz: f64) -> Result<Cascade, D
     Ok(Cascade::new(sections))
 }
 
-/// Design an order-`n` Butterworth high-pass filter with -3 dB cutoff
-/// `cutoff_hz` at sample rate `fs_hz`.
-pub fn butter_highpass(n: usize, cutoff_hz: f64, fs_hz: f64) -> Result<Cascade, DspError> {
-    if n == 0 || n > 16 {
-        return Err(DspError::InvalidOrder(n));
-    }
-    check_freq(cutoff_hz, fs_hz)?;
-    let wc = 2.0 * fs_hz * (std::f64::consts::PI * cutoff_hz / fs_hz).tan();
-    let mut sections = Vec::new();
-    for p in prototype_poles(n) {
-        if p.im.abs() < 1e-12 {
-            // H(s) = s / (s + wc).
-            sections.push(bilinear([0.0, 1.0, 0.0], [wc, 1.0, 0.0], fs_hz));
-        } else {
-            // H(s) = s^2 / (s^2 - 2 Re(p) wc s + wc^2).
-            sections.push(bilinear(
-                [0.0, 0.0, 1.0],
-                [wc * wc, -2.0 * p.re * wc, 1.0],
-                fs_hz,
-            ));
-        }
-    }
-    Ok(Cascade::new(sections))
-}
-
-/// Band-pass filter built as a cascade of an order-`n` Butterworth
-/// high-pass at `low_hz` and an order-`n` low-pass at `high_hz`.
-///
-/// This is not the analytic band-pass Butterworth transform, but for the
-/// well-separated band edges used in the PAB receiver (kHz-wide channels)
-/// the passband/stopband behaviour is equivalent for our purposes.
-pub fn butter_bandpass(
-    n: usize,
-    low_hz: f64,
-    high_hz: f64,
-    fs_hz: f64,
-) -> Result<Cascade, DspError> {
-    if !(low_hz < high_hz) {
-        return Err(DspError::InvalidParameter("low_hz must be < high_hz"));
-    }
-    let hp = butter_highpass(n, low_hz, fs_hz)?;
-    let lp = butter_lowpass(n, high_hz, fs_hz)?;
-    let mut sections = hp.sections;
-    sections.extend(lp.sections);
-    Ok(Cascade::new(sections))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mix::tone;
     use crate::stats::rms;
+
+    impl Biquad {
+        /// Evaluate the magnitude response at `freq_hz` for sample rate `fs_hz`.
+        fn magnitude_at(&self, freq_hz: f64, fs_hz: f64) -> f64 {
+            let w = std::f64::consts::TAU * freq_hz / fs_hz;
+            let z1 = Complex64::from_polar(1.0, -w);
+            let z2 = z1 * z1;
+            let num = Complex64::new(self.b[0], 0.0) + z1 * self.b[1] + z2 * self.b[2];
+            let den = Complex64::new(1.0, 0.0) + z1 * self.a[0] + z2 * self.a[1];
+            (num / den).norm()
+        }
+    }
+
+    impl Cascade {
+        /// The biquad sections of this cascade.
+        fn sections(&self) -> &[Biquad] {
+            &self.sections
+        }
+
+        /// Number of cascaded biquad sections. First-order analog prototypes
+        /// appear as biquads with a pole/zero cancellation at z = -1, so this
+        /// is `ceil(order / 2)` for the designs in this module.
+        fn num_sections(&self) -> usize {
+            self.sections.len()
+        }
+
+        /// Filter a complex signal. The real coefficients act on the real and
+        /// imaginary parts independently, so the biquads run directly on the
+        /// complex samples — numerically identical to filtering the two parts
+        /// separately, without splitting the buffer into two temporaries.
+        fn filter_complex(&self, x: &[Complex64]) -> Vec<Complex64> {
+            let mut y = x.to_vec();
+            cascade_pass(&self.sections, &mut y, false);
+            y
+        }
+
+        /// Magnitude response of the full cascade at `freq_hz`.
+        fn magnitude_at(&self, freq_hz: f64, fs_hz: f64) -> f64 {
+            self.sections
+                .iter()
+                .map(|s| s.magnitude_at(freq_hz, fs_hz))
+                .product()
+        }
+    }
+
+    /// Design an order-`n` Butterworth high-pass filter with -3 dB cutoff
+    /// `cutoff_hz` at sample rate `fs_hz`.
+    fn butter_highpass(n: usize, cutoff_hz: f64, fs_hz: f64) -> Result<Cascade, DspError> {
+        if n == 0 || n > 16 {
+            return Err(DspError::InvalidOrder(n));
+        }
+        check_freq(cutoff_hz, fs_hz)?;
+        let wc = 2.0 * fs_hz * (std::f64::consts::PI * cutoff_hz / fs_hz).tan();
+        let mut sections = Vec::new();
+        for p in prototype_poles(n) {
+            if p.im.abs() < 1e-12 {
+                // H(s) = s / (s + wc).
+                sections.push(bilinear([0.0, 1.0, 0.0], [wc, 1.0, 0.0], fs_hz));
+            } else {
+                // H(s) = s^2 / (s^2 - 2 Re(p) wc s + wc^2).
+                sections.push(bilinear(
+                    [0.0, 0.0, 1.0],
+                    [wc * wc, -2.0 * p.re * wc, 1.0],
+                    fs_hz,
+                ));
+            }
+        }
+        Ok(Cascade::new(sections))
+    }
+
+    /// Band-pass filter built as a cascade of an order-`n` Butterworth
+    /// high-pass at `low_hz` and an order-`n` low-pass at `high_hz`.
+    ///
+    /// This is not the analytic band-pass Butterworth transform, but for the
+    /// well-separated band edges used in the PAB receiver (kHz-wide channels)
+    /// the passband/stopband behaviour is equivalent for our purposes.
+    fn butter_bandpass(
+        n: usize,
+        low_hz: f64,
+        high_hz: f64,
+        fs_hz: f64,
+    ) -> Result<Cascade, DspError> {
+        if !(low_hz < high_hz) {
+            return Err(DspError::InvalidParameter("low_hz must be < high_hz"));
+        }
+        let hp = butter_highpass(n, low_hz, fs_hz)?;
+        let lp = butter_lowpass(n, high_hz, fs_hz)?;
+        let mut sections = hp.sections;
+        sections.extend(lp.sections);
+        Ok(Cascade::new(sections))
+    }
 
     /// The sample-major loop the cascade pass replaced: for each sample,
     /// every section in order, states in a vector.

@@ -35,7 +35,6 @@
 pub mod correlate;
 pub mod envelope;
 pub mod fastconv;
-pub mod fft;
 pub mod fir;
 pub mod goertzel;
 pub mod iir;
@@ -81,6 +80,11 @@ impl std::fmt::Display for DspError {
 }
 
 impl std::error::Error for DspError {}
+
+// Spectral analysis oracles for the tests; no simulator stage uses an FFT
+// spectrum.
+#[cfg(test)]
+mod fft;
 
 #[cfg(test)]
 mod tests {

@@ -59,6 +59,7 @@ fn for_each_phasor(n: usize, w: f64, phase0: f64, mut f: impl FnMut(usize, Compl
 
 /// Generate `n` samples of a unit-amplitude real sine at `freq_hz`,
 /// sample rate `fs_hz`, starting phase `phase_rad`.
+// lint: allow(dead-pub) test-oracle mix_roundtrip_preserves_tone test-signal generator shared by the DSP, channel, core and bench suites
 pub fn tone(freq_hz: f64, fs_hz: f64, phase_rad: f64, n: usize) -> Vec<f64> {
     let w = TAU * freq_hz / fs_hz;
     let mut out = vec![0.0; n];
@@ -67,6 +68,7 @@ pub fn tone(freq_hz: f64, fs_hz: f64, phase_rad: f64, n: usize) -> Vec<f64> {
 }
 
 /// Generate `n` samples of a unit complex exponential `exp(j(2πf t + φ))`.
+// lint: allow(dead-pub) test-oracle complex_correlation_detects_offset_tone complex test-signal generator for the correlator and mixer tests
 pub fn complex_tone(freq_hz: f64, fs_hz: f64, phase_rad: f64, n: usize) -> Vec<Complex64> {
     let w = TAU * freq_hz / fs_hz;
     let mut out = vec![Complex64::new(0.0, 0.0); n];
@@ -104,7 +106,7 @@ impl Nco {
     /// Fill a buffer with consecutive samples.
     ///
     /// Samples come from a phasor recurrence (one complex multiply each)
-    /// re-anchored from the exact running phase every [`PHASOR_RESYNC`]
+    /// re-anchored from the exact running phase every `PHASOR_RESYNC`
     /// samples; the phase accumulator itself advances exactly as in
     /// [`Nco::next_sample`], so the two can be interleaved without a phase jump.
     pub fn fill(&mut self, out: &mut [f64]) {
@@ -121,11 +123,6 @@ impl Nco {
             i = end;
         }
     }
-
-    /// Current oscillator phase in radians, `[0, 2π)`.
-    pub fn phase_rad(&self) -> f64 {
-        self.phase
-    }
 }
 
 /// Downconvert a real passband signal to complex baseband:
@@ -133,6 +130,7 @@ impl Nco {
 ///
 /// The result still contains the double-frequency image; follow with a
 /// low-pass filter (see [`crate::iir::butter_lowpass`]).
+// lint: allow(dead-pub) test-oracle mix_roundtrip_preserves_tone allocating form of downconvert_into, the receiver tests' reference mixer
 pub fn downconvert(signal: &[f64], carrier_hz: f64, fs_hz: f64) -> Vec<Complex64> {
     let mut out = vec![Complex64::new(0.0, 0.0); signal.len()];
     downconvert_into(signal, carrier_hz, fs_hz, &mut out);
@@ -152,6 +150,7 @@ pub fn downconvert_into(signal: &[f64], carrier_hz: f64, fs_hz: f64, out: &mut [
 
 /// Upconvert a complex baseband signal onto a real carrier:
 /// `y[n] = Re( x[n] * exp(+j 2π f n / fs_hz) )`.
+// lint: allow(dead-pub) test-oracle mix_roundtrip_preserves_tone inverse of downconvert for the round-trip property
 pub fn upconvert(baseband: &[Complex64], carrier_hz: f64, fs_hz: f64) -> Vec<f64> {
     let w = TAU * carrier_hz / fs_hz;
     let mut out = vec![0.0; baseband.len()];
@@ -161,19 +160,10 @@ pub fn upconvert(baseband: &[Complex64], carrier_hz: f64, fs_hz: f64) -> Vec<f64
     out
 }
 
-/// Apply a frequency shift to a complex baseband signal (used for CFO
-/// correction after estimation).
-pub fn frequency_shift(signal: &[Complex64], shift_hz: f64, fs_hz: f64) -> Vec<Complex64> {
-    let w = TAU * shift_hz / fs_hz;
-    let mut out = vec![Complex64::new(0.0, 0.0); signal.len()];
-    for_each_phasor(signal.len(), w, 0.0, |i, rot| out[i] = signal[i] * rot);
-    out
-}
-
 /// Detrend and frequency-shift in one phasor pass: with `rot` the
-/// [`frequency_shift`] phasor, writes `detrended[i] = (x[i] − trend[i])·rot`
+/// `frequency_shift` phasor (a test oracle), writes `detrended[i] = (x[i] − trend[i])·rot`
 /// (`detrended` is cleared and resized to `x.len()`) and shifts `x` in
-/// place, `x[i] ← x[i]·rot`. Both are bitwise what [`frequency_shift`]
+/// place, `x[i] ← x[i]·rot`. Both are bitwise what `frequency_shift`
 /// gives on the difference and on `x`. `trend` must be as long as `x`.
 pub fn detrend_shift_in_place(
     x: &mut [Complex64],
@@ -195,6 +185,15 @@ pub fn detrend_shift_in_place(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Apply a frequency shift to a complex baseband signal (used for CFO
+    /// correction after estimation).
+    fn frequency_shift(signal: &[Complex64], shift_hz: f64, fs_hz: f64) -> Vec<Complex64> {
+        let w = TAU * shift_hz / fs_hz;
+        let mut out = vec![Complex64::new(0.0, 0.0); signal.len()];
+        for_each_phasor(signal.len(), w, 0.0, |i, rot| out[i] = signal[i] * rot);
+        out
+    }
 
     /// The one-block-at-a-time recurrence [`for_each_phasor`] replaced,
     /// kept as its oracle.

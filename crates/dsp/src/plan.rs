@@ -5,8 +5,8 @@
 //! `rustfft` plan per call re-derives twiddle tables and (for Bluestein
 //! sizes) the chirp filter every time; [`PlanCache`] builds each
 //! `(length, direction)` plan once and reuses it. A process-wide
-//! thread-local cache ([`with_thread_cache`]) backs the free functions in
-//! [`crate::fft`] and the FFT convolution fast path, so independent sweep
+//! thread-local cache ([`with_thread_cache`]) backs the FFT convolution
+//! fast path and the polyphase decimator's FFT mode, so independent sweep
 //! workers each get their own cache with no locking.
 
 use num_complex::Complex64;
@@ -45,7 +45,7 @@ impl PlanCache {
     }
 
     /// The forward plan for length `n`, building it on first request.
-    pub fn forward(&mut self, n: usize) -> Arc<dyn Fft> {
+    fn forward(&mut self, n: usize) -> Arc<dyn Fft> {
         if let Some(p) = self.forward.get(&n) {
             return p.clone();
         }
@@ -71,7 +71,8 @@ impl PlanCache {
 
     /// Inverse-transform `buf` in place with `1/N` normalisation, so
     /// `ifft_in_place(fft_in_place(x)) == x`.
-    pub fn ifft_in_place(&mut self, buf: &mut [Complex64]) {
+    #[cfg(test)]
+    pub(crate) fn ifft_in_place(&mut self, buf: &mut [Complex64]) {
         let n = buf.len();
         if n == 0 {
             return;

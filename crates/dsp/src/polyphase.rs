@@ -118,6 +118,7 @@ impl PolyphaseDecimator {
 
     /// Decimate a real signal: `fir.filter(x)` (FFT path) or
     /// `fir.filter_direct(x)` (direct path), then `.step_by(decim)`.
+    // lint: allow(dead-pub) test-oracle polyphase_auto_real_is_bitwise_filter_step_by allocating form of decimate_into
     pub fn decimate(&self, x: &[f64]) -> Vec<f64> {
         let mut out = Vec::new();
         self.decimate_into(x, &mut out);
@@ -140,14 +141,6 @@ impl PolyphaseDecimator {
             // `taps[k] * x[i-k]`, as `Fir::filter_direct` forms it.
             self.direct(x, out, |v, t| t * v);
         }
-    }
-
-    /// Decimate a complex signal: `fir.filter_complex(x)` (either path),
-    /// then `.step_by(decim)`.
-    pub fn decimate_complex(&self, x: &[Complex64]) -> Vec<Complex64> {
-        let mut out = Vec::new();
-        self.decimate_complex_scaled_into(x, 1.0, &mut out);
-        out
     }
 
     /// Decimate `gain · x` into a caller-owned buffer. The gain is
@@ -300,11 +293,6 @@ impl PolyphaseDecimator {
             .clone()
     }
 
-    /// Number of distinct FFT block sizes memoised so far.
-    pub fn cached_kernels(&self) -> usize {
-        self.lock_kfft().len()
-    }
-
     fn lock_kfft(&self) -> std::sync::MutexGuard<'_, HashMap<usize, Arc<Vec<Complex64>>>> {
         // A poisoned lock only follows a panic mid-insert; the map holds
         // pure function-of-taps values, so recovering it is always safe.
@@ -316,6 +304,21 @@ impl PolyphaseDecimator {
 mod tests {
     use super::*;
     use crate::window::Window;
+
+    impl PolyphaseDecimator {
+        /// Decimate a complex signal: `fir.filter_complex(x)` (either path),
+        /// then `.step_by(decim)`.
+        fn decimate_complex(&self, x: &[Complex64]) -> Vec<Complex64> {
+            let mut out = Vec::new();
+            self.decimate_complex_scaled_into(x, 1.0, &mut out);
+            out
+        }
+
+        /// Number of distinct FFT block sizes memoised so far.
+        fn cached_kernels(&self) -> usize {
+            self.lock_kfft().len()
+        }
+    }
 
     fn sig(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 13 + 5) % 17) as f64 - 8.0).collect()

@@ -21,6 +21,7 @@
 /// but no iteration depends on another and the body vectorises. The two
 /// boundary outputs, which see only one source sample, are peeled off,
 /// and `frac == 0` has its own loop so no `±0·x` term is ever added.
+// lint: allow(dead-pub) test-oracle delayed_add_matches_the_source_major_oracle the per-tap oracle for the sparse multipath kernels
 pub fn add_delayed_scaled(
     dst: &mut [f64],
     src: &[f64],

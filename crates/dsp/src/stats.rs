@@ -29,7 +29,7 @@ pub fn std_dev(x: &[f64]) -> f64 {
 
 /// Root-mean-square value.
 // lint: unitless RMS in the input's own units
-pub fn rms(x: &[f64]) -> f64 {
+pub fn rms(x: &[f64]) -> f64 { // lint: allow(dead-pub) test-oracle stats_identities
     if x.is_empty() {
         return 0.0;
     }
@@ -38,7 +38,7 @@ pub fn rms(x: &[f64]) -> f64 {
 
 /// Mean power (mean of squares).
 // lint: unitless power in the input's own units squared
-pub fn power(x: &[f64]) -> f64 {
+pub fn power(x: &[f64]) -> f64 { // lint: allow(dead-pub) test-oracle stats_identities
     if x.is_empty() {
         return 0.0;
     }
@@ -46,23 +46,8 @@ pub fn power(x: &[f64]) -> f64 {
 }
 
 /// Power ratio to decibels; returns `-inf` for a non-positive ratio.
-pub fn db_from_power_ratio(ratio: f64) -> f64 {
+fn db_from_power_ratio(ratio: f64) -> f64 {
     10.0 * ratio.log10()
-}
-
-/// Amplitude ratio to decibels.
-pub fn db_from_amplitude_ratio(ratio: f64) -> f64 {
-    20.0 * ratio.log10()
-}
-
-/// Decibels to power ratio.
-pub fn power_ratio_from_db(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
-/// Decibels to amplitude ratio.
-pub fn amplitude_ratio_from_db(db: f64) -> f64 {
-    10f64.powf(db / 20.0)
 }
 
 /// SNR in dB from separate signal and noise power measurements.
@@ -88,6 +73,7 @@ pub fn snr_db(
 ///
 /// `received` and `reference` must have the same length; `reference` is the
 /// unit-amplitude transmitted waveform.
+// lint: allow(dead-pub) test-oracle snr_estimate_scale_invariant reference-based SNR for the estimator property
 pub fn snr_from_reference_db(received: &[f64], reference: &[f64]) -> f64 {
     assert_eq!(received.len(), reference.len(), "length mismatch");
     let ref_power = power(reference);
@@ -136,6 +122,21 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64) {
 mod tests {
     use super::*;
     use crate::mix::tone;
+
+    /// Amplitude ratio to decibels.
+    fn db_from_amplitude_ratio(ratio: f64) -> f64 {
+        20.0 * ratio.log10()
+    }
+
+    /// Decibels to power ratio.
+    fn power_ratio_from_db(db: f64) -> f64 {
+        10f64.powf(db / 10.0)
+    }
+
+    /// Decibels to amplitude ratio.
+    fn amplitude_ratio_from_db(db: f64) -> f64 {
+        10f64.powf(db / 20.0)
+    }
 
     #[test]
     fn basic_moments() {

@@ -36,14 +36,15 @@ impl Window {
     }
 
     /// Generate the full window as a vector of length `len`.
+    // lint: allow(dead-pub) test-oracle windows_bounded_and_symmetric window shape property over every length
     pub fn generate(self, len: usize) -> Vec<f64> {
         (0..len).map(|n| self.coefficient(n, len)).collect()
     }
 
     /// Coherent gain of the window (mean of its coefficients), used to
     /// normalise spectral amplitudes.
-    // lint: unitless normalized window gain in (0, 1]
-    pub fn coherent_gain(self, len: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn coherent_gain(self, len: usize) -> f64 {
         if len == 0 {
             return 1.0;
         }

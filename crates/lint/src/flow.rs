@@ -131,7 +131,7 @@ const WORD_CANON: &[(&str, &str)] = &[
 /// Canonical unit of an identifier, from its longest matching unit
 /// suffix or its whole name being a unit word. `None` = no declared
 /// unit.
-pub fn canonical_unit(name: &str) -> Option<&'static str> {
+fn canonical_unit(name: &str) -> Option<&'static str> {
     let lower = name.to_ascii_lowercase();
     if let Some((_, c)) = WORD_CANON.iter().find(|(w, _)| *w == lower) {
         return Some(c);
@@ -145,12 +145,12 @@ pub fn canonical_unit(name: &str) -> Option<&'static str> {
 
 /// True when the identifier carries any unit information (suffix or
 /// whole unit word), i.e. satisfies the naming convention.
-pub fn has_unit_name(name: &str) -> bool {
+fn has_unit_name(name: &str) -> bool {
     canonical_unit(name).is_some() || UNIT_WORDS.contains(&name.to_ascii_lowercase().as_str())
 }
 
 /// Declaration-coverage half, before waiver filtering.
-pub fn unit_flow_decls_raw(pf: &ParsedFile, sigs: &FileSigs) -> Vec<Violation> {
+fn unit_flow_decls_raw(pf: &ParsedFile, sigs: &FileSigs) -> Vec<Violation> {
     let file = &pf.scanned;
     let mut out = Vec::new();
     for f in &sigs.fields {
@@ -213,7 +213,7 @@ enum CallForm {
 }
 
 /// Call-site half, before waiver filtering.
-pub fn unit_flow_calls_raw(pf: &ParsedFile, index: &SigIndex) -> Vec<Violation> {
+fn unit_flow_calls_raw(pf: &ParsedFile, index: &SigIndex) -> Vec<Violation> {
     let toks = &pf.toks;
     let mut out = Vec::new();
     let mut i = 0usize;

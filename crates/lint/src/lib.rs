@@ -14,6 +14,7 @@
 //! | `unit-flow` | unit suffixes must agree where values flow: call-site arguments vs declared parameters, and public `f64` fields / consts / return types must be unit-named |
 //! | `panic-path` | demod hot paths: no unwrap-adjacent calls, no unchecked-arithmetic or foreign-cursor slice indexing inside loops |
 //! | `stale-waiver` | a waiver that no longer suppresses a violation is itself a violation |
+//! | `dead-pub` | every `pub fn` / `pub const` is named by production code in another file (any crate's `src/`, a figure binary, an example), or waived with its role: `test-oracle <test fn>` or `api <caller path>` |
 //!
 //! The linter is built on a small zero-dependency Rust tokenizer
 //! ([`token`]) that understands strings, raw strings, nested block
@@ -22,8 +23,8 @@
 //! code/comment channels from the token stream, so verdicts are
 //! byte-identical to the pre-tokenizer linter (locked by
 //! `tests/legacy_equiv.rs`) — while the newer passes ([`flow`],
-//! [`panic_path`], [`waiver`]) walk tokens and the signature index
-//! ([`sig`]) directly. Zero dependencies means it can never be the
+//! [`panic_path`], [`waiver`], [`dead_pub`]) walk tokens and the
+//! signature index ([`sig`]) directly. Zero dependencies means it can never be the
 //! reason the workspace fails to build. It runs as an ordinary test
 //! (`crates/lint/tests/enforce.rs`), so plain `cargo test -q` enforces
 //! it; `cargo run -p pab-lint -- --json` emits the same findings as
@@ -39,8 +40,10 @@
 //! ```
 //!
 //! The `unit-suffix` lint also accepts `// lint: unitless <why>` next to
-//! a genuinely dimensionless parameter.
+//! a genuinely dimensionless parameter. A `dead-pub` reason must start
+//! with its role, `test-oracle <test fn>` or `api <caller path>`.
 
+pub mod dead_pub;
 pub mod flow;
 pub mod lints;
 pub mod panic_path;
@@ -49,11 +52,10 @@ pub mod sig;
 pub mod token;
 pub mod waiver;
 
-pub use lints::{Violation, CAST_SCOPE, LIB_SCOPE, UNIT_SCOPE, UNIT_SUFFIXES};
+pub use lints::{Violation, CAST_SCOPE, LIB_SCOPE, UNIT_SCOPE};
 pub use panic_path::PANIC_SCOPE;
 pub use scan::{parse_str, scan_str, Line, ParsedFile, ScannedFile};
 pub use sig::{FileSigs, SigIndex};
-pub use waiver::KNOWN_LINTS;
 
 use std::fs;
 use std::io;
@@ -67,12 +69,30 @@ pub fn workspace_root() -> PathBuf {
 
 /// All `.rs` files under `crates/<name>/src/` for the given crate names,
 /// as workspace-relative paths, sorted for stable reports.
+// lint: allow(dead-pub) test-oracle five_lints_byte_identical_verdicts_old_vs_new_scanner the library file list the legacy-scanner comparison walks
 pub fn lib_sources(root: &Path, crate_names: &[&str]) -> io::Result<Vec<String>> {
+    let dirs = crate_names.iter().map(|name| root.join("crates").join(name).join("src"));
+    sources_under(root, dirs)
+}
+
+/// Every `.rs` file the linter reads: each crate's `src/`, `tests/` and
+/// `benches/`, plus the root `examples/` and `tests/`. Only the library
+/// files among them ([`lints::is_lib_file`]) are linted; the rest are
+/// read as callers and tests of library items.
+fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {
+    let mut dirs = vec![root.join("examples"), root.join("tests")];
+    for entry in fs::read_dir(root.join("crates"))? {
+        let krate = entry?.path();
+        dirs.extend(["src", "tests", "benches"].map(|d| krate.join(d)));
+    }
+    sources_under(root, dirs)
+}
+
+fn sources_under(root: &Path, dirs: impl IntoIterator<Item = PathBuf>) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
-    for name in crate_names {
-        let src = root.join("crates").join(name).join("src");
-        if src.is_dir() {
-            collect_rs(&src, root, &mut out)?;
+    for dir in dirs {
+        if dir.is_dir() {
+            collect_rs(&dir, root, &mut out)?;
         }
     }
     out.sort();
@@ -83,7 +103,10 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<()> 
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {
-            collect_rs(&path, root, out)?;
+            // A package's own build directory (the benchmark's) holds no sources.
+            if !path.ends_with("target") {
+                collect_rs(&path, root, out)?;
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             let rel = path
                 .strip_prefix(root)
@@ -96,14 +119,8 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<()> 
     Ok(())
 }
 
-/// Scan one workspace-relative file from disk.
-pub fn scan_file(root: &Path, rel: &str) -> io::Result<ScannedFile> {
-    let text = fs::read_to_string(root.join(rel))?;
-    Ok(scan_str(rel, &text))
-}
-
 /// Parse one workspace-relative file from disk (tokens + line channels).
-pub fn parse_file(root: &Path, rel: &str) -> io::Result<ParsedFile> {
+fn parse_file(root: &Path, rel: &str) -> io::Result<ParsedFile> {
     let text = fs::read_to_string(root.join(rel))?;
     Ok(parse_str(rel, &text))
 }
@@ -138,12 +155,13 @@ fn raw_violations(pf: &ParsedFile, sigs: &FileSigs, index: &SigIndex) -> Vec<Vio
 /// Run every lint over its scope in the workspace rooted at `root`.
 /// Returns all unwaivered violations, sorted by file then line.
 ///
-/// Two passes: first every `LIB_SCOPE` file is tokenized and its
-/// signatures indexed (so call-site unit-flow sees cross-crate
-/// declarations), then each file is linted against the global index.
+/// Two passes: first every file is tokenized and every `LIB_SCOPE`
+/// file's signatures indexed (so call-site unit-flow sees cross-crate
+/// declarations and dead-pub sees every caller), then each library file
+/// is linted against the global index.
 pub fn run_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     let mut parsed = Vec::new();
-    for rel in lib_sources(root, lints::LIB_SCOPE)? {
+    for rel in workspace_sources(root)? {
         parsed.push(parse_file(root, &rel)?);
     }
     Ok(run_parsed(&parsed))
@@ -151,13 +169,26 @@ pub fn run_workspace(root: &Path) -> io::Result<Vec<Violation>> {
 
 /// [`run_workspace`] on already-parsed files — also the entry point the
 /// fixture tests use to lint an in-memory corpus.
+// lint: allow(dead-pub) test-oracle linter_detects_a_fresh_unit_mismatch lints an in-memory corpus, as the fixture and self-check tests do
 pub fn run_parsed(parsed: &[ParsedFile]) -> Vec<Violation> {
-    let sigs: Vec<FileSigs> = parsed.iter().map(sig::index_file).collect();
+    let sigs: Vec<FileSigs> = parsed
+        .iter()
+        .map(|pf| {
+            if lints::is_lib_file(&pf.scanned.rel_path) {
+                sig::index_file(pf)
+            } else {
+                FileSigs::default()
+            }
+        })
+        .collect();
     let index = SigIndex::build(&sigs);
+    let (dead_raw, mut violations) = dead_pub::dead_pub(parsed, &sigs);
 
-    let mut violations = Vec::new();
     for (pf, fsigs) in parsed.iter().zip(&sigs) {
         let file = &pf.scanned;
+        if !lints::is_lib_file(&file.rel_path) {
+            continue;
+        }
         let crate_name = file.crate_name.as_str();
         violations.extend(lints::no_unwrap_in_lib(file));
         violations.extend(lints::no_wallclock_no_threadrng(file));
@@ -176,7 +207,8 @@ pub fn run_parsed(parsed: &[ParsedFile]) -> Vec<Violation> {
         ));
         violations.extend(panic_path::panic_path(pf));
 
-        let raw = raw_violations(pf, fsigs, &index);
+        let mut raw = raw_violations(pf, fsigs, &index);
+        raw.extend(dead_raw.iter().filter(|v| v.file == file.rel_path).cloned());
         violations.extend(waiver::stale_waivers(file, &raw));
     }
 

@@ -10,10 +10,21 @@ use crate::scan::ScannedFile;
 /// Crates whose `src/` trees are library code: no panicking shortcuts,
 /// no ambient wall-clock or entropy. (`experiments` and `bench` are
 /// binary/bench harnesses and exempt by design.)
+// lint: allow(dead-pub) test-oracle lint_scopes_match_workspace_layout
 pub const LIB_SCOPE: &[&str] = &[
     "analog", "channel", "core", "dsp", "lint", "mcu", "net", "piezo", "sensors", "sweep",
     "telemetry",
 ];
+
+/// True for a file under `crates/<c>/src/` with `c` in [`LIB_SCOPE`]:
+/// the files the lints police. Any other file in a corpus is read only
+/// as a caller or test of library items.
+pub fn is_lib_file(rel: &str) -> bool {
+    let mut parts = rel.split('/');
+    parts.next() == Some("crates")
+        && parts.next().is_some_and(|c| LIB_SCOPE.contains(&c))
+        && parts.next() == Some("src")
+}
 
 /// Crates whose public `f64` parameters must carry a unit suffix.
 /// `telemetry` is in scope because its whole point is labelled
@@ -32,7 +43,7 @@ pub const CAST_SCOPE: &[&str] = &["core", "dsp", "mcu", "telemetry"];
 /// uses (`_s`, `_m`, `_m_s`, `_ohms`, ...). `_frac` and `_ratio` mark
 /// explicitly dimensionless quantities; anything else dimensionless
 /// takes a `// lint: unitless` waiver.
-pub const UNIT_SUFFIXES: &[&str] = &[
+const UNIT_SUFFIXES: &[&str] = &[
     // frequency
     "_hz", "_khz", "_mhz",
     // pressure / acoustics
@@ -104,13 +115,24 @@ impl std::fmt::Display for Violation {
 /// `unit-suffix` and `unit-flow` lints also accept the shorthand
 /// `// lint: unitless`.
 pub(crate) fn waived(file: &ScannedFile, idx: usize, lint: &str) -> bool {
+    waiver_reason(file, idx, lint).is_some()
+}
+
+/// The reason text of the waiver for `lint` that covers line `idx`
+/// (0-based), as [`waived`] finds it: what follows the marker.
+pub(crate) fn waiver_reason<'a>(file: &'a ScannedFile, idx: usize, lint: &str) -> Option<&'a str> {
     let marker = format!("lint: allow({lint})");
-    let hit = |i: usize| {
+    let unit_lint = lint == "unit-suffix" || lint == "unit-flow";
+    let at = |i: usize| {
         let c = &file.lines[i].comment;
-        c.contains(&marker)
-            || ((lint == "unit-suffix" || lint == "unit-flow") && c.contains("lint: unitless"))
+        let after = |m: &str| c.find(m).map(|p| c[p + m.len()..].trim());
+        after(&marker).or_else(|| unit_lint.then(|| after("lint: unitless")).flatten())
     };
-    hit(idx) || (idx > 0 && file.lines[idx - 1].code.trim().is_empty() && hit(idx - 1))
+    at(idx).or_else(|| {
+        (idx > 0 && file.lines[idx - 1].code.trim().is_empty())
+            .then(|| at(idx - 1))
+            .flatten()
+    })
 }
 
 /// Drop every violation whose line carries a matching waiver. All lints

@@ -29,6 +29,7 @@ use crate::token::{Tok, TokKind};
 /// Hot-path files where index expressions are policed. These are the
 /// per-sample loops between the projected waveform and decoded bits:
 /// the channel's propagation and noise kernels and the demod chain.
+// lint: allow(dead-pub) test-oracle lint_scopes_match_workspace_layout
 pub const PANIC_SCOPE: &[&str] = &[
     "crates/channel/src/noise.rs",
     "crates/channel/src/propagation.rs",

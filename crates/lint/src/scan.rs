@@ -61,6 +61,7 @@ impl ParsedFile {
 
 /// Scan source text. `rel_path` should be workspace-relative; the crate
 /// name is derived from a leading `crates/<name>/` component when present.
+// lint: allow(dead-pub) test-oracle linter_detects_a_fresh_unwrap scans one in-memory file for the line-lint self-checks
 pub fn scan_str(rel_path: &str, text: &str) -> ScannedFile {
     parse_str(rel_path, text).scanned
 }

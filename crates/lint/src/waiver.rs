@@ -20,7 +20,7 @@ use crate::scan::ScannedFile;
 use std::collections::HashSet;
 
 /// Every lint that can appear in `lint: allow(...)`.
-pub const KNOWN_LINTS: &[&str] = &[
+const KNOWN_LINTS: &[&str] = &[
     "no-unwrap-in-lib",
     "unit-suffix",
     "no-wallclock-no-threadrng",
@@ -29,6 +29,7 @@ pub const KNOWN_LINTS: &[&str] = &[
     "unit-flow",
     "panic-path",
     "stale-waiver",
+    "dead-pub",
 ];
 
 /// One parsed waiver comment.
@@ -80,7 +81,7 @@ fn parse_waiver(comment: &str) -> Option<Result<Vec<String>, String>> {
 /// Find every waiver in a scanned file (test lines excluded — lints do
 /// not run there, so waivers there are inert by construction and the
 /// audit has nothing to say about them).
-pub fn find_waivers(file: &ScannedFile) -> Vec<(WaiverSite, Option<String>)> {
+fn find_waivers(file: &ScannedFile) -> Vec<(WaiverSite, Option<String>)> {
     let mut out = Vec::new();
     for (idx, line) in file.lines.iter().enumerate() {
         if line.in_test || line.comment.is_empty() {

@@ -4,10 +4,13 @@
 //! declares the workspace-relative path the linter should pretend they
 //! live at (`// path: crates/<crate>/src/<file>.rs` — this is what puts
 //! a fixture in or out of UNIT_SCOPE / CAST_SCOPE / PANIC_SCOPE), plus
-//! an `expected.txt` with the exact violation lines the full eight-lint
+//! an `expected.txt` with the exact violation lines the full nine-lint
 //! pipeline must produce. Files within a case are linted *together*, so
 //! cross-file findings (call-site unit-flow against another crate's
-//! signature index) are exercised for real.
+//! signature index, dead-pub's callers) are exercised for real. A file
+//! outside a library crate's `src/` (a figure binary, an example, a
+//! test) is read only as a caller; each case's `figure.rs` names the
+//! case's public items so that it shows its own lint.
 //!
 //! To bless new output after an intentional change:
 //! `UPDATE_FIXTURES=1 cargo test -p pab-lint --test fixtures`.
@@ -143,4 +146,28 @@ fn five_original_lints_fire_on_fixture() {
             "expected a {lint} finding in:\n{expected}"
         );
     }
+}
+
+#[test]
+fn dead_public_items_are_caught() {
+    check_case("dead-pub");
+    let expected = fs::read_to_string(fixtures_dir().join("dead-pub/expected.txt")).unwrap();
+    for flagged in [
+        "`pub fn own_module_only`",
+        "`pub fn test_only`",
+        "`pub fn bench_only`",
+        "`pub fn reexported_only`",
+        "`pub fn roleless` has no production caller and its waiver has no role",
+        "`pub fn wrong_test` has no production caller and its waiver names test `unrelated_test`",
+        "`pub fn wrong_caller` has no production caller and its waiver names caller",
+    ] {
+        assert!(expected.contains(flagged), "expected {flagged} in:\n{expected}");
+    }
+    for passes in ["used_by_core", "used_by_figure", "USED_BY_EXAMPLE", "`pub fn oracle`", "bench_waived"] {
+        assert!(!expected.contains(passes), "{passes} must pass:\n{expected}");
+    }
+    assert!(
+        expected.contains("[stale-waiver] waiver for `dead-pub`"),
+        "a dead-pub waiver on a used item is stale:\n{expected}"
+    );
 }

@@ -58,31 +58,32 @@ impl Clock {
         let err = |d: u64| (self.bitrate_for_divider(d).unwrap() - target_bps).abs();
         Ok(if err(lo) <= err(hi) { lo } else { hi })
     }
-
-    /// The achievable bitrate closest to `target_bps`.
-    pub fn quantized_bitrate(&self, target_bps: f64) -> Result<f64, McuError> {
-        self.bitrate_for_divider(self.divider_for_bitrate(target_bps)?)
-    }
-
-    /// All achievable bitrates in `[min_bps, max_bps]`, ascending.
-    pub fn available_bitrates(&self, min_bps: f64, max_bps: f64) -> Vec<f64> {
-        if !(min_bps > 0.0) || max_bps < min_bps {
-            return Vec::new();
-        }
-        let d_min = (self.frequency_hz / (2.0 * max_bps)).ceil().max(1.0) as u64;
-        let d_max = (self.frequency_hz / (2.0 * min_bps)).floor() as u64;
-        (d_min..=d_max)
-            .rev()
-            // lint: allow(no-unwrap-in-lib) d_min >= 1, so every divider in range is valid
-            .map(|d| self.bitrate_for_divider(d).unwrap())
-            .filter(|&b| b >= min_bps && b <= max_bps)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Clock {
+        /// The achievable bitrate closest to `target_bps`.
+        fn quantized_bitrate(&self, target_bps: f64) -> Result<f64, McuError> {
+            self.bitrate_for_divider(self.divider_for_bitrate(target_bps)?)
+        }
+
+        /// All achievable bitrates in `[min_bps, max_bps]`, ascending.
+        fn available_bitrates(&self, min_bps: f64, max_bps: f64) -> Vec<f64> {
+            if !(min_bps > 0.0) || max_bps < min_bps {
+                return Vec::new();
+            }
+            let d_min = (self.frequency_hz / (2.0 * max_bps)).ceil().max(1.0) as u64;
+            let d_max = (self.frequency_hz / (2.0 * min_bps)).floor() as u64;
+            (d_min..=d_max)
+                .rev()
+                .map(|d| self.bitrate_for_divider(d).unwrap())
+                .filter(|&b| b >= min_bps && b <= max_bps)
+                .collect()
+        }
+    }
 
     #[test]
     fn paper_bitrates_fall_out_of_the_divider_grid() {

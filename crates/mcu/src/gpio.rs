@@ -16,6 +16,7 @@ pub enum PinLevel {
 
 impl PinLevel {
     /// Toggle the level.
+    // lint: allow(dead-pub) test-oracle rasterize_matches_transition_log
     pub fn toggled(self) -> Self {
         match self {
             PinLevel::Low => PinLevel::High,
@@ -24,7 +25,7 @@ impl PinLevel {
     }
 
     /// As a boolean (`High` = true).
-    pub fn is_high(self) -> bool {
+    fn is_high(self) -> bool {
         matches!(self, PinLevel::High)
     }
 }
@@ -80,7 +81,8 @@ impl OutputPin {
     }
 
     /// Toggle at `time_s`.
-    pub fn toggle(&mut self, time_s: f64) {
+    #[cfg(test)]
+    pub(crate) fn toggle(&mut self, time_s: f64) {
         let next = self.level.toggled();
         self.set(time_s, next);
     }

@@ -68,6 +68,7 @@ impl McuServices {
     }
 
     /// Current power state.
+    // lint: allow(dead-pub) test-oracle single_edge_times_out_quietly the firmware tests' view of the MCU power state
     pub fn power_state(&self) -> PowerState {
         self.state
     }
@@ -114,34 +115,12 @@ impl McuServices {
         self.timer_period = None;
     }
 
-    /// Whether the timer is armed.
-    pub fn timer_armed(&self) -> bool {
-        self.timer_deadline.is_some()
-    }
-
     /// Set an output pin level.
     pub fn set_pin(&mut self, pin: Pin, level: PinLevel) {
         let now = self.now_s;
         let changed = self.pin_mut(pin).set(now, level);
         if changed && pin == Pin::BackscatterSwitch {
             self.meter.add_toggle();
-        }
-    }
-
-    /// Toggle an output pin.
-    pub fn toggle_pin(&mut self, pin: Pin) {
-        let now = self.now_s;
-        self.pin_mut(pin).toggle(now);
-        if pin == Pin::BackscatterSwitch {
-            self.meter.add_toggle();
-        }
-    }
-
-    /// Current level of a pin.
-    pub fn pin_level(&self, pin: Pin) -> PinLevel {
-        match pin {
-            Pin::BackscatterSwitch => self.switch_pin.level(),
-            Pin::PullDown => self.pulldown_pin.level(),
         }
     }
 
@@ -153,6 +132,7 @@ impl McuServices {
     }
 
     /// Transition log of a pin.
+    // lint: allow(dead-pub) test-oracle ping_query_produces_fm0_ack_on_the_pin the pin log the firmware tests decode
     pub fn pin_transitions(&self, pin: Pin) -> &[PinTransition] {
         match pin {
             Pin::BackscatterSwitch => self.switch_pin.transitions(),
@@ -272,6 +252,30 @@ impl<F: Firmware> Mcu<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl McuServices {
+        /// Whether the timer is armed.
+        fn timer_armed(&self) -> bool {
+            self.timer_deadline.is_some()
+        }
+
+        /// Toggle an output pin.
+        fn toggle_pin(&mut self, pin: Pin) {
+            let now = self.now_s;
+            self.pin_mut(pin).toggle(now);
+            if pin == Pin::BackscatterSwitch {
+                self.meter.add_toggle();
+            }
+        }
+
+        /// Current level of a pin.
+        fn pin_level(&self, pin: Pin) -> PinLevel {
+            match pin {
+                Pin::BackscatterSwitch => self.switch_pin.level(),
+                Pin::PullDown => self.pulldown_pin.level(),
+            }
+        }
+    }
 
     /// Toy firmware: counts edges; on the third edge starts a periodic
     /// toggle of the switch pin; stops after 8 timer ticks.

@@ -28,6 +28,7 @@ pub fn encode(bits: &[bool], initial_level: bool) -> Vec<bool> {
 /// Decode half-bit levels back to data bits, verifying the
 /// transition-at-every-boundary invariant. `initial_level` must match the
 /// encoder's.
+// lint: allow(dead-pub) test-oracle fm0_roundtrip the strict FM0 decoder the receiver's ML slicer replaced
 pub fn decode(halves: &[bool], initial_level: bool) -> Result<Vec<bool>, NetError> {
     if !halves.len().is_multiple_of(2) {
         return Err(NetError::Truncated {
@@ -52,6 +53,7 @@ pub fn decode(halves: &[bool], initial_level: bool) -> Result<Vec<bool>, NetErro
 /// Decode without boundary checking (used after hard-slicing noisy
 /// envelopes where the ML decoder in `pab-core` has already committed to
 /// the most likely half-bit sequence).
+// lint: allow(dead-pub) test-oracle fm0_self_consistency
 pub fn decode_lenient(halves: &[bool]) -> Vec<bool> {
     let mut bits = Vec::new();
     decode_lenient_into(halves, &mut bits);
@@ -67,6 +69,7 @@ pub fn decode_lenient_into(halves: &[bool], bits: &mut Vec<bool>) {
 }
 
 /// Count boundary-rule violations (a decode-quality diagnostic).
+// lint: allow(dead-pub) test-oracle fm0_self_consistency
 pub fn count_violations(halves: &[bool], initial_level: bool) -> usize {
     let mut prev = initial_level;
     let mut violations = 0;

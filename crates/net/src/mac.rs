@@ -73,7 +73,7 @@ impl ChannelPlan {
     }
 
     /// Center frequency of channel `idx`.
-    pub fn center_hz(&self, idx: usize) -> Option<f64> {
+    fn center_hz(&self, idx: usize) -> Option<f64> {
         self.centers_hz.get(idx).copied()
     }
 
@@ -164,7 +164,7 @@ impl Default for CollisionPolicy {
 
 impl CollisionPolicy {
     /// Validate the gate parameters.
-    pub fn validate(&self) -> Result<(), NetError> {
+    fn validate(&self) -> Result<(), NetError> {
         if !(0.0..=1.0).contains(&self.min_quality) || !self.min_quality.is_finite() {
             return Err(NetError::InvalidField("collision min_quality"));
         }
@@ -425,11 +425,6 @@ impl LinkQualityEstimator {
     pub fn quality(&self) -> f64 {
         self.quality
     }
-
-    /// Number of observations folded in so far.
-    pub fn observations(&self) -> u64 {
-        self.observations
-    }
 }
 
 /// A descending ladder of FM0 uplink bitrates for graceful degradation.
@@ -469,7 +464,7 @@ impl RateLadder {
     }
 
     /// Current bitrate, bits per second.
-    pub fn current_bps(&self) -> f64 {
+    fn current_bps(&self) -> f64 {
         self.rates_bps[self.level.min(self.rates_bps.len() - 1)]
     }
 
@@ -487,12 +482,13 @@ impl RateLadder {
     }
 
     /// The top (fastest) rung's bitrate, bps.
+    // lint: allow(dead-pub) api crates/experiments/src/bin/pab_bench/workloads.rs the benchmark reads each workload's top ladder rung
     pub fn top_bps(&self) -> f64 {
         self.rates_bps[0]
     }
 
     /// Step to the next slower rate. Returns false if already at the floor.
-    pub fn step_down(&mut self) -> bool {
+    fn step_down(&mut self) -> bool {
         if self.level + 1 < self.rates_bps.len() {
             self.level += 1;
             true
@@ -502,7 +498,7 @@ impl RateLadder {
     }
 
     /// Step to the next faster rate. Returns false if already at the top.
-    pub fn step_up(&mut self) -> bool {
+    fn step_up(&mut self) -> bool {
         if self.level > 0 {
             self.level -= 1;
             true
@@ -1009,14 +1005,6 @@ impl ResilientMac {
         self.state.get(&addr).map(|st| st.evicted).unwrap_or(false)
     }
 
-    /// Whether `addr` is currently quarantined (awaiting a re-probe).
-    pub fn is_quarantined(&self, addr: u8) -> bool {
-        self.state
-            .get(&addr)
-            .map(|st| st.quarantined && !st.evicted)
-            .unwrap_or(false)
-    }
-
     /// Link-quality estimate for `addr` in [0, 1]; 0 if unregistered.
     pub fn quality(&self, addr: u8) -> f64 {
         self.state
@@ -1031,15 +1019,6 @@ impl ResilientMac {
             .get(&addr)
             .map(|st| st.ladder.current_bps())
             .unwrap_or_else(|| RateLadder::fm0_default().current_bps())
-    }
-
-    /// Addresses evicted so far, ascending.
-    pub fn evicted_addresses(&self) -> Vec<u8> {
-        self.state
-            .iter()
-            .filter(|(_, st)| st.evicted)
-            .map(|(&a, _)| a)
-            .collect()
     }
 
     /// Slots consumed so far (including idle backoff slots).
@@ -1067,6 +1046,32 @@ impl ResilientMac {
 mod tests {
     use super::*;
     use crate::packet::Command;
+
+    impl LinkQualityEstimator {
+        /// Number of observations folded in so far.
+        fn observations(&self) -> u64 {
+            self.observations
+        }
+    }
+
+    impl ResilientMac {
+        /// Whether `addr` is currently quarantined (awaiting a re-probe).
+        fn is_quarantined(&self, addr: u8) -> bool {
+            self.state
+                .get(&addr)
+                .map(|st| st.quarantined && !st.evicted)
+                .unwrap_or(false)
+        }
+
+        /// Addresses evicted so far, ascending.
+        fn evicted_addresses(&self) -> Vec<u8> {
+            self.state
+                .iter()
+                .filter(|(_, st)| st.evicted)
+                .map(|(&a, _)| a)
+                .collect()
+        }
+    }
 
     #[test]
     fn plan_validation() {

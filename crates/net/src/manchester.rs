@@ -23,6 +23,7 @@ pub fn encode(bits: &[bool]) -> Vec<bool> {
 
 /// Decode half-bit levels back to data bits; every symbol must contain a
 /// mid-bit transition.
+// lint: allow(dead-pub) test-oracle manchester_roundtrip
 pub fn decode(halves: &[bool]) -> Result<Vec<bool>, NetError> {
     if !halves.len().is_multiple_of(2) {
         return Err(NetError::Truncated {

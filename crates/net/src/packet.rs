@@ -130,6 +130,7 @@ impl DownlinkQuery {
     }
 
     /// Number of bits in a serialised query.
+    // lint: allow(dead-pub) test-oracle query_roundtrips
     pub const BITS: usize = 9 + 8 + 4 + 16 + 8;
 
     /// Parse from bits (must start exactly at the preamble).

@@ -32,7 +32,7 @@ impl PwmTiming {
     }
 
     /// Duration of a '0' / '1' bit including the gap.
-    pub fn bit_duration_s(&self, bit: bool) -> f64 {
+    fn bit_duration_s(&self, bit: bool) -> f64 {
         let on = if bit {
             2.0 * self.short_pulse_s
         } else {
@@ -42,6 +42,7 @@ impl PwmTiming {
     }
 
     /// Total duration of a bit sequence.
+    // lint: allow(dead-pub) test-oracle pwm_duration_is_sum_of_bits
     pub fn total_duration_s(&self, bits: &[bool]) -> f64 {
         bits.iter().map(|&b| self.bit_duration_s(b)).sum()
     }
@@ -125,6 +126,7 @@ pub fn decode_falling_edges(edges_s: &[f64], timing: &PwmTiming) -> Result<Vec<b
 /// Decode from a rasterised keying waveform (testing convenience): finds
 /// falling edges and calls [`decode_falling_edges`]. The waveform must
 /// start with a reference pulse whose falling edge anchors timing.
+// lint: allow(dead-pub) test-oracle pwm_roundtrips_any_bits
 pub fn decode_waveform(levels: &[bool], fs_hz: f64, timing: &PwmTiming) -> Result<Vec<bool>, NetError> {
     let mut edges = Vec::new();
     for i in 1..levels.len() {

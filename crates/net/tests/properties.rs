@@ -5,10 +5,11 @@
 use pab_net::bits::{bits_to_bytes, bytes_to_bits, read_uint};
 use pab_net::crc::{crc16_ccitt, crc8};
 use pab_net::packet::{
-    Command, DownlinkQuery, SensorKind, UplinkKind, UplinkPacket,
+    Command, DownlinkQuery, SensorKind, UplinkKind, UplinkPacket, DOWNLINK_PREAMBLE,
+    UPLINK_PREAMBLE,
 };
 use pab_net::pwm::{self, PwmTiming};
-use pab_net::{fm0, manchester};
+use pab_net::{fm0, manchester, NetError};
 use proptest::prelude::*;
 
 fn arb_command() -> impl Strategy<Value = Command> {
@@ -167,5 +168,39 @@ proptest! {
         let segs = pwm::encode(&bits, &timing);
         let total: f64 = segs.iter().map(|s| s.duration_s).sum();
         prop_assert!((total - timing.total_duration_s(&bits)).abs() < 1e-12);
+    }
+
+    /// Hostile input, not a corrupted valid packet: any bit string of 0 to
+    /// 400 bits, half of them behind the right preamble so the length,
+    /// kind and checksum paths run too. Both parsers return a packet or a
+    /// typed error and never panic; a parsed uplink re-encodes to the
+    /// bits it came from, and a truncation reports what it got.
+    #[test]
+    fn hostile_bit_strings_parse_or_fail_typed(
+        mut bits in proptest::collection::vec(any::<bool>(), 0..400),
+        preamble in any::<bool>(),
+    ) {
+        let n = bits.len();
+        let check_truncated = |e: &NetError| match *e {
+            NetError::Truncated { needed, got } => needed > got && got == n,
+            _ => true,
+        };
+        let mut up = bits.clone();
+        if preamble && up.len() >= UPLINK_PREAMBLE.len() {
+            up[..UPLINK_PREAMBLE.len()].copy_from_slice(&UPLINK_PREAMBLE);
+        }
+        match UplinkPacket::from_bits(&up) {
+            Ok(p) => {
+                let enc = p.to_bits().unwrap();
+                prop_assert_eq!(&enc[..], &up[..enc.len()]);
+            }
+            Err(e) => prop_assert!(check_truncated(&e), "{e}"),
+        }
+        if preamble && bits.len() >= DOWNLINK_PREAMBLE.len() {
+            bits[..DOWNLINK_PREAMBLE.len()].copy_from_slice(&DOWNLINK_PREAMBLE);
+        }
+        if let Err(e) = DownlinkQuery::from_bits(&bits) {
+            prop_assert!(check_truncated(&e), "{e}");
+        }
     }
 }

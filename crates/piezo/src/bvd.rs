@@ -76,7 +76,7 @@ impl BvdModel {
     }
 
     /// Impedance of the motional (series R-L-C) branch at `freq_hz`.
-    pub fn motional_impedance(&self, freq_hz: f64) -> Complex64 {
+    fn motional_impedance(&self, freq_hz: f64) -> Complex64 {
         let w = TAU * freq_hz;
         Complex64::new(self.r1_ohms, w * self.l1_henries - 1.0 / (w * self.c1_farads))
     }
@@ -98,20 +98,21 @@ impl BvdModel {
 
     /// Parallel (anti-)resonance frequency:
     /// `fp = fs √(1 + C1/C0)`.
+    // lint: allow(dead-pub) test-oracle bvd_synthesis_roundtrips
     pub fn parallel_resonance_hz(&self) -> f64 {
         self.series_resonance_hz() * (1.0 + self.c1_farads / self.c0_farads).sqrt()
     }
 
     /// Mechanical quality factor `Q = ωs L1 / R1`.
     // lint: unitless mechanical quality factor
-    pub fn q_factor(&self) -> f64 {
+    pub fn q_factor(&self) -> f64 { // lint: allow(dead-pub) test-oracle bvd_synthesis_roundtrips
         TAU * self.series_resonance_hz() * self.l1_henries / self.r1_ohms
     }
 
     /// Effective electromechanical coupling implied by the element values:
     /// `k² = C1 / (C0 + C1)`.
     // lint: unitless electromechanical coupling coefficient in (0, 1)
-    pub fn coupling_k_eff(&self) -> f64 {
+    pub fn coupling_k_eff(&self) -> f64 { // lint: allow(dead-pub) test-oracle bvd_synthesis_roundtrips
         (self.c1_farads / (self.c0_farads + self.c1_farads)).sqrt()
     }
 

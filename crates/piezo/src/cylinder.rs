@@ -20,7 +20,7 @@ pub struct CylinderGeometry {
 
 /// Speed of sound in the ceramic for the radial "hoop" mode, m/s.
 /// PZT-4-like value `sqrt(1/(s11^E * rho))`.
-pub const CERAMIC_SOUND_SPEED_M_S: f64 = 2_900.0;
+const CERAMIC_SOUND_SPEED_M_S: f64 = 2_900.0;
 
 impl CylinderGeometry {
     /// Create a geometry; all dimensions must be positive.
@@ -57,7 +57,7 @@ impl CylinderGeometry {
 
     /// In-air radial ("breathing") mode resonance:
     /// `f = c_ceramic / (2π a)` where `a` is the mean radius.
-    pub fn in_air_resonance_hz(&self) -> f64 {
+    fn in_air_resonance_hz(&self) -> f64 {
         CERAMIC_SOUND_SPEED_M_S / (2.0 * PI * self.mean_radius_m)
     }
 
@@ -66,30 +66,6 @@ impl CylinderGeometry {
     /// `loading_factor` (default [`DEFAULT_WATER_LOADING`]) captures that.
     pub fn in_water_resonance_hz(&self, loading_factor: f64) -> f64 { // lint: unitless — fractional resonance pull
         self.in_air_resonance_hz() * loading_factor
-    }
-
-    /// Outer surface area of the radiating shell, m².
-    pub fn radiating_area_m2(&self) -> f64 {
-        2.0 * PI * (self.mean_radius_m + self.wall_thickness_m / 2.0) * self.length_m
-    }
-
-    /// Scale the geometry so its in-air resonance becomes `target_hz`
-    /// (all dimensions scale inversely with frequency).
-    pub fn scaled_to_resonance(&self, target_hz: f64) -> Result<Self, PiezoError> {
-        if !(target_hz > 0.0) {
-            return Err(PiezoError::NonPositive("target_hz"));
-        }
-        let ratio = self.in_air_resonance_hz() / target_hz;
-        CylinderGeometry::new(
-            self.mean_radius_m * ratio,
-            self.length_m * ratio,
-            self.wall_thickness_m * ratio,
-        )
-    }
-
-    /// Approximate volume of ceramic material, m³ (for size comparisons).
-    pub fn material_volume_m3(&self) -> f64 {
-        2.0 * PI * self.mean_radius_m * self.wall_thickness_m * self.length_m
     }
 }
 
@@ -100,6 +76,27 @@ pub const DEFAULT_WATER_LOADING: f64 = 0.97;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CylinderGeometry {
+        /// Scale the geometry so its in-air resonance becomes `target_hz`
+        /// (all dimensions scale inversely with frequency).
+        fn scaled_to_resonance(&self, target_hz: f64) -> Result<Self, PiezoError> {
+            if !(target_hz > 0.0) {
+                return Err(PiezoError::NonPositive("target_hz"));
+            }
+            let ratio = self.in_air_resonance_hz() / target_hz;
+            CylinderGeometry::new(
+                self.mean_radius_m * ratio,
+                self.length_m * ratio,
+                self.wall_thickness_m * ratio,
+            )
+        }
+
+        /// Approximate volume of ceramic material, m³ (for size comparisons).
+        fn material_volume_m3(&self) -> f64 {
+            2.0 * PI * self.mean_radius_m * self.wall_thickness_m * self.length_m
+        }
+    }
 
     #[test]
     fn steminc_resonates_near_17khz_in_air() {

@@ -45,6 +45,7 @@ impl Transducer {
 
     /// Source pressure at 1 m for a drive voltage amplitude `volts` at
     /// `freq_hz`, pascals.
+    // lint: allow(dead-pub) test-oracle two_port_is_linear
     pub fn transmit_pressure_at_1m_pa(&self, volts: f64, freq_hz: f64) -> f64 {
         self.tx_sensitivity_pa_m_per_v * volts * self.mechanical_response(freq_hz)
     }
@@ -53,12 +54,6 @@ impl Transducer {
     /// `pascals` at `freq_hz`, volts.
     pub fn receive_open_circuit_v(&self, pascals: f64, freq_hz: f64) -> f64 {
         self.rx_sensitivity_v_per_pa * pascals * self.mechanical_response(freq_hz)
-    }
-
-    /// Receive sensitivity expressed the way hydrophone datasheets do:
-    /// dB re 1 V/µPa (at resonance).
-    pub fn rx_sensitivity_db_re_1v_per_upa(&self) -> f64 {
-        20.0 * (self.rx_sensitivity_v_per_pa * 1e-6).log10()
     }
 
     /// The backscatter reflection coefficient of the paper's Eq. 2 for a
@@ -104,7 +99,6 @@ pub struct TransducerBuilder {
     k_eff: f64,
     tx_sensitivity_pa_m_per_v: f64,
     rx_sensitivity_v_per_pa: f64,
-    geometry: Option<CylinderGeometry>,
 }
 
 impl Default for TransducerBuilder {
@@ -116,7 +110,6 @@ impl Default for TransducerBuilder {
             k_eff: 0.35,
             tx_sensitivity_pa_m_per_v: 14.0,
             rx_sensitivity_v_per_pa: 2.2e-4,
-            geometry: None,
         }
     }
 }
@@ -151,24 +144,6 @@ impl TransducerBuilder {
         self
     }
 
-    /// Set transmit sensitivity (Pa·m/V at resonance).
-    pub fn tx_sensitivity(mut self, s_pa_m_per_v: f64) -> Self {
-        self.tx_sensitivity_pa_m_per_v = s_pa_m_per_v;
-        self
-    }
-
-    /// Set receive sensitivity (V/Pa at resonance).
-    pub fn rx_sensitivity(mut self, s_v_per_pa: f64) -> Self {
-        self.rx_sensitivity_v_per_pa = s_v_per_pa;
-        self
-    }
-
-    /// Attach a geometry record.
-    pub fn geometry(mut self, g: CylinderGeometry) -> Self {
-        self.geometry = Some(g);
-        self
-    }
-
     /// Build the transducer, validating all parameters.
     pub fn build(self) -> Result<Transducer, PiezoError> {
         if !(self.tx_sensitivity_pa_m_per_v > 0.0) {
@@ -184,7 +159,7 @@ impl TransducerBuilder {
                 self.c0_farads,
                 self.k_eff,
             )?,
-            geometry: self.geometry,
+            geometry: None,
             tx_sensitivity_pa_m_per_v: self.tx_sensitivity_pa_m_per_v,
             rx_sensitivity_v_per_pa: self.rx_sensitivity_v_per_pa,
         })
@@ -194,6 +169,28 @@ impl TransducerBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Transducer {
+        /// Receive sensitivity expressed the way hydrophone datasheets do:
+        /// dB re 1 V/µPa (at resonance).
+        fn rx_sensitivity_db_re_1v_per_upa(&self) -> f64 {
+            20.0 * (self.rx_sensitivity_v_per_pa * 1e-6).log10()
+        }
+    }
+
+    impl TransducerBuilder {
+        /// Set transmit sensitivity (Pa·m/V at resonance).
+        fn tx_sensitivity(mut self, s_pa_m_per_v: f64) -> Self {
+            self.tx_sensitivity_pa_m_per_v = s_pa_m_per_v;
+            self
+        }
+
+        /// Set receive sensitivity (V/Pa at resonance).
+        fn rx_sensitivity(mut self, s_v_per_pa: f64) -> Self {
+            self.rx_sensitivity_v_per_pa = s_v_per_pa;
+            self
+        }
+    }
 
     #[test]
     fn pab_node_resonates_in_band() {

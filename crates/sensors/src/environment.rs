@@ -35,6 +35,7 @@ impl WaterSample {
 
     /// Depth implied by the pressure reading, meters (inverse of
     /// [`WaterSample::at_depth`]).
+    // lint: allow(dead-pub) test-oracle depth_roundtrip
     pub fn implied_depth_m(&self, density_kg_m3: f64) -> f64 {
         ((self.pressure_mbar - 1_013.25) * 100.0 / (density_kg_m3 * 9.80665)).max(0.0)
     }

@@ -25,13 +25,10 @@ use pab_mcu::peripherals::I2cBus;
 use pab_mcu::{I2cDevice, I2cError};
 
 /// 7-bit I2C address of the MS5837.
-pub const MS5837_ADDR: u8 = 0x76;
+const MS5837_ADDR: u8 = 0x76;
 
 /// Typical factory calibration words (C0 is the CRC/factory word).
-pub const DEFAULT_PROM: [u16; 7] = [0x0000, 34_982, 36_352, 20_328, 22_354, 26_646, 26_146];
-
-/// Conversion time for the highest oversampling ratio, seconds.
-pub const CONVERSION_TIME_S: f64 = 0.02;
+const DEFAULT_PROM: [u16; 7] = [0x0000, 34_982, 36_352, 20_328, 22_354, 26_646, 26_146];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pending {
@@ -176,7 +173,7 @@ pub struct Ms5837Driver;
 
 impl Ms5837Driver {
     /// Read PROM calibration words C0..C6.
-    pub fn read_prom(bus: &mut I2cBus) -> Result<[u16; 7], SensorError> {
+    fn read_prom(bus: &mut I2cBus) -> Result<[u16; 7], SensorError> {
         let mut prom = [0u16; 7];
         for (k, word) in prom.iter_mut().enumerate() {
             bus.write(MS5837_ADDR, &[0xA0 + 2 * k as u8])?;

@@ -17,6 +17,7 @@ const R: f64 = 8.314_462_618;
 const F: f64 = 96_485.332_12;
 
 /// Nernst slope at `temperature_c`, volts per pH unit.
+// lint: allow(dead-pub) test-oracle nernst_slope_monotone
 pub fn nernst_slope_v_per_ph(temperature_c: f64) -> f64 {
     let t_k = temperature_c + 273.15;
     (10f64).ln() * R * t_k / F
@@ -48,12 +49,13 @@ impl PhProbe {
     }
 
     /// Electrode (pre-AFE) voltage, volts.
-    pub fn electrode_voltage(&self) -> f64 {
+    fn electrode_voltage(&self) -> f64 {
         nernst_slope_v_per_ph(self.water.temperature_c) * (7.0 - self.water.ph)
             + self.offset_error_v
     }
 
     /// AFE output voltage presented to the ADC.
+    // lint: allow(dead-pub) test-oracle ph_roundtrips
     pub fn afe_output_voltage(&self) -> f64 {
         self.common_mode_v + self.gain * self.electrode_voltage()
     }
@@ -89,6 +91,7 @@ impl PhDriver {
     }
 
     /// Convert an AFE output voltage to pH.
+    // lint: allow(dead-pub) test-oracle ph_roundtrips
     pub fn volts_to_ph(&self, afe_volts: f64) -> f64 {
         let electrode_v = (afe_volts - self.common_mode_v) / self.gain;
         7.0 - electrode_v / nernst_slope_v_per_ph(self.assumed_temperature_c)

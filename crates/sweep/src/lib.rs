@@ -69,6 +69,7 @@ where
 
 /// The reference serial path: a plain indexed map, kept callable from
 /// tests so the parallel/serial bit-identity contract stays asserted.
+// lint: allow(dead-pub) test-oracle parallel_and_serial_link_sweeps_are_byte_identical the serial reference the parallel engine must match
 pub fn run_serial<P, R, F>(points: Vec<P>, f: F) -> Vec<R>
 where
     F: Fn(usize, P) -> R,
@@ -105,25 +106,6 @@ where
     pairs.into_iter().unzip()
 }
 
-/// Serial reference for [`run_recorded`], kept callable so the
-/// parallel/serial byte-identity of exported traces stays asserted in
-/// tests.
-pub fn run_recorded_serial<P, R, F>(
-    points: Vec<P>,
-    capacity: usize,
-    f: F,
-) -> (Vec<R>, Vec<pab_telemetry::Recorder>)
-where
-    F: Fn(usize, P, &mut pab_telemetry::Recorder) -> R,
-{
-    let pairs = run_serial(points, |i, p| {
-        let mut rec = pab_telemetry::Recorder::new(capacity).with_run_id(i as u64);
-        let out = f(i, p, &mut rec);
-        (out, rec)
-    });
-    pairs.into_iter().unzip()
-}
-
 /// Cartesian product helper: the grid `[a × b]` flattened in row-major
 /// order, so point index = `ia * b.len() + ib` — stable and documented,
 /// because derived seeds hang off these indices.
@@ -142,6 +124,25 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// Serial reference for [`run_recorded`], kept callable so the
+    /// parallel/serial byte-identity of exported traces stays asserted in
+    /// tests.
+    fn run_recorded_serial<P, R, F>(
+        points: Vec<P>,
+        capacity: usize,
+        f: F,
+    ) -> (Vec<R>, Vec<pab_telemetry::Recorder>)
+    where
+        F: Fn(usize, P, &mut pab_telemetry::Recorder) -> R,
+    {
+        let pairs = run_serial(points, |i, p| {
+            let mut rec = pab_telemetry::Recorder::new(capacity).with_run_id(i as u64);
+            let out = f(i, p, &mut rec);
+            (out, rec)
+        });
+        pairs.into_iter().unzip()
+    }
 
     #[test]
     fn parallel_matches_serial_bit_for_bit() {

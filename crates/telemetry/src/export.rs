@@ -13,7 +13,7 @@ use crate::recorder::Recorder;
 /// Column header of [`events_csv`]. Every event type writes the columns
 /// it has and leaves the rest empty, so the one file is directly
 /// plottable per event type without a join.
-pub const EVENTS_CSV_HEADER: &str = "run,slot,t_s,node,event,detail,corr,snr_db,rate_bps,until_slot,duration_s,bits,harvested_j,power_w,rectified_v,condition";
+const EVENTS_CSV_HEADER: &str = "run,slot,t_s,node,event,detail,corr,snr_db,rate_bps,until_slot,duration_s,bits,harvested_j,power_w,rectified_v,condition";
 
 /// Columns of [`EVENTS_CSV_HEADER`] before the payload columns.
 const CSV_PREFIX_COLUMNS: usize = 5;
@@ -110,7 +110,7 @@ pub fn events_jsonl(recorders: &[&Recorder]) -> String {
 }
 
 /// Column header of [`summary_csv`].
-pub const SUMMARY_CSV_HEADER: &str = "run,kind,name,value";
+const SUMMARY_CSV_HEADER: &str = "run,kind,name,value";
 
 /// Render the aggregate half of each recorder — counters, ring-overflow
 /// and clock accounting, histogram statistics and per-bucket counts — as

@@ -173,64 +173,62 @@ impl Recorder {
         }
     }
 
-    /// Fold another recorder's aggregates and events into this one, in
-    /// `other`'s recording order.
-    ///
-    /// This is how the parallel slot engine keeps traced runs
-    /// byte-identical to serial ones: each concurrent exchange records
-    /// into its own fresh sub-recorder, and the coordinator absorbs the
-    /// sub-recorders **in query order** — so counter totals, histogram
-    /// contents (including the order-sensitive `f64` sums) and the event
-    /// ring end up exactly as if everything had been recorded serially.
-    ///
-    /// Counters add; histograms with identical configuration merge
-    /// (mismatched configurations are counted under
-    /// `telemetry.bad_histogram` and skipped, never panicked on); events
-    /// append under this recorder's current slot/time and ring capacity;
-    /// `events_dropped` and `clock_regressions` accumulate.
-    pub fn absorb(&mut self, other: &Recorder) {
-        self.counters.merge(other.counters());
-        for (name, h) in other.histograms() {
-            match self.histograms.get_mut(name) {
-                Some(mine) => {
-                    if !mine.merge(h) {
-                        self.counters.inc("telemetry.bad_histogram");
-                    }
-                }
-                None => {
-                    self.histograms.insert(name, h.clone());
-                }
-            }
-        }
-        for timed in other.events() {
-            if self.events.len() == self.capacity {
-                self.events.pop_front();
-                self.events_dropped += 1;
-            }
-            self.events.push_back(TimedEvent {
-                slot: self.slot,
-                t_s: self.t_s,
-                event: timed.event,
-            });
-        }
-        self.events_dropped += other.events_dropped();
-        self.clock_regressions += other.clock_regressions();
-    }
-
     /// Histograms in lexicographic name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.histograms.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Look up one histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Recorder {
+        /// Look up one histogram by name.
+        fn histogram(&self, name: &str) -> Option<&Histogram> {
+            self.histograms.get(name)
+        }
+
+        /// Fold another recorder's aggregates and events into this one, in
+        /// `other`'s recording order: absorbing sub-recorders in order gives
+        /// exactly what recording into one would have (counter totals,
+        /// histogram contents including the order-sensitive `f64` sums, and
+        /// the event ring).
+        ///
+        /// Counters add; histograms with identical configuration merge
+        /// (mismatched configurations are counted under
+        /// `telemetry.bad_histogram` and skipped, never panicked on); events
+        /// append under this recorder's current slot/time and ring capacity;
+        /// `events_dropped` and `clock_regressions` accumulate.
+        fn absorb(&mut self, other: &Recorder) {
+            self.counters.merge(other.counters());
+            for (name, h) in other.histograms() {
+                match self.histograms.get_mut(name) {
+                    Some(mine) => {
+                        if !mine.merge(h) {
+                            self.counters.inc("telemetry.bad_histogram");
+                        }
+                    }
+                    None => {
+                        self.histograms.insert(name, h.clone());
+                    }
+                }
+            }
+            for timed in other.events() {
+                if self.events.len() == self.capacity {
+                    self.events.pop_front();
+                    self.events_dropped += 1;
+                }
+                self.events.push_back(TimedEvent {
+                    slot: self.slot,
+                    t_s: self.t_s,
+                    event: timed.event,
+                });
+            }
+            self.events_dropped += other.events_dropped();
+            self.clock_regressions += other.clock_regressions();
+        }
+    }
 
     #[test]
     fn ring_overflow_accounting_is_exact() {
@@ -277,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_name_binds_first_config() {
+    pub fn histogram_name_binds_first_config() {
         let mut r = Recorder::new(4);
         r.observe("snr_db", 0.0, 30.0, 30, 12.5);
         r.observe("snr_db", -10.0, 10.0, 4, 29.0);

@@ -16,6 +16,13 @@ cargo build --release --locked --manifest-path crates/experiments/src/bin/pab_be
 echo "==> cargo test -q  (includes pab-lint enforcement)"
 cargo test -q
 
+# Public docs build clean: a doc link to an item that went private or
+# away (the dead-pub lint demotes and deletes public items) fails here.
+echo "==> cargo doc --no-deps  (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
+    -p pab-analog -p pab-channel -p pab-core -p pab-dsp -p pab-mcu -p pab-net \
+    -p pab-piezo -p pab-sensors -p pab-sweep -p pab-telemetry -p pab-lint
+
 # Standalone linter pass: same findings the enforce test gates on, but
 # emitted as JSON so CI (and editors) can consume them. Written to
 # target/pab-lint.json; a non-empty findings set fails the gate here
