@@ -297,6 +297,22 @@ fn bench_channel_apply(c: &mut Criterion) {
     g.throughput(Throughput::Elements(q.len() as u64));
     g.bench_function("multipath_apply_query_192k", |b| b.iter(|| ch.apply(&q, FS)));
     g.finish();
+    // The default faultnet node's node→hydrophone channel over a dense
+    // backscatter-length waveform, the shape of a collision chain's
+    // uplink leg.
+    let cfg = pab_core::faultnet::FaultNetConfig::default();
+    let node = &cfg.nodes[0];
+    let up = cfg
+        .pool
+        .channel(&node.position, &cfg.hydrophone_pos, cfg.max_reflections, node.carrier_hz)
+        .unwrap();
+    let backscatter = tone(node.carrier_hz, cfg.fs_hz, 0.3, 131_072);
+    let mut g = c.benchmark_group("dsp");
+    g.throughput(Throughput::Elements(backscatter.len() as u64));
+    g.bench_function("multipath_apply_backscatter_192k", |b| {
+        b.iter(|| up.apply(&backscatter, cfg.fs_hz))
+    });
+    g.finish();
 }
 
 fn bench_awgn(c: &mut Criterion) {

@@ -92,170 +92,152 @@ impl MultipathChannel {
     /// superposing several sources at one receiver). Energy falling past
     /// the end of `dst` is dropped.
     ///
-    /// Each tap adds `signal` delayed by `delay_s · fs_hz` samples and
-    /// scaled by its gain, exactly as
-    /// [`add_delayed_scaled`](pab_dsp::resample::add_delayed_scaled) does,
-    /// taps in delay order. The kernel does that work only where it can
-    /// change `dst`:
+    /// The channel runs as a sparse FIR with one coefficient per integer
+    /// lag: a tap `d = delay_s · fs_hz` samples late puts `g·(1−frac)` at
+    /// lag `⌊d⌋` and, when `frac = d − ⌊d⌋ > 0`, `g·frac` at `⌊d⌋ + 1`;
+    /// coefficients at equal lags are summed in tap order. Each output
+    /// `n` then ends as `dst[n] + h_L·x[n−L] + …`, added left to right in
+    /// ascending lag over every lag with `0 ≤ n − L < signal.len()`,
+    /// zero terms included. A block of `BLOCK` outputs is loaded once,
+    /// every lag runs over it in registers, and it is stored once; at the
+    /// head and tail, where the signal starts or ends inside some lag's
+    /// window, a block takes the same sums in memory. This is the per-tap
+    /// [`add_delayed_scaled`](pab_dsp::resample::add_delayed_scaled) loop
+    /// with its products regrouped, so the two differ by rounding only.
     ///
-    /// * **Sparse.** It finds the signal's nonzero runs once per call and
-    ///   applies each tap only to the outputs those runs reach: `[a, b)`
-    ///   feeds outputs `a + int ..= b + int` (`int = ⌊delay⌋`; the last
-    ///   one only for a fractional delay). A keyed-off PWM downlink is
-    ///   ~45% exact zeros. A skipped term is `g·0·frac` or `g·0·(1−frac)`,
-    ///   a signed zero, and adding a signed zero leaves every value but
-    ///   −0.0 unchanged. A run's first output is `d + g·x[a]·(1−frac)` and
-    ///   the output after its end `d + g·x[b−1]·frac`, the full
-    ///   expressions minus their zero term.
-    /// * **Tiled.** It walks `dst` in tiles of `TILE_LEN` samples and
-    ///   runs every tap over a tile before the next, so a tile stays in
-    ///   cache across the taps. Each output still takes its terms in tap
-    ///   order, with the same two roundings per tap.
-    ///
-    /// The run list lives on the stack. A signal with more than
-    /// `MAX_RUNS` runs has the rest merged into the last one, which only
-    /// adds zero terms.
-    ///
-    /// So `dst` ends bitwise as the per-tap `add_delayed_scaled` loop
-    /// leaves it, with one exception: a −0.0 already in `dst` at an
-    /// output no run reaches stays −0.0, where the dense loop turned it
-    /// into +0.0. A buffer that starts at +0.0 and only accumulates can
-    /// never hold −0.0 (a sum is −0.0 only when both operands are), so
-    /// [`apply`](Self::apply) and every accumulator built that way are
-    /// bitwise unaffected.
+    /// Signed zeros follow IEEE addition: an output no lag reaches is not
+    /// written, so a −0.0 there stays −0.0; a reached one becomes +0.0 as
+    /// soon as one term is +0.0. A buffer that starts at +0.0, as
+    /// [`apply`](Self::apply)'s does, never holds −0.0. A NaN sample
+    /// reaches exactly the outputs its lags reach. A sample rate that is
+    /// not finite and positive, and a lag at or past the end of `dst`
+    /// (even one too large for a `usize`), add nothing.
     pub fn apply_into(&self, dst: &mut [f64], signal: &[f64], fs_hz: f64) {
-        let runs = NonzeroRuns::of(signal);
-        let runs = runs.as_slice();
-        for (t, tile) in dst.chunks_mut(TILE_LEN).enumerate() {
-            for tap in &self.taps {
-                let delay_samples = tap.delay_s * fs_hz;
-                add_tap_to_tile(tile, t * TILE_LEN, signal, runs, delay_samples, tap.gain);
+        if !(fs_hz > 0.0 && fs_hz.is_finite()) {
+            return;
+        }
+        // Exact for any buffer that fits in memory.
+        let dst_len = dst.len() as f64;
+        let mut lags = Lags { lag: [0; MAX_LAGS], coef: [0.0; MAX_LAGS], len: 0 };
+        for tap in self.taps.iter().filter(|t| t.gain != 0.0) {
+            let delay = tap.delay_s * fs_hz;
+            // Taps ascend by delay, so every later one is past `dst` too.
+            if !(delay < dst_len) {
+                break;
+            }
+            let lag = delay.floor() as usize;
+            let frac = delay - delay.floor();
+            if lags.len + 2 > MAX_LAGS {
+                lags.apply_below(lag, dst, signal);
+            }
+            lags.add(lag, tap.gain * (1.0 - frac));
+            if frac > 0.0 && lag + 1 < dst.len() {
+                lags.add(lag + 1, tap.gain * frac);
             }
         }
+        lags.apply_below(usize::MAX, dst, signal);
     }
 }
 
-/// Output samples per tile of [`MultipathChannel::apply_into`]: 16 KiB of
-/// `f64`, so a tile and the source window each tap reads stay in L1/L2
-/// across the taps.
-const TILE_LEN: usize = 2048;
+/// Outputs per register block of [`MultipathChannel::apply_into`]: eight
+/// SSE2 registers of `f64` pairs, so the block stays in registers.
+const BLOCK: usize = 16;
 
-/// Capacity of the stack-held run list. A PWM query has about fifty
-/// nonzero runs; a dense waveform has one.
-const MAX_RUNS: usize = 128;
+/// Capacity of the stack-held lag table. A 63-tap pool channel at
+/// 192 kHz has 80–114 lags; one with more is applied in passes.
+const MAX_LAGS: usize = 128;
 
-/// The nonzero runs `[start, end)` of a signal, in order. Runs past the
-/// capacity are merged into the last one (the zeros between them then
-/// add exact zero terms).
-struct NonzeroRuns {
-    runs: [(usize, usize); MAX_RUNS],
+/// Ascending lags with their merged coefficients, on the stack.
+struct Lags {
+    lag: [usize; MAX_LAGS],
+    coef: [f64; MAX_LAGS],
     len: usize,
 }
 
-impl NonzeroRuns {
-    fn of(signal: &[f64]) -> Self {
-        let mut list = NonzeroRuns {
-            runs: [(0, 0); MAX_RUNS],
-            len: 0,
-        };
-        let mut open: Option<usize> = None;
-        for (i, &s) in signal.iter().enumerate() {
-            // NaN counts as nonzero, so it reaches the output.
-            match (s != 0.0, open) {
-                (true, None) => open = Some(i),
-                (false, Some(start)) => {
-                    list.push(start, i);
-                    open = None;
-                }
-                _ => {}
+impl Lags {
+    /// Add `coef` at `lag`. Taps arrive in delay order, so `lag` is one
+    /// of the last two entries or past them all.
+    fn add(&mut self, lag: usize, coef: f64) {
+        let tail = self.len.saturating_sub(2);
+        let held = self.lag.get(tail..self.len).unwrap_or(&[]);
+        if let Some(at) = held.iter().position(|&l| l == lag) {
+            if let Some(c) = self.coef.get_mut(tail + at) {
+                *c += coef;
             }
-        }
-        if let Some(start) = open {
-            list.push(start, signal.len());
-        }
-        list
-    }
-
-    fn push(&mut self, start: usize, end: usize) {
-        if let Some(slot) = self.runs.get_mut(self.len) {
-            *slot = (start, end);
+        } else if let (Some(l), Some(c)) = (self.lag.get_mut(self.len), self.coef.get_mut(self.len))
+        {
+            (*l, *c) = (lag, coef);
             self.len += 1;
-        } else if let Some(last) = self.runs.last_mut() {
-            last.1 = end;
         }
     }
 
-    fn as_slice(&self) -> &[(usize, usize)] {
-        self.runs.get(..self.len).unwrap_or(&[])
+    /// Apply, and drop, the lags below `lag`. No later tap adds to them,
+    /// and applying a prefix of the ascending lags, then the rest, adds
+    /// each output's terms in the same order as one pass would.
+    fn apply_below(&mut self, lag: usize, dst: &mut [f64], signal: &[f64]) {
+        let lags = self.lag.get(..self.len).unwrap_or(&[]);
+        let done = lags.partition_point(|&l| l < lag);
+        let (lags, coefs) = (lags.get(..done), self.coef.get(..done));
+        add_lags(dst, signal, lags.unwrap_or(&[]), coefs.unwrap_or(&[]));
+        self.lag.copy_within(done..self.len, 0);
+        self.coef.copy_within(done..self.len, 0);
+        self.len -= done;
     }
 }
 
-/// One tap of [`MultipathChannel::apply_into`] over one output tile:
-/// `tile` is `dst[tile_start..]`, and `signal` arrives `delay_samples`
-/// late, scaled by `gain`, wherever one of its nonzero `runs` reaches.
-/// Every output gets the expression `add_delayed_scaled` gives it.
-fn add_tap_to_tile(
-    tile: &mut [f64],
-    tile_start: usize,
-    signal: &[f64],
-    runs: &[(usize, usize)],
-    delay_samples: f64,
-    gain: f64,
-) {
-    if !(delay_samples >= 0.0) || gain == 0.0 {
+/// `dst[n] += Σ coefs[j]·signal[n − lags[j]]` over `j` in order, for the
+/// terms whose sample lies in `signal`, a block of outputs at a time.
+/// `lags` ascend.
+fn add_lags(dst: &mut [f64], signal: &[f64], lags: &[usize], coefs: &[f64]) {
+    let (Some(&first), Some(&last)) = (lags.first(), lags.last()) else {
         return;
-    }
-    let int = delay_samples.floor() as usize;
-    let frac = delay_samples - delay_samples.floor();
-    let whole = 1.0 - frac;
-    // Output `dst[k + int]` is source position `k`; the tile spans
-    // positions `k_start..k_end`. A delay past the tile's end (`int` may
-    // be `usize::MAX`) leaves nothing.
-    let k_end = match (tile_start + tile.len()).checked_sub(int) {
-        Some(k_end) if k_end > 0 => k_end,
-        _ => return,
     };
-    let k_start = tile_start.saturating_sub(int);
-    // A run `[a, b)` feeds positions `a..b + reach`.
-    let reach = usize::from(frac != 0.0);
-    let first = runs.partition_point(|&(_, b)| b + reach <= k_start);
-    for &(a, b) in runs.get(first..).unwrap_or(&[]) {
-        if a >= k_end {
-            break;
-        }
-        let (lo, hi) = (a.max(k_start), (b + reach).min(k_end));
-        let Some(out) = tile.get_mut(lo + int - tile_start..hi + int - tile_start) else {
-            continue;
-        };
-        if frac == 0.0 {
-            for (d, &s) in out.iter_mut().zip(signal.get(lo..hi).unwrap_or(&[])) {
-                *d += gain * s * whole;
-            }
-            continue;
-        }
-        // Position `a` sees only `signal[a]`.
-        let (k, out) = match out.split_first_mut() {
-            Some((d, rest)) if lo == a => {
-                if let Some(&s) = signal.get(a) {
-                    *d += gain * s * whole;
+    let end = dst.len().min(last.saturating_add(signal.len()));
+    let Some(reached) = dst.get_mut(first..end) else {
+        return;
+    };
+    for (b, out) in reached.chunks_mut(BLOCK).enumerate() {
+        let n = first + b * BLOCK;
+        // Lag `L` reads `window[last − L..][..BLOCK]` when all lie in `signal`.
+        let window = n.checked_sub(last).and_then(|k| signal.get(k..n - first + BLOCK));
+        match (window, <&mut [f64; BLOCK]>::try_from(&mut *out)) {
+            // The block stays in registers across the lags.
+            (Some(window), Ok(out)) => {
+                let mut acc = *out;
+                for (&lag, &h) in lags.iter().zip(coefs) {
+                    let src = window.get(last - lag..last - lag + BLOCK);
+                    if let Some(Ok(src)) = src.map(<&[f64; BLOCK]>::try_from) {
+                        for (a, &x) in acc.iter_mut().zip(src) {
+                            *a += h * x;
+                        }
+                    }
                 }
-                (a + 1, rest)
+                *out = acc;
             }
-            _ => (lo, out),
-        };
-        // Positions `k..min(hi, b)` see `signal[k − 1]` (frac), then
-        // `signal[k]` (1 − frac). `lo < hi`, so `out` was not empty and
-        // `k > a >= 0`.
-        let body_end = hi.min(b).max(k);
-        let (body, tail) = out.split_at_mut((body_end - k).min(out.len()));
-        let prev = signal.get(k - 1..body_end - 1).unwrap_or(&[]);
-        let cur = signal.get(k..body_end).unwrap_or(&[]);
-        for ((d, &p), &c) in body.iter_mut().zip(prev).zip(cur) {
-            *d = (*d + gain * p * frac) + gain * c * whole;
+            _ => add_lags_clipped(out, n, signal, lags, coefs),
         }
-        // Position `b`, when the tile holds it, sees only `signal[b − 1]`.
-        if let (Some(d), Some(&last)) = (tail.first_mut(), signal.get(b - 1)) {
-            *d += gain * last * frac;
+    }
+}
+
+/// [`add_lags`] on the outputs `out = dst[n..]` of a block where the
+/// signal starts or ends inside some lag's window.
+fn add_lags_clipped(out: &mut [f64], n: usize, signal: &[f64], lags: &[usize], coefs: &[f64]) {
+    // The lags that reach `out` read `signal[n − L..]`: `n − len < L < n + out.len()`.
+    let lo = lags.partition_point(|&l| l.saturating_add(signal.len()) <= n);
+    let hi = lags.partition_point(|&l| l < n + out.len());
+    let coefs = coefs.get(lo..hi).unwrap_or(&[]);
+    for (&lag, &h) in lags.get(lo..hi).unwrap_or(&[]).iter().zip(coefs) {
+        let whole = n.checked_sub(lag).and_then(|k| signal.get(k..k + out.len()));
+        if let Some(src) = whole {
+            for (d, &x) in out.iter_mut().zip(src) {
+                *d += h * x;
+            }
+            continue;
+        }
+        for (j, d) in out.iter_mut().enumerate() {
+            if let Some(&x) = (n + j).checked_sub(lag).and_then(|k| signal.get(k)) {
+                *d += h * x;
+            }
         }
     }
 }
@@ -356,30 +338,72 @@ mod tests {
         assert!((y[55] - 1.0).abs() < 1e-12);
     }
 
-    /// The dense per-tap loop the sparse, tiled kernel must match.
-    fn oracle_into(ch: &MultipathChannel, dst: &mut [f64], signal: &[f64], fs_hz: f64) {
+    /// Delays are multiples of 1/1024 s, so `delay_s · fs` is exact.
+    const ORACLE_FS_HZ: f64 = 1024.0;
+
+    /// The channel's lags and merged coefficients, built independently of
+    /// the kernel: `g·(1−frac)` at `⌊d⌋`, `g·frac` at `⌊d⌋ + 1` when
+    /// `frac > 0`, summed per lag in tap order.
+    fn oracle_lags(ch: &MultipathChannel, fs_hz: f64) -> std::collections::BTreeMap<usize, f64> {
+        use std::collections::btree_map::Entry;
+        let mut lags = std::collections::BTreeMap::new();
+        let mut add = |lag: usize, c: f64| match lags.entry(lag) {
+            Entry::Vacant(e) => {
+                e.insert(c);
+            }
+            Entry::Occupied(mut e) => *e.get_mut() += c,
+        };
+        for t in ch.taps().iter().filter(|t| t.gain != 0.0) {
+            let d = t.delay_s * fs_hz;
+            let frac = d - d.floor();
+            add(d.floor() as usize, t.gain * (1.0 - frac));
+            if frac > 0.0 {
+                add(d.floor() as usize + 1, t.gain * frac);
+            }
+        }
+        lags
+    }
+
+    /// The plain scalar per-lag loop the kernel must match bit for bit:
+    /// each output is `dst[n]` plus `h_L·x[n−L]` over the in-range lags,
+    /// added in ascending lag order.
+    fn lag_oracle_into(ch: &MultipathChannel, dst: &mut [f64], signal: &[f64], fs_hz: f64) {
+        let lags = oracle_lags(ch, fs_hz);
+        for (n, d) in dst.iter_mut().enumerate() {
+            for (&lag, &h) in &lags {
+                if lag <= n && n - lag < signal.len() {
+                    *d += h * signal[n - lag];
+                }
+            }
+        }
+    }
+
+    /// The per-tap interpolation loop, the physics the lags regroup.
+    fn per_tap_into(ch: &MultipathChannel, dst: &mut [f64], signal: &[f64], fs_hz: f64) {
         for t in ch.taps() {
             pab_dsp::resample::add_delayed_scaled(dst, signal, t.delay_s * fs_hz, t.gain);
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     fn assert_bitwise_like_oracle(ch: &MultipathChannel, dst: &[f64], signal: &[f64], what: &str) {
         let mut got = dst.to_vec();
         ch.apply_into(&mut got, signal, ORACLE_FS_HZ);
         let mut want = dst.to_vec();
-        oracle_into(ch, &mut want, signal, ORACLE_FS_HZ);
+        lag_oracle_into(ch, &mut want, signal, ORACLE_FS_HZ);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "{what}: sample {i}: {g} vs {w}");
         }
     }
 
-    /// Delays are multiples of 1/1024 s, so `delay_s · fs` is exact.
-    const ORACLE_FS_HZ: f64 = 1024.0;
-
-    /// Fractional and whole-sample delays, both gain signs, and taps
-    /// spread across tile boundaries, the last past most test buffers.
-    /// No fraction or gain is a power of two, so a reassociated product
-    /// rounds differently.
+    /// Fractional and whole-sample delays, both gain signs, two taps
+    /// sharing a floor, a whole-sample tap on another's `⌊d⌋ + 1`, and a
+    /// lag spread longer than most test sources. No fraction or gain is
+    /// a power of two, so a reordered or reassociated sum rounds
+    /// differently.
     fn oracle_channel() -> MultipathChannel {
         let tap = |samples: f64, gain: f64| Tap {
             delay_s: samples / ORACLE_FS_HZ,
@@ -387,6 +411,7 @@ mod tests {
         };
         MultipathChannel::new(vec![
             tap(3.3, 0.8),
+            tap(3.8, -0.45),
             tap(5.0, -0.6),
             tap(0.0, 0.3),
             tap(17.7, 0.27),
@@ -398,6 +423,18 @@ mod tests {
         .unwrap()
     }
 
+    /// More lags than the kernel's table holds, so it applies them in
+    /// passes.
+    fn many_lag_channel() -> MultipathChannel {
+        let taps = (0..3 * MAX_LAGS)
+            .map(|i| Tap {
+                delay_s: (1.0 + i as f64 * 1.35) / ORACLE_FS_HZ,
+                gain: if i % 3 == 0 { -0.7 } else { 0.3 } / (1.0 + i as f64),
+            })
+            .collect();
+        MultipathChannel::new(taps).unwrap()
+    }
+
     /// Nonzero accumulator contents, so the addition order shows.
     fn prior(len: usize, seed: u64) -> Vec<f64> {
         use rand::{Rng, SeedableRng};
@@ -407,11 +444,12 @@ mod tests {
             .collect()
     }
 
+    fn tone(n: usize) -> Vec<f64> {
+        (0..n).map(|i| (0.37 * i as f64).sin() + 0.01).collect()
+    }
+
     #[test]
-    fn apply_into_is_bitwise_the_per_tap_loop() {
-        let ch = oracle_channel();
-        let tone =
-            |n: usize| -> Vec<f64> { (0..n).map(|i| (0.37 * i as f64).sin() + 0.01).collect() };
+    fn apply_into_is_bitwise_the_per_lag_loop() {
         let mut gated = tone(6000);
         for (i, s) in gated.iter_mut().enumerate() {
             // Keyed like a PWM query: on, off, and stretches of both.
@@ -419,81 +457,49 @@ mod tests {
                 *s = 0.0;
             }
         }
-        let isolated: Vec<f64> = (0..5000)
-            .map(|i| {
-                if i % 7 == 3 {
-                    1.0 + i as f64 * 1e-3
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let one_zero_apart: Vec<f64> = (0..5000)
-            .map(|i| {
-                if i % 3 == 2 {
-                    0.0
-                } else {
-                    0.5 - i as f64 * 1e-4
-                }
-            })
-            .collect();
-        let many_runs: Vec<f64> = (0..6 * MAX_RUNS)
-            .map(|i| if i % 2 == 0 { 0.75 } else { 0.0 })
-            .collect();
+        let isolated: Vec<f64> =
+            (0..5000).map(|i| if i % 7 == 3 { 1.0 + i as f64 * 1e-3 } else { 0.0 }).collect();
         let cases: Vec<(&str, Vec<f64>)> = vec![
             ("dense tone", tone(5000)),
             ("zero head and tail", gated),
             ("isolated samples", isolated),
-            ("runs one zero apart", one_zero_apart),
-            ("more runs than the list holds", many_runs),
             ("empty source", vec![]),
             ("all zeros", vec![0.0; 3000]),
             ("one sample", vec![1.5]),
         ];
-        for (what, signal) in &cases {
-            for dst_len in [0, 2, 3, 4, 1000, 4800, 9000] {
-                assert_bitwise_like_oracle(
-                    &ch,
-                    &prior(dst_len, 1),
-                    signal,
-                    &format!("{what}, dst {dst_len}"),
-                );
+        for ch in [oracle_channel(), many_lag_channel()] {
+            for (what, signal) in &cases {
+                for dst_len in [0, 2, 3, 4, 17, 1000, 4800, 9000, 9001, 9002] {
+                    let what = format!("{what}, dst {dst_len}");
+                    assert_bitwise_like_oracle(&ch, &prior(dst_len, 1), signal, &what);
+                }
+                let full = vec![0.0; ch.output_len(signal.len(), ORACLE_FS_HZ)];
+                assert_bitwise_like_oracle(&ch, &full, signal, &format!("{what}, apply framing"));
             }
-            let full = vec![0.0; ch.output_len(signal.len(), ORACLE_FS_HZ)];
-            assert_bitwise_like_oracle(&ch, &full, signal, &format!("{what}, apply framing"));
         }
-        // Lengths at a tile edge, ±1, for both the source and `dst`.
-        for len in [
-            TILE_LEN - 1,
-            TILE_LEN,
-            TILE_LEN + 1,
-            2 * TILE_LEN - 1,
-            2 * TILE_LEN + 1,
-        ] {
+        // Sources around the lag spread (where the all-lags body starts
+        // to exist) and `dst` lengths around block edges of that body.
+        let ch = oracle_channel();
+        let spread = 9002;
+        for len in [spread - 1, spread, spread + 1, spread + BLOCK - 1, spread + 3 * BLOCK + 5] {
             let signal = tone(len);
-            for dst_len in [len, TILE_LEN - 1, TILE_LEN, TILE_LEN + 1, 3 * TILE_LEN] {
-                assert_bitwise_like_oracle(
-                    &ch,
-                    &prior(dst_len, 2),
-                    &signal,
-                    &format!("src {len}, dst {dst_len}"),
-                );
+            let body_start = 9001;
+            for dst_len in [
+                body_start - 1,
+                body_start,
+                body_start + 1,
+                body_start + BLOCK - 1,
+                body_start + BLOCK,
+                body_start + BLOCK + 1,
+                body_start + 7 * BLOCK + 3,
+                len + spread,
+            ] {
+                let what = format!("src {len}, dst {dst_len}");
+                assert_bitwise_like_oracle(&ch, &prior(dst_len, 2), &signal, &what);
             }
         }
-        // Delays too large for any buffer (or for `usize`) add nothing.
-        let huge = MultipathChannel::new(vec![
-            Tap {
-                delay_s: 0.5 / ORACLE_FS_HZ,
-                gain: 1.0,
-            },
-            Tap {
-                delay_s: 1e300,
-                gain: 1.0,
-            },
-        ])
-        .unwrap();
-        assert_bitwise_like_oracle(&huge, &prior(5000, 4), &tone(3000), "huge delay");
-        // A `dst` shorter than the first delay takes nothing.
+        // A `dst` shorter than the first lag takes nothing; one sample
+        // longer takes one term.
         let late = MultipathChannel::new(vec![Tap {
             delay_s: 40.5 / ORACLE_FS_HZ,
             gain: 1.0,
@@ -502,35 +508,75 @@ mod tests {
         let before = prior(40, 3);
         let mut dst = before.clone();
         late.apply_into(&mut dst, &tone(100), ORACLE_FS_HZ);
-        assert_eq!(dst, before);
+        assert_eq!(bits(&dst), bits(&before));
         assert_bitwise_like_oracle(&late, &prior(41, 3), &tone(100), "first output at the end");
     }
 
     #[test]
     fn apply_matches_apply_into_on_zeros() {
         let ch = oracle_channel();
-        let signal: Vec<f64> = (0..3000)
-            .map(|i| {
-                if i % 500 < 200 {
-                    (0.1 * i as f64).cos()
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let mut want = vec![0.0; ch.output_len(signal.len(), ORACLE_FS_HZ)];
-        oracle_into(&ch, &mut want, &signal, ORACLE_FS_HZ);
+        let signal: Vec<f64> =
+            (0..3000).map(|i| if i % 500 < 200 { (0.1 * i as f64).cos() } else { 0.0 }).collect();
         let got = ch.apply(&signal, ORACLE_FS_HZ);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut into = vec![0.0; got.len()];
+        ch.apply_into(&mut into, &signal, ORACLE_FS_HZ);
+        let mut want = vec![0.0; got.len()];
+        lag_oracle_into(&ch, &mut want, &signal, ORACLE_FS_HZ);
+        assert_eq!(bits(&got), bits(&into));
         assert_eq!(bits(&got), bits(&want));
     }
 
-    /// The one observable difference from the dense loop: a −0.0 already
-    /// in a caller's buffer under a silent stretch stays −0.0 (the dense
-    /// loop added `+0.0` terms there, giving +0.0). Outputs a run reaches
-    /// are the dense loop's.
+    /// The regrouped sum stays within rounding of the per-tap loop. Each
+    /// loop rounds a term at most `2T + 2` times on its way into an
+    /// output of a `T`-tap channel (products, coefficient merges, the
+    /// running sum), each rounding costs at most `ε/2` of the running
+    /// magnitude, and the terms' magnitudes sum to at most
+    /// `|d| + Σ|g|·max|x|` (the two weights of a tap sum to 1). So
+    /// `k = 3T + 2` in units of `ε` bounds the gap between the two.
     #[test]
-    fn negative_zero_under_silence_stays_negative_zero() {
+    fn apply_into_is_within_rounding_of_the_per_tap_loop() {
+        let pool = crate::Pool::pool_a();
+        let pool_ch = pool
+            .channel(
+                &crate::Position::new(1.5, 1.5, 0.6),
+                &crate::Position::new(1.0, 1.2, 0.6),
+                3,
+                15_000.0,
+            )
+            .unwrap();
+        let big = tone(20_000).iter().map(|x| 40.0 * x).collect::<Vec<_>>();
+        let cases = [
+            (oracle_channel(), ORACLE_FS_HZ, tone(12_000)),
+            (many_lag_channel(), ORACLE_FS_HZ, tone(3000)),
+            (pool_ch, 192_000.0, big),
+        ];
+        for (ch, fs_hz, signal) in &cases {
+            let taps = ch.taps().len() as f64;
+            let k = 3.0 * taps + 2.0;
+            let gain_sum: f64 = ch.taps().iter().map(|t| t.gain.abs()).sum();
+            let peak = signal.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+            for seed in [0, 5] {
+                let n = ch.output_len(signal.len(), *fs_hz);
+                let start = if seed == 0 { vec![0.0; n] } else { prior(n, seed) };
+                let mut got = start.clone();
+                ch.apply_into(&mut got, signal, *fs_hz);
+                let mut want = start.clone();
+                per_tap_into(ch, &mut want, signal, *fs_hz);
+                for (i, ((g, w), d)) in got.iter().zip(&want).zip(&start).enumerate() {
+                    let bound = k * f64::EPSILON * (d.abs() + gain_sum * peak);
+                    assert!((g - w).abs() <= bound, "{taps} taps, sample {i}: {g} vs {w}");
+                }
+            }
+        }
+    }
+
+    /// The signed-zero contract: outputs no lag reaches are not written;
+    /// a reached output is IEEE `d + terms`, so a −0.0 there becomes
+    /// +0.0 when a term is +0.0 and stays −0.0 when every term is −0.0.
+    /// A buffer that starts at +0.0 never holds −0.0.
+    #[test]
+    fn signed_zeros_follow_ieee_addition() {
+        // Lags 2 and 3, coefficient 0.5 each.
         let ch = MultipathChannel::new(vec![Tap {
             delay_s: 2.5 / ORACLE_FS_HZ,
             gain: 1.0,
@@ -541,19 +587,84 @@ mod tests {
         signal[11] = -2.0;
         let mut got = vec![-0.0; 80];
         ch.apply_into(&mut got, &signal, ORACLE_FS_HZ);
-        let mut dense = vec![-0.0; 80];
-        oracle_into(&ch, &mut dense, &signal, ORACLE_FS_HZ);
-        // The run [10, 12) reaches outputs 12..=14.
-        for (i, (g, d)) in got.iter().zip(&dense).enumerate() {
-            if (12..=14).contains(&i) {
-                assert_eq!(g.to_bits(), d.to_bits(), "reached output {i}");
-            } else if (2..=66).contains(&i) {
-                assert_eq!(g.to_bits(), (-0.0f64).to_bits(), "silent output {i}");
-                assert_eq!(d.to_bits(), 0.0f64.to_bits(), "dense loop at {i}");
-            } else {
-                assert_eq!(g.to_bits(), d.to_bits(), "output {i} outside every tap");
+        let mut want = vec![-0.0; 80];
+        lag_oracle_into(&ch, &mut want, &signal, ORACLE_FS_HZ);
+        assert_eq!(bits(&got), bits(&want));
+        for (i, g) in got.iter().enumerate() {
+            if !(2..67).contains(&i) {
+                assert_eq!(g.to_bits(), (-0.0f64).to_bits(), "unreached output {i}");
+            } else if !(12..=14).contains(&i) {
+                assert_eq!(g.to_bits(), 0.0f64.to_bits(), "output {i} over +0.0 samples");
             }
         }
+        // A negative coefficient on +0.0 samples adds −0.0 terms only.
+        let neg = MultipathChannel::new(vec![Tap {
+            delay_s: 2.0 / ORACLE_FS_HZ,
+            gain: -0.75,
+        }])
+        .unwrap();
+        let mut dst = vec![-0.0; 20];
+        neg.apply_into(&mut dst, &[0.0; 10], ORACLE_FS_HZ);
+        assert_eq!(bits(&dst), bits(&[-0.0; 20]));
+        // `apply` starts at +0.0: no output is −0.0, whatever the signs.
+        let mixed = [0.0, -0.0, 1.0, -1.0, -0.0, 0.0, 0.0];
+        for ch in [&ch, &neg, &oracle_channel()] {
+            let y = ch.apply(&mixed, ORACLE_FS_HZ);
+            assert!(y.iter().all(|v| v.to_bits() != (-0.0f64).to_bits()));
+        }
+    }
+
+    /// A NaN sample reaches exactly the outputs its lags reach.
+    #[test]
+    fn nan_reaches_only_its_lags() {
+        let ch = oracle_channel();
+        let lags = oracle_lags(&ch, ORACLE_FS_HZ);
+        let mut signal = tone(3000);
+        signal[1234] = f64::NAN;
+        let y = ch.apply(&signal, ORACLE_FS_HZ);
+        for (n, v) in y.iter().enumerate() {
+            let reached = n >= 1234 && lags.contains_key(&(n - 1234));
+            assert_eq!(v.is_nan(), reached, "output {n}");
+        }
+    }
+
+    /// Rates that are not finite and positive, rates and delays whose
+    /// lags lie past `dst` (or past `usize`), leave `dst` untouched.
+    #[test]
+    fn hostile_rates_and_delays_add_nothing() {
+        let ch = crate::Pool::pool_a()
+            .channel(
+                &crate::Position::new(0.5, 1.5, 0.6),
+                &crate::Position::new(1.5, 1.8, 0.6),
+                3,
+                15_000.0,
+            )
+            .unwrap();
+        let before = prior(5000, 4);
+        let signal = tone(3000);
+        let rates = [0.0, -0.0, -192_000.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 2f64.powi(60)];
+        for fs_hz in rates {
+            let mut dst = before.clone();
+            ch.apply_into(&mut dst, &signal, fs_hz);
+            assert_eq!(bits(&dst), bits(&before), "fs {fs_hz}");
+        }
+        for fs_hz in [0.0, -1.0, f64::NAN] {
+            assert!(ch.apply(&signal, fs_hz).iter().all(|&v| v == 0.0), "apply at fs {fs_hz}");
+        }
+        let len = before.len() as f64;
+        for delay in [1e300, f64::MAX, (len + 0.5) / ORACLE_FS_HZ, len / ORACLE_FS_HZ] {
+            let far = MultipathChannel::new(vec![Tap { delay_s: delay, gain: 1.0 }]).unwrap();
+            let mut dst = before.clone();
+            far.apply_into(&mut dst, &signal, ORACLE_FS_HZ);
+            assert_eq!(bits(&dst), bits(&before), "delay {delay} s");
+        }
+        // Beside a near tap, the far one adds nothing either.
+        let both = MultipathChannel::new(vec![
+            Tap { delay_s: 0.5 / ORACLE_FS_HZ, gain: 1.0 },
+            Tap { delay_s: 1e300, gain: 1.0 },
+        ])
+        .unwrap();
+        assert_bitwise_like_oracle(&both, &before, &signal, "huge delay beside a near one");
     }
 
     #[test]

@@ -325,6 +325,16 @@ mod tests {
         mcu
     }
 
+    /// The LP5900's ground current lives in two models: the regulator
+    /// (`pab_analog`) and the power profile behind Fig. 11's 124 µW idle
+    /// figure (`pab_mcu`). They must be one number.
+    #[test]
+    fn ldo_ground_current_matches_the_power_profile() {
+        let ldo = pab_analog::regulator::Ldo::lp5900_1v8();
+        let profile = PowerProfile::pab_node();
+        assert_eq!(ldo.quiescent_a.to_bits(), profile.ldo_quiescent_a.to_bits());
+    }
+
     #[test]
     fn ping_query_produces_fm0_ack_on_the_pin() {
         let q = DownlinkQuery {

@@ -618,9 +618,7 @@ impl LinkSimulator {
             let (cache, pool) = (&self.exch_cache, &mut self.scratch);
             // lint: allow(no-unwrap-in-lib) inserted above under the same key
             let entry = cache.get(&ekey).expect("exchange entry just ensured");
-            let mut y = pool.take(entry.y_clean.len());
-            y.copy_from_slice(&entry.y_clean);
-            (y, entry.node)
+            (pool.take_copy(&entry.y_clean), entry.node)
         };
         self.receive(&mut y, faults, t_start_s);
         let decoded = self.receiver.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);

@@ -161,12 +161,14 @@ mod tests {
         assert!((tail_amp - p.source_pressure_pa()).abs() / tail_amp < 0.02);
     }
 
-    /// The PWM downlink is the sparse source the propagation kernel skips
-    /// through; on real queries at both slot rates, through a real
-    /// image-method channel, it must leave every sample bitwise where the
-    /// dense per-tap loop does.
+    /// The PWM downlink, ~45% keyed-off zeros, through a real
+    /// image-method channel at both slot rates: the per-lag kernel stays
+    /// within rounding of the per-tap interpolation loop, and every
+    /// output past the channel's reach stays an exact zero. The bound is
+    /// `(3T + 2)·ε·Σ|g|·max|x|` for `T` taps, as in the propagation
+    /// module's own test.
     #[test]
-    fn query_waveform_propagates_bitwise_like_the_per_tap_loop() {
+    fn query_waveform_propagates_within_rounding_of_the_per_tap_loop() {
         use pab_channel::{Pool, Position};
         use pab_dsp::resample::add_delayed_scaled;
         let queries = [
@@ -197,8 +199,16 @@ mod tests {
             for t in ch.taps() {
                 add_delayed_scaled(&mut want, &w, t.delay_s * fs_hz, t.gain);
             }
+            let k = 3.0 * ch.taps().len() as f64 + 2.0;
+            let gain_sum: f64 = ch.taps().iter().map(|t| t.gain.abs()).sum();
+            let peak = w.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+            let bound = k * f64::EPSILON * gain_sum * peak;
+            let reach = w.len() + (ch.taps().last().unwrap().delay_s * fs_hz).ceil() as usize;
             for (i, (g, x)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.to_bits(), x.to_bits(), "{fs_hz} Hz: sample {i}");
+                assert!((g - x).abs() <= bound, "{fs_hz} Hz: sample {i}: {g} vs {x}");
+                if i > reach {
+                    assert_eq!(g.to_bits(), 0.0f64.to_bits(), "{fs_hz} Hz: sample {i}");
+                }
             }
         }
     }

@@ -587,16 +587,24 @@ impl Receiver {
                 // as each sample is read); the Butterworth then runs
                 // forward and backward at fs2, in the centre of the
                 // now-free mix buffer, its margins filled with odd
-                // reflections by the filter itself.
-                s.ext.resize(n, Complex64::new(0.0, 0.0));
-                downconvert_into(signal, carrier_hz, self.fs_hz, &mut s.ext);
-                aa.decimate_complex_scaled_into(&s.ext, 2.0, &mut s.bb_d);
+                // reflections by the filter itself. Every stage writes
+                // its whole span before reading it, so `ext` only grows
+                // (zero-filling once) and is never re-zeroed per decode.
+                if s.ext.len() < n {
+                    s.ext.resize(n, Complex64::new(0.0, 0.0));
+                }
+                let mix = &mut s.ext[..n];
+                downconvert_into(signal, carrier_hz, self.fs_hz, mix);
+                aa.decimate_complex_scaled_into(mix, 2.0, &mut s.bb_d);
                 let n2 = s.bb_d.len();
                 let pad = fe.butter4.filtfilt_pad(n2);
-                s.ext.resize(n2 + 2 * pad, Complex64::new(0.0, 0.0));
-                s.ext[pad..pad + n2].copy_from_slice(&s.bb_d);
-                fe.butter4.filtfilt_complex_in_place(&mut s.ext, pad, n2);
-                s.bb_d.copy_from_slice(&s.ext[pad..pad + n2]);
+                if s.ext.len() < n2 + 2 * pad {
+                    s.ext.resize(n2 + 2 * pad, Complex64::new(0.0, 0.0));
+                }
+                let ext = &mut s.ext[..n2 + 2 * pad];
+                ext[pad..pad + n2].copy_from_slice(&s.bb_d);
+                fe.butter4.filtfilt_complex_in_place(ext, pad, n2);
+                s.bb_d.copy_from_slice(&ext[pad..pad + n2]);
             }
             None => {
                 // Mix→filter at the full rate: downconvert straight into

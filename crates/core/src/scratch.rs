@@ -2,9 +2,9 @@
 //!
 //! The slot loop's steady state touches megabytes of `f64` waveform per
 //! exchange but the *shape* of that data is fixed per cache key, so the
-//! buffers can be pooled: [`Scratch::take`] hands out a zeroed buffer
-//! (recycled when one of sufficient capacity is pooled, freshly grown
-//! otherwise) and [`Scratch::put`] returns it. After warm-up the pool
+//! buffers can be pooled: `Scratch::take_copy` hands out a buffer holding
+//! a copy of a cached waveform (recycled when one of sufficient capacity
+//! is pooled, freshly grown otherwise) and [`Scratch::put`] returns it. After warm-up the pool
 //! has seen every length the engine asks for and `pool_misses` stops
 //! moving — the property `tests/slot_engine_alloc.rs` pins with a
 //! counting global allocator.
@@ -46,22 +46,30 @@ impl Scratch {
         Self::default()
     }
 
-    /// Take a zeroed buffer of exactly `len` samples. Recycles the first
-    /// pooled buffer whose capacity suffices; anything smaller counts as
-    /// a `pool_miss` (the buffer grows, which allocates).
-    pub fn take(&mut self, len: usize) -> Vec<f64> {
+    /// Take a buffer holding a copy of `src`. Recycles the first pooled
+    /// buffer whose capacity suffices; anything smaller counts as a
+    /// `pool_miss` (the buffer grows, which allocates). The copy fills
+    /// the buffer, so it is not zeroed first.
+    pub(crate) fn take_copy(&mut self, src: &[f64]) -> Vec<f64> {
         self.takes += 1;
-        let slot = self.pool.iter().position(|b| b.capacity() >= len);
+        let slot = self.pool.iter().position(|b| b.capacity() >= src.len());
         let mut buf = match slot {
             Some(i) => self.pool.swap_remove(i),
             None => {
                 self.pool_misses += 1;
-                Vec::with_capacity(len)
+                Vec::with_capacity(src.len())
             }
         };
         buf.clear();
-        buf.resize(len, 0.0);
+        buf.extend_from_slice(src);
         buf
+    }
+
+    /// A zeroed buffer of exactly `len` samples, pooled as
+    /// [`take_copy`](Self::take_copy) pools.
+    #[cfg(test)]
+    fn take(&mut self, len: usize) -> Vec<f64> {
+        self.take_copy(&vec![0.0; len])
     }
 
     /// Return a buffer to the pool for reuse.

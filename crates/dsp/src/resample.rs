@@ -3,9 +3,9 @@
 //! The acoustic channel applies propagation delays that are not integer
 //! numbers of samples. [`add_delayed_scaled`] adds one such delayed,
 //! scaled copy into a buffer with linear interpolation: it is one tap of
-//! `pab_channel::MultipathChannel`, whose sparse, tiled kernel must match
-//! a loop of it over the taps bit for bit. Anti-aliased decimation is
-//! [`crate::polyphase::PolyphaseDecimator`].
+//! `pab_channel::MultipathChannel`, whose per-lag kernel regroups a loop
+//! of it over the taps and must stay within rounding of it. Anti-aliased
+//! decimation is [`crate::polyphase::PolyphaseDecimator`].
 
 /// Add `src` delayed by `delay_samples` and scaled by `gain` into `dst`
 /// without allocating. Samples that fall beyond `dst` are dropped, and so
@@ -21,7 +21,7 @@
 /// but no iteration depends on another and the body vectorises. The two
 /// boundary outputs, which see only one source sample, are peeled off,
 /// and `frac == 0` has its own loop so no `±0·x` term is ever added.
-// lint: allow(dead-pub) test-oracle delayed_add_matches_the_source_major_oracle the per-tap oracle for the sparse multipath kernels
+// lint: allow(dead-pub) test-oracle delayed_add_matches_the_source_major_oracle the per-tap oracle for the per-lag multipath kernel
 pub fn add_delayed_scaled(
     dst: &mut [f64],
     src: &[f64],
