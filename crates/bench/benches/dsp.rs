@@ -1,9 +1,5 @@
-//! Benchmarks for the DSP primitives on the receiver hot path.
-//!
-//! The `fir127_*_direct` / `*_fft` pair pins down the overlap-save
-//! crossover (`pab_dsp::fastconv`), and the planner pair measures what
-//! the thread-local `PlanCache` saves per call; `scripts/bench.sh` parses
-//! these into `BENCH_PR3.json`.
+//! Benchmarks for the DSP primitives on the receiver hot path;
+//! `scripts/bench.sh` parses them into a JSON map.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use num_complex::Complex64;
@@ -86,10 +82,7 @@ fn bench_filtfilt_complex(c: &mut Criterion) {
 }
 
 /// The receiver's fused anti-alias decimator on 0.5 s of complex
-/// baseband, at the factors either side of its FFT/direct crossover.
-/// Decim 2 runs overlap-save, whose cost barely depends on the factor;
-/// decim 3 and up run the direct kept-output loop, whose cost falls as
-/// 1/decim. Comparing decim 2 with decim 3 re-measures the crossover.
+/// baseband: the kept-output loop, whose cost falls as 1/decim.
 fn bench_polyphase(c: &mut Criterion) {
     let x: Vec<Complex64> = signal().iter().map(|&v| Complex64::new(v, -v)).collect();
     let mut out = Vec::new();
@@ -126,18 +119,6 @@ fn bench_nco(c: &mut Criterion) {
             buf
         })
     });
-    g.finish();
-}
-
-/// The direct-vs-FFT pair at 0.5 s @ 192 kHz — the workload the
-/// `fastconv` crossover dispatch of `Fir::filter` decides between.
-fn bench_direct_vs_fft(c: &mut Criterion) {
-    let s = signal();
-    let fir = Fir::lowpass(127, 2_000.0, FS, Window::Hamming).unwrap();
-    let mut g = c.benchmark_group("dsp");
-    g.throughput(Throughput::Elements(N as u64));
-    g.bench_function("fir127_500ms_direct", |b| b.iter(|| fir.filter_direct(&s)));
-    g.bench_function("fir127_500ms_fft", |b| b.iter(|| fir.filter(&s)));
     g.finish();
 }
 
@@ -223,38 +204,6 @@ fn bench_decode_verdict(c: &mut Criterion) {
             b.iter(|| rx.decode_uplink_verdict(&w, 15_000.0, bitrate).unwrap())
         });
     }
-    g.finish();
-}
-
-/// Cached vs uncached FFT planning on the 0.5 s buffer: the uncached
-/// case builds a fresh planner (tables, twiddles, bit-reversal) every
-/// call, the cached case hits the thread-local `PlanCache`.
-fn bench_plan_cache(c: &mut Criterion) {
-    let s: Vec<Complex64> = signal()
-        .iter()
-        .map(|&x| Complex64::new(x, 0.0))
-        .collect();
-    let n_fft = s.len().next_power_of_two();
-    let mut padded = s;
-    padded.resize(n_fft, Complex64::new(0.0, 0.0));
-    let mut g = c.benchmark_group("dsp");
-    g.throughput(Throughput::Elements(n_fft as u64));
-    g.bench_function("fft_500ms_uncached_planner", |b| {
-        b.iter(|| {
-            let mut planner = rustfft::FftPlanner::new();
-            let plan = planner.plan_fft_forward(n_fft);
-            let mut buf = padded.clone();
-            plan.process(&mut buf);
-            buf
-        })
-    });
-    g.bench_function("fft_500ms_cached_planner", |b| {
-        b.iter(|| {
-            let mut buf = padded.clone();
-            pab_dsp::plan::with_thread_cache(|cache| cache.fft_in_place(&mut buf));
-            buf
-        })
-    });
     g.finish();
 }
 
@@ -354,11 +303,9 @@ criterion_group!(
     bench_polyphase,
     bench_goertzel,
     bench_nco,
-    bench_direct_vs_fft,
     bench_preamble_search,
     bench_decode_envelope,
     bench_decode_verdict,
-    bench_plan_cache,
     bench_image_method,
     bench_channel_apply,
     bench_awgn,

@@ -71,17 +71,29 @@ impl MultipathChannel {
     /// of `input_len` samples: the input extended by the maximum tap
     /// delay (plus interpolation slack) so no energy is truncated. Lets
     /// callers pre-size accumulation buffers that must match `apply`'s
-    /// framing exactly.
+    /// framing exactly. A rate [`apply_into`](Self::apply_into) rejects,
+    /// or a reach whose sum overflows `usize`, adds no extension.
     fn output_len(&self, input_len: usize, fs_hz: f64) -> usize {
+        if !(fs_hz > 0.0 && fs_hz.is_finite()) {
+            return input_len;
+        }
         let max_delay = self.taps.last().map(|t| t.delay_s).unwrap_or(0.0);
-        input_len + (max_delay * fs_hz).ceil() as usize + 2
+        // `as usize` saturates, so an unrepresentable reach overflows below.
+        ((max_delay * fs_hz).ceil() as usize)
+            .checked_add(input_len)
+            .and_then(|n| n.checked_add(2))
+            .unwrap_or(input_len)
     }
 
     /// Apply the channel to a sampled waveform at sample rate `fs_hz`.
     ///
     /// The output buffer is extended by the maximum tap delay so no energy
     /// is truncated; fractional delays use linear interpolation. This is
-    /// [`apply_into`](Self::apply_into) on a fresh zeroed buffer.
+    /// [`apply_into`](Self::apply_into) on a fresh zeroed buffer. A rate
+    /// that is not finite and positive, or a reach whose length overflows
+    /// `usize`, yields `signal.len()` zeros. Any other finite rate's reach
+    /// is allocated as asked, however large: callers bound the rate (the
+    /// slot simulators reject rates of 2⁵² Hz and up at construction).
     pub fn apply(&self, signal: &[f64], fs_hz: f64) -> Vec<f64> {
         let mut out = vec![0.0; self.output_len(signal.len(), fs_hz)];
         self.apply_into(&mut out, signal, fs_hz);
@@ -629,7 +641,8 @@ mod tests {
     }
 
     /// Rates that are not finite and positive, rates and delays whose
-    /// lags lie past `dst` (or past `usize`), leave `dst` untouched.
+    /// lags lie past `dst` (or past `usize`), leave `dst` untouched, and
+    /// `apply` yields silence of the input's length for them.
     #[test]
     fn hostile_rates_and_delays_add_nothing() {
         let ch = crate::Pool::pool_a()
@@ -648,8 +661,15 @@ mod tests {
             ch.apply_into(&mut dst, &signal, fs_hz);
             assert_eq!(bits(&dst), bits(&before), "fs {fs_hz}");
         }
-        for fs_hz in [0.0, -1.0, f64::NAN] {
-            assert!(ch.apply(&signal, fs_hz).iter().all(|&v| v == 0.0), "apply at fs {fs_hz}");
+        // `apply` returns the input's length in zeros there, and where
+        // the reach overflows `usize`, instead of overflowing its length.
+        let far = MultipathChannel::new(vec![Tap { delay_s: 1e300, gain: 1.0 }]).unwrap();
+        let silence = |y: Vec<f64>| y.len() == signal.len() && y.iter().all(|&v| v == 0.0);
+        for fs_hz in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(silence(ch.apply(&signal, fs_hz)), "apply at fs {fs_hz}");
+        }
+        for fs_hz in [ORACLE_FS_HZ, 2f64.powi(52), 2f64.powi(60), f64::INFINITY] {
+            assert!(silence(far.apply(&signal, fs_hz)), "far apply at fs {fs_hz}");
         }
         let len = before.len() as f64;
         for delay in [1e300, f64::MAX, (len + 0.5) / ORACLE_FS_HZ, len / ORACLE_FS_HZ] {

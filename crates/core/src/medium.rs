@@ -11,7 +11,7 @@
 //! each simulator, so every simulator keeps its own noise stream.
 
 use crate::node::{IncidentComponent, NodeOutput, PabNode};
-use crate::CoreError;
+use crate::{margin_samples, CoreError};
 use pab_channel::{MultipathChannel, Pool, Position};
 
 /// Carriers, nodes and every image-method channel between projector,
@@ -34,6 +34,8 @@ pub(crate) struct Medium {
 impl Medium {
     /// Design, on every carrier, the projector→hydrophone channel and
     /// each node's two channels (every node placed at its position).
+    /// A sample rate [`margin_samples`] rejects (not finite, not positive,
+    /// or 2⁵² Hz and up) is a typed error here, before any channel runs.
     pub(crate) fn new(
         pool: &Pool,
         projector: &Position,
@@ -43,6 +45,7 @@ impl Medium {
         carriers_hz: Vec<f64>,
         nodes: Vec<(PabNode, Position)>,
     ) -> Result<Self, CoreError> {
+        margin_samples(fs_hz)?;
         let per_carrier = |from: &Position, to: &Position| {
             carriers_hz
                 .iter()
@@ -145,5 +148,42 @@ impl Medium {
     /// carrier, in whole samples.
     pub(crate) fn uplink_delay_samples(&self, node: usize) -> usize {
         (self.up[node][0].direct().delay_s * self.fs_hz).floor() as usize
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::collision_group::{CollisionGroupSimulator, MultiNodeConfig};
+    use crate::faultnet::{FaultNetConfig, FaultNetSimulator};
+    use crate::link::{LinkConfig, LinkSimulator};
+
+    /// Every simulator builds its channels through `Medium::new`, so a
+    /// hostile sample rate fails construction with a `CoreError` (the
+    /// noise-level check may name it first) instead of reaching
+    /// `MultipathChannel::apply`.
+    #[test]
+    fn every_simulator_rejects_hostile_rates() {
+        for fs_hz in [
+            0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            2f64.powi(52),
+            2f64.powi(60),
+        ] {
+            let errors = [
+                LinkSimulator::new(LinkConfig { fs_hz, ..Default::default() }).err(),
+                CollisionGroupSimulator::with_config(&MultiNodeConfig {
+                    fs_hz,
+                    ..Default::default()
+                })
+                .err(),
+                FaultNetSimulator::new(FaultNetConfig { fs_hz, ..Default::default() }).err(),
+            ];
+            for (sim, e) in ["link", "collision group", "faultnet"].iter().zip(errors) {
+                assert!(e.is_some(), "{sim} at fs {fs_hz}");
+            }
+        }
     }
 }

@@ -195,9 +195,9 @@ pub struct FrontEndStats {
     pub samples_in: u64,
     /// Decimated samples leaving it.
     pub samples_out: u64,
-    /// Multiply-accumulates skipped by computing only kept outputs
-    /// (counted only on the direct polyphase path, where the saving is
-    /// real).
+    /// Multiply-accumulates skipped by computing only kept outputs: the
+    /// anti-alias FIR's taps for every dropped sample, at every
+    /// decimation above 1.
     pub macs_saved: u64,
     /// Front-end design cache hits.
     pub design_hits: u64,
@@ -1487,22 +1487,16 @@ mod tests {
     }
 
     #[test]
-    fn macs_saved_counts_only_direct_path_decodes() {
+    fn macs_saved_counts_decimation_2_decodes() {
         let rx = Receiver::default();
         let p = test_packet();
-        // 2731 bps at 192 kHz decimates by 2: the FFT path, no saving.
+        // 2731 bps at 192 kHz decimates by 2: the kept-output loop skips
+        // 127 taps per dropped sample.
         let w = synth_waveform(&p, 2730.67, rx.fs_hz, 15_000.0, 1.0, 0.4, 0.01);
         rx.decode_uplink_verdict(&w, 15_000.0, 2730.67).unwrap();
-        let fft = rx.frontend_stats();
-        assert!(fft.samples_in > fft.samples_out, "decim 2 must shrink");
-        assert_eq!(fft.macs_saved, 0, "FFT-path decodes save no MACs");
-        // 1024 bps decimates by 5: the direct path skips 127 taps per
-        // dropped sample.
-        let w = synth_waveform(&p, 1024.0, rx.fs_hz, 15_000.0, 1.0, 0.4, 0.01);
-        rx.decode_uplink_verdict(&w, 15_000.0, 1024.0).unwrap();
-        let both = rx.frontend_stats();
-        let dropped = (both.samples_in - fft.samples_in) - (both.samples_out - fft.samples_out);
-        assert_eq!(both.macs_saved, dropped * 127);
+        let st = rx.frontend_stats();
+        assert_eq!(st.samples_out, st.samples_in.div_ceil(2), "decim 2 must halve");
+        assert_eq!(st.macs_saved, (st.samples_in - st.samples_out) * 127);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use num_complex::Complex64;
 /// conjugating the template (the matched-filter convention), by the
 /// direct O(N·M) loop. The reference the [`RunLengthTemplate`] fast path
 /// is tested against.
-// lint: allow(dead-pub) test-oracle cross_correlate_complex_matches_direct the direct-sum oracle for the FFT and run-length correlators
+// lint: allow(dead-pub) test-oracle cross_correlate_complex_matches_direct the direct-sum oracle for the run-length correlator
 pub fn cross_correlate_complex_direct(
     signal: &[Complex64],
     template: &[Complex64],

@@ -1,18 +1,15 @@
-//! Test-only spectral analysis oracles: a forward FFT on the thread-local
-//! plan cache, and the spectrum, peak-search and spectrogram helpers built
-//! on it. No simulator stage identifies carriers by FFT, so the module is
-//! compiled for tests only.
+//! Test-only spectral analysis oracles: a forward FFT, and the spectrum,
+//! peak-search and spectrogram helpers built on it. No simulator stage
+//! uses an FFT, so the module is compiled for tests only.
 
-use crate::plan::with_thread_cache;
 use num_complex::Complex64;
+use rustfft::FftPlanner;
 
 /// Forward FFT of a complex buffer (in place semantics hidden; returns a new
 /// vector). Length may be any size supported by rustfft (all sizes are).
-/// Plans come from the thread-local [`crate::plan::PlanCache`], so repeated
-/// transforms of the same length pay the planning cost once.
 pub(crate) fn fft(input: &[Complex64]) -> Vec<Complex64> {
     let mut buf = input.to_vec();
-    with_thread_cache(|c| c.fft_in_place(&mut buf));
+    FftPlanner::new().plan_fft_forward(buf.len()).process(&mut buf);
     buf
 }
 
@@ -38,8 +35,9 @@ mod tests {
     /// Inverse FFT with 1/N normalisation so `ifft(fft(x)) == x`.
     fn ifft(input: &[Complex64]) -> Vec<Complex64> {
         let mut buf = input.to_vec();
-        with_thread_cache(|c| c.ifft_in_place(&mut buf));
-        buf
+        FftPlanner::new().plan_fft_inverse(buf.len()).process(&mut buf);
+        let scale = 1.0 / buf.len() as f64;
+        buf.iter().map(|c| c * scale).collect()
     }
 
     /// One-sided amplitude spectrum of a real signal.
@@ -65,12 +63,12 @@ mod tests {
         let n = signal.len();
         let w = window.generate(n);
         let gain = window.coherent_gain(n);
-        let mut buf: Vec<Complex64> = signal
+        let buf: Vec<Complex64> = signal
             .iter()
             .zip(&w)
             .map(|(&s, &w)| Complex64::new(s * w, 0.0))
             .collect();
-        with_thread_cache(|c| c.fft_in_place(&mut buf));
+        let buf = fft(&buf);
         let half = n / 2;
         let mut freqs = Vec::with_capacity(half + 1);
         let mut amps = Vec::with_capacity(half + 1);

@@ -73,24 +73,10 @@ impl Fir {
     }
 
     /// Full convolution filtering, output length = input length ("same"
-    /// alignment: `output[i]` uses input ending at `i`; i.e. causal filter).
-    ///
-    /// Filters of [`crate::fastconv::FFT_CROSSOVER_TAPS`] taps or more
-    /// over long inputs run FFT overlap-save (O(N log N)); short filters
-    /// or inputs run the direct loop (see [`Fir::filter_direct`]).
+    /// alignment: `output[i]` uses input ending at `i`; i.e. causal filter):
+    /// `y[i] = Σ_k taps[k]·x[i−k]` over ascending `k ≤ i`, the direct
+    /// O(N·M) loop.
     pub fn filter(&self, x: &[f64]) -> Vec<f64> {
-        if crate::fastconv::fft_pays_off(x.len(), self.taps.len()) {
-            crate::fastconv::convolve_same_real(x, &self.taps)
-        } else {
-            self.filter_direct(x)
-        }
-    }
-
-    /// The direct O(N·M) convolution loop. Public so equivalence tests and
-    /// benchmarks can compare it against the FFT fast path of
-    /// [`Fir::filter`].
-    // lint: allow(dead-pub) test-oracle fir_filter_matches_direct the direct-loop oracle for the FFT and polyphase paths
-    pub fn filter_direct(&self, x: &[f64]) -> Vec<f64> {
         let m = self.taps.len();
         let mut y = vec![0.0; x.len()];
         for (i, yi) in y.iter_mut().enumerate() {
@@ -105,16 +91,12 @@ impl Fir {
         y
     }
 
-    /// Complex-input filtering with the same "same"-causal alignment as
-    /// [`Fir::filter`]. Because the taps are real, this equals filtering
-    /// the real and imaginary parts independently, without splitting the
-    /// buffer into two temporaries — the receiver's decimation and
-    /// matched-filter stages use it to keep baseband complex end-to-end.
+    /// Complex-input filtering with the same "same"-causal alignment and
+    /// summation order as [`Fir::filter`]. Because the taps are real, this
+    /// equals filtering the real and imaginary parts independently,
+    /// without splitting the buffer into two temporaries.
     // lint: allow(dead-pub) test-oracle decim_oracle_complex complex oracle for the polyphase decimator
     pub fn filter_complex(&self, x: &[num_complex::Complex64]) -> Vec<num_complex::Complex64> {
-        if crate::fastconv::fft_pays_off(x.len(), self.taps.len()) {
-            return crate::fastconv::convolve_same(x, &self.taps);
-        }
         let m = self.taps.len();
         let mut y = vec![num_complex::Complex64::new(0.0, 0.0); x.len()];
         for (i, yi) in y.iter_mut().enumerate() {
@@ -333,15 +315,29 @@ mod tests {
 
     #[test]
     fn fft_filter_matches_direct_loop() {
-        let fs_hz = 48_000.0;
-        // 127 taps over 6000 samples takes the FFT path.
-        let f = Fir::lowpass(127, 1_000.0, fs_hz, Window::Hamming).unwrap();
+        // An independent algorithm for the same causal convolution: zero-pad
+        // both sides past the full length, multiply spectra, invert, and
+        // keep the first `n` outputs.
+        use crate::fft::fft;
+        use num_complex::Complex64;
+        let f = Fir::lowpass(127, 1_000.0, 48_000.0, Window::Hamming).unwrap();
         let x: Vec<f64> = (0..6_000).map(|i| ((i * 17 + 3) % 29) as f64 - 14.0).collect();
-        assert!(crate::fastconv::fft_pays_off(x.len(), f.taps().len()));
-        let fft = f.filter(&x);
-        let dir = f.filter_direct(&x);
-        assert_eq!(fft.len(), dir.len());
-        for (a, b) in fft.iter().zip(&dir) {
+        let len = (x.len() + f.taps().len() - 1).next_power_of_two();
+        let padded = |v: &[f64]| {
+            let mut c: Vec<Complex64> = v.iter().map(|&r| Complex64::new(r, 0.0)).collect();
+            c.resize(len, Complex64::new(0.0, 0.0));
+            fft(&c)
+        };
+        // The inverse transform as conj(fft(conj(·)))/len.
+        let product: Vec<Complex64> = padded(&x)
+            .iter()
+            .zip(padded(f.taps()))
+            .map(|(a, b)| (a * b).conj())
+            .collect();
+        let spectral: Vec<f64> = fft(&product).iter().map(|c| c.re / len as f64).collect();
+        let dir = f.filter(&x);
+        assert_eq!(dir.len(), x.len());
+        for (a, b) in dir.iter().zip(&spectral) {
             assert!((a - b).abs() < 1e-9);
         }
     }
@@ -355,12 +351,12 @@ mod tests {
             .collect();
         let re: Vec<f64> = x.iter().map(|c| c.re).collect();
         let im: Vec<f64> = x.iter().map(|c| c.im).collect();
-        let yre = f.filter_direct(&re);
-        let yim = f.filter_direct(&im);
+        let yre = f.filter(&re);
+        let yim = f.filter(&im);
         let yc = f.filter_complex(&x);
         for ((c, &r), &i) in yc.iter().zip(&yre).zip(&yim) {
-            assert!((c.re - r).abs() < 1e-9);
-            assert!((c.im - i).abs() < 1e-9);
+            assert_eq!(c.re.to_bits(), r.to_bits());
+            assert_eq!(c.im.to_bits(), i.to_bits());
         }
     }
 
@@ -430,7 +426,7 @@ mod tests {
                 .map(|i| ((i * 37 + 11) % 101) as f64 - 50.0 + (i as f64 * 0.013).sin())
                 .collect();
             let x_norm = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-            let want = fir.filter_direct(&x);
+            let want = fir.filter(&x);
             let got = folded.filter(&x);
             assert_eq!(got.len(), n);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {

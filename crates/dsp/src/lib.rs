@@ -1,7 +1,7 @@
 //! # pab-dsp — signal-processing primitives for the PAB stack
 //!
 //! This crate provides the DSP building blocks used throughout the
-//! Piezo-Acoustic Backscatter (PAB) reproduction: windows, FFT helpers,
+//! Piezo-Acoustic Backscatter (PAB) reproduction: windows,
 //! FIR/IIR filters (including Butterworth designs matching the paper's
 //! receiver), numerically controlled oscillators and downconversion,
 //! decimation and fractional delay, envelope detection, correlation, and
@@ -34,12 +34,10 @@
 
 pub mod correlate;
 pub mod envelope;
-pub mod fastconv;
 pub mod fir;
 pub mod goertzel;
 pub mod iir;
 pub mod mix;
-pub mod plan;
 pub mod polyphase;
 pub mod resample;
 pub mod stats;

@@ -189,48 +189,29 @@ proptest! {
     }
 }
 
-// Polyphase decimator equivalences: each of the fused kernel's two paths
-// must track its own filter-everything-then-step_by oracle bit for bit —
-// `Fir::filter[_complex]` where it runs overlap-save (decim < 3), the
-// direct loop `Fir::filter_direct` where it runs direct (decim >= 3) —
-// across random tap counts, decimation factors and input lengths
-// straddling the FFT crossover.
+// Polyphase decimator equivalences: the fused kernel must track the
+// filter-everything-then-step_by oracle bit for bit across random tap
+// counts, decimation factors (half the cases at decimation 2, the
+// receiver's 2731 bps rate at 192 kHz) and input lengths.
 
-/// The oracle for the path the decimator picks at `decim`.
+/// `Fir::filter` + `step_by`.
 fn decim_oracle(fir: &Fir, x: &[f64], decim: usize) -> Vec<f64> {
-    let y = if decim < 3 {
-        fir.filter(x)
-    } else {
-        fir.filter_direct(x)
-    };
-    y.into_iter().step_by(decim).collect()
+    fir.filter(x).into_iter().step_by(decim).collect()
 }
 
-/// [`decim_oracle`] for complex input: `Fir::filter_complex` below
-/// decimation 3, `Fir::filter_direct` per component from 3 up.
+/// [`decim_oracle`] for complex input, through `Fir::filter_complex`.
 fn decim_oracle_complex(fir: &Fir, x: &[Complex64], decim: usize) -> Vec<Complex64> {
-    let y = if decim < 3 {
-        fir.filter_complex(x)
-    } else {
-        let re: Vec<f64> = x.iter().map(|c| c.re).collect();
-        let im: Vec<f64> = x.iter().map(|c| c.im).collect();
-        let (re, im) = (fir.filter_direct(&re), fir.filter_direct(&im));
-        re.into_iter()
-            .zip(im)
-            .map(|(r, i)| Complex64::new(r, i))
-            .collect()
-    };
-    y.into_iter().step_by(decim).collect()
+    fir.filter_complex(x).into_iter().step_by(decim).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Real decimation is bitwise its path's oracle + `step_by`.
+    /// Real decimation is bitwise `Fir::filter` + `step_by`.
     #[test]
     fn polyphase_auto_real_is_bitwise_filter_step_by(
         half_taps in 1usize..100,
-        decim in 1usize..25,
+        decim in prop_oneof![Just(2usize), 1usize..25],
         n in 1usize..3000,
         seed in any::<u64>(),
     ) {
@@ -248,12 +229,12 @@ proptest! {
         }
     }
 
-    /// Complex decimation with a read-time gain is bitwise its path's
-    /// oracle of the pre-scaled signal + `step_by`.
+    /// Complex decimation with a read-time gain is bitwise
+    /// `Fir::filter_complex` of the pre-scaled signal + `step_by`.
     #[test]
     fn polyphase_auto_complex_scaled_is_bitwise(
         half_taps in 1usize..100,
-        decim in 1usize..25,
+        decim in prop_oneof![Just(2usize), 1usize..25],
         n in 1usize..2000,
         gain in prop_oneof![Just(1.0f64), Just(2.0f64), 0.1f64..10.0],
         seed in any::<u64>(),
@@ -277,17 +258,16 @@ proptest! {
         }
     }
 
-    /// From decimation 3 up the decimator always runs direct: bitwise
-    /// `Fir::filter_direct` + `step_by` (same summation order, just
-    /// skipping the dropped outputs), even where `Fir::filter` would
-    /// take the FFT. The length is built from the direct path's three
-    /// parts: the head outputs whose window starts before the input,
-    /// `tiles` whole tiles of four, and `ragged` outputs left over,
-    /// for real input and for complex input at read-time gain 1 and 2.
+    /// Bitwise `Fir::filter` + `step_by` (same summation order, just
+    /// skipping the dropped outputs) at every decimation. The length is
+    /// built from the kernel's three parts: the head outputs whose window
+    /// starts before the input, `tiles` whole tiles of four, and `ragged`
+    /// outputs left over, for real input and for complex input at
+    /// read-time gain 1 and 2.
     #[test]
     fn polyphase_direct_is_bitwise_direct_filter_step_by(
         half_taps in 1usize..100,
-        decim in 3usize..25,
+        decim in prop_oneof![Just(2usize), 1usize..25],
         tiles in 0usize..6,
         ragged in 0usize..4,
         slack in 0usize..25,
@@ -303,7 +283,7 @@ proptest! {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let fir = Fir::lowpass(m, 4_000.0, 48_000.0, Window::Hamming).unwrap();
-        let reference: Vec<f64> = fir.filter_direct(&x).into_iter().step_by(decim).collect();
+        let reference = decim_oracle(&fir, &x, decim);
         let xc: Vec<Complex64> = x
             .iter()
             .map(|&re| Complex64::new(re, rng.gen_range(-1.0..1.0)))
@@ -376,6 +356,43 @@ fn delayed_add_matches_the_oracle_on_every_boundary() {
                     );
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Complex correlation (the preamble search): the run-length form of
+    /// a random piecewise-constant real template equals the direct
+    /// conjugating O(N·M) loop.
+    #[test]
+    fn cross_correlate_complex_matches_direct(
+        sig_len in 16usize..2048,
+        tpl_len in 1usize..144,
+        max_run in 1usize..20,
+        seed in any::<u64>(),
+    ) {
+        use pab_dsp::correlate::{cross_correlate_complex_direct, RunLengthTemplate};
+        use rand::{Rng, SeedableRng};
+        let tpl_len = tpl_len.min(sig_len);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let s: Vec<Complex64> = (0..sig_len)
+            .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let mut t = Vec::with_capacity(tpl_len);
+        while t.len() < tpl_len {
+            let (run, level) = (rng.gen_range(1..=max_run), rng.gen_range(-1.0..1.0));
+            t.extend(std::iter::repeat_n(level, run.min(tpl_len - t.len())));
+        }
+        let (mut prefix, mut fast) = (Vec::new(), Vec::new());
+        RunLengthTemplate::new(&t).correlate_into(&s, &mut prefix, &mut fast);
+        let tc: Vec<Complex64> = t.iter().map(|&x| Complex64::new(x, 0.0)).collect();
+        let slow = cross_correlate_complex_direct(&s, &tc);
+        prop_assert_eq!(fast.len(), slow.len());
+        let tol = 1e-9 * tpl_len as f64;
+        for (a, b) in fast.iter().zip(&slow) {
+            prop_assert!((a - b).norm() < tol, "{a} vs {b}");
         }
     }
 }

@@ -35,7 +35,6 @@ pub const PANIC_SCOPE: &[&str] = &[
     "crates/channel/src/propagation.rs",
     "crates/dsp/src/correlate.rs",
     "crates/dsp/src/envelope.rs",
-    "crates/dsp/src/fastconv.rs",
     "crates/dsp/src/fir.rs",
     "crates/dsp/src/goertzel.rs",
     "crates/dsp/src/iir.rs",

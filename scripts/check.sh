@@ -13,6 +13,20 @@ cargo build --release
 echo "==> pab_bench standalone build (crates/experiments/src/bin/pab_bench/Cargo.toml)"
 cargo build --release --locked --manifest-path crates/experiments/src/bin/pab_bench/Cargo.toml --target-dir target/pab-bench
 
+# `--locked` passes a lock file that still lists a dependency the
+# libraries dropped; the benchmark's own unlocked `cargo run` would
+# rewrite it. Resolve without `--locked` and fail on any rewrite.
+echo "==> pab_bench Cargo.lock matches an unlocked resolve"
+bench_lock=crates/experiments/src/bin/pab_bench/Cargo.lock
+cargo metadata --offline --format-version 1 \
+    --manifest-path crates/experiments/src/bin/pab_bench/Cargo.toml > /dev/null
+if ! git diff --quiet -- "$bench_lock"; then
+    git diff -- "$bench_lock"
+    git checkout -- "$bench_lock"
+    echo "$bench_lock drifted from the workspace manifests (restored)"
+    exit 1
+fi
+
 echo "==> cargo test -q  (includes pab-lint enforcement)"
 cargo test -q
 

@@ -6,9 +6,9 @@
 //!
 //! * The lean [`decode_uplink_verdict`] and the diagnostic
 //!   [`decode_uplink`] must agree bit-for-bit across the full FM0 rate
-//!   ladder at both 96 kHz and 192 kHz, on both polyphase paths
-//!   (overlap-save below decimation 3, direct from 3 up; the 256 bps
-//!   rung at 192 kHz reaches decimation 23).
+//!   ladder at both 96 kHz and 192 kHz, through the one polyphase
+//!   kernel at every factor the ladder reaches (the 256 bps rung at
+//!   192 kHz reaches decimation 23).
 //! * The canonical faultnet and collision workloads at N ∈ {2, 4, 8}
 //!   must reproduce their pinned packet digests — the same values
 //!   `dump_identity` snapshots, so any numerical drift in the front-end
