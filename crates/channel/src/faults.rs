@@ -202,22 +202,25 @@ impl FaultSchedule {
         fade_product(&self.fades, t_s)
     }
 
-    /// [`gain_at`](Self::gain_at) at the `n` sample times
-    /// `t_start_s + i / fs_hz`, bit for bit, evaluating per sample only
-    /// the fades that can apply to one of them. A fade's window position
-    /// `u` grows with `t`, and the sample times grow with `i`, so a fade
-    /// whose `u` is below 0 at the last sample or above 1 at the first
-    /// applies to none. The rest keep schedule order.
-    pub fn gains(&self, t_start_s: f64, fs_hz: f64, n: usize) -> Vec<f64> {
+    /// [`gain_at`](Self::gain_at) at the `out.len()` sample times
+    /// `t_start_s + i / fs_hz`, bit for bit, written into `out`,
+    /// evaluating per sample only the fades that can apply to one of
+    /// them. A fade's window position `u` grows with `t`, and the sample
+    /// times grow with `i`, so a fade whose `u` is below 0 at the last
+    /// sample or above 1 at the first applies to none. The rest keep
+    /// schedule order.
+    pub fn gains_into(&self, t_start_s: f64, fs_hz: f64, out: &mut [f64]) {
         let t_at = |i: usize| t_start_s + i as f64 / fs_hz;
-        let t_last = t_at(n.saturating_sub(1));
+        let t_last = t_at(out.len().saturating_sub(1));
         let fades: Vec<PathFade> = self
             .fades
             .iter()
             .filter(|f| f.position(t_last) >= 0.0 && f.position(t_start_s) <= 1.0)
             .copied()
             .collect();
-        (0..n).map(|i| fade_product(&fades, t_at(i))).collect()
+        for (i, g) in out.iter_mut().enumerate() {
+            *g = fade_product(&fades, t_at(i));
+        }
     }
 
     /// Whether the node is browned out at any point during
@@ -383,11 +386,16 @@ mod tests {
         assert!((f.gain_at(1.0) - 0.25).abs() < 1e-12);
     }
 
-    /// `gains` must be `gain_at` at every sample, bit for bit: before,
+    /// `gains_into` must be `gain_at` at every sample, bit for bit: before,
     /// across and after a fade's start and end, under two overlapping
     /// fades, and with no fade in reach or none at all.
     #[test]
     fn gains_are_gain_at_bit_for_bit() {
+        let gains = |sched: &FaultSchedule, t_start_s: f64, fs_hz: f64, n: usize| {
+            let mut out = vec![f64::NAN; n];
+            sched.gains_into(t_start_s, fs_hz, &mut out);
+            out
+        };
         let fade = |start_s: f64, duration_s: f64, floor_ratio: f64| PathFade {
             start_s,
             duration_s,
@@ -410,9 +418,7 @@ mod tests {
         let quiet = FaultSchedule::new(3);
         for t_start_s in starts {
             for (what, sched) in [("faded", &f), ("quiet", &quiet)] {
-                let gains = sched.gains(t_start_s, fs_hz, n);
-                assert_eq!(gains.len(), n);
-                for (i, g) in gains.iter().enumerate() {
+                for (i, g) in gains(sched, t_start_s, fs_hz, n).iter().enumerate() {
                     let want = sched.gain_at(t_start_s + i as f64 / fs_hz);
                     assert_eq!(
                         g.to_bits(),
@@ -423,9 +429,9 @@ mod tests {
             }
         }
         // The overlap really multiplies two factors, and edges really move.
-        let both = f.gains(0.65, fs_hz, 1)[0];
-        assert!(both < f.gains(0.45, fs_hz, 1)[0].min(f.gains(1.0, fs_hz, 1)[0]));
-        assert!(f.gains(0.0, fs_hz, 0).is_empty());
+        let both = gains(&f, 0.65, fs_hz, 1)[0];
+        assert!(both < gains(&f, 0.45, fs_hz, 1)[0].min(gains(&f, 1.0, fs_hz, 1)[0]));
+        assert!(gains(&f, 0.0, fs_hz, 0).is_empty());
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl MultipathChannel {
     /// callers pre-size accumulation buffers that must match `apply`'s
     /// framing exactly. A rate [`apply_into`](Self::apply_into) rejects,
     /// or a reach whose sum overflows `usize`, adds no extension.
-    fn output_len(&self, input_len: usize, fs_hz: f64) -> usize {
+    pub fn output_len(&self, input_len: usize, fs_hz: f64) -> usize {
         if !(fs_hz > 0.0 && fs_hz.is_finite()) {
             return input_len;
         }

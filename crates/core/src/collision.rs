@@ -259,12 +259,28 @@ fn invert_complex(
 /// bands: invert the complex `n×n` channel matrix and take the real part
 /// (the transmit streams are real switching waveforms). Serves the Fig. 10
 /// pair and §8's larger FDMA deployments alike.
+// lint: allow(dead-pub) api crates/experiments/src/bin/pab_bench/layers.rs the benchmark's recomposed collision slot zero-forces its bands through it
 pub fn zero_force_n_complex(
     y: &[Vec<num_complex::Complex64>],
     ch: &[ComplexAffineChannel],
 ) -> Result<Vec<Vec<f64>>, CoreError> {
+    let bands: Vec<&[num_complex::Complex64]> = y.iter().map(Vec::as_slice).collect();
+    let mut out = vec![Vec::new(); y.len()];
+    zero_force_into(&bands, ch, &mut out)?;
+    Ok(out)
+}
+
+/// [`zero_force_n_complex`] over borrowed bands (windows of longer
+/// buffers need no copy), into caller-owned streams: `out[i]` is cleared
+/// and refilled with stream `i`, so a reused buffer that already has the
+/// capacity does not allocate.
+pub(crate) fn zero_force_into(
+    y: &[&[num_complex::Complex64]],
+    ch: &[ComplexAffineChannel],
+    out: &mut [Vec<f64>],
+) -> Result<(), CoreError> {
     let n = y.len();
-    if n == 0 || ch.len() != n || ch.iter().any(|c| c.gains.len() != n) {
+    if n == 0 || ch.len() != n || out.len() != n || ch.iter().any(|c| c.gains.len() != n) {
         return Err(CoreError::InvalidConfig("band/stream count mismatch"));
     }
     // Scale-invariant singularity test: the condition number doesn't care
@@ -278,18 +294,21 @@ pub fn zero_force_n_complex(
     let a: Vec<Vec<num_complex::Complex64>> =
         ch.iter().map(|c| c.gains.clone()).collect();
     let inv = invert_complex(&a)?;
-    let len = y.iter().map(Vec::len).min().unwrap_or(0);
-    let mut out = vec![Vec::with_capacity(len); n];
+    let len = y.iter().map(|b| b.len()).min().unwrap_or(0);
+    for o in out.iter_mut() {
+        o.clear();
+        o.reserve(len);
+    }
     for t in 0..len {
-        for (i, row) in inv.iter().enumerate() {
+        for (row, o) in inv.iter().zip(out.iter_mut()) {
             let mut acc = num_complex::Complex64::new(0.0, 0.0);
             for (j, &w) in row.iter().enumerate() {
                 acc += w * (y[j][t] - ch[j].offset);
             }
-            out[i].push(acc.re);
+            o.push(acc.re);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Condition number of an `n×n` complex channel matrix: the ratio of its

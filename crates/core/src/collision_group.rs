@@ -43,18 +43,25 @@
 //! keeps the last collision slot's noiseless part in a single-entry memo
 //! keyed on `(divider, queries)`. A repeated collision slot only copies
 //! it, draws fresh AWGN and decodes; the noise is drawn after the memo,
-//! in slot order, so hits and misses produce the same bits.
+//! in slot order, so hits and misses produce the same bits. Every stage
+//! of a training or collision slot — the query synthesis, the medium's
+//! fields, the nodes' temporaries, the noisy pressure, the per-band
+//! basebands, the ground-truth windows and the zero-forced streams —
+//! runs on buffers from the group's own pool, returned when the slot
+//! ends, so a warm group re-runs its chain without allocating them
+//! again.
 
 use crate::collision::{
     aligned_sinr_db, condition_number_n, estimate_channel_complex, naive_stream_estimate,
-    zero_force_n_complex, ComplexAffineChannel,
+    zero_force_into, ComplexAffineChannel,
 };
 use crate::faultnet::FaultNetConfig;
 use crate::medium::Medium;
 use crate::node::PabNode;
 use crate::projector::Projector;
 use crate::receiver::{Receiver, StreamVerdict};
-use crate::{hydrophone_sigma_pa, CoreError, DEFAULT_SAMPLE_RATE_HZ};
+use crate::scratch::Scratch;
+use crate::{hydrophone_sigma_pa, margin_samples, CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use num_complex::Complex64;
 use pab_channel::noise::{add_awgn, NoiseEnvironment};
 use pab_channel::{Pool, Position};
@@ -63,7 +70,6 @@ use pab_net::packet::{Command, DownlinkQuery, UplinkPacket, BROADCAST_ADDR};
 use pab_sweep::derive_seed;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 
 /// One member of a collision group.
 #[derive(Debug, Clone)]
@@ -237,14 +243,19 @@ struct GroupMember {
 
 /// The noiseless part of one group slot: everything up to the
 /// hydrophone, before AWGN. A pure function of the per-carrier transmit
-/// waveforms (and so of the queries and the members' divider).
+/// waveforms (and so of the queries and the members' divider). Its
+/// buffers come from the group's pool.
 #[derive(Debug)]
 struct CleanSlot {
     /// Noiseless hydrophone pressure, Pa; its length is the number of
     /// samples the slot occupied at the hydrophone.
     pressure: Vec<f64>,
-    /// Ground-truth switching streams, hydrophone-aligned, per member.
-    truths: Vec<Vec<f64>>,
+    /// Each member's switch raster (true = reflective) and its uplink
+    /// delay in samples: its hydrophone-aligned ground-truth stream is
+    /// 1.0 where the delayed raster is true and 0.0 elsewhere in the
+    /// slot. Only windows of it are ever read ([`CleanSlot::truth_into`]),
+    /// so it is never stored at the slot's full length.
+    switches: Vec<(Vec<bool>, usize)>,
     /// Whether each member sent a complete response.
     responded: Vec<bool>,
     /// Node-side power summaries, per member.
@@ -252,11 +263,48 @@ struct CleanSlot {
     rectified_v: Vec<f64>,
 }
 
-/// Everything one group slot produced at the receiver.
-struct SlotOutput {
-    clean: Arc<CleanSlot>,
-    /// Complex baseband per band.
-    baseband: Vec<Vec<Complex64>>,
+impl CleanSlot {
+    /// Member `i`'s raster samples that land inside the slot, and their
+    /// delay.
+    fn visible_switch(&self, i: usize) -> (&[bool], usize) {
+        let Some((switch, delay)) = self.switches.get(i) else {
+            return (&[], 0);
+        };
+        let n = switch.len().min(self.pressure.len().saturating_sub(*delay));
+        (switch.get(..n).unwrap_or(&[]), *delay)
+    }
+
+    /// Member `i`'s ground-truth stream over the window `[a0, a1)`,
+    /// written into `out`.
+    fn truth_into(&self, i: usize, (a0, a1): (usize, usize), out: &mut Vec<f64>) {
+        let (switch, delay) = self.visible_switch(i);
+        out.clear();
+        out.extend((a0..a1).map(|x| {
+            let on = x.checked_sub(delay).and_then(|t| switch.get(t));
+            if on == Some(&true) {
+                1.0
+            } else {
+                0.0
+            }
+        }));
+    }
+}
+
+/// The per-band complex basebands of one slot, each left in the padded
+/// workspace the receiver filtered it in (never compacted): band `b` is
+/// `bufs[b].0[pad..pad + len]` with `pad = bufs[b].1`.
+struct Basebands {
+    bufs: Vec<(Vec<Complex64>, usize)>,
+    /// Samples per band: the slot's length at the hydrophone.
+    len: usize,
+}
+
+impl Basebands {
+    /// Band `b`'s samples.
+    fn band(&self, b: usize) -> &[Complex64] {
+        let band = self.bufs.get(b).and_then(|(buf, pad)| buf.get(*pad..pad + self.len));
+        band.unwrap_or(&[])
+    }
 }
 
 /// What a collision slot's clean part depends on that can change between
@@ -289,9 +337,10 @@ impl GroupSlotStats {
     }
 }
 
-/// A zero-forced collision slot, before its streams are decoded.
+/// A zero-forced collision slot, before its streams are decoded. Its
+/// clean part is the group's memo.
 struct Separated {
-    slot: SlotOutput,
+    bands: Basebands,
     /// Sample window `[start, end)` where the collision happens.
     window: (usize, usize),
     /// The separated real switching streams over `window`, per member.
@@ -318,7 +367,11 @@ pub struct CollisionGroupSimulator {
     /// The last collision slot's noiseless part and its key. Repeated
     /// collision slots (a broadcast every round) reuse it and only draw
     /// fresh noise, so the RNG stream and every bit are unchanged.
-    clean_memo: Option<(CleanKey, Arc<CleanSlot>)>,
+    clean_memo: Option<(CleanKey, CleanSlot)>,
+    /// The buffers every stage of a slot runs on. Every training and
+    /// miss slot re-runs the whole chain, so the group keeps them; slot
+    /// lengths vary with the queries, so the pool allocates headroom.
+    pool: Scratch,
     stats: GroupSlotStats,
 }
 
@@ -373,6 +426,7 @@ impl CollisionGroupSimulator {
                 "collision group needs >= 2 members",
             ));
         }
+        margin_samples(cfg.fs_hz)?;
         let noise_sigma_pa = hydrophone_sigma_pa(
             &cfg.noise,
             cfg.nodes[0].carrier_hz,
@@ -427,6 +481,7 @@ impl CollisionGroupSimulator {
             channels: None,
             trained_divider: 0,
             clean_memo: None,
+            pool: Scratch::with_headroom(),
             stats: GroupSlotStats::default(),
         })
     }
@@ -454,6 +509,13 @@ impl CollisionGroupSimulator {
     #[cfg(test)]
     fn clear_clean_memo(&mut self) {
         self.clean_memo = None;
+    }
+
+    /// Drop every pooled buffer, so the next slot allocates afresh (the
+    /// pool's transparency test compares against it).
+    #[cfg(test)]
+    fn empty_pool(&mut self) {
+        self.pool = Scratch::with_headroom();
     }
 
     /// Training, collision and memo counters of this group.
@@ -487,58 +549,73 @@ impl CollisionGroupSimulator {
 
     /// The noiseless part of one slot: the medium hears the per-carrier
     /// transmit waveforms over `n_tx + 4·margin` samples, plus each
-    /// member's hydrophone-aligned ground-truth switching stream.
-    fn clean_slot(&self, waves: &[Vec<f64>]) -> Result<CleanSlot, CoreError> {
+    /// member's switch raster and uplink delay (its ground truth). The
+    /// waveforms go back to the pool once heard.
+    fn clean_slot(&mut self, waves: Vec<Vec<f64>>) -> Result<CleanSlot, CoreError> {
         let k = self.members.len();
         let n_tx = waves.iter().map(Vec::len).max().unwrap_or(0);
-        let n_rx = n_tx + 4 * crate::margin_samples(self.fs_hz)?;
+        let n_rx = n_tx + 4 * margin_samples(self.fs_hz)?;
         let water = pab_sensors::WaterSample::bench();
-        let (pressure, node_outs) = self.medium.hear(waves, water, n_rx)?;
-        let mut truths = Vec::with_capacity(k);
+        let heard = self.medium.hear(&waves, water, n_rx, &mut self.pool);
+        self.pool.put_all(waves);
+        let (pressure, node_outs) = heard?;
+        let mut switches = Vec::with_capacity(k);
         let mut responded = Vec::with_capacity(k);
         let mut power_w = Vec::with_capacity(k);
         let mut rectified_v = Vec::with_capacity(k);
-        for (i, out) in node_outs.iter().enumerate() {
+        for (i, out) in node_outs.into_iter().enumerate() {
             responded.push(out.responses_sent > 0);
             power_w.push(out.average_power_w);
             rectified_v.push(out.rectified_v);
-            // Hydrophone-aligned ground-truth switching stream.
-            let delay = self.medium.uplink_delay_samples(i);
-            let mut s = vec![0.0; n_rx];
-            for (t, &b) in out.switch_wave.iter().enumerate() {
-                if t + delay < n_rx {
-                    // lint: allow(panic-path) t + delay < n_rx checked by the enclosing branch
-                    s[t + delay] = if b { 1.0 } else { 0.0 };
-                }
-            }
-            truths.push(s);
+            switches.push((out.switch_wave, self.medium.uplink_delay_samples(i)));
         }
         Ok(CleanSlot {
             pressure,
-            truths,
+            switches,
             responded,
             power_w,
             rectified_v,
         })
     }
 
-    /// The receiving half of a slot: add fresh AWGN to a copy of the
-    /// clean pressure (drawn in slot order from the group's RNG), scale
-    /// it to volts in place, and demodulate every band to complex
+    /// Return a clean slot's pooled buffer to the pool.
+    fn recycle_clean(&mut self, clean: CleanSlot) {
+        self.pool.put(clean.pressure);
+    }
+
+    /// Return a slot's basebands to the pool.
+    fn recycle_bands(&mut self, bands: Basebands) {
+        self.pool.put_all(bands.bufs.into_iter().map(|(buf, _)| buf));
+    }
+
+    /// The receiving half of a slot: add fresh AWGN to a pooled copy of
+    /// the clean pressure (drawn in slot order from the group's RNG),
+    /// scale it to volts in place, and demodulate every band to complex
     /// baseband.
-    fn receive(&mut self, clean: Arc<CleanSlot>) -> Result<SlotOutput, CoreError> {
-        let mut y = clean.pressure.clone();
+    fn receive(&mut self, pressure: &[f64]) -> Result<Basebands, CoreError> {
+        let mut y = self.pool.take_copy(pressure);
         add_awgn(&mut y, self.noise_sigma_pa, &mut self.rng);
         let sensitivity = self.receiver.sensitivity_v_per_pa;
         for s in y.iter_mut() {
             *s *= sensitivity;
         }
         let cutoff = (2.0 * self.bitrate_bps()).clamp(200.0, 0.4 * self.fs_hz);
-        let mut baseband = Vec::with_capacity(self.members.len());
+        let mut bufs = Vec::with_capacity(self.members.len());
         for m in &self.members {
-            baseband.push(self.receiver.demodulate_complex(&y, m.carrier_hz, cutoff)?);
+            let pool = &mut self.pool;
+            bufs.push(self.receiver.demodulate_complex_in(&y, m.carrier_hz, cutoff, pool)?);
         }
-        Ok(SlotOutput { clean, baseband })
+        let len = y.len();
+        self.pool.put(y);
+        Ok(Basebands { bufs, len })
+    }
+
+    /// The memoised clean part of the last collision slot.
+    fn memo(&self) -> Result<&CleanSlot, CoreError> {
+        self.clean_memo
+            .as_ref()
+            .map(|(_, clean)| clean)
+            .ok_or(CoreError::InvalidConfig("collision slot without its clean part"))
     }
 
     /// Response window for one ping-sized exchange, seconds.
@@ -547,18 +624,29 @@ impl CollisionGroupSimulator {
         5e-3 + bits / self.bitrate_bps() + 40e-3
     }
 
-    /// Padded window `[start, end)` where any member's ground truth is
-    /// active in `slot`.
-    fn active_window(&self, slot: &SlotOutput) -> (usize, usize) {
+    /// Padded window `[start, end)` where any member's ground truth in
+    /// `clean` is active, within a slot of `len` samples.
+    fn active_window(&self, clean: &CleanSlot, len: usize) -> (usize, usize) {
         let pad = (0.005 * self.fs_hz).floor() as usize;
-        let len = slot.baseband.iter().map(Vec::len).min().unwrap_or(0);
-        active_range(&slot.clean.truths, pad, len)
+        active_range(clean, pad, len)
     }
 
     /// Run the k training slots (addressed query on each member's own
     /// carrier, continuous wave on the rest) and fit the band-major k×k
     /// complex affine channel matrix.
+    ///
+    /// The rate's divider keys the clean-slot memo, so a memo left from
+    /// another rate can never hit again: its buffers go back to the pool
+    /// first, for the training slots to run on.
     pub fn train(&mut self, command: Command) -> Result<TrainingOutcome, CoreError> {
+        let divider = self.medium.nodes[0].default_divider;
+        if let Some(((memo_divider, _), _)) = &self.clean_memo {
+            if *memo_divider != divider {
+                if let Some((_, stale)) = self.clean_memo.take() {
+                    self.recycle_clean(stale);
+                }
+            }
+        }
         let fs = self.fs_hz;
         let k = self.members.len();
         let tail = self.response_tail_s();
@@ -571,34 +659,37 @@ impl CollisionGroupSimulator {
                 dest: self.members[j].addr,
                 command,
             };
-            let (wq, _) = self
-                .projector
-                .query_waveform(&q, self.members[j].carrier_hz, tail)?;
+            let carrier_hz = self.members[j].carrier_hz;
+            let (wq, _) = self.projector.query_waveform_in(&q, carrier_hz, tail, &mut self.pool)?;
             let dur = wq.len() as f64 / fs;
             let mut waves = Vec::with_capacity(k);
             for (ci, m) in self.members.iter().enumerate() {
                 if ci == j {
                     waves.push(Vec::new()); // placeholder, replaced below
                 } else {
-                    waves.push(self.projector.continuous_wave(m.carrier_hz, dur));
+                    let cw = self.projector.continuous_wave_in(m.carrier_hz, dur, &mut self.pool);
+                    waves.push(cw);
                 }
             }
             waves[j] = wq;
-            let slot = self.receive(Arc::new(self.clean_slot(&waves)?))?;
+            let clean = self.clean_slot(waves)?;
+            let bands = self.receive(&clean.pressure)?;
             self.stats.training_slots += 1;
-            elapsed_s += slot.clean.pressure.len() as f64 / fs;
-            if !slot.clean.responded[j] {
+            elapsed_s += clean.pressure.len() as f64 / fs;
+            if !clean.responded[j] {
                 return Err(CoreError::NodeNotPoweredUp);
             }
-            let (a0, a1) = self.active_window(&slot);
+            let (a0, a1) = self.active_window(&clean, bands.len);
+            let mut truth = self.pool.take_workspace(a1 - a0);
+            clean.truth_into(j, (a0, a1), &mut truth);
             for b in 0..k {
-                let ch = estimate_channel_complex(
-                    &slot.baseband[b][a0..a1],
-                    &[&slot.clean.truths[j][a0..a1]],
-                )?;
+                let ch = estimate_channel_complex(&bands.band(b)[a0..a1], &[&truth])?;
                 offsets[b] += ch.offset / k as f64;
                 gains[b][j] = ch.gains[0];
             }
+            self.pool.put(truth);
+            self.recycle_clean(clean);
+            self.recycle_bands(bands);
         }
         let channels: Vec<ComplexAffineChannel> = (0..k)
             .map(|b| ComplexAffineChannel {
@@ -617,6 +708,7 @@ impl CollisionGroupSimulator {
 
     /// Transmit `queries[i]` on member `i`'s carrier, let every powered
     /// member answer concurrently, and zero-force the per-band basebands.
+    /// The slot's clean part is left in the memo.
     fn separate(&mut self, queries: &[DownlinkQuery]) -> Result<Separated, CoreError> {
         if queries.len() != self.members.len() {
             return Err(CoreError::InvalidConfig("one collision query per member"));
@@ -631,40 +723,55 @@ impl CollisionGroupSimulator {
                 self.stats.clean_hits += 1;
                 clean
             }
-            _ => {
+            stale => {
                 self.stats.clean_misses += 1;
+                if let Some((_, old)) = stale {
+                    self.recycle_clean(old);
+                }
                 let tail = self.response_tail_s();
                 let mut waves = Vec::with_capacity(queries.len());
                 for (m, q) in self.members.iter().zip(queries) {
-                    let (w, _) = self.projector.query_waveform(q, m.carrier_hz, tail)?;
+                    let (w, _) =
+                        self.projector.query_waveform_in(q, m.carrier_hz, tail, &mut self.pool)?;
                     waves.push(w);
                 }
-                Arc::new(self.clean_slot(&waves)?)
+                self.clean_slot(waves)?
             }
         };
-        self.clean_memo = Some((key, Arc::clone(&clean)));
-        let slot = self.receive(clean)?;
+        let received = self.receive(&clean.pressure).map(|bands| {
+            let window = self.active_window(&clean, bands.len);
+            (bands, window)
+        });
+        self.clean_memo = Some((key, clean));
+        let (bands, (c0, c1)) = received?;
         self.stats.collision_slots += 1;
-        let (c0, c1) = self.active_window(&slot);
-        let bands: Vec<Vec<Complex64>> = slot
-            .baseband
-            .iter()
-            .map(|b| b[c0..c1].to_vec())
+        let windows: Vec<&[Complex64]> = (0..self.members.len())
+            .map(|b| bands.band(b).get(c0..c1).unwrap_or(&[]))
             .collect();
-        let streams = zero_force_n_complex(&bands, &channels)?;
+        let mut streams: Vec<Vec<f64>> = windows
+            .iter()
+            .map(|_| self.pool.take_workspace(c1 - c0))
+            .collect();
+        zero_force_into(&windows, &channels, &mut streams)?;
         Ok(Separated {
-            slot,
+            bands,
             window: (c0, c1),
             streams,
         })
     }
 
+    /// Return a separated slot's basebands and streams to the pool.
+    fn recycle_separated(&mut self, sep: Separated) {
+        self.recycle_bands(sep.bands);
+        self.pool.put_all(sep.streams);
+    }
+
     /// Decode each separated stream independently.
-    fn verdicts(&self, sep: &Separated) -> Vec<StreamVerdict> {
+    fn verdicts(&self, sep: &Separated) -> Result<Vec<StreamVerdict>, CoreError> {
         let bitrate = self.bitrate_bps();
-        let slot = &sep.slot.clean;
+        let slot = self.memo()?;
         let members = self.members.iter().zip(&sep.streams).enumerate();
-        members
+        Ok(members
             .map(|(i, (m, stream))| {
                 // A member that never responded cannot have delivered: any
                 // decode of its stream would be an accident, so it is the
@@ -676,7 +783,7 @@ impl CollisionGroupSimulator {
                 };
                 StreamVerdict::new(m.addr, decoded, slot.power_w[i], slot.rectified_v[i])
             })
-            .collect()
+            .collect())
     }
 
     /// Run one collision slot carrying `queries[i]` on member `i`'s
@@ -688,9 +795,11 @@ impl CollisionGroupSimulator {
     /// ill-conditioned to invert.
     fn collide(&mut self, queries: &[DownlinkQuery]) -> Result<CollisionOutcome, CoreError> {
         let sep = self.separate(queries)?;
+        let verdicts = self.verdicts(&sep);
+        self.recycle_separated(sep);
         Ok(CollisionOutcome {
-            verdicts: self.verdicts(&sep),
-            elapsed_s: sep.slot.clean.pressure.len() as f64 / self.fs_hz,
+            verdicts: verdicts?,
+            elapsed_s: self.memo()?.pressure.len() as f64 / self.fs_hz,
         })
     }
 
@@ -713,7 +822,8 @@ impl CollisionGroupSimulator {
     pub fn run(&mut self, queries: &[DownlinkQuery]) -> Result<SinrReport, CoreError> {
         self.train(Command::Ping)?;
         let sep = self.separate(queries)?;
-        if sep.slot.clean.responded.contains(&false) {
+        let clean = self.memo()?;
+        if clean.responded.contains(&false) {
             return Err(CoreError::NodeNotPoweredUp);
         }
         let fs = self.fs_hz;
@@ -722,41 +832,45 @@ impl CollisionGroupSimulator {
         let (c0, c1) = sep.window;
         let mut sinr_before_db = Vec::with_capacity(sep.streams.len());
         let mut sinr_after_db = Vec::with_capacity(sep.streams.len());
+        let mut truth = Vec::new();
         for (i, stream) in sep.streams.iter().enumerate() {
-            let truth = &sep.slot.clean.truths[i][c0..c1];
-            let envelope: Vec<f64> = sep.slot.baseband[i][c0..c1]
+            clean.truth_into(i, (c0, c1), &mut truth);
+            let envelope: Vec<f64> = sep.bands.band(i)[c0..c1]
                 .iter()
                 .map(|c| c.norm())
                 .collect();
             sinr_before_db.push(aligned_sinr_db(
                 &naive_stream_estimate(&envelope),
-                truth,
+                &truth,
                 fs,
                 bitrate,
                 max_lag,
             ));
-            sinr_after_db.push(aligned_sinr_db(stream, truth, fs, bitrate, max_lag));
+            sinr_after_db.push(aligned_sinr_db(stream, &truth, fs, bitrate, max_lag));
         }
+        let crc_ok = self.verdicts(&sep)?.iter().map(|v| v.crc_ok).collect();
+        self.recycle_separated(sep);
         Ok(SinrReport {
             sinr_before_db,
             sinr_after_db,
-            crc_ok: self.verdicts(&sep).iter().map(|v| v.crc_ok).collect(),
+            crc_ok,
             condition_number: self.condition_number(),
         })
     }
 }
 
-/// First/last sample where any ground-truth stream is active, padded by
-/// `pad` samples and clamped to `len`.
-fn active_range(truths: &[Vec<f64>], pad: usize, len: usize) -> (usize, usize) {
+/// First/last sample where any of `clean`'s ground-truth streams is
+/// active, padded by `pad` samples and clamped to `len`.
+fn active_range(clean: &CleanSlot, pad: usize, len: usize) -> (usize, usize) {
     let mut first = len;
     let mut last = 0;
-    for s in truths {
-        if let Some(i) = s.iter().position(|&v| v > 0.5) {
-            first = first.min(i);
+    for i in 0..clean.switches.len() {
+        let (switch, delay) = clean.visible_switch(i);
+        if let Some(t) = switch.iter().position(|&b| b) {
+            first = first.min(t + delay);
         }
-        if let Some(i) = s.iter().rposition(|&v| v > 0.5) {
-            last = last.max(i);
+        if let Some(t) = switch.iter().rposition(|&b| b) {
+            last = last.max(t + delay);
         }
     }
     if first >= last {
@@ -981,6 +1095,44 @@ mod tests {
         );
         assert_eq!(group.stats().training_slots, 4);
         assert_eq!(group.stats().collision_slots, 5);
+    }
+
+    /// A group that keeps its pool decodes bit for bit what a twin whose
+    /// pool is emptied before every slot decodes: through training, a
+    /// memo miss and hit, a rate step to 512 bps (every buffer grows),
+    /// training, a miss, and back to 1024 bps. Once the pool has seen
+    /// the longest slot, returning to the shorter one allocates nothing
+    /// from it.
+    #[test]
+    fn pool_is_transparent() {
+        let cfg = wide_pair_cfg();
+        let mut kept = CollisionGroupSimulator::new(&cfg, &[1, 2]).unwrap();
+        let mut fresh = CollisionGroupSimulator::new(&cfg, &[1, 2]).unwrap();
+        let training_bits =
+            |t: &TrainingOutcome| (t.condition_number.to_bits(), t.elapsed_s.to_bits());
+        let mut misses_at_512 = 0;
+        for (step, rate_bps) in [1024.0, 512.0, 1024.0].into_iter().enumerate() {
+            kept.set_bitrate_target(rate_bps).unwrap();
+            fresh.set_bitrate_target(rate_bps).unwrap();
+            fresh.empty_pool();
+            let (a, b) = (kept.train(Command::Ping).unwrap(), fresh.train(Command::Ping).unwrap());
+            assert_eq!(training_bits(&a), training_bits(&b), "training {step}");
+            for slot in 0..2 {
+                fresh.empty_pool();
+                let a = kept.collision_slot(Command::Ping).unwrap();
+                let b = fresh.collision_slot(Command::Ping).unwrap();
+                assert_eq!(outcome_bits(&a), outcome_bits(&b), "rate step {step}, slot {slot}");
+                assert_eq!(a.elapsed_s.to_bits(), b.elapsed_s.to_bits());
+            }
+            if step == 1 {
+                misses_at_512 = kept.pool.pool_misses();
+            }
+        }
+        assert_eq!(kept.pool.pool_misses(), misses_at_512, "1024 bps fits the 512 bps buffers");
+        assert_eq!(kept.stats(), fresh.stats());
+        assert_eq!(kept.stats().clean_hits, 3);
+        let decoded = outcome_bits(&kept.collision_slot(Command::Ping).unwrap());
+        assert!(decoded.iter().all(|v| v.2), "the pair still decodes at 1024 bps");
     }
 
     #[test]

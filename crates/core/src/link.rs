@@ -14,6 +14,7 @@ use pab_mcu::Clock;
 use pab_net::packet::{Command, DownlinkQuery, SensorKind, UplinkPacket};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -243,7 +244,12 @@ pub struct LinkSimulator {
     /// Ambient noise sigma at the carrier (pure function of the config;
     /// hoisted out of the per-exchange path).
     sigma_pa: f64,
-    scratch: Scratch,
+    /// The arena the cache-hit and fade-bypass paths run on (a bypass
+    /// runs the node too). A cache miss runs on a transient pool that
+    /// frees each buffer as its stage ends: its result moves into the
+    /// cache, and the arena keeps only what the next hit or bypass
+    /// reuses.
+    scratch: RefCell<Scratch>,
     wave_cache: BTreeMap<WaveKey, Arc<Vec<f64>>>,
     exch_cache: BTreeMap<ExchKey, CachedExchange>,
     legs_cache: BTreeMap<WaveKey, FadeFreeLegs>,
@@ -254,6 +260,7 @@ impl LinkSimulator {
     /// Build the simulator, designing the node front end and the
     /// propagation channels.
     pub fn new(cfg: LinkConfig) -> Result<Self, CoreError> {
+        margin_samples(cfg.fs_hz)?;
         let sigma_pa = hydrophone_sigma_pa(&cfg.noise, cfg.carrier_hz, cfg.fs_hz, cfg.noise_scale)?;
         let mut projector = Projector::new(cfg.drive_voltage_v)?;
         projector.fs_hz = cfg.fs_hz;
@@ -282,7 +289,7 @@ impl LinkSimulator {
             projector,
             medium,
             sigma_pa,
-            scratch: Scratch::new(),
+            scratch: RefCell::new(Scratch::new()),
             wave_cache: BTreeMap::new(),
             exch_cache: BTreeMap::new(),
             legs_cache: BTreeMap::new(),
@@ -293,9 +300,10 @@ impl LinkSimulator {
     /// Slot-engine cache and arena counters (diagnostics; the allocation
     /// test's evidence).
     pub fn slot_stats(&self) -> SlotEngineStats {
+        let scratch = self.scratch.borrow();
         SlotEngineStats {
-            scratch_takes: self.scratch.takes(),
-            scratch_pool_misses: self.scratch.pool_misses(),
+            scratch_takes: scratch.takes(),
+            scratch_pool_misses: scratch.pool_misses(),
             ..self.stats
         }
     }
@@ -402,7 +410,8 @@ impl LinkSimulator {
         let window_s = tx_wave.len() as f64 / self.cfg.fs_hz;
         let down = faults.node_down_during(t_start_s, t_start_s + window_s);
         let fade = (!faults.is_quiet()).then_some((faults, t_start_s));
-        let (mut y, node_out) = self.clean_exchange(&tx_wave, incident, fade, down, None)?;
+        let pool = &mut Scratch::transient();
+        let (mut y, node_out) = self.clean_exchange(pool, &tx_wave, incident, fade, down, None)?;
         self.receive(&mut y, faults, t_start_s);
         let bitrate = self.bitrate_bps();
         let decoded = self.receiver.decode_uplink(&y, self.cfg.carrier_hz, bitrate);
@@ -417,8 +426,11 @@ impl LinkSimulator {
     /// once per sample and scales both legs; without a fade nothing is
     /// multiplied. `direct`, when given, is the medium's direct leg over
     /// that window, kept from an earlier exchange with the same wave.
+    /// The gains, the node's temporaries and the pressure come from
+    /// `pool`, and `incident`'s buffers go back to it.
     fn clean_exchange(
         &self,
+        pool: &mut Scratch,
         tx_wave: &[f64],
         mut incident: Vec<IncidentComponent>,
         fade: Option<(&FaultSchedule, f64)>,
@@ -427,8 +439,11 @@ impl LinkSimulator {
     ) -> Result<(Vec<f64>, NodeOutput), CoreError> {
         let fs_hz = self.cfg.fs_hz;
         let incident_len = incident[0].samples.len();
-        let gains: Option<Vec<f64>> =
-            fade.map(|(faults, t_start_s)| faults.gains(t_start_s, fs_hz, incident_len));
+        let gains: Option<Vec<f64>> = fade.map(|(faults, t_start_s)| {
+            let mut gains = pool.take_workspace(incident_len);
+            faults.gains_into(t_start_s, fs_hz, &mut gains);
+            gains
+        });
         let apply_fade = |samples: &mut [f64]| {
             if let Some(gains) = &gains {
                 for (s, g) in samples.iter_mut().zip(gains) {
@@ -455,18 +470,25 @@ impl LinkSimulator {
                 average_power_w: 0.0,
             }
         } else {
-            self.medium.nodes[0].process(&incident, fs_hz, Some(self.cfg.water))?
+            self.medium.nodes[0].process_in(&incident, fs_hz, Some(self.cfg.water), pool)?
         };
-        // Free the incident field before the superposition allocates its
-        // window, so a cache miss holds no more buffers at its peak.
-        drop(incident);
+        // Return the incident field before the superposition takes its
+        // window, so the window can reuse it.
+        pool.put_all(incident.into_iter().map(|c| c.samples));
         for bs in &mut node_out.backscatter {
             apply_fade(bs);
         }
+        if let Some(gains) = gains {
+            pool.put(gains);
+        }
         let rx_len = incident_len + margin_samples(fs_hz)?;
         let mut y = match direct {
-            Some(direct) => direct.to_vec(),
-            None => self.medium.direct_pressure(&[tx_wave], rx_len),
+            Some(direct) => pool.take_copy(direct),
+            None => {
+                let mut y = pool.take_zeroed(rx_len);
+                self.medium.add_direct(&mut y, &[tx_wave]);
+                y
+            }
         };
         self.medium.add_backscatter(&mut y, &[&node_out.backscatter]);
         Ok((y, node_out))
@@ -516,7 +538,11 @@ impl LinkSimulator {
     ///   sample, scales the incident field and then the node's
     ///   backscatter in place with it, and runs only the node and its
     ///   uplink propagation, added onto a copy of the direct pressure in
-    ///   the medium's summation order.
+    ///   the medium's summation order. The copies of the incident field
+    ///   and the direct pressure, the gains, the node's temporaries and
+    ///   the received window all come from the link's arena and go back
+    ///   to it, so repeated bypasses of one wave key stop allocating
+    ///   them.
     /// * On a cache hit, the only per-exchange work before decoding is a
     ///   scratch-arena copy of the memoized waveform, in-place AWGN and
     ///   burst noise, and the in-place pressure→volts scaling — zero
@@ -568,7 +594,8 @@ impl LinkSimulator {
             if !self.legs_cache.contains_key(&wkey) {
                 let incident = self.medium.incident(0, &[&tx_wave[..]]);
                 let rx_len = incident[0].samples.len() + margin_samples(fs_hz)?;
-                let direct = self.medium.direct_pressure(&[&tx_wave[..]], rx_len);
+                let mut direct = vec![0.0; rx_len];
+                self.medium.add_direct(&mut direct, &[&tx_wave[..]]);
                 if self.legs_cache.len() >= CACHE_CAP {
                     self.legs_cache.clear();
                 }
@@ -577,26 +604,38 @@ impl LinkSimulator {
             // lint: allow(no-unwrap-in-lib) inserted above under the same key
             let legs = self.legs_cache.get(&wkey).expect("legs entry just ensured");
             let fade = Some((faults, t_start_s));
-            let (mut y, node_out) = self.clean_exchange(
-                &tx_wave,
-                legs.incident.clone(),
-                fade,
-                down,
-                Some(&legs.direct),
-            )?;
+            let (mut y, node_out) = {
+                let pool = &mut *self.scratch.borrow_mut();
+                let incident = legs
+                    .incident
+                    .iter()
+                    .map(|c| IncidentComponent {
+                        carrier_hz: c.carrier_hz,
+                        samples: pool.take_copy(&c.samples),
+                    })
+                    .collect();
+                let exchange =
+                    self.clean_exchange(pool, &tx_wave, incident, fade, down, Some(&legs.direct));
+                let (y, mut node_out) = exchange?;
+                pool.put_all(std::mem::take(&mut node_out.backscatter));
+                (y, node_out)
+            };
             self.receive(&mut y, faults, t_start_s);
             let decoded = self.receiver.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
             trace_verdict(&decoded, tel);
             let (power_w, rectified_v) = (node_out.average_power_w, node_out.rectified_v);
             let verdict = StreamVerdict::new(self.cfg.node_addr, decoded, power_w, rectified_v);
-            return Ok((verdict, y.len()));
+            let exchange_samples = y.len();
+            self.scratch.borrow_mut().put(y);
+            return Ok((verdict, exchange_samples));
         }
 
         let ekey: ExchKey = (dest, self.cfg.node_addr, ck, divider, cfo_hz.to_bits(), down);
         if !self.exch_cache.contains_key(&ekey) {
             self.stats.exchange_misses += 1;
             let incident = self.medium.incident(0, &[&tx_wave[..]]);
-            let (y_clean, out) = self.clean_exchange(&tx_wave, incident, None, down, None)?;
+            let pool = &mut Scratch::transient();
+            let (y_clean, out) = self.clean_exchange(pool, &tx_wave, incident, None, down, None)?;
             if self.exch_cache.len() >= CACHE_CAP {
                 self.exch_cache.clear();
             }
@@ -615,16 +654,15 @@ impl LinkSimulator {
         // grow its own tables). Pinned by `tests/slot_engine_alloc.rs`.
         let probe0 = scratch::alloc_probe();
         let (mut y, (power_w, rectified_v)) = {
-            let (cache, pool) = (&self.exch_cache, &mut self.scratch);
             // lint: allow(no-unwrap-in-lib) inserted above under the same key
-            let entry = cache.get(&ekey).expect("exchange entry just ensured");
-            (pool.take_copy(&entry.y_clean), entry.node)
+            let entry = self.exch_cache.get(&ekey).expect("exchange entry just ensured");
+            (self.scratch.borrow_mut().take_copy(&entry.y_clean), entry.node)
         };
         self.receive(&mut y, faults, t_start_s);
         let decoded = self.receiver.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
         trace_verdict(&decoded, tel);
         let exchange_samples = y.len();
-        self.scratch.put(y);
+        self.scratch.borrow_mut().put(y);
         self.stats.engine_allocs_last = scratch::alloc_probe().saturating_sub(probe0);
         // ---- end engine+decode stage.
 
@@ -960,6 +998,32 @@ mod tests {
             .run_query_to_faulted(7, Command::Ping, &faults, 1500.0)
             .unwrap();
         assert!(report.crc_ok);
+    }
+
+    /// Repeated fade bypasses of one wave key run on the link's arena:
+    /// the first fills it, and every later one takes all its buffers
+    /// (incident and direct copies, gains, node temporaries, the received
+    /// window) without a miss.
+    #[test]
+    fn repeated_bypasses_reuse_the_arena() {
+        let faults = pab_channel::FaultSchedule::new(4)
+            .with_fade(pab_channel::PathFade {
+                start_s: 0.0,
+                duration_s: 1000.0,
+                floor_ratio: 0.5,
+            })
+            .unwrap();
+        let mut sim = LinkSimulator::new(LinkConfig::default()).unwrap();
+        let mut misses = Vec::new();
+        for i in 0..4 {
+            let t_start_s = 100.0 + 7.0 * i as f64;
+            sim.slot_exchange(7, Command::Ping, &faults, t_start_s, None).unwrap();
+            misses.push(sim.slot_stats().scratch_pool_misses);
+        }
+        let stats = sim.slot_stats();
+        assert_eq!((stats.bypasses, stats.exchange_misses), (4, 0), "{stats:?}");
+        assert!(misses[0] > 0, "the first bypass fills the arena");
+        assert!(misses.iter().all(|&m| m == misses[0]), "{misses:?}");
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //! as a k-node, k-carrier one.
 //!
 //! The medium is physics only. Noise, RNG, receiver and caches stay with
-//! each simulator, so every simulator keeps its own noise stream.
+//! each simulator, so every simulator keeps its own noise stream. The
+//! buffers a slot's fields live in come from the caller's [`Scratch`]
+//! pool, so a simulator that keeps its pool re-runs the chain without
+//! allocating the fields again.
 
 use crate::node::{IncidentComponent, NodeOutput, PabNode};
+use crate::scratch::Scratch;
 use crate::{margin_samples, CoreError};
 use pab_channel::{MultipathChannel, Pool, Position};
 
@@ -72,19 +76,33 @@ impl Medium {
     }
 
     /// What `node` hears: every carrier's transmit waveform through its
-    /// projector→node channel.
+    /// projector→node channel, each in a fresh buffer.
     pub(crate) fn incident<W: AsRef<[f64]>>(
         &self,
         node: usize,
         waves: &[W],
     ) -> Vec<IncidentComponent> {
+        self.incident_in(node, waves, &mut Scratch::transient())
+    }
+
+    /// [`incident`](Self::incident) in buffers taken from `pool`: each
+    /// component is `MultipathChannel::apply`'s output, accumulated into
+    /// a zeroed buffer of its length.
+    fn incident_in<W: AsRef<[f64]>>(
+        &self,
+        node: usize,
+        waves: &[W],
+        pool: &mut Scratch,
+    ) -> Vec<IncidentComponent> {
         waves
             .iter()
             .zip(&self.carriers_hz)
             .zip(&self.down[node])
-            .map(|((w, &carrier_hz), ch)| IncidentComponent {
-                carrier_hz,
-                samples: ch.apply(w.as_ref(), self.fs_hz),
+            .map(|((w, &carrier_hz), ch)| {
+                let w = w.as_ref();
+                let mut samples = pool.take_zeroed(ch.output_len(w.len(), self.fs_hz));
+                ch.apply_into(&mut samples, w, self.fs_hz);
+                IncidentComponent { carrier_hz, samples }
             })
             .collect()
     }
@@ -99,49 +117,68 @@ impl Medium {
         backscatter: &[&[Vec<f64>]],
         rx_len: usize,
     ) -> Vec<f64> {
-        let mut y = self.direct_pressure(waves, rx_len);
+        let mut y = vec![0.0; rx_len];
+        self.add_direct(&mut y, waves);
         self.add_backscatter(&mut y, backscatter);
         y
     }
 
-    /// The direct leg of [`superpose`](Self::superpose): every carrier's
-    /// projector→hydrophone pressure over `rx_len` samples. It does not
-    /// depend on the nodes, so a caller may keep it and add only
+    /// The direct leg of [`superpose`](Self::superpose), added into `y`
+    /// (zeros, for the pressure alone): every carrier's
+    /// projector→hydrophone pressure. It does not depend on the nodes, so
+    /// a caller may keep it and add only
     /// [`add_backscatter`](Self::add_backscatter) per exchange.
-    pub(crate) fn direct_pressure<W: AsRef<[f64]>>(&self, waves: &[W], rx_len: usize) -> Vec<f64> {
-        let mut y = vec![0.0; rx_len];
+    pub(crate) fn add_direct<W: AsRef<[f64]>>(&self, y: &mut [f64], waves: &[W]) {
         for (ch, w) in self.direct.iter().zip(waves) {
-            ch.apply_into(&mut y, w.as_ref(), self.fs_hz);
+            ch.apply_into(y, w.as_ref(), self.fs_hz);
         }
-        y
     }
 
     /// The backscatter leg of [`superpose`](Self::superpose), added into
     /// `y` after the direct leg.
     pub(crate) fn add_backscatter(&self, y: &mut [f64], backscatter: &[&[Vec<f64>]]) {
-        for (chans, node_bs) in self.up.iter().zip(backscatter) {
-            for (ch, bs) in chans.iter().zip(node_bs.iter()) {
-                ch.apply_into(y, bs, self.fs_hz);
-            }
+        for (node, node_bs) in backscatter.iter().enumerate() {
+            self.add_node_backscatter(y, node, node_bs);
         }
     }
 
-    /// One noiseless slot: every node processes its incident field (with
-    /// `water` on its sensors), then [`superpose`](Self::superpose).
+    /// One node's share of [`add_backscatter`](Self::add_backscatter),
+    /// carrier by carrier.
+    fn add_node_backscatter(&self, y: &mut [f64], node: usize, backscatter: &[Vec<f64>]) {
+        let chans = self.up.get(node).map_or(&[][..], Vec::as_slice);
+        for (ch, bs) in chans.iter().zip(backscatter) {
+            ch.apply_into(y, bs, self.fs_hz);
+        }
+    }
+
+    /// One noiseless slot on `pool`'s buffers: the direct leg into a
+    /// pooled pressure buffer, then node by node its incident field, its
+    /// processing (with `water` on its sensors) and its backscatter added
+    /// on: [`superpose`](Self::superpose)'s sum in its order, with only
+    /// one node's fields alive at a time. The incident fields and the
+    /// backscatter go back to `pool` once used, so each returned
+    /// [`NodeOutput`]'s `backscatter` is empty; the caller returns the
+    /// pressure when it is done with it.
     pub(crate) fn hear<W: AsRef<[f64]>>(
         &self,
         waves: &[W],
         water: pab_sensors::WaterSample,
         rx_len: usize,
+        pool: &mut Scratch,
     ) -> Result<(Vec<f64>, Vec<NodeOutput>), CoreError> {
-        let outs = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| node.process(&self.incident(i, waves), self.fs_hz, Some(water)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let backscatter: Vec<&[Vec<f64>]> = outs.iter().map(|o| &o.backscatter[..]).collect();
-        Ok((self.superpose(waves, &backscatter, rx_len), outs))
+        let mut y = pool.take_zeroed(rx_len);
+        self.add_direct(&mut y, waves);
+        let mut outs = Vec::with_capacity(self.nodes.len());
+        for (i, node) in self.nodes.iter().enumerate() {
+            let incident = self.incident_in(i, waves, pool);
+            let out = node.process_in(&incident, self.fs_hz, Some(water), pool);
+            pool.put_all(incident.into_iter().map(|c| c.samples));
+            let mut out = out?;
+            self.add_node_backscatter(&mut y, i, &out.backscatter);
+            pool.put_all(std::mem::take(&mut out.backscatter));
+            outs.push(out);
+        }
+        Ok((y, outs))
     }
 
     /// Direct-path delay from `node` to the hydrophone on the first
@@ -154,13 +191,15 @@ impl Medium {
 #[cfg(test)]
 mod tests {
     use crate::collision_group::{CollisionGroupSimulator, MultiNodeConfig};
+    use crate::CoreError;
     use crate::faultnet::{FaultNetConfig, FaultNetSimulator};
     use crate::link::{LinkConfig, LinkSimulator};
 
-    /// Every simulator builds its channels through `Medium::new`, so a
-    /// hostile sample rate fails construction with a `CoreError` (the
-    /// noise-level check may name it first) instead of reaching
-    /// `MultipathChannel::apply`.
+    /// Every simulator checks its sample rate with `margin_samples` before
+    /// anything reads it (the noise level, `Medium::new`'s channels), so
+    /// a hostile rate is an `InvalidConfig` that names `fs_hz` instead of
+    /// reaching `MultipathChannel::apply` or being reported as a bad
+    /// noise band.
     #[test]
     fn every_simulator_rejects_hostile_rates() {
         for fs_hz in [
@@ -182,7 +221,10 @@ mod tests {
                 FaultNetSimulator::new(FaultNetConfig { fs_hz, ..Default::default() }).err(),
             ];
             for (sim, e) in ["link", "collision group", "faultnet"].iter().zip(errors) {
-                assert!(e.is_some(), "{sim} at fs {fs_hz}");
+                assert!(
+                    matches!(e, Some(CoreError::InvalidConfig(what)) if what.contains("fs_hz")),
+                    "{sim} at fs {fs_hz}: {e:?}"
+                );
             }
         }
     }

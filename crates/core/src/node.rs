@@ -10,10 +10,11 @@
 //! Eq. 2.
 
 use crate::firmware::PabFirmware;
+use crate::scratch::Scratch;
 use crate::CoreError;
 use pab_analog::frontend::SwitchState;
 use pab_analog::RectoPiezo;
-use pab_dsp::envelope::{edges, rectified_envelope, SchmittTrigger};
+use pab_dsp::envelope::{edges, rectified_envelope_into, SchmittTrigger};
 use pab_dsp::fir::FoldedHilbert;
 use pab_mcu::{Mcu, Pin, PowerProfile};
 use pab_net::packet::DownlinkQuery;
@@ -206,14 +207,16 @@ impl PabNode {
     /// gain: `bs = Re{G(t)·(x + j x̂)} = Re(G)·x_delayed − Im(G)·x̂`, where
     /// `x̂` is the Hilbert (quadrature) path and `G(t)` interpolates
     /// between the absorptive and reflective gains along the smoothed
-    /// switching waveform.
+    /// switching waveform. The backscatter is written into `out`, whose
+    /// old contents are never read.
     fn modulate_component(
         &self,
         samples: &[f64],
         smooth_switch: &[f64],
         g_on: num_complex::Complex64,
         g_off: num_complex::Complex64,
-    ) -> Result<Vec<f64>, CoreError> {
+        out: &mut Vec<f64>,
+    ) -> Result<(), CoreError> {
         let mut caches = self.caches.borrow_mut();
         let hil = match &mut caches.hilbert {
             Some(h) => h,
@@ -221,13 +224,13 @@ impl PabNode {
         };
         // The quadrature path, then each sample modulated in place against
         // the in-phase path delayed to match it.
-        let mut out = hil.filter(samples);
+        hil.filter_into(samples, out);
         let delayed = std::iter::repeat_n(0.0, hil.group_delay()).chain(samples.iter().copied());
         for ((o, xd), &sw) in out.iter_mut().zip(delayed).zip(smooth_switch) {
             let g = g_off + (g_on - g_off) * sw.clamp(0.0, 1.0);
             *o = g.re * xd - g.im * *o;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Run the full node pipeline over incident components sampled at
@@ -238,6 +241,23 @@ impl PabNode {
         components: &[IncidentComponent],
         fs_hz: f64,
         sensors: Option<pab_sensors::WaterSample>,
+    ) -> Result<NodeOutput, CoreError> {
+        self.process_in(components, fs_hz, sensors, &mut Scratch::transient())
+    }
+
+    /// [`process`](Self::process) on `pool`'s buffers: every temporary is
+    /// taken from it and returned before this returns, and the
+    /// backscatter buffers in the output come from it too (the caller
+    /// puts them back once superposed). Each stage runs in place where
+    /// its input is dead afterwards: the rectifier writes straight into
+    /// the envelope filter's workspace, the AC coupling overwrites the
+    /// envelope, and the switch smoothing filters the raster in place.
+    pub(crate) fn process_in(
+        &self,
+        components: &[IncidentComponent],
+        fs_hz: f64,
+        sensors: Option<pab_sensors::WaterSample>,
+        pool: &mut Scratch,
     ) -> Result<NodeOutput, CoreError> {
         if components.is_empty() {
             return Err(CoreError::InvalidConfig("no incident components"));
@@ -253,7 +273,7 @@ impl PabNode {
         // what lets a node ignore the other channel's PWM keying during
         // concurrent FDMA queries (§3.3).
         let fe0 = self.frontend(0);
-        let mut v_in = vec![0.0; n];
+        let mut v_in = pool.take_zeroed(n);
         for c in components {
             let sel = fe0.rectifier_input_v(1.0, c.carrier_hz);
             for (t, &s) in v_in.iter_mut().zip(&c.samples) {
@@ -262,8 +282,12 @@ impl PabNode {
         }
 
         // Envelope detection (analog, carrier-free) on the rectifier
-        // input voltage.
-        let env = rectified_envelope(&v_in, fs_hz, self.envelope_cutoff_hz)?;
+        // input voltage, in the filter's padded workspace.
+        let lp = pab_dsp::iir::butter_lowpass(2, self.envelope_cutoff_hz, fs_hz)?;
+        let mut env_ext = pool.take_workspace(n + 2 * lp.filtfilt_pad(n));
+        let pad = rectified_envelope_into(&lp, &v_in, &mut env_ext)?;
+        pool.put(v_in);
+        let env = &mut env_ext[pad..pad + n];
         let peak = env.iter().cloned().fold(0.0, f64::max);
 
         // Power-up check: DC voltage the rectifier builds from the peak
@@ -323,31 +347,33 @@ impl PabNode {
         let t_on = powered_at_s.unwrap_or(f64::INFINITY);
         if powered_up {
             // AC-couple the envelope (series capacitor into the Schmitt
-            // input): a one-pole DC blocker removes the carrier floor so
-            // only keying transitions cross the trigger. The pull-down
-            // transistor maximises the remaining swing (§4.2.1).
+            // input), in place: a one-pole DC blocker removes the carrier
+            // floor so only keying transitions cross the trigger. The
+            // pull-down transistor maximises the remaining swing (§4.2.1).
             let alpha = 1.0 - (-std::f64::consts::TAU * self.ac_coupling_hz / fs_hz).exp();
             let mut state = 0.0;
-            let ac: Vec<f64> = env
-                .iter()
-                .map(|&x| {
-                    state += alpha * (x - state);
-                    x - state
-                })
-                .collect();
+            for x in env.iter_mut() {
+                state += alpha * (*x - state);
+                *x -= state;
+            }
+            let ac = &*env;
             // Robust swing estimate: 99th percentile of |ac|. The k-th
             // order statistic under the same total order as a full sort
             // — bitwise the sorted value at index k, in O(n).
-            let mut mags: Vec<f64> = ac.iter().map(|x| x.abs()).collect();
+            let mut mags = pool.take_workspace(n);
+            for (m, x) in mags.iter_mut().zip(ac) {
+                *m = x.abs();
+            }
             let k = (mags.len() * 99) / 100;
             let (_, kth, _) = mags.select_nth_unstable_by(k, f64::total_cmp);
             let swing = *kth;
+            pool.put(mags);
             if swing > 0.0 {
                 let trig = SchmittTrigger::new(
                     -self.schmitt_hysteresis_rel * swing,
                     self.schmitt_hysteresis_rel * swing,
                 )?;
-                let levels = trig.discretize(&ac);
+                let levels = trig.discretize(ac);
                 for e in edges(&levels) {
                     let t = e.sample as f64 / fs_hz;
                     // Edges before the MCU boots are lost.
@@ -357,6 +383,7 @@ impl PabNode {
                 }
             }
         }
+        pool.put(env_ext);
         mcu.run_until(duration_s);
 
         // The front end in effect while the response was transmitted
@@ -368,9 +395,10 @@ impl PabNode {
             .rasterize_pin(Pin::BackscatterSwitch, fs_hz, n);
 
         // Smooth the binary switch waveform with the front end's
-        // modulation bandwidth, then modulate each carrier. The numeric
-        // bandwidth measurement and the Butterworth design are pure
-        // functions of `(front end, cutoff, fs)`, so both are memoized.
+        // modulation bandwidth, in place, then modulate each carrier. The
+        // numeric bandwidth measurement and the Butterworth design are
+        // pure functions of `(front end, cutoff, fs)`, so both are
+        // memoized.
         let fe_index = (selected as usize).min(self.frontends.len() - 1);
         let measured_bw_hz = {
             let mut caches = self.caches.borrow_mut();
@@ -384,8 +412,11 @@ impl PabNode {
             }
         };
         let bw = measured_bw_hz.min(0.45 * fs_hz).max(100.0);
-        let raw: Vec<f64> = switch_wave.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
-        let smooth = {
+        let mut smooth = pool.take_workspace(switch_wave.len());
+        for (r, &b) in smooth.iter_mut().zip(&switch_wave) {
+            *r = if b { 1.0 } else { 0.0 };
+        }
+        {
             let mut caches = self.caches.borrow_mut();
             let key = (bw.to_bits(), fs_hz.to_bits());
             let stale = caches.butter.as_ref().map(|(k, _)| *k != key).unwrap_or(true);
@@ -393,16 +424,19 @@ impl PabNode {
                 caches.butter = Some((key, pab_dsp::iir::butter_lowpass(2, bw, fs_hz)?));
             }
             match caches.butter.as_ref() {
-                Some((_, lp)) => lp.filter(&raw),
+                Some((_, lp)) => lp.filter_in_place(&mut smooth),
                 None => return Err(CoreError::InvalidConfig("butter cache empty")),
             }
-        };
+        }
 
         let mut backscatter = Vec::with_capacity(components.len());
         for c in components {
             let (g_on, g_off) = Self::backscatter_gains(fe, c.carrier_hz);
-            backscatter.push(self.modulate_component(&c.samples, &smooth, g_on, g_off)?);
+            let mut bs = pool.take_workspace(c.samples.len());
+            self.modulate_component(&c.samples, &smooth, g_on, g_off, &mut bs)?;
+            backscatter.push(bs);
         }
+        pool.put(smooth);
 
         Ok(NodeOutput {
             powered_up,
@@ -443,7 +477,8 @@ impl PabNode {
         let raw: Vec<f64> = switch_wave.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
         let smooth = lp.filter(&raw);
         let (g_on, g_off) = Self::backscatter_gains(fe, component.carrier_hz);
-        let bs = self.modulate_component(&component.samples, &smooth, g_on, g_off)?;
+        let mut bs = Vec::new();
+        self.modulate_component(&component.samples, &smooth, g_on, g_off, &mut bs)?;
         let peak = component
             .samples
             .iter()
@@ -646,6 +681,63 @@ mod tests {
         // Index 5 on a single-circuit node falls back to circuit 0.
         let fe = node.frontend(5);
         assert!((fe.match_frequency_hz() - 15_000.0).abs() < 1.0);
+    }
+
+    /// Every field of a node output, as bits.
+    #[allow(clippy::type_complexity)]
+    fn output_bits(
+        out: &NodeOutput,
+    ) -> (bool, u64, &[bool], Vec<Vec<u64>>, Option<u64>, Option<DownlinkQuery>, u64, u64, u64) {
+        (
+            out.powered_up,
+            out.rectified_v.to_bits(),
+            &out.switch_wave,
+            out.backscatter
+                .iter()
+                .map(|b| b.iter().map(|x| x.to_bits()).collect())
+                .collect(),
+            out.powered_at_s.map(f64::to_bits),
+            out.decoded_query,
+            out.responses_sent,
+            out.bitrate_bps.to_bits(),
+            out.average_power_w.to_bits(),
+        )
+    }
+
+    /// `process` on a fresh pool and on one pre-filled with NaN buffers
+    /// of assorted lengths gives bitwise-equal outputs: every workspace
+    /// the node takes is written before it is read, and its accumulator
+    /// is zeroed. Covers a query, a continuous wave alone, and two
+    /// carriers of different lengths.
+    #[test]
+    fn stale_pool_buffers_are_transparent() {
+        let node = PabNode::new(7, 15_000.0).unwrap();
+        let (query, fs_hz) = incident_for_query(Command::Ping, 7, 1500.0);
+        let p = Projector::new(36.0).unwrap();
+        let cw = |carrier_hz: f64, duration_s: f64| IncidentComponent {
+            carrier_hz,
+            samples: p
+                .continuous_wave(carrier_hz, duration_s)
+                .iter()
+                .map(|&x| x * 1500.0 / p.source_pressure_pa())
+                .collect(),
+        };
+        let cases = [
+            vec![query.clone()],
+            vec![cw(15_000.0, 0.3)],
+            vec![query, cw(18_000.0, 0.2)],
+        ];
+        for (i, components) in cases.iter().enumerate() {
+            let fresh = node.process(components, fs_hz, None).unwrap();
+            let n = components.iter().map(|c| c.samples.len()).max().unwrap();
+            let mut pool = Scratch::new();
+            for len in [1, n / 3, n - 1, n, n, n + 17, n + 18, n + 40, 2 * n] {
+                pool.put(vec![f64::NAN; len]);
+            }
+            let stale = node.process_in(components, fs_hz, None, &mut pool).unwrap();
+            assert_eq!(output_bits(&fresh), output_bits(&stale), "case {i}");
+            assert!(fresh.responses_sent > 0 || i == 1, "case {i} must exercise the uplink");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! frequency-flat across the sweep range: the recto-piezo under test is
 //! the only frequency-selective element.
 
+use crate::scratch::Scratch;
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use pab_dsp::mix::Nco;
 use pab_net::packet::DownlinkQuery;
@@ -56,10 +57,21 @@ impl Projector {
     /// Synthesise a continuous-wave carrier of `duration_s` at
     /// `carrier_hz`, as source pressure at 1 m.
     pub fn continuous_wave(&self, carrier_hz: f64, duration_s: f64) -> Vec<f64> {
+        self.continuous_wave_in(carrier_hz, duration_s, &mut Scratch::transient())
+    }
+
+    /// [`continuous_wave`](Self::continuous_wave) in a buffer taken from
+    /// `pool`.
+    pub(crate) fn continuous_wave_in(
+        &self,
+        carrier_hz: f64,
+        duration_s: f64,
+        pool: &mut Scratch,
+    ) -> Vec<f64> {
         let n = (duration_s * self.fs_hz).round() as usize;
         let mut nco = Nco::new(carrier_hz + self.cfo_hz, self.fs_hz);
         let amp = self.source_pressure_pa();
-        let mut out = vec![0.0; n];
+        let mut out = pool.take_workspace(n);
         nco.fill(&mut out);
         for s in &mut out {
             *s *= amp;
@@ -81,6 +93,18 @@ impl Projector {
         carrier_hz: f64,
         cw_tail_s: f64,
     ) -> Result<(Vec<f64>, f64), CoreError> {
+        self.query_waveform_in(query, carrier_hz, cw_tail_s, &mut Scratch::transient())
+    }
+
+    /// [`query_waveform`](Self::query_waveform) in a buffer taken from
+    /// `pool`.
+    pub(crate) fn query_waveform_in(
+        &self,
+        query: &DownlinkQuery,
+        carrier_hz: f64,
+        cw_tail_s: f64,
+        pool: &mut Scratch,
+    ) -> Result<(Vec<f64>, f64), CoreError> {
         if !(carrier_hz > 0.0 && carrier_hz < self.fs_hz / 2.0) {
             return Err(CoreError::InvalidConfig("carrier_hz"));
         }
@@ -100,11 +124,11 @@ impl Projector {
         let total = keying.len() + tail;
         let mut nco = Nco::new(carrier_hz + self.cfo_hz, self.fs_hz);
         let amp = self.source_pressure_pa();
-        let mut out = Vec::with_capacity(total);
-        for i in 0..total {
+        let mut out = pool.take_workspace(total);
+        for (i, o) in out.iter_mut().enumerate() {
             let s = nco.next_sample();
-            let on = if i < keying.len() { keying[i] } else { true };
-            out.push(if on { amp * s } else { 0.0 });
+            let on = keying.get(i).copied().unwrap_or(true);
+            *o = if on { amp * s } else { 0.0 };
         }
         Ok((out, query_end_s))
     }

@@ -28,7 +28,7 @@
 //! stream. Windows are ranked by `|acc|² / energy`, with the normalised
 //! correlation computed once, at the winning window.
 
-use crate::scratch::{DecodeScratch, SlicerScratch};
+use crate::scratch::{DecodeScratch, Scratch, SlicerScratch};
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use num_complex::Complex64;
 use pab_dsp::correlate::RunLengthTemplate;
@@ -403,20 +403,22 @@ impl Receiver {
 
     /// Downconvert at `carrier_hz` and Butterworth low-pass at
     /// `cutoff_hz`: the analysis front shared by both demodulators, in one
-    /// buffer. The mix writes the centre of the filter's padded
-    /// workspace and the filter runs in place; the filtered signal is
-    /// `ext[pad..pad + signal.len()]` of the returned `(ext, pad)`,
-    /// bitwise `filtfilt_complex(&downconvert(..))`.
+    /// buffer taken from `pool`. The mix writes the centre of the filter's
+    /// padded workspace and the filter runs in place, writing the margins
+    /// before it reads them, so the workspace is never zero-filled. The
+    /// filtered signal is `ext[pad..pad + signal.len()]` of the returned
+    /// `(ext, pad)`, bitwise `filtfilt_complex(&downconvert(..))`.
     fn downconvert_lowpass(
         &self,
         signal: &[f64],
         carrier_hz: f64,
         cutoff_hz: f64,
+        pool: &mut Scratch,
     ) -> Result<(Vec<Complex64>, usize), CoreError> {
         let butter = butter_lowpass(4, cutoff_hz, self.fs_hz)?;
         let n = signal.len();
         let pad = butter.filtfilt_pad(n);
-        let mut ext = vec![Complex64::new(0.0, 0.0); n + 2 * pad];
+        let mut ext = pool.take_workspace(n + 2 * pad);
         downconvert_into(signal, carrier_hz, self.fs_hz, &mut ext[pad..pad + n]);
         butter.filtfilt_complex_in_place(&mut ext, pad, n);
         Ok((ext, pad))
@@ -430,7 +432,8 @@ impl Receiver {
         carrier_hz: f64,
         cutoff_hz: f64,
     ) -> Result<Vec<f64>, CoreError> {
-        let (ext, pad) = self.downconvert_lowpass(signal, carrier_hz, cutoff_hz)?;
+        let pool = &mut Scratch::transient();
+        let (ext, pad) = self.downconvert_lowpass(signal, carrier_hz, cutoff_hz, pool)?;
         Ok(ext[pad..pad + signal.len()]
             .iter()
             .map(|c| 2.0 * c.norm())
@@ -440,20 +443,36 @@ impl Receiver {
     /// Coherent demodulation: downconvert at `carrier_hz` and low-pass,
     /// returning the complex baseband (×2 to undo real→complex mixing
     /// loss). This is the observation the MIMO collision decoder works on.
+    // lint: allow(dead-pub) api crates/experiments/src/bin/pab_bench/layers.rs the benchmark's recomposed collision slot demodulates each band through it
     pub fn demodulate_complex(
         &self,
         signal: &[f64],
         carrier_hz: f64,
         cutoff_hz: f64,
     ) -> Result<Vec<Complex64>, CoreError> {
-        let (mut ext, pad) = self.downconvert_lowpass(signal, carrier_hz, cutoff_hz)?;
-        // Compact the filtered centre to the front, scaling on the way.
-        for i in 0..signal.len() {
-            // lint: allow(panic-path) i < signal.len() and ext.len() == signal.len() + 2·pad
-            ext[i] = 2.0 * ext[pad + i];
-        }
+        let (mut ext, pad) =
+            self.demodulate_complex_in(signal, carrier_hz, cutoff_hz, &mut Scratch::transient())?;
+        ext.drain(..pad);
         ext.truncate(signal.len());
         Ok(ext)
+    }
+
+    /// [`demodulate_complex`](Self::demodulate_complex) in a padded
+    /// workspace taken from `pool`, left uncompacted: the baseband is
+    /// `ext[pad..pad + signal.len()]` of the returned `(ext, pad)`,
+    /// scaled in place.
+    pub(crate) fn demodulate_complex_in(
+        &self,
+        signal: &[f64],
+        carrier_hz: f64,
+        cutoff_hz: f64,
+        pool: &mut Scratch,
+    ) -> Result<(Vec<Complex64>, usize), CoreError> {
+        let (mut ext, pad) = self.downconvert_lowpass(signal, carrier_hz, cutoff_hz, pool)?;
+        for c in ext.iter_mut().skip(pad).take(signal.len()) {
+            *c = 2.0 * *c;
+        }
+        Ok((ext, pad))
     }
 
     /// Maximum-likelihood FM0 half-bit sequence detection.
@@ -768,12 +787,13 @@ impl Receiver {
         // much larger direct-path carrier level (Fig. 2), and that baseline
         // also moves when the projector keys on/off. A low-pass trend (well
         // below the bit rate) subtracted out leaves just the modulation.
-        let trend = fe.trend.filtfilt(&s.projected);
+        let pad = fe.trend.filtfilt_into(&s.projected, &mut s.trend);
+        let trend = &s.trend[pad..pad + s.projected.len()];
         s.d.clear();
         s.d.extend(
             s.projected
                 .iter()
-                .zip(&trend)
+                .zip(trend)
                 .map(|(&e, &t)| Complex64::new(e - t, 0.0)),
         );
         let (start, acc, corr) = fe.find_preamble(&s.d, &mut s.prefix, &mut s.num)?;

@@ -4,24 +4,41 @@
 //! by a Schmitt trigger (§4.2.1), modelled here. The hydrophone-side
 //! demodulator (Fig. 2) is the receiver's, in `pab-core`.
 
-use crate::iir::butter_lowpass;
+use crate::iir::Cascade;
 use crate::DspError;
 
-/// Asynchronous (diode-style) envelope: full-wave rectify then low-pass.
-/// Mirrors the node's analog detector, which has no carrier reference.
-pub fn rectified_envelope(
+/// Asynchronous (diode-style) envelope: full-wave rectify, then low-pass
+/// zero-phase with `lp`. Mirrors the node's analog detector, which has
+/// no carrier reference.
+///
+/// Runs on a caller-owned padded workspace: `ext` must be
+/// `signal.len() + 2·pad` long, with `pad = lp.filtfilt_pad(signal.len())`.
+/// The rectified signal is written straight into its centre, filtered
+/// there in place and scaled, so `ext`'s old contents are never read.
+/// Returns `pad`; the envelope is `ext[pad..pad + signal.len()]`.
+pub fn rectified_envelope_into(
+    lp: &Cascade,
     signal: &[f64],
-    fs_hz: f64,
-    cutoff_hz: f64,
-) -> Result<Vec<f64>, DspError> {
-    let rect: Vec<f64> = signal.iter().map(|&x| x.abs()).collect();
-    let lp = butter_lowpass(2, cutoff_hz, fs_hz)?;
+    ext: &mut [f64],
+) -> Result<usize, DspError> {
+    let n = signal.len();
+    let pad = lp.filtfilt_pad(n);
+    if ext.len() != n + 2 * pad {
+        return Err(DspError::InvalidParameter(
+            "envelope workspace must be the signal plus both pads",
+        ));
+    }
+    let (_, rest) = ext.split_at_mut(pad);
+    for (e, &x) in rest.iter_mut().zip(signal) {
+        *e = x.abs();
+    }
+    lp.filtfilt_real_in_place(ext, pad, n);
     // π/2 compensates the mean of |sin| = 2/π.
-    Ok(lp
-        .filtfilt(&rect)
-        .iter()
-        .map(|&x| x * std::f64::consts::FRAC_PI_2)
-        .collect())
+    let (_, rest) = ext.split_at_mut(pad);
+    for e in rest.iter_mut().take(n) {
+        *e *= std::f64::consts::FRAC_PI_2;
+    }
+    Ok(pad)
 }
 
 /// Schmitt trigger: discretises an envelope into high/low with hysteresis,
@@ -124,6 +141,7 @@ impl EnvelopeFollower {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iir::butter_lowpass;
     use crate::mix::tone;
 
     fn ask_signal(fs_hz: f64, carrier: f64, high: f64, low: f64, half_period: usize) -> Vec<f64> {
@@ -143,9 +161,22 @@ mod tests {
     fn rectified_envelope_tracks_amplitude() {
         let fs_hz = 192_000.0;
         let sig = ask_signal(fs_hz, 15_000.0, 0.8, 0.2, 19_200);
-        let env = rectified_envelope(&sig, fs_hz, 400.0).unwrap();
+        let lp = butter_lowpass(2, 400.0, fs_hz).unwrap();
+        let pad = lp.filtfilt_pad(sig.len());
+        let mut ext = vec![f64::NAN; sig.len() + 2 * pad];
+        assert_eq!(rectified_envelope_into(&lp, &sig, &mut ext).unwrap(), pad);
+        let env = &ext[pad..pad + sig.len()];
         assert!((env[9_600] - 0.8).abs() < 0.08);
         assert!((env[28_800] - 0.2).abs() < 0.08);
+        // Bitwise the filtfilt of the rectified signal, scaled.
+        let rect: Vec<f64> = sig.iter().map(|x| x.abs()).collect();
+        let want: Vec<u64> = lp
+            .filtfilt(&rect)
+            .iter()
+            .map(|&x| (x * std::f64::consts::FRAC_PI_2).to_bits())
+            .collect();
+        assert_eq!(env.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), want);
+        assert!(rectified_envelope_into(&lp, &sig, &mut ext[1..]).is_err());
     }
 
     #[test]

@@ -173,13 +173,16 @@ impl FoldedHilbert {
         self.centre
     }
 
-    /// The quadrature of `x`, same length and alignment as
-    /// [`Fir::filter`] on the unfolded design. Outputs from `2c` on, where
-    /// every tap pair reads inside `x`, run in tiles of eight; the rest
-    /// take the zero-padded scalar form. Both sum the pairs in the same
-    /// order, so an output's bits do not depend on which path computed it.
-    pub fn filter(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; x.len()];
+    /// The quadrature of `x` into a caller-owned buffer, resized to
+    /// `x.len()`: same length and alignment as [`Fir::filter`] on the
+    /// unfolded design. Outputs from `2c` on, where every tap pair reads
+    /// inside `x`, run in tiles of eight; the rest take the zero-padded
+    /// scalar form. Both sum the pairs in the same order, so an output's
+    /// bits do not depend on which path computed it. Every output is
+    /// written, so `y`'s old contents are never read.
+    pub fn filter_into(&self, x: &[f64], y: &mut Vec<f64>) {
+        y.truncate(x.len());
+        y.resize(x.len(), 0.0);
         let c = self.centre;
         let edge = (2 * c).min(x.len());
         let (head, body) = y.split_at_mut(edge);
@@ -206,7 +209,6 @@ impl FoldedHilbert {
         for (i, yi) in y.iter_mut().enumerate().skip(done) {
             *yi = self.output_at(x, i);
         }
-        y
     }
 
     /// One output with `x` zero-padded before its start.
@@ -412,6 +414,15 @@ mod tests {
         }
     }
 
+    impl FoldedHilbert {
+        /// [`FoldedHilbert::filter_into`] into a fresh buffer.
+        fn filter(&self, x: &[f64]) -> Vec<f64> {
+            let mut y = Vec::new();
+            self.filter_into(x, &mut y);
+            y
+        }
+    }
+
     #[test]
     fn folded_hilbert_matches_the_direct_loop() {
         let fir = hilbert(127, Window::Hamming).unwrap();
@@ -439,6 +450,14 @@ mod tests {
             for (i, g) in got.iter().enumerate().step_by(97) {
                 let scalar = folded.output_at(&x, i);
                 assert_eq!(g.to_bits(), scalar.to_bits(), "n {n} at {i}");
+            }
+            // A reused buffer, longer or shorter and full of NaN, ends
+            // bitwise the fresh output.
+            for stale in [n + 5, n / 2] {
+                let mut y = vec![f64::NAN; stale];
+                folded.filter_into(&x, &mut y);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&y), bits(&got), "n {n}, stale {stale}");
             }
         }
     }

@@ -94,8 +94,13 @@ impl Cascade {
     /// Causal (single-pass) filtering with zero initial state.
     pub fn filter(&self, x: &[f64]) -> Vec<f64> {
         let mut y = x.to_vec();
-        cascade_pass(&self.sections, &mut y, false);
+        self.filter_in_place(&mut y);
         y
+    }
+
+    /// [`filter`](Self::filter) over `buf` in place.
+    pub fn filter_in_place(&self, buf: &mut [f64]) {
+        cascade_pass(&self.sections, buf, false);
     }
 
     /// Zero-phase forward-backward filtering with odd-reflection edge
@@ -130,6 +135,23 @@ impl Cascade {
         ext[pad..pad + n].to_vec()
     }
 
+    /// [`filtfilt`](Self::filtfilt) on a caller-owned padded workspace:
+    /// `ext` is resized to `x.len() + 2·pad` (its old contents are never
+    /// read), `x` is copied into its centre and filtered in place there.
+    /// Returns `pad`; `ext[pad..pad + x.len()]` then holds bitwise what
+    /// `filtfilt(x)` returns.
+    pub fn filtfilt_into(&self, x: &[f64], ext: &mut Vec<f64>) -> usize {
+        let n = x.len();
+        let pad = self.filtfilt_pad(n);
+        ext.truncate(n + 2 * pad);
+        ext.resize(n + 2 * pad, 0.0);
+        if let Some(centre) = ext.get_mut(pad..pad + n) {
+            centre.copy_from_slice(x);
+        }
+        self.filtfilt_in_place(ext, pad, n);
+        pad
+    }
+
     /// The odd-reflection padding length `filtfilt` uses for an `n`-sample
     /// input: 3·(2·sections+1), clamped so the reflected edge fits.
     pub fn filtfilt_pad(&self, n: usize) -> usize {
@@ -151,6 +173,13 @@ impl Cascade {
     /// (e.g. fusing a downconversion mix into the write) so the unpadded
     /// full-rate signal never materialises separately.
     pub fn filtfilt_complex_in_place(&self, ext: &mut [Complex64], pad: usize, n: usize) {
+        self.filtfilt_in_place(ext, pad, n);
+    }
+
+    /// The real form of
+    /// [`filtfilt_complex_in_place`](Self::filtfilt_complex_in_place),
+    /// for a stage that writes its input straight into the centre.
+    pub(crate) fn filtfilt_real_in_place(&self, ext: &mut [f64], pad: usize, n: usize) {
         self.filtfilt_in_place(ext, pad, n);
     }
 
@@ -513,6 +542,26 @@ mod tests {
         assert!(f.filtfilt(&[]).is_empty());
         let out = f.filtfilt(&[1.0, 1.0, 1.0]);
         assert_eq!(out.len(), 3);
+    }
+
+    /// The workspace forms are bitwise the allocating ones, whatever a
+    /// reused buffer held before.
+    #[test]
+    fn workspace_forms_match_the_allocating_forms_bitwise() {
+        let f = butter_lowpass(4, 900.0, 48_000.0).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [0, 1, 2, 40, 5_000] {
+            let x: Vec<f64> = (0..n).map(|i| ((i * 29 + 3) % 17) as f64 - 8.0).collect();
+            for stale in [0, n / 3, n + 100] {
+                let mut ext = vec![f64::NAN; stale];
+                let pad = f.filtfilt_into(&x, &mut ext);
+                assert_eq!(ext.len(), n + 2 * pad);
+                assert_eq!(bits(&ext[pad..pad + n]), bits(&f.filtfilt(&x)), "n {n}");
+            }
+            let mut y = x.clone();
+            f.filter_in_place(&mut y);
+            assert_eq!(bits(&y), bits(&f.filter(&x)), "n {n}");
+        }
     }
 
     #[test]

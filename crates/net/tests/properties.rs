@@ -8,6 +8,10 @@ use pab_net::packet::{
     Command, DownlinkQuery, SensorKind, UplinkKind, UplinkPacket, DOWNLINK_PREAMBLE,
     UPLINK_PREAMBLE,
 };
+use pab_net::mac::{
+    AdaptiveConfig, ChannelPlan, CollisionPolicy, Concurrency, MacPolicy, NodeEntry,
+    ResilientMac, RxObservation, SlotPlan, ThroughputMeter, TxOutcome,
+};
 use pab_net::pwm::{self, PwmTiming};
 use pab_net::{fm0, manchester, NetError};
 use proptest::prelude::*;
@@ -201,6 +205,104 @@ proptest! {
         }
         if let Err(e) = DownlinkQuery::from_bits(&bits) {
             prop_assert!(check_truncated(&e), "{e}");
+        }
+    }
+}
+
+/// A margin from the hostile set: finite in [0, 1], NaN, ±∞, ±1e308 or
+/// subnormal.
+fn arb_margin() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..1.0,
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(1e308),
+        Just(-1e308),
+        Just(f64::MIN_POSITIVE / 2.0),
+        Just(-f64::MIN_POSITIVE / 4.0),
+    ]
+}
+
+fn arb_observation() -> impl Strategy<Value = RxObservation> {
+    prop_oneof![
+        arb_margin().prop_map(|margin| RxObservation::Delivered { margin }),
+        arb_margin().prop_map(|margin| RxObservation::CrcFailed { margin }),
+        Just(RxObservation::Erasure),
+    ]
+}
+
+/// Everything the MAC exposes about its state for the registered nodes
+/// 1 and 2 and the unregistered 9: the next plan (planned on a clone),
+/// each node's quality, rate, counters and eviction, and the slot count.
+fn mac_view(mac: &ResilientMac) -> (SlotPlan, Vec<(u64, u64, (u64, u64), bool)>, u64) {
+    let plan = mac.clone().next_slot_plan(Command::Ping, |_| true);
+    let nodes = [1u8, 2, 9]
+        .iter()
+        .map(|&a| {
+            let (quality, rate) = (mac.quality(a).to_bits(), mac.rate_bps(a).to_bits());
+            (quality, rate, mac.stats(a), mac.is_evicted(a))
+        })
+        .collect();
+    (plan, nodes, mac.slots_used())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Hostile observations for known and unknown addresses never panic
+    /// the MAC. A non-finite margin, or an address the MAC never
+    /// registered, is a typed `InvalidField` that leaves the MAC exactly
+    /// as a twin that never saw the observation; every other observation
+    /// moves both alike. Quality, rate and goodput stay finite.
+    #[test]
+    fn hostile_observations_are_rejected_without_a_trace(
+        steps in proptest::collection::vec(
+            (prop_oneof![Just(1u8), Just(2u8), Just(9u8)], arb_observation(), any::<bool>()),
+            1..60,
+        ),
+        collision in any::<bool>(),
+    ) {
+        let mut mac = ResilientMac::new(
+            ChannelPlan::paper_two_channel(),
+            MacPolicy::Adaptive(AdaptiveConfig::default()),
+            4,
+        ).unwrap();
+        if collision {
+            mac.set_concurrency(Concurrency::Collision(CollisionPolicy::default())).unwrap();
+        }
+        mac.register(NodeEntry { addr: 1, channel: 0 }).unwrap();
+        mac.register(NodeEntry { addr: 2, channel: 1 }).unwrap();
+        let mut twin = mac.clone();
+        let mut meter = ThroughputMeter::new();
+        for (addr, obs, plan_first) in steps {
+            if plan_first {
+                let plan = mac.next_slot_plan(Command::Ping, |_| true);
+                prop_assert_eq!(plan, twin.next_slot_plan(Command::Ping, |_| true));
+            }
+            let margin = match obs {
+                RxObservation::Delivered { margin } | RxObservation::CrcFailed { margin } => margin,
+                RxObservation::Erasure => 0.0,
+            };
+            match mac.record(addr, obs) {
+                Ok(outcome) => {
+                    prop_assert!(margin.is_finite() && addr != 9);
+                    prop_assert_eq!(Ok(outcome), twin.record(addr, obs));
+                    if outcome == TxOutcome::Delivered {
+                        meter.record(8 * 6, 0.05).unwrap();
+                    }
+                }
+                Err(e) => {
+                    prop_assert!(matches!(e, NetError::InvalidField(_)), "{e:?}");
+                    prop_assert!(!margin.is_finite() || addr == 9);
+                }
+            }
+            prop_assert_eq!(mac_view(&mac), mac_view(&twin));
+            for a in [1u8, 2] {
+                prop_assert!((0.0..=1.0).contains(&mac.quality(a)), "quality {}", mac.quality(a));
+                prop_assert!(mac.rate_bps(a).is_finite() && mac.rate_bps(a) > 0.0);
+            }
+            prop_assert!(meter.goodput_bps().is_finite());
         }
     }
 }
