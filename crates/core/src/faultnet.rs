@@ -1,6 +1,7 @@
 //! Fault-injected network simulation: the [`ResilientMac`] driving real
-//! sample-level acoustics through per-node [`LinkSimulator`]s, with a
-//! [`FaultSchedule`] composed onto every link.
+//! sample-level acoustics through one link per node, all heard by one
+//! hydrophone [`Receiver`], with a [`FaultSchedule`] composed onto every
+//! link.
 //!
 //! This is where the retransmission machinery finally meets the physics:
 //! each scheduled query runs the full projector → pool → node → pool →
@@ -12,8 +13,8 @@
 //! bit-reproducible.
 
 use crate::collision_group::CollisionGroupSimulator;
-use crate::link::{LinkConfig, LinkSimulator, SlotEngineStats};
-use crate::receiver::StreamVerdict;
+use crate::link::{Link, LinkConfig, SlotEngineStats};
+use crate::receiver::{Receiver, StreamVerdict};
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use pab_channel::noise::NoiseEnvironment;
 use pab_channel::{FaultSchedule, Pool, Position};
@@ -234,14 +235,20 @@ pub struct FaultNetReport {
     pub per_node: Vec<NodeOutcome>,
 }
 
-/// The fault-injected network simulator: one [`LinkSimulator`] per node
-/// (each node owns its channel frequency and fault schedule), orchestrated
-/// by a [`ResilientMac`] over a shared slotted clock.
+/// The fault-injected network simulator: one link per node (each node
+/// owns its channel frequency, fault schedule, noise stream and slot
+/// caches) and one hydrophone [`Receiver`] that decodes every link's
+/// exchanges, orchestrated by a [`ResilientMac`] over a shared slotted
+/// clock.
 #[derive(Debug)]
 pub struct FaultNetSimulator {
     cfg: FaultNetConfig,
     mac: ResilientMac,
-    sims: BTreeMap<u8, LinkSimulator>,
+    links: BTreeMap<u8, Link>,
+    /// The network's one hydrophone: every link's slot exchange decodes
+    /// on it, so the network holds one decode workspace, sized by its
+    /// longest exchange, whatever its node count.
+    receiver: Receiver,
     faults: BTreeMap<u8, FaultSchedule>,
     /// Collision-group simulators, built lazily per member set and kept
     /// so training survives across slots (keyed by addresses in channel
@@ -254,8 +261,8 @@ pub struct FaultNetSimulator {
 }
 
 impl FaultNetSimulator {
-    /// Build the network: a resilient MAC over the channel plan plus one
-    /// acoustic link simulator per node.
+    /// Build the network: a resilient MAC over the channel plan, one
+    /// acoustic link per node and the hydrophone's receiver.
     pub fn new(cfg: FaultNetConfig) -> Result<Self, CoreError> {
         if cfg.nodes.is_empty() {
             return Err(CoreError::InvalidConfig("no nodes"));
@@ -270,7 +277,7 @@ impl FaultNetSimulator {
         )
         .map_err(CoreError::Net)?;
         mac.set_concurrency(cfg.concurrency.clone()).map_err(CoreError::Net)?;
-        let mut sims = BTreeMap::new();
+        let mut links = BTreeMap::new();
         let mut faults = BTreeMap::new();
         for spec in &cfg.nodes {
             mac.register(NodeEntry {
@@ -279,7 +286,7 @@ impl FaultNetSimulator {
             })
             .map_err(CoreError::Net)?;
             let link_cfg = LinkConfig {
-                pool: cfg.pool.clone(),
+                pool: cfg.pool,
                 projector_pos: cfg.projector_pos,
                 node_pos: spec.position,
                 hydrophone_pos: cfg.hydrophone_pos,
@@ -295,13 +302,14 @@ impl FaultNetSimulator {
                 fs_hz: cfg.fs_hz,
                 ..Default::default()
             };
-            sims.insert(spec.addr, LinkSimulator::new(link_cfg)?);
+            links.insert(spec.addr, Link::new(link_cfg)?);
             faults.insert(spec.addr, spec.faults.clone());
         }
         Ok(FaultNetSimulator {
+            receiver: Receiver::new(1.0e-3, cfg.fs_hz),
             cfg,
             mac,
-            sims,
+            links,
             faults,
             groups: BTreeMap::new(),
             bad_groups: BTreeSet::new(),
@@ -442,7 +450,7 @@ impl FaultNetSimulator {
         })
     }
 
-    /// Run one slot's FDMA queries through the per-link simulators,
+    /// Run one slot's FDMA queries through the per-node links,
     /// starting at `t_start_s`, and return `(slot_duration_s,
     /// delivered_bits)`.
     ///
@@ -464,7 +472,7 @@ impl FaultNetSimulator {
         for q in &queries {
             let addr = q.query.dest;
             let rate_bps = self.mac.rate_bps(addr);
-            self.sims
+            self.links
                 .get_mut(&addr)
                 .ok_or(CoreError::InvalidConfig("scheduled unknown address"))?
                 .set_bitrate_target(rate_bps)?;
@@ -478,12 +486,18 @@ impl FaultNetSimulator {
                 .faults
                 .get(&addr)
                 .ok_or(CoreError::InvalidConfig("missing fault schedule"))?;
-            let sim = self
-                .sims
+            let link = self
+                .links
                 .get_mut(&addr)
                 .ok_or(CoreError::InvalidConfig("scheduled unknown address"))?;
-            let (heard, exchange_samples) =
-                sim.slot_exchange(addr, q.query.command, schedule, t_s, tel.as_deref_mut())?;
+            let (heard, exchange_samples) = link.slot_exchange(
+                &self.receiver,
+                addr,
+                q.query.command,
+                schedule,
+                t_s,
+                tel.as_deref_mut(),
+            )?;
             let exchange_s = exchange_samples as f64 / self.cfg.fs_hz;
             slot_s += exchange_s;
             if let Some(t) = tel.as_deref_mut() {
@@ -678,24 +692,21 @@ impl FaultNetSimulator {
         &self.mac
     }
 
-    /// Slot-engine cache/arena counters summed across every node's
-    /// simulator (see [`SlotEngineStats`]).
-    // lint: allow(dead-pub) test-oracle steady_state_slots_allocate_nothing_in_the_engine_stage slot-engine counters the allocation and cache tests read
+    /// Slot-engine cache/arena counters summed across every node's link
+    /// (see [`SlotEngineStats`]).
     pub fn slot_stats(&self) -> SlotEngineStats {
         let mut total = SlotEngineStats::default();
-        for sim in self.sims.values() {
-            total.merge(&sim.slot_stats());
+        for link in self.links.values() {
+            total.merge(&link.slot_stats());
         }
         total
     }
 
-    /// Decimating front-end counters summed across every node's receiver.
+    /// Decimating front-end counters of the network's one hydrophone
+    /// receiver, which decodes every link's exchanges (the collision
+    /// groups' own receivers are not counted).
     pub fn frontend_stats(&self) -> crate::receiver::FrontEndStats {
-        let mut total = crate::receiver::FrontEndStats::default();
-        for sim in self.sims.values() {
-            total.merge(&sim.frontend_stats());
-        }
-        total
+        self.receiver.frontend_stats()
     }
 }
 
@@ -915,6 +926,78 @@ mod tests {
             tel.counters().get("rx.erasures"),
             "simulator and receiver must agree on erasure counts"
         );
+    }
+
+    /// The network's one hydrophone decodes every link's exchanges on
+    /// one workspace, so a 96 kHz FDMA network (2048 bps, decimation 1)
+    /// holds exactly what its longest exchange needs, whatever its node
+    /// count. Exchange lengths differ by node (query keying, geometry),
+    /// so over the eight nodes of `with_nodes(8)` the workspace grows,
+    /// exchange by exchange, to the longest one's need and no further;
+    /// and a two-node network of that layout's node 1 and its
+    /// longest-exchange node ends with the same byte count.
+    #[test]
+    fn the_decode_workspace_does_not_grow_with_the_node_count() {
+        let fs_hz = 96_000.0;
+        // The workspace bytes and each node's exchange length in samples:
+        // every slot runs one node's exchange, whose verdict names the
+        // node and whose end gives the length.
+        let run = |cfg: FaultNetConfig| {
+            let n = cfg.nodes.len();
+            let mut net = FaultNetSimulator::new(cfg).unwrap();
+            let mut tel = Recorder::new(16_384);
+            let report = net.run_with_recorder(Some(&mut tel)).unwrap();
+            assert!(report.completed, "N = {n}: {report:?}");
+            assert_eq!(net.frontend_stats().decodes, report.slots_used, "N = {n}");
+            let (mut node_of, mut len_of) = (BTreeMap::new(), BTreeMap::new());
+            for e in tel.events() {
+                match e.event {
+                    Event::Detection { node, .. }
+                    | Event::CrcFail { node, .. }
+                    | Event::Erasure { node } => {
+                        node_of.insert(e.slot, node);
+                    }
+                    Event::SlotEnd { duration_s, .. } => {
+                        len_of.insert(e.slot, (duration_s * fs_hz).round() as usize);
+                    }
+                    _ => {}
+                }
+            }
+            let lengths: BTreeMap<u8, usize> =
+                node_of.iter().map(|(slot, &node)| (node, len_of[slot])).collect();
+            let longest = lengths.values().copied().max().unwrap();
+            let bytes = net.receiver.workspace_bytes();
+            assert_eq!(bytes, crate::receiver::decim1_workspace_need(longest), "N = {n}");
+            (bytes, lengths)
+        };
+        let eight = FaultNetConfig {
+            fs_hz,
+            per_node_packets: 1,
+            ..FaultNetConfig::with_nodes(8).unwrap()
+        };
+        let (bytes8, lengths) = run(eight.clone());
+        assert_eq!(lengths.len(), 8);
+        let distinct: BTreeSet<usize> = lengths.values().copied().collect();
+        assert!(distinct.len() > 1, "exchanges of one length: {lengths:?}");
+        let (&longest, _) = lengths.iter().max_by_key(|&(_, &len)| len).unwrap();
+        let pair = [1, if longest == 1 { 2 } else { longest }];
+        let two = FaultNetConfig {
+            nodes: eight.nodes.iter().filter(|s| pair.contains(&s.addr)).cloned().collect(),
+            ..eight
+        };
+        assert_eq!(run(two).0, bytes8);
+    }
+
+    /// The links borrow the network's receiver rather than share it
+    /// through an `Rc`, so every simulator still moves across threads
+    /// (the sweep engine runs them on its workers).
+    #[test]
+    fn simulators_and_the_receiver_are_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<crate::link::LinkSimulator>();
+        assert_send::<FaultNetSimulator>();
+        assert_send::<CollisionGroupSimulator>();
+        assert_send::<Receiver>();
     }
 
     #[test]

@@ -223,7 +223,190 @@ struct FadeFreeLegs {
 /// keeps the worst case bounded without LRU bookkeeping).
 const CACHE_CAP: usize = 16;
 
-/// The link simulator: a 1-node, 1-carrier `Medium`.
+/// The link simulator: one link's slot engine on a 1-node, 1-carrier
+/// `Medium`, and the hydrophone's decoder. A network of links shares one
+/// decoder instead, the way the paper's one hydrophone hears every node:
+/// [`FaultNetSimulator`](crate::faultnet::FaultNetSimulator) owns one
+/// [`Receiver`] and lends it to every node's link.
+#[derive(Debug)]
+pub struct LinkSimulator {
+    link: Link,
+    receiver: Receiver,
+}
+
+impl LinkSimulator {
+    /// Build the simulator, designing the node front end and the
+    /// propagation channels.
+    pub fn new(cfg: LinkConfig) -> Result<Self, CoreError> {
+        let receiver = Receiver::new(1.0e-3, cfg.fs_hz);
+        Ok(LinkSimulator {
+            link: Link::new(cfg)?,
+            receiver,
+        })
+    }
+
+    /// Slot-engine cache and arena counters (diagnostics; the allocation
+    /// test's evidence).
+    pub fn slot_stats(&self) -> SlotEngineStats {
+        self.link.slot_stats()
+    }
+
+    /// The receiver's decimating front-end counters (samples into and
+    /// out of the anti-alias decimator, MACs saved, design cache hits).
+    pub fn frontend_stats(&self) -> crate::receiver::FrontEndStats {
+        self.receiver.frontend_stats()
+    }
+
+    /// The quantized bitrate the node will use.
+    pub fn bitrate_bps(&self) -> f64 {
+        self.link.bitrate_bps()
+    }
+
+    /// Retune the node's uplink bitrate to the nearest watch-crystal
+    /// divider (the rate-ladder actuation path: the coordinator commands
+    /// a slower FM0 rate, the node reprograms its divider).
+    pub fn set_bitrate_target(&mut self, bitrate_bps: f64) -> Result<(), CoreError> {
+        self.link.set_bitrate_target(bitrate_bps)
+    }
+
+    /// Run one query/response exchange with an arbitrary command,
+    /// addressed to the configured node.
+    pub fn run_query(&mut self, command: Command) -> Result<LinkReport, CoreError> {
+        self.run_query_to(self.link.cfg.node_addr, command)
+    }
+
+    /// Run one query/response exchange addressed to `dest`: a faulted
+    /// exchange under a quiet schedule at t = 0.
+    fn run_query_to(&mut self, dest: u8, command: Command) -> Result<LinkReport, CoreError> {
+        self.run_query_to_faulted(dest, command, &FaultSchedule::default(), 0.0)
+    }
+
+    /// Run one query/response exchange addressed to `dest` with a
+    /// [`FaultSchedule`] applied at the sample level, the exchange
+    /// starting at absolute simulation time `t_start_s`:
+    ///
+    /// * **drift** offsets the projector's oscillator for the exchange
+    ///   (restored afterwards), on top of any configured static CFO;
+    /// * **fades** scale the node's path gain per sample, on both the
+    ///   downlink (projector→node) and uplink (node→hydrophone) legs —
+    ///   the direct projector→hydrophone path is geometry the fade does
+    ///   not model and stays clean;
+    /// * **dropouts** brown the node out: it neither decodes nor
+    ///   backscatters if the window overlaps the exchange;
+    /// * **bursts** add broadband noise at the hydrophone after ambient
+    ///   AWGN, keyed on absolute sample index so same-seed runs are
+    ///   bit-identical however slots are scheduled.
+    ///
+    /// This is the uncached reference for
+    /// [`slot_exchange`](Self::slot_exchange), returning every
+    /// diagnostic buffer.
+    // lint: allow(dead-pub) test-oracle inventory_round_retransmits_through_a_lossy_link one exchange under a fault schedule, outside any MAC
+    pub fn run_query_to_faulted(
+        &mut self,
+        dest: u8,
+        command: Command,
+        faults: &FaultSchedule,
+        t_start_s: f64,
+    ) -> Result<LinkReport, CoreError> {
+        self.link.run_query_to_faulted(&self.receiver, dest, command, faults, t_start_s)
+    }
+
+    /// Run one fault-scheduled slot exchange through the caching slot
+    /// engine, returning the node's [`StreamVerdict`] and the exchange's
+    /// length in samples (duration = samples / `fs_hz`) instead of a full
+    /// [`LinkReport`], and folding the receiver's verdict into `tel` (the
+    /// `rx.*` counters and histograms).
+    ///
+    /// Semantics are identical to
+    /// [`run_query_to_faulted`](Self::run_query_to_faulted)
+    /// — bitwise, including the RNG stream (ambient noise draws exactly
+    /// `exchange_samples` normals either way) — but the steady state is
+    /// radically cheaper:
+    ///
+    /// * the **query waveform** is memoized on `(dest, responder address,
+    ///   command, divider, oscillator offset)`, so synthesis runs once per
+    ///   distinct key. The responder address is part of the key because a
+    ///   broadcast `dest` is answered by *every* node — keying on the
+    ///   destination alone would let broadcast exchanges alias across
+    ///   responders;
+    /// * the whole **clean exchange** (downlink propagation → node →
+    ///   uplink superposition at the hydrophone, before noise) is
+    ///   memoized on the same key plus the brown-out flag. Outside fade
+    ///   windows the fault gain is exactly 1.0 and multiplying by 1.0 is
+    ///   the identity on every `f64`, so the memo stays valid under any
+    ///   schedule whose fade windows miss the exchange. Drift ramps
+    ///   participate through the key (the offset in force at the
+    ///   exchange start), hitting once a clamped ramp saturates.
+    /// * a **fade-overlapped** exchange bypasses that memo, but the fade
+    ///   touches only the node's two legs. The node's clean incident
+    ///   field and the direct projector→hydrophone pressure are memoized
+    ///   on the wave key, so a bypass evaluates the fade gain once per
+    ///   sample, scales the incident field and then the node's
+    ///   backscatter in place with it, and runs only the node and its
+    ///   uplink propagation, added onto a copy of the direct pressure in
+    ///   the medium's summation order. The copies of the incident field
+    ///   and the direct pressure, the gains, the node's temporaries and
+    ///   the received window all come from the link's arena and go back
+    ///   to it, so repeated bypasses of one wave key stop allocating
+    ///   them.
+    /// * On a cache hit, the only per-exchange work before decoding is a
+    ///   scratch-arena copy of the memoized waveform, in-place AWGN and
+    ///   burst noise, and the in-place pressure→volts scaling — zero
+    ///   heap allocations, pinned by `tests/slot_engine_alloc.rs`.
+    ///
+    /// AWGN is drawn fresh per exchange (never cached), so cached and
+    /// uncached runs consume identical RNG streams and produce identical
+    /// verdicts.
+    pub fn slot_exchange(
+        &mut self,
+        dest: u8,
+        command: Command,
+        faults: &FaultSchedule,
+        t_start_s: f64,
+        tel: Option<&mut pab_telemetry::Recorder>,
+    ) -> Result<(StreamVerdict, usize), CoreError> {
+        self.link.slot_exchange(&self.receiver, dest, command, faults, t_start_s, tel)
+    }
+
+    /// Fig. 2 reproduction: CW downlink, node toggling every
+    /// `half_period_s` starting `toggle_start_s` after the projector
+    /// begins at `projector_start_s`. Returns the receiver's demodulated
+    /// envelope over `total_s`.
+    pub fn run_fig2(
+        &mut self,
+        total_s: f64,
+        projector_start_s: f64,
+        toggle_start_s: f64,
+        half_period_s: f64,
+    ) -> Result<Vec<f64>, CoreError> {
+        let link = &mut self.link;
+        let fs_hz = link.cfg.fs_hz;
+        let n = (total_s * fs_hz).floor() as usize;
+        let cw = link
+            .projector
+            .continuous_wave(link.cfg.carrier_hz, total_s - projector_start_s);
+        let mut tx = vec![0.0; n];
+        let off = ((projector_start_s * fs_hz).floor() as usize).min(n);
+        for (t, &s) in tx[off..].iter_mut().zip(&cw) {
+            *t = s;
+        }
+        let incident = link.medium.incident(0, &[&tx]);
+        let node_out = link.medium.nodes[0].process_fixed_toggle(
+            &incident[0],
+            fs_hz,
+            toggle_start_s,
+            half_period_s,
+        )?;
+        let mut y = link.medium.superpose(&[&tx], &[&node_out.backscatter], n);
+        link.receive(&self.receiver, &mut y, &FaultSchedule::default(), 0.0);
+        self.receiver.demodulate(&y, link.cfg.carrier_hz, 60.0)
+    }
+}
+
+/// One link's transmit side and slot engine: a 1-node, 1-carrier
+/// `Medium`, the projector, the link's ambient-noise stream and its
+/// caches — everything but the hydrophone's decoder, which its owner
+/// lends to every exchange as a `&Receiver`.
 ///
 /// The medium's three propagation channels (projector→node,
 /// projector→hydrophone, node→hydrophone) depend only on the
@@ -235,11 +418,10 @@ const CACHE_CAP: usize = 16;
 /// slots skip synthesis, both propagation legs and the node's signal
 /// chain entirely.
 #[derive(Debug)]
-pub struct LinkSimulator {
+pub(crate) struct Link {
     cfg: LinkConfig,
     projector: Projector,
     medium: Medium,
-    receiver: Receiver,
     rng: ChaCha8Rng,
     /// Ambient noise sigma at the carrier (pure function of the config;
     /// hoisted out of the per-exchange path).
@@ -256,10 +438,10 @@ pub struct LinkSimulator {
     stats: SlotEngineStats,
 }
 
-impl LinkSimulator {
-    /// Build the simulator, designing the node front end and the
-    /// propagation channels.
-    pub fn new(cfg: LinkConfig) -> Result<Self, CoreError> {
+impl Link {
+    /// Build the link, designing the node front end and the propagation
+    /// channels.
+    pub(crate) fn new(cfg: LinkConfig) -> Result<Self, CoreError> {
         margin_samples(cfg.fs_hz)?;
         let sigma_pa = hydrophone_sigma_pa(&cfg.noise, cfg.carrier_hz, cfg.fs_hz, cfg.noise_scale)?;
         let mut projector = Projector::new(cfg.drive_voltage_v)?;
@@ -282,8 +464,7 @@ impl LinkSimulator {
             vec![cfg.carrier_hz],
             vec![(node, cfg.node_pos)],
         )?;
-        Ok(LinkSimulator {
-            receiver: Receiver::new(1.0e-3, cfg.fs_hz),
+        Ok(Link {
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             cfg,
             projector,
@@ -297,9 +478,8 @@ impl LinkSimulator {
         })
     }
 
-    /// Slot-engine cache and arena counters (diagnostics; the allocation
-    /// test's evidence).
-    pub fn slot_stats(&self) -> SlotEngineStats {
+    /// Slot-engine cache and arena counters.
+    pub(crate) fn slot_stats(&self) -> SlotEngineStats {
         let scratch = self.scratch.borrow();
         SlotEngineStats {
             scratch_takes: scratch.takes(),
@@ -308,14 +488,8 @@ impl LinkSimulator {
         }
     }
 
-    /// The receiver's decimating front-end counters (samples into and
-    /// out of the anti-alias decimator, MACs saved, design cache hits).
-    pub fn frontend_stats(&self) -> crate::receiver::FrontEndStats {
-        self.receiver.frontend_stats()
-    }
-
     /// The quantized bitrate the node will use.
-    pub fn bitrate_bps(&self) -> f64 {
+    fn bitrate_bps(&self) -> f64 {
         Clock::watch_crystal()
             .bitrate_for_divider(self.medium.nodes[0].default_divider as u64)
             // lint: allow(no-unwrap-in-lib) default_divider is validated non-zero at construction
@@ -323,9 +497,8 @@ impl LinkSimulator {
     }
 
     /// Retune the node's uplink bitrate to the nearest watch-crystal
-    /// divider (the rate-ladder actuation path: the coordinator commands
-    /// a slower FM0 rate, the node reprograms its divider).
-    pub fn set_bitrate_target(&mut self, bitrate_bps: f64) -> Result<(), CoreError> {
+    /// divider.
+    pub(crate) fn set_bitrate_target(&mut self, bitrate_bps: f64) -> Result<(), CoreError> {
         let divider = Clock::watch_crystal()
             .divider_for_bitrate(bitrate_bps)
             .map_err(CoreError::Mcu)?;
@@ -360,48 +533,13 @@ impl LinkSimulator {
         Ok(wave?.0)
     }
 
-    /// Run one query/response exchange with an arbitrary command,
-    /// addressed to the configured node.
-    pub fn run_query(&mut self, command: Command) -> Result<LinkReport, CoreError> {
-        self.run_query_to(self.cfg.node_addr, command)
-    }
-
-    /// Run one query/response exchange addressed to `dest`: a faulted
-    /// exchange under a quiet schedule at t = 0.
-    fn run_query_to(
+    /// [`LinkSimulator::run_query_to_faulted`], decoded by `rx`.
+    fn run_query_to_faulted(
         &mut self,
+        rx: &Receiver,
         dest: u8,
         command: Command,
-    ) -> Result<LinkReport, CoreError> {
-        self.run_query_to_faulted(dest, command, &FaultSchedule::default(), 0.0)
-    }
-
-    /// Run one query/response exchange addressed to `dest` with a
-    /// [`FaultSchedule`] applied at the sample
-    /// level, the exchange starting at absolute simulation time
-    /// `t_start_s`:
-    ///
-    /// * **drift** offsets the projector's oscillator for the exchange
-    ///   (restored afterwards), on top of any configured static CFO;
-    /// * **fades** scale the node's path gain per sample, on both the
-    ///   downlink (projector→node) and uplink (node→hydrophone) legs —
-    ///   the direct projector→hydrophone path is geometry the fade does
-    ///   not model and stays clean;
-    /// * **dropouts** brown the node out: it neither decodes nor
-    ///   backscatters if the window overlaps the exchange;
-    /// * **bursts** add broadband noise at the hydrophone after ambient
-    ///   AWGN, keyed on absolute sample index so same-seed runs are
-    ///   bit-identical however slots are scheduled.
-    ///
-    /// This is the uncached reference for
-    /// [`slot_exchange`](Self::slot_exchange), returning every
-    /// diagnostic buffer.
-    // lint: allow(dead-pub) test-oracle inventory_round_retransmits_through_a_lossy_link one exchange under a fault schedule, outside any MAC
-    pub fn run_query_to_faulted(
-        &mut self,
-        dest: u8,
-        command: Command,
-        faults: &pab_channel::FaultSchedule,
+        faults: &FaultSchedule,
         t_start_s: f64,
     ) -> Result<LinkReport, CoreError> {
         let cfo_hz = self.projector.cfo_hz + faults.drift_at_hz(t_start_s);
@@ -412,9 +550,9 @@ impl LinkSimulator {
         let fade = (!faults.is_quiet()).then_some((faults, t_start_s));
         let pool = &mut Scratch::transient();
         let (mut y, node_out) = self.clean_exchange(pool, &tx_wave, incident, fade, down, None)?;
-        self.receive(&mut y, faults, t_start_s);
+        self.receive(rx, &mut y, faults, t_start_s);
         let bitrate = self.bitrate_bps();
-        let decoded = self.receiver.decode_uplink(&y, self.cfg.carrier_hz, bitrate);
+        let decoded = rx.decode_uplink(&y, self.cfg.carrier_hz, bitrate);
         Ok(build_report(node_out, decoded, bitrate, y))
     }
 
@@ -494,65 +632,22 @@ impl LinkSimulator {
         Ok((y, node_out))
     }
 
-    /// The hydrophone, in place: ambient AWGN from this link's stream,
-    /// the schedule's burst noise, then the pressure→volts scaling.
-    fn receive(&mut self, y: &mut [f64], faults: &FaultSchedule, t_start_s: f64) {
+    /// The hydrophone `rx`, in place: ambient AWGN from this link's
+    /// stream, the schedule's burst noise, then the pressure→volts
+    /// scaling.
+    fn receive(&mut self, rx: &Receiver, y: &mut [f64], faults: &FaultSchedule, t_start_s: f64) {
         add_awgn(y, self.sigma_pa, &mut self.rng);
         faults.add_burst_noise(y, t_start_s, self.cfg.fs_hz);
-        let sensitivity = self.receiver.sensitivity_v_per_pa;
+        let sensitivity = rx.sensitivity_v_per_pa;
         for s in y.iter_mut() {
             *s *= sensitivity;
         }
     }
 
-    /// Run one fault-scheduled slot exchange through the caching slot
-    /// engine, returning the node's [`StreamVerdict`] and the exchange's
-    /// length in samples (duration = samples / `fs_hz`) instead of a full
-    /// [`LinkReport`], and folding the receiver's verdict into `tel` (the
-    /// `rx.*` counters and histograms).
-    ///
-    /// Semantics are identical to
-    /// [`run_query_to_faulted`](Self::run_query_to_faulted)
-    /// — bitwise, including the RNG stream (ambient noise draws exactly
-    /// `exchange_samples` normals either way) — but the steady state is
-    /// radically cheaper:
-    ///
-    /// * the **query waveform** is memoized on `(dest, responder address,
-    ///   command, divider, oscillator offset)`, so synthesis runs once per
-    ///   distinct key. The responder address is part of the key because a
-    ///   broadcast `dest` is answered by *every* node — keying on the
-    ///   destination alone would let broadcast exchanges alias across
-    ///   responders;
-    /// * the whole **clean exchange** (downlink propagation → node →
-    ///   uplink superposition at the hydrophone, before noise) is
-    ///   memoized on the same key plus the brown-out flag. Outside fade
-    ///   windows the fault gain is exactly 1.0 and multiplying by 1.0 is
-    ///   the identity on every `f64`, so the memo stays valid under any
-    ///   schedule whose fade windows miss the exchange. Drift ramps
-    ///   participate through the key (the offset in force at the
-    ///   exchange start), hitting once a clamped ramp saturates.
-    /// * a **fade-overlapped** exchange bypasses that memo, but the fade
-    ///   touches only the node's two legs. The node's clean incident
-    ///   field and the direct projector→hydrophone pressure are memoized
-    ///   on the wave key, so a bypass evaluates the fade gain once per
-    ///   sample, scales the incident field and then the node's
-    ///   backscatter in place with it, and runs only the node and its
-    ///   uplink propagation, added onto a copy of the direct pressure in
-    ///   the medium's summation order. The copies of the incident field
-    ///   and the direct pressure, the gains, the node's temporaries and
-    ///   the received window all come from the link's arena and go back
-    ///   to it, so repeated bypasses of one wave key stop allocating
-    ///   them.
-    /// * On a cache hit, the only per-exchange work before decoding is a
-    ///   scratch-arena copy of the memoized waveform, in-place AWGN and
-    ///   burst noise, and the in-place pressure→volts scaling — zero
-    ///   heap allocations, pinned by `tests/slot_engine_alloc.rs`.
-    ///
-    /// AWGN is drawn fresh per exchange (never cached), so cached and
-    /// uncached runs consume identical RNG streams and produce identical
-    /// verdicts.
-    pub fn slot_exchange(
+    /// [`LinkSimulator::slot_exchange`], decoded by `rx`.
+    pub(crate) fn slot_exchange(
         &mut self,
+        rx: &Receiver,
         dest: u8,
         command: Command,
         faults: &FaultSchedule,
@@ -620,8 +715,8 @@ impl LinkSimulator {
                 pool.put_all(std::mem::take(&mut node_out.backscatter));
                 (y, node_out)
             };
-            self.receive(&mut y, faults, t_start_s);
-            let decoded = self.receiver.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
+            self.receive(rx, &mut y, faults, t_start_s);
+            let decoded = rx.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
             trace_verdict(&decoded, tel);
             let (power_w, rectified_v) = (node_out.average_power_w, node_out.rectified_v);
             let verdict = StreamVerdict::new(self.cfg.node_addr, decoded, power_w, rectified_v);
@@ -658,8 +753,8 @@ impl LinkSimulator {
             let entry = self.exch_cache.get(&ekey).expect("exchange entry just ensured");
             (self.scratch.borrow_mut().take_copy(&entry.y_clean), entry.node)
         };
-        self.receive(&mut y, faults, t_start_s);
-        let decoded = self.receiver.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
+        self.receive(rx, &mut y, faults, t_start_s);
+        let decoded = rx.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
         trace_verdict(&decoded, tel);
         let exchange_samples = y.len();
         self.scratch.borrow_mut().put(y);
@@ -668,39 +763,6 @@ impl LinkSimulator {
 
         let verdict = StreamVerdict::new(self.cfg.node_addr, decoded, power_w, rectified_v);
         Ok((verdict, exchange_samples))
-    }
-
-    /// Fig. 2 reproduction: CW downlink, node toggling every
-    /// `half_period_s` starting `toggle_start_s` after the projector
-    /// begins at `projector_start_s`. Returns the receiver's demodulated
-    /// envelope over `total_s`.
-    pub fn run_fig2(
-        &mut self,
-        total_s: f64,
-        projector_start_s: f64,
-        toggle_start_s: f64,
-        half_period_s: f64,
-    ) -> Result<Vec<f64>, CoreError> {
-        let fs_hz = self.cfg.fs_hz;
-        let n = (total_s * fs_hz).floor() as usize;
-        let cw = self
-            .projector
-            .continuous_wave(self.cfg.carrier_hz, total_s - projector_start_s);
-        let mut tx = vec![0.0; n];
-        let off = ((projector_start_s * fs_hz).floor() as usize).min(n);
-        for (t, &s) in tx[off..].iter_mut().zip(&cw) {
-            *t = s;
-        }
-        let incident = self.medium.incident(0, &[&tx]);
-        let node_out = self.medium.nodes[0].process_fixed_toggle(
-            &incident[0],
-            fs_hz,
-            toggle_start_s,
-            half_period_s,
-        )?;
-        let mut y = self.medium.superpose(&[&tx], &[&node_out.backscatter], n);
-        self.receive(&mut y, &FaultSchedule::default(), 0.0);
-        self.receiver.demodulate(&y, self.cfg.carrier_hz, 60.0)
     }
 }
 
@@ -746,12 +808,12 @@ mod tests {
     impl LinkSimulator {
         /// The configuration in use.
         fn config(&self) -> &LinkConfig {
-            &self.cfg
+            &self.link.cfg
         }
 
         /// Mutable access to the projector (PWM timing, CFO).
         fn projector_mut(&mut self) -> &mut Projector {
-            &mut self.projector
+            &mut self.link.projector
         }
 
         /// Run a pH sensor query addressed to `addr` (the paper's flagship
@@ -800,7 +862,7 @@ mod tests {
             noise_scale: 0.0,
             ..LinkConfig::default()
         };
-        assert_eq!(LinkSimulator::new(quiet).unwrap().sigma_pa, 0.0);
+        assert_eq!(LinkSimulator::new(quiet).unwrap().link.sigma_pa, 0.0);
     }
 
     #[test]

@@ -236,6 +236,7 @@ impl PabNode {
     /// Run the full node pipeline over incident components sampled at
     /// `fs_hz`. `sensors` optionally wires water conditions to the node's
     /// ADC + I2C peripherals.
+    // lint: allow(dead-pub) api crates/experiments/src/bin/pab_bench/layers.rs the benchmark's recomposed slot runs its node stage through it
     pub fn process(
         &self,
         components: &[IncidentComponent],

@@ -28,7 +28,7 @@
 //! stream. Windows are ranked by `|acc|² / energy`, with the normalised
 //! correlation computed once, at the winning window.
 
-use crate::scratch::{DecodeScratch, Scratch, SlicerScratch};
+use crate::scratch::{grow_to, reserve_to, DecodeScratch, Scratch, SlicerScratch};
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use num_complex::Complex64;
 use pab_dsp::correlate::RunLengthTemplate;
@@ -115,17 +115,23 @@ impl FrontEnd {
     /// (whose phase is the modulation direction) and its normalised
     /// correlation. A stream no longer than the template, or a winner
     /// below 0.3 (NaN included), is [`CoreError::NoPacketDetected`].
+    /// The matched-filter outputs go to the head of `ws`, a workspace
+    /// that grows to fit them and never shrinks.
     fn find_preamble(
         &self,
         d: &[Complex64],
         prefix: &mut Vec<Complex64>,
-        num: &mut Vec<Complex64>,
+        ws: &mut Vec<Complex64>,
     ) -> Result<(usize, Complex64, f64), CoreError> {
         let m = self.template.len();
         if d.len() <= m {
             return Err(CoreError::NoPacketDetected);
         }
-        self.template.correlate_into(d, prefix, num);
+        let outputs = d.len() - m + 1;
+        grow_to(ws, outputs);
+        let num = &mut ws[..outputs];
+        num.fill(Complex64::new(0.0, 0.0));
+        self.template.correlate_add(d, prefix, num);
         // (index, score, numerator, window energy) of the best window.
         let mut best = (0usize, 0.0f64, Complex64::new(0.0, 0.0), 0.0f64);
         let mut win_energy: f64 = d[..m].iter().map(|c| c.norm_sqr()).sum();
@@ -526,7 +532,7 @@ impl Receiver {
         // State: level at the *end* of bit k (after the second half).
         // path_cost[s], with backpointers per bit: (prev_state, mid_flip).
         back.clear();
-        back.reserve(n_bits);
+        back.reserve_exact(n_bits);
         // Initial level before bit 0 is unknown; start both states free.
         // For bit k with previous end-level p: first half = !p (boundary
         // flip), second half = s (the new end state); mid flip happened if
@@ -565,6 +571,7 @@ impl Receiver {
         // Trace back from the cheaper final state, writing each bit's two
         // halves straight into their final positions.
         let mut s = if prev_cost[0] <= prev_cost[1] { 0 } else { 1 };
+        out.reserve_exact(2 * n_bits);
         out.resize(2 * n_bits, false);
         for k in (0..n_bits).rev() {
             // lint: allow(panic-path) s is a Viterbi state in {0,1}; back[k] is [(usize,bool); 2]
@@ -598,7 +605,10 @@ impl Receiver {
         let s = &mut *self.scratch.borrow_mut();
         let n = signal.len();
 
-        // The coherent ×2 undoes the real→complex mixing loss.
+        // The coherent ×2 undoes the real→complex mixing loss. Every
+        // stage writes its whole span of `ext` before reading it, so
+        // `ext` only grows (zero-filling once) and is never re-zeroed
+        // per decode.
         match &fe.aa {
             Some(aa) => {
                 // Mix→decimate→filter: the only full-rate stages are the
@@ -606,20 +616,14 @@ impl Receiver {
                 // as each sample is read); the Butterworth then runs
                 // forward and backward at fs2, in the centre of the
                 // now-free mix buffer, its margins filled with odd
-                // reflections by the filter itself. Every stage writes
-                // its whole span before reading it, so `ext` only grows
-                // (zero-filling once) and is never re-zeroed per decode.
-                if s.ext.len() < n {
-                    s.ext.resize(n, Complex64::new(0.0, 0.0));
-                }
+                // reflections by the filter itself.
+                grow_to(&mut s.ext, n);
                 let mix = &mut s.ext[..n];
                 downconvert_into(signal, carrier_hz, self.fs_hz, mix);
                 aa.decimate_complex_scaled_into(mix, 2.0, &mut s.bb_d);
                 let n2 = s.bb_d.len();
                 let pad = fe.butter4.filtfilt_pad(n2);
-                if s.ext.len() < n2 + 2 * pad {
-                    s.ext.resize(n2 + 2 * pad, Complex64::new(0.0, 0.0));
-                }
+                grow_to(&mut s.ext, n2 + 2 * pad);
                 let ext = &mut s.ext[..n2 + 2 * pad];
                 ext[pad..pad + n2].copy_from_slice(&s.bb_d);
                 fe.butter4.filtfilt_complex_in_place(ext, pad, n2);
@@ -631,11 +635,13 @@ impl Receiver {
                 // recurrence runs inside the write loop), filter in
                 // place, scale on the copy out.
                 let pad = fe.butter4.filtfilt_pad(n);
-                s.ext.resize(n + 2 * pad, Complex64::new(0.0, 0.0));
-                downconvert_into(signal, carrier_hz, self.fs_hz, &mut s.ext[pad..pad + n]);
-                fe.butter4.filtfilt_complex_in_place(&mut s.ext, pad, n);
+                grow_to(&mut s.ext, n + 2 * pad);
+                let ext = &mut s.ext[..n + 2 * pad];
+                downconvert_into(signal, carrier_hz, self.fs_hz, &mut ext[pad..pad + n]);
+                fe.butter4.filtfilt_complex_in_place(ext, pad, n);
                 s.bb_d.clear();
-                s.bb_d.extend(s.ext[pad..pad + n].iter().map(|&c| 2.0 * c));
+                reserve_to(&mut s.bb_d, n);
+                s.bb_d.extend(ext[pad..pad + n].iter().map(|&c| 2.0 * c));
             }
         }
         self.count_decode(&fe, n, s.bb_d.len());
@@ -653,25 +659,26 @@ impl Receiver {
         let n2 = s.bb_d.len();
         let fs2 = fe.fs2;
 
-        // Complex detrend: the slow trend is the direct-carrier phasor.
+        // Complex detrend: the slow trend is the direct-carrier phasor,
+        // filtered in `ext`, free now that the baseband is in `bb_d`.
         let pad2 = fe.trend.filtfilt_pad(n2);
-        s.ext2.resize(n2 + 2 * pad2, Complex64::new(0.0, 0.0));
-        s.ext2[pad2..pad2 + n2].copy_from_slice(&s.bb_d);
-        fe.trend.filtfilt_complex_in_place(&mut s.ext2, pad2, n2);
-        let trend_c = &s.ext2[pad2..pad2 + n2];
+        grow_to(&mut s.ext, n2 + 2 * pad2);
+        let ext = &mut s.ext[..n2 + 2 * pad2];
+        ext[pad2..pad2 + n2].copy_from_slice(&s.bb_d);
+        fe.trend.filtfilt_complex_in_place(ext, pad2, n2);
+        let trend_c = &s.ext[pad2..pad2 + n2];
 
         // CFO correction: the direct-carrier trend rotates at the CFO
         // rate; estimate it where the carrier is strong and derotate.
         // Estimate over the longest *contiguous* strong run: concatenating
         // across carrier-off gaps would add seam phase jumps that bias the
-        // estimate. "Strong" is |trend| > peak/4, compared in squares.
-        s.norms.clear();
-        s.norms.extend(trend_c.iter().map(|x| x.norm_sqr()));
-        let peak_sqr = s.norms.iter().copied().fold(0.0, f64::max);
+        // estimate. "Strong" is |trend| > peak/4, compared in squares,
+        // each pass recomputing the same `norm_sqr` bits.
+        let peak_sqr = trend_c.iter().map(|x| x.norm_sqr()).fold(0.0, f64::max);
         let threshold = 0.0625 * peak_sqr;
         let mut best_run = (0usize, 0usize);
         let mut run_start = None;
-        for (i, &norm_sqr) in s.norms.iter().enumerate() {
+        for (i, norm_sqr) in trend_c.iter().map(|x| x.norm_sqr()).enumerate() {
             if norm_sqr > threshold {
                 if run_start.is_none() {
                     run_start = Some(i);
@@ -690,16 +697,18 @@ impl Receiver {
         let cfo = pab_dsp::correlate::estimate_cfo_hz(&trend_c[best_run.0..best_run.1], fs2);
         // One phasor pass: `d` (detrended, derotated) feeds the search;
         // `bb_d`, derotated in place, feeds the projection.
+        s.d.clear();
+        reserve_to(&mut s.d, n2);
         if cfo.abs() > 0.05 {
             detrend_shift_in_place(&mut s.bb_d, trend_c, -cfo, fs2, &mut s.d);
         } else {
-            s.d.clear();
             s.d.extend(s.bb_d.iter().zip(trend_c).map(|(&x, &t)| x - t));
         }
 
         // Complex preamble correlation: peak magnitude locates the packet,
-        // peak phase is the modulation direction.
-        let (start, peak_acc, peak_corr) = fe.find_preamble(&s.d, &mut s.prefix, &mut s.num)?;
+        // peak phase is the modulation direction. The trend is consumed,
+        // so the numerator takes its place in `ext`.
+        let (start, peak_acc, peak_corr) = fe.find_preamble(&s.d, &mut s.prefix, &mut s.ext)?;
         // Slice the *raw* (un-detrended) projected baseband: inside the
         // packet the baseline is the constant CW illumination, and the
         // detrending high-pass would otherwise leak a slow step transient
@@ -708,6 +717,7 @@ impl Receiver {
         // slice_core absorb the constant offset.
         let rot = Complex64::from_polar(1.0, -peak_acc.arg());
         s.projected.clear();
+        reserve_to(&mut s.projected, n2);
         s.projected.extend(s.bb_d.iter().map(|&c| (c * rot).re));
 
         let outcome = Self::slice_core(&s.projected, start, fs2, bitrate_bps, &mut s.slicer)?;
@@ -779,6 +789,7 @@ impl Receiver {
             Some(aa) => aa.decimate_into(envelope, &mut s.projected),
             None => {
                 s.projected.clear();
+                reserve_to(&mut s.projected, envelope.len());
                 s.projected.extend_from_slice(envelope);
             }
         }
@@ -787,16 +798,19 @@ impl Receiver {
         // much larger direct-path carrier level (Fig. 2), and that baseline
         // also moves when the projector keys on/off. A low-pass trend (well
         // below the bit rate) subtracted out leaves just the modulation.
+        let n2 = s.projected.len();
+        reserve_to(&mut s.trend, n2 + 2 * fe.trend.filtfilt_pad(n2));
         let pad = fe.trend.filtfilt_into(&s.projected, &mut s.trend);
-        let trend = &s.trend[pad..pad + s.projected.len()];
+        let trend = &s.trend[pad..pad + n2];
         s.d.clear();
+        reserve_to(&mut s.d, n2);
         s.d.extend(
             s.projected
                 .iter()
                 .zip(trend)
                 .map(|(&e, &t)| Complex64::new(e - t, 0.0)),
         );
-        let (start, acc, corr) = fe.find_preamble(&s.d, &mut s.prefix, &mut s.num)?;
+        let (start, acc, corr) = fe.find_preamble(&s.d, &mut s.prefix, &mut s.ext)?;
         if acc.re <= 0.0 {
             return Err(CoreError::NoPacketDetected);
         }
@@ -847,7 +861,7 @@ impl Receiver {
             bits,
         } = sl;
         soft.clear();
-        soft.reserve(n_halves);
+        soft.reserve_exact(n_halves);
         for k in 0..n_halves {
             let a = start + (k as f64 * spb).floor() as usize;
             let b = (start + ((k + 1) as f64 * spb) as usize).min(centered.len());
@@ -994,9 +1008,37 @@ fn cluster_track_into(
         }
     };
     mu_lo.clear();
+    mu_lo.reserve_exact(soft.len());
     mu_lo.extend((0..soft.len()).map(|k| interp(los, k as f64)));
     mu_hi.clear();
+    mu_hi.reserve_exact(soft.len());
     mu_hi.extend((0..soft.len()).map(|k| interp(his, k as f64)));
+}
+
+#[cfg(test)]
+impl Receiver {
+    /// Bytes its decode workspace holds, by capacity, in the buffers
+    /// whose length follows the recording's (`ext`, `bb_d`, `d`,
+    /// `trend`, `projected`). The prefix tile and the slicer's buffers
+    /// are bounded by the template and the longest packet instead.
+    pub(crate) fn workspace_bytes(&self) -> usize {
+        let s = self.scratch.borrow();
+        let complex = s.ext.capacity() + s.bb_d.capacity() + s.d.capacity();
+        let real = s.trend.capacity() + s.projected.capacity();
+        complex * std::mem::size_of::<Complex64>() + real * std::mem::size_of::<f64>()
+    }
+}
+
+/// What a coherent decode at decimation 1 of an `n`-sample recording
+/// needs in recording-length buffers, from first principles: the padded
+/// workspace (`n` plus the order-4 Butterworth's two 15-sample
+/// reflection margins, which also hold the trend filter's 9-sample ones
+/// and the `n − m + 1` matched-filter outputs), the baseband and the
+/// detrended stream (`Complex64`), and the projected stream (`f64`).
+#[cfg(test)]
+pub(crate) fn decim1_workspace_need(n: usize) -> usize {
+    let complex = std::mem::size_of::<Complex64>();
+    (n + 2 * 15) * complex + 2 * n * complex + n * std::mem::size_of::<f64>()
 }
 
 #[cfg(test)]
@@ -1483,6 +1525,78 @@ mod tests {
             assert_eq!(got_c, want_c, "n {n}");
             assert_eq!(got_env, want_env, "n {n}");
         }
+    }
+
+    /// Every field of two verdicts, floats by their bits.
+    fn assert_same_verdict(a: &Result<DecodeVerdict, CoreError>, b: &Result<DecodeVerdict, CoreError>, tag: &str) {
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.packet, b.packet, "{tag}");
+                assert_eq!(a.start_sample, b.start_sample, "{tag}");
+                assert_eq!(a.snr_db.to_bits(), b.snr_db.to_bits(), "{tag}");
+                assert_eq!(a.preamble_corr.to_bits(), b.preamble_corr.to_bits(), "{tag}");
+            }
+            (a, b) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{tag}"),
+        }
+    }
+
+    /// The decode stages reuse one another's buffers and never shrink
+    /// them, so a receiver that decoded a longer recording holds stale
+    /// samples past the shorter one's end. A shorter decode must not
+    /// read them: both decoders, warm from a recording 0.3 s longer,
+    /// decode bitwise what a fresh receiver decodes, at decimation 1
+    /// (2731 bps at 96 kHz) and 23 (256 bps at 192 kHz).
+    #[test]
+    fn a_warm_receiver_decodes_a_shorter_recording_like_a_fresh_one() {
+        use rand::SeedableRng;
+        let p = test_packet();
+        for (bitrate, fs_hz, decim) in [(32_768.0 / 12.0, 96_000.0, 1), (256.0, 192_000.0, 23)] {
+            let warm = Receiver::new(1.0e-3, fs_hz);
+            assert_eq!(warm.front_end(bitrate).unwrap().decim, decim);
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
+            let mut long = synth_waveform(&p, bitrate, fs_hz, 15_000.0, 1.0, 0.4, 0.16);
+            pab_channel::noise::add_awgn(&mut long, 0.2, &mut rng);
+            let mut short = synth_waveform(&p, bitrate, fs_hz, 15_000.0, 1.0, 0.4, 0.01);
+            pab_channel::noise::add_awgn(&mut short, 0.2, &mut rng);
+            let mut env_long = synth_envelope(&p, bitrate, fs_hz, 1.0, 0.4, 0.16);
+            pab_channel::noise::add_awgn(&mut env_long, 0.1, &mut rng);
+            let mut env_short = synth_envelope(&p, bitrate, fs_hz, 1.0, 0.4, 0.01);
+            pab_channel::noise::add_awgn(&mut env_short, 0.1, &mut rng);
+            let tag = format!("decimation {decim}");
+            let v = warm.decode_uplink_verdict(&long, 15_000.0, bitrate);
+            assert!(v.as_ref().unwrap().packet.is_ok(), "{tag}: {v:?}");
+            let v = warm.decode_envelope(&env_long, bitrate);
+            assert!(v.as_ref().unwrap().packet.is_ok(), "{tag}: {v:?}");
+            let fresh = Receiver::new(1.0e-3, fs_hz);
+            let want = fresh.decode_uplink_verdict(&short, 15_000.0, bitrate);
+            assert!(want.as_ref().unwrap().packet.is_ok(), "{tag}");
+            let got = warm.decode_uplink_verdict(&short, 15_000.0, bitrate);
+            assert_same_verdict(&got, &want, &format!("coherent, {tag}"));
+            let fresh = Receiver::new(1.0e-3, fs_hz);
+            let want = fresh.decode_envelope(&env_short, bitrate);
+            assert!(want.as_ref().unwrap().packet.is_ok(), "{tag}");
+            let got = warm.decode_envelope(&env_short, bitrate);
+            assert_same_verdict(&got, &want, &format!("envelope, {tag}"));
+        }
+    }
+
+    /// A workspace grows to exactly what its longest recording needs,
+    /// whatever order the recordings come in: no amortised-doubling
+    /// slack after a shorter decode sized it first.
+    #[test]
+    fn the_workspace_grows_exactly_to_the_longest_recording() {
+        let p = test_packet();
+        let bitrate = 32_768.0 / 12.0;
+        let short = synth_waveform(&p, bitrate, 96_000.0, 15_000.0, 1.0, 0.4, 0.01);
+        let long = synth_waveform(&p, bitrate, 96_000.0, 15_000.0, 1.0, 0.4, 0.015);
+        let rx = Receiver::new(1.0e-3, 96_000.0);
+        assert_eq!(rx.workspace_bytes(), 0);
+        rx.decode_uplink_verdict(&short, 15_000.0, bitrate).unwrap();
+        assert_eq!(rx.workspace_bytes(), decim1_workspace_need(short.len()));
+        rx.decode_uplink_verdict(&long, 15_000.0, bitrate).unwrap();
+        assert_eq!(rx.workspace_bytes(), decim1_workspace_need(long.len()));
+        rx.decode_uplink_verdict(&short, 15_000.0, bitrate).unwrap();
+        assert_eq!(rx.workspace_bytes(), decim1_workspace_need(long.len()));
     }
 
     #[test]

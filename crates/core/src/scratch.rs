@@ -187,23 +187,29 @@ impl Scratch {
 
 /// Named reusable buffers for one in-flight `decode_uplink` pipeline.
 ///
-/// Each field is a stage's workspace; every decode clears and refills
-/// them, so once their capacities have grown to the receiver's working
-/// set (one slot's exchange length), a steady-state decode performs zero
-/// heap allocations — the decode-side extension of the [`Scratch`]
-/// arena's contract, pinned end-to-end by `tests/slot_engine_alloc.rs`.
+/// Each field is a stage's workspace; every decode refills them, so once
+/// their capacities have grown to the receiver's working set (its
+/// longest recording), a steady-state decode performs zero heap
+/// allocations — the decode-side extension of the [`Scratch`] arena's
+/// contract, pinned end-to-end by `tests/slot_engine_alloc.rs`. A buffer
+/// grows only through [`reserve_to`], to exactly the stage's need, so a
+/// receiver shared by many links holds what its longest exchange needs
+/// and no amortised-doubling slack.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DecodeScratch {
-    /// The Butterworth's padded `filtfilt` workspace, reflections in
-    /// the margins: at decimation 1 the downconverted signal fills its
-    /// centre; above, it first holds the full-rate mix the anti-alias
-    /// decimator reads, then the decimated baseband.
+    /// The one padded `filtfilt` workspace, reflections in the margins,
+    /// reused stage after stage; it only grows, so it is zero-filled
+    /// once. The coherent decoder runs the Butterworth in it (at
+    /// decimation 1 the downconverted signal fills its centre; above, it
+    /// first holds the full-rate mix the anti-alias decimator reads, then
+    /// the decimated baseband), then, once the baseband is copied out to
+    /// `bb_d`, the trend filter, and, once the trend is consumed, the
+    /// preamble matched filter's numerator. The envelope decoder uses it
+    /// for that numerator only.
     pub(crate) ext: Vec<Complex64>,
     /// Decimated complex baseband (post anti-alias), CFO-derotated in
     /// place once the offset is known: the stream the projection reads.
     pub(crate) bb_d: Vec<Complex64>,
-    /// Padded trend-filter workspace at the decimated rate.
-    pub(crate) ext2: Vec<Complex64>,
     /// Detrended, CFO-derotated baseband: the stream the preamble
     /// search reads.
     pub(crate) d: Vec<Complex64>,
@@ -211,17 +217,37 @@ pub(crate) struct DecodeScratch {
     /// filter (`PREFIX_TILE` outputs plus the template length), restarted
     /// per tile so it stays small whatever the signal length.
     pub(crate) prefix: Vec<Complex64>,
-    /// Matched-filter correlation numerator.
-    pub(crate) num: Vec<Complex64>,
     /// Padded trend-filter workspace of the envelope decoder, whose
     /// stream is real.
     pub(crate) trend: Vec<f64>,
-    /// Squared trend magnitudes for the CFO-segment search.
-    pub(crate) norms: Vec<f64>,
     /// Projected real modulation stream fed to the slicer.
     pub(crate) projected: Vec<f64>,
     /// The symbol-slicing stage's own buffers.
     pub(crate) slicer: SlicerScratch,
+}
+
+/// Make room for `len` elements in `buf`, whose contents are dead: when
+/// it must grow, it allocates exactly `len`, never `Vec`'s amortised
+/// doubling, so a workspace that many recordings share ends the size of
+/// the longest one's need. The old allocation is freed first (the buffer
+/// comes back empty), so the two are never live together and no dead
+/// sample is copied across.
+pub(crate) fn reserve_to<T>(buf: &mut Vec<T>, len: usize) {
+    if buf.capacity() < len {
+        *buf = Vec::new();
+        buf.reserve_exact(len);
+    }
+}
+
+/// Lengthen `buf`, whose contents are dead, to at least `len` elements
+/// through [`reserve_to`], zero-filling what is new; it never shrinks, so
+/// a workspace that every stage writes before it reads is zero-filled
+/// only as it grows.
+pub(crate) fn grow_to<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.len() < len {
+        reserve_to(buf, len);
+        buf.resize(len, T::default());
+    }
 }
 
 /// Buffers for the integrate-and-dump slicer, cluster tracker and the

@@ -104,6 +104,7 @@ impl RunLengthTemplate {
     /// workspace stays `PREFIX_TILE + len` samples long and a warm pair
     /// of buffers makes the call allocation-free. The taps sum to zero,
     /// so the restart offset cancels from every output.
+    // lint: allow(dead-pub) test-oracle run_length_matched_filter_matches_the_direct_correlation the allocating form the correlation tests check against the direct one
     pub fn correlate_into(
         &self,
         signal: &[Complex64],
@@ -111,13 +112,33 @@ impl RunLengthTemplate {
         out: &mut Vec<Complex64>,
     ) {
         out.clear();
+        if self.len == 0 || signal.len() < self.len {
+            return;
+        }
+        out.resize(signal.len() - self.len + 1, Complex64::new(0.0, 0.0));
+        self.correlate_add(signal, prefix, out);
+    }
+
+    /// [`correlate_into`](Self::correlate_into) added onto a caller-owned
+    /// slice of exactly `signal.len() − len + 1` outputs: on a zeroed
+    /// `out` it leaves bitwise what `correlate_into` returns. For a caller
+    /// that lends the correlation a slice of a longer workspace. `prefix`
+    /// grows exactly to the tile's need, never by amortised doubling.
+    pub fn correlate_add(
+        &self,
+        signal: &[Complex64],
+        prefix: &mut Vec<Complex64>,
+        out: &mut [Complex64],
+    ) {
         let m = self.len;
         if m == 0 || signal.len() < m {
             return;
         }
         let zero = Complex64::new(0.0, 0.0);
         let out_len = signal.len() - m + 1;
-        out.resize(out_len, zero);
+        assert_eq!(out.len(), out_len, "one output per window");
+        prefix.clear();
+        prefix.reserve_exact(out_len.min(PREFIX_TILE) + m);
         let mut i0 = 0;
         while i0 < out_len {
             let t = (out_len - i0).min(PREFIX_TILE);

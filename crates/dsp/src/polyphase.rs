@@ -72,7 +72,7 @@ impl PolyphaseDecimator {
     /// [`PolyphaseDecimator::decimate`] into a caller-owned buffer.
     pub fn decimate_into(&self, x: &[f64], out: &mut Vec<f64>) {
         out.clear();
-        out.reserve(self.out_len(x.len()));
+        out.reserve_exact(self.out_len(x.len()));
         // `taps[k] * x[i-k]`, as `Fir::filter` forms it.
         self.direct(x, out, |v, t| t * v);
     }
@@ -90,10 +90,11 @@ impl PolyphaseDecimator {
         out: &mut Vec<Complex64>,
     ) {
         out.clear();
-        out.reserve(self.out_len(x.len()));
+        out.reserve_exact(self.out_len(x.len()));
         // `x[i-k] * taps[k]`, as `Fir::filter_complex` forms it, on the
-        // scaled input when gain != 1.
-        if gain == 1.0 {
+        // scaled input unless the gain is exactly 1.0 (compared by bits:
+        // any other gain, NaN included, is applied).
+        if gain.to_bits() == 1.0f64.to_bits() {
             self.direct(x, out, |v, t| v * t);
         } else {
             self.direct(x, out, |v, t| (gain * v) * t);

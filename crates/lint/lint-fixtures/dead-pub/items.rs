@@ -15,6 +15,10 @@ fn uses_own() -> u8 {
 /// Named only by `tests/` and `#[cfg(test)]` code: flagged.
 pub fn test_only() {}
 
+/// Named only by a module the crate root declares `#[cfg(test)]`:
+/// flagged.
+pub fn test_module_only() {}
+
 /// Named only by the benchmark package: flagged.
 pub fn bench_only() {}
 

@@ -5,6 +5,9 @@ pub mod fixture_items;
 pub use fixture_items::reexported_only;
 
 #[cfg(test)]
+mod fixture_oracle;
+
+#[cfg(test)]
 mod tests {
     #[test]
     fn unit_test_calls() {

@@ -13,6 +13,8 @@
 //! bin/`) and `examples/`. These never count:
 //! - `use` / `pub use` items (a re-export is not a caller);
 //! - `#[cfg(test)]` / `#[test]` code, `tests/` and `benches/`;
+//! - a file that only a `#[cfg(test)] mod name;` declares (`pab_dsp`'s
+//!   FFT oracle): it is compiled only into the crate's tests;
 //! - the `pab_bench` benchmark package (it measures the library; it
 //!   must not be the reason an item stays public);
 //! - the identifier right after `fn` / `const` / `mod` (another item's
@@ -33,13 +35,58 @@ use crate::lints::{is_lib_file, waiver_reason, Violation};
 use crate::scan::ParsedFile;
 use crate::sig::FileSigs;
 use crate::token::Tok;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// True for a file whose non-test code counts as a production caller.
 fn is_production_file(rel: &str) -> bool {
     let mut parts = rel.split('/');
     let in_src = parts.next() == Some("crates") && parts.next().is_some() && parts.next() == Some("src");
     (in_src && !rel.contains("/pab_bench/")) || rel.starts_with("examples/")
+}
+
+/// The directory a file's `mod name;` children live in: beside a crate
+/// root (`lib.rs`, `main.rs`, a `src/bin/` file) or a `mod.rs`, in
+/// `foo/` beside any other `foo.rs`.
+fn child_module_dir(rel: &str) -> String {
+    let (dir, file) = rel.rsplit_once('/').unwrap_or(("", rel));
+    let dir = if dir.is_empty() { String::new() } else { format!("{dir}/") };
+    if matches!(file, "lib.rs" | "main.rs" | "mod.rs") || dir.ends_with("/src/bin/") {
+        dir
+    } else {
+        format!("{dir}{}/", file.trim_end_matches(".rs"))
+    }
+}
+
+/// Files compiled only into tests: every `mod name;` that declares them
+/// is test code (`#[cfg(test)] mod fft;`) or sits in such a file. Their
+/// non-test-looking code is a test oracle, so it calls nothing.
+fn test_only_files(parsed: &[ParsedFile]) -> HashSet<String> {
+    let mut test_only = HashSet::new();
+    loop {
+        // Candidate child path → whether a production declaration names it.
+        let mut declared: HashMap<String, bool> = HashMap::new();
+        for pf in parsed {
+            let rel = &pf.scanned.rel_path;
+            let dir = child_module_dir(rel);
+            for (i, t) in pf.toks.iter().enumerate() {
+                let name = pf.toks.get(i + 1).and_then(|n| n.ident());
+                let semi = pf.toks.get(i + 2).is_some_and(|n| n.is_punct(';'));
+                let (true, Some(name), true) = (t.is_ident("mod"), name, semi) else {
+                    continue;
+                };
+                let production = !pf.tok_in_test(t) && !test_only.contains(rel);
+                for child in [format!("{dir}{name}.rs"), format!("{dir}{name}/mod.rs")] {
+                    *declared.entry(child).or_default() |= production;
+                }
+            }
+        }
+        let next: HashSet<String> =
+            declared.into_iter().filter(|(_, production)| !production).map(|(f, _)| f).collect();
+        if next == test_only {
+            return test_only;
+        }
+        test_only = next;
+    }
 }
 
 /// True for a file that is test or bench code as a whole.
@@ -144,10 +191,14 @@ fn role_problem(parsed: &[ParsedFile], reason: &str, item: &str) -> Option<Strin
 /// those left after role-checked waivers; a waiver whose role does not
 /// hold leaves its finding standing with the reason.
 pub fn dead_pub(parsed: &[ParsedFile], sigs: &[FileSigs]) -> (Vec<Violation>, Vec<Violation>) {
+    let test_only = test_only_files(parsed);
     let callers: Vec<(usize, HashSet<&str>)> = parsed
         .iter()
         .enumerate()
-        .filter(|(_, pf)| is_production_file(&pf.scanned.rel_path))
+        .filter(|(_, pf)| {
+            let rel = &pf.scanned.rel_path;
+            is_production_file(rel) && !test_only.contains(rel)
+        })
         .map(|(i, pf)| (i, named_idents(pf)))
         .collect();
     let (mut raw, mut unwaived) = (Vec::new(), Vec::new());
@@ -223,6 +274,23 @@ mod tests {
             ("crates/core/src/b.rs", "fn gain() {}"),
         ]);
         assert_eq!(v.len(), 1, "{v:?}");
+    }
+
+    #[test]
+    fn a_file_only_a_cfg_test_mod_declares_is_no_caller() {
+        let files = |decl: &str| {
+            run(&[
+                ("crates/dsp/src/a.rs", "pub fn gain() {}"),
+                ("crates/dsp/src/lib.rs", decl),
+                ("crates/dsp/src/oracle.rs", "mod deep;\nfn f() { gain(); }"),
+                ("crates/dsp/src/oracle/deep.rs", "fn g() { gain(); }"),
+            ])
+        };
+        assert!(files("pub mod a;\nmod oracle;").is_empty());
+        let v = files("pub mod a;\n#[cfg(test)]\nmod oracle;");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(child_module_dir("crates/dsp/src/oracle.rs"), "crates/dsp/src/oracle/");
+        assert_eq!(child_module_dir("crates/x/src/bin/fig.rs"), "crates/x/src/bin/");
     }
 
     #[test]

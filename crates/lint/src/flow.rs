@@ -412,7 +412,7 @@ fn skip_toks(toks: &[Tok], i: usize, open: char, close: char) -> usize {
 /// parameter pipes are opaque to this splitter; a missplit argument is
 /// never a simple identifier, so it degrades to "skip", never to a
 /// false positive.
-fn split_top_level<'a>(toks: &'a [Tok]) -> Vec<&'a [Tok]> {
+fn split_top_level(toks: &[Tok]) -> Vec<&[Tok]> {
     let mut out = Vec::new();
     let mut depth = 0i32;
     let mut start = 0usize;

@@ -76,7 +76,7 @@ pub fn panic_path_raw(pf: &ParsedFile) -> Vec<Violation> {
     if PANIC_SCOPE.iter().any(|p| pf.scanned.rel_path.ends_with(p)) {
         index_exprs(pf, &mut out);
     }
-    out.sort_by(|a, b| a.line.cmp(&b.line));
+    out.sort_by_key(|v| v.line);
     out
 }
 

@@ -248,7 +248,7 @@ fn parse_fn(pf: &ParsedFile, fn_kw: usize) -> Option<(FnSig, usize)> {
 }
 
 /// Split a parameter-list token slice on top-level commas.
-fn split_params<'a>(toks: &'a [Tok]) -> Vec<&'a [Tok]> {
+fn split_params(toks: &[Tok]) -> Vec<&[Tok]> {
     let mut out = Vec::new();
     let mut depth = 0i32;
     let mut angle = 0i32;

@@ -155,6 +155,7 @@ fn dead_public_items_are_caught() {
     for flagged in [
         "`pub fn own_module_only`",
         "`pub fn test_only`",
+        "`pub fn test_module_only`",
         "`pub fn bench_only`",
         "`pub fn reexported_only`",
         "`pub fn roleless` has no production caller and its waiver has no role",

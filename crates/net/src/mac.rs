@@ -966,7 +966,7 @@ impl ResilientMac {
                 .saturating_mul(1u64 << (st.consec_failures - 1).min(16))
                 .min(cfg.backoff_cap_slots);
             st.next_eligible_slot = slot.saturating_add(backoff);
-            if let Some(t) = tel.as_deref_mut() {
+            if let Some(t) = tel {
                 t.record(Event::Retry {
                     node: addr,
                     retries_used: st.retries_used,

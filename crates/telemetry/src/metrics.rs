@@ -3,6 +3,7 @@
 //! fixed bucket edges decided at registration).
 
 use crate::TelemetryError;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Named monotonic counters. Keys are `&'static str` so incrementing
@@ -78,7 +79,8 @@ impl Histogram {
     /// New histogram over `[lo, hi)` with `buckets` bins.
     // lint: unitless bounds carry the unit of the named metric (e.g. rx.snr_db)
     pub fn new(lo: f64, hi: f64, buckets: usize) -> Result<Self, TelemetryError> {
-        if !lo.is_finite() || !hi.is_finite() || !(hi > lo) {
+        // `partial_cmp` rather than `hi <= lo`: a NaN bound is refused too.
+        if !lo.is_finite() || !hi.is_finite() || hi.partial_cmp(&lo) != Some(Ordering::Greater) {
             return Err(TelemetryError::InvalidHistogram("range"));
         }
         if buckets == 0 {

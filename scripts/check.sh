@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # One-command local gate: build, tests (including the pab-lint domain
-# linter via crates/lint/tests/enforce.rs), and clippy when available.
+# linter via crates/lint/tests/enforce.rs), and clippy when available
+# (library warnings fail it).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -91,6 +92,11 @@ git diff --exit-code -- results/fig10_concurrent.csv results/ext_three_channels.
     || { echo "results/ drifted from the code: re-run the binaries and commit the CSVs on purpose"; exit 1; }
 
 if cargo clippy --version >/dev/null 2>&1; then
+    # Library code is clippy-clean: any warning fails the gate, except
+    # unwrap_used/expect_used, which pab-lint's no-unwrap-in-lib already
+    # owns (with its waivers) in the test run above.
+    echo "==> cargo clippy --workspace --lib  (warnings are errors, unwrap/expect left to pab-lint)"
+    cargo clippy --workspace --lib -- -D warnings -A clippy::unwrap_used -A clippy::expect_used
     echo "==> cargo clippy --workspace --all-targets"
     cargo clippy --workspace --all-targets
 else
