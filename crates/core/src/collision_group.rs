@@ -65,7 +65,6 @@ use crate::{hydrophone_sigma_pa, margin_samples, CoreError, DEFAULT_SAMPLE_RATE_
 use num_complex::Complex64;
 use pab_channel::noise::{add_awgn, NoiseEnvironment};
 use pab_channel::{Pool, Position};
-use pab_mcu::Clock;
 use pab_net::packet::{Command, DownlinkQuery, UplinkPacket, BROADCAST_ADDR};
 use pab_sweep::derive_seed;
 use rand::SeedableRng;
@@ -435,12 +434,9 @@ impl CollisionGroupSimulator {
         )?;
         let mut projector = Projector::new(cfg.drive_voltage_v)?;
         projector.fs_hz = cfg.fs_hz;
-        let divider = Clock::watch_crystal()
-            .divider_for_bitrate(cfg.bitrate_target_bps)
-            .map_err(CoreError::Mcu)? as u16;
         let mut nodes = Vec::with_capacity(cfg.nodes.len());
         for p in &cfg.nodes {
-            let mut node = match p.ceramic_resonance_hz {
+            let node = match p.ceramic_resonance_hz {
                 Some(f_res) => {
                     let t = pab_piezo::TransducerBuilder::new()
                         .resonance_hz(f_res)
@@ -450,7 +446,6 @@ impl CollisionGroupSimulator {
                 }
                 None => PabNode::new(p.addr, p.carrier_hz)?,
             };
-            node.default_divider = divider;
             nodes.push((node, p.position));
         }
         let members = cfg
@@ -461,7 +456,7 @@ impl CollisionGroupSimulator {
                 carrier_hz: p.carrier_hz,
             })
             .collect();
-        let medium = Medium::new(
+        let mut medium = Medium::new(
             &cfg.pool,
             &cfg.projector_pos,
             &cfg.hydrophone_pos,
@@ -470,6 +465,7 @@ impl CollisionGroupSimulator {
             cfg.nodes.iter().map(|p| p.carrier_hz).collect(),
             nodes,
         )?;
+        medium.set_bitrate_target(cfg.bitrate_target_bps)?;
         Ok(CollisionGroupSimulator {
             members,
             medium,
@@ -495,13 +491,7 @@ impl CollisionGroupSimulator {
     /// rate-ladder actuation). Invalidates training if the rate changed —
     /// the channel estimate is re-fit at the new waveform timing.
     pub fn set_bitrate_target(&mut self, bitrate_bps: f64) -> Result<(), CoreError> {
-        let divider = Clock::watch_crystal()
-            .divider_for_bitrate(bitrate_bps)
-            .map_err(CoreError::Mcu)? as u16;
-        for node in &mut self.medium.nodes {
-            node.default_divider = divider;
-        }
-        Ok(())
+        self.medium.set_bitrate_target(bitrate_bps)
     }
 
     /// Forget the memoised clean slot, so the next collision slot runs
@@ -525,16 +515,13 @@ impl CollisionGroupSimulator {
 
     /// Quantized uplink bitrate the members will use.
     pub fn bitrate_bps(&self) -> f64 {
-        Clock::watch_crystal()
-            .bitrate_for_divider(self.medium.nodes[0].default_divider as u64)
-            // lint: allow(no-unwrap-in-lib) default_divider is validated non-zero at construction
-            .expect("divider >= 1")
+        self.medium.bitrate_bps()
     }
 
     /// Whether the current channel estimate is valid for the commanded
     /// bitrate (training is re-run when the rate rung moves).
     pub fn is_trained(&self) -> bool {
-        self.channels.is_some() && self.trained_divider == self.medium.nodes[0].default_divider
+        self.channels.is_some() && self.trained_divider == self.medium.divider()
     }
 
     /// Condition number of the current channel estimate (infinite when
@@ -639,7 +626,7 @@ impl CollisionGroupSimulator {
     /// another rate can never hit again: its buffers go back to the pool
     /// first, for the training slots to run on.
     pub fn train(&mut self, command: Command) -> Result<TrainingOutcome, CoreError> {
-        let divider = self.medium.nodes[0].default_divider;
+        let divider = self.medium.divider();
         if let Some(((memo_divider, _), _)) = &self.clean_memo {
             if *memo_divider != divider {
                 if let Some((_, stale)) = self.clean_memo.take() {
@@ -699,7 +686,7 @@ impl CollisionGroupSimulator {
             .collect();
         let condition_number = condition_number_n(&channels);
         self.channels = Some(channels);
-        self.trained_divider = self.medium.nodes[0].default_divider;
+        self.trained_divider = self.medium.divider();
         Ok(TrainingOutcome {
             condition_number,
             elapsed_s,
@@ -717,7 +704,7 @@ impl CollisionGroupSimulator {
             .channels
             .clone()
             .ok_or(CoreError::InvalidConfig("collision slot before training"))?;
-        let key = (self.medium.nodes[0].default_divider, queries.to_vec());
+        let key = (self.medium.divider(), queries.to_vec());
         let clean = match self.clean_memo.take() {
             Some((memo_key, clean)) if memo_key == key => {
                 self.stats.clean_hits += 1;

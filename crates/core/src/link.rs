@@ -1,6 +1,12 @@
 //! End-to-end single-link simulation: projector → pool → node → pool →
 //! hydrophone → decoder, on a 1-node, 1-carrier `Medium`. This is the
-//! machinery behind Figs. 2, 7 and 8.
+//! machinery behind Figs. 2, 7 and 8, and each faultnet node's FDMA
+//! exchanges. An exchange runs the medium's legs one by one — the node's
+//! incident field, its node leg (`Medium::respond`, which applies the
+//! fault schedule's fades and brown-outs), then the direct leg plus the
+//! backscatter — so that the slot engine can memoise, in one map entry
+//! per query waveform, the legs and the whole clean exchange that no
+//! fade touches.
 
 use crate::medium::Medium;
 use crate::node::{IncidentComponent, NodeOutput, PabNode};
@@ -10,13 +16,10 @@ use crate::scratch::{self, Scratch};
 use crate::{hydrophone_sigma_pa, margin_samples, CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use pab_channel::noise::{add_awgn, NoiseEnvironment};
 use pab_channel::{FaultSchedule, Pool, Position};
-use pab_mcu::Clock;
 use pab_net::packet::{Command, DownlinkQuery, SensorKind, UplinkPacket};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Configuration of one link experiment.
 #[derive(Debug, Clone)]
@@ -178,23 +181,18 @@ fn command_key(command: Command) -> (u8, u16) {
     }
 }
 
-/// Query-waveform cache key: everything the synthesized downlink depends
-/// on that can vary between exchanges — destination, *responding node
-/// address*, command, the node's commanded FM0 divider (through the
-/// response window length) and the projector oscillator offset in force
-/// (static CFO + drift), as bits.
+/// Memo key: everything the synthesized downlink depends on that can
+/// vary between exchanges — destination, *responding node address*,
+/// command, the node's commanded FM0 divider (through the response window
+/// length) and the projector oscillator offset in force (static CFO +
+/// drift), as bits.
 ///
 /// The responder address matters because `dest` alone does not identify
 /// the exchange once broadcast queries exist: every node answers
 /// `BROADCAST_ADDR`, so entries keyed on the destination only would alias
-/// across responders the moment these caches are shared or a simulator is
+/// across responders the moment the memo is shared or a simulator is
 /// re-addressed.
 type WaveKey = (u8, u8, (u8, u16), u16, u64);
-
-/// Clean-exchange cache key: the wave key plus whether the node is
-/// browned out for the window (the two variants superpose different
-/// signals at the hydrophone).
-type ExchKey = (u8, u8, (u8, u16), u16, u64, bool);
 
 /// One memoized clean exchange: the noiseless hydrophone pressure
 /// waveform plus the node-side summary the verdict reports. Valid
@@ -208,20 +206,65 @@ struct CachedExchange {
     node: (f64, f64),
 }
 
-/// What a fade-overlapped exchange reuses for its wave key: the node's
-/// clean incident field and the direct projector→hydrophone pressure over
-/// the exchange window. The fade scales neither, so only the node and its
-/// uplink leg run per faded exchange.
+/// The two legs of an exchange that no fault touches: the node's clean
+/// incident field and the direct projector→hydrophone pressure over the
+/// exchange window (the field's length plus the margin). A fade-overlapped
+/// exchange reuses them, so only the node and its uplink leg run per
+/// faded exchange.
 #[derive(Debug)]
 struct FadeFreeLegs {
     incident: Vec<IncidentComponent>,
     direct: Vec<f64>,
 }
 
-/// Bound on each cache's entry count: past this the whole map is cleared
+impl FadeFreeLegs {
+    /// The fade-free legs of the exchange `wave` starts, in fresh buffers.
+    fn new(medium: &Medium, fs_hz: f64, wave: &[f64]) -> Result<Self, CoreError> {
+        let incident = medium.incident_in(0, &[wave], &mut Scratch::transient());
+        let mut direct = vec![0.0; incident[0].samples.len() + margin_samples(fs_hz)?];
+        medium.add_direct(&mut direct, &[wave]);
+        Ok(FadeFreeLegs { incident, direct })
+    }
+}
+
+/// Everything the link memoizes for one [`WaveKey`]: the query waveform,
+/// the clean exchange for each value of the brown-out flag (the two
+/// superpose different signals at the hydrophone), and the fade-free
+/// legs, filled on the first faded exchange.
+#[derive(Debug)]
+struct Memo {
+    wave: Vec<f64>,
+    /// Indexed by the brown-out flag.
+    clean: [Option<CachedExchange>; 2],
+    legs: Option<FadeFreeLegs>,
+}
+
+/// Bound on the memo's entry count: past this the whole map is cleared
 /// (drift ramps insert one entry per distinct offset; wholesale clearing
 /// keeps the worst case bounded without LRU bookkeeping).
 const CACHE_CAP: usize = 16;
+
+/// The noiseless exchange `wave` starts, computed afresh on a transient
+/// pool, so each buffer is freed as its stage ends: the node's incident
+/// field, its [`Medium::respond`] under `fade` (or, `down`, its silence),
+/// then the direct leg and the backscatter. The direct leg is taken only
+/// once the node is done, so its buffer does not add to the node's peak.
+fn fresh_exchange(
+    medium: &Medium,
+    cfg: &LinkConfig,
+    wave: &[f64],
+    fade: Option<(&FaultSchedule, f64)>,
+    down: bool,
+) -> Result<(Vec<f64>, NodeOutput), CoreError> {
+    let pool = &mut Scratch::transient();
+    let incident = medium.incident_in(0, &[wave], pool);
+    let rx_len = incident[0].samples.len() + margin_samples(cfg.fs_hz)?;
+    let out = medium.respond(0, incident, fade, down, cfg.water, pool)?;
+    let mut y = pool.take_zeroed(rx_len);
+    medium.add_direct(&mut y, &[wave]);
+    medium.add_backscatter(&mut y, &[&out.backscatter]);
+    Ok((y, out))
+}
 
 /// The link simulator: one link's slot engine on a 1-node, 1-carrier
 /// `Medium`, and the hydrophone's decoder. A network of links shares one
@@ -259,7 +302,7 @@ impl LinkSimulator {
 
     /// The quantized bitrate the node will use.
     pub fn bitrate_bps(&self) -> f64 {
-        self.link.bitrate_bps()
+        self.link.medium.bitrate_bps()
     }
 
     /// Retune the node's uplink bitrate to the nearest watch-crystal
@@ -270,14 +313,10 @@ impl LinkSimulator {
     }
 
     /// Run one query/response exchange with an arbitrary command,
-    /// addressed to the configured node.
+    /// addressed to the configured node: a faulted exchange under a quiet
+    /// schedule at t = 0.
     pub fn run_query(&mut self, command: Command) -> Result<LinkReport, CoreError> {
-        self.run_query_to(self.link.cfg.node_addr, command)
-    }
-
-    /// Run one query/response exchange addressed to `dest`: a faulted
-    /// exchange under a quiet schedule at t = 0.
-    fn run_query_to(&mut self, dest: u8, command: Command) -> Result<LinkReport, CoreError> {
+        let dest = self.link.cfg.node_addr;
         self.run_query_to_faulted(dest, command, &FaultSchedule::default(), 0.0)
     }
 
@@ -320,43 +359,29 @@ impl LinkSimulator {
     /// Semantics are identical to
     /// [`run_query_to_faulted`](Self::run_query_to_faulted)
     /// — bitwise, including the RNG stream (ambient noise draws exactly
-    /// `exchange_samples` normals either way) — but the steady state is
-    /// radically cheaper:
+    /// `exchange_samples` normals either way, fresh per exchange) — but
+    /// the steady state is radically cheaper. One memo entry per `(dest,
+    /// responder address, command, divider, oscillator offset)` holds:
     ///
-    /// * the **query waveform** is memoized on `(dest, responder address,
-    ///   command, divider, oscillator offset)`, so synthesis runs once per
-    ///   distinct key. The responder address is part of the key because a
-    ///   broadcast `dest` is answered by *every* node — keying on the
-    ///   destination alone would let broadcast exchanges alias across
-    ///   responders;
+    /// * the **query waveform**, so synthesis runs once per key. The
+    ///   responder is in the key because a broadcast `dest` is answered
+    ///   by *every* node; drift ramps enter through the offset in force
+    ///   at the exchange start, hitting once a clamped ramp saturates;
     /// * the whole **clean exchange** (downlink propagation → node →
-    ///   uplink superposition at the hydrophone, before noise) is
-    ///   memoized on the same key plus the brown-out flag. Outside fade
-    ///   windows the fault gain is exactly 1.0 and multiplying by 1.0 is
-    ///   the identity on every `f64`, so the memo stays valid under any
-    ///   schedule whose fade windows miss the exchange. Drift ramps
-    ///   participate through the key (the offset in force at the
-    ///   exchange start), hitting once a clamped ramp saturates.
-    /// * a **fade-overlapped** exchange bypasses that memo, but the fade
-    ///   touches only the node's two legs. The node's clean incident
-    ///   field and the direct projector→hydrophone pressure are memoized
-    ///   on the wave key, so a bypass evaluates the fade gain once per
-    ///   sample, scales the incident field and then the node's
-    ///   backscatter in place with it, and runs only the node and its
-    ///   uplink propagation, added onto a copy of the direct pressure in
-    ///   the medium's summation order. The copies of the incident field
-    ///   and the direct pressure, the gains, the node's temporaries and
-    ///   the received window all come from the link's arena and go back
-    ///   to it, so repeated bypasses of one wave key stop allocating
-    ///   them.
-    /// * On a cache hit, the only per-exchange work before decoding is a
-    ///   scratch-arena copy of the memoized waveform, in-place AWGN and
-    ///   burst noise, and the in-place pressure→volts scaling — zero
-    ///   heap allocations, pinned by `tests/slot_engine_alloc.rs`.
-    ///
-    /// AWGN is drawn fresh per exchange (never cached), so cached and
-    /// uncached runs consume identical RNG streams and produce identical
-    /// verdicts.
+    ///   uplink superposition, before noise) for each value of the
+    ///   brown-out flag. Outside fade windows the fault gain is exactly
+    ///   1.0, the identity on every `f64`, so it stays valid under any
+    ///   schedule whose fade windows miss the exchange. A hit only copies
+    ///   it into the link's arena, adds AWGN and burst noise and scales
+    ///   to volts in place — zero heap allocations, pinned by
+    ///   `tests/slot_engine_alloc.rs`;
+    /// * the **fade-free legs** (the node's clean incident field and the
+    ///   direct pressure), filled by the first fade-overlapped exchange.
+    ///   Such an exchange bypasses the clean exchange and runs only the
+    ///   medium's node leg, which fades the incident field and the
+    ///   backscatter, and the uplink propagation onto a copy of the
+    ///   direct pressure. Its buffers come from the link's arena and go
+    ///   back to it, so repeated bypasses of one key stop allocating.
     pub fn slot_exchange(
         &mut self,
         dest: u8,
@@ -390,14 +415,16 @@ impl LinkSimulator {
         for (t, &s) in tx[off..].iter_mut().zip(&cw) {
             *t = s;
         }
-        let incident = link.medium.incident(0, &[&tx]);
+        let incident = link.medium.incident_in(0, &[&tx], &mut Scratch::transient());
         let node_out = link.medium.nodes[0].process_fixed_toggle(
             &incident[0],
             fs_hz,
             toggle_start_s,
             half_period_s,
         )?;
-        let mut y = link.medium.superpose(&[&tx], &[&node_out.backscatter], n);
+        let mut y = vec![0.0; n];
+        link.medium.add_direct(&mut y, &[&tx]);
+        link.medium.add_backscatter(&mut y, &[&node_out.backscatter]);
         link.receive(&self.receiver, &mut y, &FaultSchedule::default(), 0.0);
         self.receiver.demodulate(&y, link.cfg.carrier_hz, 60.0)
     }
@@ -405,7 +432,7 @@ impl LinkSimulator {
 
 /// One link's transmit side and slot engine: a 1-node, 1-carrier
 /// `Medium`, the projector, the link's ambient-noise stream and its
-/// caches — everything but the hydrophone's decoder, which its owner
+/// memo — everything but the hydrophone's decoder, which its owner
 /// lends to every exchange as a `&Receiver`.
 ///
 /// The medium's three propagation channels (projector→node,
@@ -413,10 +440,10 @@ impl LinkSimulator {
 /// configuration, so they are built once here and reused across every
 /// query — the image-method search is pure overhead when repeated per
 /// packet in a Monte-Carlo sweep. The same reasoning extends to the slot
-/// engine's caches: the query waveform and the whole clean (fade-free)
-/// exchange are pure functions of the cache keys above, so steady-state
-/// slots skip synthesis, both propagation legs and the node's signal
-/// chain entirely.
+/// engine's memo: the query waveform and the whole clean (fade-free)
+/// exchange are pure functions of the [`WaveKey`] and the brown-out
+/// flag, so steady-state slots skip synthesis, both propagation legs and
+/// the node's signal chain entirely.
 #[derive(Debug)]
 pub(crate) struct Link {
     cfg: LinkConfig,
@@ -429,12 +456,10 @@ pub(crate) struct Link {
     /// The arena the cache-hit and fade-bypass paths run on (a bypass
     /// runs the node too). A cache miss runs on a transient pool that
     /// frees each buffer as its stage ends: its result moves into the
-    /// cache, and the arena keeps only what the next hit or bypass
+    /// memo, and the arena keeps only what the next hit or bypass
     /// reuses.
-    scratch: RefCell<Scratch>,
-    wave_cache: BTreeMap<WaveKey, Arc<Vec<f64>>>,
-    exch_cache: BTreeMap<ExchKey, CachedExchange>,
-    legs_cache: BTreeMap<WaveKey, FadeFreeLegs>,
+    scratch: Scratch,
+    memos: BTreeMap<WaveKey, Memo>,
     stats: SlotEngineStats,
 }
 
@@ -451,11 +476,7 @@ impl Link {
             node = node.with_extra_frontend(f)?;
         }
         node.battery_assisted = cfg.battery_assisted;
-        let divider = Clock::watch_crystal()
-            .divider_for_bitrate(cfg.bitrate_target_bps)
-            .map_err(CoreError::Mcu)?;
-        node.default_divider = divider as u16;
-        let medium = Medium::new(
+        let mut medium = Medium::new(
             &cfg.pool,
             &cfg.projector_pos,
             &cfg.hydrophone_pos,
@@ -464,46 +485,32 @@ impl Link {
             vec![cfg.carrier_hz],
             vec![(node, cfg.node_pos)],
         )?;
+        medium.set_bitrate_target(cfg.bitrate_target_bps)?;
         Ok(Link {
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             cfg,
             projector,
             medium,
             sigma_pa,
-            scratch: RefCell::new(Scratch::new()),
-            wave_cache: BTreeMap::new(),
-            exch_cache: BTreeMap::new(),
-            legs_cache: BTreeMap::new(),
+            scratch: Scratch::new(),
+            memos: BTreeMap::new(),
             stats: SlotEngineStats::default(),
         })
     }
 
     /// Slot-engine cache and arena counters.
     pub(crate) fn slot_stats(&self) -> SlotEngineStats {
-        let scratch = self.scratch.borrow();
         SlotEngineStats {
-            scratch_takes: scratch.takes(),
-            scratch_pool_misses: scratch.pool_misses(),
+            scratch_takes: self.scratch.takes(),
+            scratch_pool_misses: self.scratch.pool_misses(),
             ..self.stats
         }
-    }
-
-    /// The quantized bitrate the node will use.
-    fn bitrate_bps(&self) -> f64 {
-        Clock::watch_crystal()
-            .bitrate_for_divider(self.medium.nodes[0].default_divider as u64)
-            // lint: allow(no-unwrap-in-lib) default_divider is validated non-zero at construction
-            .expect("divider >= 1")
     }
 
     /// Retune the node's uplink bitrate to the nearest watch-crystal
     /// divider.
     pub(crate) fn set_bitrate_target(&mut self, bitrate_bps: f64) -> Result<(), CoreError> {
-        let divider = Clock::watch_crystal()
-            .divider_for_bitrate(bitrate_bps)
-            .map_err(CoreError::Mcu)?;
-        self.medium.nodes[0].default_divider = divider as u16;
-        Ok(())
+        self.medium.set_bitrate_target(bitrate_bps)
     }
 
     /// The downlink waveform of one query at projector oscillator offset
@@ -521,7 +528,7 @@ impl Link {
         };
         // guard + packet + margin
         let bits = UplinkPacket::bits_len(payload_len) as f64;
-        let cw_tail = 5e-3 + bits / self.bitrate_bps() + 30e-3;
+        let cw_tail = 5e-3 + bits / self.medium.bitrate_bps() + 30e-3;
         let saved_cfo_hz = self.projector.cfo_hz;
         self.projector.cfo_hz = cfo_hz;
         let wave = self.projector.query_waveform(
@@ -544,92 +551,14 @@ impl Link {
     ) -> Result<LinkReport, CoreError> {
         let cfo_hz = self.projector.cfo_hz + faults.drift_at_hz(t_start_s);
         let tx_wave = self.query_waveform(dest, command, cfo_hz)?;
-        let incident = self.medium.incident(0, &[&tx_wave]);
         let window_s = tx_wave.len() as f64 / self.cfg.fs_hz;
         let down = faults.node_down_during(t_start_s, t_start_s + window_s);
         let fade = (!faults.is_quiet()).then_some((faults, t_start_s));
-        let pool = &mut Scratch::transient();
-        let (mut y, node_out) = self.clean_exchange(pool, &tx_wave, incident, fade, down, None)?;
+        let (mut y, node_out) = fresh_exchange(&self.medium, &self.cfg, &tx_wave, fade, down)?;
         self.receive(rx, &mut y, faults, t_start_s);
-        let bitrate = self.bitrate_bps();
+        let bitrate = self.medium.bitrate_bps();
         let decoded = rx.decode_uplink(&y, self.cfg.carrier_hz, bitrate);
         Ok(build_report(node_out, decoded, bitrate, y))
-    }
-
-    /// The noiseless exchange at the hydrophone, from the node's incident
-    /// field on: the `fade` gains (schedule, exchange start) on the
-    /// node's downlink, the node (or, `down`, its browned-out silence),
-    /// the same gains on its backscatter, and the medium's superposition
-    /// over `incident_len + margin` samples. The fade's gain is evaluated
-    /// once per sample and scales both legs; without a fade nothing is
-    /// multiplied. `direct`, when given, is the medium's direct leg over
-    /// that window, kept from an earlier exchange with the same wave.
-    /// The gains, the node's temporaries and the pressure come from
-    /// `pool`, and `incident`'s buffers go back to it.
-    fn clean_exchange(
-        &self,
-        pool: &mut Scratch,
-        tx_wave: &[f64],
-        mut incident: Vec<IncidentComponent>,
-        fade: Option<(&FaultSchedule, f64)>,
-        down: bool,
-        direct: Option<&[f64]>,
-    ) -> Result<(Vec<f64>, NodeOutput), CoreError> {
-        let fs_hz = self.cfg.fs_hz;
-        let incident_len = incident[0].samples.len();
-        let gains: Option<Vec<f64>> = fade.map(|(faults, t_start_s)| {
-            let mut gains = pool.take_workspace(incident_len);
-            faults.gains_into(t_start_s, fs_hz, &mut gains);
-            gains
-        });
-        let apply_fade = |samples: &mut [f64]| {
-            if let Some(gains) = &gains {
-                for (s, g) in samples.iter_mut().zip(gains) {
-                    *s *= g;
-                }
-            }
-        };
-        for c in &mut incident {
-            apply_fade(&mut c.samples);
-        }
-        // A brown-out anywhere in the exchange silences the node: it
-        // cannot hold charge through the window, so nothing decodes and
-        // nothing backscatters (the receiver will report an erasure).
-        let mut node_out = if down {
-            NodeOutput {
-                powered_up: false,
-                rectified_v: 0.0,
-                switch_wave: vec![false; incident_len],
-                backscatter: vec![vec![0.0; incident_len]],
-                powered_at_s: None,
-                decoded_query: None,
-                responses_sent: 0,
-                bitrate_bps: self.bitrate_bps(),
-                average_power_w: 0.0,
-            }
-        } else {
-            self.medium.nodes[0].process_in(&incident, fs_hz, Some(self.cfg.water), pool)?
-        };
-        // Return the incident field before the superposition takes its
-        // window, so the window can reuse it.
-        pool.put_all(incident.into_iter().map(|c| c.samples));
-        for bs in &mut node_out.backscatter {
-            apply_fade(bs);
-        }
-        if let Some(gains) = gains {
-            pool.put(gains);
-        }
-        let rx_len = incident_len + margin_samples(fs_hz)?;
-        let mut y = match direct {
-            Some(direct) => pool.take_copy(direct),
-            None => {
-                let mut y = pool.take_zeroed(rx_len);
-                self.medium.add_direct(&mut y, &[tx_wave]);
-                y
-            }
-        };
-        self.medium.add_backscatter(&mut y, &[&node_out.backscatter]);
-        Ok((y, node_out))
     }
 
     /// The hydrophone `rx`, in place: ambient AWGN from this link's
@@ -656,51 +585,45 @@ impl Link {
     ) -> Result<(StreamVerdict, usize), CoreError> {
         let fs_hz = self.cfg.fs_hz;
         let cfo_hz = self.projector.cfo_hz + faults.drift_at_hz(t_start_s);
-        let divider = self.medium.nodes[0].default_divider;
-        let ck = command_key(command);
-        let wkey: WaveKey = (dest, self.cfg.node_addr, ck, divider, cfo_hz.to_bits());
-
-        let tx_wave: Arc<Vec<f64>> = match self.wave_cache.get(&wkey) {
-            Some(w) => {
-                self.stats.wave_hits += 1;
-                Arc::clone(w)
+        let divider = self.medium.divider();
+        let key: WaveKey = (dest, self.cfg.node_addr, command_key(command), divider, cfo_hz.to_bits());
+        if self.memos.contains_key(&key) {
+            self.stats.wave_hits += 1;
+        } else {
+            self.stats.wave_misses += 1;
+            let wave = self.query_waveform(dest, command, cfo_hz)?;
+            if self.memos.len() >= CACHE_CAP {
+                self.memos.clear();
             }
-            None => {
-                self.stats.wave_misses += 1;
-                let w = Arc::new(self.query_waveform(dest, command, cfo_hz)?);
-                if self.wave_cache.len() >= CACHE_CAP {
-                    self.wave_cache.clear();
-                }
-                self.wave_cache.insert(wkey, Arc::clone(&w));
-                w
-            }
-        };
+            let memo = Memo {
+                wave,
+                clean: [None, None],
+                legs: None,
+            };
+            self.memos.insert(key, memo);
+        }
+        // lint: allow(no-unwrap-in-lib) inserted above under the same key
+        let memo = self.memos.get_mut(&key).expect("memo entry just ensured");
 
-        let window_s = tx_wave.len() as f64 / fs_hz;
+        let window_s = memo.wave.len() as f64 / fs_hz;
         let down = faults.node_down_during(t_start_s, t_start_s + window_s);
-        let bitrate = self.bitrate_bps();
-        if faults.fade_active_during(t_start_s, t_start_s + window_s) {
-            // Per-sample fade gains make the exchange time-dependent, so
-            // the node and its uplink leg must run in full — but the
-            // query waveform above, the clean downlink propagation and
-            // the direct path are pure functions of the wave key, so
-            // reuse all three and only pay for the fade-dependent stages.
-            self.stats.bypasses += 1;
-            if !self.legs_cache.contains_key(&wkey) {
-                let incident = self.medium.incident(0, &[&tx_wave[..]]);
-                let rx_len = incident[0].samples.len() + margin_samples(fs_hz)?;
-                let mut direct = vec![0.0; rx_len];
-                self.medium.add_direct(&mut direct, &[&tx_wave[..]]);
-                if self.legs_cache.len() >= CACHE_CAP {
-                    self.legs_cache.clear();
-                }
-                self.legs_cache.insert(wkey, FadeFreeLegs { incident, direct });
-            }
-            // lint: allow(no-unwrap-in-lib) inserted above under the same key
-            let legs = self.legs_cache.get(&wkey).expect("legs entry just ensured");
-            let fade = Some((faults, t_start_s));
-            let (mut y, node_out) = {
-                let pool = &mut *self.scratch.borrow_mut();
+        let bitrate = self.medium.bitrate_bps();
+        // The allocation probe's reading at the start of a cache hit's
+        // engine+decode stage (a bypass is not probed).
+        let (mut y, (power_w, rectified_v), probe0) =
+            if faults.fade_active_during(t_start_s, t_start_s + window_s) {
+                // Per-sample fade gains make the exchange time-dependent,
+                // so the node and its uplink leg must run in full — but
+                // the query waveform, the clean downlink propagation and
+                // the direct path are pure functions of the wave key, so
+                // reuse all three and only pay for the fade-dependent
+                // stages.
+                self.stats.bypasses += 1;
+                let legs = match &mut memo.legs {
+                    Some(legs) => &*legs,
+                    None => memo.legs.insert(FadeFreeLegs::new(&self.medium, fs_hz, &memo.wave)?),
+                };
+                let pool = &mut self.scratch;
                 let incident = legs
                     .incident
                     .iter()
@@ -709,56 +632,42 @@ impl Link {
                         samples: pool.take_copy(&c.samples),
                     })
                     .collect();
-                let exchange =
-                    self.clean_exchange(pool, &tx_wave, incident, fade, down, Some(&legs.direct));
-                let (y, mut node_out) = exchange?;
-                pool.put_all(std::mem::take(&mut node_out.backscatter));
-                (y, node_out)
+                let fade = Some((faults, t_start_s));
+                let mut out = self.medium.respond(0, incident, fade, down, self.cfg.water, pool)?;
+                let mut y = pool.take_copy(&legs.direct);
+                self.medium.add_backscatter(&mut y, &[&out.backscatter]);
+                pool.put_all(std::mem::take(&mut out.backscatter));
+                (y, (out.average_power_w, out.rectified_v), None)
+            } else {
+                let clean = match &mut memo.clean[usize::from(down)] {
+                    Some(clean) => {
+                        self.stats.exchange_hits += 1;
+                        &*clean
+                    }
+                    None => {
+                        self.stats.exchange_misses += 1;
+                        let (y_clean, out) =
+                            fresh_exchange(&self.medium, &self.cfg, &memo.wave, None, down)?;
+                        let node = (out.average_power_w, out.rectified_v);
+                        memo.clean[usize::from(down)].insert(CachedExchange { y_clean, node })
+                    }
+                };
+                // ---- engine+decode stage: zero heap allocations once
+                // the scratch arena, the receiver's decode scratch and its
+                // front-end design cache are warm (untraced; the telemetry
+                // recorder may grow its own tables). Pinned by
+                // `tests/slot_engine_alloc.rs`.
+                let probe0 = scratch::alloc_probe();
+                (self.scratch.take_copy(&clean.y_clean), clean.node, Some(probe0))
             };
-            self.receive(rx, &mut y, faults, t_start_s);
-            let decoded = rx.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
-            trace_verdict(&decoded, tel);
-            let (power_w, rectified_v) = (node_out.average_power_w, node_out.rectified_v);
-            let verdict = StreamVerdict::new(self.cfg.node_addr, decoded, power_w, rectified_v);
-            let exchange_samples = y.len();
-            self.scratch.borrow_mut().put(y);
-            return Ok((verdict, exchange_samples));
-        }
-
-        let ekey: ExchKey = (dest, self.cfg.node_addr, ck, divider, cfo_hz.to_bits(), down);
-        if !self.exch_cache.contains_key(&ekey) {
-            self.stats.exchange_misses += 1;
-            let incident = self.medium.incident(0, &[&tx_wave[..]]);
-            let pool = &mut Scratch::transient();
-            let (y_clean, out) = self.clean_exchange(pool, &tx_wave, incident, None, down, None)?;
-            if self.exch_cache.len() >= CACHE_CAP {
-                self.exch_cache.clear();
-            }
-            let entry = CachedExchange {
-                y_clean,
-                node: (out.average_power_w, out.rectified_v),
-            };
-            self.exch_cache.insert(ekey, entry);
-        } else {
-            self.stats.exchange_hits += 1;
-        }
-
-        // ---- engine+decode stage: zero heap allocations once the
-        // scratch arena, the receiver's decode scratch and its front-end
-        // design cache are warm (untraced; the telemetry recorder may
-        // grow its own tables). Pinned by `tests/slot_engine_alloc.rs`.
-        let probe0 = scratch::alloc_probe();
-        let (mut y, (power_w, rectified_v)) = {
-            // lint: allow(no-unwrap-in-lib) inserted above under the same key
-            let entry = self.exch_cache.get(&ekey).expect("exchange entry just ensured");
-            (self.scratch.borrow_mut().take_copy(&entry.y_clean), entry.node)
-        };
         self.receive(rx, &mut y, faults, t_start_s);
         let decoded = rx.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
         trace_verdict(&decoded, tel);
         let exchange_samples = y.len();
-        self.scratch.borrow_mut().put(y);
-        self.stats.engine_allocs_last = scratch::alloc_probe().saturating_sub(probe0);
+        self.scratch.put(y);
+        if let Some(probe0) = probe0 {
+            self.stats.engine_allocs_last = scratch::alloc_probe().saturating_sub(probe0);
+        }
         // ---- end engine+decode stage.
 
         let verdict = StreamVerdict::new(self.cfg.node_addr, decoded, power_w, rectified_v);
@@ -821,7 +730,8 @@ mod tests {
         /// `config().node_addr`; addressing anything else exercises the
         /// firmware's address filter and yields no response.
         fn run_sensor_query(&mut self, addr: u8) -> Result<LinkReport, CoreError> {
-            self.run_query_to(addr, Command::ReadSensor(SensorKind::Ph))
+            let ph = Command::ReadSensor(SensorKind::Ph);
+            self.run_query_to_faulted(addr, ph, &FaultSchedule::default(), 0.0)
         }
     }
 
@@ -955,7 +865,8 @@ mod tests {
     #[test]
     fn run_query_to_other_address_gets_no_response() {
         let mut sim = LinkSimulator::new(LinkConfig::default()).unwrap();
-        let report = sim.run_query_to(99, Command::Ping).unwrap();
+        let quiet = FaultSchedule::default();
+        let report = sim.run_query_to_faulted(99, Command::Ping, &quiet, 0.0).unwrap();
         assert_eq!(report.node_output.responses_sent, 0);
         assert!(!report.crc_ok);
     }

@@ -7,6 +7,12 @@
 //! [`CollisionGroupSimulator`](crate::collision_group::CollisionGroupSimulator)
 //! as a k-node, k-carrier one.
 //!
+//! A slot is each node's incident field (`incident_in`), its node leg
+//! (`respond`, the one place fades and brown-outs act), and the direct
+//! leg (`add_direct`) plus every node's backscatter (`add_backscatter`)
+//! at the hydrophone. `hear` runs them for a fault-free slot; the link
+//! runs them itself to memoise the legs a fade leaves clean.
+//!
 //! The medium is physics only. Noise, RNG, receiver and caches stay with
 //! each simulator, so every simulator keeps its own noise stream. The
 //! buffers a slot's fields live in come from the caller's [`Scratch`]
@@ -16,7 +22,8 @@
 use crate::node::{IncidentComponent, NodeOutput, PabNode};
 use crate::scratch::Scratch;
 use crate::{margin_samples, CoreError};
-use pab_channel::{MultipathChannel, Pool, Position};
+use pab_channel::{FaultSchedule, MultipathChannel, Pool, Position};
+use pab_mcu::Clock;
 
 /// Carriers, nodes and every image-method channel between projector,
 /// nodes and hydrophone, designed once.
@@ -75,20 +82,11 @@ impl Medium {
         })
     }
 
-    /// What `node` hears: every carrier's transmit waveform through its
-    /// projector→node channel, each in a fresh buffer.
-    pub(crate) fn incident<W: AsRef<[f64]>>(
-        &self,
-        node: usize,
-        waves: &[W],
-    ) -> Vec<IncidentComponent> {
-        self.incident_in(node, waves, &mut Scratch::transient())
-    }
-
-    /// [`incident`](Self::incident) in buffers taken from `pool`: each
-    /// component is `MultipathChannel::apply`'s output, accumulated into
-    /// a zeroed buffer of its length.
-    fn incident_in<W: AsRef<[f64]>>(
+    /// What `node` hears, in buffers taken from `pool`: every carrier's
+    /// transmit waveform through its projector→node channel, each
+    /// `MultipathChannel::apply`'s output accumulated into a zeroed
+    /// buffer of its length.
+    pub(crate) fn incident_in<W: AsRef<[f64]>>(
         &self,
         node: usize,
         waves: &[W],
@@ -107,26 +105,57 @@ impl Medium {
             .collect()
     }
 
-    /// The noiseless hydrophone pressure over `rx_len` samples: the direct
-    /// path of every carrier, then node by node and carrier by carrier
-    /// each node's backscatter (`backscatter[node][carrier]`). The order
-    /// is fixed, so the floating-point sum is too.
-    pub(crate) fn superpose<W: AsRef<[f64]>>(
+    /// The node leg: `node`'s response to its `incident` field, with
+    /// `water` on its sensors. A `fade` (schedule, exchange start) scales
+    /// the field and then the backscatter by the schedule's gain,
+    /// evaluated once per sample; without one nothing is multiplied. A
+    /// `down` node cannot hold charge through the exchange, so it decodes
+    /// nothing and backscatters silence. Every buffer comes from `pool`;
+    /// `incident`'s go back to it, and the caller puts the backscatter
+    /// back once superposed.
+    pub(crate) fn respond(
         &self,
-        waves: &[W],
-        backscatter: &[&[Vec<f64>]],
-        rx_len: usize,
-    ) -> Vec<f64> {
-        let mut y = vec![0.0; rx_len];
-        self.add_direct(&mut y, waves);
-        self.add_backscatter(&mut y, backscatter);
-        y
+        node: usize,
+        mut incident: Vec<IncidentComponent>,
+        fade: Option<(&FaultSchedule, f64)>,
+        down: bool,
+        water: pab_sensors::WaterSample,
+        pool: &mut Scratch,
+    ) -> Result<NodeOutput, CoreError> {
+        let gains: Option<Vec<f64>> = fade.map(|(faults, t_start_s)| {
+            let mut gains = pool.take_workspace(incident[0].samples.len());
+            faults.gains_into(t_start_s, self.fs_hz, &mut gains);
+            gains
+        });
+        let apply_fade = |samples: &mut [f64]| {
+            if let Some(gains) = &gains {
+                for (s, g) in samples.iter_mut().zip(gains) {
+                    *s *= g;
+                }
+            }
+        };
+        for c in &mut incident {
+            apply_fade(&mut c.samples);
+        }
+        let out = if down {
+            Ok(NodeOutput::silent(&incident, self.bitrate_bps(), pool))
+        } else {
+            self.nodes[node].process_in(&incident, self.fs_hz, Some(water), pool)
+        };
+        pool.put_all(incident.into_iter().map(|c| c.samples));
+        let mut out = out?;
+        for bs in &mut out.backscatter {
+            apply_fade(bs);
+        }
+        if let Some(gains) = gains {
+            pool.put(gains);
+        }
+        Ok(out)
     }
 
-    /// The direct leg of [`superpose`](Self::superpose), added into `y`
-    /// (zeros, for the pressure alone): every carrier's
-    /// projector→hydrophone pressure. It does not depend on the nodes, so
-    /// a caller may keep it and add only
+    /// The direct leg, added into `y` (zeros, for the pressure alone):
+    /// every carrier's projector→hydrophone pressure. It does not depend
+    /// on the nodes, so a caller may keep it and add only
     /// [`add_backscatter`](Self::add_backscatter) per exchange.
     pub(crate) fn add_direct<W: AsRef<[f64]>>(&self, y: &mut [f64], waves: &[W]) {
         for (ch, w) in self.direct.iter().zip(waves) {
@@ -134,8 +163,10 @@ impl Medium {
         }
     }
 
-    /// The backscatter leg of [`superpose`](Self::superpose), added into
-    /// `y` after the direct leg.
+    /// The backscatter leg, added into `y` after the direct leg: node by
+    /// node and carrier by carrier each node's backscatter
+    /// (`backscatter[node][carrier]`). The order is fixed, so the
+    /// floating-point sum is too.
     pub(crate) fn add_backscatter(&self, y: &mut [f64], backscatter: &[&[Vec<f64>]]) {
         for (node, node_bs) in backscatter.iter().enumerate() {
             self.add_node_backscatter(y, node, node_bs);
@@ -151,11 +182,12 @@ impl Medium {
         }
     }
 
-    /// One noiseless slot on `pool`'s buffers: the direct leg into a
-    /// pooled pressure buffer, then node by node its incident field, its
-    /// processing (with `water` on its sensors) and its backscatter added
-    /// on: [`superpose`](Self::superpose)'s sum in its order, with only
-    /// one node's fields alive at a time. The incident fields and the
+    /// One noiseless, fault-free slot on `pool`'s buffers: the direct leg
+    /// into a pooled pressure buffer, then node by node its incident
+    /// field, its [`respond`](Self::respond) (with `water` on its
+    /// sensors) and its backscatter added on: the sum in
+    /// [`add_backscatter`](Self::add_backscatter)'s order, with only one
+    /// node's fields alive at a time. The incident fields and the
     /// backscatter go back to `pool` once used, so each returned
     /// [`NodeOutput`]'s `backscatter` is empty; the caller returns the
     /// pressure when it is done with it.
@@ -169,16 +201,41 @@ impl Medium {
         let mut y = pool.take_zeroed(rx_len);
         self.add_direct(&mut y, waves);
         let mut outs = Vec::with_capacity(self.nodes.len());
-        for (i, node) in self.nodes.iter().enumerate() {
+        for i in 0..self.nodes.len() {
             let incident = self.incident_in(i, waves, pool);
-            let out = node.process_in(&incident, self.fs_hz, Some(water), pool);
-            pool.put_all(incident.into_iter().map(|c| c.samples));
-            let mut out = out?;
+            let mut out = self.respond(i, incident, None, false, water, pool)?;
             self.add_node_backscatter(&mut y, i, &out.backscatter);
             pool.put_all(std::mem::take(&mut out.backscatter));
             outs.push(out);
         }
         Ok((y, outs))
+    }
+
+    /// The FM0 divider every node is commanded to.
+    pub(crate) fn divider(&self) -> u16 {
+        self.nodes[0].default_divider
+    }
+
+    /// The quantized uplink bitrate the nodes use.
+    pub(crate) fn bitrate_bps(&self) -> f64 {
+        Clock::watch_crystal()
+            .bitrate_for_divider(self.divider() as u64)
+            // lint: allow(no-unwrap-in-lib) default_divider is validated non-zero at construction
+            .expect("divider >= 1")
+    }
+
+    /// Command every node's FM0 divider to the watch-crystal divider
+    /// nearest `bitrate_bps` (the rate ladder's actuation: the
+    /// coordinator commands a slower rate, each node reprograms its
+    /// divider).
+    pub(crate) fn set_bitrate_target(&mut self, bitrate_bps: f64) -> Result<(), CoreError> {
+        let divider = Clock::watch_crystal()
+            .divider_for_bitrate(bitrate_bps)
+            .map_err(CoreError::Mcu)? as u16;
+        for node in &mut self.nodes {
+            node.default_divider = divider;
+        }
+        Ok(())
     }
 
     /// Direct-path delay from `node` to the hydrophone on the first

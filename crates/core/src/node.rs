@@ -53,6 +53,31 @@ pub struct NodeOutput {
     pub average_power_w: f64,
 }
 
+impl NodeOutput {
+    /// A browned-out node's output for `incident`: it never powers up
+    /// and decodes nothing, so each component's backscatter is silence,
+    /// in zeroed buffers taken from `pool`. `bitrate_bps` is the rate
+    /// its divider is commanded to.
+    pub(crate) fn silent(
+        incident: &[IncidentComponent],
+        bitrate_bps: f64,
+        pool: &mut Scratch,
+    ) -> NodeOutput {
+        let n = incident.iter().map(|c| c.samples.len()).max().unwrap_or(0);
+        NodeOutput {
+            powered_up: false,
+            rectified_v: 0.0,
+            switch_wave: vec![false; n],
+            backscatter: incident.iter().map(|c| pool.take_zeroed(c.samples.len())).collect(),
+            powered_at_s: None,
+            decoded_query: None,
+            responses_sent: 0,
+            bitrate_bps,
+            average_power_w: 0.0,
+        }
+    }
+}
+
 /// The battery-free node.
 #[derive(Debug, Clone)]
 pub struct PabNode {

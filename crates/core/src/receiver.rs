@@ -134,13 +134,22 @@ impl FrontEnd {
         self.template.correlate_add(d, prefix, num);
         // (index, score, numerator, window energy) of the best window.
         let mut best = (0usize, 0.0f64, Complex64::new(0.0, 0.0), 0.0f64);
-        let mut win_energy: f64 = d[..m].iter().map(|c| c.norm_sqr()).sum();
+        let energy_of = |i: usize| -> f64 { d[i..i + m].iter().map(|c| c.norm_sqr()).sum() };
+        // Cauchy–Schwarz bounds every score by ‖t‖². The running energy
+        // can cancel to ~0 on a flat window; a score past the bound
+        // recomputes that window's energy exactly and rescores.
+        let bound = self.template.norm().powi(2) * (1.0 + 1e-9);
+        let mut win_energy = energy_of(0);
         for (i, &acc) in num.iter().enumerate() {
             if i > 0 {
                 // lint: allow(panic-path) num.len() == d.len()-m+1, so i+m-1 < d.len(); i > 0 checked
                 win_energy += d[i + m - 1].norm_sqr() - d[i - 1].norm_sqr();
             }
-            let score = acc.norm_sqr() / win_energy.max(1e-30);
+            let mut score = acc.norm_sqr() / win_energy.max(1e-30);
+            if score > bound {
+                win_energy = energy_of(i);
+                score = acc.norm_sqr() / win_energy.max(1e-30);
+            }
             if score > best.1 {
                 best = (i, score, acc, win_energy);
             }
@@ -209,18 +218,6 @@ pub struct FrontEndStats {
     pub design_hits: u64,
     /// Front-end design cache misses (fresh designs built).
     pub design_misses: u64,
-}
-
-impl FrontEndStats {
-    /// Accumulate another receiver's counters into this one.
-    pub fn merge(&mut self, other: &FrontEndStats) {
-        self.decodes += other.decodes;
-        self.samples_in += other.samples_in;
-        self.samples_out += other.samples_out;
-        self.macs_saved += other.macs_saved;
-        self.design_hits += other.design_hits;
-        self.design_misses += other.design_misses;
-    }
 }
 
 /// The hydrophone + offline decoder.
@@ -495,20 +492,14 @@ impl Receiver {
     ) -> Vec<bool> {
         let lo = vec![mu_lo; soft.len()];
         let hi = vec![mu_hi; soft.len()];
-        Self::ml_fm0_halves_adaptive(soft, &lo, &hi)
-    }
-
-    /// [`Self::ml_fm0_halves`] with per-half cluster means, tracking slow
-    /// baseline wander across long packets.
-    fn ml_fm0_halves_adaptive(soft: &[f64], mu_lo: &[f64], mu_hi: &[f64]) -> Vec<bool> {
-        let mut back = Vec::new();
-        let mut out = Vec::new();
-        Self::ml_fm0_halves_adaptive_into(soft, mu_lo, mu_hi, &mut back, &mut out);
+        let (mut back, mut out) = (Vec::new(), Vec::new());
+        Self::ml_fm0_halves_adaptive_into(soft, &lo, &hi, &mut back, &mut out);
         out
     }
 
-    /// [`Self::ml_fm0_halves_adaptive`] into caller-owned buffers: `back`
-    /// holds the trellis backpointers, `out` receives the half-bit
+    /// [`Self::ml_fm0_halves`] with per-half cluster means, tracking slow
+    /// baseline wander across long packets, into caller-owned buffers:
+    /// `back` holds the trellis backpointers, `out` receives the half-bit
     /// decisions. Both are cleared first, so warm buffers make the call
     /// allocation-free.
     fn ml_fm0_halves_adaptive_into(
@@ -1577,6 +1568,33 @@ mod tests {
             assert!(want.as_ref().unwrap().packet.is_ok(), "{tag}");
             let got = warm.decode_envelope(&env_short, bitrate);
             assert_same_verdict(&got, &want, &format!("envelope, {tag}"));
+        }
+    }
+
+    /// A noiseless envelope with long flat leads: the detrended leads are
+    /// flat, so the preamble search's running window energy cancels on
+    /// them, and a lead window must not outscore the packet with a
+    /// correlation above 1.
+    #[test]
+    fn flat_leads_do_not_outscore_the_preamble() {
+        let p = test_packet();
+        let lead_s = 0.16;
+        for (bitrate, fs_hz) in [
+            (2730.67, 96_000.0),
+            (1024.0, 96_000.0),
+            (1024.0, 192_000.0),
+            (256.0, 192_000.0),
+        ] {
+            let rx = Receiver::new(1.0e-3, fs_hz);
+            let env = synth_envelope(&p, bitrate, fs_hz, 1.0, 0.4, lead_s);
+            let v = rx.decode_envelope(&env, bitrate);
+            let tag = format!("{bitrate} bps at {fs_hz} Hz: {v:?}");
+            let v = v.expect(&tag);
+            assert!(v.preamble_corr <= 1.0, "{tag}");
+            assert_eq!(v.packet.as_ref().ok(), Some(&p), "{tag}");
+            let lead = (lead_s * fs_hz) as usize;
+            let half_bit = (fs_hz / (2.0 * bitrate)) as usize;
+            assert!(v.start_sample.abs_diff(lead) <= half_bit, "{tag}");
         }
     }
 

@@ -103,4 +103,9 @@ else
     echo "==> clippy not installed; skipping (build + tests still gate)"
 fi
 
+# Information only, not a gate: the non-test line counts ROADMAP.md
+# states its line budgets in.
+echo "==> non-test lines per crate (scripts/loc.sh)"
+./scripts/loc.sh
+
 echo "==> all checks passed"

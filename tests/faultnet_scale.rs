@@ -95,14 +95,15 @@ fn parallel_matches_serial_at_n4_and_n8() {
     }
 }
 
-/// The query-waveform and clean-exchange caches are a pure memoisation:
-/// a link's slot engine must decode, exchange for exchange, exactly what
-/// an identical link's uncached reference (`run_query_to_faulted`)
-/// decodes. The sequence runs a saturating drift ramp (new oscillator
-/// offsets, then a steady one), a burst, a fade (cache bypass, twice on
-/// one wave key, so the bypass's own memo both fills and hits), a
-/// dropout (erasure) and `ReadSensor` queries, so memo misses, memo hits
-/// and bypasses all occur.
+/// The link's memo is a pure memoisation: a link's slot engine must
+/// decode, exchange for exchange, exactly what an identical link's
+/// uncached reference (`run_query_to_faulted`) decodes. The sequence
+/// runs a saturating drift ramp (new oscillator offsets, then a steady
+/// one), a burst, a fade (cache bypass, twice on one wave key, so the
+/// bypass's own memo both fills and hits), a dropout (erasure), a second
+/// fade overlapping a second dropout (browned-out bypasses, one of them
+/// filling a new wave key's fade legs) and `ReadSensor` queries, so memo
+/// misses, memo hits and bypasses all occur.
 #[test]
 fn waveform_cache_is_bitwise_transparent() {
     let faults = FaultSchedule::new(17)
@@ -130,6 +131,19 @@ fn waveform_cache_is_bitwise_transparent() {
                 duration_s: 1.0,
             })
         })
+        .and_then(|f| {
+            f.with_fade(PathFade {
+                start_s: 50.0,
+                duration_s: 2.0,
+                floor_ratio: 0.3,
+            })
+        })
+        .and_then(|f| {
+            f.with_dropout(DropoutWindow {
+                start_s: 50.5,
+                duration_s: 1.0,
+            })
+        })
         .expect("valid schedule");
     let ph = Command::ReadSensor(SensorKind::Ph);
     let sequence = [
@@ -147,6 +161,11 @@ fn waveform_cache_is_bitwise_transparent() {
         (30.2, Command::Ping),
         (30.5, Command::Ping),
         (40.0, Command::Ping),
+        // Inside both the second fade and the second dropout: browned-out
+        // bypasses, the last on a wave key no fade has seen yet.
+        (50.6, Command::Ping),
+        (50.9, Command::Ping),
+        (51.2, Command::ReadSensor(SensorKind::Temperature)),
     ];
     let mut cached = LinkSimulator::new(LinkConfig::default()).expect("valid config");
     let mut reference = LinkSimulator::new(LinkConfig::default()).expect("valid config");
@@ -173,7 +192,7 @@ fn waveform_cache_is_bitwise_transparent() {
     let stats = cached.slot_stats();
     assert!(stats.exchange_hits > 0 && stats.wave_hits > 0, "{stats:?}");
     assert!(stats.exchange_misses > 0 && stats.wave_misses > 0, "{stats:?}");
-    assert_eq!(stats.bypasses, 3, "{stats:?}");
+    assert_eq!(stats.bypasses, 6, "{stats:?}");
 }
 
 /// Untraced runs must not depend on tracing either: attaching a recorder
