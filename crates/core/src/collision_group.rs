@@ -59,13 +59,15 @@ use crate::faultnet::FaultNetConfig;
 use crate::medium::Medium;
 use crate::node::PabNode;
 use crate::projector::Projector;
-use crate::receiver::{Receiver, StreamVerdict};
+use crate::receiver::{demod_cutoff_hz, Receiver, StreamVerdict, H2A_SENSITIVITY_V_PER_PA};
 use crate::scratch::Scratch;
-use crate::{hydrophone_sigma_pa, margin_samples, CoreError, DEFAULT_SAMPLE_RATE_HZ};
+use crate::{
+    hydrophone_sigma_pa, margin_samples, response_window_s, CoreError, DEFAULT_SAMPLE_RATE_HZ,
+};
 use num_complex::Complex64;
-use pab_channel::noise::{add_awgn, NoiseEnvironment};
+use pab_channel::noise::NoiseEnvironment;
 use pab_channel::{Pool, Position};
-use pab_net::packet::{Command, DownlinkQuery, UplinkPacket, BROADCAST_ADDR};
+use pab_net::packet::{Command, DownlinkQuery, BROADCAST_ADDR};
 use pab_sweep::derive_seed;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -470,7 +472,7 @@ impl CollisionGroupSimulator {
             members,
             medium,
             projector,
-            receiver: Receiver::new(1.0e-3, cfg.fs_hz),
+            receiver: Receiver::new(H2A_SENSITIVITY_V_PER_PA, cfg.fs_hz),
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             fs_hz: cfg.fs_hz,
             noise_sigma_pa,
@@ -575,18 +577,14 @@ impl CollisionGroupSimulator {
         self.pool.put_all(bands.bufs.into_iter().map(|(buf, _)| buf));
     }
 
-    /// The receiving half of a slot: add fresh AWGN to a pooled copy of
-    /// the clean pressure (drawn in slot order from the group's RNG),
-    /// scale it to volts in place, and demodulate every band to complex
-    /// baseband.
+    /// The receiving half of a slot: record a pooled copy of the clean
+    /// pressure at the hydrophone (fresh AWGN drawn in slot order from
+    /// the group's RNG; no burst reaches a group slot) and demodulate
+    /// every band to complex baseband.
     fn receive(&mut self, pressure: &[f64]) -> Result<Basebands, CoreError> {
         let mut y = self.pool.take_copy(pressure);
-        add_awgn(&mut y, self.noise_sigma_pa, &mut self.rng);
-        let sensitivity = self.receiver.sensitivity_v_per_pa;
-        for s in y.iter_mut() {
-            *s *= sensitivity;
-        }
-        let cutoff = (2.0 * self.bitrate_bps()).clamp(200.0, 0.4 * self.fs_hz);
+        self.receiver.record_in_place(&mut y, self.noise_sigma_pa, &mut self.rng, None);
+        let cutoff = demod_cutoff_hz(self.bitrate_bps(), self.fs_hz);
         let mut bufs = Vec::with_capacity(self.members.len());
         for m in &self.members {
             let pool = &mut self.pool;
@@ -605,10 +603,10 @@ impl CollisionGroupSimulator {
             .ok_or(CoreError::InvalidConfig("collision slot without its clean part"))
     }
 
-    /// Response window for one ping-sized exchange, seconds.
-    fn response_tail_s(&self) -> f64 {
-        let bits = UplinkPacket::bits_len(0) as f64;
-        5e-3 + bits / self.bitrate_bps() + 40e-3
+    /// The carrier tail after a `command` query, seconds: the members'
+    /// response window with the group's 40 ms of slack.
+    fn response_tail_s(&self, command: Command) -> f64 {
+        response_window_s(command, self.bitrate_bps(), 40e-3)
     }
 
     /// Padded window `[start, end)` where any member's ground truth in
@@ -636,7 +634,7 @@ impl CollisionGroupSimulator {
         }
         let fs = self.fs_hz;
         let k = self.members.len();
-        let tail = self.response_tail_s();
+        let tail = self.response_tail_s(command);
         let mut elapsed_s = 0.0;
         // offsets[band] averaged across slots; gains[band][member].
         let mut offsets = vec![Complex64::new(0.0, 0.0); k];
@@ -715,9 +713,9 @@ impl CollisionGroupSimulator {
                 if let Some((_, old)) = stale {
                     self.recycle_clean(old);
                 }
-                let tail = self.response_tail_s();
                 let mut waves = Vec::with_capacity(queries.len());
                 for (m, q) in self.members.iter().zip(queries) {
+                    let tail = self.response_tail_s(q.command);
                     let (w, _) =
                         self.projector.query_waveform_in(q, m.carrier_hz, tail, &mut self.pool)?;
                     waves.push(w);
@@ -869,6 +867,7 @@ fn active_range(clean: &CleanSlot, pad: usize, len: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pab_net::packet::{SensorKind, UplinkPacket};
 
     /// A pair whose carrier spacing clears the FM0 main lobe at the
     /// commanded rate (5 kHz spacing ≥ 2 × 2 × 1024 Hz), which is the same
@@ -907,6 +906,26 @@ mod tests {
             assert_eq!(p.src, v.addr, "stream decoded the wrong node");
         }
         assert!(out.elapsed_s > 0.0);
+    }
+
+    /// A sensor read keeps the carrier on for its longer response: the
+    /// Fig. 10 pair trains on `ReadSensor` at 512 and 256 bps, and a
+    /// collision slot delivers both members' readings.
+    #[test]
+    fn fig10_pair_trains_and_collides_on_sensor_reads() {
+        let read = Command::ReadSensor(SensorKind::Temperature);
+        for rate_bps in [512.0, 256.0] {
+            let mut group = CollisionGroupSimulator::with_config(&MultiNodeConfig::fig10_pair()).unwrap();
+            group.set_bitrate_target(rate_bps).unwrap();
+            group.train(read).unwrap();
+            let out = group.collision_slot(read).unwrap();
+            for v in &out.verdicts {
+                assert!(v.crc_ok, "{rate_bps} bps: stream {} CRC failed", v.addr);
+                let p = v.packet.as_ref().unwrap();
+                assert_eq!(p.src, v.addr, "{rate_bps} bps: stream decoded the wrong node");
+                assert!(p.sensor_value().is_some(), "{rate_bps} bps: {p:?} is no sensor reading");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::collision_group::CollisionGroupSimulator;
 use crate::link::{Link, LinkConfig, SlotEngineStats};
-use crate::receiver::{Receiver, StreamVerdict};
+use crate::receiver::{Receiver, StreamVerdict, H2A_SENSITIVITY_V_PER_PA};
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use pab_channel::noise::NoiseEnvironment;
 use pab_channel::{FaultSchedule, Pool, Position};
@@ -249,7 +249,6 @@ pub struct FaultNetSimulator {
     /// on it, so the network holds one decode workspace, sized by its
     /// longest exchange, whatever its node count.
     receiver: Receiver,
-    faults: BTreeMap<u8, FaultSchedule>,
     /// Collision-group simulators, built lazily per member set and kept
     /// so training survives across slots (keyed by addresses in channel
     /// order).
@@ -278,7 +277,6 @@ impl FaultNetSimulator {
         .map_err(CoreError::Net)?;
         mac.set_concurrency(cfg.concurrency.clone()).map_err(CoreError::Net)?;
         let mut links = BTreeMap::new();
-        let mut faults = BTreeMap::new();
         for spec in &cfg.nodes {
             mac.register(NodeEntry {
                 addr: spec.addr,
@@ -303,14 +301,12 @@ impl FaultNetSimulator {
                 ..Default::default()
             };
             links.insert(spec.addr, Link::new(link_cfg)?);
-            faults.insert(spec.addr, spec.faults.clone());
         }
         Ok(FaultNetSimulator {
-            receiver: Receiver::new(1.0e-3, cfg.fs_hz),
+            receiver: Receiver::new(H2A_SENSITIVITY_V_PER_PA, cfg.fs_hz),
             cfg,
             mac,
             links,
-            faults,
             groups: BTreeMap::new(),
             bad_groups: BTreeSet::new(),
             t_now_s: 0.0,
@@ -349,7 +345,7 @@ impl FaultNetSimulator {
                 // The physical-layer veto over proposed collision groups
                 // needs per-node data while the MAC holds `&mut self`, so
                 // borrow the fields it reads up front.
-                let faults = &self.faults;
+                let specs = &self.cfg.nodes;
                 let bad_groups = &self.bad_groups;
                 let t_start_s = self.t_now_s;
                 let horizon_s = nominal_slot_s;
@@ -359,10 +355,8 @@ impl FaultNetSimulator {
                     .iter()
                     .map(|s| (s.addr, self.mac.rate_bps(s.addr)))
                     .collect();
-                let carriers: BTreeMap<u8, f64> =
-                    self.cfg.nodes.iter().map(|s| (s.addr, s.carrier_hz)).collect();
                 self.mac.next_slot_plan(self.cfg.command, |group| {
-                    group_viable(group, bad_groups, &rates, &carriers, faults, t_start_s, horizon_s)
+                    group_viable(group, bad_groups, &rates, specs, t_start_s, horizon_s)
                 })
             };
             let slot = self.mac.slots_used();
@@ -482,10 +476,9 @@ impl FaultNetSimulator {
         for q in &queries {
             let addr = q.query.dest;
             let t_s = t_start_s + slot_s;
-            let schedule = self
-                .faults
-                .get(&addr)
-                .ok_or(CoreError::InvalidConfig("missing fault schedule"))?;
+            let schedule = &spec(&self.cfg.nodes, addr)
+                .ok_or(CoreError::InvalidConfig("missing fault schedule"))?
+                .faults;
             let link = self
                 .links
                 .get_mut(&addr)
@@ -727,8 +720,7 @@ fn group_viable(
     group: &[u8],
     bad_groups: &BTreeSet<Vec<u8>>,
     rates: &BTreeMap<u8, f64>,
-    carriers: &BTreeMap<u8, f64>,
-    faults: &BTreeMap<u8, FaultSchedule>,
+    specs: &[FaultNodeSpec],
     t_start_s: f64,
     horizon_s: f64,
 ) -> bool {
@@ -739,25 +731,29 @@ fn group_viable(
         return false;
     };
     let min_spacing_hz = 2.0 * fm0_main_lobe_hz(rate_bps);
-    for (i, a) in group.iter().enumerate() {
-        let Some(&fa) = carriers.get(a) else {
+    for (i, &a) in group.iter().enumerate() {
+        let Some(sa) = spec(specs, a) else {
             return false;
         };
+        if faults_active(&sa.faults, t_start_s, t_start_s + horizon_s) != [false; 4] {
+            return false;
+        }
         // lint: allow(panic-path) i < group.len(), so i + 1 <= len and the tail slice is in range
-        for b in &group[i + 1..] {
-            let Some(&fb) = carriers.get(b) else {
+        for &b in &group[i + 1..] {
+            let Some(sb) = spec(specs, b) else {
                 return false;
             };
-            if (fa - fb).abs() < min_spacing_hz {
+            if (sa.carrier_hz - sb.carrier_hz).abs() < min_spacing_hz {
                 return false;
             }
         }
     }
-    group.iter().all(|a| {
-        faults
-            .get(a)
-            .is_some_and(|s| faults_active(s, t_start_s, t_start_s + horizon_s) == [false; 4])
-    })
+    true
+}
+
+/// The spec of node `addr`.
+fn spec(specs: &[FaultNodeSpec], addr: u8) -> Option<&FaultNodeSpec> {
+    specs.iter().find(|s| s.addr == addr)
 }
 
 /// The fault kinds in the order [`faults_active`] reports them.

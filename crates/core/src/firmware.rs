@@ -378,6 +378,33 @@ mod tests {
         assert_eq!(parsed, packet);
     }
 
+    /// The payload length the projector sizes its carrier tail by is the
+    /// length of the response the firmware actually builds, for every
+    /// command and every sensor.
+    #[test]
+    fn response_payload_len_matches_the_built_response() {
+        let commands = [
+            Command::Ping,
+            Command::SetBitrateDivider(16),
+            Command::SelectRectoPiezo(1),
+            Command::ReadSensor(SensorKind::Ph),
+            Command::ReadSensor(SensorKind::Temperature),
+            Command::ReadSensor(SensorKind::Pressure),
+        ];
+        for command in commands {
+            let mut mcu = Mcu::new(PabFirmware::new(7), PowerProfile::pab_node());
+            mcu.reset();
+            let water = pab_sensors::WaterSample::bench();
+            mcu.services.attach_adc_source(Box::new(pab_sensors::PhProbe::new(water)));
+            mcu.services.i2c.attach(Box::new(pab_sensors::Ms5837::new(water)));
+            let query = DownlinkQuery { dest: 7, command };
+            let packet = mcu.firmware.build_response(&mut mcu.services, &query);
+            let len = UplinkPacket::response_payload_len(command);
+            assert_eq!(packet.payload.len(), len, "{command:?}");
+            assert_eq!(packet.to_bits().unwrap().len(), UplinkPacket::bits_len(len), "{command:?}");
+        }
+    }
+
     #[test]
     fn query_for_other_address_is_ignored() {
         let q = DownlinkQuery {

@@ -66,6 +66,8 @@ pub use node::PabNode;
 pub use projector::Projector;
 pub use receiver::Receiver;
 
+use pab_net::packet::{Command, UplinkPacket};
+
 /// Default simulation sample rate, Hz — a realistic audio-interface rate
 /// for the paper's 12–18 kHz carriers.
 pub const DEFAULT_SAMPLE_RATE_HZ: f64 = 192_000.0;
@@ -87,6 +89,15 @@ pub fn margin_samples(fs_hz: f64) -> Result<usize, CoreError> {
         return Err(CoreError::InvalidConfig("fs_hz too large for sample math"));
     }
     Ok((0.01 * fs_hz).floor() as usize)
+}
+
+/// How long the projector keeps its carrier on after a query, seconds,
+/// so the node can send its whole response to `command` at
+/// `bitrate_bps` while lit: the node's 5 ms guard, the FM0 packet, then
+/// the slot engine's own `slack_s`.
+pub(crate) fn response_window_s(command: Command, bitrate_bps: f64, slack_s: f64) -> f64 {
+    let bits = UplinkPacket::bits_len(UplinkPacket::response_payload_len(command)) as f64;
+    5e-3 + bits / bitrate_bps + slack_s
 }
 
 /// Standard deviation of the hydrophone's AWGN, pascals: `noise`'s RMS

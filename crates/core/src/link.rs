@@ -11,12 +11,14 @@
 use crate::medium::Medium;
 use crate::node::{IncidentComponent, NodeOutput, PabNode};
 use crate::projector::Projector;
-use crate::receiver::{trace_verdict, Decoded, Receiver, StreamVerdict};
+use crate::receiver::{trace_verdict, Decoded, Receiver, StreamVerdict, H2A_SENSITIVITY_V_PER_PA};
 use crate::scratch::{self, Scratch};
-use crate::{hydrophone_sigma_pa, margin_samples, CoreError, DEFAULT_SAMPLE_RATE_HZ};
-use pab_channel::noise::{add_awgn, NoiseEnvironment};
+use crate::{
+    hydrophone_sigma_pa, margin_samples, response_window_s, CoreError, DEFAULT_SAMPLE_RATE_HZ,
+};
+use pab_channel::noise::NoiseEnvironment;
 use pab_channel::{FaultSchedule, Pool, Position};
-use pab_net::packet::{Command, DownlinkQuery, SensorKind, UplinkPacket};
+use pab_net::packet::{Command, DownlinkQuery, UplinkPacket};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -168,19 +170,6 @@ impl SlotEngineStats {
     }
 }
 
-/// Stable cache identity of a `Command` (the enum carries no explicit
-/// discriminants, so spell the mapping out here).
-fn command_key(command: Command) -> (u8, u16) {
-    match command {
-        Command::Ping => (0, 0),
-        Command::SetBitrateDivider(d) => (1, d),
-        Command::SelectRectoPiezo(i) => (2, u16::from(i)),
-        Command::ReadSensor(SensorKind::Ph) => (3, 0),
-        Command::ReadSensor(SensorKind::Temperature) => (3, 1),
-        Command::ReadSensor(SensorKind::Pressure) => (3, 2),
-    }
-}
-
 /// Memo key: everything the synthesized downlink depends on that can
 /// vary between exchanges — destination, *responding node address*,
 /// command, the node's commanded FM0 divider (through the response window
@@ -192,7 +181,7 @@ fn command_key(command: Command) -> (u8, u16) {
 /// `BROADCAST_ADDR`, so entries keyed on the destination only would alias
 /// across responders the moment the memo is shared or a simulator is
 /// re-addressed.
-type WaveKey = (u8, u8, (u8, u16), u16, u64);
+type WaveKey = (u8, u8, Command, u16, u64);
 
 /// One memoized clean exchange: the noiseless hydrophone pressure
 /// waveform plus the node-side summary the verdict reports. Valid
@@ -281,7 +270,7 @@ impl LinkSimulator {
     /// Build the simulator, designing the node front end and the
     /// propagation channels.
     pub fn new(cfg: LinkConfig) -> Result<Self, CoreError> {
-        let receiver = Receiver::new(1.0e-3, cfg.fs_hz);
+        let receiver = Receiver::new(H2A_SENSITIVITY_V_PER_PA, cfg.fs_hz);
         Ok(LinkSimulator {
             link: Link::new(cfg)?,
             receiver,
@@ -425,7 +414,7 @@ impl LinkSimulator {
         let mut y = vec![0.0; n];
         link.medium.add_direct(&mut y, &[&tx]);
         link.medium.add_backscatter(&mut y, &[&node_out.backscatter]);
-        link.receive(&self.receiver, &mut y, &FaultSchedule::default(), 0.0);
+        self.receiver.record_in_place(&mut y, link.sigma_pa, &mut link.rng, None);
         self.receiver.demodulate(&y, link.cfg.carrier_hz, 60.0)
     }
 }
@@ -522,13 +511,7 @@ impl Link {
         command: Command,
         cfo_hz: f64,
     ) -> Result<Vec<f64>, CoreError> {
-        let payload_len = match command {
-            Command::ReadSensor(_) => 4,
-            _ => 0,
-        };
-        // guard + packet + margin
-        let bits = UplinkPacket::bits_len(payload_len) as f64;
-        let cw_tail = 5e-3 + bits / self.medium.bitrate_bps() + 30e-3;
+        let cw_tail = response_window_s(command, self.medium.bitrate_bps(), 30e-3);
         let saved_cfo_hz = self.projector.cfo_hz;
         self.projector.cfo_hz = cfo_hz;
         let wave = self.projector.query_waveform(
@@ -555,22 +538,10 @@ impl Link {
         let down = faults.node_down_during(t_start_s, t_start_s + window_s);
         let fade = (!faults.is_quiet()).then_some((faults, t_start_s));
         let (mut y, node_out) = fresh_exchange(&self.medium, &self.cfg, &tx_wave, fade, down)?;
-        self.receive(rx, &mut y, faults, t_start_s);
+        rx.record_in_place(&mut y, self.sigma_pa, &mut self.rng, Some((faults, t_start_s)));
         let bitrate = self.medium.bitrate_bps();
         let decoded = rx.decode_uplink(&y, self.cfg.carrier_hz, bitrate);
         Ok(build_report(node_out, decoded, bitrate, y))
-    }
-
-    /// The hydrophone `rx`, in place: ambient AWGN from this link's
-    /// stream, the schedule's burst noise, then the pressure→volts
-    /// scaling.
-    fn receive(&mut self, rx: &Receiver, y: &mut [f64], faults: &FaultSchedule, t_start_s: f64) {
-        add_awgn(y, self.sigma_pa, &mut self.rng);
-        faults.add_burst_noise(y, t_start_s, self.cfg.fs_hz);
-        let sensitivity = rx.sensitivity_v_per_pa;
-        for s in y.iter_mut() {
-            *s *= sensitivity;
-        }
     }
 
     /// [`LinkSimulator::slot_exchange`], decoded by `rx`.
@@ -586,7 +557,7 @@ impl Link {
         let fs_hz = self.cfg.fs_hz;
         let cfo_hz = self.projector.cfo_hz + faults.drift_at_hz(t_start_s);
         let divider = self.medium.divider();
-        let key: WaveKey = (dest, self.cfg.node_addr, command_key(command), divider, cfo_hz.to_bits());
+        let key: WaveKey = (dest, self.cfg.node_addr, command, divider, cfo_hz.to_bits());
         if self.memos.contains_key(&key) {
             self.stats.wave_hits += 1;
         } else {
@@ -660,7 +631,7 @@ impl Link {
                 let probe0 = scratch::alloc_probe();
                 (self.scratch.take_copy(&clean.y_clean), clean.node, Some(probe0))
             };
-        self.receive(rx, &mut y, faults, t_start_s);
+        rx.record_in_place(&mut y, self.sigma_pa, &mut self.rng, Some((faults, t_start_s)));
         let decoded = rx.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
         trace_verdict(&decoded, tel);
         let exchange_samples = y.len();
@@ -713,6 +684,7 @@ fn build_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pab_net::packet::SensorKind;
 
     impl LinkSimulator {
         /// The configuration in use.

@@ -228,36 +228,6 @@ impl PabNode {
         )
     }
 
-    /// Modulate one incident component with the complex state-dependent
-    /// gain: `bs = Re{G(t)·(x + j x̂)} = Re(G)·x_delayed − Im(G)·x̂`, where
-    /// `x̂` is the Hilbert (quadrature) path and `G(t)` interpolates
-    /// between the absorptive and reflective gains along the smoothed
-    /// switching waveform. The backscatter is written into `out`, whose
-    /// old contents are never read.
-    fn modulate_component(
-        &self,
-        samples: &[f64],
-        smooth_switch: &[f64],
-        g_on: num_complex::Complex64,
-        g_off: num_complex::Complex64,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError> {
-        let mut caches = self.caches.borrow_mut();
-        let hil = match &mut caches.hilbert {
-            Some(h) => h,
-            empty => empty.insert(FoldedHilbert::new(127, pab_dsp::window::Window::Hamming)?),
-        };
-        // The quadrature path, then each sample modulated in place against
-        // the in-phase path delayed to match it.
-        hil.filter_into(samples, out);
-        let delayed = std::iter::repeat_n(0.0, hil.group_delay()).chain(samples.iter().copied());
-        for ((o, xd), &sw) in out.iter_mut().zip(delayed).zip(smooth_switch) {
-            let g = g_off + (g_on - g_off) * sw.clamp(0.0, 1.0);
-            *o = g.re * xd - g.im * *o;
-        }
-        Ok(())
-    }
-
     /// Run the full node pipeline over incident components sampled at
     /// `fs_hz`. `sensors` optionally wires water conditions to the node's
     /// ADC + I2C peripherals.
@@ -415,54 +385,10 @@ impl PabNode {
         // The front end in effect while the response was transmitted
         // (configuration commands apply only after their ACK).
         let selected = mcu.firmware.tx_frontend_index;
-        let fe = self.frontend(selected);
         let switch_wave = mcu
             .services
             .rasterize_pin(Pin::BackscatterSwitch, fs_hz, n);
-
-        // Smooth the binary switch waveform with the front end's
-        // modulation bandwidth, in place, then modulate each carrier. The
-        // numeric bandwidth measurement and the Butterworth design are
-        // pure functions of `(front end, cutoff, fs)`, so both are
-        // memoized.
-        let fe_index = (selected as usize).min(self.frontends.len() - 1);
-        let measured_bw_hz = {
-            let mut caches = self.caches.borrow_mut();
-            match caches.mod_bw_hz.get(&fe_index) {
-                Some(&v) => v,
-                None => {
-                    let v = Self::modulation_bandwidth_hz(fe);
-                    caches.mod_bw_hz.insert(fe_index, v);
-                    v
-                }
-            }
-        };
-        let bw = measured_bw_hz.min(0.45 * fs_hz).max(100.0);
-        let mut smooth = pool.take_workspace(switch_wave.len());
-        for (r, &b) in smooth.iter_mut().zip(&switch_wave) {
-            *r = if b { 1.0 } else { 0.0 };
-        }
-        {
-            let mut caches = self.caches.borrow_mut();
-            let key = (bw.to_bits(), fs_hz.to_bits());
-            let stale = caches.butter.as_ref().map(|(k, _)| *k != key).unwrap_or(true);
-            if stale {
-                caches.butter = Some((key, pab_dsp::iir::butter_lowpass(2, bw, fs_hz)?));
-            }
-            match caches.butter.as_ref() {
-                Some((_, lp)) => lp.filter_in_place(&mut smooth),
-                None => return Err(CoreError::InvalidConfig("butter cache empty")),
-            }
-        }
-
-        let mut backscatter = Vec::with_capacity(components.len());
-        for c in components {
-            let (g_on, g_off) = Self::backscatter_gains(fe, c.carrier_hz);
-            let mut bs = pool.take_workspace(c.samples.len());
-            self.modulate_component(&c.samples, &smooth, g_on, g_off, &mut bs)?;
-            backscatter.push(bs);
-        }
-        pool.put(smooth);
+        let backscatter = self.backscatter_in(selected, &switch_wave, components, fs_hz, pool)?;
 
         Ok(NodeOutput {
             powered_up,
@@ -475,6 +401,65 @@ impl PabNode {
             bitrate_bps: mcu.firmware.bitrate_bps(&mcu.services),
             average_power_w: mcu.services.power_meter().average_power_w(),
         })
+    }
+
+    /// Each incident component re-radiated while the switch follows
+    /// `switch_wave` through front end `selected`, in buffers taken from
+    /// `pool`. The raster is smoothed with the front end's modulation
+    /// bandwidth, in place. Each carrier is then modulated with the
+    /// complex state-dependent gain: `bs = Re{G(t)·(x + j x̂)} =
+    /// Re(G)·x_delayed − Im(G)·x̂`, where `x̂` is the Hilbert (quadrature)
+    /// path and `G(t)` interpolates between the absorptive and reflective
+    /// gains along the smoothed raster. The numeric bandwidth measurement
+    /// and the filter designs are pure functions of their parameters, so
+    /// all are memoized.
+    fn backscatter_in(
+        &self,
+        selected: u8,
+        switch_wave: &[bool],
+        components: &[IncidentComponent],
+        fs_hz: f64,
+        pool: &mut Scratch,
+    ) -> Result<Vec<Vec<f64>>, CoreError> {
+        let fe = self.frontend(selected);
+        let fe_index = (selected as usize).min(self.frontends.len() - 1);
+        let mut guard = self.caches.borrow_mut();
+        let caches = &mut *guard;
+        let measured_bw_hz =
+            *caches.mod_bw_hz.entry(fe_index).or_insert_with(|| Self::modulation_bandwidth_hz(fe));
+        let bw = measured_bw_hz.min(0.45 * fs_hz).max(100.0);
+        let mut smooth = pool.take_workspace(switch_wave.len());
+        for (r, &b) in smooth.iter_mut().zip(switch_wave) {
+            *r = if b { 1.0 } else { 0.0 };
+        }
+        let key = (bw.to_bits(), fs_hz.to_bits());
+        let lp = match &mut caches.butter {
+            Some((k, lp)) if *k == key => lp,
+            slot => &mut slot.insert((key, pab_dsp::iir::butter_lowpass(2, bw, fs_hz)?)).1,
+        };
+        lp.filter_in_place(&mut smooth);
+
+        let mut backscatter = Vec::with_capacity(components.len());
+        for c in components {
+            let (g_on, g_off) = Self::backscatter_gains(fe, c.carrier_hz);
+            // The quadrature path, then each sample modulated in place
+            // against the in-phase path delayed to match it.
+            let mut bs = pool.take_workspace(c.samples.len());
+            let hil = match &mut caches.hilbert {
+                Some(h) => h,
+                empty => empty.insert(FoldedHilbert::new(127, pab_dsp::window::Window::Hamming)?),
+            };
+            hil.filter_into(&c.samples, &mut bs);
+            let delayed =
+                std::iter::repeat_n(0.0, hil.group_delay()).chain(c.samples.iter().copied());
+            for ((o, xd), &sw) in bs.iter_mut().zip(delayed).zip(&smooth) {
+                let g = g_off + (g_on - g_off) * sw.clamp(0.0, 1.0);
+                *o = g.re * xd - g.im * *o;
+            }
+            backscatter.push(bs);
+        }
+        pool.put(smooth);
+        Ok(backscatter)
     }
 
     /// Fig. 2 mode: ignore the firmware and toggle the switch at a fixed
@@ -490,7 +475,6 @@ impl PabNode {
             return Err(CoreError::InvalidConfig("half_period_s"));
         }
         let n = component.samples.len();
-        let fe = self.frontend(0);
         let mut switch_wave = vec![false; n];
         for (i, w) in switch_wave.iter_mut().enumerate() {
             let t = i as f64 / fs_hz;
@@ -498,23 +482,19 @@ impl PabNode {
                 *w = (((t - start_s) / half_period_s) as u64).is_multiple_of(2);
             }
         }
-        let bw = Self::modulation_bandwidth_hz(fe).min(0.45 * fs_hz).max(100.0);
-        let lp = pab_dsp::iir::butter_lowpass(2, bw, fs_hz)?;
-        let raw: Vec<f64> = switch_wave.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
-        let smooth = lp.filter(&raw);
-        let (g_on, g_off) = Self::backscatter_gains(fe, component.carrier_hz);
-        let mut bs = Vec::new();
-        self.modulate_component(&component.samples, &smooth, g_on, g_off, &mut bs)?;
+        let components = std::slice::from_ref(component);
+        let backscatter =
+            self.backscatter_in(0, &switch_wave, components, fs_hz, &mut Scratch::transient())?;
         let peak = component
             .samples
             .iter()
             .fold(0.0f64, |m, &x| m.max(x.abs()));
-        let rectified_v = fe.rectified_voltage_v(peak, component.carrier_hz, 1e6);
+        let rectified_v = self.frontend(0).rectified_voltage_v(peak, component.carrier_hz, 1e6);
         Ok(NodeOutput {
             powered_up: rectified_v >= self.powerup_threshold_v,
             rectified_v,
             switch_wave,
-            backscatter: vec![bs],
+            backscatter,
             powered_at_s: if rectified_v >= self.powerup_threshold_v {
                 Some(0.0)
             } else {

@@ -31,6 +31,8 @@
 use crate::scratch::{grow_to, reserve_to, DecodeScratch, Scratch, SlicerScratch};
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use num_complex::Complex64;
+use pab_channel::noise::add_awgn;
+use pab_channel::FaultSchedule;
 use pab_dsp::correlate::RunLengthTemplate;
 use pab_dsp::iir::{butter_lowpass, Cascade};
 use pab_dsp::mix::{detrend_shift_in_place, downconvert_into};
@@ -72,8 +74,7 @@ impl FrontEnd {
         let spb_raw = fs_hz / (2.0 * bitrate_bps);
         let decim = ((spb_raw / 16.0).floor() as usize).max(1);
         let fs2 = fs_hz / decim as f64;
-        // `max`/`min`, not `clamp`: below ~16 bps 0.4·fs2 is under 200 Hz.
-        let cutoff = (2.0 * bitrate_bps).max(200.0).min(0.4 * fs2);
+        let cutoff = demod_cutoff_hz(bitrate_bps, fs2);
         let butter4 = butter_lowpass(4, cutoff, fs2)?;
         let aa = if decim == 1 {
             None
@@ -163,6 +164,15 @@ impl FrontEnd {
     }
 }
 
+/// The demodulation low-pass cutoff for FM0 at `bitrate_bps`, sampled
+/// at `fs_hz`: twice the bitrate, held within [200 Hz, 0.4·fs]. Written
+/// with `max`/`min`, not `clamp`, because below ~16 bps a front end's
+/// decimated rate puts 0.4·fs under 200 Hz; wherever the range is
+/// non-empty the two agree.
+pub(crate) fn demod_cutoff_hz(bitrate_bps: f64, fs_hz: f64) -> f64 {
+    (2.0 * bitrate_bps).max(200.0).min(0.4 * fs_hz)
+}
+
 /// Length of the Hamming anti-alias FIR that decimates `fs_hz` to `fs2`
 /// ahead of a Butterworth passband of `cutoff_hz`. The bands that fold
 /// onto that passband are `k·fs2 ± cutoff_hz`; the nearest starts at
@@ -219,6 +229,10 @@ pub struct FrontEndStats {
     /// Front-end design cache misses (fresh designs built).
     pub design_misses: u64,
 }
+
+/// Sensitivity of the H2a hydrophone every simulator records with,
+/// volts per pascal: −180 dB re 1 V/µPa = 1 mV/Pa.
+pub(crate) const H2A_SENSITIVITY_V_PER_PA: f64 = 1.0e-3;
 
 /// The hydrophone + offline decoder.
 ///
@@ -343,7 +357,7 @@ struct SliceOutcome {
 
 impl Default for Receiver {
     fn default() -> Self {
-        Receiver::new(1.0e-3, DEFAULT_SAMPLE_RATE_HZ)
+        Receiver::new(H2A_SENSITIVITY_V_PER_PA, DEFAULT_SAMPLE_RATE_HZ)
     }
 }
 
@@ -398,10 +412,35 @@ impl Receiver {
 
     /// Convert a pressure waveform into the recorded voltage waveform.
     pub fn record(&self, pressure: &[f64]) -> Vec<f64> {
-        pressure
-            .iter()
-            .map(|&p| p * self.sensitivity_v_per_pa)
-            .collect()
+        let mut y = pressure.to_vec();
+        self.to_volts(&mut y);
+        y
+    }
+
+    /// Scale a pressure waveform to the hydrophone's volts, in place.
+    fn to_volts(&self, y: &mut [f64]) {
+        for s in y.iter_mut() {
+            *s *= self.sensitivity_v_per_pa;
+        }
+    }
+
+    /// What the hydrophone records of the noiseless pressure `y`, in
+    /// place: ambient AWGN of `sigma_pa` drawn from the slot engine's own
+    /// `rng`, then any `burst` noise (a fault schedule and the absolute
+    /// start time its windows are keyed on), then the scaling to volts.
+    /// Both slot engines record through here.
+    pub(crate) fn record_in_place(
+        &self,
+        y: &mut [f64],
+        sigma_pa: f64,
+        rng: &mut impl rand::Rng,
+        burst: Option<(&FaultSchedule, f64)>,
+    ) {
+        add_awgn(y, sigma_pa, rng);
+        if let Some((faults, t_start_s)) = burst {
+            faults.add_burst_noise(y, t_start_s, self.fs_hz);
+        }
+        self.to_volts(y);
     }
 
     /// Downconvert at `carrier_hz` and Butterworth low-pass at
@@ -1311,7 +1350,7 @@ mod tests {
             for bitrate in fig8.into_iter().chain(ladder) {
                 let fe = FrontEnd::new(bitrate, fs_hz).unwrap();
                 let Some(aa) = &fe.aa else { continue };
-                let c = (2.0 * bitrate).max(200.0).min(0.4 * fe.fs2);
+                let c = demod_cutoff_hz(bitrate, fe.fs2);
                 let worst = worst_folding_gain_db(aa.taps(), fs_hz, fe.fs2, c);
                 let tag = format!("{bitrate:.1} bps at {fs_hz} Hz, decim {}", fe.decim);
                 assert!(worst <= -50.0, "{tag}: folds in at {worst:.1} dB");
@@ -1337,7 +1376,7 @@ mod tests {
 
     /// The front end's previous order, kept as the oracle for the
     /// decimate-first one: mix, order-4 Butterworth at the full rate
-    /// (cutoff `(2·bitrate).clamp(200, 0.4·fs)`), then the front end's
+    /// (cutoff [`demod_cutoff_hz`] at the full rate), then the front end's
     /// own anti-alias decimator with the coherent ×2, then the shared
     /// baseband decode. Up to decimation 30 that decimator is the
     /// historical 127-tap one, so this is the previous pipeline; above,
@@ -1350,8 +1389,7 @@ mod tests {
         bitrate: f64,
     ) -> Result<DecodeVerdict, CoreError> {
         let fe = rx.front_end(bitrate).unwrap();
-        let cutoff = (2.0 * bitrate).clamp(200.0, 0.4 * rx.fs_hz);
-        let filtered = butter_lowpass(4, cutoff, rx.fs_hz)
+        let filtered = butter_lowpass(4, demod_cutoff_hz(bitrate, rx.fs_hz), rx.fs_hz)
             .unwrap()
             .filtfilt_complex(&pab_dsp::mix::downconvert(signal, carrier_hz, rx.fs_hz));
         let s = &mut *rx.scratch.borrow_mut();

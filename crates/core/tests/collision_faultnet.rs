@@ -11,6 +11,7 @@ use pab_core::faultnet::{FaultNetConfig, FaultNetSimulator};
 use pab_net::mac::{
     AdaptiveConfig, ChannelPlan, CollisionPolicy, Concurrency, MacPolicy, RateLadder,
 };
+use pab_net::packet::{Command, SensorKind};
 use pab_telemetry::export::{events_csv, events_jsonl, summary_csv};
 use pab_telemetry::{events_bin, Event, FaultKind, Recorder};
 
@@ -80,6 +81,28 @@ fn collision_slots_fire_and_beat_serialized_goodput() {
         collision.goodput_bps,
         serialized.goodput_bps
     );
+}
+
+/// A collision round of sensor reads: the group keeps each carrier on
+/// for the whole sensor response, so training and the collision slots
+/// complete on a [512, 256] ladder instead of aborting the round.
+#[test]
+fn sensor_read_collision_round_completes() {
+    let mut cfg = wide_pair_cfg(Concurrency::Collision(CollisionPolicy::default()));
+    cfg.command = Command::ReadSensor(SensorKind::Temperature);
+    cfg.bitrate_target_bps = 512.0;
+    cfg.policy = MacPolicy::Adaptive(AdaptiveConfig {
+        ladder: RateLadder::new(vec![512.0, 256.0]).unwrap(),
+        ..Default::default()
+    });
+    let mut tel = Recorder::new(16_384);
+    let report = FaultNetSimulator::new(cfg)
+        .unwrap()
+        .run_with_recorder(Some(&mut tel))
+        .unwrap();
+    assert!(report.completed, "{report:?}");
+    assert_eq!(report.delivered_total, 8);
+    assert!(tel.counters().get("collision_slot") >= 1, "{:?}", tel.counters());
 }
 
 #[test]

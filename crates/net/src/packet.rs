@@ -27,11 +27,14 @@ pub const UPLINK_PREAMBLE: [bool; 16] = [
     false, false, true,
 ];
 
+/// Payload bytes of a sensor reading: one little-endian `i32`.
+const SENSOR_PAYLOAD_LEN: usize = std::mem::size_of::<i32>();
+
 /// Broadcast address: all nodes accept the query.
 pub const BROADCAST_ADDR: u8 = 0xFF;
 
 /// Sensor selector used by queries and responses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SensorKind {
     /// Acidity via the pH probe + AFE.
     Ph,
@@ -63,7 +66,7 @@ impl SensorKind {
 /// Downlink commands (§5.1(a): "commands for the PAB backscatter node such
 /// as setting backscatter link frequency, switching its resonance mode, or
 /// requesting certain sensed data").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Command {
     /// Solicit an ACK (presence/power-up check).
     Ping,
@@ -293,9 +296,19 @@ impl UplinkPacket {
         }
     }
 
+    /// Payload bytes of the node's response to `command`: a
+    /// [`sensor_reading`](Self::sensor_reading)'s fixed-point `i32` for
+    /// `ReadSensor`, none for the ACK every other command gets.
+    pub fn response_payload_len(command: Command) -> usize {
+        match command {
+            Command::ReadSensor(_) => SENSOR_PAYLOAD_LEN,
+            _ => 0,
+        }
+    }
+
     /// Decode the fixed-point sensor value carried by this packet.
     pub fn sensor_value(&self) -> Option<f64> {
-        if !matches!(self.kind, UplinkKind::Sensor(_)) || self.payload.len() != 4 {
+        if !matches!(self.kind, UplinkKind::Sensor(_)) || self.payload.len() != SENSOR_PAYLOAD_LEN {
             return None;
         }
         let fixed = i32::from_le_bytes([

@@ -39,12 +39,10 @@ pub fn derive_seed(base_seed: u64, point_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Run `f(index, point)` for every point, in parallel when the
-/// `parallel` feature is on (the default), returning results in point
-/// order. Output is bit-identical to [`run_serial`] as long as `f` is a
-/// pure function of `(index, point)` — derive any randomness from
-/// [`derive_seed`], never from shared state.
-#[cfg(feature = "parallel")]
+/// Run `f(index, point)` for every point in parallel, returning results
+/// in point order. Output is bit-identical to [`run_serial`] as long as
+/// `f` is a pure function of `(index, point)` — derive any randomness
+/// from [`derive_seed`], never from shared state.
 pub fn run<P, R, F>(points: Vec<P>, f: F) -> Vec<R>
 where
     P: Send,
@@ -54,17 +52,6 @@ where
     use rayon::prelude::*;
     let indexed: Vec<(usize, P)> = points.into_iter().enumerate().collect();
     indexed.into_par_iter().map(|(i, p)| f(i, p)).collect()
-}
-
-/// Serial fallback used when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-pub fn run<P, R, F>(points: Vec<P>, f: F) -> Vec<R>
-where
-    P: Send,
-    R: Send,
-    F: Fn(usize, P) -> R + Sync,
-{
-    run_serial(points, f)
 }
 
 /// The reference serial path: a plain indexed map, kept callable from
