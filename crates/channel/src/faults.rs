@@ -240,6 +240,15 @@ impl FaultSchedule {
         }
     }
 
+    /// Whether the drift ramp is still moving at `t_s`: a ramp with a
+    /// non-zero rate whose accumulated offset `|rate·t_s|` is still below
+    /// its bound. The unclamped ramp is strictly monotone, so the offset
+    /// in force at such a `t_s` is one that no other time gives.
+    pub fn drift_ramping_at(&self, t_s: f64) -> bool {
+        self.drift
+            .is_some_and(|d| d.rate_hz_per_s != 0.0 && (d.rate_hz_per_s * t_s).abs() < d.max_abs_hz)
+    }
+
     /// Whether any burst window covers part of `[start_s, end_s)`.
     pub fn burst_active_during(&self, start_s: f64, end_s: f64) -> bool {
         self.bursts
@@ -466,6 +475,28 @@ mod tests {
             .unwrap();
         assert!((f.drift_at_hz(1.0) - 2.0).abs() < 1e-12);
         assert!((f.drift_at_hz(100.0) - 10.0).abs() < 1e-12, "saturates");
+    }
+
+    /// A ramp moves until its offset reaches the bound, whichever way it
+    /// runs; no ramp, or a zero rate, never moves.
+    #[test]
+    fn drift_ramping_only_below_the_bound() {
+        let ramp = |rate_hz_per_s| {
+            FaultSchedule::new(1)
+                .with_drift(DriftRamp {
+                    rate_hz_per_s,
+                    max_abs_hz: 10.0,
+                })
+                .unwrap()
+        };
+        assert!(!FaultSchedule::default().drift_ramping_at(3.0), "no drift");
+        assert!(!ramp(0.0).drift_ramping_at(3.0), "zero rate");
+        assert!(ramp(2.0).drift_ramping_at(0.0));
+        assert!(ramp(2.0).drift_ramping_at(4.5), "mid-ramp");
+        assert!(!ramp(2.0).drift_ramping_at(5.0), "reaches the bound");
+        assert!(!ramp(2.0).drift_ramping_at(60.0), "saturated");
+        assert!(ramp(-2.0).drift_ramping_at(4.5), "negative rate, mid-ramp");
+        assert!(!ramp(-2.0).drift_ramping_at(60.0), "negative rate, saturated");
     }
 
     #[test]

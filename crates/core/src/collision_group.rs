@@ -622,8 +622,27 @@ impl CollisionGroupSimulator {
     ///
     /// The rate's divider keys the clean-slot memo, so a memo left from
     /// another rate can never hit again: its buffers go back to the pool
-    /// first, for the training slots to run on.
+    /// first, for the training slots to run on. Fails with
+    /// [`CoreError::NodeNotPoweredUp`] at the first member that does not
+    /// answer its training slot.
+    // lint: allow(dead-pub) api crates/experiments/src/bin/pab_bench/layers.rs the benchmark times a training pass; faultnet trains through train_charging
     pub fn train(&mut self, command: Command) -> Result<TrainingOutcome, CoreError> {
+        let mut elapsed_s = 0.0;
+        let condition_number = self.train_charging(command, &mut elapsed_s)?;
+        Ok(TrainingOutcome {
+            condition_number,
+            elapsed_s,
+        })
+    }
+
+    /// [`train`](Self::train), adding each training slot's time to
+    /// `elapsed_s` as the slot runs, so a pass that fails part-way still
+    /// reports the slots it spent; returns the condition number.
+    pub(crate) fn train_charging(
+        &mut self,
+        command: Command,
+        elapsed_s: &mut f64,
+    ) -> Result<f64, CoreError> {
         let divider = self.medium.divider();
         if let Some(((memo_divider, _), _)) = &self.clean_memo {
             if *memo_divider != divider {
@@ -635,7 +654,6 @@ impl CollisionGroupSimulator {
         let fs = self.fs_hz;
         let k = self.members.len();
         let tail = self.response_tail_s(command);
-        let mut elapsed_s = 0.0;
         // offsets[band] averaged across slots; gains[band][member].
         let mut offsets = vec![Complex64::new(0.0, 0.0); k];
         let mut gains = vec![vec![Complex64::new(0.0, 0.0); k]; k];
@@ -660,7 +678,7 @@ impl CollisionGroupSimulator {
             let clean = self.clean_slot(waves)?;
             let bands = self.receive(&clean.pressure)?;
             self.stats.training_slots += 1;
-            elapsed_s += clean.pressure.len() as f64 / fs;
+            *elapsed_s += clean.pressure.len() as f64 / fs;
             if !clean.responded[j] {
                 return Err(CoreError::NodeNotPoweredUp);
             }
@@ -685,10 +703,7 @@ impl CollisionGroupSimulator {
         let condition_number = condition_number_n(&channels);
         self.channels = Some(channels);
         self.trained_divider = self.medium.divider();
-        Ok(TrainingOutcome {
-            condition_number,
-            elapsed_s,
-        })
+        Ok(condition_number)
     }
 
     /// Transmit `queries[i]` on member `i`'s carrier, let every powered

@@ -15,6 +15,7 @@
 use crate::collision_group::CollisionGroupSimulator;
 use crate::link::{Link, LinkConfig, SlotEngineStats};
 use crate::receiver::{Receiver, StreamVerdict, H2A_SENSITIVITY_V_PER_PA};
+use crate::scratch::Scratch;
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use pab_channel::noise::NoiseEnvironment;
 use pab_channel::{FaultSchedule, Pool, Position};
@@ -237,9 +238,9 @@ pub struct FaultNetReport {
 
 /// The fault-injected network simulator: one link per node (each node
 /// owns its channel frequency, fault schedule, noise stream and slot
-/// caches) and one hydrophone [`Receiver`] that decodes every link's
-/// exchanges, orchestrated by a [`ResilientMac`] over a shared slotted
-/// clock.
+/// caches), one hydrophone [`Receiver`] that decodes every link's
+/// exchanges and one buffer arena they all run on, orchestrated by a
+/// [`ResilientMac`] over a shared slotted clock.
 #[derive(Debug)]
 pub struct FaultNetSimulator {
     cfg: FaultNetConfig,
@@ -249,6 +250,10 @@ pub struct FaultNetSimulator {
     /// on it, so the network holds one decode workspace, sized by its
     /// longest exchange, whatever its node count.
     receiver: Receiver,
+    /// The network's one buffer arena, lent to every link's exchange
+    /// like the receiver: the exchanges run one at a time, so the arena
+    /// holds what the most demanding one needs, whatever the node count.
+    scratch: Scratch,
     /// Collision-group simulators, built lazily per member set and kept
     /// so training survives across slots (keyed by addresses in channel
     /// order).
@@ -304,6 +309,7 @@ impl FaultNetSimulator {
         }
         Ok(FaultNetSimulator {
             receiver: Receiver::new(H2A_SENSITIVITY_V_PER_PA, cfg.fs_hz),
+            scratch: Scratch::new(),
             cfg,
             mac,
             links,
@@ -485,6 +491,7 @@ impl FaultNetSimulator {
                 .ok_or(CoreError::InvalidConfig("scheduled unknown address"))?;
             let (heard, exchange_samples) = link.slot_exchange(
                 &self.receiver,
+                &mut self.scratch,
                 addr,
                 q.query.command,
                 schedule,
@@ -514,8 +521,9 @@ impl FaultNetSimulator {
     /// matrix if needed, gate on its condition number, zero-force the
     /// concurrent uplinks and account every separated stream's verdict to
     /// the MAC individually. Falls back to FDMA — and blacklists the
-    /// group — when the trained matrix trips the conditioning gate or
-    /// turns out singular at inversion time.
+    /// group — when a member does not answer its training slot, when the
+    /// trained matrix trips the conditioning gate or when it turns out
+    /// singular at inversion time.
     fn run_collision_slot(
         &mut self,
         queries: Vec<ScheduledQuery>,
@@ -537,8 +545,9 @@ impl FaultNetSimulator {
             let group = CollisionGroupSimulator::new(&self.cfg, &addrs)?;
             self.groups.insert(addrs.clone(), group);
         }
-        // Training slots are addressed queries too, so their time is
-        // charged to the slot whether the group survives the gate or not.
+        // Training slots are addressed queries too, so the ones that ran
+        // are charged to the slot whether the group survives the gate or
+        // not.
         let mut slot_s = 0.0f64;
         let condition_number = {
             let group = self
@@ -546,10 +555,16 @@ impl FaultNetSimulator {
                 .get_mut(&addrs)
                 .ok_or(CoreError::InvalidConfig("collision group missing"))?;
             group.set_bitrate_target(rate_bps)?;
-            if !group.is_trained() {
-                slot_s += group.train(self.cfg.command)?.elapsed_s;
+            if group.is_trained() {
+                group.condition_number()
+            } else {
+                match group.train_charging(self.cfg.command, &mut slot_s) {
+                    Ok(condition_number) => condition_number,
+                    // A silent member leaves no channel to invert.
+                    Err(CoreError::NodeNotPoweredUp) => f64::INFINITY,
+                    Err(e) => return Err(e),
+                }
             }
-            group.condition_number()
         };
         // `!(a <= b)` rather than `a > b`: a NaN condition number must
         // also take the fallback, never the collision.
@@ -685,14 +700,16 @@ impl FaultNetSimulator {
         &self.mac
     }
 
-    /// Slot-engine cache/arena counters summed across every node's link
-    /// (see [`SlotEngineStats`]).
+    /// Slot-engine cache counters summed across every node's link, and
+    /// the counters of the one arena they share (see
+    /// [`SlotEngineStats`]).
+    // lint: allow(dead-pub) api crates/experiments/src/bin/pab_bench/trace.rs the benchmark reports the network's cache and arena counters
     pub fn slot_stats(&self) -> SlotEngineStats {
         let mut total = SlotEngineStats::default();
         for link in self.links.values() {
-            total.merge(&link.slot_stats());
+            total.merge(&link.stats());
         }
-        total
+        total.with_arena(&self.scratch)
     }
 
     /// Decimating front-end counters of the network's one hydrophone

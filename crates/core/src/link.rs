@@ -142,15 +142,16 @@ pub struct SlotEngineStats {
     /// the exchange (per-sample gains make the waveform time-dependent).
     pub bypasses: u64,
     /// Heap allocations observed across the engine stage of the most
-    /// recent cache-hit exchange (scratch take → AWGN → burst → volts
-    /// scaling, decode excluded). Reads 0 unless a counting global
+    /// recent cache-hit exchange (arena take → AWGN → burst → volts
+    /// scaling → verdict decode → arena put). Reads 0 unless a counting global
     /// allocator feeds [`scratch::ALLOC_PROBE`], and must stay 0 when one
     /// does — that is the zero-allocation claim `tests/slot_engine_alloc.rs`
     /// pins.
     pub engine_allocs_last: u64,
-    /// Scratch-arena buffers handed out.
+    /// Buffers handed out by the arena the exchanges ran on: a
+    /// `LinkSimulator`'s own, or a network's one arena.
     pub scratch_takes: u64,
-    /// Scratch-arena takes that had to allocate (cold pool).
+    /// Takes of that arena that had to allocate (cold pool).
     pub scratch_pool_misses: u64,
 }
 
@@ -167,6 +168,16 @@ impl SlotEngineStats {
         self.engine_allocs_last = self.engine_allocs_last.max(other.engine_allocs_last);
         self.scratch_takes += other.scratch_takes;
         self.scratch_pool_misses += other.scratch_pool_misses;
+    }
+
+    /// These counters, with the arena counters read from `arena`, the
+    /// arena their exchanges ran on.
+    pub(crate) fn with_arena(self, arena: &Scratch) -> Self {
+        SlotEngineStats {
+            scratch_takes: arena.takes(),
+            scratch_pool_misses: arena.pool_misses(),
+            ..self
+        }
     }
 }
 
@@ -228,9 +239,12 @@ struct Memo {
     legs: Option<FadeFreeLegs>,
 }
 
-/// Bound on the memo's entry count: past this the whole map is cleared
-/// (drift ramps insert one entry per distinct offset; wholesale clearing
-/// keeps the worst case bounded without LRU bookkeeping).
+/// Bound on the memo's entry count: past this the whole map is cleared.
+/// Only keys that can recur are stored (an exchange under a moving drift
+/// ramp stores nothing), so a faultnet link holds one entry per rate rung
+/// it has used; the cap bounds a caller that sweeps one link over many
+/// destinations, commands or projector offsets. Wholesale clearing keeps
+/// that worst case bounded without LRU bookkeeping.
 const CACHE_CAP: usize = 16;
 
 /// The noiseless exchange `wave` starts, computed afresh on a transient
@@ -264,6 +278,8 @@ fn fresh_exchange(
 pub struct LinkSimulator {
     link: Link,
     receiver: Receiver,
+    /// The arena the link's cache hits and fade bypasses run on.
+    scratch: Scratch,
 }
 
 impl LinkSimulator {
@@ -274,13 +290,15 @@ impl LinkSimulator {
         Ok(LinkSimulator {
             link: Link::new(cfg)?,
             receiver,
+            scratch: Scratch::new(),
         })
     }
 
     /// Slot-engine cache and arena counters (diagnostics; the allocation
     /// test's evidence).
+    // lint: allow(dead-pub) test-oracle waveform_cache_is_bitwise_transparent the link's cache counters the memo tests check
     pub fn slot_stats(&self) -> SlotEngineStats {
-        self.link.slot_stats()
+        self.link.stats().with_arena(&self.scratch)
     }
 
     /// The receiver's decimating front-end counters (samples into and
@@ -354,23 +372,29 @@ impl LinkSimulator {
     ///
     /// * the **query waveform**, so synthesis runs once per key. The
     ///   responder is in the key because a broadcast `dest` is answered
-    ///   by *every* node; drift ramps enter through the offset in force
-    ///   at the exchange start, hitting once a clamped ramp saturates;
+    ///   by *every* node;
     /// * the whole **clean exchange** (downlink propagation → node →
     ///   uplink superposition, before noise) for each value of the
     ///   brown-out flag. Outside fade windows the fault gain is exactly
     ///   1.0, the identity on every `f64`, so it stays valid under any
     ///   schedule whose fade windows miss the exchange. A hit only copies
-    ///   it into the link's arena, adds AWGN and burst noise and scales
-    ///   to volts in place — zero heap allocations, pinned by
+    ///   it into the simulator's arena, adds AWGN and burst noise and
+    ///   scales to volts in place — zero heap allocations, pinned by
     ///   `tests/slot_engine_alloc.rs`;
     /// * the **fade-free legs** (the node's clean incident field and the
     ///   direct pressure), filled by the first fade-overlapped exchange.
     ///   Such an exchange bypasses the clean exchange and runs only the
     ///   medium's node leg, which fades the incident field and the
     ///   backscatter, and the uplink propagation onto a copy of the
-    ///   direct pressure. Its buffers come from the link's arena and go
-    ///   back to it, so repeated bypasses of one key stop allocating.
+    ///   direct pressure. Its buffers come from the arena and go back to
+    ///   it, so repeated bypasses of one key stop allocating.
+    ///
+    /// Drift enters the key through the offset in force at the exchange
+    /// start. While a drift ramp is still moving
+    /// ([`FaultSchedule::drift_ramping_at`]) that offset is one no other
+    /// start time gives, so the exchange runs the uncached chain and
+    /// stores nothing; once the ramp saturates its offset is fixed and
+    /// the memo serves it like any other key.
     pub fn slot_exchange(
         &mut self,
         dest: u8,
@@ -379,7 +403,8 @@ impl LinkSimulator {
         t_start_s: f64,
         tel: Option<&mut pab_telemetry::Recorder>,
     ) -> Result<(StreamVerdict, usize), CoreError> {
-        self.link.slot_exchange(&self.receiver, dest, command, faults, t_start_s, tel)
+        let (rx, pool) = (&self.receiver, &mut self.scratch);
+        self.link.slot_exchange(rx, pool, dest, command, faults, t_start_s, tel)
     }
 
     /// Fig. 2 reproduction: CW downlink, node toggling every
@@ -421,8 +446,9 @@ impl LinkSimulator {
 
 /// One link's transmit side and slot engine: a 1-node, 1-carrier
 /// `Medium`, the projector, the link's ambient-noise stream and its
-/// memo — everything but the hydrophone's decoder, which its owner
-/// lends to every exchange as a `&Receiver`.
+/// memo — everything but the hydrophone's decoder and the buffer arena,
+/// which its owner lends to every exchange (a network lends its one
+/// receiver and its one arena to all of its links).
 ///
 /// The medium's three propagation channels (projector→node,
 /// projector→hydrophone, node→hydrophone) depend only on the
@@ -442,13 +468,8 @@ pub(crate) struct Link {
     /// Ambient noise sigma at the carrier (pure function of the config;
     /// hoisted out of the per-exchange path).
     sigma_pa: f64,
-    /// The arena the cache-hit and fade-bypass paths run on (a bypass
-    /// runs the node too). A cache miss runs on a transient pool that
-    /// frees each buffer as its stage ends: its result moves into the
-    /// memo, and the arena keeps only what the next hit or bypass
-    /// reuses.
-    scratch: Scratch,
     memos: BTreeMap<WaveKey, Memo>,
+    /// The link's cache counters; the arena counters are its owner's.
     stats: SlotEngineStats,
 }
 
@@ -481,19 +502,14 @@ impl Link {
             projector,
             medium,
             sigma_pa,
-            scratch: Scratch::new(),
             memos: BTreeMap::new(),
             stats: SlotEngineStats::default(),
         })
     }
 
-    /// Slot-engine cache and arena counters.
-    pub(crate) fn slot_stats(&self) -> SlotEngineStats {
-        SlotEngineStats {
-            scratch_takes: self.scratch.takes(),
-            scratch_pool_misses: self.scratch.pool_misses(),
-            ..self.stats
-        }
+    /// The link's cache counters (its arena counters read 0).
+    pub(crate) fn stats(&self) -> SlotEngineStats {
+        self.stats
     }
 
     /// Retune the node's uplink bitrate to the nearest watch-crystal
@@ -544,10 +560,13 @@ impl Link {
         Ok(build_report(node_out, decoded, bitrate, y))
     }
 
-    /// [`LinkSimulator::slot_exchange`], decoded by `rx`.
+    /// [`LinkSimulator::slot_exchange`], decoded by `rx`, its cache hits
+    /// and fade bypasses running on `pool`.
+    #[allow(clippy::too_many_arguments)] // the owner's receiver and arena, lent per exchange
     pub(crate) fn slot_exchange(
         &mut self,
         rx: &Receiver,
+        pool: &mut Scratch,
         dest: u8,
         command: Command,
         faults: &FaultSchedule,
@@ -556,6 +575,28 @@ impl Link {
     ) -> Result<(StreamVerdict, usize), CoreError> {
         let fs_hz = self.cfg.fs_hz;
         let cfo_hz = self.projector.cfo_hz + faults.drift_at_hz(t_start_s);
+        if faults.drift_ramping_at(t_start_s) {
+            // A moving ramp's offset, and so this key, never comes back:
+            // run the reference chain, on its transient pool, and store
+            // nothing.
+            self.stats.wave_misses += 1;
+            let wave = self.query_waveform(dest, command, cfo_hz)?;
+            let window_s = wave.len() as f64 / fs_hz;
+            let down = faults.node_down_during(t_start_s, t_start_s + window_s);
+            let faded = faults.fade_active_during(t_start_s, t_start_s + window_s);
+            if faded {
+                self.stats.bypasses += 1;
+            } else {
+                self.stats.exchange_misses += 1;
+            }
+            let fade = faded.then_some((faults, t_start_s));
+            let (mut y, out) = fresh_exchange(&self.medium, &self.cfg, &wave, fade, down)?;
+            let node = (out.average_power_w, out.rectified_v);
+            // Free the waveform and the node's buffers before the decode.
+            drop((wave, out));
+            let verdict = self.receive(rx, &mut y, node, faults, t_start_s, tel);
+            return Ok((verdict, y.len()));
+        }
         let divider = self.medium.divider();
         let key: WaveKey = (dest, self.cfg.node_addr, command, divider, cfo_hz.to_bits());
         if self.memos.contains_key(&key) {
@@ -578,10 +619,9 @@ impl Link {
 
         let window_s = memo.wave.len() as f64 / fs_hz;
         let down = faults.node_down_during(t_start_s, t_start_s + window_s);
-        let bitrate = self.medium.bitrate_bps();
         // The allocation probe's reading at the start of a cache hit's
         // engine+decode stage (a bypass is not probed).
-        let (mut y, (power_w, rectified_v), probe0) =
+        let (mut y, node, probe0) =
             if faults.fade_active_during(t_start_s, t_start_s + window_s) {
                 // Per-sample fade gains make the exchange time-dependent,
                 // so the node and its uplink leg must run in full — but
@@ -594,7 +634,6 @@ impl Link {
                     Some(legs) => &*legs,
                     None => memo.legs.insert(FadeFreeLegs::new(&self.medium, fs_hz, &memo.wave)?),
                 };
-                let pool = &mut self.scratch;
                 let incident = legs
                     .incident
                     .iter()
@@ -629,20 +668,36 @@ impl Link {
                 // recorder may grow its own tables). Pinned by
                 // `tests/slot_engine_alloc.rs`.
                 let probe0 = scratch::alloc_probe();
-                (self.scratch.take_copy(&clean.y_clean), clean.node, Some(probe0))
+                (pool.take_copy(&clean.y_clean), clean.node, Some(probe0))
             };
-        rx.record_in_place(&mut y, self.sigma_pa, &mut self.rng, Some((faults, t_start_s)));
-        let decoded = rx.decode_uplink_verdict(&y, self.cfg.carrier_hz, bitrate);
-        trace_verdict(&decoded, tel);
+        let verdict = self.receive(rx, &mut y, node, faults, t_start_s, tel);
         let exchange_samples = y.len();
-        self.scratch.put(y);
+        pool.put(y);
         if let Some(probe0) = probe0 {
             self.stats.engine_allocs_last = scratch::alloc_probe().saturating_sub(probe0);
         }
         // ---- end engine+decode stage.
-
-        let verdict = StreamVerdict::new(self.cfg.node_addr, decoded, power_w, rectified_v);
         Ok((verdict, exchange_samples))
+    }
+
+    /// The hydrophone's side of one exchange: add the link's ambient
+    /// noise and `faults`' bursts to the noiseless pressure `y`, scale it
+    /// to volts, decode it on `rx` and narrate the verdict into `tel`.
+    /// The verdict carries the node's `(power_w, rectified_v)`.
+    fn receive(
+        &mut self,
+        rx: &Receiver,
+        y: &mut [f64],
+        (power_w, rectified_v): (f64, f64),
+        faults: &FaultSchedule,
+        t_start_s: f64,
+        tel: Option<&mut pab_telemetry::Recorder>,
+    ) -> StreamVerdict {
+        rx.record_in_place(y, self.sigma_pa, &mut self.rng, Some((faults, t_start_s)));
+        let bitrate = self.medium.bitrate_bps();
+        let decoded = rx.decode_uplink_verdict(y, self.cfg.carrier_hz, bitrate);
+        trace_verdict(&decoded, tel);
+        StreamVerdict::new(self.cfg.node_addr, decoded, power_w, rectified_v)
     }
 }
 
@@ -969,6 +1024,52 @@ mod tests {
         assert_eq!((stats.bypasses, stats.exchange_misses), (4, 0), "{stats:?}");
         assert!(misses[0] > 0, "the first bypass fills the arena");
         assert!(misses.iter().all(|&m| m == misses[0]), "{misses:?}");
+    }
+
+    /// While a drift ramp moves, each exchange's oscillator offset is new,
+    /// so the exchange runs unmemoised; once it saturates, the memo serves
+    /// it. A 2 Hz/s ramp to 10 Hz saturates at 5 s: of the exchanges every
+    /// 0.5 s up to 8 s, the ten before 5 s are wave misses (the one at
+    /// 2.5 s, the only one whose ~0.6 s window meets the fade, a bypass),
+    /// and the seven from 5 s on share one key. Every one decodes bitwise
+    /// what the uncached reference decodes.
+    #[test]
+    fn moving_drift_ramps_leave_no_memo_entry() {
+        let faults = FaultSchedule::new(5)
+            .with_drift(pab_channel::DriftRamp {
+                rate_hz_per_s: 2.0,
+                max_abs_hz: 10.0,
+            })
+            .and_then(|f| {
+                f.with_fade(pab_channel::PathFade {
+                    start_s: 2.65,
+                    duration_s: 0.3,
+                    floor_ratio: 0.5,
+                })
+            })
+            .unwrap();
+        let mut cached = LinkSimulator::new(LinkConfig::default()).unwrap();
+        let mut reference = LinkSimulator::new(LinkConfig::default()).unwrap();
+        for i in 0..=16 {
+            let t_start_s = 0.5 * i as f64;
+            let (got, samples) =
+                cached.slot_exchange(7, Command::Ping, &faults, t_start_s, None).unwrap();
+            let want =
+                reference.run_query_to_faulted(7, Command::Ping, &faults, t_start_s).unwrap();
+            assert_eq!(got.packet, want.packet, "{t_start_s} s");
+            assert_eq!(got.preamble_found, want.preamble_found, "{t_start_s} s");
+            assert_eq!(got.preamble_corr.to_bits(), want.preamble_corr.to_bits(), "{t_start_s} s");
+            assert_eq!(got.snr_db.to_bits(), want.snr_db.to_bits(), "{t_start_s} s");
+            assert_eq!(got.power_w.to_bits(), want.node_power_w.to_bits(), "{t_start_s} s");
+            assert_eq!(got.rectified_v.to_bits(), want.node_rectified_v.to_bits(), "{t_start_s} s");
+            assert_eq!(samples, want.received.len(), "{t_start_s} s");
+        }
+        let settled: Vec<u64> = cached.link.memos.keys().map(|k| k.4).collect();
+        assert_eq!(settled, [10.0f64.to_bits()], "only the saturated offset is memoised");
+        let stats = cached.slot_stats();
+        assert_eq!((stats.wave_misses, stats.wave_hits), (11, 6), "{stats:?}");
+        let exchanges = (stats.exchange_misses, stats.exchange_hits, stats.bypasses);
+        assert_eq!(exchanges, (10, 6, 1), "{stats:?}");
     }
 
     #[test]

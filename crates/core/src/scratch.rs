@@ -9,9 +9,10 @@
 //! them. After warm-up the pool has seen every length its owner asks
 //! for and `pool_misses` stops moving.
 //!
-//! * The link simulator's cache-hit and fade-bypass paths draw from their
-//!   simulator's pool; `tests/slot_engine_alloc.rs` pins the hit path at
-//!   zero allocations.
+//! * A link's cache-hit and fade-bypass paths draw from the arena its
+//!   owner lends it: a `LinkSimulator`'s own, or the one a
+//!   `FaultNetSimulator` lends all of its links;
+//!   `tests/slot_engine_alloc.rs` pins the hit path at zero allocations.
 //! * A collision group's training and collision slots run every stage
 //!   on their group's pool (medium, nodes, receiver, zero-forcing);
 //!   `tests/collision_slot_alloc.rs` pins their bytes per slot.

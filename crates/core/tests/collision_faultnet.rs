@@ -140,6 +140,36 @@ fn ill_conditioned_group_falls_back_to_fdma_with_same_payload_bits() {
     );
 }
 
+/// A member that does not answer its training slot leaves no channel to
+/// invert: below 60 V of drive the pair cannot power up, so the group
+/// falls back to FDMA and is blacklisted instead of aborting the round,
+/// and the round delivers what a serialized one does.
+#[test]
+fn silent_training_slot_falls_back_to_fdma() {
+    for drive_voltage_v in [20.0, 30.0, 40.0, 50.0] {
+        let mut collision = wide_pair_cfg(Concurrency::Collision(CollisionPolicy::default()));
+        collision.drive_voltage_v = drive_voltage_v;
+        let serialized = FaultNetConfig {
+            concurrency: Concurrency::Serialized,
+            ..collision.clone()
+        };
+        let mut tel = Recorder::new(16_384);
+        let fallback = FaultNetSimulator::new(collision)
+            .unwrap()
+            .run_with_recorder(Some(&mut tel))
+            .unwrap_or_else(|e| panic!("{drive_voltage_v} V: {e}"));
+        let serialized = FaultNetSimulator::new(serialized).unwrap().run().unwrap();
+        let c = tel.counters();
+        assert!(c.get("collision_fallback") >= 1, "{drive_voltage_v} V: {c:?}");
+        assert_eq!(c.get("collision_slot"), 0, "{drive_voltage_v} V");
+        assert_eq!(
+            (fallback.delivered_total, fallback.bit_digest),
+            (serialized.delivered_total, serialized.bit_digest),
+            "{drive_voltage_v} V"
+        );
+    }
+}
+
 /// The fallback's FDMA exchanges are time-shared: the second starts after
 /// the training slots and the first exchange. A dropout on node 2 over
 /// exactly that interval must silence it, and an exchange simulated at

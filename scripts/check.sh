@@ -53,6 +53,11 @@ else
     exit "$status"
 fi
 
+# The memory gate again, with its figures printed: the peak live heap of
+# one faulted_n2 and one fdma_n4 round, counted by allocator, not RSS.
+echo "==> peak live heap of a network round (tests/network_peak_heap.rs)"
+cargo test -q -p pab-core --test network_peak_heap -- --nocapture
+
 echo "==> fault-resilience integration tests (tests/fault_resilience.rs)"
 cargo test -q -p pab-core --test fault_resilience
 
