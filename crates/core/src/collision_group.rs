@@ -484,11 +484,6 @@ impl CollisionGroupSimulator {
         })
     }
 
-    /// The member addresses, in channel order.
-    pub fn addrs(&self) -> Vec<u8> {
-        self.members.iter().map(|m| m.addr).collect()
-    }
-
     /// Command every member's FM0 divider for `bitrate_bps` (the MAC's
     /// rate-ladder actuation). Invalidates training if the rate changed —
     /// the channel estimate is re-fit at the new waveform timing.
@@ -545,7 +540,10 @@ impl CollisionGroupSimulator {
         let n_tx = waves.iter().map(Vec::len).max().unwrap_or(0);
         let n_rx = n_tx + 4 * margin_samples(self.fs_hz)?;
         let water = pab_sensors::WaterSample::bench();
-        let heard = self.medium.hear(&waves, water, n_rx, &mut self.pool);
+        let medium = &self.medium;
+        let heard = medium.hear(&waves, n_rx, &mut self.pool, |i, incident, pool| {
+            medium.respond(i, incident, None, false, water, pool)
+        });
         self.pool.put_all(waves);
         let (pressure, node_outs) = heard?;
         let mut switches = Vec::with_capacity(k);
@@ -1096,14 +1094,10 @@ mod tests {
             (1, 2)
         );
 
-        let addressed: Vec<DownlinkQuery> = group
-            .addrs()
-            .into_iter()
-            .map(|dest| DownlinkQuery {
-                dest,
-                command: Command::Ping,
-            })
-            .collect();
+        let addressed = [1, 2].map(|dest| DownlinkQuery {
+            dest,
+            command: Command::Ping,
+        });
         group.collide(&addressed).unwrap();
         assert_eq!(
             (group.stats().clean_hits, group.stats().clean_misses),

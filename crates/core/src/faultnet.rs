@@ -26,7 +26,7 @@ use pab_net::mac::{
 };
 use pab_net::packet::{Command, UplinkPacket};
 use pab_telemetry::{Event, FaultKind, Recorder};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One node in the fault-injected network.
 #[derive(Debug, Clone)]
@@ -254,13 +254,13 @@ pub struct FaultNetSimulator {
     /// like the receiver: the exchanges run one at a time, so the arena
     /// holds what the most demanding one needs, whatever the node count.
     scratch: Scratch,
-    /// Collision-group simulators, built lazily per member set and kept
-    /// so training survives across slots (keyed by addresses in channel
-    /// order).
-    groups: BTreeMap<Vec<u8>, CollisionGroupSimulator>,
-    /// Member sets whose trained channel matrix tripped the conditioning
-    /// gate: never proposed again this run.
-    bad_groups: BTreeSet<Vec<u8>>,
+    /// Collision groups keyed by their addresses in channel order: a
+    /// group's simulator, built lazily and kept so training survives
+    /// across slots, or `None` once the group fell back to FDMA (a
+    /// silent training slot or a channel matrix that tripped the
+    /// conditioning gate): blacklisted, never proposed again this run,
+    /// its simulator freed.
+    groups: BTreeMap<Vec<u8>, Option<CollisionGroupSimulator>>,
     t_now_s: f64,
 }
 
@@ -314,7 +314,6 @@ impl FaultNetSimulator {
             mac,
             links,
             groups: BTreeMap::new(),
-            bad_groups: BTreeSet::new(),
             t_now_s: 0.0,
         })
     }
@@ -352,7 +351,7 @@ impl FaultNetSimulator {
                 // needs per-node data while the MAC holds `&mut self`, so
                 // borrow the fields it reads up front.
                 let specs = &self.cfg.nodes;
-                let bad_groups = &self.bad_groups;
+                let groups = &self.groups;
                 let t_start_s = self.t_now_s;
                 let horizon_s = nominal_slot_s;
                 let rates: BTreeMap<u8, f64> = self
@@ -362,7 +361,7 @@ impl FaultNetSimulator {
                     .map(|s| (s.addr, self.mac.rate_bps(s.addr)))
                     .collect();
                 self.mac.next_slot_plan(self.cfg.command, |group| {
-                    group_viable(group, bad_groups, &rates, specs, t_start_s, horizon_s)
+                    group_viable(group, groups, &rates, specs, t_start_s, horizon_s)
                 })
             };
             let slot = self.mac.slots_used();
@@ -543,7 +542,7 @@ impl FaultNetSimulator {
         let rate_bps = self.mac.rate_bps(addrs[0]);
         if !self.groups.contains_key(&addrs) {
             let group = CollisionGroupSimulator::new(&self.cfg, &addrs)?;
-            self.groups.insert(addrs.clone(), group);
+            self.groups.insert(addrs.clone(), Some(group));
         }
         // Training slots are addressed queries too, so the ones that ran
         // are charged to the slot whether the group survives the gate or
@@ -553,6 +552,7 @@ impl FaultNetSimulator {
             let group = self
                 .groups
                 .get_mut(&addrs)
+                .and_then(Option::as_mut)
                 .ok_or(CoreError::InvalidConfig("collision group missing"))?;
             group.set_bitrate_target(rate_bps)?;
             if group.is_trained() {
@@ -576,6 +576,7 @@ impl FaultNetSimulator {
             let group = self
                 .groups
                 .get_mut(&addrs)
+                .and_then(Option::as_mut)
                 .ok_or(CoreError::InvalidConfig("collision group missing"))?;
             group.collision_slot(self.cfg.command)
         };
@@ -668,11 +669,12 @@ impl FaultNetSimulator {
         })
     }
 
-    /// Abandon a proposed collision: blacklist the group so it is never
-    /// proposed again, narrate the fallback, and run the already-scheduled
-    /// queries as (time-shared) FDMA so every query still feeds the MAC an
-    /// observation. The exchanges start after the `spent_s` of training
-    /// already charged to the slot.
+    /// Abandon a proposed collision: blacklist the group, freeing its
+    /// simulator, so it is never proposed again, narrate the fallback,
+    /// and run the already-scheduled queries as (time-shared) FDMA so
+    /// every query still feeds the MAC an observation. The exchanges
+    /// start after the `spent_s` of training already charged to the
+    /// slot.
     fn collision_fallback(
         &mut self,
         queries: Vec<ScheduledQuery>,
@@ -688,8 +690,7 @@ impl FaultNetSimulator {
                 condition_number,
             });
         }
-        self.bad_groups
-            .insert(queries.iter().map(|q| q.query.dest).collect());
+        self.groups.insert(queries.iter().map(|q| q.query.dest).collect(), None);
         let t_start_s = self.t_now_s + spent_s;
         let (fdma_s, bits) = self.run_fdma_queries(queries, t_start_s, tel, fault_state, digest)?;
         Ok((spent_s + fdma_s, bits))
@@ -724,7 +725,7 @@ impl FaultNetSimulator {
 /// before the MAC commits the slot:
 ///
 /// * the member set must not already be blacklisted by a conditioning
-///   fallback;
+///   fallback (its entry in `groups` holds no simulator);
 /// * every pair of member carriers must be separated by at least *twice*
 ///   the FM0 main lobe at the commanded rate — the demodulation low-pass
 ///   opens to 2× the bitrate, and a neighbour band inside it leaks into
@@ -735,13 +736,13 @@ impl FaultNetSimulator {
 ///   faulted member must take the per-link (fault-composed) path.
 fn group_viable(
     group: &[u8],
-    bad_groups: &BTreeSet<Vec<u8>>,
+    groups: &BTreeMap<Vec<u8>, Option<CollisionGroupSimulator>>,
     rates: &BTreeMap<u8, f64>,
     specs: &[FaultNodeSpec],
     t_start_s: f64,
     horizon_s: f64,
 ) -> bool {
-    if bad_groups.contains(group) {
+    if matches!(groups.get(group), Some(None)) {
         return false;
     }
     let Some(&rate_bps) = group.first().and_then(|a| rates.get(a)) else {
@@ -822,7 +823,7 @@ mod tests {
         /// the per-node link engines only.
         fn group_stats(&self) -> GroupSlotStats {
             let mut total = GroupSlotStats::default();
-            for group in self.groups.values() {
+            for group in self.groups.values().flatten() {
                 total.merge(&group.stats());
             }
             total
@@ -990,7 +991,7 @@ mod tests {
         };
         let (bytes8, lengths) = run(eight.clone());
         assert_eq!(lengths.len(), 8);
-        let distinct: BTreeSet<usize> = lengths.values().copied().collect();
+        let distinct: std::collections::BTreeSet<usize> = lengths.values().copied().collect();
         assert!(distinct.len() > 1, "exchanges of one length: {lengths:?}");
         let (&longest, _) = lengths.iter().max_by_key(|&(_, &len)| len).unwrap();
         let pair = [1, if longest == 1 { 2 } else { longest }];

@@ -17,6 +17,14 @@ use pab_net::pwm::{self, PwmTiming};
 use pab_sensors::ms5837::Ms5837Driver;
 use pab_sensors::ph::PhDriver;
 
+/// The downlink PWM timing: the projector keys its queries with it and
+/// the firmware decodes them with it.
+pub(crate) const DOWNLINK_PWM: PwmTiming = PwmTiming::pab_default();
+
+/// Guard delay between decoding a query and starting backscatter,
+/// seconds.
+pub(crate) const RESPONSE_GUARD_S: f64 = 5e-3;
+
 /// Firmware phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -33,10 +41,6 @@ enum Phase {
 pub struct PabFirmware {
     /// This node's address.
     pub address: u8,
-    /// Downlink PWM timing the decoder assumes.
-    pub pwm: PwmTiming,
-    /// Guard delay between query end and backscatter start, seconds.
-    pub guard_s: f64,
     /// FM0 timer divider (half-bit period in clock ticks). Set by
     /// `SetBitrateDivider`, defaults to 6 (≈2.73 kbps).
     pub divider: u16,
@@ -69,8 +73,6 @@ impl PabFirmware {
     pub fn new(address: u8) -> Self {
         PabFirmware {
             address,
-            pwm: PwmTiming::pab_default(),
-            guard_s: 5e-3,
             divider: 6,
             rectopiezo_index: 0,
             phase: Phase::Idle,
@@ -103,7 +105,7 @@ impl PabFirmware {
     /// Time after the last falling edge at which the query is considered
     /// complete (longest bit + margin).
     fn query_end_timeout_s(&self) -> f64 {
-        self.pwm.gap_s + 2.5 * self.pwm.short_pulse_s
+        DOWNLINK_PWM.gap_s + 2.5 * DOWNLINK_PWM.short_pulse_s
     }
 
     fn build_response(&mut self, svc: &mut McuServices, query: &DownlinkQuery) -> UplinkPacket {
@@ -156,7 +158,7 @@ impl PabFirmware {
         // Spurious edges (multipath glitches) shift the bit stream, so
         // search for the preamble instead of assuming the first falling
         // edge was the reference pulse.
-        let decoded = pwm::decode_falling_edges(&edges, &self.pwm)
+        let decoded = pwm::decode_falling_edges(&edges, &DOWNLINK_PWM)
             .ok()
             .and_then(|bits| {
                 let mut from = 0;
@@ -198,8 +200,8 @@ impl PabFirmware {
                 self.tx_idx = 0;
                 self.seq = self.seq.wrapping_add(1);
                 self.phase = Phase::Guard;
-                // lint: allow(no-unwrap-in-lib) guard_s is a positive firmware constant
-                svc.set_timer_oneshot(self.guard_s).expect("guard > 0");
+                // lint: allow(no-unwrap-in-lib) RESPONSE_GUARD_S is a positive constant
+                svc.set_timer_oneshot(RESPONSE_GUARD_S).expect("guard > 0");
                 svc.enter_low_power();
             }
             _ => {
@@ -306,13 +308,12 @@ mod tests {
     /// response; returns the MCU for inspection.
     fn run_query(query: DownlinkQuery) -> Mcu<PabFirmware> {
         let fw = PabFirmware::new(7);
-        let pwm_timing = fw.pwm;
         let mut mcu = Mcu::new(fw, PowerProfile::pab_node());
         mcu.reset();
         // Falling edges of the reference pulse + query bits.
         let mut keyed = vec![false];
         keyed.extend(query.to_bits());
-        let segments: Vec<Segment> = pwm::encode(&keyed, &pwm_timing);
+        let segments: Vec<Segment> = pwm::encode(&keyed, &DOWNLINK_PWM);
         let mut t = 0.01; // projector starts at 10 ms
         for seg in segments {
             t += seg.duration_s;
@@ -456,7 +457,6 @@ mod tests {
     #[test]
     fn sensor_query_embeds_ph_reading() {
         let fw = PabFirmware::new(7);
-        let pwm_timing = fw.pwm;
         let mut mcu = Mcu::new(fw, PowerProfile::pab_node());
         mcu.reset();
         // Attach a pH probe at pH 7 / 25 C.
@@ -471,7 +471,7 @@ mod tests {
         let mut keyed = vec![false];
         keyed.extend(q.to_bits());
         let mut t = 0.01;
-        for seg in pwm::encode(&keyed, &pwm_timing) {
+        for seg in pwm::encode(&keyed, &DOWNLINK_PWM) {
             t += seg.duration_s;
             if seg.on {
                 mcu.inject_edge(t, false);

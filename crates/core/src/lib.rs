@@ -93,11 +93,11 @@ pub fn margin_samples(fs_hz: f64) -> Result<usize, CoreError> {
 
 /// How long the projector keeps its carrier on after a query, seconds,
 /// so the node can send its whole response to `command` at
-/// `bitrate_bps` while lit: the node's 5 ms guard, the FM0 packet, then
-/// the slot engine's own `slack_s`.
+/// `bitrate_bps` while lit: the node's response guard, the FM0 packet,
+/// then the slot engine's own `slack_s`.
 pub(crate) fn response_window_s(command: Command, bitrate_bps: f64, slack_s: f64) -> f64 {
     let bits = UplinkPacket::bits_len(UplinkPacket::response_payload_len(command)) as f64;
-    5e-3 + bits / bitrate_bps + slack_s
+    firmware::RESPONSE_GUARD_S + bits / bitrate_bps + slack_s
 }
 
 /// Standard deviation of the hydrophone's AWGN, pascals: `noise`'s RMS

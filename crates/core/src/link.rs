@@ -1,12 +1,12 @@
 //! End-to-end single-link simulation: projector → pool → node → pool →
 //! hydrophone → decoder, on a 1-node, 1-carrier `Medium`. This is the
 //! machinery behind Figs. 2, 7 and 8, and each faultnet node's FDMA
-//! exchanges. An exchange runs the medium's legs one by one — the node's
-//! incident field, its node leg (`Medium::respond`, which applies the
-//! fault schedule's fades and brown-outs), then the direct leg plus the
-//! backscatter — so that the slot engine can memoise, in one map entry
-//! per query waveform, the legs and the whole clean exchange that no
-//! fade touches.
+//! exchanges. A fresh exchange is heard by `Medium::hear`, its node leg
+//! `Medium::respond` (which applies the fault schedule's fades and
+//! brown-outs); the slot engine memoises, in one map entry per query
+//! waveform, the whole clean exchange and the legs no fade touches, and
+//! a faded exchange adds its node's backscatter onto the memoised direct
+//! leg.
 
 use crate::medium::Medium;
 use crate::node::{IncidentComponent, NodeOutput, PabNode};
@@ -121,8 +121,8 @@ pub struct LinkReport {
     pub envelope: Vec<f64>,
     /// Raw recorded voltage waveform at the hydrophone (diagnostics).
     pub received: Vec<f64>,
-    /// Node-side output (diagnostics). Under a fade, its backscatter is
-    /// what reached the uplink channel: scaled by the fade's gain.
+    /// Node-side output (diagnostics). Its backscatter is superposed
+    /// into `received`, so `backscatter` comes back empty.
     pub node_output: NodeOutput,
 }
 
@@ -247,11 +247,11 @@ struct Memo {
 /// that worst case bounded without LRU bookkeeping.
 const CACHE_CAP: usize = 16;
 
-/// The noiseless exchange `wave` starts, computed afresh on a transient
-/// pool, so each buffer is freed as its stage ends: the node's incident
-/// field, its [`Medium::respond`] under `fade` (or, `down`, its silence),
-/// then the direct leg and the backscatter. The direct leg is taken only
-/// once the node is done, so its buffer does not add to the node's peak.
+/// The noiseless exchange `wave` starts, heard afresh by
+/// [`Medium::hear`] on a transient pool, so each buffer is freed as its
+/// stage ends: the node leg is [`Medium::respond`] under `fade` (or,
+/// `down`, its silence), and the pressure spans the node's incident
+/// field plus the margin.
 fn fresh_exchange(
     medium: &Medium,
     cfg: &LinkConfig,
@@ -259,13 +259,11 @@ fn fresh_exchange(
     fade: Option<(&FaultSchedule, f64)>,
     down: bool,
 ) -> Result<(Vec<f64>, NodeOutput), CoreError> {
-    let pool = &mut Scratch::transient();
-    let incident = medium.incident_in(0, &[wave], pool);
-    let rx_len = incident[0].samples.len() + margin_samples(cfg.fs_hz)?;
-    let out = medium.respond(0, incident, fade, down, cfg.water, pool)?;
-    let mut y = pool.take_zeroed(rx_len);
-    medium.add_direct(&mut y, &[wave]);
-    medium.add_backscatter(&mut y, &[&out.backscatter]);
+    let rx_len = medium.incident_len(0, wave.len()) + margin_samples(cfg.fs_hz)?;
+    let (y, outs) = medium.hear(&[wave], rx_len, &mut Scratch::transient(), |i, incident, pool| {
+        medium.respond(i, incident, fade, down, cfg.water, pool)
+    })?;
+    let out = outs.into_iter().next().ok_or(CoreError::InvalidConfig("link without its node"))?;
     Ok((y, out))
 }
 
@@ -429,16 +427,10 @@ impl LinkSimulator {
         for (t, &s) in tx[off..].iter_mut().zip(&cw) {
             *t = s;
         }
-        let incident = link.medium.incident_in(0, &[&tx], &mut Scratch::transient());
-        let node_out = link.medium.nodes[0].process_fixed_toggle(
-            &incident[0],
-            fs_hz,
-            toggle_start_s,
-            half_period_s,
-        )?;
-        let mut y = vec![0.0; n];
-        link.medium.add_direct(&mut y, &[&tx]);
-        link.medium.add_backscatter(&mut y, &[&node_out.backscatter]);
+        let medium = &link.medium;
+        let (mut y, _) = medium.hear(&[&tx], n, &mut Scratch::transient(), |i, incident, _| {
+            medium.nodes[i].process_fixed_toggle(&incident[0], fs_hz, toggle_start_s, half_period_s)
+        })?;
         self.receiver.record_in_place(&mut y, link.sigma_pa, &mut link.rng, None);
         self.receiver.demodulate(&y, link.cfg.carrier_hz, 60.0)
     }
@@ -645,7 +637,7 @@ impl Link {
                 let fade = Some((faults, t_start_s));
                 let mut out = self.medium.respond(0, incident, fade, down, self.cfg.water, pool)?;
                 let mut y = pool.take_copy(&legs.direct);
-                self.medium.add_backscatter(&mut y, &[&out.backscatter]);
+                self.medium.add_node_backscatter(&mut y, 0, &out.backscatter);
                 pool.put_all(std::mem::take(&mut out.backscatter));
                 (y, (out.average_power_w, out.rectified_v), None)
             } else {

@@ -7,11 +7,13 @@
 //! [`CollisionGroupSimulator`](crate::collision_group::CollisionGroupSimulator)
 //! as a k-node, k-carrier one.
 //!
-//! A slot is each node's incident field (`incident_in`), its node leg
-//! (`respond`, the one place fades and brown-outs act), and the direct
-//! leg (`add_direct`) plus every node's backscatter (`add_backscatter`)
-//! at the hydrophone. `hear` runs them for a fault-free slot; the link
-//! runs them itself to memoise the legs a fade leaves clean.
+//! A slot is each node's incident field (`incident_in`), its node leg,
+//! and the direct leg (`add_direct`) plus every node's backscatter
+//! (`add_node_backscatter`) at the hydrophone. `hear` is the one
+//! composition of a fresh slot, and its caller supplies the node leg:
+//! `respond` (the one place fades and brown-outs act) or Fig. 2's fixed
+//! toggle. Only a link's fade bypass composes otherwise, on the legs it
+//! memoised.
 //!
 //! The medium is physics only. Noise, RNG, receiver and caches stay with
 //! each simulator, so every simulator keeps its own noise stream. The
@@ -105,6 +107,11 @@ impl Medium {
             .collect()
     }
 
+    /// The length of `node`'s incident field from waveforms of `wave_len` samples.
+    pub(crate) fn incident_len(&self, node: usize, wave_len: usize) -> usize {
+        self.down[node].iter().map(|ch| ch.output_len(wave_len, self.fs_hz)).max().unwrap_or(0)
+    }
+
     /// The node leg: `node`'s response to its `incident` field, with
     /// `water` on its sensors. A `fade` (schedule, exchange start) scales
     /// the field and then the backscatter by the schedule's gain,
@@ -156,59 +163,57 @@ impl Medium {
     /// The direct leg, added into `y` (zeros, for the pressure alone):
     /// every carrier's projector→hydrophone pressure. It does not depend
     /// on the nodes, so a caller may keep it and add only
-    /// [`add_backscatter`](Self::add_backscatter) per exchange.
+    /// [`add_node_backscatter`](Self::add_node_backscatter) per exchange.
     pub(crate) fn add_direct<W: AsRef<[f64]>>(&self, y: &mut [f64], waves: &[W]) {
         for (ch, w) in self.direct.iter().zip(waves) {
             ch.apply_into(y, w.as_ref(), self.fs_hz);
         }
     }
 
-    /// The backscatter leg, added into `y` after the direct leg: node by
-    /// node and carrier by carrier each node's backscatter
-    /// (`backscatter[node][carrier]`). The order is fixed, so the
-    /// floating-point sum is too.
-    pub(crate) fn add_backscatter(&self, y: &mut [f64], backscatter: &[&[Vec<f64>]]) {
-        for (node, node_bs) in backscatter.iter().enumerate() {
-            self.add_node_backscatter(y, node, node_bs);
-        }
-    }
-
-    /// One node's share of [`add_backscatter`](Self::add_backscatter),
-    /// carrier by carrier.
-    fn add_node_backscatter(&self, y: &mut [f64], node: usize, backscatter: &[Vec<f64>]) {
+    /// `node`'s backscatter (`bs[carrier]`), added into `y`
+    /// after the direct leg, carrier by carrier.
+    pub(crate) fn add_node_backscatter(&self, y: &mut [f64], node: usize, bs: &[Vec<f64>]) {
         let chans = self.up.get(node).map_or(&[][..], Vec::as_slice);
-        for (ch, bs) in chans.iter().zip(backscatter) {
+        for (ch, bs) in chans.iter().zip(bs) {
             ch.apply_into(y, bs, self.fs_hz);
         }
     }
 
-    /// One noiseless, fault-free slot on `pool`'s buffers: the direct leg
-    /// into a pooled pressure buffer, then node by node its incident
-    /// field, its [`respond`](Self::respond) (with `water` on its
-    /// sensors) and its backscatter added on: the sum in
-    /// [`add_backscatter`](Self::add_backscatter)'s order, with only one
-    /// node's fields alive at a time. The incident fields and the
-    /// backscatter go back to `pool` once used, so each returned
-    /// [`NodeOutput`]'s `backscatter` is empty; the caller returns the
-    /// pressure when it is done with it.
-    pub(crate) fn hear<W: AsRef<[f64]>>(
+    /// One noiseless slot of `rx_len` samples on `pool`'s buffers: node by
+    /// node, the incident field passes through `node_leg` (node, field,
+    /// pool), e.g. [`respond`](Self::respond), and the backscatter is
+    /// added onto the direct leg in node order, so the sum is fixed. The
+    /// pressure is taken once the first node leg returns, so it does not
+    /// add to that node's peak. Fields and backscatter go back to `pool`
+    /// as used (each [`NodeOutput`]'s `backscatter` comes back empty);
+    /// the caller returns the pressure.
+    pub(crate) fn hear<W, F>(
         &self,
         waves: &[W],
-        water: pab_sensors::WaterSample,
         rx_len: usize,
         pool: &mut Scratch,
-    ) -> Result<(Vec<f64>, Vec<NodeOutput>), CoreError> {
-        let mut y = pool.take_zeroed(rx_len);
-        self.add_direct(&mut y, waves);
+        mut node_leg: F,
+    ) -> Result<(Vec<f64>, Vec<NodeOutput>), CoreError>
+    where
+        W: AsRef<[f64]>,
+        F: FnMut(usize, Vec<IncidentComponent>, &mut Scratch) -> Result<NodeOutput, CoreError>,
+    {
+        let direct = |pool: &mut Scratch| {
+            let mut y = pool.take_zeroed(rx_len);
+            self.add_direct(&mut y, waves);
+            y
+        };
+        let mut y = None;
         let mut outs = Vec::with_capacity(self.nodes.len());
         for i in 0..self.nodes.len() {
             let incident = self.incident_in(i, waves, pool);
-            let mut out = self.respond(i, incident, None, false, water, pool)?;
-            self.add_node_backscatter(&mut y, i, &out.backscatter);
+            let mut out = node_leg(i, incident, pool)?;
+            let y = y.get_or_insert_with(|| direct(pool));
+            self.add_node_backscatter(y, i, &out.backscatter);
             pool.put_all(std::mem::take(&mut out.backscatter));
             outs.push(out);
         }
-        Ok((y, outs))
+        Ok((y.unwrap_or_else(|| direct(pool)), outs))
     }
 
     /// The FM0 divider every node is commanded to.

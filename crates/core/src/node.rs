@@ -20,6 +20,19 @@ use pab_mcu::{Mcu, Pin, PowerProfile};
 use pab_net::packet::DownlinkQuery;
 use pab_piezo::Transducer;
 
+/// Schmitt trigger hysteresis as a fraction of the AC-coupled envelope
+/// swing (the detector is AC-coupled before the trigger, so a constant
+/// out-of-band carrier raises the DC floor without masking the PWM
+/// edges).
+// lint: unitless hysteresis relative to the envelope midpoint
+const SCHMITT_HYSTERESIS_REL: f64 = 0.15;
+
+/// AC-coupling (DC-blocker) corner frequency, Hz.
+const AC_COUPLING_HZ: f64 = 15.0;
+
+/// Envelope-detector cutoff, Hz (fast enough for the 2 ms PWM gaps).
+const ENVELOPE_CUTOFF_HZ: f64 = 800.0;
+
 /// One incident narrowband component at the node.
 #[derive(Debug, Clone)]
 pub struct IncidentComponent {
@@ -88,16 +101,6 @@ pub struct PabNode {
     pub frontends: Vec<RectoPiezo>,
     /// Minimum rectified voltage to power up, volts (Fig. 3 threshold).
     pub powerup_threshold_v: f64,
-    /// Schmitt trigger hysteresis as a fraction of the AC-coupled
-    /// envelope swing (the detector is AC-coupled before the trigger, so
-    /// a constant out-of-band carrier raises the DC floor without
-    /// masking the PWM edges).
-    // lint: unitless hysteresis relative to the envelope midpoint
-    pub schmitt_hysteresis_rel: f64,
-    /// AC-coupling (DC-blocker) corner frequency, Hz.
-    pub ac_coupling_hz: f64,
-    /// Envelope-detector cutoff, Hz (fast enough for the 2 ms PWM gaps).
-    pub envelope_cutoff_hz: f64,
     /// Firmware's initial FM0 timer divider (a deployed node would get
     /// this via `SetBitrateDivider`; preconfiguring avoids simulating an
     /// extra exchange in every experiment).
@@ -107,10 +110,6 @@ pub struct PabNode {
     /// harvested voltage is below the 2.5 V cold-start threshold. The
     /// uplink still costs only backscatter power.
     pub battery_assisted: bool,
-    /// Guard delay between decoding a query and starting backscatter,
-    /// seconds. A MAC can assign staggered guards so responses to
-    /// time-multiplexed queries still collide (see `collision_group`).
-    pub default_guard_s: f64,
     /// Simulate the cold-start transient: the storage capacitor starts
     /// empty and the MCU only boots once it charges past the power-up
     /// threshold (§4.2.1's pull-down/cold-start behaviour). When `false`
@@ -157,12 +156,8 @@ impl PabNode {
             address,
             frontends: vec![fe],
             powerup_threshold_v: 2.5,
-            schmitt_hysteresis_rel: 0.15,
-            ac_coupling_hz: 15.0,
-            envelope_cutoff_hz: 800.0,
             default_divider: 6,
             battery_assisted: false,
-            default_guard_s: 5e-3,
             cold_start: false,
             supercap: pab_analog::Supercap::pab_node(),
             caches: std::cell::RefCell::new(NodeCaches::default()),
@@ -279,7 +274,7 @@ impl PabNode {
 
         // Envelope detection (analog, carrier-free) on the rectifier
         // input voltage, in the filter's padded workspace.
-        let lp = pab_dsp::iir::butter_lowpass(2, self.envelope_cutoff_hz, fs_hz)?;
+        let lp = pab_dsp::iir::butter_lowpass(2, ENVELOPE_CUTOFF_HZ, fs_hz)?;
         let mut env_ext = pool.take_workspace(n + 2 * lp.filtfilt_pad(n));
         let pad = rectified_envelope_into(&lp, &v_in, &mut env_ext)?;
         pool.put(v_in);
@@ -328,7 +323,6 @@ impl PabNode {
 
         let mut firmware = PabFirmware::new(self.address);
         firmware.divider = self.default_divider.max(1);
-        firmware.guard_s = self.default_guard_s.max(1e-4);
         let mut mcu = Mcu::new(firmware, PowerProfile::pab_node());
         mcu.reset();
         if let Some(water) = sensors {
@@ -346,7 +340,7 @@ impl PabNode {
             // input), in place: a one-pole DC blocker removes the carrier
             // floor so only keying transitions cross the trigger. The
             // pull-down transistor maximises the remaining swing (§4.2.1).
-            let alpha = 1.0 - (-std::f64::consts::TAU * self.ac_coupling_hz / fs_hz).exp();
+            let alpha = 1.0 - (-std::f64::consts::TAU * AC_COUPLING_HZ / fs_hz).exp();
             let mut state = 0.0;
             for x in env.iter_mut() {
                 state += alpha * (*x - state);
@@ -366,8 +360,8 @@ impl PabNode {
             pool.put(mags);
             if swing > 0.0 {
                 let trig = SchmittTrigger::new(
-                    -self.schmitt_hysteresis_rel * swing,
-                    self.schmitt_hysteresis_rel * swing,
+                    -SCHMITT_HYSTERESIS_REL * swing,
+                    SCHMITT_HYSTERESIS_REL * swing,
                 )?;
                 let levels = trig.discretize(ac);
                 for e in edges(&levels) {

@@ -7,29 +7,27 @@
 //! frequency-flat across the sweep range: the recto-piezo under test is
 //! the only frequency-selective element.
 
+use crate::firmware::DOWNLINK_PWM;
 use crate::scratch::Scratch;
 use crate::{CoreError, DEFAULT_SAMPLE_RATE_HZ};
 use pab_dsp::mix::Nco;
 use pab_net::packet::DownlinkQuery;
-use pab_net::pwm::{self, PwmTiming};
+use pab_net::pwm;
 use pab_piezo::Transducer;
+
+/// Carrier-settle duration before the PWM query, seconds.
+const SETTLE_S: f64 = 0.08;
 
 /// The acoustic projector.
 #[derive(Debug, Clone)]
 pub struct Projector {
-    /// The projector transducer (sets the V → Pa·m conversion).
-    pub transducer: Transducer,
     /// Drive voltage amplitude from the power amplifier, volts.
     pub drive_voltage_v: f64,
-    /// Downlink PWM timing.
-    pub pwm: PwmTiming,
     /// Sample rate for waveform synthesis, Hz.
     pub fs_hz: f64,
     /// Oscillator frequency error, Hz (models the CFO between projector
     /// and receiver sound cards noted in §5.1(b), footnote 12).
     pub cfo_hz: f64,
-    /// Carrier-settle duration before the PWM query, seconds.
-    pub settle_s: f64,
 }
 
 impl Projector {
@@ -39,19 +37,16 @@ impl Projector {
             return Err(CoreError::InvalidConfig("drive_voltage_v"));
         }
         Ok(Projector {
-            transducer: Transducer::pab_projector(),
             drive_voltage_v,
-            pwm: PwmTiming::pab_default(),
             fs_hz: DEFAULT_SAMPLE_RATE_HZ,
             cfo_hz: 0.0,
-            settle_s: 0.08,
         })
     }
 
     /// Source pressure amplitude at 1 m, pascals (frequency-flat — see
     /// module docs).
     pub(crate) fn source_pressure_pa(&self) -> f64 {
-        self.transducer.tx_sensitivity_pa_m_per_v * self.drive_voltage_v
+        Transducer::pab_projector().tx_sensitivity_pa_m_per_v * self.drive_voltage_v
     }
 
     /// Synthesise a continuous-wave carrier of `duration_s` at
@@ -111,13 +106,13 @@ impl Projector {
         let bits = query.to_bits();
         // Settle carrier, then a reference '0'-width pulse so the first
         // falling edges anchor PWM timing, then the query bits.
-        let settle = (self.settle_s * self.fs_hz).round() as usize;
+        let settle = (SETTLE_S * self.fs_hz).round() as usize;
         let mut keyed = vec![false];
         keyed.extend(&bits);
-        let segments = pwm::encode(&keyed, &self.pwm);
+        let segments = pwm::encode(&keyed, &DOWNLINK_PWM);
         let mut keying = vec![true; settle];
         // A gap after the settle period so its falling edge is clean.
-        keying.extend(vec![false; (self.pwm.gap_s * self.fs_hz).round() as usize]);
+        keying.extend(vec![false; (DOWNLINK_PWM.gap_s * self.fs_hz).round() as usize]);
         keying.extend(pwm::rasterize(&segments, self.fs_hz));
         let query_end_s = keying.len() as f64 / self.fs_hz;
         let tail = (cw_tail_s * self.fs_hz).round() as usize;
@@ -247,7 +242,7 @@ mod tests {
         let bits = q.to_bits();
         let mut keyed = vec![false];
         keyed.extend(&bits);
-        let expect = p.pwm.total_duration_s(&keyed) + p.settle_s + p.pwm.gap_s;
+        let expect = DOWNLINK_PWM.total_duration_s(&keyed) + SETTLE_S + DOWNLINK_PWM.gap_s;
         let (_, query_end) = p.query_waveform(&q, 15_000.0, 0.0).unwrap();
         assert!((query_end - expect).abs() < 1e-3, "{query_end} vs {expect}");
     }

@@ -24,7 +24,7 @@ impl PwmTiming {
     /// the bottleneck). The long gap lets tank reverberation (≈1 ms RMS
     /// delay spread in the paper's pools) decay below the Schmitt
     /// trigger's low threshold before the next pulse.
-    pub fn pab_default() -> Self {
+    pub const fn pab_default() -> Self {
         PwmTiming {
             short_pulse_s: 3e-3,
             gap_s: 6e-3,

@@ -14,6 +14,13 @@ cargo build --release
 echo "==> pab_bench standalone build (crates/experiments/src/bin/pab_bench/Cargo.toml)"
 cargo build --release --locked --manifest-path crates/experiments/src/bin/pab_bench/Cargo.toml --target-dir target/pab-bench
 
+# The benchmark's own tests recompose slots from the library's public
+# pieces and compare them with the simulators' own counters and
+# verdicts, so a library change that drifts from the benchmark fails
+# here.
+echo "==> pab_bench tests (the benchmark's recomposed slots match the simulators)"
+cargo test --release -q --locked --manifest-path crates/experiments/src/bin/pab_bench/Cargo.toml --target-dir target/pab-bench
+
 # `--locked` passes a lock file that still lists a dependency the
 # libraries dropped; the benchmark's own unlocked `cargo run` would
 # rewrite it. Resolve without `--locked` and fail on any rewrite.
